@@ -140,11 +140,10 @@ func throughputGuarded(cfg machine.Config, threads int, warm, window uint64,
 	var m *machine.Machine
 	defer func() {
 		if r := recover(); r != nil {
-			cause := toError(r)
-			err = newRunError(m, threads, cause)
-			if m != nil {
-				m.Stop()
-			}
+			err = newRunError(m, threads, toError(r))
+		}
+		if err != nil && m != nil {
+			m.Stop() // every failed cell, or its parked procs leak
 		}
 	}()
 
@@ -411,8 +410,10 @@ func RunToCompletion(cfg machine.Config, threads int, budget uint64,
 			err = newRunError(m, threads, toError(r))
 			if m != nil {
 				cycles, stats = m.Now(), m.Stats()
-				m.Stop()
 			}
+		}
+		if err != nil && m != nil {
+			m.Stop() // every failed run, or its parked procs leak
 		}
 	}()
 	m = machine.New(cfg)
@@ -430,7 +431,6 @@ func RunToCompletion(cfg machine.Config, threads int, budget uint64,
 			re := &RunError{Threads: threads, Cycle: m.Now(), Reason: "budget",
 				Detail: fmt.Sprintf("cycle budget %d exhausted before completion", budget), Dump: d}
 			re.Cause = errors.New(re.Detail)
-			m.Stop()
 			return m.Now(), m.Stats(), re
 		}
 	}

@@ -118,6 +118,30 @@ func BenchmarkProcSyncPingPong(b *testing.B) {
 	}
 }
 
+// BenchmarkProcRing64 is the handoff shape that hurts: 64 procs started one
+// cycle apart, each syncing every 64 cycles, so every cycle wakes exactly
+// one proc and it is never the one that was just running. The two-proc
+// ping-pong above hides what this shows — a handoff the Go scheduler can
+// see (a channel send, say) costs more the more Ps there are to wake. Run
+// with -cpu 1,2,4: the columns should agree.
+func BenchmarkProcRing64(b *testing.B) {
+	const procs = 64
+	e := NewEngine()
+	for id := 0; id < procs; id++ {
+		e.Spawn(id, Time(id), uint64(id+1), func(p *Proc) {
+			for i := 0; i < b.N; i += procs {
+				p.Work(procs)
+				p.Sync()
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Drain(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkProcBlockWake measures the Block/WakeAt handoff used by the
 // coherence protocol to resume a thread when its miss completes.
 func BenchmarkProcBlockWake(b *testing.B) {

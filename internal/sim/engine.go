@@ -9,15 +9,24 @@
 // produces bit-identical results (see shard.go for the windowed parallel
 // executor; with one shard the engine is the familiar sequential kernel).
 //
-// Simulated cores run as coroutines that are woken by events and yield
-// before every action that can observe or affect shared simulated state.
-// Within a shard exactly one actor — the driver or one proc — executes at
-// any instant. Scheduling uses direct switching: whichever goroutine
-// currently holds the shard's execution token drives the event loop, and
-// when the next event is another proc's wake the token moves
-// goroutine-to-goroutine in a single channel handoff (when it is the
-// driver's own wake, no handoff at all). The Run caller gets the token back
-// when the run is over.
+// Simulated cores (procs) are runtime coroutines (iter.Pull) of one driver
+// loop per shard, shard.loop, which runs on Run's caller (or, windowed, on
+// the shard's worker): it pops events in order, executes callbacks, and
+// resumes the proc whose wake comes due. A switch into or out of a proc is
+// a runtime.coroswitch on the same thread — no run queue, no wake-up of an
+// idle P, no futex — so its cost does not depend on GOMAXPROCS or on how
+// many procs exist. Within a shard exactly one of them, the loop or one
+// proc, executes at any instant.
+//
+// A proc that parks (Sync, Block) does not go back to the loop: it keeps
+// popping and executing events on its own stack (shard.drive) until its own
+// wake pops, which costs no switch at all. Only when another proc's wake
+// comes due does it name that proc in shard.handoff and yield; the loop
+// resumes the named proc. The loop mediates every proc→proc move because a
+// coroutine resumed from inside another would run nested on top of it, and
+// could never hand control back to the one underneath. The same yield, with
+// no proc named, returns control to the loop when a stop condition is
+// reached; a proc whose body returns simply ends up in the loop too.
 package sim
 
 import (
@@ -43,8 +52,8 @@ const SysDomain = ^uint32(0)
 const noDomain = SysDomain - 1
 
 // event is a scheduled callback (p == nil) or a proc wake (p != nil; fn is
-// unused). Wakes are distinguished so the driver can hand the execution
-// token directly to the target proc instead of calling into it.
+// unused). Wakes are distinguished so whoever pops one can switch to the
+// target proc's coroutine instead of calling into it.
 type event struct {
 	at  Time
 	seq uint64 // per-source-domain sequence: FIFO among same-key ties
@@ -235,17 +244,10 @@ type Engine struct {
 	sys     *Domain
 	procs   []*Proc
 
-	// Stop condition: Run returns once now >= stopAt (events at later
-	// times stay queued).
-	stopAt Time
-
 	// idleNow is the global time reported while no run is active and the
 	// engine has more than one shard (with one shard the shard clock is
 	// authoritative).
 	idleNow Time
-
-	runErr error
-	fatal  *PanicError
 
 	// Sharding configuration (see ConfigureSharding); applied lazily at
 	// the first Run.
@@ -288,8 +290,7 @@ const DefaultStallLimit = 1 << 20
 
 // NewEngine returns an empty sequential engine at time 0.
 func NewEngine() *Engine {
-	e := &Engine{stopAt: MaxTime, StallLimit: DefaultStallLimit,
-		domains: make(map[uint32]*Domain)}
+	e := &Engine{StallLimit: DefaultStallLimit, domains: make(map[uint32]*Domain)}
 	e.shards = []*shard{newShard(e, 0)}
 	e.sys = e.Domain(SysDomain)
 	return e
@@ -381,9 +382,9 @@ func (s *StallError) Error() string {
 }
 
 // shard is one partition of the simulation: a set of domains, their event
-// queues, and an execution token. With one shard the Run caller drives it
-// directly; with several, each shard has a worker goroutine and executes
-// lookahead-bounded windows between barriers (shard.go).
+// queues, and the driver loop that executes them. With one shard the Run
+// caller runs the loop; with several, each shard has a worker goroutine and
+// executes lookahead-bounded windows between barriers (shard.go).
 type shard struct {
 	eng *Engine
 	idx int
@@ -394,10 +395,10 @@ type shard struct {
 
 	// Canonical key of the event currently executing (curAt/curDom/
 	// curSrc/curSeq), maintained by next() as the single source of truth.
-	// Emissions made while a proc holds the token are attributed to the
-	// proc's wake event — the last event popped on this shard — which is
-	// the same attribution the sequential executor would make, since no
-	// other event runs while the proc holds the token.
+	// Emissions made while a proc runs are attributed to the proc's wake
+	// event — the last event popped on this shard — which is the same
+	// attribution the sequential executor would make, since no other event
+	// runs while the proc does.
 	curAt  Time
 	curDom uint32 // domain of the event currently executing
 	curSrc uint32
@@ -407,9 +408,9 @@ type shard struct {
 	windowEnd Time
 	stopAt    Time
 
-	// home returns the shard's execution token to its driver (the Run
-	// caller, or the shard worker) once a stop condition is hit.
-	home chan struct{}
+	// handoff is the proc a parked proc asks the loop to resume next: its
+	// wake was popped on the parked proc's stack (see drive).
+	handoff *Proc
 
 	// verdict holds a stall error detected by this shard's watchdog;
 	// fatal holds a wrapped panic from one of its procs or events.
@@ -420,6 +421,13 @@ type shard struct {
 	eventCount  uint64
 	stallEvents uint64 // events executed at the current cycle
 
+	// Host-side counters (EngineStats): coroutine resumes by the loop,
+	// wakes a parked proc popped for itself, and Syncs that moved the
+	// clock without an event.
+	procSwitches     uint64
+	ownWakes         uint64
+	syncFastForwards uint64
+
 	// inbox receives cross-shard events; appended under inmu by source
 	// shards mid-window, drained into the heap by the coordinator at
 	// window barriers.
@@ -429,7 +437,7 @@ type shard struct {
 
 func newShard(e *Engine, idx int) *shard {
 	return &shard{eng: e, idx: idx, curDom: noDomain,
-		windowEnd: MaxTime, stopAt: MaxTime, home: make(chan struct{})}
+		windowEnd: MaxTime, stopAt: MaxTime}
 }
 
 // push schedules an event from source domain src onto destination domain
@@ -473,9 +481,9 @@ func (s *shard) bound() Time {
 }
 
 // next pops the next due event, advancing time and the watchdog counters.
-// Only the current token holder may call it. ok == false means this shard
-// is done for now: the horizon was reached, the queue drained, or the
-// watchdog fired (s.verdict). The driver decides what that means.
+// Only whoever is executing on the shard (the loop, or the proc it resumed)
+// may call it. ok == false means this shard is done for now: the horizon
+// was reached, the queue drained, or the watchdog fired (s.verdict).
 func (s *shard) next() (event, bool) {
 	var ev event
 	bound := s.bound()
@@ -531,14 +539,12 @@ func (s *shard) empty() bool {
 // deadlock), a *StallError if the StallLimit watchdog detects a livelock,
 // and nil otherwise.
 //
-// Run drives the event loop on the calling goroutine until the first proc
-// wake, hands the execution token to that proc, and waits for the token to
-// come home; from then on the loop runs on whichever proc goroutine holds
-// the token (see shard.drive). Any panic escaping simulation code — an
-// event callback or a proc goroutine — is re-raised out of Run on the
-// caller's goroutine as a *PanicError carrying the simulated cycle, event
-// sequence number, and proc id, so a harness can recover it with full sim
-// context.
+// Run executes the shard's driver loop on the calling goroutine (any
+// goroutine, and not necessarily the same one on every call); procs run as
+// coroutines of it (see shard.loop). Any panic escaping simulation code —
+// an event callback or a proc — is re-raised out of Run as a *PanicError
+// carrying the simulated cycle, event sequence number, and proc id, so a
+// harness can recover it with full sim context.
 //
 // With sharding configured, Run instead executes lookahead-bounded windows
 // on per-shard workers (see shard.go); the observable results are
@@ -551,42 +557,10 @@ func (e *Engine) Run(until Time) error {
 	}
 	s := e.shards[0]
 	s.stopAt = until
-	e.stopAt = until
 	s.verdict = nil
-	for {
-		ev, ok := s.next()
-		if !ok {
-			break
-		}
-		if ev.p == nil {
-			s.exec(ev)
-			continue
-		}
-		q := ev.p
-		if q.state == procDone {
-			continue // stale wake for a finished proc
-		}
-		q.state = procRunning
-		q.resume <- ev.at // hand the token to q ...
-		<-s.home          // ... and wait for the run to end
-		break
-	}
-	e.EventCount = s.eventCount
-	if s.fatal != nil {
-		pe := s.fatal
-		s.fatal = nil
-		panic(pe)
-	}
-	return e.finishVerdict(s)
-}
-
-// finishVerdict turns a stopped shard's state into Run's return value for
-// the sequential executor.
-func (e *Engine) finishVerdict(s *shard) error {
-	if s.verdict != nil {
-		v := s.verdict
-		s.verdict = nil
-		return v
+	s.loop()
+	if err := e.collect(); err != nil {
+		return err
 	}
 	if s.empty() {
 		if blocked := e.Blocked(); len(blocked) > 0 {
@@ -637,42 +611,15 @@ func (e *Engine) partition() {
 	}
 }
 
-// drive runs the event loop on a parked proc's goroutine (the token
-// holder) until the proc's own wake pops, returning the wake time. Another
-// proc's wake hands the token to that proc in a single channel send — the
-// driver is not involved — after which self waits to be resumed the same
-// way. A stop condition sends the token home and leaves self parked for a
-// later window or Run.
-func (s *shard) drive(self *Proc) Time {
-	for {
-		ev, ok := s.next()
-		if !ok {
-			s.sendHome()
-			return <-self.resume
-		}
-		if ev.p == nil {
-			s.exec(ev)
-			continue
-		}
-		q := ev.p
-		if q.state == procDone {
-			continue
-		}
-		if q == self {
-			return ev.at // own wake: keep the token, no handoff at all
-		}
-		q.state = procRunning
-		q.resume <- ev.at
-		return <-self.resume
-	}
-}
-
-// driveDetached runs the event loop on a completed proc's goroutine, which
-// still holds the token but is about to exit: it drives until the token
-// can move to another proc or go home. An event panic here has no user
-// stack to unwind through, so it is captured like a proc panic and
-// re-raised by Run.
-func (s *shard) driveDetached() {
+// loop is the shard's driver: it pops events in canonical order until a
+// stop condition, executing callbacks and resuming the proc whose wake
+// came due. It is the only caller of a proc's next, so coroutines never
+// nest. A resumed proc comes back here in one of three ways: its body
+// returned; it parked, popped another proc's wake and named that proc in
+// s.handoff; or it parked and ran into a stop condition, which ends the
+// loop with the proc left parked for a later window or Run. A panic from
+// an event or a proc is kept in s.fatal for Engine.collect to re-raise.
+func (s *shard) loop() {
 	defer func() {
 		if r := recover(); r != nil {
 			pe, ok := r.(*PanicError)
@@ -681,33 +628,60 @@ func (s *shard) driveDetached() {
 					Value: r, Stack: stack()}
 			}
 			s.fatal = pe
-			s.sendHome()
 		}
 	}()
 	for {
-		ev, ok := s.next()
-		if !ok {
-			s.sendHome()
-			return
-		}
-		if ev.p == nil {
-			s.exec(ev)
-			continue
-		}
-		q := ev.p
-		if q.state == procDone {
-			continue
+		q := s.handoff
+		if q != nil {
+			s.handoff = nil
+		} else {
+			ev, ok := s.next()
+			if !ok {
+				return
+			}
+			if ev.p == nil {
+				s.exec(ev)
+				continue
+			}
+			if q = ev.p; q.state == procDone {
+				continue // stale wake for a finished proc
+			}
 		}
 		q.state = procRunning
-		q.resume <- ev.at
-		return
+		s.procSwitches++
+		if _, parked := q.next(); parked && s.handoff == nil {
+			return
+		}
 	}
 }
 
-// sendHome returns the execution token to the shard's driver. The driver
-// is always waiting: the token only ever leaves its goroutine via its own
-// handoff, after which it blocks on home.
-func (s *shard) sendHome() { s.home <- struct{}{} }
+// drive runs the event loop on a parked proc's own stack until the proc's
+// wake pops — the common case (a miss completing, a Sync with other events
+// due first), and it costs no switch. When another proc's wake pops, or a
+// stop condition is reached (s.handoff stays nil), self yields to the loop
+// and returns when the loop resumes it, which it does for self's wake or
+// for Kill.
+func (s *shard) drive(self *Proc) {
+	for {
+		ev, ok := s.next()
+		switch {
+		case !ok:
+			// stop condition: yield with no proc named
+		case ev.p == nil:
+			s.exec(ev)
+			continue
+		case ev.p == self:
+			s.ownWakes++
+			return
+		case ev.p.state == procDone:
+			continue // stale wake for a finished proc
+		default:
+			s.handoff = ev.p
+		}
+		self.yield(struct{}{})
+		return
+	}
+}
 
 // exec runs one event, wrapping any escaping panic in a *PanicError so it
 // reaches Run's caller with sim context attached.

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 type procState int
 
@@ -12,12 +15,12 @@ const (
 )
 
 // Proc is a simulated hardware context (one in-order core running one
-// thread). Proc code runs on its own goroutine, but exactly one actor per
-// shard — the shard's driver or one of its procs — executes at any
-// instant: a single "execution token" moves between them (see shard.drive),
-// so all engine and simulated state owned by the shard is accessed
-// race-free without locks. Each proc is its own scheduling domain
-// (id = proc id), which under sharding pins it to one shard.
+// thread). Proc code runs as a coroutine of its shard's driver loop
+// (shard.loop): the loop resumes it, it runs until it yields or returns,
+// and nothing else on the shard executes meanwhile, so all engine and
+// simulated state owned by the shard is accessed race-free without locks.
+// Each proc is its own scheduling domain (id = proc id), which under
+// sharding pins it to one shard.
 //
 // A proc keeps a local clock that it advances as it "executes". Before any
 // action that can touch shared simulated state it must call Sync, which
@@ -31,11 +34,14 @@ type Proc struct {
 	clock Time
 	state procState
 
-	// resume delivers the execution token (and the wake time) to a parked
-	// proc: from the driver that popped its wake event, or from Kill.
-	resume chan Time
-	// yield hands control back to Kill after a killed proc unwinds.
-	yield chan struct{}
+	// The proc's coroutine (iter.Pull): next resumes it until it yields or
+	// its body returns (false) and may only be called by shard.loop; stop
+	// makes a parked yield return so Kill can unwind it (a coroutine that
+	// never started just exits); yield, valid on the coroutine itself,
+	// parks it and returns control to the loop.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 
 	blockReason string
 	blockSince  Time
@@ -53,63 +59,44 @@ type Proc struct {
 // events keyed by the proc's own sequence counter.
 func (p *Proc) scheduleWake(t Time) { p.dom.sh.push(p.dom, p.dom, t, nil, p) }
 
-// killToken unwinds a killed proc's goroutine through a panic that the
+// killToken unwinds a killed proc's coroutine through a panic that the
 // Spawn wrapper recovers.
 type killToken struct{}
 
 // Spawn creates a proc running fn, starting at time start. fn runs to
-// completion on its own goroutine, interleaved deterministically with other
+// completion as a coroutine, interleaved deterministically with other
 // procs by the engine. The proc's scheduling domain is uint32(id).
 func (e *Engine) Spawn(id int, start Time, seed uint64, fn func(*Proc)) *Proc {
 	p := &Proc{
-		ID:     id,
-		eng:    e,
-		dom:    e.Domain(uint32(id)),
-		resume: make(chan Time),
-		yield:  make(chan struct{}),
-		rng:    NewRNG(seed),
+		ID:  id,
+		eng: e,
+		dom: e.Domain(uint32(id)),
+		rng: NewRNG(seed),
 	}
 	e.procs = append(e.procs, p)
-	go func() {
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		defer func() {
-			s := p.dom.sh
-			if r := recover(); r != nil {
-				if _, ok := r.(killToken); !ok {
-					// A panic here is on the proc goroutine, where no
-					// harness can recover it. Wrap it with sim context
-					// and hand it to the Run caller, which re-raises it
-					// on its own goroutine (see Engine.Run).
-					pe, ok := r.(*PanicError)
-					if !ok {
-						pe = &PanicError{ProcID: p.ID, Cycle: s.now,
-							LocalClk: p.clock, EventSeq: s.curSeq,
-							Value: r, Stack: stack()}
-					}
-					s.fatal = pe
-				}
-			}
 			p.state = procDone
-			if p.killed {
-				p.yield <- struct{}{} // hand control back to Kill
-				return
+			r := recover()
+			if _, killed := r.(killToken); r == nil || killed {
+				return // back to the loop, or to Kill
 			}
-			if s.fatal != nil {
-				// Abort the run: send the token home; the driver
-				// re-raises.
-				s.sendHome()
-				return
+			// No harness can recover a panic on the coroutine's stack. Wrap
+			// it with sim context and re-raise: iter.Pull carries it to the
+			// loop's q.next() call, and from there it reaches Run's caller.
+			pe, ok := r.(*PanicError)
+			if !ok {
+				s := p.dom.sh
+				pe = &PanicError{ProcID: p.ID, Cycle: s.now,
+					LocalClk: p.clock, EventSeq: s.curSeq,
+					Value: r, Stack: stack()}
 			}
-			// Normal completion: this goroutine still holds the shard's
-			// execution token, so it keeps driving the simulation until
-			// the token can move to another actor, then exits.
-			s.driveDetached()
+			panic(pe)
 		}()
-		t := <-p.resume
-		p.clock = t
-		if !p.killed {
-			fn(p)
-		}
-	}()
+		p.yield = yield
+		p.clock = p.dom.sh.now // the start wake just popped
+		fn(p)
+	})
 	p.state = procBlocked
 	p.blockReason = "waiting to start"
 	p.scheduleWake(start)
@@ -117,7 +104,7 @@ func (e *Engine) Spawn(id int, start Time, seed uint64, fn func(*Proc)) *Proc {
 }
 
 // park records the proc as blocked and drives the engine until the proc's
-// own wake fires (possibly after handing the token to other procs in
+// own wake fires (possibly after yielding to the loop so other procs run in
 // between), returning the wake time.
 func (p *Proc) park(reason string) Time {
 	if p.killed {
@@ -129,26 +116,27 @@ func (p *Proc) park(reason string) Time {
 	}
 	p.state = procBlocked
 	p.blockReason = reason
-	p.blockSince = p.dom.sh.now
-	t := p.dom.sh.drive(p)
+	s := p.dom.sh
+	p.blockSince = s.now
+	s.drive(p)
 	if p.killed {
 		panic(killToken{})
 	}
 	p.state = procRunning
-	return t
+	return s.now // a popped event's time is the shard clock
 }
 
-// Kill unwinds a blocked proc: its goroutine exits without running further
-// user code. Kill must only be called while the engine is idle (Run has
-// returned); it is a no-op on running or finished procs.
+// Kill unwinds a blocked proc: its coroutine exits without running further
+// user code (a proc that never started never runs its body at all). Kill
+// must only be called while the engine is idle (Run has returned); it is a
+// no-op on running or finished procs.
 func (p *Proc) Kill() {
 	if p.state != procBlocked {
 		return
 	}
 	p.killed = true
-	p.state = procRunning
-	p.resume <- 0
-	<-p.yield
+	p.stop()
+	p.state = procDone
 }
 
 // KillAll unwinds every blocked proc. Call after Run returns to tear a
@@ -168,9 +156,9 @@ func (e *Engine) KillAll() {
 // local clock (and the clock is inside the current execution horizon),
 // parking would only make the proc's own wake the next event executed, so
 // the proc advances the shard clock itself and keeps running — no event,
-// no handoff. This is safe (the proc holds the shard's execution token, so
-// it has exclusive access to shard state) and exactly order-preserving:
-// the wake it skips would have been the next event.
+// no switch. This is safe (nothing else on the shard runs while the proc
+// does, so it has exclusive access to shard state) and exactly
+// order-preserving: the wake it skips would have been the next event.
 func (p *Proc) Sync() {
 	s := p.dom.sh
 	if p.killed {
@@ -188,6 +176,7 @@ func (p *Proc) Sync() {
 	if s.fifo.n == 0 && (len(s.events) == 0 || s.events[0].at > p.clock) && p.clock < s.bound() {
 		s.now = p.clock
 		s.stallEvents = 0
+		s.syncFastForwards++
 		return
 	}
 	p.scheduleWake(p.clock)

@@ -25,7 +25,6 @@ import "sync"
 // The Run caller coordinates barriers and drives shard 0 inline; shards
 // 1..n-1 run on worker goroutines spawned for the duration of this Run.
 func (e *Engine) runWindows(until Time) error {
-	e.stopAt = until
 	for _, s := range e.shards {
 		s.stopAt = until
 		s.verdict = nil
@@ -42,7 +41,7 @@ func (e *Engine) runWindows(until Time) error {
 		starts[i] = ch
 		go func(s *shard, ch chan struct{}) {
 			for range ch {
-				s.runWindow()
+				s.loop()
 				wg.Done()
 			}
 		}(e.shards[i], ch)
@@ -96,23 +95,23 @@ func (e *Engine) runWindows(until Time) error {
 				starts[i] <- struct{}{}
 			}
 		}
-		e.shards[0].runWindow()
+		e.shards[0].loop()
 		wg.Wait()
 		e.stats.barriers++
 		if e.barrierHook != nil {
 			e.barrierHook()
 		}
 
-		if err := e.collectWindow(); err != nil {
+		if err := e.collect(); err != nil {
 			return err
 		}
 	}
 }
 
-// collectWindow gathers per-shard failures after a barrier. Fatal panics
-// win over stall verdicts; ties resolve by shard index so the outcome is
-// deterministic.
-func (e *Engine) collectWindow() error {
+// collect gathers per-shard failures once every shard's loop has returned
+// (a barrier, or the end of a sequential Run). Fatal panics win over stall
+// verdicts; ties resolve by shard index so the outcome is deterministic.
+func (e *Engine) collect() error {
 	e.refreshCounts()
 	for _, s := range e.shards {
 		if s.fatal != nil {
@@ -166,40 +165,4 @@ func (e *Engine) refreshCounts() {
 		total += s.eventCount
 	}
 	e.EventCount = total
-}
-
-// runWindow drives one shard until its horizon (windowEnd, set by the
-// coordinator, or the run's stop time). It owns the shard's execution
-// token for the duration; proc wakes hand the token out and it comes home
-// when a stop condition is reached. Panics from events or procs are
-// captured into s.fatal for the coordinator to re-raise.
-func (s *shard) runWindow() {
-	defer func() {
-		if r := recover(); r != nil {
-			pe, ok := r.(*PanicError)
-			if !ok {
-				pe = &PanicError{Cycle: s.now, EventSeq: s.curSeq, ProcID: -1,
-					Value: r, Stack: stack()}
-			}
-			s.fatal = pe
-		}
-	}()
-	for {
-		ev, ok := s.next()
-		if !ok {
-			return
-		}
-		if ev.p == nil {
-			s.exec(ev)
-			continue
-		}
-		q := ev.p
-		if q.state == procDone {
-			continue
-		}
-		q.state = procRunning
-		q.resume <- ev.at // hand the token to q ...
-		<-s.home          // ... and take it back when the window is over
-		return
-	}
 }

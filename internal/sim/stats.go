@@ -1,11 +1,13 @@
 package sim
 
-// This file is the windowed executor's self-observability layer: counters
-// the coordinator accumulates at barriers (where every shard is parked, so
-// no synchronization is needed) digested into an EngineStats snapshot.
-// Every field is derived from simulated structure — window bounds, event
-// counts, inbox sizes — never from wall-clock time, so for a given seed
-// and shard count the stats are as deterministic as the simulation itself.
+// This file is the engine's self-observability layer: counters the
+// coordinator accumulates at barriers (where every shard is parked, so no
+// synchronization is needed) and plain per-shard counts of how procs were
+// scheduled, digested into an EngineStats snapshot. Every field is derived
+// from simulated structure — window bounds, event counts, inbox sizes,
+// which event popped where — never from wall-clock time, so for a given
+// seed and shard count the stats are as deterministic as the simulation
+// itself.
 
 // engineCounters is the raw accumulator behind Engine.Stats.
 type engineCounters struct {
@@ -28,10 +30,11 @@ type ShardStat struct {
 	Utilization float64 `json:"utilization"`
 }
 
-// EngineStats is a snapshot of the windowed parallel executor's
-// self-observability counters (Engine.Stats). For a sequential engine all
-// window/barrier counters are zero. Every field is deterministic per seed
-// and shard count; none is wall-clock derived.
+// EngineStats is a snapshot of the engine's self-observability counters
+// (Engine.Stats). For a sequential engine all window/barrier counters are
+// zero; the proc-scheduling counters are kept by both executors. Every
+// field is deterministic per seed and shard count; none is wall-clock
+// derived.
 type EngineStats struct {
 	// Shards is the effective shard count.
 	Shards int `json:"shards"`
@@ -57,6 +60,15 @@ type EngineStats struct {
 	CrossShardMerged uint64 `json:"cross_shard_merged"`
 	// EventsTotal is the total events executed across all shards.
 	EventsTotal uint64 `json:"events_total"`
+	// ProcSwitches is the number of times a driver loop resumed a proc's
+	// coroutine (each is one switch in and, later, one out). OwnWakes is
+	// the number of wakes a parked proc popped for itself on its own stack
+	// — no switch. SyncFastForwards is the number of Syncs that advanced
+	// the clock with nothing due first — no event either. Together they
+	// say how a run's proc wake-ups were paid for on the host.
+	ProcSwitches     uint64 `json:"proc_switches"`
+	OwnWakes         uint64 `json:"own_wakes"`
+	SyncFastForwards uint64 `json:"sync_fast_forwards"`
 	// ImbalanceRatio is max(per-shard events) / mean(per-shard events);
 	// 1.0 is a perfectly balanced partition.
 	ImbalanceRatio float64 `json:"imbalance_ratio"`
@@ -98,6 +110,9 @@ func (e *Engine) Stats() EngineStats {
 			ss.Utilization = float64(ss.ActiveWindows) / float64(st.Windows)
 		}
 		st.EventsTotal += ss.Events
+		st.ProcSwitches += s.procSwitches
+		st.OwnWakes += s.ownWakes
+		st.SyncFastForwards += s.syncFastForwards
 		if ss.Events > maxEvents {
 			maxEvents = ss.Events
 		}
