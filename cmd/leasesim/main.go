@@ -609,6 +609,8 @@ func printShardStats(out io.Writer, requested int, downgrade string, st *sim.Eng
 		st.EventsTotal, st.CrossShardMerged, st.ImbalanceRatio)
 	fmt.Fprintf(out, "  proc switches %d, own wakes %d, sync fast-forwards %d\n",
 		st.ProcSwitches, st.OwnWakes, st.SyncFastForwards)
+	fmt.Fprintf(out, "  sync wakes %d, syncs skipped %d (L1 hits that ran ahead of the event queue)\n",
+		st.SyncWakes, st.SyncsSkipped)
 	fmt.Fprintf(out, "  %5s %12s %12s %6s\n", "shard", "events", "activewin", "util")
 	for i, sh := range st.PerShard {
 		fmt.Fprintf(out, "  %5d %12d %12d %6.3f\n", i, sh.Events, sh.ActiveWindows, sh.Utilization)

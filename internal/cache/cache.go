@@ -115,12 +115,23 @@ func (c *Cache) State(l mem.Line) State {
 	return Invalid
 }
 
+// Holds reports whether Lookup would hit, and changes nothing: no LRU
+// refresh, no hit or miss counted. The machine probes with it before it
+// decides at what time the access is performed.
+func (c *Cache) Holds(l mem.Line, write bool) bool {
+	return c.find(l).permits(write)
+}
+
+func (w *way) permits(write bool) bool {
+	return w != nil && (w.state == Modified || (!write && w.state == Shared))
+}
+
 // Lookup checks whether the cache can satisfy an access: Shared or Modified
 // for reads, Modified for writes. On a hit it refreshes LRU and returns
 // true.
 func (c *Cache) Lookup(l mem.Line, write bool) bool {
 	w := c.find(l)
-	ok := w != nil && (w.state == Modified || (!write && w.state == Shared))
+	ok := w.permits(write)
 	if ok {
 		c.tick++
 		w.lru = c.tick

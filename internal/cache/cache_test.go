@@ -185,3 +185,26 @@ func TestVsModel(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Holds answers what Lookup would, and leaves the cache as it found it.
+func TestHoldsHasNoSideEffects(t *testing.T) {
+	c := New(Config{SizeBytes: 2 * mem.LineSize, Ways: 2}) // one set, two ways
+	c.Install(1, Shared)
+	c.Install(2, Modified)
+	for _, tc := range []struct {
+		l     mem.Line
+		write bool
+		want  bool
+	}{{1, false, true}, {1, true, false}, {2, false, true}, {2, true, true}, {3, false, false}} {
+		if got := c.Holds(tc.l, tc.write); got != tc.want {
+			t.Errorf("Holds(%d, write=%v) = %v, want %v", tc.l, tc.write, got, tc.want)
+		}
+	}
+	if c.Hits != 0 || c.Misses != 0 {
+		t.Fatalf("Holds counted %d hits and %d misses", c.Hits, c.Misses)
+	}
+	// Line 1 is still the least recently used: probing it did not touch LRU.
+	if victim, evict, _ := c.Victim(3); !evict || victim != 1 {
+		t.Fatalf("victim = %d (evict %v), want line 1", victim, evict)
+	}
+}

@@ -325,8 +325,12 @@ func (d *Directory) service(l mem.Line) {
 	if e.busy || len(e.queue) == 0 {
 		return
 	}
+	// Pop by shifting down: re-slicing from [1:] would give the capacity
+	// away, and the next arrival on the line would allocate again.
 	req := e.queue[0]
-	e.queue = e.queue[1:]
+	n := copy(e.queue, e.queue[1:])
+	e.queue[n] = nil
+	e.queue = e.queue[:n]
 	e.busy = true
 
 	switch {

@@ -263,3 +263,37 @@ func TestSharerDrop(t *testing.T) {
 		t.Fatalf("sharers = %b, want 10", sharers)
 	}
 }
+
+// TestQueuePopKeepsCapacity pins the per-line queue's storage: service pops
+// the head by shifting down, so a line that is requested again and again
+// keeps one backing array, and FIFO order survives the shift.
+func TestQueuePopKeepsCapacity(t *testing.T) {
+	eng, env, d := setup(t)
+	const line = mem.Line(5)
+	d.Submit(&Request{Core: 0, Line: line, Excl: true})
+	eng.Drain()
+	e := d.entries[line]
+	backing := &e.queue[:1][0]
+	for i := 1; i <= 100; i++ {
+		d.Submit(&Request{Core: i % 4, Line: line, Excl: true})
+		eng.Drain()
+		if got := &e.queue[:1][0]; got != backing {
+			t.Fatalf("txn %d: the queue's backing array was reallocated", i)
+		}
+	}
+
+	// Three requests queued behind one another complete in arrival order.
+	env.completes = env.completes[:0]
+	for c := 0; c < 3; c++ {
+		d.Submit(&Request{Core: c, Line: 9, Excl: true})
+	}
+	eng.Drain()
+	for i, c := range env.completes {
+		if c.req.Core != i {
+			t.Fatalf("completion %d went to core %d", i, c.req.Core)
+		}
+	}
+	if q := d.entries[9].queue; len(q) != 0 || q[:1][0] != nil {
+		t.Fatalf("drained queue still references a request: len %d", len(q))
+	}
+}

@@ -214,6 +214,20 @@ func (t *Table) ShouldDefer(l mem.Line, now uint64) bool {
 	return e.InGroup
 }
 
+// ExpiresBy reports whether some started lease has its deadline at or
+// before now, that is, whether an expiry timer of this core is due by then
+// (timers of leases already released are cancelled lazily and do not show
+// here). The machine consults it before it lets a core act ahead of the
+// event queue.
+func (t *Table) ExpiresBy(now uint64) bool {
+	for _, e := range t.fifo {
+		if e.Started && e.Deadline <= now {
+			return true
+		}
+	}
+	return false
+}
+
 // QueueProbe stores the (single) deferred probe on line l. It panics if a
 // probe is already queued — Proposition 1 guarantees the directory never
 // sends a second concurrent probe for the same line, so a violation is a

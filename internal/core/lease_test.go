@@ -319,3 +319,25 @@ func TestTableVsModel(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// ExpiresBy sees started leases only, and a deadline equal to the asked time
+// counts: the expiry timer at that cycle orders before the asker's wake.
+func TestExpiresBy(t *testing.T) {
+	tb := NewTable(DefaultConfig())
+	tb.Insert(1, 100, false)
+	if tb.ExpiresBy(1 << 40) {
+		t.Fatal("a lease whose countdown has not started has no deadline")
+	}
+	tb.Start(1, 50) // deadline 150
+	tb.Insert(2, 500, false)
+	tb.Start(2, 60) // deadline 560
+	for now, want := range map[uint64]bool{149: false, 150: true, 151: true} {
+		if got := tb.ExpiresBy(now); got != want {
+			t.Errorf("ExpiresBy(%d) = %v, want %v", now, got, want)
+		}
+	}
+	tb.Remove(1) // released: its timer is dead and must not count
+	if tb.ExpiresBy(559) || !tb.ExpiresBy(560) {
+		t.Fatal("after releasing line 1 only line 2's deadline (560) counts")
+	}
+}

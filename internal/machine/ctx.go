@@ -102,16 +102,38 @@ func (c *Ctx) Alloc(size uint64) mem.Addr { return c.cs.arena.AllocAligned(size)
 // core's emissions and replayed by the barrier merge in canonical order.
 // The harness uses it for operation-boundary observations — latency
 // histograms, span and ledger op accounting — which touch single-consumer
-// host state and must fold in the same order at any shard count.
-func (c *Ctx) Observe(fn func()) { c.m.bus.Defer(c.cs.dom, fn) }
+// host state and must fold in the same order at any shard count. fn's place
+// in that order is the thread's last memory access; a thread whose last
+// accesses hit may have performed them ahead of the event queue (access),
+// so it waits for the queue to reach the last one first.
+func (c *Ctx) Observe(fn func()) {
+	c.p.Rejoin()
+	c.m.bus.Defer(c.cs.dom, fn)
+}
 
 // access obtains the line of a with read or write permission, blocking
 // through the coherence protocol on a miss. On return the access itself
 // has been charged (L1 hit latency) and the value may be read/written.
+//
+// An access synchronizes with the event queue first, so that every probe,
+// invalidation, grant or lease expiry due at the core before the thread's
+// local clock T has been applied to its L1. One case needs none of that: the
+// line is held with the needed permission, no started lease of the core
+// expires by T, and the engine vouches that nothing else can reach the
+// core's domain before T (sim.Proc.RunAhead: T less than one lookahead
+// ahead, no foreign callback queued, T inside the horizon). The hit is then
+// performed at T at once. It touches the core's ways, its hit counter and
+// the word, which only events on this core's domain could change or expose,
+// and none is due before T; the wake it saves ordered no other event.
 func (c *Ctx) access(a mem.Addr, write, lease bool) {
 	c.m.maybePreempt(c.cs, c.p, write)
-	c.p.Sync()
 	l := mem.LineOf(a)
+	if c.m.runAhead && c.cs.l1.Holds(l, write) && !c.cs.leases.ExpiresBy(c.p.Clock()) && c.p.RunAhead() {
+		c.cs.l1.Lookup(l, write)
+		c.p.Work(c.m.cfg.L1HitLat)
+		return
+	}
+	c.p.Sync()
 	if c.cs.l1.Lookup(l, write) {
 		c.p.Work(c.m.cfg.L1HitLat)
 		return

@@ -1,0 +1,36 @@
+package machine
+
+import (
+	"leaserelease/internal/mem"
+	"leaserelease/internal/sim"
+)
+
+// Hooks for the external test package (runahead_diff_test.go).
+
+// ForceSync sends every access of m down the Sync path, whatever the
+// lookahead certificate says: the reference run of the differential test.
+// Call it after the last Spawn (certification counts the threads) and before
+// the first Run.
+func ForceSync(m *Machine) {
+	m.applySharding()
+	m.runAhead = false
+}
+
+// EngineStats is the engine's snapshot, for sequential runs too.
+func EngineStats(m *Machine) sim.EngineStats { return m.eng.Stats() }
+
+// MemImage returns every word the setup allocator and the cores' arenas have
+// handed out, in address order.
+func MemImage(m *Machine) []uint64 {
+	var img []uint64
+	span := func(from, to mem.Addr) {
+		for a := from; a < to; a += mem.WordSize {
+			img = append(img, m.store.Load(a))
+		}
+	}
+	span(mem.LineSize, m.alloc.Brk())
+	for i, cs := range m.cores {
+		span(coreArenaBase(i), cs.arena.Brk())
+	}
+	return img
+}

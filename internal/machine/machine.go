@@ -44,10 +44,13 @@ type Machine struct {
 
 	// Sharding state (see applySharding): effShards is the certified
 	// shard count actually applied to the engine (1 = sequential),
-	// shardReason explains a downgrade from cfg.Shards.
+	// shardReason explains a downgrade from cfg.Shards. runAhead says the
+	// run holds the lookahead certificate, so an L1 hit with nothing in
+	// flight to the core is performed without Sync (Ctx.access).
 	shardsDone  bool
 	effShards   int
 	shardReason string
+	runAhead    bool
 }
 
 // ProtocolViolationError is the panic value raised when simulated hardware
@@ -183,11 +186,15 @@ func (m *Machine) Drain() error {
 	return m.eng.Drain()
 }
 
-// applySharding certifies and applies the cfg.Shards request before the
-// first Run. Parallel windows only engage for configurations whose entire
-// event graph is shard-safe: the MSI directory (whose message paths are
-// domain-routed with >= Timing.Net lookahead) and no fault injection (the
-// injector's draw order is defined by the global event order). A telemetry
+// applySharding certifies the run's lookahead and applies the cfg.Shards
+// request before the first Run. The certificate (uncertified) covers
+// configurations whose entire event graph is domain-routed with at least
+// Timing.Net cycles on every cross-domain message: the MSI directory, and no
+// fault injection (the injector's draw order is defined by the global event
+// order, and it moves expiry timers and message latencies). With it the
+// engine is told the lookahead and enforces it, and two things rest on it:
+// L1 hits that run ahead of the event queue (Ctx.access), on either
+// executor, and parallel windows, which need a few things more. A telemetry
 // bus is shard-safe — when windows engage, it switches to per-shard
 // append-only buffers that the engine's barrier hook drains into the
 // subscribers in canonical order (telemetry.Bus.ShardBuffers), so derived
@@ -202,20 +209,24 @@ func (m *Machine) applySharding() {
 		return
 	}
 	m.shardsDone = true
-	k, reason := shardPlan(m.cfg.Shards, m.proto.Name(), m.bus.NeedsSync(),
-		m.faults != nil, m.cfg.Timing.Net, m.spawned)
+	cert := uncertified(m.proto.Name(), m.faults != nil, m.cfg.Timing.Net)
+	k, reason := shardPlan(m.cfg.Shards, cert, m.bus.NeedsSync(), m.spawned)
 	m.effShards, m.shardReason = k, reason
-	if k <= 1 {
-		return
+	m.runAhead = cert == ""
+	if !m.runAhead {
+		return // and k is 1
 	}
-	workers := uint32(k - 1)
-	m.eng.ConfigureSharding(k, m.cfg.Timing.Net, func(dom uint32) int {
-		if dom == sim.SysDomain {
-			return 0 // directory/L2/memory side
+	var place func(dom uint32) int
+	if workers := uint32(k - 1); workers > 0 {
+		place = func(dom uint32) int {
+			if dom == sim.SysDomain {
+				return 0 // directory/L2/memory side
+			}
+			return 1 + int(dom%workers)
 		}
-		return 1 + int(dom%workers)
-	})
-	if m.bus != nil {
+	}
+	m.eng.ConfigureSharding(k, m.cfg.Timing.Net, place)
+	if k > 1 && m.bus != nil {
 		m.bus.ShardBuffers(k)
 		m.eng.SetBarrierHook(m.bus.DrainBarrier)
 	}
@@ -223,23 +234,19 @@ func (m *Machine) applySharding() {
 
 // shardPlan is the certification decision itself, pure so hosts can
 // predict it: the requested shard count is granted only when every input
-// to the event graph is shard-safe, and otherwise downgraded to 1 with
-// the reason.
-func shardPlan(requested int, protoName string, busNeedsSync, faultsEnabled bool,
-	net sim.Time, spawned int) (int, string) {
+// to the event graph is shard-safe (cert, the lookahead certificate, is ""
+// and no subscriber needs synchronous delivery), and otherwise downgraded
+// to 1 with the reason.
+func shardPlan(requested int, cert string, busNeedsSync bool, spawned int) (int, string) {
 	k := requested
 	var reason string
 	switch {
 	case k <= 1:
 		k = 1
-	case protoName != coherence.ProtocolMSI:
-		k, reason = 1, "protocol "+protoName+" is not shard-certified"
+	case cert != "":
+		k, reason = 1, cert
 	case busNeedsSync:
 		k, reason = 1, "synchronous telemetry subscriber attached"
-	case faultsEnabled:
-		k, reason = 1, "fault injection enabled"
-	case net == 0:
-		k, reason = 1, "Timing.Net = 0 leaves no lookahead"
 	case spawned < 2:
 		k, reason = 1, "fewer than two threads"
 	}
@@ -247,6 +254,23 @@ func shardPlan(requested int, protoName string, busNeedsSync, faultsEnabled bool
 		k = spawned + 1 // no empty worker shards
 	}
 	return k, reason
+}
+
+// uncertified is the lookahead certificate: it returns "" when every
+// cross-domain message of a run is scheduled through its sender's domain
+// with at least Timing.Net cycles of latency, and otherwise what prevents
+// that. Tardis schedules everything on the system domain, so what is in
+// flight to a core is invisible per domain.
+func uncertified(protoName string, faultsEnabled bool, net sim.Time) string {
+	switch {
+	case protoName != coherence.ProtocolMSI:
+		return "protocol " + protoName + " is not shard-certified"
+	case faultsEnabled:
+		return "fault injection enabled"
+	case net == 0:
+		return "Timing.Net = 0 leaves no lookahead"
+	}
+	return ""
 }
 
 // ShardPlan predicts the shard count a run of cfg with the given spawned
@@ -260,7 +284,7 @@ func ShardPlan(cfg Config, threads int) (int, string) {
 	if proto == "" {
 		proto = coherence.ProtocolMSI
 	}
-	return shardPlan(cfg.Shards, proto, false, cfg.Faults.Enabled, cfg.Timing.Net, threads)
+	return shardPlan(cfg.Shards, uncertified(proto, cfg.Faults.Enabled, cfg.Timing.Net), false, threads)
 }
 
 // EffectiveShards reports the shard count actually applied (1 before the

@@ -53,3 +53,29 @@ func TestCoreArenaAllocZeroAlloc(t *testing.T) {
 		t.Errorf("arena AllocAligned allocates %.1f host objects, want 0", allocs)
 	}
 }
+
+// TestHitRunZeroAlloc asserts that threads walking lines resident in their
+// L1s allocate nothing, whether a hit runs ahead of the event queue or parks
+// for its turn (the threads interleave, so both happen).
+func TestHitRunZeroAlloc(t *testing.T) {
+	m := New(testConfig(4))
+	spawnListWalkers(m, 4, 64)
+	if err := m.Run(50_000); err != nil { // first pass misses; queues grow to size
+		t.Fatal(err)
+	}
+	before := m.eng.Stats()
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := m.Run(m.Now() + 1000); err != nil {
+			t.Fatal(err)
+		}
+	})
+	after := m.eng.Stats()
+	m.Stop()
+	if allocs != 0 {
+		t.Errorf("a run of L1 hits allocates %.1f objects per 1000 cycles, want 0", allocs)
+	}
+	if after.SyncsSkipped == before.SyncsSkipped || after.SyncWakes == before.SyncWakes {
+		t.Errorf("the measured runs skipped %d syncs and paid for %d; want both paths exercised",
+			after.SyncsSkipped-before.SyncsSkipped, after.SyncWakes-before.SyncWakes)
+	}
+}

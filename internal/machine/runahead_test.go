@@ -1,0 +1,214 @@
+package machine
+
+import (
+	"reflect"
+	"testing"
+
+	"leaserelease/internal/coherence"
+	"leaserelease/internal/faults"
+	"leaserelease/internal/mem"
+)
+
+// The tests below pin the proof obligations of the run-ahead hit in
+// Ctx.access, one scenario per condition. Each reads the engine's
+// syncs_skipped counter around single accesses of core 0, from inside its
+// thread; another core ticks every cycle, so that something is always due
+// and a Sync is never free.
+
+const tickUntil = 2000
+
+func runAheadMachine(cores int) *Machine {
+	cfg := testConfig(cores)
+	cfg.Timing.NetJitter = 0 // message times below are computed by hand
+	return New(cfg)
+}
+
+func spawnTicker(m *Machine) {
+	m.Spawn(0, func(c *Ctx) {
+		for c.Now() < tickUntil {
+			c.Work(1)
+			c.Fence()
+		}
+	})
+}
+
+// ranAhead performs one load of a and reports whether it skipped its Sync.
+func ranAhead(m *Machine, c *Ctx, a mem.Addr) bool {
+	before := m.eng.Stats().SyncsSkipped
+	c.Load(a)
+	return m.eng.Stats().SyncsSkipped > before
+}
+
+// fenceAt parks the thread until cycle t, so that the engine's clock is t.
+func fenceAt(c *Ctx, t uint64) {
+	c.Work(t - c.Now())
+	c.Fence()
+}
+
+// A forwarded probe (the other core loads a line this core holds Modified)
+// or an invalidation (it stores to a line this core holds Shared) is in
+// flight to core 0 from the moment the directory serves the request, at
+// cycle 215, until it lands at 233 = 215 + L2Tag + Net. Every hit attempted
+// in between takes the slow path, though the line is still held.
+func TestRunAheadYieldsToInFlightProbe(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		holdM  bool // core 0 holds the line Modified, and core 1 reads it
+		stillS bool // core 0 keeps a readable copy afterwards
+	}{
+		{"probe", true, true},
+		{"invalidation", false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := runAheadMachine(3)
+			x := m.Direct().Alloc(8)
+			type rec struct {
+				now  uint64
+				took bool
+			}
+			var recs []rec
+			m.Spawn(0, func(c *Ctx) {
+				if tc.holdM {
+					c.Store(x, 1)
+				} else {
+					c.Load(x)
+				}
+				for c.Now() < 300 {
+					c.Fence()
+					now := m.eng.Now()
+					c.Work(2)
+					recs = append(recs, rec{now, ranAhead(m, c, x)})
+				}
+			})
+			m.Spawn(0, func(c *Ctx) {
+				c.Work(200)
+				if tc.holdM {
+					c.Load(x)
+				} else {
+					c.Store(x, 2)
+				}
+			})
+			spawnTicker(m)
+			if err := m.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			inFlight := 0
+			for _, r := range recs {
+				switch {
+				case r.now > 215 && r.now <= 233:
+					inFlight++
+					if r.took {
+						t.Errorf("hit at engine cycle %d ran ahead with the %s in flight", r.now, tc.name)
+					}
+				case r.now > 150 && r.now <= 215, r.now > 260 && tc.stillS:
+					if !r.took {
+						t.Errorf("hit at engine cycle %d took the slow path with nothing in flight", r.now)
+					}
+				}
+			}
+			if inFlight < 3 {
+				t.Fatalf("only %d hits fell inside the in-flight window; the scenario drifted", inFlight)
+			}
+		})
+	}
+}
+
+// A started lease whose deadline is at or before the access's time means the
+// core's own expiry timer is due first: slow path. Before the deadline, and
+// once the timer has fired, hits run ahead — on the leased line too.
+func TestRunAheadYieldsToLeaseDeadline(t *testing.T) {
+	m := runAheadMachine(2)
+	x := m.Direct().Alloc(8)
+	var got []bool
+	var deadline uint64
+	m.Spawn(0, func(c *Ctx) {
+		c.Lease(x, 100)
+		deadline = m.cores[0].leases.Find(mem.LineOf(x)).Deadline
+		fenceAt(c, deadline-5)
+		c.Work(2)
+		for i := 0; i < 5; i++ { // at deadline-3, -2, -1, deadline, deadline+1
+			got = append(got, ranAhead(m, c, x))
+		}
+	})
+	spawnTicker(m)
+	if err := m.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []bool{true, true, true, false, true}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("run-ahead around the deadline (%d): %v, want %v", deadline, got, want)
+	}
+	if s := m.Stats(); s.InvoluntaryReleases != 1 {
+		t.Fatalf("%d involuntary releases, want 1", s.InvoluntaryReleases)
+	}
+}
+
+// A hit timed at or beyond Run's stop time belongs to the next Run, and one
+// a full lookahead or more ahead of the engine's clock has no guarantee.
+func TestRunAheadStaysInsideHorizonAndLookahead(t *testing.T) {
+	const until = 500
+	m := runAheadMachine(2)
+	x := m.Direct().Alloc(8)
+	var got []bool
+	m.Spawn(0, func(c *Ctx) {
+		c.Store(x, 1)
+		fenceAt(c, until-3)
+		c.Work(1)
+		for i := 0; i < 3; i++ { // at until-2, until-1, until
+			got = append(got, ranAhead(m, c, x))
+		}
+		net := m.cfg.Timing.Net
+		c.Fence()
+		c.Work(net - 1)
+		got = append(got, ranAhead(m, c, x))
+		c.Fence()
+		c.Work(net)
+		got = append(got, ranAhead(m, c, x))
+	})
+	spawnTicker(m)
+	if err := m.Run(until); err != nil {
+		t.Fatal(err)
+	}
+	if want := []bool{true, true}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("before the stop time: %v, want %v (the third access is parked)", got, want)
+	}
+	hits := m.Stats().L1Hits
+	if err := m.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []bool{true, true, false, true, false}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("run-ahead: %v, want %v", got, want)
+	}
+	if m.Stats().L1Hits <= hits {
+		t.Fatal("the access parked at the stop time was not performed by the next Run")
+	}
+}
+
+// Without the certificate no access runs ahead: Tardis keeps what is in
+// flight on the system domain, and the fault injector moves timers.
+func TestRunAheadNeedsCertificate(t *testing.T) {
+	for name, mod := range map[string]func(*Config){
+		"msi":    func(*Config) {},
+		"tardis": func(c *Config) { c.Protocol = coherence.ProtocolTardis },
+		"faults": func(c *Config) { c.Faults = faults.Config{Enabled: true} },
+		"net0":   func(c *Config) { c.Timing.Net = 0 },
+	} {
+		cfg := testConfig(2)
+		mod(&cfg)
+		m := New(cfg)
+		x := m.Direct().Alloc(8)
+		m.Spawn(0, func(c *Ctx) {
+			for i := 0; i < 100; i++ {
+				c.Work(2)
+				c.Load(x)
+			}
+		})
+		spawnTicker(m)
+		if err := m.Drain(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		skipped := m.eng.Stats().SyncsSkipped
+		if (name == "msi") != (skipped > 0) {
+			t.Errorf("%s: %d syncs skipped", name, skipped)
+		}
+	}
+}

@@ -194,6 +194,15 @@ type Domain struct {
 	sh  *shard
 	id  uint32
 	seq uint64
+
+	// foreign counts the queued callbacks that another domain scheduled
+	// onto this one (probes, invalidations, grants; proc wakes and the
+	// domain's own timers are same-domain and do not count). It is kept by
+	// shard.push and shard.next, and by the barrier merge for events that
+	// crossed shards, so only the owning shard or the coordinator at a
+	// barrier ever writes it. Proc.RunAhead reads it: with zero, nothing
+	// can reach the domain sooner than one lookahead from now.
+	foreign int
 }
 
 // ID returns the domain id.
@@ -212,9 +221,10 @@ func (d *Domain) After(dt Time, fn func()) { d.At(d.sh.now+dt, fn) }
 
 // CrossAt schedules fn to run on domain dst at absolute time t. The
 // receiver is the calling (source) domain; its clock and sequence counter
-// key the event. Under sharding a cross-shard event must land at or beyond
-// the current window horizon (guaranteed by construction when every
-// cross-domain message has latency ≥ the configured lookahead).
+// key the event. Once a lookahead is declared (ConfigureSharding) an event
+// for another domain must land at least that many cycles after the source's
+// now, on either executor; a closer one panics. Windows and proc run-ahead
+// both rest on that bound.
 func (d *Domain) CrossAt(dst *Domain, t Time, fn func()) { d.sh.push(dst, d, t, fn, nil) }
 
 // CrossAfter schedules fn on dst dt cycles from the source domain's now.
@@ -239,10 +249,13 @@ func (d *Domain) EmitContext() (buf int, now, at Time, dom, src uint32, seq uint
 // usable; construct with NewEngine. By default the engine is sequential
 // (one shard); ConfigureSharding enables the windowed parallel executor.
 type Engine struct {
-	shards  []*shard
-	domains map[uint32]*Domain
-	sys     *Domain
-	procs   []*Proc
+	shards []*shard
+	// doms is the dense domain table, indexed by domain id (core domains
+	// are proc ids, small by construction); sys sits beside it. next looks
+	// an event's target up here, so the event itself carries no pointer.
+	doms  []*Domain
+	sys   *Domain
+	procs []*Proc
 
 	// idleNow is the global time reported while no run is active and the
 	// engine has more than one shard (with one shard the shard clock is
@@ -273,7 +286,7 @@ type Engine struct {
 	// EventCount is the total number of events executed so far, across all
 	// shards; refreshed when Run returns. A proc Sync that fast-forwards
 	// time (nothing else was due first) consumes no event and is not
-	// counted.
+	// counted, nor is one that RunAhead made unnecessary.
 	EventCount uint64
 
 	// StallLimit is the no-progress watchdog: the maximum number of
@@ -290,33 +303,51 @@ const DefaultStallLimit = 1 << 20
 
 // NewEngine returns an empty sequential engine at time 0.
 func NewEngine() *Engine {
-	e := &Engine{StallLimit: DefaultStallLimit, domains: make(map[uint32]*Domain)}
+	e := &Engine{StallLimit: DefaultStallLimit}
 	e.shards = []*shard{newShard(e, 0)}
-	e.sys = e.Domain(SysDomain)
+	e.sys = &Domain{eng: e, sh: e.shards[0], id: SysDomain}
 	return e
 }
+
+// maxDomains bounds core domain ids, which index the dense domain table.
+const maxDomains = 1 << 16
 
 // Domain returns the handle for domain id, creating it on first use. New
 // domains live on shard 0 until ConfigureSharding's mapping is applied.
 func (e *Engine) Domain(id uint32) *Domain {
-	if d, ok := e.domains[id]; ok {
-		return d
+	if id == SysDomain {
+		return e.sys
 	}
-	d := &Domain{eng: e, sh: e.shards[0], id: id}
-	e.domains[id] = d
-	return d
+	if id >= maxDomains {
+		panic(fmt.Sprintf("sim: domain id %d out of range (core domains are < %d)", id, maxDomains))
+	}
+	if int(id) >= len(e.doms) {
+		e.doms = append(e.doms, make([]*Domain, int(id)+1-len(e.doms))...)
+	}
+	if e.doms[id] == nil {
+		e.doms[id] = &Domain{eng: e, sh: e.shards[0], id: id}
+	}
+	return e.doms[id]
+}
+
+// domain is Domain for an id that an already queued event names.
+func (e *Engine) domain(id uint32) *Domain {
+	if id == SysDomain {
+		return e.sys
+	}
+	return e.doms[id]
 }
 
 // Sys returns the system domain handle (directory, L2, memory).
 func (e *Engine) Sys() *Domain { return e.sys }
 
-// ConfigureSharding requests the windowed parallel executor: n shards, a
-// conservative lookahead (the minimum latency of any cross-domain message —
-// every CrossAt across shards must land at least lookahead cycles after the
-// window start), and a domain→shard mapping. It must be called before the
-// first Run; n <= 1 keeps the sequential executor. The mapping is applied
-// lazily when Run first executes, so it may be called at any point during
-// setup.
+// ConfigureSharding declares a conservative lookahead — the minimum latency
+// of any cross-domain message, which CrossAt enforces from here on — and
+// requests the windowed parallel executor: n shards and a domain→shard
+// mapping. It must be called before the first Run; n <= 1 keeps the
+// sequential executor, where the lookahead still licenses proc run-ahead
+// (Proc.RunAhead). The mapping is applied lazily when Run first executes,
+// so it may be called at any point during setup.
 func (e *Engine) ConfigureSharding(n int, lookahead Time, domShard func(uint32) int) {
 	if e.partitioned {
 		panic("sim: ConfigureSharding after Run")
@@ -422,11 +453,14 @@ type shard struct {
 	stallEvents uint64 // events executed at the current cycle
 
 	// Host-side counters (EngineStats): coroutine resumes by the loop,
-	// wakes a parked proc popped for itself, and Syncs that moved the
-	// clock without an event.
+	// wakes a parked proc popped for itself, Syncs that moved the clock
+	// without an event, Syncs that scheduled a wake, and Syncs a proc did
+	// without (RunAhead).
 	procSwitches     uint64
 	ownWakes         uint64
 	syncFastForwards uint64
+	syncWakes        uint64
+	syncsSkipped     uint64
 
 	// inbox receives cross-shard events; appended under inmu by source
 	// shards mid-window, drained into the heap by the coordinator at
@@ -447,10 +481,18 @@ func (s *shard) push(dst, src *Domain, t Time, fn func(), p *Proc) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d in the past (now %d)", t, s.now))
 	}
+	cross := dst != src
+	if cross && t-s.now < s.eng.lookahead {
+		panic(fmt.Sprintf("sim: lookahead violation: domain %d schedules onto domain %d at cycle %d, closer than %d cycles to now (%d)",
+			src.id, dst.id, t, s.eng.lookahead, s.now))
+	}
 	src.seq++
 	ev := event{at: t, seq: src.seq, dom: dst.id, src: src.id, fn: fn, p: p}
 	ts := dst.sh
 	if ts == s {
+		if cross {
+			dst.foreign++
+		}
 		// The ring only buffers a domain's same-cycle self-schedules, and
 		// only while the ring is homogeneous (one cycle, one domain), so
 		// its entries are totally ordered by construction.
@@ -463,7 +505,9 @@ func (s *shard) push(dst, src *Domain, t Time, fn func(), p *Proc) {
 		return
 	}
 	// Cross-shard: conservative lookahead guarantees delivery beyond the
-	// current window, so the target shard never misses it.
+	// current window, so the target shard never misses it. The barrier
+	// merge counts it into dst.foreign; until then it is beyond the window
+	// and so beyond any run-ahead on the target shard.
 	if t < s.windowEnd {
 		panic(fmt.Sprintf("sim: lookahead violation: cross-shard event at cycle %d inside window ending %d", t, s.windowEnd))
 	}
@@ -517,6 +561,9 @@ func (s *shard) next() (event, bool) {
 		// sequential semantics; windowed shards converge at barriers).
 		return event{}, false
 	}
+	if ev.src != ev.dom {
+		s.eng.domain(ev.dom).foreign--
+	}
 	s.curAt, s.curDom, s.curSrc, s.curSeq = ev.at, ev.dom, ev.src, ev.seq
 	s.eventCount++
 	s.stallEvents++
@@ -531,6 +578,20 @@ func (s *shard) next() (event, bool) {
 // included; callers must be at a barrier or idle).
 func (s *shard) empty() bool {
 	return len(s.events) == 0 && s.fifo.n == 0 && len(s.inbox) == 0
+}
+
+// settle leaves a drained shard's clock at its last executed event, counting
+// the wakes RunAhead did without: a proc that acted ahead of the clock and
+// then finished or blocked for good would have moved it there. Every such
+// time lies inside the horizon it was checked against, so the clock never
+// passes a Run's stop time.
+func (s *shard) settle() {
+	for _, p := range s.eng.procs {
+		if p.dom.sh == s && p.aheadAt > s.now {
+			s.now = p.aheadAt
+			s.stallEvents = 0
+		}
+	}
 }
 
 // Run executes events in canonical order until either every event queue
@@ -563,6 +624,7 @@ func (e *Engine) Run(until Time) error {
 		return err
 	}
 	if s.empty() {
+		s.settle()
 		if blocked := e.Blocked(); len(blocked) > 0 {
 			return &DeadlockError{Time: s.now, Blocked: blocked}
 		}
@@ -587,7 +649,7 @@ func (e *Engine) partition() {
 		sh.now = s0.now
 		e.shards = append(e.shards, sh)
 	}
-	for _, d := range e.domains {
+	place := func(d *Domain) {
 		idx := 0
 		if e.domShard != nil {
 			idx = e.domShard(d.id)
@@ -597,17 +659,19 @@ func (e *Engine) partition() {
 		}
 		d.sh = e.shards[idx]
 	}
+	place(e.sys)
+	for _, d := range e.doms {
+		if d != nil {
+			place(d)
+		}
+	}
 	// Redistribute setup-time events (the ring is empty while idle; all
 	// queued work sits in shard 0's heap).
 	pending := s0.events
 	s0.events = nil
 	for len(pending) > 0 {
 		ev := pending.pop()
-		d, ok := e.domains[ev.dom]
-		if !ok {
-			panic(fmt.Sprintf("sim: queued event for unknown domain %d", ev.dom))
-		}
-		d.sh.events.push(ev)
+		e.domain(ev.dom).sh.events.push(ev)
 	}
 }
 

@@ -25,7 +25,8 @@ const (
 // A proc keeps a local clock that it advances as it "executes". Before any
 // action that can touch shared simulated state it must call Sync, which
 // parks the proc until simulated time has caught up with its local clock.
-// This is what makes the whole simulation deterministic.
+// This is what makes the whole simulation deterministic. An action confined
+// to the proc's own domain may skip the Sync when RunAhead allows it.
 type Proc struct {
 	ID  int
 	eng *Engine
@@ -33,6 +34,10 @@ type Proc struct {
 
 	clock Time
 	state procState
+
+	// aheadAt is the local time of the proc's last action ahead of the
+	// shard clock (RunAhead): where the wake it did without would have been.
+	aheadAt Time
 
 	// The proc's coroutine (iter.Pull): next resumes it until it yields or
 	// its body returns (false) and may only be called by shard.loop; stop
@@ -179,8 +184,62 @@ func (p *Proc) Sync() {
 		s.syncFastForwards++
 		return
 	}
+	s.syncWakes++
 	p.scheduleWake(p.clock)
 	p.clock = p.park("advancing clock")
+}
+
+// RunAhead reports whether the proc may, instead of calling Sync, act at its
+// local clock T right now, while the shard clock is still behind it. The
+// action must read and write only state that nothing but events of the
+// proc's own domain and the proc itself touch (an L1 hit: the core's ways,
+// its hit counter, a word of a line the core holds), and the caller must
+// have ruled out the domain's own timers up to T. The engine answers for
+// everything else:
+//
+//   - a lookahead L is declared and now < T < now+L. Whatever an event at or
+//     after now schedules onto this domain from another one lands at now+L
+//     or later (push enforces it), so beyond T;
+//   - no callback from another domain is queued for this domain now;
+//   - T is inside the execution horizon, so a Run slice or a window performs
+//     the actions it would have performed with Sync.
+//
+// Then no event that can see or change what the action touches orders before
+// the wake Sync would have scheduled, and dropping that wake leaves the
+// relative order of all other events as it was: the result is the one Sync
+// gives, without the heap push, the pop and the switches. When nothing at
+// all is due before T, Sync is free already and RunAhead declines.
+func (p *Proc) RunAhead() bool {
+	s := p.dom.sh
+	t := p.clock
+	if t <= s.now || t-s.now >= s.eng.lookahead || p.dom.foreign != 0 || t >= s.bound() || p.killed {
+		return false
+	}
+	if s.fifo.n == 0 && (len(s.events) == 0 || s.events[0].at > t) {
+		return false // Sync fast-forwards
+	}
+	s.syncsSkipped++
+	p.aheadAt = t
+	return true
+}
+
+// Rejoin parks the proc until the shard clock has reached its last action
+// ahead of it, leaving the local clock where it is. Host code that the proc
+// runs on behalf of an observer (Ctx.Observe) calls it first: a proc that
+// always Syncs runs such code right after the wake of its last action, and
+// Rejoin puts it at that same point of the event order, by scheduling the
+// wake RunAhead did without. A proc that is not ahead returns at once.
+func (p *Proc) Rejoin() {
+	s := p.dom.sh
+	if p.aheadAt <= s.now || p.killed {
+		return
+	}
+	s.syncsSkipped-- // paid for after all
+	s.syncWakes++
+	clock := p.clock
+	p.scheduleWake(p.aheadAt)
+	p.park("rejoining the event queue")
+	p.clock = clock
 }
 
 // Block parks the proc until some event calls WakeAt. It returns the wake

@@ -1,0 +1,250 @@
+package sim
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+	"unsafe"
+)
+
+// An event is copied on every heap sift; it names its target domain by id
+// and the engine's table resolves it, so it carries no pointer for that.
+func TestEventStays40Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n > 40 {
+		t.Fatalf("event is %d bytes, want <= 40", n)
+	}
+}
+
+// runPanic runs the engine to completion and returns the text of the panic
+// that escaped Run, or "".
+func runPanic(e *Engine) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	if err := e.Drain(); err != nil {
+		return err.Error()
+	}
+	return ""
+}
+
+// TestLookaheadEnforced is the premise of run-ahead and of windows alike:
+// with a lookahead declared, an event for another domain that lands closer
+// than the lookahead panics, whichever executor runs, also when both domains
+// share a shard. At exactly the lookahead it is accepted, and a domain's
+// events for itself are not restricted.
+func TestLookaheadEnforced(t *testing.T) {
+	const la = 10
+	for _, shards := range []int{1, 2, 3} {
+		for _, dt := range []Time{la - 1, la} {
+			e := NewEngine()
+			e.ConfigureSharding(shards, la, func(dom uint32) int {
+				if dom == SysDomain {
+					return 0
+				}
+				return int(dom) % shards
+			})
+			a, b := e.Domain(1), e.Domain(2) // share a shard at 1, apart at 3
+			delivered := false
+			a.At(5, func() {
+				a.After(1, func() {})
+				a.CrossAfter(b, dt, func() { delivered = true })
+			})
+			msg := runPanic(e)
+			switch {
+			case dt < la && !strings.Contains(msg, "lookahead violation"):
+				t.Errorf("shards %d: event %d cycles ahead: got %q, want a lookahead violation", shards, dt, msg)
+			case dt >= la && (msg != "" || !delivered):
+				t.Errorf("shards %d: event %d cycles ahead: %q, delivered %v", shards, dt, msg, delivered)
+			}
+		}
+	}
+}
+
+// TestRunAheadRules walks one proc through every condition of RunAhead. A
+// system-side tick every 2 cycles (up to cycle 60) keeps something due, so
+// that Sync is never free.
+func TestRunAheadRules(t *testing.T) {
+	const la = 10
+	e := NewEngine()
+	e.ConfigureSharding(1, la, nil)
+	var tick func()
+	tick = func() {
+		if e.Now() < 60 {
+			e.After(2, tick)
+		}
+	}
+	e.At(2, tick)
+
+	type step struct {
+		what string
+		got  bool
+		want bool
+	}
+	var steps []step
+	check := func(p *Proc, what string, want bool) {
+		steps = append(steps, step{what, p.RunAhead(), want})
+	}
+	syncTo := func(p *Proc, at Time) {
+		p.Work(at - p.Clock())
+		p.Sync()
+	}
+	var dom0 *Domain
+	e.Spawn(0, 0, 1, func(p *Proc) {
+		check(p, "T == now", false)
+		p.Work(3)
+		check(p, "T = now+3", true)
+		p.Work(6)
+		check(p, "T = now+9, still behind the same now", true)
+		p.Work(1)
+		check(p, "T = now+lookahead", false)
+		syncTo(p, 15) // the tick at 12 has sent a callback for cycle 22
+		p.Work(2)
+		if dom0.foreign != 1 {
+			t.Errorf("foreign = %d with one callback in flight, want 1", dom0.foreign)
+		}
+		check(p, "a foreign callback is queued", false)
+		syncTo(p, 27)
+		p.Work(2)
+		if dom0.foreign != 0 {
+			t.Errorf("foreign = %d after the callback ran, want 0", dom0.foreign)
+		}
+		check(p, "the callback has run", true)
+		syncTo(p, 38)
+		p.Work(2)
+		check(p, "T = until", false) // Run(40)
+		p.Sync()
+		syncTo(p, 59)
+		p.Work(2)
+		check(p, "T = 61, past the last tick", true)
+	})
+	dom0 = e.Domain(0)
+	e.At(12, func() { e.Sys().CrossAt(dom0, 22, func() {}) })
+
+	if err := e.Run(40); err != nil {
+		t.Fatal(err)
+	}
+	if e.Now() != 40 {
+		t.Fatalf("Now() = %d after Run(40)", e.Now())
+	}
+	if err := e.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range steps {
+		if s.got != s.want {
+			t.Errorf("%s: RunAhead() = %v, want %v", s.what, s.got, s.want)
+		}
+	}
+	if len(steps) != 8 {
+		t.Fatalf("%d checks ran, want 8", len(steps))
+	}
+	// The wake the last run-ahead did without would have been the last
+	// event executed, at 61; the last real one is the tick at 60.
+	if e.Now() != 61 {
+		t.Errorf("Now() = %d after the queue drained, want 61", e.Now())
+	}
+	// Syncs that had to move the clock: to 15, 27, 38, 40, 59 by wake; four
+	// skipped; none free, the ticks are always due first.
+	st := e.Stats()
+	if st.SyncWakes != 5 || st.SyncsSkipped != 4 || st.SyncFastForwards != 0 {
+		t.Errorf("sync wakes %d, skipped %d, fast-forwards %d; want 5, 4, 0",
+			st.SyncWakes, st.SyncsSkipped, st.SyncFastForwards)
+	}
+}
+
+// TestRunAheadNeedsLookahead: no lookahead declared, no run-ahead; and when
+// nothing at all is due before T, Sync is free and RunAhead leaves it to it.
+func TestRunAheadNeedsLookahead(t *testing.T) {
+	for _, la := range []Time{0, 10} {
+		e := NewEngine()
+		e.ConfigureSharding(1, la, nil)
+		e.At(5, func() {})
+		var busy, idle bool
+		e.Spawn(0, 0, 1, func(p *Proc) {
+			p.Work(6)
+			busy = p.RunAhead() // the event at 5 is due first
+			p.Sync()
+			p.Work(1)
+			idle = p.RunAhead() // nothing is
+		})
+		if err := e.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if busy != (la > 0) || idle {
+			t.Errorf("lookahead %d: RunAhead() = %v with an event due, %v with none", la, busy, idle)
+		}
+	}
+}
+
+// TestForeignCountAcrossShards follows a callback through the inbox: it is
+// counted onto its target when the barrier merges it (before that it is
+// beyond the window, and so beyond any run-ahead there), and uncounted when
+// it pops.
+func TestForeignCountAcrossShards(t *testing.T) {
+	const la = 10
+	e := NewEngine()
+	e.ConfigureSharding(2, la, func(dom uint32) int {
+		if dom == SysDomain {
+			return 0
+		}
+		return 1
+	})
+	d := e.Domain(0)
+	var inWindow, afterMerge, atPop, back int
+	e.At(5, func() {
+		e.Sys().CrossAt(d, 30, func() {
+			atPop = d.foreign
+			d.CrossAfter(e.Sys(), la, func() { back = e.Sys().foreign })
+		})
+	})
+	d.At(14, func() { inWindow = d.foreign })   // window [5,15): still in the inbox
+	d.At(20, func() { afterMerge = d.foreign }) // a barrier has merged it
+	if err := e.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if inWindow != 0 || afterMerge != 1 || atPop != 0 || back != 0 {
+		t.Errorf("foreign: %d in the sending window, %d after the merge, %d at its pop, %d (sys) at the reply's; want 0, 1, 0, 0",
+			inWindow, afterMerge, atPop, back)
+	}
+	if d.foreign != 0 || e.Sys().foreign != 0 {
+		t.Errorf("drained engine still counts %d and %d foreign callbacks", d.foreign, e.Sys().foreign)
+	}
+	if st := e.Stats(); st.CrossShardMerged != 2 {
+		t.Errorf("%d events merged across shards, want 2", st.CrossShardMerged)
+	}
+}
+
+// TestRejoin: a proc that acted ahead of the clock and then runs host code
+// for an observer first waits for the queue to reach that action, at the
+// point of the event order where the wake it did without would have popped,
+// and keeps its local clock. The Sync counts as paid for.
+func TestRejoin(t *testing.T) {
+	e := NewEngine()
+	e.ConfigureSharding(1, 10, nil)
+	var order []string
+	e.At(3, func() { order = append(order, "event@3") })
+	e.At(6, func() { order = append(order, "event@6") })
+	e.Spawn(0, 0, 1, func(p *Proc) {
+		p.Rejoin() // not ahead: returns at once
+		p.Work(5)
+		if !p.RunAhead() {
+			t.Error("RunAhead() = false with an event due at 3")
+		}
+		p.Work(3)
+		p.Rejoin()
+		order = append(order, fmt.Sprintf("rejoined@%d, local clock %d", p.Domain().Now(), p.Clock()))
+		p.Rejoin()
+		order = append(order, fmt.Sprintf("again@%d", p.Domain().Now()))
+	})
+	if err := e.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"event@3", "rejoined@5, local clock 8", "again@5", "event@6"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Errorf("order %v, want %v", order, want)
+	}
+	if st := e.Stats(); st.SyncsSkipped != 0 || st.SyncWakes != 1 {
+		t.Errorf("syncs skipped %d, sync wakes %d; want 0, 1", st.SyncsSkipped, st.SyncWakes)
+	}
+}

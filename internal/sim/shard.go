@@ -60,6 +60,7 @@ func (e *Engine) runWindows(until Time) error {
 			if len(s.inbox) > 0 {
 				e.stats.merged += uint64(len(s.inbox))
 				for _, ev := range s.inbox {
+					e.domain(ev.dom).foreign++ // crossed shards, so crossed domains
 					s.events.push(ev)
 				}
 				s.inbox = s.inbox[:0]
@@ -145,6 +146,8 @@ func (e *Engine) windowsDone(until Time) error {
 				s.now = until
 				s.stallEvents = 0
 			}
+		} else {
+			s.settle()
 		}
 		if s.now > maxNow {
 			maxNow = s.now

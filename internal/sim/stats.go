@@ -69,6 +69,13 @@ type EngineStats struct {
 	ProcSwitches     uint64 `json:"proc_switches"`
 	OwnWakes         uint64 `json:"own_wakes"`
 	SyncFastForwards uint64 `json:"sync_fast_forwards"`
+	// SyncWakes is the number of Syncs that scheduled a wake — one event
+	// each. SyncsSkipped is the number of Syncs a proc did without because
+	// RunAhead let it act at its local clock (an L1 hit with nothing in
+	// flight to the core). A Sync that has to move the clock is exactly one
+	// of fast-forward, wake or skipped.
+	SyncWakes    uint64 `json:"sync_wakes"`
+	SyncsSkipped uint64 `json:"syncs_skipped"`
 	// ImbalanceRatio is max(per-shard events) / mean(per-shard events);
 	// 1.0 is a perfectly balanced partition.
 	ImbalanceRatio float64 `json:"imbalance_ratio"`
@@ -113,6 +120,8 @@ func (e *Engine) Stats() EngineStats {
 		st.ProcSwitches += s.procSwitches
 		st.OwnWakes += s.ownWakes
 		st.SyncFastForwards += s.syncFastForwards
+		st.SyncWakes += s.syncWakes
+		st.SyncsSkipped += s.syncsSkipped
 		if ss.Events > maxEvents {
 			maxEvents = ss.Events
 		}

@@ -173,6 +173,11 @@ func TestProcSchedulingCounters(t *testing.T) {
 		t.Fatalf("switches %d, own wakes %d, fast-forwards %d, events %d; want 3, 1, 2, 5",
 			st.ProcSwitches, st.OwnWakes, st.SyncFastForwards, st.EventsTotal)
 	}
+	// Of the three Syncs only p0's first scheduled a wake; no lookahead is
+	// declared, so none could be skipped (runahead_test.go pins that side).
+	if st.SyncWakes != 1 || st.SyncsSkipped != 0 {
+		t.Fatalf("sync wakes %d, syncs skipped %d; want 1, 0", st.SyncWakes, st.SyncsSkipped)
+	}
 	if e.Now() != 25 {
 		t.Fatalf("Now() = %d, want 25", e.Now())
 	}
