@@ -39,23 +39,11 @@
 // serial order, so experiment output is byte-identical for any -parallel
 // value; only wall-clock changes.
 //
-// -shards parallelizes the event kernel *inside* each cell with
-// conservative time-windowed PDES (see DESIGN.md §14): the simulated
-// procs are partitioned across host threads and synchronized at
-// network-lookahead window boundaries, so a single large cell speeds up
-// too. The two axes compose — workers across cells, shards within a
-// cell. Output stays byte-identical at any -shards value. Telemetry-
-// enabled measurements shard as well (the bus buffers per shard and
-// merges at window barriers, DESIGN.md §15); cells outside the parallel
-// certificate (Tardis, fault injection, synchronous subscribers like the
-// invariant checker) silently run the sequential kernel. A sharded run's
-// -perfjson additionally carries a "shard_stats" sample: the engine's
-// self-observability counters (windows, barrier stalls, per-shard
-// utilization) from the last sharded cell.
-//
 // -perfjson records per-experiment wall-clock times (the tracked host-
-// performance trajectory; see EXPERIMENTS.md §Host performance), and
-// -perfbase computes speedups against a previously recorded file.
+// performance trajectory; see EXPERIMENTS.md §Host performance) and, as
+// "engine_stats", the event kernel's host-side counters summed over the
+// sweep's cells; -perfbase computes speedups against a previously recorded
+// file.
 // -cpuprofile/-memprofile capture pprof profiles of the harness itself.
 //
 // An experiment that panics is recovered and reported; the remaining
@@ -76,7 +64,6 @@ import (
 
 	"leaserelease/internal/bench"
 	"leaserelease/internal/coherence"
-	"leaserelease/internal/machine"
 	"leaserelease/internal/sim"
 )
 
@@ -100,26 +87,20 @@ type PerfReport struct {
 	NumCPU        int    `json:"num_cpu"`
 	Parallel      int    `json:"parallel"`
 	// EffectiveWorkers is the worker count the pool actually started
-	// (resolves -parallel 0 to GOMAXPROCS); Shards/EffectiveShards are
-	// the requested and certified per-cell shard counts, with ShardNote
-	// carrying the downgrade reason when they differ. A host where
-	// effective_workers * effective_shards > num_cpu timeshares, so its
-	// "parallel" wall-clock numbers are not scaling evidence.
+	// (resolves -parallel 0 to GOMAXPROCS). A host where
+	// effective_workers > num_cpu timeshares, so its "parallel" wall-clock
+	// numbers are not scaling evidence.
 	EffectiveWorkers int       `json:"effective_workers"`
-	Shards           int       `json:"shards"`
-	EffectiveShards  int       `json:"effective_shards"`
-	ShardNote        string    `json:"shard_note,omitempty"`
 	Quick            bool      `json:"quick"`
 	Threads          []int     `json:"threads"`
 	WarmCycles       uint64    `json:"warm_cycles"`
 	WindowCycles     uint64    `json:"window_cycles"`
 	Experiments      []ExpPerf `json:"experiments"`
 	TotalWallSeconds float64   `json:"total_wall_seconds"`
-	// ShardStats is an engine self-observability sample from the last
-	// cell that executed on the parallel kernel (omitted when every cell
-	// ran sequentially): windows executed, barrier stall cycles,
-	// cross-shard traffic, and per-shard utilization/imbalance.
-	ShardStats *sim.EngineStats `json:"shard_stats,omitempty"`
+	// EngineStats is the event kernel's host-side counters summed over
+	// every cell of the sweep (bench.EngineTotal): events executed and how
+	// core wake-ups were paid for. A sum, so the same at any -parallel.
+	EngineStats sim.EngineStats `json:"engine_stats"`
 	// BaselineFile/TotalSpeedupVsBase are filled when -perfbase was given.
 	BaselineFile       string  `json:"baseline_file,omitempty"`
 	TotalSpeedupVsBase float64 `json:"total_speedup_vs_base,omitempty"`
@@ -152,7 +133,6 @@ func main() {
 		serveAddr = flag.String("serve", "", "serve live sweep introspection over HTTP on this address (e.g. :9090)")
 
 		parallel = flag.Int("parallel", 0, "worker pool size for sweep cells (0 = GOMAXPROCS, 1 = serial)")
-		shards   = flag.Int("shards", 1, "conservative-PDES shard count inside each cell's simulated machine (1 = sequential kernel; output is byte-identical at any value)")
 		perfjson = flag.String("perfjson", "", "write per-experiment wall-clock times as JSON to this file")
 		perfbase = flag.String("perfbase", "", "baseline perfjson file to compute speedups against")
 		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -233,28 +213,16 @@ func main() {
 		p.Window = *window
 	}
 
-	p.Shards = *shards
-
 	stopProfiles := startProfiles(*cpuprof, *memprof)
 	p.Pool = bench.NewPool(*parallel)
-	// Record the counts the run actually gets, not the requested ones: a
-	// -parallel 4 run on a 1-CPU host timeshares, and a -shards request
-	// can fail certification — BENCH_host.json must say so.
+	// Record the count the run actually gets, not the requested one: a
+	// -parallel 4 run on a 1-CPU host timeshares — BENCH_host.json must
+	// say so.
 	effWorkers := p.Pool.Workers()
-	maxThreads := 0
-	for _, n := range p.Threads {
-		if n > maxThreads {
-			maxThreads = n
-		}
-	}
-	perfCfg := machine.DefaultConfig(maxThreads)
-	perfCfg.Protocol = p.Protocol
-	perfCfg.Shards = p.Shards
-	effShards, shardNote := machine.ShardPlan(perfCfg, maxThreads)
-	if over := effWorkers * effShards; over > runtime.NumCPU() {
+	if effWorkers > runtime.NumCPU() {
 		fmt.Fprintf(os.Stderr,
-			"leasebench: warning: %d workers x %d shards exceeds NumCPU=%d; host threads will timeshare and wall-clock gains flatten\n",
-			effWorkers, effShards, runtime.NumCPU())
+			"leasebench: warning: %d workers exceeds NumCPU=%d; host threads will timeshare and wall-clock gains flatten\n",
+			effWorkers, runtime.NumCPU())
 	}
 	if *serveAddr != "" {
 		p.Progress = bench.NewProgress()
@@ -274,9 +242,6 @@ func main() {
 		NumCPU:           runtime.NumCPU(),
 		Parallel:         *parallel,
 		EffectiveWorkers: effWorkers,
-		Shards:           *shards,
-		EffectiveShards:  effShards,
-		ShardNote:        shardNote,
 		Quick:            *quick,
 		Threads:          p.Threads,
 		WarmCycles:       p.Warm,
@@ -286,7 +251,7 @@ func main() {
 	// before the process ends (os.Exit skips deferred calls).
 	exit := func(code int) {
 		p.Pool.Close()
-		perf.ShardStats = bench.ShardSample()
+		perf.EngineStats = bench.EngineTotal()
 		writePerf(*perfjson, *perfbase, perf)
 		stopProfiles()
 		os.Exit(code)

@@ -19,21 +19,8 @@
 // run on a host worker pool (-parallel, default GOMAXPROCS; each cell owns
 // a private simulated machine) with stdout/stderr buffered per cell and
 // emitted in sweep order, so output is byte-identical for any -parallel
-// value. -shards additionally parallelizes the event kernel *inside* each
-// cell with conservative time-windowed PDES (DESIGN.md §14): simulated
-// procs are partitioned across host threads and synchronized at network-
-// lookahead window boundaries. The axes compose — workers across cells,
-// shards within a cell — and output stays byte-identical at any -shards
-// value. Telemetry-enabled cells shard too: the bus buffers emissions per
-// shard and the window coordinator merges them in canonical event order at
-// every barrier (DESIGN.md §15), so histograms, spans, ledgers, and
-// timelines are byte-identical at any shard count. Cells outside the
-// parallel certificate — Tardis, fault injection, -invariants (whose
-// checker must observe events synchronously) — silently use the sequential
-// kernel; -json reports the reason in "shard_downgrade". A run that did
-// shard reports the engine's self-observability counters (windows,
-// barrier stalls, per-shard utilization) as "shard_stats" in -json, or as
-// a text table with -shardstats.
+// value. Each -json report carries the event kernel's host-side counters
+// (events executed, how core wake-ups were paid for) as "engine_stats".
 // A failing cell (deadlock, panic, protocol/invariant violation) is
 // reported on stderr with a machine state dump, the rest of the sweep
 // still runs, and the exit status is 1; -strict instead stops emitting at
@@ -130,13 +117,11 @@ func main() {
 		controller = flag.Bool("controller", false, "enable the adaptive lease-duration controller")
 		strict     = flag.Bool("strict", false, "abort the sweep at the first failed cell")
 		spans      = flag.Bool("spans", false, "trace coherence-transaction spans and report the cycle accounting")
-		shardstats = flag.Bool("shardstats", false, "print the parallel kernel's self-observability table (windows, barrier stalls, per-shard utilization)")
 		ledger     = flag.Bool("ledger", false, "account per-line lease efficiency (granted/used/wasted cycles, ops absorbed, deferral inflicted)")
 		compactB   = flag.Bool("compactbuckets", false, "with -json, emit histogram buckets as compact [lo,count] pairs")
 		serveAddr  = flag.String("serve", "", "serve live sweep introspection over HTTP on this address (e.g. :9090)")
 
 		parallel = flag.Int("parallel", 0, "worker pool size for sweep cells (0 = GOMAXPROCS, 1 = serial)")
-		shards   = flag.Int("shards", 1, "conservative-PDES shard count inside each cell's simulated machine (1 = sequential kernel; output is byte-identical at any value)")
 		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprof  = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
@@ -212,9 +197,8 @@ func main() {
 			samples: *samples, invariants: *invariants, faults: *faultsOn,
 			preempt: *preempt, preemptMin: *preemptMin, preemptMax: *preemptMax,
 			preemptTargeted: *preemptTgt, controller: *controller,
-			spans: *spans, ledger: *ledger, compactBuckets: *compactB, shards: *shards,
-			shardstats: *shardstats,
-			progress:   prog.Cell(fmt.Sprintf("%s/t%d", *dsName, n)),
+			spans: *spans, ledger: *ledger, compactBuckets: *compactB,
+			progress: prog.Cell(fmt.Sprintf("%s/t%d", *dsName, n)),
 		}
 		futures[i] = bench.Go(pool, func() cellResult {
 			var out, errOut bytes.Buffer
@@ -259,7 +243,6 @@ type cell struct {
 	timeline            string
 	samples             int
 	invariants, faults  bool
-	shards              int
 	preempt             int
 	preemptMin          uint64
 	preemptMax          uint64
@@ -268,7 +251,6 @@ type cell struct {
 	spans               bool
 	ledger              bool
 	compactBuckets      bool
-	shardstats          bool
 	progress            *bench.CellProgress
 }
 
@@ -307,7 +289,6 @@ func parseMulti(s string) stm.LeaseMode {
 func runCell(c cell, out, errOut io.Writer) bool {
 	cfg := machine.DefaultConfig(c.threads)
 	cfg.Protocol = c.protocol
-	cfg.Shards = c.shards
 	cfg.Lease.MaxLeaseTime = c.maxLease
 	cfg.RegularBreaksLease = c.priority
 	cfg.MESI = c.mesi
@@ -388,8 +369,7 @@ func runCell(c cell, out, errOut io.Writer) bool {
 	c.progress.Start()
 	defer c.progress.Done()
 	var hooks []func(*machine.Machine)
-	// Capture the machine so the report can record the sharding outcome
-	// (effective kernel, downgrade reason, engine self-observability).
+	// Capture the machine so the report can carry its engine counters.
 	var mach *machine.Machine
 	hooks = append(hooks, func(m *machine.Machine) { mach = m })
 	if c.trace > 0 {
@@ -407,16 +387,10 @@ func runCell(c cell, out, errOut io.Writer) bool {
 		bench.Options{Recorder: rec, Samples: c.samples, Hooks: hooks,
 			Invariants: c.invariants, Progress: c.progress})
 
-	// Sharding outcome: the downgrade reason when -shards was requested
-	// but the run used the sequential kernel, and the engine's
-	// self-observability snapshot when it actually sharded.
-	var shardDowngrade string
-	var shardStats *sim.EngineStats
-	if mach != nil && c.shards > 1 {
-		if _, reason := mach.EffectiveShards(); reason != "" {
-			shardDowngrade = reason
-		}
-		shardStats = mach.ShardStats()
+	var engineStats *sim.EngineStats
+	if mach != nil {
+		st := mach.EngineStats()
+		engineStats = &st
 	}
 
 	if r.Err != nil {
@@ -427,8 +401,7 @@ func runCell(c cell, out, errOut io.Writer) bool {
 		}
 		if c.jsonOut {
 			rep := bench.BuildReport(c.ds, c.threads, c.lease, cfg, c.warm, c.cycles, r, nil, 0)
-			rep.ShardDowngrade = shardDowngrade
-			rep.ShardStats = shardStats
+			rep.EngineStats = engineStats
 			enc := json.NewEncoder(out)
 			enc.SetIndent("", "  ")
 			enc.Encode(rep)
@@ -457,8 +430,7 @@ func runCell(c cell, out, errOut io.Writer) bool {
 		rep := bench.BuildReport(c.ds, c.threads, c.lease, cfg, c.warm, c.cycles, r, rec, c.hotlines)
 		rep.Aborts = aborts
 		rep.TimelineFile = c.timeline
-		rep.ShardDowngrade = shardDowngrade
-		rep.ShardStats = shardStats
+		rep.EngineStats = engineStats
 		if c.compactBuckets {
 			bench.CompactReportBuckets(&rep)
 		}
@@ -575,46 +547,9 @@ func runCell(c cell, out, errOut io.Writer) bool {
 		fmt.Fprintf(out, "\ntimeline written to %s (open in chrome://tracing or ui.perfetto.dev)\n", c.timeline)
 	}
 
-	if c.shardstats {
-		printShardStats(out, c.shards, shardDowngrade, shardStats)
-	}
-
 	fmt.Fprintln(out, "\nwindow counters:")
 	fmt.Fprintln(out, r.Window)
 	return true
-}
-
-// printShardStats renders the parallel kernel's self-observability table
-// (-shardstats): which kernel the run used and, when sharded, the window,
-// barrier, and per-shard utilization counters. All values derive from the
-// deterministic simulation, so the table is byte-reproducible.
-func printShardStats(out io.Writer, requested int, downgrade string, st *sim.EngineStats) {
-	fmt.Fprintln(out, "\nshard stats:")
-	if st == nil {
-		switch {
-		case requested <= 1:
-			fmt.Fprintln(out, "  sequential kernel (-shards 1)")
-		case downgrade != "":
-			fmt.Fprintf(out, "  sequential kernel (-shards %d downgraded: %s)\n", requested, downgrade)
-		default:
-			fmt.Fprintf(out, "  sequential kernel (-shards %d)\n", requested)
-		}
-		return
-	}
-	fmt.Fprintf(out, "  shards %d, lookahead %d cycles\n", st.Shards, st.Lookahead)
-	fmt.Fprintf(out, "  windows %d, window cycles %d, lookahead occupancy %.3f\n",
-		st.Windows, st.WindowCycles, st.LookaheadOccupancy)
-	fmt.Fprintf(out, "  barriers %d, barrier stall cycles %d\n", st.Barriers, st.BarrierStallCycles)
-	fmt.Fprintf(out, "  events %d, cross-shard merged %d, imbalance %.3f\n",
-		st.EventsTotal, st.CrossShardMerged, st.ImbalanceRatio)
-	fmt.Fprintf(out, "  proc switches %d, own wakes %d, sync fast-forwards %d\n",
-		st.ProcSwitches, st.OwnWakes, st.SyncFastForwards)
-	fmt.Fprintf(out, "  sync wakes %d, syncs skipped %d (L1 hits that ran ahead of the event queue)\n",
-		st.SyncWakes, st.SyncsSkipped)
-	fmt.Fprintf(out, "  %5s %12s %12s %6s\n", "shard", "events", "activewin", "util")
-	for i, sh := range st.PerShard {
-		fmt.Fprintf(out, "  %5d %12d %12d %6.3f\n", i, sh.Events, sh.ActiveWindows, sh.Utilization)
-	}
 }
 
 // startProfiles starts CPU profiling and arranges a heap profile at exit

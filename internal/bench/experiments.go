@@ -29,15 +29,6 @@ type Params struct {
 	// the sweep ("" = MSI); see machine.Config.Protocol.
 	Protocol string
 
-	// Shards requests conservative time-windowed parallel execution
-	// inside each cell's simulated machine (see machine.Config.Shards).
-	// Orthogonal to Pool: Pool spreads cells across host workers, Shards
-	// splits one cell's event kernel. Output is byte-identical at any
-	// value; cells that fail shard certification (telemetry-enabled
-	// measurements, non-MSI protocols, fault injection) silently run
-	// serially.
-	Shards int
-
 	// Exp names the experiment currently sweeping (for progress cell
 	// labels); Progress, when non-nil, receives live per-cell progress
 	// for the -serve introspection endpoint. Both are host-side only.
@@ -111,7 +102,6 @@ func Find(id string) (Experiment, bool) {
 func (p Params) cfgFor(threads int) machine.Config {
 	cfg := machine.DefaultConfig(threads)
 	cfg.Protocol = p.Protocol
-	cfg.Shards = p.Shards
 	return cfg
 }
 

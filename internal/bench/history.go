@@ -42,12 +42,6 @@ type HistoryEntry struct {
 	FaultProfile string `json:"fault_profile,omitempty"`
 	Protocol     string `json:"protocol,omitempty"`
 
-	// ShardDowngrade records why a requested shard count fell back to
-	// the sequential kernel (empty when granted or not requested). A
-	// host-side execution note: it never affects the metrics, so it is
-	// informational rather than part of the grouping key.
-	ShardDowngrade string `json:"shard_downgrade,omitempty"`
-
 	Ops         uint64  `json:"ops"`
 	MopsPerSec  float64 `json:"mops_per_sec"`
 	NJPerOp     float64 `json:"nj_per_op"`
@@ -87,8 +81,7 @@ func HistoryEntryOf(r *Report, sha, note string, now time.Time) HistoryEntry {
 		Key: historyKey(r), GitSHA: sha, Note: note, TimeUnix: now.Unix(),
 		DS: r.DS, Threads: r.Threads, Lease: r.Lease, Seed: r.Seed,
 		FaultProfile: r.FaultProfile, Protocol: r.Protocol,
-		ShardDowngrade: r.ShardDowngrade,
-		Ops:            r.Ops, MopsPerSec: r.MopsPerSec, NJPerOp: r.NJPerOp,
+		Ops: r.Ops, MopsPerSec: r.MopsPerSec, NJPerOp: r.NJPerOp,
 		MsgsPerOp: r.MsgsPerOp, MissesPerOp: r.MissesPerOp,
 		Error: r.Error,
 	}

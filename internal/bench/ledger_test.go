@@ -19,35 +19,22 @@ type ledgerRun struct {
 
 func runLedgerCell(t *testing.T, seed uint64, threads int) ledgerRun {
 	t.Helper()
-	run, _ := runLedgerCellShards(t, seed, threads, 1)
-	return run
-}
-
-// runLedgerCellShards is runLedgerCell with an explicit kernel shard
-// count; it additionally reports the shard count the machine certified.
-func runLedgerCellShards(t *testing.T, seed uint64, threads, shards int) (ledgerRun, int) {
-	t.Helper()
 	cfg := machine.DefaultConfig(threads)
 	cfg.Seed = seed
-	cfg.Shards = shards
 	rec := telemetry.NewRecorder()
 	sp := rec.EnableSpans()
 	ld := rec.EnableLedger()
-	var m *machine.Machine
 	r := ThroughputOpts(cfg, threads, 20_000, 100_000,
-		CounterWorkload(CounterLeasedTTS),
-		Options{Recorder: rec,
-			Hooks: []func(*machine.Machine){func(mm *machine.Machine) { m = mm }}})
+		CounterWorkload(CounterLeasedTTS), Options{Recorder: rec})
 	if r.Err != nil {
-		t.Fatalf("seed %d shards %d run failed: %v", seed, shards, r.Err)
+		t.Fatalf("seed %d run failed: %v", seed, r.Err)
 	}
-	eff, _ := m.EffectiveShards()
 	return ledgerRun{
 		result: r,
 		lines:  ld.Lines(),
 		totals: ld.Totals(),
 		defer_: sp.Stats().Phase[telemetry.PhaseDefer],
-	}, eff
+	}
 }
 
 // The ledger's two conservation identities on real leased-counter runs,
@@ -76,48 +63,6 @@ func TestLedgerConservationRealRuns(t *testing.T) {
 		}
 		if got := run.result.LeaseLedger.LedgerTotals; got != run.totals {
 			t.Errorf("seed %d: summary totals %+v != ledger totals %+v", seed, got, run.totals)
-		}
-	}
-}
-
-// The ledger composes with the sharded kernel: at every shard count the
-// conservation identity holds exactly per line (granted == used + unused,
-// per seed), the ledger agrees with the span assembler's probe-defer
-// phase, and the whole per-line ledger is identical to the sequential
-// run's — the buffered bus merges lease and transaction events in
-// canonical order, so the fold is order-for-order the same.
-func TestLedgerConservationAcrossShards(t *testing.T) {
-	const threads = 8
-	for _, seed := range []uint64{1, 2} {
-		base, eff := runLedgerCellShards(t, seed, threads, 1)
-		if eff != 1 {
-			t.Fatalf("seed %d: shards=1 ran with %d effective shards", seed, eff)
-		}
-		if base.totals.Leases == 0 {
-			t.Fatalf("seed %d: no leases closed on a leased contended counter", seed)
-		}
-		for _, shards := range []int{2, 4} {
-			run, eff := runLedgerCellShards(t, seed, threads, shards)
-			if eff < 2 {
-				t.Fatalf("seed %d shards=%d: run did not certify (eff=%d)", seed, shards, eff)
-			}
-			for _, s := range run.lines {
-				if s.GrantedCycles != s.UsedCycles+s.UnusedCycles {
-					t.Errorf("seed %d shards=%d line %#x: granted %d != used %d + unused %d",
-						seed, shards, uint64(s.Line), s.GrantedCycles, s.UsedCycles, s.UnusedCycles)
-				}
-			}
-			if run.totals.DeferInflictedCycles != run.defer_ {
-				t.Errorf("seed %d shards=%d: ledger defer-inflicted %d != span probe-defer phase %d",
-					seed, shards, run.totals.DeferInflictedCycles, run.defer_)
-			}
-			if !reflect.DeepEqual(base.lines, run.lines) {
-				t.Errorf("seed %d shards=%d: per-line ledger differs from sequential run", seed, shards)
-			}
-			if base.totals != run.totals {
-				t.Errorf("seed %d shards=%d: ledger totals differ: %+v vs %+v",
-					seed, shards, base.totals, run.totals)
-			}
 		}
 	}
 }

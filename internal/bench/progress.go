@@ -27,12 +27,6 @@ type Progress struct {
 	mu    sync.Mutex
 	cells []*CellProgress
 	pool  *Pool
-
-	// shard is the most recent engine self-observability snapshot from a
-	// cell executing on the parallel kernel (nil until one reports).
-	// Cells update it live between Run chunks, so /metrics exposes
-	// window/barrier/utilization gauges while a sharded cell executes.
-	shard *sim.EngineStats
 }
 
 // NewProgress returns an empty hub with the rate clock started.
@@ -54,18 +48,6 @@ func (p *Progress) AddSimCycles(n uint64) {
 	if p != nil {
 		p.simCycles.Add(n)
 	}
-}
-
-// ObserveShards records the latest parallel-kernel self-observability
-// snapshot for the /metrics shard gauges. Nil receiver and nil snapshot
-// are both no-ops, so call sites need no enablement checks.
-func (p *Progress) ObserveShards(st *sim.EngineStats) {
-	if p == nil || st == nil {
-		return
-	}
-	p.mu.Lock()
-	p.shard = st
-	p.mu.Unlock()
 }
 
 // Cell registers one sweep cell (pending until Start is called). Returns
@@ -95,6 +77,7 @@ type CellProgress struct {
 	name   string
 	state  atomic.Int32
 	cycles atomic.Uint64
+	engine sim.EngineStats // the cell's latest engine counters; guarded by p.mu
 }
 
 // Start marks the cell running (a worker picked it up).
@@ -119,11 +102,13 @@ func (c *CellProgress) Done() {
 	}
 }
 
-// ObserveShards forwards a parallel-kernel snapshot to the hub's shard
-// gauges. Nil-safe on both the cell and the snapshot.
-func (c *CellProgress) ObserveShards(st *sim.EngineStats) {
+// ObserveEngine records the cell's engine counters so far (cells report
+// between Run chunks, so /metrics moves while a cell executes).
+func (c *CellProgress) ObserveEngine(st sim.EngineStats) {
 	if c != nil {
-		c.p.ObserveShards(st)
+		c.p.mu.Lock()
+		c.engine = st
+		c.p.mu.Unlock()
 	}
 }
 
@@ -147,9 +132,9 @@ type Snapshot struct {
 
 	Cells []CellSnapshot `json:"cells"`
 
-	// ShardStats is the latest parallel-kernel self-observability
-	// snapshot (nil while no cell has run sharded).
-	ShardStats *sim.EngineStats `json:"shard_stats,omitempty"`
+	// EngineStats sums the cells' latest engine counters: host-side work
+	// done so far, in whatever order the cells ran.
+	EngineStats sim.EngineStats `json:"engine_stats"`
 }
 
 func cellStateName(s int32) string {
@@ -171,9 +156,10 @@ func (p *Progress) Snapshot() Snapshot {
 	p.mu.Lock()
 	cells := append([]*CellProgress(nil), p.cells...)
 	pool := p.pool
-	shard := p.shard
+	for _, c := range cells {
+		s.EngineStats.Add(c.engine)
+	}
 	p.mu.Unlock()
-	s.ShardStats = shard
 
 	s.CellsTotal = len(cells)
 	s.Cells = make([]CellSnapshot, 0, len(cells))
@@ -236,36 +222,20 @@ func (s Snapshot) promText() string {
 		line(`leasesim_cell_sim_cycles{cell=%q,name=%q,state=%q} %d`,
 			fmt.Sprintf("%d", i), c.Name, c.State, c.SimCycles)
 	}
-	if st := s.ShardStats; st != nil {
-		line("# HELP leasesim_shard_count Effective shards of the latest parallel-kernel cell.")
-		line("# TYPE leasesim_shard_count gauge")
-		line("leasesim_shard_count %d", st.Shards)
-		line("# HELP leasesim_shard_windows_total Parallel windows executed by the latest sharded cell.")
-		line("# TYPE leasesim_shard_windows_total gauge")
-		line("leasesim_shard_windows_total %d", st.Windows)
-		line("# HELP leasesim_shard_barriers_total Window barriers crossed by the latest sharded cell.")
-		line("# TYPE leasesim_shard_barriers_total gauge")
-		line("leasesim_shard_barriers_total %d", st.Barriers)
-		line("# HELP leasesim_shard_barrier_stall_cycles Shard-cycles spent idle inside windows (window span times idle shards, summed).")
-		line("# TYPE leasesim_shard_barrier_stall_cycles gauge")
-		line("leasesim_shard_barrier_stall_cycles %d", st.BarrierStallCycles)
-		line("# HELP leasesim_shard_cross_messages_total Cross-shard events merged at barriers.")
-		line("# TYPE leasesim_shard_cross_messages_total gauge")
-		line("leasesim_shard_cross_messages_total %d", st.CrossShardMerged)
-		line("# HELP leasesim_shard_lookahead_occupancy Mean window span over the configured lookahead (1 = full windows).")
-		line("# TYPE leasesim_shard_lookahead_occupancy gauge")
-		line("leasesim_shard_lookahead_occupancy %g", st.LookaheadOccupancy)
-		line("# HELP leasesim_shard_imbalance_ratio Max over mean per-shard event count (1 = perfectly balanced).")
-		line("# TYPE leasesim_shard_imbalance_ratio gauge")
-		line("leasesim_shard_imbalance_ratio %g", st.ImbalanceRatio)
-		line("# HELP leasesim_shard_events Events executed by one shard of the latest sharded cell.")
-		line("# TYPE leasesim_shard_events gauge")
-		line("# HELP leasesim_shard_utilization Fraction of windows in which one shard had work.")
-		line("# TYPE leasesim_shard_utilization gauge")
-		for i, sh := range st.PerShard {
-			line(`leasesim_shard_events{shard="%d"} %d`, i, sh.Events)
-			line(`leasesim_shard_utilization{shard="%d"} %g`, i, sh.Utilization)
-		}
+	for _, c := range []struct {
+		name, help string
+		v          uint64
+	}{
+		{"events", "Events executed by the event kernel", s.EngineStats.EventsTotal},
+		{"proc_switches", "Coroutine resumes of a simulated core by the driver loop", s.EngineStats.ProcSwitches},
+		{"own_wakes", "Wakes a parked core popped for itself, with no switch", s.EngineStats.OwnWakes},
+		{"sync_fast_forwards", "Syncs that moved the clock with nothing due first, with no event", s.EngineStats.SyncFastForwards},
+		{"sync_wakes", "Syncs that scheduled a wake event", s.EngineStats.SyncWakes},
+		{"syncs_skipped", "Syncs an L1 hit did without by running ahead of the event queue", s.EngineStats.SyncsSkipped},
+	} {
+		line("# HELP leasesim_engine_%s_total %s, summed over all cells.", c.name, c.help)
+		line("# TYPE leasesim_engine_%s_total counter", c.name)
+		line("leasesim_engine_%s_total %d", c.name, c.v)
 	}
 	return string(b)
 }

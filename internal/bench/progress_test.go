@@ -10,7 +10,9 @@ import (
 	"sync"
 	"testing"
 
+	"leaserelease/internal/coherence"
 	"leaserelease/internal/machine"
+	"leaserelease/internal/sim"
 )
 
 // The nil hub is inert: every method is safe and free so call sites need
@@ -25,9 +27,8 @@ func TestProgressNilSafe(t *testing.T) {
 	}
 	c.Start()
 	c.AddSimCycles(5)
-	c.ObserveShards(nil)
+	c.ObserveEngine(sim.EngineStats{})
 	c.Done()
-	p.ObserveShards(nil)
 	s := p.Snapshot()
 	if s.CellsTotal != 0 || s.SimCycles != 0 {
 		t.Errorf("nil hub snapshot = %+v, want zero", s)
@@ -156,32 +157,33 @@ func TestProgressServeEndpoints(t *testing.T) {
 	}
 }
 
-// A sharded cell wired to a served hub surfaces the parallel kernel's
-// self-observability gauges on /metrics: window and barrier totals,
-// stall cycles, and one utilization series per shard, all parseable and
-// non-negative. This is the live-scrape contract of `leasesim -serve`
-// combined with -shards.
-func TestProgressMetricsShardGauges(t *testing.T) {
+// Cells wired to a served hub surface the event kernel's host-side counters
+// on /metrics: all six present and parseable, and each the sum over the
+// cells of what the cell's machine reports — here a run-ahead MSI cell and
+// a Tardis cell, which skips no Sync. This is the live-scrape contract of
+// `leasesim -serve`.
+func TestProgressMetricsEngineCounters(t *testing.T) {
 	p := NewProgress()
 	addr, err := p.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	cfg := machine.DefaultConfig(8)
-	cfg.Shards = 4
-	cell := p.Cell("counter/t8")
-	cell.Start()
-	var m *machine.Machine
-	r := ThroughputOpts(cfg, 8, 20_000, 60_000, CounterWorkload(CounterLeasedTTS),
-		Options{Progress: cell,
-			Hooks: []func(*machine.Machine){func(mm *machine.Machine) { m = mm }}})
-	cell.Done()
-	if r.Err != nil {
-		t.Fatalf("sharded cell failed: %v", r.Err)
-	}
-	if eff, reason := m.EffectiveShards(); eff < 2 {
-		t.Fatalf("cell did not shard (eff=%d, reason=%q); gauge test would be vacuous", eff, reason)
+	var want sim.EngineStats
+	for _, proto := range []string{coherence.ProtocolMSI, coherence.ProtocolTardis} {
+		cfg := machine.DefaultConfig(8)
+		cfg.Protocol = proto
+		cell := p.Cell("counter/t8/" + proto)
+		cell.Start()
+		var m *machine.Machine
+		r := ThroughputOpts(cfg, 8, 20_000, 60_000, CounterWorkload(CounterLeasedTTS),
+			Options{Progress: cell,
+				Hooks: []func(*machine.Machine){func(mm *machine.Machine) { m = mm }}})
+		cell.Done()
+		if r.Err != nil {
+			t.Fatalf("%s cell failed: %v", proto, r.Err)
+		}
+		want.Add(m.EngineStats())
 	}
 
 	resp, err := http.Get(fmt.Sprintf("http://%s/metrics", addr))
@@ -195,57 +197,37 @@ func TestProgressMetricsShardGauges(t *testing.T) {
 	}
 	text := string(body)
 
-	// Every gauge must be present with a parseable, non-negative value.
-	gauge := func(name string) float64 {
+	counter := func(name string) uint64 {
 		t.Helper()
 		for _, line := range strings.Split(text, "\n") {
-			if !strings.HasPrefix(line, name) || strings.HasPrefix(line, "# ") {
-				continue
+			if fields := strings.Fields(line); len(fields) == 2 && fields[0] == name {
+				v, err := strconv.ParseUint(fields[1], 10, 64)
+				if err != nil {
+					t.Fatalf("%s: unparseable value in %q: %v", name, line, err)
+				}
+				return v
 			}
-			rest := line[len(name):]
-			if len(rest) == 0 || (rest[0] != ' ' && rest[0] != '{') {
-				continue // longer metric name sharing the prefix
-			}
-			fields := strings.Fields(line)
-			v, err := strconv.ParseFloat(fields[len(fields)-1], 64)
-			if err != nil {
-				t.Fatalf("%s: unparseable value in %q: %v", name, line, err)
-			}
-			return v
 		}
 		t.Fatalf("/metrics missing %s:\n%s", name, text)
 		return 0
 	}
-	if v := gauge("leasesim_shard_count"); v < 2 {
-		t.Errorf("leasesim_shard_count = %g, want >= 2", v)
-	}
-	if v := gauge("leasesim_shard_windows_total"); v <= 0 {
-		t.Errorf("leasesim_shard_windows_total = %g, want > 0", v)
-	}
-	if v := gauge("leasesim_shard_barriers_total"); v <= 0 {
-		t.Errorf("leasesim_shard_barriers_total = %g, want > 0", v)
-	}
-	if v := gauge("leasesim_shard_barrier_stall_cycles"); v < 0 {
-		t.Errorf("leasesim_shard_barrier_stall_cycles = %g, want >= 0", v)
-	}
-	if v := gauge("leasesim_shard_lookahead_occupancy"); v <= 0 {
-		t.Errorf("leasesim_shard_lookahead_occupancy = %g, want > 0", v)
-	}
-	nShards := int(gauge("leasesim_shard_count"))
-	for i := 0; i < nShards; i++ {
-		series := fmt.Sprintf(`leasesim_shard_utilization{shard="%d"}`, i)
-		idx := strings.Index(text, series)
-		if idx < 0 {
-			t.Fatalf("/metrics missing %s", series)
+	for _, c := range []struct {
+		name string
+		want uint64
+	}{
+		{"leasesim_engine_events_total", want.EventsTotal},
+		{"leasesim_engine_proc_switches_total", want.ProcSwitches},
+		{"leasesim_engine_own_wakes_total", want.OwnWakes},
+		{"leasesim_engine_sync_fast_forwards_total", want.SyncFastForwards},
+		{"leasesim_engine_sync_wakes_total", want.SyncWakes},
+		{"leasesim_engine_syncs_skipped_total", want.SyncsSkipped},
+	} {
+		if got := counter(c.name); got != c.want {
+			t.Errorf("%s = %d, want %d (the sum over both cells)", c.name, got, c.want)
 		}
-		rest := strings.Fields(text[idx+len(series):])
-		v, err := strconv.ParseFloat(rest[0], 64)
-		if err != nil {
-			t.Fatalf("%s: unparseable value: %v", series, err)
-		}
-		if v < 0 || v > 1 {
-			t.Errorf("%s = %g, want within [0,1]", series, v)
-		}
+	}
+	if want.EventsTotal == 0 || want.SyncsSkipped == 0 {
+		t.Errorf("cells executed %d events and skipped %d syncs; the test is vacuous", want.EventsTotal, want.SyncsSkipped)
 	}
 }
 

@@ -60,15 +60,11 @@ type Report struct {
 
 	TimelineFile string `json:"timeline_file,omitempty"`
 
-	// ShardDowngrade is the reason a requested -shards count was
-	// downgraded to the sequential kernel (empty — and omitted — when the
-	// request was granted or no sharding was requested). ShardStats is
-	// the parallel executor's self-observability snapshot when the run
-	// actually sharded. Both describe the host-side execution strategy,
-	// never simulated results, so they are excluded from byte-identity
-	// comparisons across shard counts.
-	ShardDowngrade string           `json:"shard_downgrade,omitempty"`
-	ShardStats     *sim.EngineStats `json:"shard_stats,omitempty"`
+	// EngineStats is the event kernel's host-side counters for the run
+	// (machine.Machine.EngineStats): how the host executed it, never what
+	// it simulated. BuildReport leaves it nil; the host that owns the
+	// machine sets it.
+	EngineStats *sim.EngineStats `json:"engine_stats,omitempty"`
 
 	// Error is set when the run failed (see Result.Err); the metric
 	// fields above are zero then. Omitted on success, so successful

@@ -179,13 +179,9 @@ func throughputGuarded(cfg machine.Config, threads int, warm, window uint64,
 			start := c.Now()
 			inner(tid, c)
 			end := c.Now()
-			// The recorder's aggregates are single-consumer host state.
-			// Observe routes the op-boundary bookkeeping through the
-			// telemetry stream: immediate on the sequential kernel,
-			// buffered and replayed in canonical event order at the next
-			// window barrier on the parallel kernel — so histogram fills,
-			// span closes, and ledger op counts interleave with bus events
-			// exactly as in a sequential run.
+			// Observe puts the op-boundary bookkeeping at the thread's last
+			// access in the event order, so histogram fills, span closes and
+			// ledger op counts interleave with bus events as they happened.
 			c.Observe(func() {
 				if start >= warm {
 					rec.OpLatency.Observe(end - start)
@@ -232,7 +228,7 @@ func throughputGuarded(cfg machine.Config, threads int, warm, window uint64,
 			}
 			rerr := m.Run(next)
 			o.Progress.AddSimCycles(m.Now() - now)
-			o.Progress.ObserveShards(m.ShardStats())
+			o.Progress.ObserveEngine(m.EngineStats())
 			if rerr != nil {
 				return newRunError(m, threads, rerr)
 			}
@@ -282,10 +278,9 @@ func throughputGuarded(cfg machine.Config, threads int, warm, window uint64,
 		rec.Finish(m.Now())
 	}
 	m.Stop()
-	if ss := m.ShardStats(); ss != nil {
-		recordShardSample(ss)
-		o.Progress.ObserveShards(ss)
-	}
+	es := m.EngineStats()
+	addEngineStats(es)
+	o.Progress.ObserveEngine(es)
 	if chk != nil {
 		chk.CheckNow()
 		if cerr := chk.Err(); cerr != nil {
@@ -434,5 +429,6 @@ func RunToCompletion(cfg machine.Config, threads int, budget uint64,
 			return m.Now(), m.Stats(), re
 		}
 	}
+	addEngineStats(m.EngineStats())
 	return m.Now(), m.Stats(), nil
 }

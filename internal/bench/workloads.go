@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"sync/atomic"
-
 	"leaserelease/internal/apps/pagerank"
 	"leaserelease/internal/ds"
 	"leaserelease/internal/locks"
@@ -69,9 +67,7 @@ func AutoStackWorkload() func(d *machine.Direct) OpFunc {
 		for i := 0; i < 64; i++ {
 			s.Push(d, uint64(i)+1)
 		}
-		// Indexed by tid (one slot per core) so concurrent shards touch
-		// disjoint entries — a tid-keyed map would race under -shards.
-		var autos [64]*machine.Auto
+		var autos [64]*machine.Auto // per-tid slots
 		return func(tid int, c *machine.Ctx) {
 			a := autos[tid]
 			if a == nil {
@@ -144,7 +140,7 @@ func CounterWorkload(kind CounterKind) func(d *machine.Direct) OpFunc {
 		switch kind {
 		case CounterCLH:
 			l := locks.NewCLH(d)
-			var handles [64]*locks.CLHHandle // per-tid slots: shard-safe
+			var handles [64]*locks.CLHHandle // per-tid slots
 			return func(tid int, c *machine.Ctx) {
 				h := handles[tid]
 				if h == nil {
@@ -307,7 +303,7 @@ func TL2Workload(mode stm.LeaseMode, aborts *uint64) func(d *machine.Direct) OpF
 			if j >= i {
 				j++
 			}
-			atomic.AddUint64(aborts, uint64(tl.UpdatePair(c, i, j, 1)))
+			*aborts += uint64(tl.UpdatePair(c, i, j, 1))
 			jitter(c)
 		}
 	}
@@ -468,8 +464,8 @@ func SnapshotWorkload(useLease bool, words int, attempts, snaps *uint64) func(d 
 			} else {
 				_, n = snap.DoubleCollect(c)
 			}
-			atomic.AddUint64(attempts, uint64(n))
-			atomic.AddUint64(snaps, 1)
+			*attempts += uint64(n)
+			*snaps++
 			jitter(c)
 		}
 	}

@@ -67,13 +67,9 @@ type Cache struct {
 
 	// Bus, when set, receives a telemetry.CatCache event for every
 	// replacement victim (kind = the victim's state, CoreID = this
-	// cache's core). Dom is the owning core's scheduling domain — the
-	// emit context that routes buffered events to the right shard under
-	// the parallel executor (evictions always run on the core's own
-	// domain). The machine wires all three when telemetry is enabled.
+	// cache's core). The machine wires both when telemetry is enabled.
 	Bus    *telemetry.Bus
 	CoreID int
-	Dom    telemetry.DomainContext
 }
 
 // New builds an L1 from cfg. The number of sets must come out a power of
@@ -206,7 +202,7 @@ func (c *Cache) Install(l mem.Line, st State) (victim mem.Line, victimState Stat
 		}
 		victim, victimState, evicted = lru.line, lru.state, true
 		c.Evictions++
-		c.Bus.EmitOn(c.Dom, telemetry.CatCache, c.CoreID, uint8(victimState), victim, 1)
+		c.Bus.Emit(telemetry.CatCache, c.CoreID, uint8(victimState), victim, 1)
 		slot = lru
 	}
 	*slot = way{line: l, state: st, lru: c.tick}

@@ -17,7 +17,6 @@ package coherence
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"leaserelease/internal/cache"
 	"leaserelease/internal/faults"
@@ -161,12 +160,12 @@ type Env interface {
 
 // Directory is the shared-L2 directory controller.
 //
-// Under the sharded engine the directory's own state (entries, queues, RNG)
-// lives in the system domain; every mutation of it happens in sys-domain
-// events. Core-side effects (probe delivery, invalidation, grant install)
-// are scheduled as events on the owning core's domain, and every
-// cross-domain message carries at least Timing.Net cycles of latency — the
-// conservative lookahead the windowed executor relies on.
+// The directory's own state (entries, queues, RNG) lives in the system
+// domain; every mutation of it happens in sys-domain events. Core-side
+// effects (probe delivery, invalidation, grant install) are scheduled as
+// events on the owning core's domain, and every cross-domain message carries
+// at least Timing.Net cycles of latency — the lookahead the machine declares
+// to the engine, on which a core's run-ahead L1 hits rest.
 type Directory struct {
 	eng *sim.Engine
 	env Env
@@ -236,21 +235,17 @@ func (d *Directory) entry(l mem.Line) *dirEntry {
 }
 
 // countMsg accounts n messages of one kind with the machine's counters
-// and mirrors them, per line, onto the telemetry bus. dc is the domain the
-// caller is executing on (the emit context routing the event to the right
-// shard buffer under the parallel executor) — not necessarily the domain
-// the message concerns.
-func (d *Directory) countMsg(dc *sim.Domain, l mem.Line, kind MsgKind, n int) {
+// and mirrors them, per line, onto the telemetry bus.
+func (d *Directory) countMsg(l mem.Line, kind MsgKind, n int) {
 	d.env.CountMsg(kind, n)
-	d.Bus.EmitOn(dc, telemetry.CatCoherence, -1, uint8(kind), l, uint64(n))
+	d.Bus.Emit(telemetry.CatCoherence, -1, uint8(kind), l, uint64(n))
 }
 
-// txn emits one CatTxn span event for req from the executing domain dc.
-// req.Txn == 0 (tracing disabled, or the request predates the subscriber)
+// txn emits one CatTxn span event for req. req.Txn == 0 (tracing disabled, or the request predates the subscriber)
 // makes every site a single predictable branch.
-func (d *Directory) txn(dc *sim.Domain, req *Request, core int, kind uint8, aux uint64) {
+func (d *Directory) txn(req *Request, core int, kind uint8, aux uint64) {
 	if req.Txn != 0 {
-		d.Bus.EmitOn2(dc, telemetry.CatTxn, core, kind, req.Line, req.Txn, aux)
+		d.Bus.Emit2(telemetry.CatTxn, core, kind, req.Line, req.Txn, aux)
 	}
 }
 
@@ -259,14 +254,12 @@ func (d *Directory) txn(dc *sim.Domain, req *Request, core int, kind uint8, aux 
 // where it enters the line's FIFO queue.
 //
 // Submit runs in the requesting core's domain. The message is scheduled at
-// the fixed +Net lower bound (the conservative lookahead); jitter and fault
-// delays are drawn at the directory in canonical arrival order, so the RNG
-// draw sequence — and hence every simulated number — is identical at any
-// shard count.
+// the fixed +Net lower bound (the declared lookahead); jitter and fault
+// delays are drawn at the directory in canonical arrival order.
 func (d *Directory) Submit(req *Request) {
 	src := d.coreDom(req.Core)
 	req.Issued = src.Now()
-	d.countMsg(src, req.Line, MsgRequest, 1)
+	d.countMsg(req.Line, MsgRequest, 1)
 	src.CrossAt(d.dom, src.Now()+d.t.Net, func() { d.reachDir(req) })
 }
 
@@ -299,8 +292,8 @@ func (d *Directory) arrive(req *Request) {
 	if occ > d.MaxQueue {
 		d.MaxQueue = occ
 	}
-	d.Bus.EmitOn(d.dom, telemetry.CatDirQueue, req.Core, 0, req.Line, uint64(occ))
-	d.txn(d.dom, req, req.Core, telemetry.TxnArrive, uint64(occ))
+	d.Bus.Emit(telemetry.CatDirQueue, req.Core, 0, req.Line, uint64(occ))
+	d.txn(req, req.Core, telemetry.TxnArrive, uint64(occ))
 	if !e.busy {
 		d.serviceMaybeStalled(req.Line)
 	}
@@ -343,8 +336,8 @@ func (d *Directory) service(l mem.Line) {
 			req.newState = dirS
 			req.newSharers = bit(e.owner) | bit(req.Core)
 		}
-		d.txn(d.dom, req, req.Core, telemetry.TxnService, 0)
-		d.countMsg(d.dom, l, MsgForward, 1)
+		d.txn(req, req.Core, telemetry.TxnService, 0)
+		d.countMsg(l, MsgForward, 1)
 		owner := e.owner
 		od := d.coreDom(owner)
 		d.dom.CrossAt(od, d.dom.Now()+d.t.L2Tag+d.t.Net+d.Faults.MsgDelay(),
@@ -356,10 +349,10 @@ func (d *Directory) service(l mem.Line) {
 		others := e.sharers &^ bit(req.Core)
 		k := countBits(others)
 		dataReady := d.t.L2Tag + d.t.L2Data
-		d.txn(d.dom, req, req.Core, telemetry.TxnService, uint64(dataReady))
+		d.txn(req, req.Core, telemetry.TxnService, uint64(dataReady))
 		if k > 0 {
-			d.countMsg(d.dom, l, MsgInval, k)
-			d.countMsg(d.dom, l, MsgAck, k)
+			d.countMsg(l, MsgInval, k)
+			d.countMsg(l, MsgAck, k)
 			for c := 0; c < 64; c++ {
 				if others&bit(c) != 0 {
 					c := c
@@ -373,10 +366,10 @@ func (d *Directory) service(l mem.Line) {
 			}
 		}
 		if extra := dataReady - (d.t.L2Tag + d.t.L2Data); extra > 0 {
-			d.txn(d.dom, req, req.Core, telemetry.TxnInval, uint64(extra))
+			d.txn(req, req.Core, telemetry.TxnInval, uint64(extra))
 		}
 		d.env.CountL2()
-		d.countMsg(d.dom, l, MsgReply, 1)
+		d.countMsg(l, MsgReply, 1)
 		d.scheduleComplete(d.dom, d.dom.Now()+dataReady+d.t.Net+d.Faults.MsgDelay(), req)
 
 	default:
@@ -390,7 +383,7 @@ func (d *Directory) service(l mem.Line) {
 			lat += d.t.DRAM
 			d.env.CountDRAM()
 		}
-		d.txn(d.dom, req, req.Core, telemetry.TxnService, uint64(lat))
+		d.txn(req, req.Core, telemetry.TxnService, uint64(lat))
 		switch {
 		case req.Excl:
 			req.newState, req.newOwner = dirM, req.Core
@@ -403,7 +396,7 @@ func (d *Directory) service(l mem.Line) {
 			req.newState = dirS
 			req.newSharers = e.sharers | bit(req.Core)
 		}
-		d.countMsg(d.dom, l, MsgReply, 1)
+		d.countMsg(l, MsgReply, 1)
 		d.scheduleComplete(d.dom, d.dom.Now()+lat+d.t.Net+d.Faults.MsgDelay(), req)
 	}
 }
@@ -411,11 +404,10 @@ func (d *Directory) service(l mem.Line) {
 // probeArrive runs in the owning core's domain when a forwarded probe
 // reaches it.
 func (d *Directory) probeArrive(owner int, req *Request) {
-	od := d.coreDom(owner)
-	d.txn(od, req, owner, telemetry.TxnProbe, 0)
+	d.txn(req, owner, telemetry.TxnProbe, 0)
 	if d.env.DeliverProbe(owner, req) {
-		atomic.AddUint64(&d.DeferredProbes, 1)
-		d.txn(od, req, owner, telemetry.TxnDefer, 0)
+		d.DeferredProbes++
+		d.txn(req, owner, telemetry.TxnDefer, 0)
 		return // env will call ProbeDone on lease release/expiry
 	}
 	d.ownerDowngraded(owner, req)
@@ -431,9 +423,9 @@ func (d *Directory) ProbeDone(owner int, req *Request) { d.ownerDowngraded(owner
 // directory.
 func (d *Directory) ownerDowngraded(owner int, req *Request) {
 	src := d.coreDom(owner)
-	d.txn(src, req, req.Core, telemetry.TxnProbeDone, 0)
-	d.countMsg(src, req.Line, MsgReply, 1)
-	d.countMsg(src, req.Line, MsgAck, 1)
+	d.txn(req, req.Core, telemetry.TxnProbeDone, 0)
+	d.countMsg(req.Line, MsgReply, 1)
+	d.countMsg(req.Line, MsgAck, 1)
 	d.scheduleComplete(src, src.Now()+d.t.Inval+d.t.Net+d.Faults.MsgDelay(), req)
 }
 
@@ -454,7 +446,7 @@ func (d *Directory) scheduleComplete(src *sim.Domain, t sim.Time, req *Request) 
 	ns, no, nsh := req.newState, req.newOwner, req.newSharers
 	dst := d.coreDom(req.Core)
 	src.CrossAt(dst, t, func() {
-		d.txn(dst, req, core, telemetry.TxnComplete, 0)
+		d.txn(req, core, telemetry.TxnComplete, 0)
 		d.env.Complete(req, st)
 	})
 	src.CrossAt(d.dom, t, func() { d.commit(line, ns, no, nsh, txnID) })
@@ -485,7 +477,7 @@ func (d *Directory) commit(l mem.Line, ns dirState, no int, nsh uint64, txnID ui
 // below drops the notice if ownership has already moved on).
 func (d *Directory) Writeback(core int, l mem.Line) {
 	src := d.coreDom(core)
-	d.countMsg(src, l, MsgWriteback, 1)
+	d.countMsg(l, MsgWriteback, 1)
 	src.CrossAt(d.dom, src.Now()+d.t.Net, func() {
 		e := d.entry(l)
 		if e.state == dirM && e.owner == core {

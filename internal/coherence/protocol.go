@@ -66,9 +66,9 @@ type Protocol interface {
 	// transaction progresses.
 	Submit(req *Request)
 	// ProbeDone resumes a probe the Env deferred behind a lease. owner is
-	// the core that held the probe (the call runs in that core's context,
-	// which under sharding determines the source domain of the resulting
-	// messages).
+	// the core that held the probe: the call runs in that core's context,
+	// and its domain is the source of the resulting messages — it keys
+	// their events and is what the lookahead check measures from.
 	ProbeDone(owner int, req *Request)
 	// Writeback records a dirty (Modified) eviction by core on line l.
 	Writeback(core int, l mem.Line)

@@ -291,8 +291,8 @@ func (p *Protocol) probeArrive(owner int, req *coherence.Request) {
 }
 
 // ProbeDone resumes a deferred probe after the lease on req.Line released.
-// owner (the releasing core) is unused here: Tardis always runs
-// single-shard, where the source domain does not matter.
+// owner (the releasing core) is unused here: Tardis schedules every event on
+// the system domain, which is why it holds no lookahead certificate.
 func (p *Protocol) ProbeDone(owner int, req *coherence.Request) { p.ownerDowngraded(req) }
 
 func (p *Protocol) ownerDowngraded(req *coherence.Request) {

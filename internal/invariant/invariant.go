@@ -133,11 +133,8 @@ type Checker struct {
 // emission — but the checker itself never perturbs simulated timing.
 //
 // The checker's handlers read live machine state (directory entries, L1
-// states) at the moment of each event, so it requires synchronous event
-// delivery: attaching marks the bus with RequireSync, which makes the
-// machine degrade a sharded configuration to the sequential executor.
-// Buffer-and-merge subscribers (histograms, spans, ledger, timelines)
-// have no such requirement and shard freely.
+// states) at the moment of each event, which the bus guarantees: every
+// subscriber runs synchronously inside the emitting call.
 func Attach(m *machine.Machine, cfg Config) *Checker {
 	cfg = cfg.withDefaults()
 	c := &Checker{
@@ -149,9 +146,7 @@ func Attach(m *machine.Machine, cfg Config) *Checker {
 		history:       make([]telemetry.Event, cfg.History),
 		agreementRule: m.ProtocolName() + "-agreement",
 	}
-	bus := m.Telemetry()
-	bus.RequireSync()
-	bus.SubscribeAll(c.onEvent)
+	m.Telemetry().SubscribeAll(c.onEvent)
 	return c
 }
 

@@ -77,18 +77,6 @@ type Config struct {
 	// overhead; see the faults package.
 	Faults faults.Config
 
-	// Shards requests conservative time-windowed parallel execution of
-	// this single machine: cores are partitioned over Shards-1 worker
-	// shards (shard 0 runs the directory/memory side) and windows of
-	// Timing.Net cycles execute concurrently. Output is byte-identical to
-	// Shards <= 1 by construction. The request only takes effect for
-	// configurations the machine can certify race-free — MSI, faults
-	// off, no synchronous telemetry subscriber (buffered recorders
-	// shard; the invariant checker does not), at least two threads;
-	// everything else silently runs sequentially (see
-	// Machine.EffectiveShards).
-	Shards int
-
 	// Seed derives each core's deterministic RNG stream (and, with
 	// Faults.Seed, the fault-injection stream).
 	Seed uint64

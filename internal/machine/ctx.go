@@ -2,7 +2,6 @@ package machine
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"leaserelease/internal/mem"
 	"leaserelease/internal/sim"
@@ -92,23 +91,20 @@ func (c *Ctx) Rand() *sim.RNG { return c.p.RNG() }
 
 // Alloc returns a fresh cache-line-aligned, line-padded block. Each core
 // allocates from its own fixed-base arena, so the addresses a thread sees
-// depend only on its own allocation sequence — shard- and
-// interleaving-invariant, and lock-free under parallel windows.
+// depend only on its own allocation sequence, never on how the threads
+// interleaved.
 func (c *Ctx) Alloc(size uint64) mem.Addr { return c.cs.arena.AllocAligned(size) }
 
 // Observe runs fn at the current point of the thread's telemetry stream.
-// Under the sequential executor (or with no telemetry bus) fn runs
-// immediately; under the parallel executor it is buffered alongside the
-// core's emissions and replayed by the barrier merge in canonical order.
 // The harness uses it for operation-boundary observations — latency
-// histograms, span and ledger op accounting — which touch single-consumer
-// host state and must fold in the same order at any shard count. fn's place
-// in that order is the thread's last memory access; a thread whose last
-// accesses hit may have performed them ahead of the event queue (access),
-// so it waits for the queue to reach the last one first.
+// histograms, span and ledger op accounting — which must interleave with bus
+// events as they happened. fn's place in that order is the thread's last
+// memory access; a thread whose last accesses hit may have performed them
+// ahead of the event queue (access), so it waits for the queue to reach the
+// last one first.
 func (c *Ctx) Observe(fn func()) {
 	c.p.Rejoin()
-	c.m.bus.Defer(c.cs.dom, fn)
+	fn()
 }
 
 // access obtains the line of a with read or write permission, blocking
@@ -162,11 +158,11 @@ func (c *Ctx) Store(a mem.Addr, v uint64) {
 func (c *Ctx) CAS(a mem.Addr, old, new uint64) bool {
 	c.access(a, true, false)
 	if c.m.store.Load(a) != old {
-		atomic.AddUint64(&c.m.stats.CASFailures, 1)
+		c.m.stats.CASFailures++
 		return false
 	}
 	c.m.store.Store(a, new)
-	atomic.AddUint64(&c.m.stats.CASSuccesses, 1)
+	c.m.stats.CASSuccesses++
 	return true
 }
 
@@ -199,7 +195,7 @@ func (c *Ctx) LeaseAt(site uint64, a mem.Addr, dur uint64) {
 	c.p.Sync()
 	cs := c.cs
 	if cs.pred.shouldIgnore(site) {
-		atomic.AddUint64(&c.m.stats.IgnoredLeases, 1)
+		c.m.stats.IgnoredLeases++
 		c.m.trace(cs, TraceIgnored, mem.LineOf(a))
 		c.p.Work(1)
 		return
@@ -211,15 +207,15 @@ func (c *Ctx) LeaseAt(site uint64, a mem.Addr, dur uint64) {
 		return
 	}
 	if g, clamped := cs.ctrl.grant(site, dur); clamped {
-		atomic.AddUint64(&c.m.stats.CtrlClamps, 1)
+		c.m.stats.CtrlClamps++
 		dur = g
 	}
-	atomic.AddUint64(&c.m.stats.Leases, 1)
+	c.m.stats.Leases++
 	c.m.trace(cs, TraceLease, l)
 	evicted, _ := cs.leases.Insert(l, dur, false)
 	cs.leases.Find(l).Site = site
 	if evicted != nil {
-		atomic.AddUint64(&c.m.stats.EvictedLeases, 1)
+		c.m.stats.EvictedLeases++
 		c.m.traceVal(cs, TraceEvicted, evicted.Line, leaseHold(evicted, c.p.Clock()))
 		c.m.releaseEntry(cs, evicted)
 	}
@@ -255,7 +251,7 @@ func (c *Ctx) Release(a mem.Addr) bool {
 	if e == nil {
 		return false
 	}
-	atomic.AddUint64(&c.m.stats.VoluntaryReleases, 1)
+	c.m.stats.VoluntaryReleases++
 	c.m.traceVal(cs, TraceVoluntary, e.Line, leaseHold(e, now))
 	c.m.releaseEntry(cs, e)
 	return true
@@ -273,7 +269,7 @@ func (c *Ctx) ReleaseAll() {
 func (c *Ctx) releaseAllNow() {
 	cs := c.cs
 	for _, e := range cs.leases.RemoveAll() {
-		atomic.AddUint64(&c.m.stats.VoluntaryReleases, 1)
+		c.m.stats.VoluntaryReleases++
 		c.m.traceVal(cs, TraceVoluntary, e.Line, leaseHold(e, c.p.Clock()))
 		c.m.releaseEntry(cs, e)
 	}
@@ -295,7 +291,7 @@ func (c *Ctx) MultiLease(dur uint64, addrs ...mem.Addr) bool {
 		c.p.Work(1)
 		return false
 	}
-	atomic.AddUint64(&c.m.stats.MultiLeases, 1)
+	c.m.stats.MultiLeases++
 	cs := c.cs
 	for _, l := range lines {
 		c.p.Sync()

@@ -101,7 +101,7 @@ func DumpEvents(evs []telemetry.Event) []EventDump {
 func (m *Machine) DumpState() *StateDump {
 	d := &StateDump{
 		Cycle:      m.eng.Now(),
-		EventCount: m.eng.EventCount,
+		EventCount: m.eng.Stats().EventsTotal,
 		Pending:    m.eng.Pending(),
 		Seed:       m.cfg.Seed,
 		Faults:     m.faults.Stats(),

@@ -1,23 +1,13 @@
 package machine
 
-import (
-	"leaserelease/internal/mem"
-	"leaserelease/internal/sim"
-)
+import "leaserelease/internal/mem"
 
 // Hooks for the external test package (runahead_diff_test.go).
 
 // ForceSync sends every access of m down the Sync path, whatever the
 // lookahead certificate says: the reference run of the differential test.
-// Call it after the last Spawn (certification counts the threads) and before
-// the first Run.
-func ForceSync(m *Machine) {
-	m.applySharding()
-	m.runAhead = false
-}
-
-// EngineStats is the engine's snapshot, for sequential runs too.
-func EngineStats(m *Machine) sim.EngineStats { return m.eng.Stats() }
+// Call it before the first Run.
+func ForceSync(m *Machine) { m.runAhead = false }
 
 // MemImage returns every word the setup allocator and the cores' arenas have
 // handed out, in address order.

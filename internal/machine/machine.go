@@ -16,7 +16,6 @@ package machine
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"leaserelease/internal/cache"
 	"leaserelease/internal/coherence"
@@ -42,15 +41,10 @@ type Machine struct {
 	bus     *telemetry.Bus   // nil until Telemetry() — telemetry disabled
 	faults  *faults.Injector // nil unless cfg.Faults.Enabled
 
-	// Sharding state (see applySharding): effShards is the certified
-	// shard count actually applied to the engine (1 = sequential),
-	// shardReason explains a downgrade from cfg.Shards. runAhead says the
-	// run holds the lookahead certificate, so an L1 hit with nothing in
-	// flight to the core is performed without Sync (Ctx.access).
-	shardsDone  bool
-	effShards   int
-	shardReason string
-	runAhead    bool
+	// runAhead says the run holds the lookahead certificate
+	// (declareLookahead), so an L1 hit with nothing in flight to the core is performed without
+	// Sync (Ctx.access).
+	runAhead bool
 }
 
 // ProtocolViolationError is the panic value raised when simulated hardware
@@ -76,7 +70,7 @@ type coreState struct {
 	l1     *cache.Cache
 	leases *core.Table
 	proc   *sim.Proc
-	dom    *sim.Domain    // the core's scheduling domain (shard-local clock)
+	dom    *sim.Domain    // the core's scheduling domain
 	arena  *mem.Allocator // per-core allocation arena (Ctx.Alloc)
 	pred   *leasePredictor
 	ctrl   *leaseController
@@ -135,13 +129,13 @@ func New(cfg Config) *Machine {
 			req:    new(coherence.Request),
 		}
 	}
+	m.declareLookahead()
 	return m
 }
 
 // coreArenaBase places each core's allocation arena at a fixed,
-// core-indexed address so Ctx.Alloc is lock-free under sharding and the
-// addresses a workload sees depend only on its own allocation sequence —
-// never on cross-core interleaving or the shard count.
+// core-indexed address, so the addresses a thread sees depend only on its
+// own allocation sequence, never on cross-core interleaving.
 func coreArenaBase(core int) mem.Addr {
 	return mem.Addr(1)<<40 | mem.Addr(core)<<32
 }
@@ -175,139 +169,32 @@ func (m *Machine) Spawn(start uint64, fn func(*Ctx)) {
 // threads finish). It returns a *sim.DeadlockError if the simulation
 // deadlocks — which Lease/Release guarantees cannot happen unless the
 // protocol is misused (see the unsorted-multilease negative test).
-func (m *Machine) Run(untilCycle uint64) error {
-	m.applySharding()
-	return m.eng.Run(untilCycle)
-}
+func (m *Machine) Run(untilCycle uint64) error { return m.eng.Run(untilCycle) }
 
 // Drain runs until all threads finish.
-func (m *Machine) Drain() error {
-	m.applySharding()
-	return m.eng.Drain()
-}
+func (m *Machine) Drain() error { return m.eng.Drain() }
 
-// applySharding certifies the run's lookahead and applies the cfg.Shards
-// request before the first Run. The certificate (uncertified) covers
-// configurations whose entire event graph is domain-routed with at least
-// Timing.Net cycles on every cross-domain message: the MSI directory, and no
+// declareLookahead certifies the run's lookahead and declares it to the
+// engine, which enforces it from then on. The certificate says that every
+// cross-domain message is scheduled through its sender's domain with at
+// least Timing.Net cycles of latency. It covers the MSI directory without
 // fault injection (the injector's draw order is defined by the global event
-// order, and it moves expiry timers and message latencies). With it the
-// engine is told the lookahead and enforces it, and two things rest on it:
-// L1 hits that run ahead of the event queue (Ctx.access), on either
-// executor, and parallel windows, which need a few things more. A telemetry
-// bus is shard-safe — when windows engage, it switches to per-shard
-// append-only buffers that the engine's barrier hook drains into the
-// subscribers in canonical order (telemetry.Bus.ShardBuffers), so derived
-// telemetry is byte-identical at any shard count. The one exception is a
-// subscriber that must observe events synchronously with simulated
-// execution (the invariant checker reads live machine state): such a bus
-// reports NeedsSync and the run degrades to the sequential executor.
-// Everything degraded runs the identical event order anyway —
-// byte-identical output is preserved in both directions.
-func (m *Machine) applySharding() {
-	if m.shardsDone {
-		return
-	}
-	m.shardsDone = true
-	cert := uncertified(m.proto.Name(), m.faults != nil, m.cfg.Timing.Net)
-	k, reason := shardPlan(m.cfg.Shards, cert, m.bus.NeedsSync(), m.spawned)
-	m.effShards, m.shardReason = k, reason
-	m.runAhead = cert == ""
-	if !m.runAhead {
-		return // and k is 1
-	}
-	var place func(dom uint32) int
-	if workers := uint32(k - 1); workers > 0 {
-		place = func(dom uint32) int {
-			if dom == sim.SysDomain {
-				return 0 // directory/L2/memory side
-			}
-			return 1 + int(dom%workers)
-		}
-	}
-	m.eng.ConfigureSharding(k, m.cfg.Timing.Net, place)
-	if k > 1 && m.bus != nil {
-		m.bus.ShardBuffers(k)
-		m.eng.SetBarrierHook(m.bus.DrainBarrier)
+// order, and it moves expiry timers and message latencies) and needs
+// Net > 0. Tardis schedules everything on the system domain, so what is in
+// flight to a core is invisible per domain. A run without the certificate
+// executes the same event order; it only has to Sync before every access.
+func (m *Machine) declareLookahead() {
+	m.runAhead = m.proto.Name() == coherence.ProtocolMSI && m.faults == nil && m.cfg.Timing.Net > 0
+	if m.runAhead {
+		m.eng.DeclareLookahead(m.cfg.Timing.Net)
 	}
 }
 
-// shardPlan is the certification decision itself, pure so hosts can
-// predict it: the requested shard count is granted only when every input
-// to the event graph is shard-safe (cert, the lookahead certificate, is ""
-// and no subscriber needs synchronous delivery), and otherwise downgraded
-// to 1 with the reason.
-func shardPlan(requested int, cert string, busNeedsSync bool, spawned int) (int, string) {
-	k := requested
-	var reason string
-	switch {
-	case k <= 1:
-		k = 1
-	case cert != "":
-		k, reason = 1, cert
-	case busNeedsSync:
-		k, reason = 1, "synchronous telemetry subscriber attached"
-	case spawned < 2:
-		k, reason = 1, "fewer than two threads"
-	}
-	if k > spawned+1 {
-		k = spawned + 1 // no empty worker shards
-	}
-	return k, reason
-}
-
-// uncertified is the lookahead certificate: it returns "" when every
-// cross-domain message of a run is scheduled through its sender's domain
-// with at least Timing.Net cycles of latency, and otherwise what prevents
-// that. Tardis schedules everything on the system domain, so what is in
-// flight to a core is invisible per domain.
-func uncertified(protoName string, faultsEnabled bool, net sim.Time) string {
-	switch {
-	case protoName != coherence.ProtocolMSI:
-		return "protocol " + protoName + " is not shard-certified"
-	case faultsEnabled:
-		return "fault injection enabled"
-	case net == 0:
-		return "Timing.Net = 0 leaves no lookahead"
-	}
-	return ""
-}
-
-// ShardPlan predicts the shard count a run of cfg with the given spawned
-// thread count will certify to, and the downgrade reason if any. Hosts use
-// it to record effective shard counts (e.g. leasebench -perfjson) without
-// building a machine. Telemetry no longer downgrades a run (the bus
-// buffers per shard and merges at barriers); only a synchronous subscriber
-// — the invariant checker — does, which a host cannot see from cfg alone.
-func ShardPlan(cfg Config, threads int) (int, string) {
-	proto := cfg.Protocol
-	if proto == "" {
-		proto = coherence.ProtocolMSI
-	}
-	return shardPlan(cfg.Shards, uncertified(proto, cfg.Faults.Enabled, cfg.Timing.Net), false, threads)
-}
-
-// EffectiveShards reports the shard count actually applied (1 before the
-// first Run, or when the configuration could not be certified) and, when
-// cfg.Shards was downgraded, why.
-func (m *Machine) EffectiveShards() (int, string) {
-	if !m.shardsDone {
-		return 1, "not yet running"
-	}
-	return m.effShards, m.shardReason
-}
-
-// ShardStats returns the parallel executor's self-observability snapshot —
-// windows, barriers, stall cycles, per-shard utilization — or nil for a
-// run that executed sequentially. Call while the machine is idle (between
-// or after Runs).
-func (m *Machine) ShardStats() *sim.EngineStats {
-	if !m.shardsDone || m.effShards <= 1 {
-		return nil
-	}
-	st := m.eng.Stats()
-	return &st
-}
+// EngineStats returns the event kernel's host-side counters for the run so
+// far: events executed and how proc wake-ups were paid for (sim.EngineStats).
+// A run without the lookahead certificate reports Lookahead and SyncsSkipped
+// as zero. Call while the machine is idle (between or after Runs).
+func (m *Machine) EngineStats() sim.EngineStats { return m.eng.Stats() }
 
 // Stop tears down all still-blocked threads. Call after the final Run so
 // machines do not leak goroutines.
@@ -412,7 +299,7 @@ func (m *Machine) mintTxn(cs *coreState, req *coherence.Request) {
 	if cs.l1.State(req.Line) == cache.Shared {
 		flags |= telemetry.TxnFlagUpgrade
 	}
-	m.bus.EmitOn2(cs.dom, telemetry.CatTxn, cs.id, telemetry.TxnBegin, req.Line, req.Txn, flags)
+	m.bus.Emit2(telemetry.CatTxn, cs.id, telemetry.TxnBegin, req.Line, req.Txn, flags)
 }
 
 // serveDeferred delivers the (at most one) probe deferred on a released
@@ -424,7 +311,7 @@ func (m *Machine) serveDeferred(cs *coreState, e *core.Entry) {
 		return
 	}
 	req := p.(*coherence.Request)
-	m.bus.EmitOn2(cs.dom, telemetry.CatLease, cs.id, telemetry.ProbeServed, e.Line,
+	m.bus.Emit2(telemetry.CatLease, cs.id, telemetry.ProbeServed, e.Line,
 		cs.dom.Now()-e.ProbeQueuedAt, req.Txn)
 	to := cache.Shared
 	if req.Excl {
@@ -449,11 +336,11 @@ func (m *Machine) scheduleExpiry(cs *coreState, e *core.Entry) {
 		if x == nil {
 			return // released voluntarily (or evicted) in the meantime
 		}
-		atomic.AddUint64(&m.stats.InvoluntaryReleases, 1)
+		m.stats.InvoluntaryReleases++
 		m.traceVal(cs, TraceInvoluntary, line, x.Duration)
 		cs.pred.record(x.Site, false)
 		if shrank, _ := cs.ctrl.record(x.Site, false); shrank {
-			atomic.AddUint64(&m.stats.CtrlShrinks, 1)
+			m.stats.CtrlShrinks++
 		}
 		cs.l1.Unpin(line)
 		m.proto.LeaseReleased(cs.id, line)
@@ -466,7 +353,7 @@ func (m *Machine) scheduleExpiry(cs *coreState, e *core.Entry) {
 func (m *Machine) releaseEntry(cs *coreState, e *core.Entry) {
 	cs.pred.record(e.Site, true)
 	if _, grew := cs.ctrl.record(e.Site, true); grew {
-		atomic.AddUint64(&m.stats.CtrlGrows, 1)
+		m.stats.CtrlGrows++
 	}
 	cs.l1.Unpin(e.Line)
 	m.proto.LeaseReleased(cs.id, e.Line)
@@ -510,7 +397,7 @@ func (m *Machine) installLine(cs *coreState, l mem.Line, st cache.State) {
 			panic(&ProtocolViolationError{Rule: "pinned-set", Core: cs.id, Line: l,
 				Detail: "L1 set fully pinned but lease table empty"})
 		}
-		atomic.AddUint64(&m.stats.ForcedReleases, 1)
+		m.stats.ForcedReleases++
 		m.traceVal(cs, TraceForced, e.Line, leaseHold(e, cs.dom.Now()))
 		m.releaseEntry(cs, e)
 	}
@@ -544,7 +431,7 @@ func (d *dirEnv) DeliverProbe(owner int, req *coherence.Request) bool {
 		if m.cfg.RegularBreaksLease && !req.Lease {
 			// §5 prioritization: a regular request breaks the lease.
 			e := cs.leases.Remove(req.Line)
-			atomic.AddUint64(&m.stats.BrokenLeases, 1)
+			m.stats.BrokenLeases++
 			m.traceVal(cs, TraceBroken, req.Line, leaseHold(e, cs.dom.Now()))
 			cs.l1.Unpin(req.Line)
 			m.proto.LeaseReleased(owner, req.Line)
@@ -596,11 +483,7 @@ func (d *dirEnv) Complete(req *coherence.Request, st cache.State) {
 	cs.proc.WakeAt(cs.dom.Now())
 }
 
-// CountMsg runs in whichever domain sent the message, so the shared
-// counters are atomic; sums are order-free and therefore shard-invariant.
-func (d *dirEnv) CountMsg(kind coherence.MsgKind, n int) {
-	atomic.AddUint64(&d.m().stats.Msgs[kind], uint64(n))
-}
+func (d *dirEnv) CountMsg(kind coherence.MsgKind, n int) { d.m().stats.Msgs[kind] += uint64(n) }
 
 func (d *dirEnv) CountL2()   { d.m().stats.L2Accesses++ }
 func (d *dirEnv) CountDRAM() { d.m().stats.DRAMAccesses++ }

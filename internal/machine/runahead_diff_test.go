@@ -27,11 +27,10 @@ type diffCell struct {
 const opEnd = telemetry.Category(255)
 
 func runDiffCell(t *testing.T, build func(*machine.Direct) bench.OpFunc,
-	threads int, seed uint64, shards int, traced, forceSync bool) diffCell {
+	threads int, seed uint64, traced, forceSync bool) diffCell {
 	t.Helper()
 	cfg := machine.DefaultConfig(threads)
 	cfg.Seed = seed
-	cfg.Shards = shards
 	m := machine.New(cfg)
 	op := build(m.Direct())
 	var stream []telemetry.Event
@@ -63,24 +62,20 @@ func runDiffCell(t *testing.T, build func(*machine.Direct) bench.OpFunc,
 			t.Fatal(err)
 		}
 	}
-	if eff, reason := m.EffectiveShards(); eff != shards {
-		t.Fatalf("ran on %d shards, want %d (%s)", eff, shards, reason)
-	}
 	if err := m.VerifyCoherence(); err != nil {
 		t.Fatal(err)
 	}
-	cell := diffCell{m.Stats(), ops, machine.MemImage(m), machine.EngineStats(m), stream}
+	cell := diffCell{m.Stats(), ops, machine.MemImage(m), m.EngineStats(), stream}
 	m.Stop()
 	return cell
 }
 
 // TestRunAheadDifferential runs each structure with the run-ahead hit and
 // with every access forced through Sync, and requires the same simulation:
-// statistics, memory image and per-thread progress, at one shard and two;
-// with a subscriber on the bus, the same events and operation-boundary
-// observations in the same order (hits emit nothing, and Observe rejoins the
-// event queue first). The engine's counters must account for the difference
-// exactly. Only Sync
+// statistics, memory image and per-thread progress; with a subscriber on the
+// bus, the same events and operation-boundary observations in the same order
+// (hits emit nothing, and Observe rejoins the event queue first). The
+// engine's counters must account for the difference exactly. Only Sync
 // wakes separate the two event counts; and a Sync that has to move the clock
 // is a wake, a fast-forward or skipped, so what one run skipped the other
 // paid for as one of the first two. (Not always as a wake: after a wake that
@@ -100,39 +95,37 @@ func TestRunAheadDifferential(t *testing.T) {
 	}
 	for _, w := range workloads {
 		for _, seed := range []uint64{1, 7} {
-			for _, shards := range []int{1, 2} {
-				traced := seed == 7
-				t.Run(fmt.Sprintf("%s/seed%d/shards%d", w.name, seed, shards), func(t *testing.T) {
-					fast := runDiffCell(t, w.build, threads, seed, shards, traced, false)
-					ref := runDiffCell(t, w.build, threads, seed, shards, traced, true)
-					if fast.stats != ref.stats {
-						t.Errorf("Stats differ:\n run-ahead %+v\n all-Sync  %+v", fast.stats, ref.stats)
-					}
-					if !slices.Equal(fast.ops, ref.ops) {
-						t.Errorf("per-thread operations differ:\n run-ahead %v\n all-Sync  %v", fast.ops, ref.ops)
-					}
-					if !slices.Equal(fast.image, ref.image) {
-						t.Error("final memory images differ")
-					}
-					if !slices.Equal(fast.stream, ref.stream) {
-						t.Errorf("subscriber streams differ (%d and %d entries)", len(fast.stream), len(ref.stream))
-					} else if traced && len(fast.stream) == 0 {
-						t.Error("the traced cell delivered nothing")
-					}
-					f, r := fast.engine, ref.engine
-					if r.SyncsSkipped != 0 || f.SyncsSkipped == 0 {
-						t.Fatalf("syncs skipped: %d in the all-Sync run, %d with run-ahead", r.SyncsSkipped, f.SyncsSkipped)
-					}
-					t.Logf("L1 hits %d, syncs skipped %d; all-Sync run: %d more events, %d more fast-forwards",
-						fast.stats.L1Hits, f.SyncsSkipped, r.EventsTotal-f.EventsTotal, int64(r.SyncFastForwards-f.SyncFastForwards))
-					if got, want := r.EventsTotal-f.EventsTotal, r.SyncWakes-f.SyncWakes; got != want {
-						t.Errorf("event counts differ by %d, Sync wakes by %d", got, want)
-					}
-					if got := (r.SyncWakes - f.SyncWakes) + (r.SyncFastForwards - f.SyncFastForwards); got != f.SyncsSkipped {
-						t.Errorf("%d syncs skipped, but the all-Sync run paid for %d more wakes and fast-forwards", f.SyncsSkipped, got)
-					}
-				})
-			}
+			traced := seed == 7
+			t.Run(fmt.Sprintf("%s/seed%d", w.name, seed), func(t *testing.T) {
+				fast := runDiffCell(t, w.build, threads, seed, traced, false)
+				ref := runDiffCell(t, w.build, threads, seed, traced, true)
+				if fast.stats != ref.stats {
+					t.Errorf("Stats differ:\n run-ahead %+v\n all-Sync  %+v", fast.stats, ref.stats)
+				}
+				if !slices.Equal(fast.ops, ref.ops) {
+					t.Errorf("per-thread operations differ:\n run-ahead %v\n all-Sync  %v", fast.ops, ref.ops)
+				}
+				if !slices.Equal(fast.image, ref.image) {
+					t.Error("final memory images differ")
+				}
+				if !slices.Equal(fast.stream, ref.stream) {
+					t.Errorf("subscriber streams differ (%d and %d entries)", len(fast.stream), len(ref.stream))
+				} else if traced && len(fast.stream) == 0 {
+					t.Error("the traced cell delivered nothing")
+				}
+				f, r := fast.engine, ref.engine
+				if r.SyncsSkipped != 0 || f.SyncsSkipped == 0 {
+					t.Fatalf("syncs skipped: %d in the all-Sync run, %d with run-ahead", r.SyncsSkipped, f.SyncsSkipped)
+				}
+				t.Logf("L1 hits %d, syncs skipped %d; all-Sync run: %d more events, %d more fast-forwards",
+					fast.stats.L1Hits, f.SyncsSkipped, r.EventsTotal-f.EventsTotal, int64(r.SyncFastForwards-f.SyncFastForwards))
+				if got, want := r.EventsTotal-f.EventsTotal, r.SyncWakes-f.SyncWakes; got != want {
+					t.Errorf("event counts differ by %d, Sync wakes by %d", got, want)
+				}
+				if got := (r.SyncWakes - f.SyncWakes) + (r.SyncFastForwards - f.SyncFastForwards); got != f.SyncsSkipped {
+					t.Errorf("%d syncs skipped, but the all-Sync run paid for %d more wakes and fast-forwards", f.SyncsSkipped, got)
+				}
+			})
 		}
 	}
 }

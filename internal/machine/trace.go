@@ -81,7 +81,6 @@ func (m *Machine) Telemetry() *telemetry.Bus {
 		for _, cs := range m.cores {
 			cs.l1.Bus = m.bus
 			cs.l1.CoreID = cs.id
-			cs.l1.Dom = cs.dom // emit context: evictions run on the core's domain
 		}
 	}
 	return m.bus
@@ -103,11 +102,7 @@ func (m *Machine) SetTracer(fn func(TraceEvent)) {
 	})
 }
 
-// trace emits a lease-lifecycle event with no measurement payload. The
-// emitting core's state carries the execution context (its scheduling
-// domain): every lease-lifecycle emit site runs on the core's own domain,
-// which is what routes the event to the right shard buffer under the
-// parallel executor.
+// trace emits a lease-lifecycle event with no measurement payload.
 func (m *Machine) trace(cs *coreState, kind TraceKind, line mem.Line) {
 	m.traceVal(cs, kind, line, telemetry.NoVal)
 }
@@ -116,5 +111,5 @@ func (m *Machine) trace(cs *coreState, kind TraceKind, line mem.Line) {
 // carries the kind-specific measurement (hold cycles for release-class
 // kinds) or telemetry.NoVal.
 func (m *Machine) traceVal(cs *coreState, kind TraceKind, line mem.Line, val uint64) {
-	m.bus.EmitOn(cs.dom, telemetry.CatLease, cs.id, uint8(kind), line, val)
+	m.bus.Emit(telemetry.CatLease, cs.id, uint8(kind), line, val)
 }

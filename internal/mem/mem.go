@@ -7,11 +7,6 @@
 // machine's address space, never host pointers.
 package mem
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
 // Addr is a simulated memory address (byte-granular).
 type Addr uint64
 
@@ -40,30 +35,16 @@ const (
 )
 
 // Store is the backing word store. The zero value is ready to use; unwritten
-// words read as zero.
-//
-// The page index is copy-on-write behind an atomic pointer so concurrent
-// shards can access the store without a lock on the hot path: readers and
-// writers of existing pages go straight to the page array, and only page
-// creation takes the mutex (copying the index, then publishing the new
-// snapshot). Word-level discipline is the coherence protocol's job — within
-// one execution window two shards never touch the same word, because
-// ownership transfer costs at least a network hop more than the lookahead.
+// words read as zero. A Store belongs to one simulated machine and is touched
+// only by the goroutine running it.
 type Store struct {
-	pages atomicPages
-	mu    sync.Mutex // serializes page creation only
+	pages map[uint64]*[pageWords]uint64 // made on first write
 }
-
-type atomicPages = atomic.Pointer[map[uint64]*[pageWords]uint64]
 
 // Load returns the 8-byte word at address a. a must be word-aligned.
 func (s *Store) Load(a Addr) uint64 {
 	checkAligned(a)
-	m := s.pages.Load()
-	if m == nil {
-		return 0
-	}
-	p, ok := (*m)[uint64(a)>>pageShift]
+	p, ok := s.pages[uint64(a)>>pageShift]
 	if !ok {
 		return 0
 	}
@@ -74,36 +55,15 @@ func (s *Store) Load(a Addr) uint64 {
 func (s *Store) Store(a Addr, v uint64) {
 	checkAligned(a)
 	idx := uint64(a) >> pageShift
-	if m := s.pages.Load(); m != nil {
-		if p, ok := (*m)[idx]; ok {
-			p[(uint64(a)>>3)&(pageWords-1)] = v
-			return
+	p, ok := s.pages[idx]
+	if !ok {
+		if s.pages == nil {
+			s.pages = make(map[uint64]*[pageWords]uint64)
 		}
+		p = new([pageWords]uint64)
+		s.pages[idx] = p
 	}
-	s.page(idx)[(uint64(a)>>3)&(pageWords-1)] = v
-}
-
-// page returns the page for idx, creating and publishing it under the
-// mutex if needed.
-func (s *Store) page(idx uint64) *[pageWords]uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old := s.pages.Load()
-	if old != nil {
-		if p, ok := (*old)[idx]; ok {
-			return p // another writer created it meanwhile
-		}
-	}
-	next := make(map[uint64]*[pageWords]uint64, 1)
-	if old != nil {
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	p := new([pageWords]uint64)
-	next[idx] = p
-	s.pages.Store(&next)
-	return p
+	p[(uint64(a)>>3)&(pageWords-1)] = v
 }
 
 func checkAligned(a Addr) {
@@ -126,9 +86,8 @@ func NewAllocator() *Allocator {
 }
 
 // NewAllocatorAt returns an allocator whose arena starts at base. Disjoint
-// fixed bases give each simulated core a private arena: allocations need
-// no lock and the addresses one core sees are independent of other cores'
-// allocation activity. base 0 is bumped to LineSize (NULL protection).
+// fixed bases give each simulated core a private arena: the addresses one
+// core sees are independent of other cores' allocation activity. base 0 is bumped to LineSize (NULL protection).
 func NewAllocatorAt(base Addr) *Allocator {
 	if base == 0 {
 		base = LineSize

@@ -3,37 +3,42 @@
 // Events execute in a canonical total order keyed by
 // (cycle, target domain, source domain, per-source sequence). A domain is a
 // scheduling context owned by one simulated actor (one core, or the shared
-// system side — directory, L2, memory). The key is shard-invariant: it never
-// references global scheduling order, so the same simulation partitioned
-// across any number of shards executes per-domain work in the same order and
-// produces bit-identical results (see shard.go for the windowed parallel
-// executor; with one shard the engine is the familiar sequential kernel).
+// system side — directory, L2, memory). Every component of the key comes from
+// simulation structure, never from the order in which host code happened to
+// schedule things, so a run is bit-identical per seed however its setup code
+// is arranged.
 //
-// Simulated cores (procs) are runtime coroutines (iter.Pull) of one driver
-// loop per shard, shard.loop, which runs on Run's caller (or, windowed, on
-// the shard's worker): it pops events in order, executes callbacks, and
-// resumes the proc whose wake comes due. A switch into or out of a proc is
-// a runtime.coroswitch on the same thread — no run queue, no wake-up of an
-// idle P, no futex — so its cost does not depend on GOMAXPROCS or on how
-// many procs exist. Within a shard exactly one of them, the loop or one
-// proc, executes at any instant.
+// There is one executor: one clock, one event queue, one driver loop
+// (Engine.loop) that runs on Run's caller. Simulated cores (procs) are
+// runtime coroutines (iter.Pull) of that loop: it pops events in order,
+// executes callbacks, and resumes the proc whose wake comes due. A switch
+// into or out of a proc is a runtime.coroswitch on the same thread — no run
+// queue, no wake-up of an idle P, no futex — so its cost does not depend on
+// GOMAXPROCS or on how many procs exist. Exactly one of them, the loop or
+// one proc, executes at any instant, so nothing in an Engine or in the
+// simulated state it drives needs synchronisation.
 //
 // A proc that parks (Sync, Block) does not go back to the loop: it keeps
-// popping and executing events on its own stack (shard.drive) until its own
+// popping and executing events on its own stack (Engine.drive) until its own
 // wake pops, which costs no switch at all. Only when another proc's wake
-// comes due does it name that proc in shard.handoff and yield; the loop
+// comes due does it name that proc in Engine.handoff and yield; the loop
 // resumes the named proc. The loop mediates every proc→proc move because a
 // coroutine resumed from inside another would run nested on top of it, and
 // could never hand control back to the one underneath. The same yield, with
 // no proc named, returns control to the loop when a stop condition is
 // reached; a proc whose body returns simply ends up in the loop too.
+//
+// A simulation may declare a lookahead (DeclareLookahead): the minimum
+// latency of any event one domain schedules onto another, which push then
+// enforces. Proc.RunAhead rests on it: a proc with nothing queued for its
+// domain from outside knows nothing can reach it sooner than one lookahead
+// from now, and may act at its local clock without going through the queue.
 package sim
 
 import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 )
 
 // Time is a simulated time in core clock cycles.
@@ -65,8 +70,7 @@ type event struct {
 
 // before is the canonical event order: (cycle, target domain, source
 // domain, per-source sequence). Every component is derived from simulation
-// structure, never from global scheduling order, which is what makes the
-// order identical at any shard count.
+// structure, never from global scheduling order.
 func (a *event) before(b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -184,72 +188,49 @@ func max2(a, b int) int {
 // Domain is a scheduling context owned by one simulated actor. Each core is
 // its own domain (id = proc id); the shared system side is SysDomain. A
 // domain carries its own sequence counter, so the canonical event key never
-// depends on which shard (or how many shards) executed the scheduling code.
+// depends on how the scheduling code of different domains interleaved.
 //
 // A domain's At/After may only be called from that domain's own execution
 // context (or while the engine is idle); CrossAt schedules onto another
-// domain and, under sharding, is subject to the lookahead bound.
+// domain and is subject to the lookahead bound.
 type Domain struct {
 	eng *Engine
-	sh  *shard
 	id  uint32
 	seq uint64
 
 	// foreign counts the queued callbacks that another domain scheduled
 	// onto this one (probes, invalidations, grants; proc wakes and the
 	// domain's own timers are same-domain and do not count). It is kept by
-	// shard.push and shard.next, and by the barrier merge for events that
-	// crossed shards, so only the owning shard or the coordinator at a
-	// barrier ever writes it. Proc.RunAhead reads it: with zero, nothing
-	// can reach the domain sooner than one lookahead from now.
+	// Engine.push and Engine.next. Proc.RunAhead reads it: with zero,
+	// nothing can reach the domain sooner than one lookahead from now.
 	foreign int
 }
 
 // ID returns the domain id.
 func (d *Domain) ID() uint32 { return d.id }
 
-// Now returns the current simulated time as observed by this domain. Under
-// sharding this is the owning shard's clock, which is only meaningful from
-// the domain's own execution context.
-func (d *Domain) Now() Time { return d.sh.now }
+// Now returns the current simulated time.
+func (d *Domain) Now() Time { return d.eng.now }
 
 // At schedules fn to run on this domain at absolute time t.
-func (d *Domain) At(t Time, fn func()) { d.sh.push(d, d, t, fn, nil) }
+func (d *Domain) At(t Time, fn func()) { d.eng.push(d, d, t, fn, nil) }
 
-// After schedules fn to run on this domain dt cycles from the domain's now.
-func (d *Domain) After(dt Time, fn func()) { d.At(d.sh.now+dt, fn) }
+// After schedules fn to run on this domain dt cycles from now.
+func (d *Domain) After(dt Time, fn func()) { d.At(d.eng.now+dt, fn) }
 
 // CrossAt schedules fn to run on domain dst at absolute time t. The
-// receiver is the calling (source) domain; its clock and sequence counter
-// key the event. Once a lookahead is declared (ConfigureSharding) an event
-// for another domain must land at least that many cycles after the source's
-// now, on either executor; a closer one panics. Windows and proc run-ahead
-// both rest on that bound.
-func (d *Domain) CrossAt(dst *Domain, t Time, fn func()) { d.sh.push(dst, d, t, fn, nil) }
+// receiver is the calling (source) domain; its sequence counter keys the
+// event. Once a lookahead is declared (DeclareLookahead) an event for
+// another domain must land at least that many cycles after now; a closer
+// one panics. Proc run-ahead rests on that bound.
+func (d *Domain) CrossAt(dst *Domain, t Time, fn func()) { d.eng.push(dst, d, t, fn, nil) }
 
-// CrossAfter schedules fn on dst dt cycles from the source domain's now.
-func (d *Domain) CrossAfter(dst *Domain, dt Time, fn func()) { d.CrossAt(dst, d.sh.now+dt, fn) }
-
-// EmitContext reports the emitting execution context for buffered
-// telemetry (it satisfies telemetry.DomainContext): the index of the
-// owning shard's event buffer — or -1 while the engine is not executing
-// parallel windows, meaning the emission must be delivered synchronously —
-// plus the shard clock and the canonical key (cycle, domain, src, seq) of
-// the event currently executing. Like Now, it may only be called from the
-// domain's own execution context.
-func (d *Domain) EmitContext() (buf int, now, at Time, dom, src uint32, seq uint64) {
-	s := d.sh
-	if !s.eng.windowing {
-		return -1, s.now, 0, 0, 0, 0
-	}
-	return s.idx, s.now, s.curAt, s.curDom, s.curSrc, s.curSeq
-}
+// CrossAfter schedules fn on dst dt cycles from now.
+func (d *Domain) CrossAfter(dst *Domain, dt Time, fn func()) { d.CrossAt(dst, d.eng.now+dt, fn) }
 
 // Engine is a deterministic discrete-event simulator. The zero value is not
-// usable; construct with NewEngine. By default the engine is sequential
-// (one shard); ConfigureSharding enables the windowed parallel executor.
+// usable; construct with NewEngine.
 type Engine struct {
-	shards []*shard
 	// doms is the dense domain table, indexed by domain id (core domains
 	// are proc ids, small by construction); sys sits beside it. next looks
 	// an event's target up here, so the event itself carries no pointer.
@@ -257,40 +238,40 @@ type Engine struct {
 	sys   *Domain
 	procs []*Proc
 
-	// idleNow is the global time reported while no run is active and the
-	// engine has more than one shard (with one shard the shard clock is
-	// authoritative).
-	idleNow Time
+	now    Time
+	events eventHeap // future (and cross-domain same-cycle) events
+	fifo   eventRing // same-cycle same-domain events, in insertion order
 
-	// Sharding configuration (see ConfigureSharding); applied lazily at
-	// the first Run.
-	wantShards  int
-	lookahead   Time
-	domShard    func(uint32) int
-	partitioned bool
+	// lookahead is the declared minimum latency of a cross-domain event
+	// (DeclareLookahead; 0 = none declared). started is set by the first Run.
+	lookahead Time
+	started   bool
 
-	// windowing is true while runWindows is executing parallel windows.
-	// It is written only by the coordinator while every worker is parked
-	// (before the first window starts and after the last barrier), so
-	// shard-goroutine reads during a window are race-free.
-	windowing bool
+	// stopAt is the exclusive execution horizon of the current Run.
+	stopAt Time
 
-	// barrierHook, if set, runs on the coordinating goroutine at every
-	// window barrier, after all shards have parked (SetBarrierHook).
-	barrierHook func()
+	// curDom and curSeq are the target domain and sequence of the event
+	// currently executing, maintained by next. While a proc runs they name
+	// its wake, the last event popped.
+	curDom uint32
+	curSeq uint64
 
-	// stats accumulates the self-observability counters of the windowed
-	// executor; see Stats.
-	stats engineCounters
+	// handoff is the proc a parked proc asks the loop to resume next: its
+	// wake was popped on the parked proc's stack (see drive).
+	handoff *Proc
 
-	// EventCount is the total number of events executed so far, across all
-	// shards; refreshed when Run returns. A proc Sync that fast-forwards
-	// time (nothing else was due first) consumes no event and is not
-	// counted, nor is one that RunAhead made unnecessary.
-	EventCount uint64
+	// verdict holds a stall error detected by the watchdog; fatal holds a
+	// wrapped panic from a proc or an event.
+	verdict error
+	fatal   *PanicError
+
+	stallEvents uint64 // events executed at the current cycle
+
+	// stats holds the host-side counters behind Stats.
+	stats EngineStats
 
 	// StallLimit is the no-progress watchdog: the maximum number of
-	// events a shard will execute at a single cycle before declaring a
+	// events the engine will execute at a single cycle before declaring a
 	// livelock (a zero-delay event loop never advances time, so a plain
 	// deadlock check would spin forever). Legal simulations execute at
 	// most a few events per core per cycle; the default is orders of
@@ -301,19 +282,17 @@ type Engine struct {
 // DefaultStallLimit is the default per-cycle event watchdog threshold.
 const DefaultStallLimit = 1 << 20
 
-// NewEngine returns an empty sequential engine at time 0.
+// NewEngine returns an empty engine at time 0.
 func NewEngine() *Engine {
-	e := &Engine{StallLimit: DefaultStallLimit}
-	e.shards = []*shard{newShard(e, 0)}
-	e.sys = &Domain{eng: e, sh: e.shards[0], id: SysDomain}
+	e := &Engine{StallLimit: DefaultStallLimit, curDom: noDomain, stopAt: MaxTime}
+	e.sys = &Domain{eng: e, id: SysDomain}
 	return e
 }
 
 // maxDomains bounds core domain ids, which index the dense domain table.
 const maxDomains = 1 << 16
 
-// Domain returns the handle for domain id, creating it on first use. New
-// domains live on shard 0 until ConfigureSharding's mapping is applied.
+// Domain returns the handle for domain id, creating it on first use.
 func (e *Engine) Domain(id uint32) *Domain {
 	if id == SysDomain {
 		return e.sys
@@ -325,7 +304,7 @@ func (e *Engine) Domain(id uint32) *Domain {
 		e.doms = append(e.doms, make([]*Domain, int(id)+1-len(e.doms))...)
 	}
 	if e.doms[id] == nil {
-		e.doms[id] = &Domain{eng: e, sh: e.shards[0], id: id}
+		e.doms[id] = &Domain{eng: e, id: id}
 	}
 	return e.doms[id]
 }
@@ -341,52 +320,26 @@ func (e *Engine) domain(id uint32) *Domain {
 // Sys returns the system domain handle (directory, L2, memory).
 func (e *Engine) Sys() *Domain { return e.sys }
 
-// ConfigureSharding declares a conservative lookahead — the minimum latency
-// of any cross-domain message, which CrossAt enforces from here on — and
-// requests the windowed parallel executor: n shards and a domain→shard
-// mapping. It must be called before the first Run; n <= 1 keeps the
-// sequential executor, where the lookahead still licenses proc run-ahead
-// (Proc.RunAhead). The mapping is applied lazily when Run first executes,
-// so it may be called at any point during setup.
-func (e *Engine) ConfigureSharding(n int, lookahead Time, domShard func(uint32) int) {
-	if e.partitioned {
-		panic("sim: ConfigureSharding after Run")
+// DeclareLookahead declares the minimum latency of any cross-domain event,
+// which CrossAt enforces from here on and which licenses proc run-ahead
+// (Proc.RunAhead). Events already queued are not checked, so it must be
+// called before the first Run.
+func (e *Engine) DeclareLookahead(lookahead Time) {
+	if e.started {
+		panic("sim: DeclareLookahead after Run")
 	}
-	if n < 1 {
-		n = 1
-	}
-	if n > 1 && lookahead == 0 {
-		panic("sim: sharding requires a nonzero lookahead")
-	}
-	e.wantShards, e.lookahead, e.domShard = n, lookahead, domShard
+	e.lookahead = lookahead
 }
 
-// Shards returns the effective shard count.
-func (e *Engine) Shards() int {
-	if !e.partitioned && e.wantShards > 1 {
-		return e.wantShards
-	}
-	return len(e.shards)
-}
-
-// Now returns the current simulated time. With multiple shards this is only
-// meaningful while the engine is idle (between Runs); during execution each
-// domain observes time through its own handle.
-func (e *Engine) Now() Time {
-	if len(e.shards) == 1 {
-		return e.shards[0].now
-	}
-	return e.idleNow
-}
+// Now returns the current simulated time.
+func (e *Engine) Now() Time { return e.now }
 
 // At schedules fn to run on the system domain at absolute time t.
 // Scheduling in the past is an error in the simulation logic and panics.
-func (e *Engine) At(t Time, fn func()) { e.shards[0].push(e.sys, e.sys, t, fn, nil) }
+func (e *Engine) At(t Time, fn func()) { e.push(e.sys, e.sys, t, fn, nil) }
 
-// After schedules fn to run on the system domain dt cycles from now. Like
-// At, it is the single-shard (or idle-engine) convenience surface; sharded
-// simulations schedule through Domain handles.
-func (e *Engine) After(dt Time, fn func()) { e.At(e.shards[0].now+dt, fn) }
+// After schedules fn to run on the system domain dt cycles from now.
+func (e *Engine) After(dt Time, fn func()) { e.At(e.now+dt, fn) }
 
 // DeadlockError reports that no event is pending while procs are still
 // blocked waiting to be woken.
@@ -400,7 +353,7 @@ func (d *DeadlockError) Error() string {
 		d.Time, strings.Join(d.Blocked, "\n  "))
 }
 
-// StallError reports a livelock: a shard executed StallLimit events
+// StallError reports a livelock: the engine executed StallLimit events
 // without simulated time advancing (e.g. a zero-delay event loop).
 type StallError struct {
 	Time   Time
@@ -412,299 +365,159 @@ func (s *StallError) Error() string {
 		s.Events, s.Time)
 }
 
-// shard is one partition of the simulation: a set of domains, their event
-// queues, and the driver loop that executes them. With one shard the Run
-// caller runs the loop; with several, each shard has a worker goroutine and
-// executes lookahead-bounded windows between barriers (shard.go).
-type shard struct {
-	eng *Engine
-	idx int
-
-	now    Time
-	events eventHeap // future (and cross-domain same-cycle) events
-	fifo   eventRing // same-cycle same-domain events, in insertion order
-
-	// Canonical key of the event currently executing (curAt/curDom/
-	// curSrc/curSeq), maintained by next() as the single source of truth.
-	// Emissions made while a proc runs are attributed to the proc's wake
-	// event — the last event popped on this shard — which is the same
-	// attribution the sequential executor would make, since no other event
-	// runs while the proc does.
-	curAt  Time
-	curDom uint32 // domain of the event currently executing
-	curSrc uint32
-
-	// windowEnd is the exclusive execution horizon for the current window
-	// (MaxTime when sequential); stopAt caches the engine stop time.
-	windowEnd Time
-	stopAt    Time
-
-	// handoff is the proc a parked proc asks the loop to resume next: its
-	// wake was popped on the parked proc's stack (see drive).
-	handoff *Proc
-
-	// verdict holds a stall error detected by this shard's watchdog;
-	// fatal holds a wrapped panic from one of its procs or events.
-	verdict error
-	fatal   *PanicError
-
-	curSeq      uint64 // sequence of the event currently executing
-	eventCount  uint64
-	stallEvents uint64 // events executed at the current cycle
-
-	// Host-side counters (EngineStats): coroutine resumes by the loop,
-	// wakes a parked proc popped for itself, Syncs that moved the clock
-	// without an event, Syncs that scheduled a wake, and Syncs a proc did
-	// without (RunAhead).
-	procSwitches     uint64
-	ownWakes         uint64
-	syncFastForwards uint64
-	syncWakes        uint64
-	syncsSkipped     uint64
-
-	// inbox receives cross-shard events; appended under inmu by source
-	// shards mid-window, drained into the heap by the coordinator at
-	// window barriers.
-	inmu  sync.Mutex
-	inbox []event
-}
-
-func newShard(e *Engine, idx int) *shard {
-	return &shard{eng: e, idx: idx, curDom: noDomain,
-		windowEnd: MaxTime, stopAt: MaxTime}
-}
-
 // push schedules an event from source domain src onto destination domain
-// dst. It must run on src's shard (the caller's execution context) or on an
-// idle engine.
-func (s *shard) push(dst, src *Domain, t Time, fn func(), p *Proc) {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %d in the past (now %d)", t, s.now))
+// dst.
+func (e *Engine) push(dst, src *Domain, t Time, fn func(), p *Proc) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %d in the past (now %d)", t, e.now))
 	}
 	cross := dst != src
-	if cross && t-s.now < s.eng.lookahead {
-		panic(fmt.Sprintf("sim: lookahead violation: domain %d schedules onto domain %d at cycle %d, closer than %d cycles to now (%d)",
-			src.id, dst.id, t, s.eng.lookahead, s.now))
+	if cross {
+		if t-e.now < e.lookahead {
+			panic(fmt.Sprintf("sim: lookahead violation: domain %d schedules onto domain %d at cycle %d, closer than %d cycles to now (%d)",
+				src.id, dst.id, t, e.lookahead, e.now))
+		}
+		dst.foreign++
 	}
 	src.seq++
 	ev := event{at: t, seq: src.seq, dom: dst.id, src: src.id, fn: fn, p: p}
-	ts := dst.sh
-	if ts == s {
-		if cross {
-			dst.foreign++
-		}
-		// The ring only buffers a domain's same-cycle self-schedules, and
-		// only while the ring is homogeneous (one cycle, one domain), so
-		// its entries are totally ordered by construction.
-		if t == s.now && ev.dom == s.curDom && ev.src == s.curDom &&
-			(s.fifo.n == 0 || s.fifo.buf[s.fifo.head].dom == ev.dom) {
-			s.fifo.push(ev)
-		} else {
-			s.events.push(ev)
-		}
-		return
+	// The ring only buffers a domain's same-cycle self-schedules, and only
+	// while the ring is homogeneous (one cycle, one domain), so its entries
+	// are totally ordered by construction.
+	if t == e.now && ev.dom == e.curDom && ev.src == e.curDom &&
+		(e.fifo.n == 0 || e.fifo.buf[e.fifo.head].dom == ev.dom) {
+		e.fifo.push(ev)
+	} else {
+		e.events.push(ev)
 	}
-	// Cross-shard: conservative lookahead guarantees delivery beyond the
-	// current window, so the target shard never misses it. The barrier
-	// merge counts it into dst.foreign; until then it is beyond the window
-	// and so beyond any run-ahead on the target shard.
-	if t < s.windowEnd {
-		panic(fmt.Sprintf("sim: lookahead violation: cross-shard event at cycle %d inside window ending %d", t, s.windowEnd))
-	}
-	ts.inmu.Lock()
-	ts.inbox = append(ts.inbox, ev)
-	ts.inmu.Unlock()
-}
-
-// bound returns the shard's current execution horizon.
-func (s *shard) bound() Time {
-	if s.windowEnd < s.stopAt {
-		return s.windowEnd
-	}
-	return s.stopAt
 }
 
 // next pops the next due event, advancing time and the watchdog counters.
-// Only whoever is executing on the shard (the loop, or the proc it resumed)
-// may call it. ok == false means this shard is done for now: the horizon
-// was reached, the queue drained, or the watchdog fired (s.verdict).
-func (s *shard) next() (event, bool) {
+// Only whoever is executing (the loop, or the proc it resumed) may call it.
+// ok == false means the engine is done for now: the horizon was reached, the
+// queue drained, or the watchdog fired (e.verdict).
+func (e *Engine) next() (event, bool) {
 	var ev event
-	bound := s.bound()
-	if s.fifo.n > 0 {
-		// Same-cycle work pending (s.now < bound by construction: the
+	bound := e.stopAt
+	if e.fifo.n > 0 {
+		// Same-cycle work pending (e.now < bound by construction: the
 		// ring only fills at the executing cycle). Heap events can still
 		// order first — compare keys.
-		if s.now >= bound {
+		if e.now >= bound {
 			return event{}, false // keep them queued for a later Run
 		}
-		if len(s.events) > 0 && s.events[0].at == s.now && s.events[0].before(&s.fifo.buf[s.fifo.head]) {
-			ev = s.events.pop()
+		if len(e.events) > 0 && e.events[0].at == e.now && e.events[0].before(&e.fifo.buf[e.fifo.head]) {
+			ev = e.events.pop()
 		} else {
-			ev = s.fifo.pop()
+			ev = e.fifo.pop()
 		}
-	} else if len(s.events) > 0 {
-		if s.events[0].at >= bound {
-			if bound > s.now {
-				s.now = bound
-				s.stallEvents = 0
+	} else if len(e.events) > 0 {
+		if e.events[0].at >= bound {
+			if bound > e.now {
+				e.now = bound
+				e.stallEvents = 0
 			}
 			return event{}, false
 		}
-		ev = s.events.pop()
-		if ev.at > s.now {
-			s.stallEvents = 0
-			s.now = ev.at
+		ev = e.events.pop()
+		if ev.at > e.now {
+			e.stallEvents = 0
+			e.now = ev.at
 		}
 	} else {
-		// Queue drained: leave the clock at the last executed event (the
-		// sequential semantics; windowed shards converge at barriers).
+		// Queue drained: leave the clock at the last executed event.
 		return event{}, false
 	}
 	if ev.src != ev.dom {
-		s.eng.domain(ev.dom).foreign--
+		e.domain(ev.dom).foreign--
 	}
-	s.curAt, s.curDom, s.curSrc, s.curSeq = ev.at, ev.dom, ev.src, ev.seq
-	s.eventCount++
-	s.stallEvents++
-	if limit := s.eng.StallLimit; limit > 0 && s.stallEvents > limit {
-		s.verdict = &StallError{Time: s.now, Events: s.stallEvents}
+	e.curDom, e.curSeq = ev.dom, ev.seq
+	e.stats.EventsTotal++
+	e.stallEvents++
+	if limit := e.StallLimit; limit > 0 && e.stallEvents > limit {
+		e.verdict = &StallError{Time: e.now, Events: e.stallEvents}
 		return event{}, false
 	}
 	return ev, true
 }
 
-// empty reports whether the shard has no queued work at all (inbox
-// included; callers must be at a barrier or idle).
-func (s *shard) empty() bool {
-	return len(s.events) == 0 && s.fifo.n == 0 && len(s.inbox) == 0
-}
-
-// settle leaves a drained shard's clock at its last executed event, counting
+// settle leaves a drained engine's clock at its last executed event, counting
 // the wakes RunAhead did without: a proc that acted ahead of the clock and
 // then finished or blocked for good would have moved it there. Every such
 // time lies inside the horizon it was checked against, so the clock never
 // passes a Run's stop time.
-func (s *shard) settle() {
-	for _, p := range s.eng.procs {
-		if p.dom.sh == s && p.aheadAt > s.now {
-			s.now = p.aheadAt
-			s.stallEvents = 0
+func (e *Engine) settle() {
+	for _, p := range e.procs {
+		if p.aheadAt > e.now {
+			e.now = p.aheadAt
+			e.stallEvents = 0
 		}
 	}
 }
 
-// Run executes events in canonical order until either every event queue
+// Run executes events in canonical order until either the event queue
 // drains or simulated time reaches until. It returns a *DeadlockError if
-// the queues drain while some procs remain blocked (a genuine simulated
+// the queue drains while some procs remain blocked (a genuine simulated
 // deadlock), a *StallError if the StallLimit watchdog detects a livelock,
 // and nil otherwise.
 //
-// Run executes the shard's driver loop on the calling goroutine (any
-// goroutine, and not necessarily the same one on every call); procs run as
-// coroutines of it (see shard.loop). Any panic escaping simulation code —
-// an event callback or a proc — is re-raised out of Run as a *PanicError
+// Run executes the driver loop on the calling goroutine (any goroutine, and
+// not necessarily the same one on every call, but one at a time); procs run
+// as coroutines of it (see loop). Any panic escaping simulation code — an
+// event callback or a proc — is re-raised out of Run as a *PanicError
 // carrying the simulated cycle, event sequence number, and proc id, so a
 // harness can recover it with full sim context.
-//
-// With sharding configured, Run instead executes lookahead-bounded windows
-// on per-shard workers (see shard.go); the observable results are
-// bit-identical to the sequential executor by construction of the event
-// key.
 func (e *Engine) Run(until Time) error {
-	e.partition()
-	if len(e.shards) > 1 {
-		return e.runWindows(until)
+	e.started = true
+	e.stopAt = until
+	e.verdict = nil
+	e.loop()
+	if pe := e.fatal; pe != nil {
+		e.fatal = nil
+		panic(pe)
 	}
-	s := e.shards[0]
-	s.stopAt = until
-	s.verdict = nil
-	s.loop()
-	if err := e.collect(); err != nil {
-		return err
+	if e.verdict != nil {
+		return e.verdict
 	}
-	if s.empty() {
-		s.settle()
+	if e.Pending() == 0 {
+		e.settle()
 		if blocked := e.Blocked(); len(blocked) > 0 {
-			return &DeadlockError{Time: s.now, Blocked: blocked}
+			return &DeadlockError{Time: e.now, Blocked: blocked}
 		}
 	}
 	return nil
 }
 
-// partition applies the sharding configuration on first Run: create the
-// worker shards, move every domain (and its queued events) to its mapped
-// shard.
-func (e *Engine) partition() {
-	if e.partitioned {
-		return
-	}
-	e.partitioned = true
-	if e.wantShards <= 1 {
-		return
-	}
-	s0 := e.shards[0]
-	for i := 1; i < e.wantShards; i++ {
-		sh := newShard(e, i)
-		sh.now = s0.now
-		e.shards = append(e.shards, sh)
-	}
-	place := func(d *Domain) {
-		idx := 0
-		if e.domShard != nil {
-			idx = e.domShard(d.id)
-		}
-		if idx < 0 || idx >= len(e.shards) {
-			panic(fmt.Sprintf("sim: domain %d mapped to invalid shard %d", d.id, idx))
-		}
-		d.sh = e.shards[idx]
-	}
-	place(e.sys)
-	for _, d := range e.doms {
-		if d != nil {
-			place(d)
-		}
-	}
-	// Redistribute setup-time events (the ring is empty while idle; all
-	// queued work sits in shard 0's heap).
-	pending := s0.events
-	s0.events = nil
-	for len(pending) > 0 {
-		ev := pending.pop()
-		e.domain(ev.dom).sh.events.push(ev)
-	}
-}
-
-// loop is the shard's driver: it pops events in canonical order until a
-// stop condition, executing callbacks and resuming the proc whose wake
-// came due. It is the only caller of a proc's next, so coroutines never
-// nest. A resumed proc comes back here in one of three ways: its body
-// returned; it parked, popped another proc's wake and named that proc in
-// s.handoff; or it parked and ran into a stop condition, which ends the
-// loop with the proc left parked for a later window or Run. A panic from
-// an event or a proc is kept in s.fatal for Engine.collect to re-raise.
-func (s *shard) loop() {
+// loop is the driver: it pops events in canonical order until a stop
+// condition, executing callbacks and resuming the proc whose wake came due.
+// It is the only caller of a proc's next, so coroutines never nest. A
+// resumed proc comes back here in one of three ways: its body returned; it
+// parked, popped another proc's wake and named that proc in e.handoff; or it
+// parked and ran into a stop condition, which ends the loop with the proc
+// left parked for a later Run. A panic from an event or a proc is kept in
+// e.fatal for Run to re-raise.
+func (e *Engine) loop() {
 	defer func() {
 		if r := recover(); r != nil {
 			pe, ok := r.(*PanicError)
 			if !ok {
-				pe = &PanicError{Cycle: s.now, EventSeq: s.curSeq, ProcID: -1,
+				pe = &PanicError{Cycle: e.now, EventSeq: e.curSeq, ProcID: -1,
 					Value: r, Stack: stack()}
 			}
-			s.fatal = pe
+			e.fatal = pe
 		}
 	}()
 	for {
-		q := s.handoff
+		q := e.handoff
 		if q != nil {
-			s.handoff = nil
+			e.handoff = nil
 		} else {
-			ev, ok := s.next()
+			ev, ok := e.next()
 			if !ok {
 				return
 			}
 			if ev.p == nil {
-				s.exec(ev)
+				e.exec(ev)
 				continue
 			}
 			if q = ev.p; q.state == procDone {
@@ -712,8 +525,8 @@ func (s *shard) loop() {
 			}
 		}
 		q.state = procRunning
-		s.procSwitches++
-		if _, parked := q.next(); parked && s.handoff == nil {
+		e.stats.ProcSwitches++
+		if _, parked := q.next(); parked && e.handoff == nil {
 			return
 		}
 	}
@@ -722,25 +535,25 @@ func (s *shard) loop() {
 // drive runs the event loop on a parked proc's own stack until the proc's
 // wake pops — the common case (a miss completing, a Sync with other events
 // due first), and it costs no switch. When another proc's wake pops, or a
-// stop condition is reached (s.handoff stays nil), self yields to the loop
+// stop condition is reached (e.handoff stays nil), self yields to the loop
 // and returns when the loop resumes it, which it does for self's wake or
 // for Kill.
-func (s *shard) drive(self *Proc) {
+func (e *Engine) drive(self *Proc) {
 	for {
-		ev, ok := s.next()
+		ev, ok := e.next()
 		switch {
 		case !ok:
 			// stop condition: yield with no proc named
 		case ev.p == nil:
-			s.exec(ev)
+			e.exec(ev)
 			continue
 		case ev.p == self:
-			s.ownWakes++
+			e.stats.OwnWakes++
 			return
 		case ev.p.state == procDone:
 			continue // stale wake for a finished proc
 		default:
-			s.handoff = ev.p
+			e.handoff = ev.p
 		}
 		self.yield(struct{}{})
 		return
@@ -749,13 +562,13 @@ func (s *shard) drive(self *Proc) {
 
 // exec runs one event, wrapping any escaping panic in a *PanicError so it
 // reaches Run's caller with sim context attached.
-func (s *shard) exec(ev event) {
+func (e *Engine) exec(ev event) {
 	defer func() {
 		if r := recover(); r != nil {
 			if pe, ok := r.(*PanicError); ok {
 				panic(pe) // already wrapped (proc-side or nested event)
 			}
-			panic(&PanicError{Cycle: s.now, EventSeq: ev.seq, ProcID: -1,
+			panic(&PanicError{Cycle: e.now, EventSeq: ev.seq, ProcID: -1,
 				Value: r, Stack: stack()})
 		}
 	}()
@@ -766,13 +579,7 @@ func (s *shard) exec(ev event) {
 func (e *Engine) Drain() error { return e.Run(MaxTime) }
 
 // Pending returns the number of queued (not yet executed) events.
-func (e *Engine) Pending() int {
-	n := 0
-	for _, s := range e.shards {
-		n += len(s.events) + s.fifo.n + len(s.inbox)
-	}
-	return n
-}
+func (e *Engine) Pending() int { return len(e.events) + e.fifo.n }
 
 // Blocked describes every currently blocked proc (diagnostics; the same
 // strings a DeadlockError would carry).

@@ -9,18 +9,17 @@ type procState int
 
 const (
 	procCreated procState = iota
-	procRunning           // currently executing (all other actors on its shard are parked)
+	procRunning           // currently executing (every other proc and the loop are parked)
 	procBlocked           // waiting for an external wake (coherence reply, ...)
 	procDone
 )
 
 // Proc is a simulated hardware context (one in-order core running one
-// thread). Proc code runs as a coroutine of its shard's driver loop
-// (shard.loop): the loop resumes it, it runs until it yields or returns,
-// and nothing else on the shard executes meanwhile, so all engine and
-// simulated state owned by the shard is accessed race-free without locks.
-// Each proc is its own scheduling domain (id = proc id), which under
-// sharding pins it to one shard.
+// thread). Proc code runs as a coroutine of the engine's driver loop
+// (Engine.loop): the loop resumes it, it runs until it yields or returns,
+// and nothing else executes meanwhile, so all engine and simulated state is
+// accessed race-free without locks. Each proc is its own scheduling domain
+// (id = proc id).
 //
 // A proc keeps a local clock that it advances as it "executes". Before any
 // action that can touch shared simulated state it must call Sync, which
@@ -36,11 +35,11 @@ type Proc struct {
 	state procState
 
 	// aheadAt is the local time of the proc's last action ahead of the
-	// shard clock (RunAhead): where the wake it did without would have been.
+	// engine clock (RunAhead): where the wake it did without would have been.
 	aheadAt Time
 
 	// The proc's coroutine (iter.Pull): next resumes it until it yields or
-	// its body returns (false) and may only be called by shard.loop; stop
+	// its body returns (false) and may only be called by Engine.loop; stop
 	// makes a parked yield return so Kill can unwind it (a coroutine that
 	// never started just exits); yield, valid on the coroutine itself,
 	// parks it and returns control to the loop.
@@ -62,7 +61,7 @@ type Proc struct {
 // proc is parked from when its wake is scheduled until it fires, so there
 // is never more than one outstanding wake per proc. Wakes are same-domain
 // events keyed by the proc's own sequence counter.
-func (p *Proc) scheduleWake(t Time) { p.dom.sh.push(p.dom, p.dom, t, nil, p) }
+func (p *Proc) scheduleWake(t Time) { p.eng.push(p.dom, p.dom, t, nil, p) }
 
 // killToken unwinds a killed proc's coroutine through a panic that the
 // Spawn wrapper recovers.
@@ -91,15 +90,14 @@ func (e *Engine) Spawn(id int, start Time, seed uint64, fn func(*Proc)) *Proc {
 			// loop's q.next() call, and from there it reaches Run's caller.
 			pe, ok := r.(*PanicError)
 			if !ok {
-				s := p.dom.sh
-				pe = &PanicError{ProcID: p.ID, Cycle: s.now,
-					LocalClk: p.clock, EventSeq: s.curSeq,
+				pe = &PanicError{ProcID: p.ID, Cycle: e.now,
+					LocalClk: p.clock, EventSeq: e.curSeq,
 					Value: r, Stack: stack()}
 			}
 			panic(pe)
 		}()
 		p.yield = yield
-		p.clock = p.dom.sh.now // the start wake just popped
+		p.clock = e.now // the start wake just popped
 		fn(p)
 	})
 	p.state = procBlocked
@@ -121,14 +119,14 @@ func (p *Proc) park(reason string) Time {
 	}
 	p.state = procBlocked
 	p.blockReason = reason
-	s := p.dom.sh
-	p.blockSince = s.now
-	s.drive(p)
+	e := p.eng
+	p.blockSince = e.now
+	e.drive(p)
 	if p.killed {
 		panic(killToken{})
 	}
 	p.state = procRunning
-	return s.now // a popped event's time is the shard clock
+	return e.now // a popped event's time is the engine clock
 }
 
 // Kill unwinds a blocked proc: its coroutine exits without running further
@@ -157,20 +155,19 @@ func (e *Engine) KillAll() {
 // safely perform an action on shared simulated state timestamped at its
 // local clock.
 //
-// Fast path: when nothing else is scheduled on the shard before the proc's
-// local clock (and the clock is inside the current execution horizon),
-// parking would only make the proc's own wake the next event executed, so
-// the proc advances the shard clock itself and keeps running — no event,
-// no switch. This is safe (nothing else on the shard runs while the proc
-// does, so it has exclusive access to shard state) and exactly
+// Fast path: when nothing else is scheduled before the proc's local clock
+// (and the clock is inside the current execution horizon), parking would
+// only make the proc's own wake the next event executed, so the proc
+// advances the engine clock itself and keeps running — no event, no switch.
+// This is safe (nothing else runs while the proc does) and exactly
 // order-preserving: the wake it skips would have been the next event.
 func (p *Proc) Sync() {
-	s := p.dom.sh
+	s := p.eng
 	if p.killed {
 		return // unwinding defers must not schedule wakes or move time
 	}
 	if p.clock < s.now {
-		// The proc fell behind shard time (it was woken by an event
+		// The proc fell behind engine time (it was woken by an event
 		// that completed later than its local clock): jump forward.
 		p.clock = s.now
 		return
@@ -178,19 +175,19 @@ func (p *Proc) Sync() {
 	if p.clock == s.now {
 		return
 	}
-	if s.fifo.n == 0 && (len(s.events) == 0 || s.events[0].at > p.clock) && p.clock < s.bound() {
+	if s.fifo.n == 0 && (len(s.events) == 0 || s.events[0].at > p.clock) && p.clock < s.stopAt {
 		s.now = p.clock
 		s.stallEvents = 0
-		s.syncFastForwards++
+		s.stats.SyncFastForwards++
 		return
 	}
-	s.syncWakes++
+	s.stats.SyncWakes++
 	p.scheduleWake(p.clock)
 	p.clock = p.park("advancing clock")
 }
 
 // RunAhead reports whether the proc may, instead of calling Sync, act at its
-// local clock T right now, while the shard clock is still behind it. The
+// local clock T right now, while the engine clock is still behind it. The
 // action must read and write only state that nothing but events of the
 // proc's own domain and the proc itself touch (an L1 hit: the core's ways,
 // its hit counter, a word of a line the core holds), and the caller must
@@ -201,8 +198,8 @@ func (p *Proc) Sync() {
 //     after now schedules onto this domain from another one lands at now+L
 //     or later (push enforces it), so beyond T;
 //   - no callback from another domain is queued for this domain now;
-//   - T is inside the execution horizon, so a Run slice or a window performs
-//     the actions it would have performed with Sync.
+//   - T is inside the execution horizon, so a Run slice performs the
+//     actions it would have performed with Sync.
 //
 // Then no event that can see or change what the action touches orders before
 // the wake Sync would have scheduled, and dropping that wake leaves the
@@ -210,32 +207,32 @@ func (p *Proc) Sync() {
 // gives, without the heap push, the pop and the switches. When nothing at
 // all is due before T, Sync is free already and RunAhead declines.
 func (p *Proc) RunAhead() bool {
-	s := p.dom.sh
+	s := p.eng
 	t := p.clock
-	if t <= s.now || t-s.now >= s.eng.lookahead || p.dom.foreign != 0 || t >= s.bound() || p.killed {
+	if t <= s.now || t-s.now >= s.lookahead || p.dom.foreign != 0 || t >= s.stopAt || p.killed {
 		return false
 	}
 	if s.fifo.n == 0 && (len(s.events) == 0 || s.events[0].at > t) {
 		return false // Sync fast-forwards
 	}
-	s.syncsSkipped++
+	s.stats.SyncsSkipped++
 	p.aheadAt = t
 	return true
 }
 
-// Rejoin parks the proc until the shard clock has reached its last action
+// Rejoin parks the proc until the engine clock has reached its last action
 // ahead of it, leaving the local clock where it is. Host code that the proc
 // runs on behalf of an observer (Ctx.Observe) calls it first: a proc that
 // always Syncs runs such code right after the wake of its last action, and
 // Rejoin puts it at that same point of the event order, by scheduling the
 // wake RunAhead did without. A proc that is not ahead returns at once.
 func (p *Proc) Rejoin() {
-	s := p.dom.sh
+	s := p.eng
 	if p.aheadAt <= s.now || p.killed {
 		return
 	}
-	s.syncsSkipped-- // paid for after all
-	s.syncWakes++
+	s.stats.SyncsSkipped-- // paid for after all
+	s.stats.SyncWakes++
 	clock := p.clock
 	p.scheduleWake(p.aheadAt)
 	p.park("rejoining the event queue")

@@ -29,35 +29,27 @@ func runPanic(e *Engine) (msg string) {
 	return ""
 }
 
-// TestLookaheadEnforced is the premise of run-ahead and of windows alike:
-// with a lookahead declared, an event for another domain that lands closer
-// than the lookahead panics, whichever executor runs, also when both domains
-// share a shard. At exactly the lookahead it is accepted, and a domain's
-// events for itself are not restricted.
+// TestLookaheadEnforced is the premise of run-ahead: with a lookahead
+// declared, an event for another domain that lands closer than the lookahead
+// panics. At exactly the lookahead it is accepted, and a domain's events for
+// itself are not restricted.
 func TestLookaheadEnforced(t *testing.T) {
 	const la = 10
-	for _, shards := range []int{1, 2, 3} {
-		for _, dt := range []Time{la - 1, la} {
-			e := NewEngine()
-			e.ConfigureSharding(shards, la, func(dom uint32) int {
-				if dom == SysDomain {
-					return 0
-				}
-				return int(dom) % shards
-			})
-			a, b := e.Domain(1), e.Domain(2) // share a shard at 1, apart at 3
-			delivered := false
-			a.At(5, func() {
-				a.After(1, func() {})
-				a.CrossAfter(b, dt, func() { delivered = true })
-			})
-			msg := runPanic(e)
-			switch {
-			case dt < la && !strings.Contains(msg, "lookahead violation"):
-				t.Errorf("shards %d: event %d cycles ahead: got %q, want a lookahead violation", shards, dt, msg)
-			case dt >= la && (msg != "" || !delivered):
-				t.Errorf("shards %d: event %d cycles ahead: %q, delivered %v", shards, dt, msg, delivered)
-			}
+	for _, dt := range []Time{la - 1, la} {
+		e := NewEngine()
+		e.DeclareLookahead(la)
+		a, b := e.Domain(1), e.Domain(2)
+		delivered := false
+		a.At(5, func() {
+			a.After(1, func() {})
+			a.CrossAfter(b, dt, func() { delivered = true })
+		})
+		msg := runPanic(e)
+		switch {
+		case dt < la && !strings.Contains(msg, "lookahead violation"):
+			t.Errorf("event %d cycles ahead: got %q, want a lookahead violation", dt, msg)
+		case dt >= la && (msg != "" || !delivered):
+			t.Errorf("event %d cycles ahead: %q, delivered %v", dt, msg, delivered)
 		}
 	}
 }
@@ -68,7 +60,7 @@ func TestLookaheadEnforced(t *testing.T) {
 func TestRunAheadRules(t *testing.T) {
 	const la = 10
 	e := NewEngine()
-	e.ConfigureSharding(1, la, nil)
+	e.DeclareLookahead(la)
 	var tick func()
 	tick = func() {
 		if e.Now() < 60 {
@@ -158,7 +150,7 @@ func TestRunAheadRules(t *testing.T) {
 func TestRunAheadNeedsLookahead(t *testing.T) {
 	for _, la := range []Time{0, 10} {
 		e := NewEngine()
-		e.ConfigureSharding(1, la, nil)
+		e.DeclareLookahead(la)
 		e.At(5, func() {})
 		var busy, idle bool
 		e.Spawn(0, 0, 1, func(p *Proc) {
@@ -177,41 +169,30 @@ func TestRunAheadNeedsLookahead(t *testing.T) {
 	}
 }
 
-// TestForeignCountAcrossShards follows a callback through the inbox: it is
-// counted onto its target when the barrier merges it (before that it is
-// beyond the window, and so beyond any run-ahead there), and uncounted when
-// it pops.
-func TestForeignCountAcrossShards(t *testing.T) {
+// TestForeignCount follows a callback from one domain to another: it is
+// counted onto its target while it is queued and uncounted when it pops.
+func TestForeignCount(t *testing.T) {
 	const la = 10
 	e := NewEngine()
-	e.ConfigureSharding(2, la, func(dom uint32) int {
-		if dom == SysDomain {
-			return 0
-		}
-		return 1
-	})
+	e.DeclareLookahead(la)
 	d := e.Domain(0)
-	var inWindow, afterMerge, atPop, back int
+	var queued, atPop, back int
 	e.At(5, func() {
 		e.Sys().CrossAt(d, 30, func() {
 			atPop = d.foreign
 			d.CrossAfter(e.Sys(), la, func() { back = e.Sys().foreign })
 		})
 	})
-	d.At(14, func() { inWindow = d.foreign })   // window [5,15): still in the inbox
-	d.At(20, func() { afterMerge = d.foreign }) // a barrier has merged it
+	d.At(14, func() { queued = d.foreign }) // a domain's own events do not count
 	if err := e.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if inWindow != 0 || afterMerge != 1 || atPop != 0 || back != 0 {
-		t.Errorf("foreign: %d in the sending window, %d after the merge, %d at its pop, %d (sys) at the reply's; want 0, 1, 0, 0",
-			inWindow, afterMerge, atPop, back)
+	if queued != 1 || atPop != 0 || back != 0 {
+		t.Errorf("foreign: %d while queued, %d at its pop, %d (sys) at the reply's; want 1, 0, 0",
+			queued, atPop, back)
 	}
 	if d.foreign != 0 || e.Sys().foreign != 0 {
 		t.Errorf("drained engine still counts %d and %d foreign callbacks", d.foreign, e.Sys().foreign)
-	}
-	if st := e.Stats(); st.CrossShardMerged != 2 {
-		t.Errorf("%d events merged across shards, want 2", st.CrossShardMerged)
 	}
 }
 
@@ -221,7 +202,7 @@ func TestForeignCountAcrossShards(t *testing.T) {
 // and keeps its local clock. The Sync counts as paid for.
 func TestRejoin(t *testing.T) {
 	e := NewEngine()
-	e.ConfigureSharding(1, 10, nil)
+	e.DeclareLookahead(10)
 	var order []string
 	e.At(3, func() { order = append(order, "event@3") })
 	e.At(6, func() { order = append(order, "event@6") })

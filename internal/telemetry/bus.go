@@ -150,27 +150,14 @@ type Event struct {
 // *Bus is valid and inert: Wants reports false and Emit is a no-op, so
 // emitters need no nil checks beyond calling the methods.
 //
-// Subscribers run synchronously on the simulation goroutine, in
-// subscription order; they observe events in global simulated-time order
-// and must not mutate simulated state.
+// There is one emit path: Emit/Emit2 call the category's subscribers on
+// the simulation goroutine, in subscription order, before returning. A
+// subscriber therefore sees events in the order they executed and may read
+// the machine as the event left it; it must not mutate simulated state.
 type Bus struct {
 	now  func() uint64
 	mask uint32
 	subs [NumCategories][]func(Event)
-
-	// Buffered (sharded) mode: one append-only buffer per shard, drained
-	// into the subscribers in canonical order at window barriers. Nil for
-	// a sequential run — every emission then delivers synchronously. See
-	// shardbus.go.
-	bufs    [][]bufEntry
-	scratch []bufEntry
-
-	// needSync records that some subscriber must observe events
-	// synchronously with simulated execution (RequireSync); such a bus
-	// must not be buffered. drained counts entries delivered by barrier
-	// drains (DrainedEntries).
-	needSync bool
-	drained  uint64
 }
 
 // NewBus creates a bus whose events are timestamped by now (typically the
@@ -213,12 +200,8 @@ func (b *Bus) Emit2(cat Category, core int, kind uint8, line mem.Line, val, aux 
 	if !b.Wants(cat) {
 		return
 	}
-	b.deliver(Event{Time: b.now(), Core: core, Cat: cat, Kind: kind, Line: line, Val: val, Aux: aux})
-}
-
-// deliver hands one event to its category's subscribers.
-func (b *Bus) deliver(e Event) {
-	for _, fn := range b.subs[e.Cat] {
+	e := Event{Time: b.now(), Core: core, Cat: cat, Kind: kind, Line: line, Val: val, Aux: aux}
+	for _, fn := range b.subs[cat] {
 		fn(e)
 	}
 }
