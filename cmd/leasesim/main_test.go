@@ -73,6 +73,11 @@ func TestJSONReportCarriesEngineStats(t *testing.T) {
 	if st.EventsTotal == 0 || st.SyncsSkipped == 0 || st.Lookahead == 0 {
 		t.Errorf("engine_stats = %+v; want events, skipped syncs and a lookahead on a certified run", st)
 	}
+	// Where the events were popped from: the leased cell's expiry timers lie
+	// 20 000 cycles ahead, past the queue's near tier, so the heap saw some.
+	if st.RingEvents+st.BucketEvents+st.HeapEvents != st.EventsTotal || st.HeapEvents == 0 || st.MaxPending == 0 {
+		t.Errorf("engine_stats = %+v; want ring, bucket and heap events summing to events_total, some from the heap", st)
+	}
 	var doc any
 	if err := json.Unmarshal(report, &doc); err != nil {
 		t.Fatal(err)

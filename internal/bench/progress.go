@@ -232,11 +232,18 @@ func (s Snapshot) promText() string {
 		{"sync_fast_forwards", "Syncs that moved the clock with nothing due first, with no event", s.EngineStats.SyncFastForwards},
 		{"sync_wakes", "Syncs that scheduled a wake event", s.EngineStats.SyncWakes},
 		{"syncs_skipped", "Syncs an L1 hit did without by running ahead of the event queue", s.EngineStats.SyncsSkipped},
+		{"ring_events", "Events popped from the same-cycle ring", s.EngineStats.RingEvents},
+		{"bucket_events", "Events popped from a one-cycle bucket of the queue's near tier", s.EngineStats.BucketEvents},
+		{"heap_events", "Events popped from the heap behind the near tier", s.EngineStats.HeapEvents},
+		{"bucket_overflows", "Near events that found their bucket full and went to the heap", s.EngineStats.BucketOverflows},
 	} {
 		line("# HELP leasesim_engine_%s_total %s, summed over all cells.", c.name, c.help)
 		line("# TYPE leasesim_engine_%s_total counter", c.name)
 		line("leasesim_engine_%s_total %d", c.name, c.v)
 	}
+	line("# HELP leasesim_engine_max_pending Most events queued at once in any one cell.")
+	line("# TYPE leasesim_engine_max_pending gauge")
+	line("leasesim_engine_max_pending %d", s.EngineStats.MaxPending)
 	return string(b)
 }
 

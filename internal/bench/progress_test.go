@@ -221,9 +221,14 @@ func TestProgressMetricsEngineCounters(t *testing.T) {
 		{"leasesim_engine_sync_fast_forwards_total", want.SyncFastForwards},
 		{"leasesim_engine_sync_wakes_total", want.SyncWakes},
 		{"leasesim_engine_syncs_skipped_total", want.SyncsSkipped},
+		{"leasesim_engine_ring_events_total", want.RingEvents},
+		{"leasesim_engine_bucket_events_total", want.BucketEvents},
+		{"leasesim_engine_heap_events_total", want.HeapEvents},
+		{"leasesim_engine_bucket_overflows_total", want.BucketOverflows},
+		{"leasesim_engine_max_pending", want.MaxPending},
 	} {
 		if got := counter(c.name); got != c.want {
-			t.Errorf("%s = %d, want %d (the sum over both cells)", c.name, got, c.want)
+			t.Errorf("%s = %d, want %d (the sum over both cells; for max_pending, the larger)", c.name, got, c.want)
 		}
 	}
 	if want.EventsTotal == 0 || want.SyncsSkipped == 0 {

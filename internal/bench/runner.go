@@ -390,7 +390,9 @@ func newRunError(m *machine.Machine, threads int, cause error) *RunError {
 const DefaultCycleBudget uint64 = 500_000_000
 
 // RunToCompletion runs a fixed-work program (e.g. Pagerank) under a cycle
-// budget and reports the total cycles it took plus the stats. A run that
+// budget and reports the cycle at which its last thread finished
+// (machine.Machine.FinishedAt; stats.Cycles is the clock once the queue had
+// drained, stale expiry timers included) plus the stats. A run that
 // deadlocks, panics, or exhausts the budget returns a *RunError (the
 // cycles and stats reflect the state at failure).
 func RunToCompletion(cfg machine.Config, threads int, budget uint64,
@@ -430,5 +432,5 @@ func RunToCompletion(cfg machine.Config, threads int, budget uint64,
 		}
 	}
 	addEngineStats(m.EngineStats())
-	return m.Now(), m.Stats(), nil
+	return m.FinishedAt(), m.Stats(), nil
 }

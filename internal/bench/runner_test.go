@@ -46,3 +46,39 @@ func TestFailedCellLeavesNoGoroutines(t *testing.T) {
 		}
 	}
 }
+
+// A fixed-work run takes as long as its last thread. The leases the threads
+// released on the way left their expiry timers queued (cancellation is
+// lazy), and draining those moves the clock on by most of a lease time:
+// that tail is not the program's.
+func TestRunToCompletionEndsWithLastThread(t *testing.T) {
+	const threads = 4
+	var finish [threads]uint64
+	cycles, stats, err := RunToCompletion(machine.DefaultConfig(threads), threads, 0,
+		func(d *machine.Direct) func(int, *machine.Ctx) {
+			counter := d.Alloc(8)
+			return func(tid int, c *machine.Ctx) {
+				for i := 0; i < 20*(tid+1); i++ {
+					c.Lease(counter, LeaseTime)
+					c.Store(counter, c.Load(counter)+1)
+					c.Release(counter)
+				}
+				c.Fence() // the engine clock catches up with the thread's
+				finish[tid] = c.Now()
+			}
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := uint64(0)
+	for _, f := range finish {
+		last = max(last, f)
+	}
+	if cycles != last {
+		t.Errorf("RunToCompletion = %d cycles, the last thread finished at %d (all: %v)", cycles, last, finish)
+	}
+	if stats.Cycles < cycles+LeaseTime/2 {
+		t.Errorf("the drained clock is %d, %d past the last thread: the leased cell left no expiry timers behind and the test shows nothing",
+			stats.Cycles, stats.Cycles-cycles)
+	}
+}

@@ -107,13 +107,40 @@ type Request struct {
 
 	Issued sim.Time // submission time (for latency accounting)
 
-	// newState/newOwner/newSharers: directory transition decided when the
-	// request is serviced, committed on completion. exclClean marks a
-	// MESI Exclusive-clean fill of a read request.
-	newState   dirState
-	newOwner   int
-	newSharers uint64
-	exclClean  bool
+	// exclClean marks a MESI Exclusive-clean fill of a read request. entry
+	// is the line's directory entry, which is busy on this request's behalf
+	// from service to commit: its owner, the core a forwarded probe goes
+	// to, stands still meanwhile. Both are set when the request is serviced.
+	exclClean bool
+	entry     *dirEntry
+
+	// The request's hops through a Directory, as event callbacks. They are
+	// bound the first time the directory dir sees the request and survive
+	// Reset, so a pooled request costs no closure per hop: a core has one
+	// request in flight (Proposition 1), and each hop reads what it needs
+	// from the request when it runs.
+	dir      *Directory
+	reachDir func() // the request has covered the fixed network distance
+	arrive   func() // ... and the variable part: it enters the line's queue
+	probe    func() // the forwarded probe reaches owner
+	grant    func() // the grant reaches the requester
+}
+
+// Reset readies a request for a new transaction. Everything a transaction
+// sets is cleared; the hop callbacks stay bound, which is why a pooled
+// request is reset and not overwritten with a literal.
+func (r *Request) Reset(core int, line mem.Line, excl, lease bool) {
+	r.Core, r.Line, r.Excl, r.Lease = core, line, excl, lease
+	r.Txn, r.Issued, r.exclClean, r.entry = 0, 0, false, nil
+}
+
+// bind makes d the directory whose hops the request's callbacks run.
+func (r *Request) bind(d *Directory) {
+	r.dir = d
+	r.reachDir = func() { d.reachDir(r) }
+	r.arrive = func() { d.arrive(r) }
+	r.probe = func() { d.probeArrive(r.entry.owner, r) }
+	r.grant = func() { d.deliverGrant(r) }
 }
 
 type dirState uint8
@@ -131,6 +158,16 @@ type dirEntry struct {
 	busy    bool
 	queue   []*Request
 	touched bool // line has been filled at least once (cold-miss tracking)
+
+	// newState/newOwner/newSharers: the transition decided when the request
+	// in service was taken off the queue, applied by commit when it
+	// completes. busy spans exactly that interval, so one set per line is
+	// enough, and the requester may reuse its Request as soon as the grant
+	// is delivered. commit is the callback that applies it, bound once.
+	newState   dirState
+	newOwner   int
+	newSharers uint64
+	commit     func()
 }
 
 // Env is the per-core side of the protocol, implemented by the machine.
@@ -229,6 +266,7 @@ func (d *Directory) entry(l mem.Line) *dirEntry {
 	e, ok := d.entries[l]
 	if !ok {
 		e = &dirEntry{}
+		e.commit = func() { d.commit(l, e) }
 		d.entries[l] = e
 	}
 	return e
@@ -257,10 +295,13 @@ func (d *Directory) txn(req *Request, core int, kind uint8, aux uint64) {
 // the fixed +Net lower bound (the declared lookahead); jitter and fault
 // delays are drawn at the directory in canonical arrival order.
 func (d *Directory) Submit(req *Request) {
+	if req.dir != d {
+		req.bind(d)
+	}
 	src := d.coreDom(req.Core)
 	req.Issued = src.Now()
 	d.countMsg(req.Line, MsgRequest, 1)
-	src.CrossAt(d.dom, src.Now()+d.t.Net, func() { d.reachDir(req) })
+	src.CrossAt(d.dom, src.Now()+d.t.Net, req.reachDir)
 }
 
 // jitter draws 0..NetJitter extra cycles from the directory's RNG.
@@ -276,7 +317,7 @@ func (d *Directory) jitter() sim.Time {
 // (jitter, injected delay) before the request enters the line's queue.
 func (d *Directory) reachDir(req *Request) {
 	if extra := d.jitter() + d.Faults.MsgDelay(); extra > 0 {
-		d.dom.After(extra, func() { d.arrive(req) })
+		d.dom.After(extra, req.arrive)
 		return
 	}
 	d.arrive(req)
@@ -325,27 +366,24 @@ func (d *Directory) service(l mem.Line) {
 	e.queue[n] = nil
 	e.queue = e.queue[:n]
 	e.busy = true
+	req.entry = e
 
 	switch {
 	case e.state == dirM && e.owner != req.Core:
 		// Forward a probe to the owner; the lease mechanism may defer it
 		// there. Directory tag lookup, then one hop to the owner.
 		if req.Excl {
-			req.newState, req.newOwner = dirM, req.Core
+			e.newState, e.newOwner = dirM, req.Core
 		} else {
-			req.newState = dirS
-			req.newSharers = bit(e.owner) | bit(req.Core)
+			e.newState, e.newOwner, e.newSharers = dirS, 0, bit(e.owner)|bit(req.Core)
 		}
 		d.txn(req, req.Core, telemetry.TxnService, 0)
 		d.countMsg(l, MsgForward, 1)
-		owner := e.owner
-		od := d.coreDom(owner)
-		d.dom.CrossAt(od, d.dom.Now()+d.t.L2Tag+d.t.Net+d.Faults.MsgDelay(),
-			func() { d.probeArrive(owner, req) })
+		d.dom.CrossAt(d.coreDom(e.owner), d.dom.Now()+d.t.L2Tag+d.t.Net+d.Faults.MsgDelay(), req.probe)
 
 	case e.state == dirS && req.Excl:
 		// Invalidate all other sharers, then grant Modified.
-		req.newState, req.newOwner = dirM, req.Core
+		e.newState, e.newOwner = dirM, req.Core
 		others := e.sharers &^ bit(req.Core)
 		k := countBits(others)
 		dataReady := d.t.L2Tag + d.t.L2Data
@@ -386,15 +424,14 @@ func (d *Directory) service(l mem.Line) {
 		d.txn(req, req.Core, telemetry.TxnService, uint64(lat))
 		switch {
 		case req.Excl:
-			req.newState, req.newOwner = dirM, req.Core
+			e.newState, e.newOwner = dirM, req.Core
 		case d.MESI && e.state == dirI:
 			// Sole reader: grant Exclusive (MESI E). The requester may
 			// silently upgrade to Modified on its first write.
-			req.newState, req.newOwner = dirM, req.Core
+			e.newState, e.newOwner = dirM, req.Core
 			req.exclClean = true
 		default:
-			req.newState = dirS
-			req.newSharers = e.sharers | bit(req.Core)
+			e.newState, e.newOwner, e.newSharers = dirS, 0, e.sharers|bit(req.Core)
 		}
 		d.countMsg(l, MsgReply, 1)
 		d.scheduleComplete(d.dom, d.dom.Now()+lat+d.t.Net+d.Faults.MsgDelay(), req)
@@ -431,39 +468,35 @@ func (d *Directory) ownerDowngraded(owner int, req *Request) {
 
 // scheduleComplete schedules the two halves of a transaction's completion
 // from domain src at time t: the grant delivery to the requesting core, and
-// the directory's state commit. The grant is a core-domain event; the
-// commit is a sys-domain event whose closure captures the decided
-// transition (it never reads req, so the requester may immediately reuse
-// the Request object). Both land at the same cycle; the event key orders
-// the core delivery before the directory commit, matching the sequential
+// the directory's state commit. The grant is a core-domain event; the commit
+// is a sys-domain event that reads the decided transition from the line's
+// entry (it never reads req, so the requester may immediately reuse the
+// Request object). Both land at the same cycle; the event key orders the
+// core delivery before the directory commit, matching the sequential
 // protocol's observable order.
 func (d *Directory) scheduleComplete(src *sim.Domain, t sim.Time, req *Request) {
+	src.CrossAt(d.coreDom(req.Core), t, req.grant)
+	src.CrossAt(d.dom, t, req.entry.commit)
+}
+
+// deliverGrant runs in the requesting core's domain, which has been blocked
+// since Submit: req is as the directory left it at service time.
+func (d *Directory) deliverGrant(req *Request) {
 	st := cache.Shared
 	if req.Excl || req.exclClean {
 		st = cache.Modified
 	}
-	line, core, txnID := req.Line, req.Core, req.Txn
-	ns, no, nsh := req.newState, req.newOwner, req.newSharers
-	dst := d.coreDom(req.Core)
-	src.CrossAt(dst, t, func() {
-		d.txn(req, core, telemetry.TxnComplete, 0)
-		d.env.Complete(req, st)
-	})
-	src.CrossAt(d.dom, t, func() { d.commit(line, ns, no, nsh, txnID) })
+	d.txn(req, req.Core, telemetry.TxnComplete, 0)
+	d.env.Complete(req, st)
 }
 
 // commit applies the directory transition decided at service time and
 // starts servicing the next queued request for the line. Runs in the
-// directory's domain; it deliberately captures values rather than the
-// Request, which the requester owns again by this point.
-func (d *Directory) commit(l mem.Line, ns dirState, no int, nsh uint64, txnID uint64) {
-	_ = txnID
-	e := d.entry(l)
-	e.state = ns
-	e.owner = no
-	e.sharers = nsh
+// directory's domain.
+func (d *Directory) commit(l mem.Line, e *dirEntry) {
+	e.state, e.owner, e.sharers = e.newState, e.newOwner, e.newSharers
 	if e.state == dirM {
-		e.sharers = bit(no)
+		e.sharers = bit(e.owner)
 	}
 	e.busy = false
 	if len(e.queue) > 0 {

@@ -297,3 +297,40 @@ func TestQueuePopKeepsCapacity(t *testing.T) {
 		t.Fatalf("drained queue still references a request: len %d", len(q))
 	}
 }
+
+// TestRequestCallbacksFollowTheDirectory: a request's hop callbacks are bound
+// by the first directory that sees it, outlive Reset, and are rebound when
+// the request is submitted to another directory.
+func TestRequestCallbacksFollowTheDirectory(t *testing.T) {
+	eng, env, d := setup(t)
+	req := new(Request)
+	req.Reset(2, 7, true, false)
+	d.Submit(req)
+	eng.Drain()
+	if req.dir != d || len(env.completes) != 1 {
+		t.Fatalf("bound to %p after Submit to %p, %d completions", req.dir, d, len(env.completes))
+	}
+
+	req.Reset(2, 8, false, true)
+	if req.dir != d || req.reachDir == nil || req.arrive == nil || req.probe == nil || req.grant == nil {
+		t.Fatal("Reset dropped the bound callbacks")
+	}
+	if req.Core != 2 || req.Line != 8 || req.Excl || !req.Lease || req.Issued != 0 || req.entry != nil {
+		t.Fatalf("Reset left %+v", req)
+	}
+
+	env2 := &mockEnv{t: t, eng: eng}
+	d2 := NewDirectory(eng, env2, d.t)
+	d2.Submit(req)
+	eng.Drain()
+	if req.dir != d2 || len(env2.completes) != 1 || len(env.completes) != 1 {
+		t.Fatalf("second directory: bound to %p, want %p; completions %d there, %d at the first",
+			req.dir, d2, len(env2.completes), len(env.completes))
+	}
+	if st, _, _ := d.State(8); st != "I" {
+		t.Fatalf("the first directory saw the second one's request: line 8 is %s there", st)
+	}
+	if st, _, sharers := d2.State(8); st != "S" || sharers != 1<<2 {
+		t.Fatalf("second directory: line 8 is %s sharers %b, want S/100", st, sharers)
+	}
+}

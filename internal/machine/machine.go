@@ -45,6 +45,9 @@ type Machine struct {
 	// (declareLookahead), so an L1 hit with nothing in flight to the core is performed without
 	// Sync (Ctx.access).
 	runAhead bool
+
+	// finishedAt is the latest cycle at which a thread's body returned.
+	finishedAt uint64
 }
 
 // ProtocolViolationError is the panic value raised when simulated hardware
@@ -146,6 +149,13 @@ func (m *Machine) Config() Config { return m.cfg }
 // Now returns the current simulated time in cycles.
 func (m *Machine) Now() uint64 { return m.eng.Now() }
 
+// FinishedAt returns the cycle at which the last thread to finish so far
+// returned: what a fixed-work run took. After a Run that drained the queue,
+// Now can be thousands of cycles later. Cancellation of expiry timers is
+// lazy, so the timers of leases released long before still pop, one after
+// another, and each moves the clock.
+func (m *Machine) FinishedAt() uint64 { return m.finishedAt }
+
 // Seconds converts a cycle count to seconds at the configured clock.
 func (m *Machine) Seconds(cycles uint64) float64 {
 	return float64(cycles) / float64(m.cfg.ClockHz)
@@ -162,6 +172,7 @@ func (m *Machine) Spawn(start uint64, fn func(*Ctx)) {
 	m.spawned++
 	cs.proc = m.eng.Spawn(id, start, m.cfg.Seed*1_000_003+uint64(id)*2_654_435_761+1, func(p *sim.Proc) {
 		fn(&Ctx{m: m, cs: cs, p: p})
+		m.finishedAt = max(m.finishedAt, p.Reached())
 	})
 }
 

@@ -10,10 +10,12 @@ import (
 // it), so a single reusable Request per core replaces one heap allocation
 // per L1 miss. The pooled object is live from acquireReq until the
 // requester's Block returns; by then the protocol side has finished with
-// it — the MSI directory's commit event deliberately captures the decided
-// transition by value instead of reading the Request (see
+// it — the MSI directory's commit event reads the decided transition from
+// the line's directory entry, never from the Request (see
 // coherence.Directory.scheduleComplete), and Tardis reads it only inside
-// the completion event that precedes the requester's wake.
+// the completion event that precedes the requester's wake. The slot also
+// keeps the callbacks of the request's hops through the directory, bound
+// once (coherence.Request.Reset), so a miss allocates no closure either.
 //
 // Race builds add a poison mode (pool_poison_race.go): reuse while a
 // request is still in flight panics, and released requests are scribbled
@@ -24,7 +26,7 @@ import (
 func (m *Machine) acquireReq(cs *coreState, l mem.Line, excl, lease bool) *coherence.Request {
 	req := cs.req
 	poisonAcquire(cs, req)
-	*req = coherence.Request{Core: cs.id, Line: l, Excl: excl, Lease: lease}
+	req.Reset(cs.id, l, excl, lease)
 	return req
 }
 

@@ -12,9 +12,9 @@ import "testing"
 // and compare against the table recorded in EXPERIMENTS.md before
 // touching the engine or proc hot paths.
 
-// BenchmarkEventChainDelay1 measures the heap path: a chain of events
-// each scheduling its successor one cycle later, so the queue stays
-// shallow and every event pays one push and one pop.
+// BenchmarkEventChainDelay1 measures the queue at its emptiest: a chain of
+// events each scheduling its successor one cycle later, so every event pays
+// one push into an empty bucket and one pop.
 func BenchmarkEventChainDelay1(b *testing.B) {
 	e := NewEngine()
 	n := 0
@@ -55,9 +55,10 @@ func BenchmarkEventChainZeroDelay(b *testing.B) {
 	}
 }
 
-// BenchmarkEventQueueDepth256 measures heap churn at a realistic pending
+// BenchmarkEventQueueDepth256 measures queue churn at a realistic pending
 // depth: 256 in-flight events with deterministic pseudo-random delays
-// (coherence traffic across many lines), each pop scheduling one push.
+// (coherence traffic across many lines), each pop scheduling one push. All
+// of it is near-tier traffic, four events to a bucket.
 func BenchmarkEventQueueDepth256(b *testing.B) {
 	e := NewEngine()
 	rng := NewRNG(42)
@@ -71,6 +72,39 @@ func BenchmarkEventQueueDepth256(b *testing.B) {
 	}
 	for i := 0; i < 256; i++ {
 		e.After(1+rng.Uint64n(64), tick)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Drain(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkEventQueueNearFar measures the queue under the traffic of the
+// hash64 lease cell (EXPERIMENTS.md "Host performance"): 64 chains whose
+// delays are a miss's hops — a few cycles, a network hop with and without
+// jitter, an L2 fill, a DRAM fill — and, once per 80 events, a lease-expiry
+// timer 20 000 cycles out that does nothing when it pops. The timers pile up
+// in the heap (some 700 queued in steady state, ten times the chains); the
+// chains should not pay for them.
+func BenchmarkEventQueueNearFar(b *testing.B) {
+	e := NewEngine()
+	rng := NewRNG(42)
+	delays := [...]Time{1, 2, 3, 4, 15, 15, 18, 18, 26, 126}
+	nop := func() {}
+	n := 0
+	var tick func()
+	tick = func() {
+		n++
+		if n%80 == 0 {
+			e.After(20000, nop)
+		}
+		if n < b.N {
+			e.After(delays[rng.Intn(len(delays))], tick)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		e.After(delays[rng.Intn(len(delays))], tick)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -84,7 +84,8 @@ func (a *event) before(b *event) bool {
 	return a.seq < b.seq
 }
 
-// eventHeap is an inlined 4-ary min-heap of events. Compared to
+// eventHeap is an inlined 4-ary min-heap of events: the far tier of the
+// eventQueue, and the order the whole queue keeps. Compared to
 // container/heap it avoids the interface{} boxing allocation on every push
 // and the indirect Less/Swap calls on every sift; the wider fan-out halves
 // the tree depth, trading cheap sibling compares (same cache line) for
@@ -144,10 +145,10 @@ func (h *eventHeap) pop() event {
 // eventRing is a growable power-of-two ring buffer holding the same-cycle
 // same-domain FIFO: events a domain schedules for itself at the current
 // cycle (After(0, ...) — the dominant case in coherence message hops and
-// proc wakes) bypass the heap and run in plain insertion order, which by
+// proc wakes) bypass the queue and run in plain insertion order, which by
 // construction is their sequence order. All buffered events share one
 // (cycle, domain), so the ring is totally ordered and the dispatcher only
-// has to compare its head against the heap top.
+// has to compare its head against the queue's first event.
 type eventRing struct {
 	buf  []event // len(buf) is always a power of two (or zero)
 	head int
@@ -239,8 +240,8 @@ type Engine struct {
 	procs []*Proc
 
 	now    Time
-	events eventHeap // future (and cross-domain same-cycle) events
-	fifo   eventRing // same-cycle same-domain events, in insertion order
+	events eventQueue // future (and cross-domain same-cycle) events
+	fifo   eventRing  // same-cycle same-domain events, in insertion order
 
 	// lookahead is the declared minimum latency of a cross-domain event
 	// (DeclareLookahead; 0 = none declared). started is set by the first Run.
@@ -387,8 +388,11 @@ func (e *Engine) push(dst, src *Domain, t Time, fn func(), p *Proc) {
 	if t == e.now && ev.dom == e.curDom && ev.src == e.curDom &&
 		(e.fifo.n == 0 || e.fifo.buf[e.fifo.head].dom == ev.dom) {
 		e.fifo.push(ev)
-	} else {
-		e.events.push(ev)
+	} else if e.events.push(ev, e.now) {
+		e.stats.BucketOverflows++
+	}
+	if n := uint64(e.Pending()); n > e.stats.MaxPending {
+		e.stats.MaxPending = n
 	}
 }
 
@@ -401,25 +405,26 @@ func (e *Engine) next() (event, bool) {
 	bound := e.stopAt
 	if e.fifo.n > 0 {
 		// Same-cycle work pending (e.now < bound by construction: the
-		// ring only fills at the executing cycle). Heap events can still
+		// ring only fills at the executing cycle). Queued events can still
 		// order first — compare keys.
 		if e.now >= bound {
 			return event{}, false // keep them queued for a later Run
 		}
-		if len(e.events) > 0 && e.events[0].at == e.now && e.events[0].before(&e.fifo.buf[e.fifo.head]) {
-			ev = e.events.pop()
+		if top, far := e.events.min(); top != nil && top.at == e.now && top.before(&e.fifo.buf[e.fifo.head]) {
+			ev = e.take(far)
 		} else {
 			ev = e.fifo.pop()
+			e.stats.RingEvents++
 		}
-	} else if len(e.events) > 0 {
-		if e.events[0].at >= bound {
+	} else if top, far := e.events.min(); top != nil {
+		if top.at >= bound {
 			if bound > e.now {
 				e.now = bound
 				e.stallEvents = 0
 			}
 			return event{}, false
 		}
-		ev = e.events.pop()
+		ev = e.take(far)
 		if ev.at > e.now {
 			e.stallEvents = 0
 			e.now = ev.at
@@ -432,13 +437,23 @@ func (e *Engine) next() (event, bool) {
 		e.domain(ev.dom).foreign--
 	}
 	e.curDom, e.curSeq = ev.dom, ev.seq
-	e.stats.EventsTotal++
 	e.stallEvents++
 	if limit := e.StallLimit; limit > 0 && e.stallEvents > limit {
 		e.verdict = &StallError{Time: e.now, Events: e.stallEvents}
 		return event{}, false
 	}
 	return ev, true
+}
+
+// take pops the event e.events.min just returned, counting the tier it came
+// from.
+func (e *Engine) take(far bool) event {
+	if far {
+		e.stats.HeapEvents++
+	} else {
+		e.stats.BucketEvents++
+	}
+	return e.events.pop(far)
 }
 
 // settle leaves a drained engine's clock at its last executed event, counting
@@ -579,7 +594,7 @@ func (e *Engine) exec(ev event) {
 func (e *Engine) Drain() error { return e.Run(MaxTime) }
 
 // Pending returns the number of queued (not yet executed) events.
-func (e *Engine) Pending() int { return len(e.events) + e.fifo.n }
+func (e *Engine) Pending() int { return e.events.len() + e.fifo.n }
 
 // Blocked describes every currently blocked proc (diagnostics; the same
 // strings a DeadlockError would carry).

@@ -175,7 +175,7 @@ func (p *Proc) Sync() {
 	if p.clock == s.now {
 		return
 	}
-	if s.fifo.n == 0 && (len(s.events) == 0 || s.events[0].at > p.clock) && p.clock < s.stopAt {
+	if s.fifo.n == 0 && s.events.nextAt() > p.clock && p.clock < s.stopAt {
 		s.now = p.clock
 		s.stallEvents = 0
 		s.stats.SyncFastForwards++
@@ -204,7 +204,7 @@ func (p *Proc) Sync() {
 // Then no event that can see or change what the action touches orders before
 // the wake Sync would have scheduled, and dropping that wake leaves the
 // relative order of all other events as it was: the result is the one Sync
-// gives, without the heap push, the pop and the switches. When nothing at
+// gives, without the push, the pop and the switches. When nothing at
 // all is due before T, Sync is free already and RunAhead declines.
 func (p *Proc) RunAhead() bool {
 	s := p.eng
@@ -212,7 +212,7 @@ func (p *Proc) RunAhead() bool {
 	if t <= s.now || t-s.now >= s.lookahead || p.dom.foreign != 0 || t >= s.stopAt || p.killed {
 		return false
 	}
-	if s.fifo.n == 0 && (len(s.events) == 0 || s.events[0].at > t) {
+	if s.fifo.n == 0 && s.events.nextAt() > t {
 		return false // Sync fast-forwards
 	}
 	s.stats.SyncsSkipped++
@@ -238,6 +238,12 @@ func (p *Proc) Rejoin() {
 	p.park("rejoining the event queue")
 	p.clock = clock
 }
+
+// Reached returns the latest simulated time the proc has acted at: the engine
+// clock, or its last action ahead of it (RunAhead) if that is later. It is
+// where a drained engine's clock would settle if this proc had been the last
+// thing to run.
+func (p *Proc) Reached() Time { return max(p.eng.now, p.aheadAt) }
 
 // Block parks the proc until some event calls WakeAt. It returns the wake
 // time and sets the local clock to it. reason is used in deadlock reports.

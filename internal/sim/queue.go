@@ -1,0 +1,135 @@
+package sim
+
+import "math/bits"
+
+// The near tier's shape. A census of the workloads in benchmarks/ put every
+// event except lease-expiry timers and a few long think-time wakes less than
+// 256 cycles ahead of the clock at its push, 83–99 % of them less than 32;
+// a push finds fewer than four events in its bucket on average, and 0–4 %
+// find it full
+// (EXPERIMENTS.md "Events in buckets").
+const (
+	nearSpan  = 256 // cycles ahead of the clock the near tier covers; a power of two
+	bucketCap = 16  // events a bucket holds before the rest go to the heap
+)
+
+// eventQueue holds every queued event outside the same-cycle ring, in two
+// tiers. The near tier is nearSpan buckets of one cycle each, a fixed array
+// that never grows: an event less than nearSpan cycles ahead goes to bucket
+// at % nearSpan, kept sorted by the rest of the canonical key. The far tier
+// is the eventHeap, which takes whatever lies further ahead or finds its
+// bucket full.
+//
+// Which tier an event sits in never decides when it pops: min compares the
+// near tier's first event with the heap's by event.before, so the pop order
+// is the order of one heap holding them all. A bucket holds one cycle only.
+// An event enters the near tier with at-now < nearSpan, and the clock never
+// passes a queued event (it moves to a popped event's cycle, or to one no
+// later than the earliest queued), so every near event lies in
+// [now, now+nearSpan) and two of different cycles cannot share a residue.
+type eventQueue struct {
+	far eventHeap
+
+	nearN int  // events in the near tier
+	minAt Time // cycle of the earliest occupied bucket; valid while nearN > 0
+
+	occ  [nearSpan / 64]uint64 // bit s set: bucket s holds events
+	cnt  [nearSpan]uint8
+	near [nearSpan][bucketCap]event // bucket s, sorted so that [cnt[s]-1] pops first
+}
+
+func (q *eventQueue) len() int { return len(q.far) + q.nearN }
+
+// push queues ev, now being the engine clock (ev.at >= now). full reports a
+// near event that found its bucket full and went to the heap.
+func (q *eventQueue) push(ev event, now Time) (full bool) {
+	if ev.at-now < nearSpan {
+		s := ev.at % nearSpan
+		n := q.cnt[s]
+		if n < bucketCap {
+			b := &q.near[s]
+			i := n
+			for ; i > 0 && b[i-1].before(&ev); i-- {
+				b[i] = b[i-1]
+			}
+			b[i] = ev
+			q.cnt[s] = n + 1
+			q.occ[s/64] |= 1 << (s % 64)
+			if q.nearN == 0 || ev.at < q.minAt {
+				q.minAt = ev.at
+			}
+			q.nearN++
+			return false
+		}
+		full = true
+	}
+	q.far.push(ev)
+	return full
+}
+
+// nextAt returns the cycle of the earliest queued event, MaxTime if there is
+// none.
+func (q *eventQueue) nextAt() Time {
+	at := MaxTime
+	if q.nearN > 0 {
+		at = q.minAt
+	}
+	if len(q.far) > 0 && q.far[0].at < at {
+		at = q.far[0].at
+	}
+	return at
+}
+
+// min returns the event that pops next and the tier it sits in, nil if the
+// queue is empty. The pointer is valid until the next push or pop.
+func (q *eventQueue) min() (ev *event, far bool) {
+	if q.nearN > 0 {
+		s := q.minAt % nearSpan
+		ev = &q.near[s][q.cnt[s]-1]
+	}
+	if len(q.far) > 0 && (ev == nil || q.far[0].before(ev)) {
+		return &q.far[0], true
+	}
+	return ev, false
+}
+
+// pop removes the event min returned; far is min's second result.
+func (q *eventQueue) pop(far bool) event {
+	if far {
+		return q.far.pop()
+	}
+	s := q.minAt % nearSpan
+	n := q.cnt[s] - 1
+	slot := &q.near[s][n]
+	ev := *slot
+	slot.fn, slot.p = nil, nil // drop the references so they can be collected
+	q.cnt[s] = n
+	q.nearN--
+	if n == 0 {
+		q.occ[s/64] &^= 1 << (s % 64)
+		if q.nearN > 0 {
+			q.minAt += q.gap(uint(s))
+		}
+	}
+	return ev
+}
+
+// gap returns the distance in cycles from bucket s, just emptied, to the
+// next occupied bucket going round the array. Near events lie in one window
+// of nearSpan cycles that starts no later than bucket s's cycle, so the
+// distance round the array is the distance in time.
+func (q *eventQueue) gap(s uint) Time {
+	w, b := s/64, s%64
+	if m := q.occ[w] >> b >> 1; m != 0 {
+		return Time(bits.TrailingZeros64(m)) + 1
+	}
+	d := 64 - b
+	for range q.occ {
+		w = (w + 1) % uint(len(q.occ))
+		if m := q.occ[w]; m != 0 {
+			return Time(d) + Time(bits.TrailingZeros64(m))
+		}
+		d += 64
+	}
+	panic("sim: near tier counts events but no bucket is occupied")
+}

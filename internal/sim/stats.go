@@ -12,7 +12,8 @@ type EngineStats struct {
 	// (DeclareLookahead). 0 means none was declared: the run does not hold
 	// the lookahead certificate and no proc ran ahead.
 	Lookahead uint64 `json:"lookahead"`
-	// EventsTotal is the number of events executed. A proc Sync that
+	// EventsTotal is the number of events executed (Stats computes it, as
+	// RingEvents + BucketEvents + HeapEvents). A proc Sync that
 	// fast-forwards time (nothing else was due first) consumes no event and
 	// is not counted, nor is one that RunAhead made unnecessary.
 	EventsTotal uint64 `json:"events_total"`
@@ -32,26 +33,44 @@ type EngineStats struct {
 	// of fast-forward, wake or skipped.
 	SyncWakes    uint64 `json:"sync_wakes"`
 	SyncsSkipped uint64 `json:"syncs_skipped"`
+	// RingEvents, BucketEvents and HeapEvents say where each executed event
+	// was popped from — the same-cycle ring, a near-tier bucket or the heap
+	// behind them (eventQueue) — and sum to EventsTotal. BucketOverflows is
+	// the number of events inside the near tier's span (256 cycles ahead)
+	// that found their bucket full and went to the heap instead. Together they say whether
+	// the near tier is sized for the run's traffic: the heap should see the
+	// far timers and little else.
+	RingEvents      uint64 `json:"ring_events"`
+	BucketEvents    uint64 `json:"bucket_events"`
+	HeapEvents      uint64 `json:"heap_events"`
+	BucketOverflows uint64 `json:"bucket_overflows"`
+	// MaxPending is the largest number of events queued at once.
+	MaxPending uint64 `json:"max_pending"`
 }
 
 // Add accumulates o's counters into s, so a sweep can report one total
 // whatever order its cells finished in. Lookahead is a setting, not a
-// count: the sum keeps the largest one seen.
+// count, and MaxPending is a high-water mark: the sum keeps the largest one
+// seen of each.
 func (s *EngineStats) Add(o EngineStats) {
-	if o.Lookahead > s.Lookahead {
-		s.Lookahead = o.Lookahead
-	}
+	s.Lookahead = max(s.Lookahead, o.Lookahead)
+	s.MaxPending = max(s.MaxPending, o.MaxPending)
 	s.EventsTotal += o.EventsTotal
 	s.ProcSwitches += o.ProcSwitches
 	s.OwnWakes += o.OwnWakes
 	s.SyncFastForwards += o.SyncFastForwards
 	s.SyncWakes += o.SyncWakes
 	s.SyncsSkipped += o.SyncsSkipped
+	s.RingEvents += o.RingEvents
+	s.BucketEvents += o.BucketEvents
+	s.HeapEvents += o.HeapEvents
+	s.BucketOverflows += o.BucketOverflows
 }
 
 // Stats returns the engine's host-side counters.
 func (e *Engine) Stats() EngineStats {
 	st := e.stats
 	st.Lookahead = e.lookahead
+	st.EventsTotal = st.RingEvents + st.BucketEvents + st.HeapEvents
 	return st
 }

@@ -178,6 +178,14 @@ func TestProcSchedulingCounters(t *testing.T) {
 	if st.SyncWakes != 1 || st.SyncsSkipped != 0 {
 		t.Fatalf("sync wakes %d, syncs skipped %d; want 1, 0", st.SyncWakes, st.SyncsSkipped)
 	}
+	// All five events were a few cycles ahead and on another domain than the
+	// one executing when scheduled: near-tier buckets, no ring, no heap. The
+	// queue was at its fullest before the run, with the two start wakes and
+	// the event at 20.
+	if st.RingEvents != 0 || st.BucketEvents != 5 || st.HeapEvents != 0 || st.BucketOverflows != 0 || st.MaxPending != 3 {
+		t.Fatalf("ring %d, bucket %d, heap %d, overflows %d, max pending %d; want 0, 5, 0, 0, 3",
+			st.RingEvents, st.BucketEvents, st.HeapEvents, st.BucketOverflows, st.MaxPending)
+	}
 	if e.Now() != 25 {
 		t.Fatalf("Now() = %d, want 25", e.Now())
 	}
