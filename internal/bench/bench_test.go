@@ -2,9 +2,12 @@ package bench
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"leaserelease/internal/coherence"
 	"leaserelease/internal/ds"
 	"leaserelease/internal/machine"
 )
@@ -32,24 +35,61 @@ func TestThroughputDeterministic(t *testing.T) {
 	}
 }
 
+// TestAllExperimentsRunQuick pins every experiment's output, byte for byte,
+// to testdata/experiments/<id>.golden — and fig2, degradation and table1
+// again under Tardis — once run serially and once on a worker pool. An
+// intentional change regenerates them:
+//
+//	go test ./internal/bench -run TestAllExperimentsRunQuick -update
 func TestAllExperimentsRunQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow: runs every experiment at quick scale")
 	}
-	p := Params{Threads: []int{2, 4}, Warm: 20_000, Window: 60_000}
+	pool := NewPool(3)
+	defer pool.Close()
+	tardis := map[string]bool{"fig2": true, "degradation": true, "table1": true}
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			var buf bytes.Buffer
-			e.Run(&buf, p)
-			out := buf.String()
-			if !strings.Contains(out, "---") {
-				t.Fatalf("experiment %s produced no table:\n%s", e.ID, out)
-			}
-			if strings.Contains(out, "NaN") || strings.Contains(out, "Inf") {
-				t.Fatalf("experiment %s produced NaN/Inf:\n%s", e.ID, out)
+			p := Params{Threads: []int{2, 4}, Warm: 20_000, Window: 60_000}
+			checkExperimentGolden(t, e, p, pool, e.ID+".golden")
+			if tardis[e.ID] {
+				p.Protocol = coherence.ProtocolTardis
+				checkExperimentGolden(t, e, p, pool, e.ID+".tardis.golden")
 			}
 		})
+	}
+}
+
+func checkExperimentGolden(t *testing.T, e Experiment, p Params, pool *Pool, name string) {
+	t.Helper()
+	var serial, pooled bytes.Buffer
+	e.Run(&serial, p)
+	p.Pool = pool
+	e.Run(&pooled, p)
+	if !bytes.Equal(serial.Bytes(), pooled.Bytes()) {
+		t.Errorf("%s: pooled output differs from serial:\nserial:\n%s\npooled:\n%s", name, &serial, &pooled)
+	}
+	out := serial.String()
+	if !strings.Contains(out, "---") || strings.Contains(out, "NaN") || strings.Contains(out, "Inf") {
+		t.Fatalf("%s: no table, or NaN/Inf in it:\n%s", name, out)
+	}
+	golden := filepath.Join("testdata", "experiments", name)
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, serial.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if !bytes.Equal(serial.Bytes(), want) {
+		t.Errorf("%s differs from its golden (regenerate with -update if intended):\ngot:\n%s\nwant:\n%s", name, out, want)
 	}
 }
 
