@@ -6,38 +6,45 @@ import (
 	"leaserelease/internal/bench"
 	"leaserelease/internal/ds"
 	"leaserelease/internal/machine"
-	"leaserelease/internal/multiqueue"
-	"leaserelease/internal/stm"
 )
 
-// The benchmarks below regenerate every table and figure of the paper at
-// bench scale (8 simulated threads, short windows) and attach the
-// simulated metrics to the Go benchmark output:
+// BenchmarkExperiment regenerates every table and figure of the paper at
+// bench scale (8 simulated threads, short windows): one sub-benchmark per
+// cell of each experiment's declaration, named
+// <id>/[<row key>/]<variant>/t<threads>, with the simulated metrics attached
+// to the Go benchmark output:
 //
 //	simMops/s  — simulated million operations per second (throughput axes)
 //	simNJ/op   — simulated nanojoules per operation (energy axes)
+//	simMiss/op — simulated L1 misses per operation
+//	simMcycles — simulated Mcycles to completion (fixed-work variants)
 //
 // Run the full paper-scale sweeps with cmd/leasebench instead; wall-clock
 // ns/op here measures the simulator itself, not the simulated hardware.
-
-const (
-	benchThreads = 8
-	benchWarm    = 50_000
-	benchWindow  = 250_000
-)
-
-func simBench(b *testing.B, variant string, build func(d *machine.Direct) bench.OpFunc) {
-	b.Helper()
-	b.Run(variant, func(b *testing.B) {
-		var r bench.Result
-		for i := 0; i < b.N; i++ {
-			r = bench.Throughput(machine.DefaultConfig(benchThreads), benchThreads,
-				benchWarm, benchWindow, build)
+func BenchmarkExperiment(b *testing.B) {
+	p := bench.Params{Threads: []int{8}, Warm: 50_000, Window: 250_000}
+	for _, e := range bench.All() {
+		s := e.Sweep(p)
+		for _, row := range s.Rows {
+			for _, v := range s.Variants {
+				b.Run(bench.CellName(e.ID, row, v), func(b *testing.B) {
+					var r bench.Result
+					for i := 0; i < b.N; i++ {
+						if r = s.RunCell(p, row, v, nil); r.Err != nil {
+							b.Fatal(r.Err)
+						}
+					}
+					if r.Ops == 0 { // fixed work: Cycles is the time to completion
+						b.ReportMetric(float64(r.Cycles)/1e6, "simMcycles")
+						return
+					}
+					b.ReportMetric(r.MopsPerSec, "simMops/s")
+					b.ReportMetric(r.NJPerOp, "simNJ/op")
+					b.ReportMetric(r.MissesPerOp, "simMiss/op")
+				})
+			}
 		}
-		b.ReportMetric(r.MopsPerSec, "simMops/s")
-		b.ReportMetric(r.NJPerOp, "simNJ/op")
-		b.ReportMetric(r.MissesPerOp, "simMiss/op")
-	})
+	}
 }
 
 // BenchmarkTable1Config exercises machine construction at the Table 1
@@ -48,104 +55,6 @@ func BenchmarkTable1Config(b *testing.B) {
 		m := machine.New(machine.DefaultConfig(64))
 		_ = m.Stats()
 	}
-}
-
-// BenchmarkFig2Stack — Figure 2: Treiber stack, 100% updates.
-func BenchmarkFig2Stack(b *testing.B) {
-	simBench(b, "base", bench.StackWorkload(ds.StackOptions{}))
-	simBench(b, "lease", bench.StackWorkload(ds.StackOptions{Lease: bench.LeaseTime}))
-}
-
-// BenchmarkFig3Counter — Figure 3: contended lock-based counter.
-func BenchmarkFig3Counter(b *testing.B) {
-	simBench(b, "tts", bench.CounterWorkload(bench.CounterTTS))
-	simBench(b, "lease", bench.CounterWorkload(bench.CounterLeasedTTS))
-	simBench(b, "ticket", bench.CounterWorkload(bench.CounterTicket))
-	simBench(b, "clh", bench.CounterWorkload(bench.CounterCLH))
-}
-
-// BenchmarkFig3Queue — Figure 3: Michael–Scott queue.
-func BenchmarkFig3Queue(b *testing.B) {
-	simBench(b, "base", bench.QueueWorkload(ds.QueueNoLease))
-	simBench(b, "lease", bench.QueueWorkload(ds.QueueSingleLease))
-	simBench(b, "multilease", bench.QueueWorkload(ds.QueueMultiLease))
-	simBench(b, "flatcombining", bench.FCQueueWorkload(benchThreads))
-	simBench(b, "lcrq", bench.LCRQWorkload())
-}
-
-// BenchmarkFig3PQ — Figure 3: skiplist-based priority queue.
-func BenchmarkFig3PQ(b *testing.B) {
-	simBench(b, "fine", bench.PQWorkload(bench.PQFineLocking, 256))
-	simBench(b, "global", bench.PQWorkload(bench.PQGlobalBase, 256))
-	simBench(b, "lease", bench.PQWorkload(bench.PQGlobalLeased, 256))
-}
-
-// BenchmarkFig4MultiQueue — Figure 4: MultiQueues.
-func BenchmarkFig4MultiQueue(b *testing.B) {
-	simBench(b, "base", bench.MQWorkload(multiqueue.Options{}))
-	simBench(b, "lease", bench.MQWorkload(multiqueue.Options{LeaseTime: bench.LeaseTime}))
-}
-
-// BenchmarkFig4TL2 — Figure 4: TL2 transactions on 2-of-10 objects.
-func BenchmarkFig4TL2(b *testing.B) {
-	var a1, a2, a3 uint64
-	simBench(b, "base", bench.TL2Workload(stm.NoLease, &a1))
-	simBench(b, "multilease", bench.TL2Workload(stm.HWMulti, &a2))
-	simBench(b, "singlelease", bench.TL2Workload(stm.SingleFirst, &a3))
-}
-
-// BenchmarkFig5SwHw — Figure 5 left: hardware vs software MultiLeases.
-func BenchmarkFig5SwHw(b *testing.B) {
-	var a1, a2 uint64
-	simBench(b, "hw", bench.TL2Workload(stm.HWMulti, &a1))
-	simBench(b, "sw", bench.TL2Workload(stm.SWMulti, &a2))
-}
-
-// BenchmarkFig5Pagerank — Figure 5 right: lock-based Pagerank (fixed work;
-// the metric is simulated Mcycles to completion).
-func BenchmarkFig5Pagerank(b *testing.B) {
-	for _, v := range []struct {
-		name  string
-		lease uint64
-	}{{"base", 0}, {"lease", bench.LeaseTime}} {
-		v := v
-		b.Run(v.name, func(b *testing.B) {
-			var cycles uint64
-			for i := 0; i < b.N; i++ {
-				var err error
-				cycles, _, err = bench.PagerankRun(machine.DefaultConfig(benchThreads),
-					benchThreads, v.lease, 256, 2)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(cycles)/1e6, "simMcycles")
-		})
-	}
-}
-
-// BenchmarkTextBackoff — §7 text: software mitigations vs leases.
-func BenchmarkTextBackoff(b *testing.B) {
-	simBench(b, "backoff", bench.StackWorkload(ds.StackOptions{Backoff: ds.Backoff{Min: 32, Max: 4096}}))
-	simBench(b, "elimination", bench.EliminationStackWorkload())
-	simBench(b, "flatcombining", bench.FCStackWorkload(benchThreads))
-	simBench(b, "lease", bench.StackWorkload(ds.StackOptions{Lease: bench.LeaseTime}))
-}
-
-// BenchmarkTextLowContention — §7 text: 20% updates on search structures
-// (lock-based and lock-free suites).
-func BenchmarkTextLowContention(b *testing.B) {
-	for _, kind := range bench.AllSetKinds() {
-		simBench(b, kind.String()+"/base", bench.SetWorkload(kind, 0, 1024, 512))
-		simBench(b, kind.String()+"/lease", bench.SetWorkload(kind, bench.LeaseTime, 1024, 512))
-	}
-}
-
-// BenchmarkSnapshot — §5: cheap snapshots vs double-collect.
-func BenchmarkSnapshot(b *testing.B) {
-	var a1, s1, a2, s2 uint64
-	simBench(b, "lease", bench.SnapshotWorkload(true, 4, &a1, &s1))
-	simBench(b, "doublecollect", bench.SnapshotWorkload(false, 4, &a2, &s2))
 }
 
 // BenchmarkSimulatorThroughput measures the simulator engine itself:

@@ -16,12 +16,15 @@
 //	leasebench history [-dir .leasehistory] [-note s] run.json...
 //	leasebench report [-dir .leasehistory] [-o lease-report.html] [run.json...]
 //
-// -protocol reruns any experiment on a different coherence backend
-// (default directory MSI, or Tardis timestamp coherence); the dedicated
-// protocol-compare experiment runs both side by side with identical seeds.
+// -protocol, -threads, -strict, -serve, -parallel, -cpuprofile and
+// -memprofile are the host flags shared with cmd/leasesim; bench.Host
+// documents them. Here -threads overrides the scale's thread counts, and
+// the protocol-compare experiment runs both -protocol backends side by
+// side with identical seeds.
 //
-// -compare diffs two `leasesim -json` report files per configuration
-// (ops, throughput, latency percentiles, messages per op); changes that
+// -compare diffs two `leasesim -json` report files per configuration —
+// structure, threads, lease, seed, fault profile and protocol — on ops,
+// throughput, latency percentiles and messages per op; changes that
 // regress by more than -threshold percent are marked '!', a one-line
 // verdict goes to stderr, and the exit status is 1 when any exist.
 // `history` appends per-run summary metrics from `leasesim -json` files
@@ -29,41 +32,31 @@
 // `report` renders the store plus optional current-run files into a
 // single self-contained HTML report (sweep tables, histogram sparklines,
 // lease-ledger rankings, cross-run trend lines — no external assets).
-// -serve exposes live sweep introspection
-// (per-experiment cell progress, pool occupancy, simulated-cycles/s) over
-// HTTP while experiments run; see cmd/leasesim for the endpoints.
-//
-// Sweep cells — one (experiment, thread count, variant) measurement each —
-// run on a host worker pool (-parallel, default GOMAXPROCS). Each cell
-// owns a private simulated machine and rows are emitted in the original
-// serial order, so experiment output is byte-identical for any -parallel
-// value; only wall-clock changes.
 //
 // -perfjson records per-experiment wall-clock times (the tracked host-
 // performance trajectory; see EXPERIMENTS.md §Host performance) and, as
 // "engine_stats", the event kernel's host-side counters summed over the
 // sweep's cells; -perfbase computes speedups against a previously recorded
 // file.
-// -cpuprofile/-memprofile capture pprof profiles of the harness itself.
 //
-// An experiment that panics is recovered and reported; the remaining
-// experiments still run and the exit status is 1. -strict aborts at the
+// A cell that fails (deadlock, livelock, panic, protocol violation, blown
+// cycle budget) is named on stderr with the machine's state dump and on a
+// FAILED line under its experiment's tables; the other cells and
+// experiments still run and the exit status is 1. -strict stops at the
 // first failed experiment instead.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
-	"runtime/pprof"
-	"strconv"
-	"strings"
 	"time"
 
 	"leaserelease/internal/bench"
-	"leaserelease/internal/coherence"
 	"leaserelease/internal/sim"
 )
 
@@ -106,105 +99,121 @@ type PerfReport struct {
 	TotalSpeedupVsBase float64 `json:"total_speedup_vs_base,omitempty"`
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// experiments is what -list names and -exp selects from.
+var experiments = bench.All()
+
+// run is main: it returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
 	// Subcommands of the report pipeline dispatch before the global flag
 	// set: `leasebench history ...` and `leasebench report ...` have their
 	// own flags (see runHistory/runReport).
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
+	if len(args) > 0 {
+		switch args[0] {
 		case "history":
-			os.Exit(runHistory(os.Args[2:]))
+			return runHistory(args[1:])
 		case "report":
-			os.Exit(runReport(os.Args[2:]))
+			return runReport(args[1:])
 		}
 	}
+	fs := flag.NewFlagSet("leasebench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	// -protocol -threads -strict -serve -parallel -cpuprofile -memprofile
+	// are shared with cmd/leasesim; -threads overrides the scale's counts.
+	host := bench.AddHostFlags(fs, "")
 	var (
-		exp      = flag.String("exp", "", "experiment id to run, or 'all'")
-		list     = flag.Bool("list", false, "list experiment ids and exit")
-		protocol = flag.String("protocol", "msi", "coherence protocol backend: msi|tardis")
-		quick    = flag.Bool("quick", false, "small thread sweep and short windows")
-		threads  = flag.String("threads", "", "comma-separated thread counts (override)")
-		warm     = flag.Uint64("warm", 0, "warmup cycles (override)")
-		window   = flag.Uint64("window", 0, "measurement window cycles (override)")
-		strict   = flag.Bool("strict", false, "abort at the first failed experiment")
+		exp    = fs.String("exp", "", "experiment id to run, or 'all'")
+		list   = fs.Bool("list", false, "list experiment ids and exit")
+		quick  = fs.Bool("quick", false, "small thread sweep and short windows")
+		warm   = fs.Uint64("warm", 0, "warmup cycles: an override of the sweep scale's, 0 keeps it (leasesim's -warm is a different flag: a plain value with its own default)")
+		window = fs.Uint64("window", 0, "measurement window cycles (override)")
 
-		compare   = flag.Bool("compare", false, "compare two leasesim -json report files: leasebench -compare old.json new.json")
-		threshold = flag.Float64("threshold", 5, "with -compare, highlight regressions beyond this percentage (0 disables)")
-		serveAddr = flag.String("serve", "", "serve live sweep introspection over HTTP on this address (e.g. :9090)")
+		compare   = fs.Bool("compare", false, "compare two leasesim -json report files: leasebench -compare old.json new.json")
+		threshold = fs.Float64("threshold", 5, "with -compare, highlight regressions beyond this percentage (0 disables)")
 
-		parallel = flag.Int("parallel", 0, "worker pool size for sweep cells (0 = GOMAXPROCS, 1 = serial)")
-		perfjson = flag.String("perfjson", "", "write per-experiment wall-clock times as JSON to this file")
-		perfbase = flag.String("perfbase", "", "baseline perfjson file to compute speedups against")
-		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof  = flag.String("memprofile", "", "write an allocation profile to this file at exit")
+		perfjson = fs.String("perfjson", "", "write per-experiment wall-clock times as JSON to this file")
+		perfbase = fs.String("perfbase", "", "baseline perfjson file to compute speedups against")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	menu := func(w io.Writer, indent string) {
+		for _, e := range experiments {
+			fmt.Fprintf(w, "%s%-20s %s\n", indent, e.ID, e.Paper)
+		}
+	}
 
 	if *list {
-		for _, e := range bench.All() {
-			fmt.Printf("%-20s %s\n", e.ID, e.Paper)
-		}
-		return
+		menu(stdout, "")
+		return 0
 	}
 	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "leasebench: -compare wants exactly two files: old.json new.json")
-			os.Exit(2)
+		if fs.NArg() != 2 {
+			fmt.Fprintln(stderr, "leasebench: -compare wants exactly two files: old.json new.json")
+			return 2
 		}
-		oldReps, err := bench.ReadReportFile(flag.Arg(0))
+		oldReps, err := bench.ReadReportFile(fs.Arg(0))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "leasebench: -compare: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "leasebench: -compare: %v\n", err)
+			return 2
 		}
-		newReps, err := bench.ReadReportFile(flag.Arg(1))
+		newReps, err := bench.ReadReportFile(fs.Arg(1))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "leasebench: -compare: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "leasebench: -compare: %v\n", err)
+			return 2
 		}
-		fmt.Printf("## compare %s -> %s\n", flag.Arg(0), flag.Arg(1))
-		regressions, compared := bench.CompareReports(os.Stdout, oldReps, newReps, *threshold)
+		fmt.Fprintf(stdout, "## compare %s -> %s\n", fs.Arg(0), fs.Arg(1))
+		regressions, compared := bench.CompareReports(stdout, oldReps, newReps, *threshold)
 		// One-line verdict on stderr so CI logs carry the outcome without
 		// scraping the stdout table.
 		verdict := "OK"
 		if regressions > 0 {
 			verdict = "REGRESSED"
 		}
-		fmt.Fprintf(os.Stderr, "leasebench: -compare %s: %d configs compared, %d regressions beyond %.1f%%\n",
+		fmt.Fprintf(stderr, "leasebench: -compare %s: %d configs compared, %d regressions beyond %.1f%%\n",
 			verdict, compared, regressions, *threshold)
 		if regressions > 0 {
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 	if *exp == "" {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
-	if !coherence.ValidProtocol(*protocol) {
-		fmt.Fprintf(os.Stderr, "leasebench: unknown -protocol %q (valid: %s)\n",
-			*protocol, strings.Join(coherence.Protocols(), ", "))
-		os.Exit(2)
+	selected := experiments
+	if *exp != "all" {
+		selected = nil
+		for _, e := range experiments {
+			if e.ID == *exp {
+				selected = []bench.Experiment{e}
+			}
+		}
+		if selected == nil {
+			// Fail fast with the full menu: a typo'd -exp should not cost a
+			// trip through -list.
+			fmt.Fprintf(stderr, "leasebench: unknown experiment %q; valid experiments:\n", *exp)
+			menu(stderr, "  ")
+			fmt.Fprintln(stderr, "  all                  run every experiment")
+			return 2
+		}
+	}
+	if err := host.Start("leasebench", stderr); err != nil {
+		fmt.Fprintf(stderr, "leasebench: %v\n", err)
+		return 2
 	}
 
 	p := bench.FullParams()
 	if *quick {
 		p = bench.QuickParams()
 	}
-	if *protocol != "" && *protocol != coherence.ProtocolMSI {
-		// The default MSI stays the empty tag so default sweeps are
-		// byte-identical to builds that predate -protocol.
-		p.Protocol = *protocol
-	}
-	if *threads != "" {
-		p.Threads = nil
-		for _, s := range strings.Split(*threads, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n < 1 || n > 64 {
-				fmt.Fprintf(os.Stderr, "leasebench: bad thread count %q\n", s)
-				os.Exit(2)
-			}
-			p.Threads = append(p.Threads, n)
-		}
+	p.Protocol, p.Pool, p.Progress = host.Protocol, host.Pool, host.Progress
+	if host.Threads != nil {
+		p.Threads = host.Threads
 	}
 	if *warm > 0 {
 		p.Warm = *warm
@@ -212,103 +221,64 @@ func main() {
 	if *window > 0 {
 		p.Window = *window
 	}
-
-	stopProfiles := startProfiles(*cpuprof, *memprof)
-	p.Pool = bench.NewPool(*parallel)
-	// Record the count the run actually gets, not the requested one: a
-	// -parallel 4 run on a 1-CPU host timeshares — BENCH_host.json must
-	// say so.
-	effWorkers := p.Pool.Workers()
-	if effWorkers > runtime.NumCPU() {
-		fmt.Fprintf(os.Stderr,
-			"leasebench: warning: %d workers exceeds NumCPU=%d; host threads will timeshare and wall-clock gains flatten\n",
-			effWorkers, runtime.NumCPU())
-	}
-	if *serveAddr != "" {
-		p.Progress = bench.NewProgress()
-		p.Progress.SetPool(p.Pool)
-		addr, err := p.Progress.Serve(*serveAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "leasebench: -serve: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "leasebench: introspection on http://%s (/progress /metrics /debug/vars)\n", addr)
-	}
 	perf := &PerfReport{
-		SchemaVersion:    1,
-		GoVersion:        runtime.Version(),
-		GOOS:             runtime.GOOS,
-		GOARCH:           runtime.GOARCH,
-		NumCPU:           runtime.NumCPU(),
-		Parallel:         *parallel,
-		EffectiveWorkers: effWorkers,
+		SchemaVersion: 1,
+		GoVersion:     runtime.Version(),
+		GOOS:          runtime.GOOS,
+		GOARCH:        runtime.GOARCH,
+		NumCPU:        runtime.NumCPU(),
+		Parallel:      host.Parallel,
+		// The count the run actually gets, not the requested one: a
+		// -parallel 4 run on a 1-CPU host timeshares — BENCH_host.json must
+		// say so.
+		EffectiveWorkers: host.Pool.Workers(),
 		Quick:            *quick,
 		Threads:          p.Threads,
 		WarmCycles:       p.Warm,
 		WindowCycles:     p.Window,
 	}
-	// exit tears down the pool and flushes profiles and the perf report
-	// before the process ends (os.Exit skips deferred calls).
-	exit := func(code int) {
-		p.Pool.Close()
-		perf.EngineStats = bench.EngineTotal()
-		writePerf(*perfjson, *perfbase, perf)
-		stopProfiles()
-		os.Exit(code)
-	}
 
-	// run executes one experiment, converting an escaping panic (which the
-	// sim kernel annotates with cycle/proc/event context) into a reported
-	// failure so the remaining experiments still run.
-	run := func(e bench.Experiment) (ok bool) {
-		fmt.Printf("## %s — %s\n", e.ID, e.Paper)
+	// runOne executes one experiment and reports its failed cells. An
+	// escaping panic (which the sim kernel annotates with cycle/proc/event
+	// context) is a failure too; either way the remaining experiments run.
+	runOne := func(e bench.Experiment) (ok bool) {
+		fmt.Fprintf(stdout, "## %s — %s\n", e.ID, e.Paper)
 		start := time.Now()
 		defer func() {
 			if r := recover(); r != nil {
 				ok = false
-				fmt.Fprintf(os.Stderr, "leasebench: experiment %s FAILED: %v\n", e.ID, r)
+				fmt.Fprintf(stderr, "leasebench: experiment %s FAILED: %v\n", e.ID, r)
 			}
 			wall := time.Since(start).Seconds()
 			perf.Experiments = append(perf.Experiments, ExpPerf{ID: e.ID, WallSeconds: wall, OK: ok})
 			perf.TotalWallSeconds += wall
-			fmt.Printf("(wall time %.1fs)\n\n", wall)
+			fmt.Fprintf(stdout, "(wall time %.1fs)\n\n", wall)
 		}()
-		pe := p
-		pe.Exp = e.ID // progress cells report as "<exp>/tN"
-		e.Run(os.Stdout, pe)
-		return true
-	}
-
-	if *exp == "all" {
-		failed := false
-		for _, e := range bench.All() {
-			if !run(e) {
-				failed = true
-				if *strict {
-					exit(1)
-				}
+		failed := e.Run(stdout, p)
+		for _, f := range failed {
+			fmt.Fprintf(stderr, "leasebench: %s FAILED (%s): %s\n", f.Cell, f.Err.Reason, f.Err.Detail)
+			if f.Err.Dump != nil {
+				fmt.Fprint(stderr, f.Err.Dump)
 			}
 		}
-		if failed {
-			exit(1)
+		return len(failed) == 0
+	}
+
+	status := 0
+	for _, e := range selected {
+		if !runOne(e) {
+			status = 1
+			if host.Strict {
+				break
+			}
 		}
-		exit(0)
 	}
-	e, ok := bench.Find(*exp)
-	if !ok {
-		// Fail fast with the full menu: a typo'd -exp should not cost a
-		// trip through -list.
-		fmt.Fprintf(os.Stderr, "leasebench: unknown experiment %q; valid experiments:\n", *exp)
-		for _, e := range bench.All() {
-			fmt.Fprintf(os.Stderr, "  %-20s %s\n", e.ID, e.Paper)
-		}
-		fmt.Fprintln(os.Stderr, "  all                  run every experiment")
-		os.Exit(2)
-	}
-	if !run(e) {
-		exit(1)
-	}
-	exit(0)
+	// Tear down the pool and flush the profiles and the perf report before
+	// the process ends.
+	host.Close()
+	perf.EngineStats = bench.EngineTotal()
+	writePerf(stderr, *perfjson, *perfbase, perf)
+	return status
 }
 
 // runHistory implements `leasebench history [-dir D] [-note s] run.json...`:
@@ -401,14 +371,14 @@ func runReport(args []string) int {
 
 // writePerf fills in speedups against the optional baseline file and
 // writes the perf report.
-func writePerf(path, basePath string, perf *PerfReport) {
+func writePerf(stderr io.Writer, path, basePath string, perf *PerfReport) {
 	if path == "" {
 		return
 	}
 	if basePath != "" {
 		base, err := readPerf(basePath)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "leasebench: -perfbase: %v\n", err)
+			fmt.Fprintf(stderr, "leasebench: -perfbase: %v\n", err)
 		} else {
 			perf.BaselineFile = basePath
 			baseWall := make(map[string]float64, len(base.Experiments))
@@ -430,7 +400,7 @@ func writePerf(path, basePath string, perf *PerfReport) {
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "leasebench: -perfjson: %v\n", err)
+		fmt.Fprintf(stderr, "leasebench: -perfjson: %v\n", err)
 		return
 	}
 	enc := json.NewEncoder(f)
@@ -441,7 +411,7 @@ func writePerf(path, basePath string, perf *PerfReport) {
 		f.Close()
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "leasebench: -perfjson: %v\n", err)
+		fmt.Fprintf(stderr, "leasebench: -perfjson: %v\n", err)
 	}
 }
 
@@ -455,41 +425,4 @@ func readPerf(path string) (*PerfReport, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return &p, nil
-}
-
-// startProfiles starts CPU profiling and arranges a heap profile at exit
-// (shared flag behavior with cmd/leasesim). The returned func must run
-// before the process exits.
-func startProfiles(cpu, mem string) func() {
-	var cpuF *os.File
-	if cpu != "" {
-		f, err := os.Create(cpu)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "leasebench: -cpuprofile: %v\n", err)
-			os.Exit(2)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "leasebench: -cpuprofile: %v\n", err)
-			os.Exit(2)
-		}
-		cpuF = f
-	}
-	return func() {
-		if cpuF != nil {
-			pprof.StopCPUProfile()
-			cpuF.Close()
-		}
-		if mem != "" {
-			f, err := os.Create(mem)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "leasebench: -memprofile: %v\n", err)
-				return
-			}
-			runtime.GC()
-			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fmt.Fprintf(os.Stderr, "leasebench: -memprofile: %v\n", err)
-			}
-			f.Close()
-		}
-	}
 }

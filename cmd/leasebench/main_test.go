@@ -1,0 +1,158 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+
+	"leaserelease/internal/bench"
+	"leaserelease/internal/machine"
+)
+
+// leasebench runs the binary's main with the given arguments.
+func leasebench(args ...string) (status int, stdout, stderr string) {
+	var out, errOut bytes.Buffer
+	status = run(args, &out, &errOut)
+	return status, out.String(), errOut.String()
+}
+
+func TestListNamesEveryExperiment(t *testing.T) {
+	status, out, _ := leasebench("-list")
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if status != 0 || len(lines) != 20 || len(lines) != len(bench.All()) {
+		t.Fatalf("-list: status %d, %d lines, want 0 and 20:\n%s", status, len(lines), out)
+	}
+	for i, e := range bench.All() {
+		if !strings.HasPrefix(lines[i], e.ID+" ") || !strings.HasSuffix(lines[i], e.Paper) {
+			t.Errorf("-list line %d = %q, want %s and its title", i, lines[i], e.ID)
+		}
+	}
+}
+
+// Usage errors exit 2 before anything runs, and say what would have been
+// valid.
+func TestUsageErrors(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want []string // on stderr
+	}{
+		{[]string{"-exp", "fig9"}, []string{`unknown experiment "fig9"`, "  fig2 ", "  protocol-compare ", "  all "}},
+		{[]string{"-exp", "fig2", "-protocol", "moesi"}, []string{`unknown -protocol "moesi"`, "msi, tardis"}},
+		{[]string{"-exp", "fig2", "-threads", "2,x"}, []string{`bad thread count "x"`}},
+		{[]string{"-exp", "fig2", "-threads", "65"}, []string{`bad thread count "65"`}},
+		{[]string{"-compare", "only-one.json"}, []string{"-compare wants exactly two files"}},
+		{[]string{"-nosuchflag"}, []string{"flag provided but not defined"}},
+		{nil, []string{"-exp string"}},
+	} {
+		status, out, errOut := leasebench(c.args...)
+		if status != 2 || out != "" {
+			t.Errorf("%v: status %d, stdout %q; want 2 and nothing on stdout", c.args, status, out)
+		}
+		for _, want := range c.want {
+			if !strings.Contains(errOut, want) {
+				t.Errorf("%v: stderr lacks %q:\n%s", c.args, want, errOut)
+			}
+		}
+	}
+}
+
+var wallTime = regexp.MustCompile(`(?m)^\(wall time [0-9.]+s\)\n`)
+
+// An experiment run through the CLI prints its header, exactly what its
+// declaration prints, and the wall-time line.
+func TestExperimentOutputIsTheDeclarations(t *testing.T) {
+	status, out, errOut := leasebench("-exp", "fig4-mq", "-quick", "-parallel", "2")
+	if status != 0 {
+		t.Fatalf("status %d, stderr:\n%s", status, errOut)
+	}
+	e, _ := bench.Find("fig4-mq")
+	var want bytes.Buffer
+	want.WriteString("## fig4-mq — " + e.Paper + "\n")
+	if failed := e.Run(&want, bench.QuickParams()); len(failed) > 0 {
+		t.Fatal(failed)
+	}
+	want.WriteString("\n")
+	if !wallTime.MatchString(out) {
+		t.Errorf("no wall-time line:\n%s", out)
+	}
+	if got := wallTime.ReplaceAllString(out, ""); got != want.String() {
+		t.Errorf("CLI output, wall time stripped:\n%s\nwant the declaration's:\n%s", got, &want)
+	}
+}
+
+// A report file holding the same structure under two protocols and two
+// seeds, compared with itself, matches every report to itself: exit 0.
+func TestCompareSelfIsClean(t *testing.T) {
+	var file bytes.Buffer
+	enc := json.NewEncoder(&file)
+	for _, r := range []bench.Report{
+		{DS: "counter", Threads: 4, Lease: true, Seed: 1, Ops: 1000, MopsPerSec: 14.5, MsgsPerOp: 5},
+		{DS: "counter", Threads: 4, Lease: true, Seed: 1, Protocol: "tardis", Ops: 700, MopsPerSec: 9.9, MsgsPerOp: 7.5},
+		{DS: "counter", Threads: 4, Lease: true, Seed: 2, Ops: 900, MopsPerSec: 13, MsgsPerOp: 5.2},
+	} {
+		if err := enc.Encode(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "m.json")
+	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	status, out, errOut := leasebench("-compare", path, path)
+	if status != 0 || !strings.Contains(errOut, "-compare OK: 3 configs compared, 0 regressions") {
+		t.Errorf("status %d, stderr %q; want 0 and an OK verdict over 3 configs\n%s", status, errOut, out)
+	}
+	if strings.Contains(out, "(new)") || strings.Contains(out, "% !") || !strings.Contains(out, "counter/t4/lease/s1/ptardis") {
+		t.Errorf("self-compare table:\n%s", out)
+	}
+}
+
+// A failed cell fails its experiment and the process: the cell is named on
+// stderr with its cause and the machine's state dump, stdout keeps the
+// table and says FAILED under it, the exit status is 1, and the remaining
+// experiments still run unless -strict.
+func TestFailedCellExitsOne(t *testing.T) {
+	panicky := func(d *machine.Direct) bench.OpFunc {
+		return func(tid int, c *machine.Ctx) {
+			c.Work(100)
+			if c.Now() > 60_000 {
+				panic("boom")
+			}
+		}
+	}
+	failing := bench.Experiment{ID: "failing", Paper: "one variant panics mid-window", Sweep: func(p bench.Params) bench.Sweep {
+		return bench.Sweep{
+			Rows:     []bench.Row{{Threads: 2}},
+			Variants: []bench.Variant{{Name: "broken", Build: func(bench.Row) bench.Workload { return panicky }}},
+			Tables: []bench.TableSpec{{Cols: []bench.Col{{Head: "broken Mops/s",
+				Cell: func(res []bench.Result) any { return res[0].MopsPerSec }}}}},
+		}
+	}}
+	table1, _ := bench.Find("table1")
+	defer func(saved []bench.Experiment) { experiments = saved }(experiments)
+	experiments = []bench.Experiment{failing, table1}
+
+	status, out, errOut := leasebench("-exp", "all", "-quick", "-parallel", "1")
+	if status != 1 {
+		t.Errorf("status %d, want 1", status)
+	}
+	for _, want := range []string{"## failing — ", "2        0.000", "FAILED failing/broken/t2 (panic): ", "## table1 — ", "MAX_NUM_LEASES"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("stdout lacks %q:\n%s", want, out)
+		}
+	}
+	for _, want := range []string{"leasebench: failing/broken/t2 FAILED (panic): ", "boom", "machine state at cycle"} {
+		if !strings.Contains(errOut, want) {
+			t.Errorf("stderr lacks %q:\n%s", want, errOut)
+		}
+	}
+
+	status, out, _ = leasebench("-exp", "all", "-quick", "-parallel", "1", "-strict")
+	if status != 1 || strings.Contains(out, "## table1") {
+		t.Errorf("-strict: status %d, want 1 and nothing after the failed experiment:\n%s", status, out)
+	}
+}

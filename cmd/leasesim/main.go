@@ -11,16 +11,12 @@
 //	leasesim -ds stack -threads 1,2,4,8,16,32 -lease -parallel 4
 //	leasesim -ds counter -threads 8 -lease -protocol tardis -spans
 //
-// -protocol selects the coherence backend: the default directory MSI, or
-// Tardis timestamp coherence (per-line wts/rts, silent reservation expiry
-// instead of invalidations). All other flags compose with either backend.
-//
-// -threads accepts a comma-separated sweep; each count is one cell. Cells
-// run on a host worker pool (-parallel, default GOMAXPROCS; each cell owns
-// a private simulated machine) with stdout/stderr buffered per cell and
-// emitted in sweep order, so output is byte-identical for any -parallel
-// value. Each -json report carries the event kernel's host-side counters
-// (events executed, how core wake-ups were paid for) as "engine_stats".
+// -protocol, -threads, -strict, -serve, -parallel, -cpuprofile and
+// -memprofile are the host flags shared with cmd/leasebench; bench.Host
+// documents them. Each -threads count is one cell, with stdout/stderr
+// buffered per cell and emitted in sweep order. Each -json report carries
+// the event kernel's host-side counters (events executed, how core wake-ups
+// were paid for) as "engine_stats".
 // A failing cell (deadlock, panic, protocol/invariant violation) is
 // reported on stderr with a machine state dump, the rest of the sweep
 // still runs, and the exit status is 1; -strict instead stops emitting at
@@ -46,11 +42,6 @@
 // chrome://tracing or https://ui.perfetto.dev showing each core's lease
 // intervals — and, with spans, nested transaction slices with flow arrows —
 // on the simulated timeline.
-// -serve binds a host-side HTTP endpoint with live sweep introspection
-// (/progress JSON, /metrics Prometheus text, /debug/vars expvar): per-cell
-// progress, worker-pool occupancy, and simulated-cycles/s. It is safe
-// alongside -parallel and never perturbs simulated timing.
-// -cpuprofile/-memprofile capture pprof profiles of the host process.
 package main
 
 import (
@@ -60,44 +51,28 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
-	"strconv"
 	"strings"
 
 	"leaserelease/internal/bench"
-	"leaserelease/internal/coherence"
-	"leaserelease/internal/ds"
 	"leaserelease/internal/faults"
 	"leaserelease/internal/machine"
-	"leaserelease/internal/multiqueue"
 	"leaserelease/internal/sim"
 	"leaserelease/internal/stm"
 	"leaserelease/internal/telemetry"
 )
 
-func parseThreads(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 || n > 64 {
-			return nil, fmt.Errorf("bad thread count %q (want 1..64)", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
 func main() {
+	// -protocol -threads -strict -serve -parallel -cpuprofile -memprofile
+	// are shared with cmd/leasebench.
+	host := bench.AddHostFlags(flag.CommandLine, "8")
+	menu := bench.StructureNames() // the default is its first entry
 	var (
-		dsName     = flag.String("ds", "stack", "data structure: stack|queue|pq|counter|multiqueue|tl2|harris|skiplist|bst|hash|lfskip|lfbst|lfhash")
-		protocol   = flag.String("protocol", "msi", "coherence protocol backend: msi|tardis")
-		threads    = flag.String("threads", "8", "thread/core count, or a comma-separated sweep (e.g. 4,8,16)")
+		dsName     = flag.String("ds", menu[0], "data structure: "+strings.Join(menu, "|"))
 		lease      = flag.Bool("lease", false, "enable the paper's lease placement")
 		leaseTime  = flag.Uint64("leasetime", 20000, "lease duration in cycles")
 		maxLease   = flag.Uint64("maxleasetime", 20000, "MAX_LEASE_TIME in cycles")
 		cycles     = flag.Uint64("cycles", 1_000_000, "cycles to simulate")
-		warm       = flag.Uint64("warm", 100_000, "warmup cycles excluded from the report")
+		warm       = flag.Uint64("warm", 100_000, "warmup cycles excluded from the report (leasebench's -warm is a different flag: an override of its sweep scale)")
 		priority   = flag.Bool("priority", false, "regular requests break leases (§5)")
 		mesi       = flag.Bool("mesi", false, "MESI exclusive-clean read fills (§8)")
 		trace      = flag.Int("trace", 0, "print the first N lease-mechanism events")
@@ -115,65 +90,38 @@ func main() {
 		preemptMax = flag.Uint64("preemptmax", 40000, "maximum preemption duration in cycles")
 		preemptTgt = flag.Bool("preempttargeted", false, "preempt only lease/write holders (adversarial stalled-holder schedule)")
 		controller = flag.Bool("controller", false, "enable the adaptive lease-duration controller")
-		strict     = flag.Bool("strict", false, "abort the sweep at the first failed cell")
 		spans      = flag.Bool("spans", false, "trace coherence-transaction spans and report the cycle accounting")
 		ledger     = flag.Bool("ledger", false, "account per-line lease efficiency (granted/used/wasted cycles, ops absorbed, deferral inflicted)")
 		compactB   = flag.Bool("compactbuckets", false, "with -json, emit histogram buckets as compact [lo,count] pairs")
-		serveAddr  = flag.String("serve", "", "serve live sweep introspection over HTTP on this address (e.g. :9090)")
-
-		parallel = flag.Int("parallel", 0, "worker pool size for sweep cells (0 = GOMAXPROCS, 1 = serial)")
-		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof  = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
 	flag.Parse()
 
-	threadList, err := parseThreads(*threads)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "leasesim: %v\n", err)
+	usage := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "leasesim: "+format+"\n", args...)
 		os.Exit(2)
 	}
-	if !validDS(*dsName) {
-		fmt.Fprintf(os.Stderr, "leasesim: unknown -ds %q (valid: %s)\n",
-			*dsName, strings.Join(dsNames, ", "))
-		os.Exit(2)
-	}
-	if !coherence.ValidProtocol(*protocol) {
-		fmt.Fprintf(os.Stderr, "leasesim: unknown -protocol %q (valid: %s)\n",
-			*protocol, strings.Join(coherence.Protocols(), ", "))
-		os.Exit(2)
+	structure, ok := bench.FindStructure(*dsName)
+	if !ok {
+		// Fail fast with the full menu: a typo should not cost a trip to -help.
+		usage("unknown -ds %q (valid: %s)", *dsName, strings.Join(menu, ", "))
 	}
 	if *preempt < 0 || *preempt > 1000 {
-		fmt.Fprintf(os.Stderr, "leasesim: -preempt %d out of range (want 0..1000 permille)\n", *preempt)
-		os.Exit(2)
+		usage("-preempt %d out of range (want 0..1000 permille)", *preempt)
 	}
-	if *dsName == "tl2" && parseMulti(*multi) < 0 {
-		fmt.Fprintf(os.Stderr, "leasesim: bad -multilease %q\n", *multi)
-		os.Exit(2)
+	if structure.MultiLease && parseMulti(*multi) < 0 {
+		usage("bad -multilease %q", *multi)
 	}
-
-	stopProfiles := startProfiles(*cpuprof, *memprof)
-	pool := bench.NewPool(*parallel)
-	if pool.Workers() > runtime.NumCPU() {
-		fmt.Fprintf(os.Stderr,
-			"leasesim: warning: -parallel %d exceeds NumCPU=%d; host threads will timeshare and wall-clock gains flatten\n",
-			pool.Workers(), runtime.NumCPU())
+	if err := host.Start("leasesim", os.Stderr); err != nil {
+		usage("%v", err)
 	}
 	exit := func(code int) {
-		pool.Close()
-		stopProfiles()
+		host.Close()
 		os.Exit(code)
 	}
-
-	var prog *bench.Progress // nil (inert) unless -serve is set
-	if *serveAddr != "" {
-		prog = bench.NewProgress()
-		prog.SetPool(pool)
-		addr, err := prog.Serve(*serveAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "leasesim: -serve: %v\n", err)
-			exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "leasesim: introspection on http://%s (/progress /metrics /debug/vars)\n", addr)
+	threadList := host.Threads
+	if len(threadList) == 0 {
+		host.Close()
+		usage("-threads wants at least one thread count")
 	}
 
 	// Submit every cell first, then emit buffered results in sweep order:
@@ -189,7 +137,7 @@ func main() {
 			tl = fmt.Sprintf("%s.t%d", tl, n)
 		}
 		c := cell{
-			ds: *dsName, protocol: *protocol, threads: n, lease: *lease, leaseTime: *leaseTime,
+			ds: *dsName, protocol: host.Protocol, threads: n, lease: *lease, leaseTime: *leaseTime,
 			maxLease: *maxLease, cycles: *cycles, warm: *warm,
 			priority: *priority, mesi: *mesi, trace: *trace,
 			predictor: *predictor, multi: *multi, seed: *seed,
@@ -198,9 +146,9 @@ func main() {
 			preempt: *preempt, preemptMin: *preemptMin, preemptMax: *preemptMax,
 			preemptTargeted: *preemptTgt, controller: *controller,
 			spans: *spans, ledger: *ledger, compactBuckets: *compactB,
-			progress: prog.Cell(fmt.Sprintf("%s/t%d", *dsName, n)),
+			progress: host.Progress.Cell(fmt.Sprintf("%s/t%d", *dsName, n)),
 		}
-		futures[i] = bench.Go(pool, func() cellResult {
+		futures[i] = bench.Go(host.Pool, func() cellResult {
 			var out, errOut bytes.Buffer
 			ok := runCell(c, &out, &errOut)
 			return cellResult{out: out.Bytes(), errOut: errOut.Bytes(), ok: ok}
@@ -214,7 +162,7 @@ func main() {
 		os.Stderr.Write(r.errOut)
 		if !r.ok {
 			anyFailed = true
-			if *strict {
+			if host.Strict {
 				exit(1)
 			}
 		}
@@ -252,20 +200,6 @@ type cell struct {
 	ledger              bool
 	compactBuckets      bool
 	progress            *bench.CellProgress
-}
-
-// dsNames lists every -ds value runCell's switch dispatches on; the
-// unknown-ds error prints it so a typo fails fast with the full menu.
-var dsNames = []string{"stack", "queue", "pq", "counter", "multiqueue", "tl2",
-	"harris", "skiplist", "bst", "hash", "lfskip", "lfbst", "lfhash"}
-
-func validDS(name string) bool {
-	for _, n := range dsNames {
-		if name == n {
-			return true
-		}
-	}
-	return false
 }
 
 // parseMulti maps a -multilease flavor to an stm mode, or -1 if unknown.
@@ -313,48 +247,14 @@ func runCell(c cell, out, errOut io.Writer) bool {
 		lt = c.leaseTime
 	}
 
-	var build func(d *machine.Direct) bench.OpFunc
-	var aborts uint64
-	switch c.ds {
-	case "stack":
-		build = bench.StackWorkload(ds.StackOptions{Lease: lt})
-	case "queue":
-		mode := ds.QueueNoLease
-		if c.lease {
-			mode = ds.QueueSingleLease
-		}
-		build = bench.QueueWorkload(mode)
-	case "pq":
-		kind := bench.PQFineLocking
-		if c.lease {
-			kind = bench.PQGlobalLeased
-		}
-		build = bench.PQWorkload(kind, 512)
-	case "counter":
-		kind := bench.CounterTTS
-		if c.lease {
-			kind = bench.CounterLeasedTTS
-		}
-		build = bench.CounterWorkload(kind)
-	case "multiqueue":
-		build = bench.MQWorkload(multiqueue.Options{LeaseTime: lt})
-	case "tl2":
-		build = bench.TL2Workload(parseMulti(c.multi), &aborts)
-	case "harris":
-		build = bench.SetWorkload(bench.SetHarris, lt, 1024, 512)
-	case "skiplist":
-		build = bench.SetWorkload(bench.SetLazySkip, lt, 1024, 512)
-	case "bst":
-		build = bench.SetWorkload(bench.SetBST, lt, 1024, 512)
-	case "hash":
-		build = bench.SetWorkload(bench.SetHash, lt, 1024, 512)
-	case "lfskip":
-		build = bench.SetWorkload(bench.SetLFSkip, lt, 1024, 512)
-	case "lfbst":
-		build = bench.SetWorkload(bench.SetNMTree, lt, 1024, 512)
-	case "lfhash":
-		build = bench.SetWorkload(bench.SetMichaelHash, lt, 1024, 512)
+	structure, ok := bench.FindStructure(c.ds)
+	if !ok {
+		fmt.Fprintf(errOut, "leasesim: unknown -ds %q\n", c.ds)
+		return false
 	}
+	var aborts uint64
+	build := structure.Build(bench.StructureOpts{Lease: lt, KeyRange: 1024, Prefill: 512,
+		TL2Mode: parseMulti(c.multi), Aborts: &aborts})
 
 	rec := telemetry.NewRecorder()
 	if c.timeline != "" {
@@ -550,41 +450,4 @@ func runCell(c cell, out, errOut io.Writer) bool {
 	fmt.Fprintln(out, "\nwindow counters:")
 	fmt.Fprintln(out, r.Window)
 	return true
-}
-
-// startProfiles starts CPU profiling and arranges a heap profile at exit
-// (shared flag behavior with cmd/leasebench). The returned func must run
-// before the process exits.
-func startProfiles(cpu, mem string) func() {
-	var cpuF *os.File
-	if cpu != "" {
-		f, err := os.Create(cpu)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "leasesim: -cpuprofile: %v\n", err)
-			os.Exit(2)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "leasesim: -cpuprofile: %v\n", err)
-			os.Exit(2)
-		}
-		cpuF = f
-	}
-	return func() {
-		if cpuF != nil {
-			pprof.StopCPUProfile()
-			cpuF.Close()
-		}
-		if mem != "" {
-			f, err := os.Create(mem)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "leasesim: -memprofile: %v\n", err)
-				return
-			}
-			runtime.GC()
-			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fmt.Fprintf(os.Stderr, "leasesim: -memprofile: %v\n", err)
-			}
-			f.Close()
-		}
-	}
 }

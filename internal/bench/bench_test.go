@@ -37,8 +37,9 @@ func TestThroughputDeterministic(t *testing.T) {
 
 // TestAllExperimentsRunQuick pins every experiment's output, byte for byte,
 // to testdata/experiments/<id>.golden — and fig2, degradation and table1
-// again under Tardis — once run serially and once on a worker pool. An
-// intentional change regenerates them:
+// again under Tardis — once run serially and once on a worker pool with a
+// live-introspection hub attached, which must see every cell exactly once.
+// An intentional change regenerates the goldens:
 //
 //	go test ./internal/bench -run TestAllExperimentsRunQuick -update
 func TestAllExperimentsRunQuick(t *testing.T) {
@@ -47,26 +48,64 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 	}
 	pool := NewPool(3)
 	defer pool.Close()
+	hub := NewProgress()
+	cells, ran := 0, map[string]bool{}
 	tardis := map[string]bool{"fig2": true, "degradation": true, "table1": true}
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			p := Params{Threads: []int{2, 4}, Warm: 20_000, Window: 60_000}
+			p := Params{Threads: []int{2, 4}, Warm: 20_000, Window: 60_000, Progress: hub}
+			s := e.Sweep(p)
+			cells += len(s.Rows) * len(s.Variants)
+			ran[e.ID] = true
 			checkExperimentGolden(t, e, p, pool, e.ID+".golden")
 			if tardis[e.ID] {
-				p.Protocol = coherence.ProtocolTardis
+				p.Protocol, p.Progress = coherence.ProtocolTardis, nil
 				checkExperimentGolden(t, e, p, pool, e.ID+".tardis.golden")
 			}
 		})
 	}
+
+	// -serve sees every cell once: as many cells as (row, variant) pairs,
+	// each under its own name, all done, all having reported cycles — the
+	// fixed-work and self-counting cells (Pagerank, TL2, snapshot) included.
+	snap := hub.Snapshot()
+	if snap.CellsTotal != cells || snap.CellsDone != cells {
+		t.Errorf("hub saw %d cells, %d done; the declarations have %d", snap.CellsTotal, snap.CellsDone, cells)
+	}
+	seen := map[string]bool{}
+	for _, c := range snap.Cells {
+		if seen[c.Name] {
+			t.Errorf("cell name %q registered twice", c.Name)
+		}
+		seen[c.Name] = true
+		if c.SimCycles == 0 {
+			t.Errorf("cell %q reported no simulated cycles", c.Name)
+		}
+	}
+	for _, name := range []string{"fig4-tl2/multi/t4", "fig5-pagerank/lease/t2", "snapshot/dcollect/t4",
+		"text-lowcontention/lf-bst/base/t4", "degradation/rate10/lease+ctrl/t4", "protocol-compare/tardis-lease/t2"} {
+		if exp, _, _ := strings.Cut(name, "/"); ran[exp] && !seen[name] {
+			t.Errorf("no cell named %q among %d", name, len(seen))
+		}
+	}
+	if snap.EngineStats.EventsTotal == 0 {
+		t.Error("hub summed no engine events")
+	}
 }
 
+// checkExperimentGolden runs e twice — on the pool with p's progress hub,
+// then serially with neither — and compares both outputs with the golden.
 func checkExperimentGolden(t *testing.T, e Experiment, p Params, pool *Pool, name string) {
 	t.Helper()
 	var serial, pooled bytes.Buffer
-	e.Run(&serial, p)
 	p.Pool = pool
-	e.Run(&pooled, p)
+	failed := e.Run(&pooled, p)
+	p.Pool, p.Progress = nil, nil
+	failed = append(failed, e.Run(&serial, p)...)
+	if len(failed) > 0 {
+		t.Errorf("%s: failed cells: %v", name, failed)
+	}
 	if !bytes.Equal(serial.Bytes(), pooled.Bytes()) {
 		t.Errorf("%s: pooled output differs from serial:\nserial:\n%s\npooled:\n%s", name, &serial, &pooled)
 	}

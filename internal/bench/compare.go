@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
 )
 
 // This file implements `leasebench -compare old.json new.json`: a
@@ -50,21 +52,6 @@ func readReports(data []byte) ([]Report, error) {
 	return out, nil
 }
 
-// compareKey identifies one configuration across the two files.
-type compareKey struct {
-	DS      string
-	Threads int
-	Lease   bool
-}
-
-func (k compareKey) String() string {
-	mode := "nolease"
-	if k.Lease {
-		mode = "lease"
-	}
-	return fmt.Sprintf("%s/t%d/%s", k.DS, k.Threads, mode)
-}
-
 // deltaPct returns the relative change new-vs-old in percent; 0 when the
 // old value is 0 (no meaningful baseline).
 func deltaPct(old, new float64) float64 {
@@ -92,16 +79,16 @@ func fmtDelta(pct float64, higherIsBetter bool, thresholdPct float64, regression
 
 // CompareReports prints a per-configuration delta table (ops, throughput,
 // latency percentiles, messages/op) between two report sets, matching rows
-// on (ds, threads, lease). Metrics whose relative change regresses by more
+// on Report.Key: the whole configuration, seed, fault profile and protocol
+// included. Metrics whose relative change regresses by more
 // than thresholdPct are marked with '!'; it returns the count of such
 // regressions (0 when thresholdPct is 0, i.e. highlighting disabled) and
 // the number of matched configurations, so callers can emit a one-line
 // verdict separately from the table.
 func CompareReports(w io.Writer, old, new []Report, thresholdPct float64) (regressionCount, compared int) {
-	oldBy := make(map[compareKey]*Report, len(old))
+	oldBy := make(map[string]*Report, len(old))
 	for i := range old {
-		r := &old[i]
-		oldBy[compareKey{r.DS, r.Threads, r.Lease}] = r
+		oldBy[old[i].Key()] = &old[i]
 	}
 
 	regressions := 0
@@ -110,16 +97,16 @@ func CompareReports(w io.Writer, old, new []Report, thresholdPct float64) (regre
 	matched := 0
 	for i := range new {
 		n := &new[i]
-		k := compareKey{n.DS, n.Threads, n.Lease}
+		k := n.Key()
 		o, ok := oldBy[k]
 		if !ok {
-			t.Row(k.String(), n.Ops, "(new)", n.MopsPerSec, "-",
+			t.Row(k, n.Ops, "(new)", n.MopsPerSec, "-",
 				latP50(n), "-", latP99(n), "-", n.MsgsPerOp, "-")
 			continue
 		}
 		matched++
 		delete(oldBy, k)
-		t.Row(k.String(),
+		t.Row(k,
 			n.Ops, fmtDelta(deltaPct(float64(o.Ops), float64(n.Ops)), true, thresholdPct, &regressions),
 			n.MopsPerSec, fmtDelta(deltaPct(o.MopsPerSec, n.MopsPerSec), true, thresholdPct, &regressions),
 			latP50(n), fmtDelta(deltaPct(float64(latP50(o)), float64(latP50(n))), false, thresholdPct, &regressions),
@@ -127,8 +114,8 @@ func CompareReports(w io.Writer, old, new []Report, thresholdPct float64) (regre
 			n.MsgsPerOp, fmtDelta(deltaPct(o.MsgsPerOp, n.MsgsPerOp), false, thresholdPct, &regressions),
 		)
 	}
-	for _, k := range sortedKeys(oldBy) {
-		t.Row(k.String(), "-", "(dropped)", "-", "-", "-", "-", "-", "-", "-", "-")
+	for _, k := range slices.Sorted(maps.Keys(oldBy)) {
+		t.Row(k, "-", "(dropped)", "-", "-", "-", "-", "-", "-", "-", "-")
 	}
 	t.Print(w)
 	fmt.Fprintf(w, "\n%d configs compared", matched)
@@ -137,20 +124,6 @@ func CompareReports(w io.Writer, old, new []Report, thresholdPct float64) (regre
 	}
 	fmt.Fprintln(w)
 	return regressions, matched
-}
-
-// sortedKeys returns the map's keys in deterministic (string) order.
-func sortedKeys(m map[compareKey]*Report) []compareKey {
-	keys := make([]compareKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j].String() < keys[j-1].String(); j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return keys
 }
 
 func latP50(r *Report) uint64 {

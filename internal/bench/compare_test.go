@@ -92,3 +92,45 @@ func TestCompareReportsRegressions(t *testing.T) {
 		t.Errorf("threshold 0 still marked regressions:\n%s", buf.String())
 	}
 }
+
+// Reports that differ only in protocol, seed or fault profile are different
+// configurations: a file holding several of them compared with itself
+// matches each report to itself and finds nothing.
+func TestCompareKeysOnWholeConfiguration(t *testing.T) {
+	msi := compareRep("counter", 4, true, 1000, 14.5, 200, 600, 5.0)
+	tardis := compareRep("counter", 4, true, 700, 9.9, 250, 900, 7.5)
+	tardis.Protocol = "tardis"
+	seed2 := compareRep("counter", 4, true, 950, 14.0, 210, 640, 5.1)
+	seed2.Seed = 2
+	faulted := compareRep("counter", 4, true, 400, 6.0, 300, 4000, 5.5)
+	faulted.FaultProfile = "preempt5"
+
+	for name, file := range map[string][]Report{
+		"two protocols": {msi, tardis},
+		"two seeds":     {msi, seed2},
+		"all four":      {msi, tardis, seed2, faulted},
+	} {
+		var buf bytes.Buffer
+		regressions, compared := CompareReports(&buf, file, file, 5)
+		if regressions != 0 || compared != len(file) {
+			t.Errorf("%s: self-compare found %d regressions over %d configs, want 0 over %d:\n%s",
+				name, regressions, compared, len(file), &buf)
+		}
+		if out := buf.String(); strings.Contains(out, "(new)") || strings.Contains(out, "(dropped)") {
+			t.Errorf("%s: self-compare left a report unmatched:\n%s", name, out)
+		}
+	}
+
+	// A protocol present on one side only is new or dropped, never a delta
+	// against the other protocol's numbers.
+	var buf bytes.Buffer
+	regressions, compared := CompareReports(&buf, []Report{msi}, []Report{tardis}, 5)
+	if regressions != 0 || compared != 0 {
+		t.Errorf("msi vs tardis: %d regressions over %d configs, want none compared:\n%s", regressions, compared, &buf)
+	}
+	for _, want := range []string{"counter/t4/lease/s0/ptardis", "(new)", "counter/t4/lease/s0 ", "(dropped)"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("msi vs tardis output missing %q:\n%s", want, &buf)
+		}
+	}
+}

@@ -3,8 +3,8 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 
-	"leaserelease/internal/ds"
 	"leaserelease/internal/machine"
 )
 
@@ -39,8 +39,8 @@ const (
 	degradationPreemptMax = 300_000
 )
 
-// degradationCfg builds the machine config for one sweep cell. Rate 0
-// keeps Faults zero so existing golden outputs are untouched; rate > 0
+// degradationCfg puts one sweep cell's machine config under preemption.
+// Rate 0 keeps Faults zero so existing golden outputs are untouched; rate > 0
 // sets only the preemption fields, so no other fault draws happen and
 // the schedule is a pure function of (seed, core, rate).
 //
@@ -51,166 +51,118 @@ const (
 // self-limiting for the lock variant — at most one core at a time is
 // making progress, so at most one can be hit — which flattens the very
 // curve this sweep measures.)
-func (p Params) degradationCfg(n, rate int, ctrl bool) machine.Config {
-	cfg := p.cfgFor(n)
+func degradationCfg(cfg *machine.Config, rate int, ctrl bool) {
 	if rate > 0 {
 		cfg.Faults.Enabled = true
 		cfg.Faults.PreemptPermille = rate
 		cfg.Faults.PreemptMin = degradationPreemptMin
 		cfg.Faults.PreemptMax = degradationPreemptMax
 	}
-	cfg.Controller.Enable = ctrl
-	return cfg
+	cfg.Controller.Enable = ctrl // the adaptive lease-duration controller
 }
 
-// degVariant is one structure variant of the degradation sweep.
-type degVariant struct {
-	name  string
-	ctrl  bool // enable the adaptive lease-duration controller
-	lease bool // lease-based (for the accounting table)
-	build func(n int) func(d *machine.Direct) OpFunc
-}
-
-func degradationVariants() []degVariant {
-	leased := func(int) func(d *machine.Direct) OpFunc {
-		return StackWorkload(ds.StackOptions{Lease: LeaseTime})
+// degradation's grid is rates × variants at the sweep's largest thread
+// count, where contention (and so preemption collateral damage) is worst.
+// It prints its own tables: two are transposed (a row per variant) and the
+// retention table reads each variant's rate-0 row as its baseline.
+func degradation(p Params) Sweep {
+	n := slices.Max(p.Threads)
+	rows := make([]Row, len(degradationRates))
+	for i, rate := range degradationRates {
+		rows[i] = Row{Threads: n, Key: fmt.Sprintf("rate%d", rate), Val: rate}
 	}
-	return []degVariant{
-		{"lock", false, false, func(int) func(d *machine.Direct) OpFunc {
-			return LockStackWorkload()
-		}},
-		{"lockfree", false, false, func(int) func(d *machine.Direct) OpFunc {
-			return StackWorkload(ds.StackOptions{})
-		}},
-		{"backoff", false, false, func(n int) func(d *machine.Direct) OpFunc {
-			return StackWorkload(ds.StackOptions{Backoff: ds.Backoff{Min: 64, Max: 64 * uint64(n)}})
-		}},
-		{"lease", false, true, leased},
-		{"lease+ctrl", true, true, leased},
+	under := func(ctrl bool) func(*machine.Config, Row) {
+		return func(cfg *machine.Config, r Row) { degradationCfg(cfg, r.Val, ctrl) }
 	}
-}
-
-// DegradationThreads picks the sweep's single thread count: the largest
-// of the params' counts, where contention (and so preemption collateral
-// damage) is worst.
-func DegradationThreads(p Params) int {
-	n := p.Threads[0]
-	for _, t := range p.Threads {
-		if t > n {
-			n = t
-		}
+	vs := variants{
+		{Name: "lock", Build: always(LockStackWorkload()), Edit: under(false), Measured: true},
+		{Name: "lockfree", Build: baseStack, Edit: under(false), Measured: true},
+		{Name: "backoff", Build: tunedBackoffStack, Edit: under(false), Measured: true},
+		{Name: "lease", Build: leaseStack, Edit: under(false), Measured: true},
+		{Name: "lease+ctrl", Build: leaseStack, Edit: under(true), Measured: true},
 	}
-	return n
-}
+	const firstLeased = 3 // the variants the lease accounting table is about
+	return Sweep{Rows: rows, Variants: vs, Print: func(w io.Writer, res [][]Result) {
+		fmt.Fprintf(w, "degradation sweep: %d threads, preempt %d..%d cycles, rates in permille per access\n\n",
+			n, degradationPreemptMin, degradationPreemptMax)
+		topRow := len(rows) - 1
+		top := rows[topRow].Val
+		// byRate prints a table with a row per preemption rate, from row
+		// `from` on, and a column per variant.
+		byRate := func(unit string, from int, cell func(ri, vi int) any) {
+			head := []string{"preempt rate"}
+			for _, v := range vs {
+				head = append(head, v.Name+unit)
+			}
+			t := NewTable(head...)
+			for ri := from; ri < len(rows); ri++ {
+				row := []any{fmt.Sprintf("%d/1000", rows[ri].Val)}
+				for vi := range vs {
+					row = append(row, cell(ri, vi))
+				}
+				t.Row(row...)
+			}
+			t.Print(w)
+			fmt.Fprintln(w)
+		}
 
-func runDegradation(w io.Writer, p Params) {
-	n := DegradationThreads(p)
-	variants := degradationVariants()
-	top := degradationRates[len(degradationRates)-1]
+		// Table 1: absolute throughput by rate x variant.
+		byRate(" Mops/s", 0, func(ri, vi int) any { return res[ri][vi].MopsPerSec })
 
-	// Submit every (variant, rate) cell up front; rows are read in
-	// serial order, so output bytes are pool-size independent.
-	res := make([][]*Future[Result], len(variants))
-	for vi, v := range variants {
-		res[vi] = make([]*Future[Result], len(degradationRates))
-		for ri, rate := range degradationRates {
-			res[vi][ri] = p.mcell(p.degradationCfg(n, rate, v.ctrl), n, v.build(n))
-		}
-	}
+		// Table 2: throughput retention relative to the variant's own
+		// rate-0 baseline (row 0) — the degradation curve proper.
+		fmt.Fprintln(w, "throughput retention (% of the variant's own fault-free throughput):")
+		byRate(" %", 1, func(ri, vi int) any {
+			return fmt.Sprintf("%.1f", 100*DegradationRetention(res[0][vi], res[ri][vi]))
+		})
 
-	fmt.Fprintf(w, "degradation sweep: %d threads, preempt %d..%d cycles, rates in permille per access\n\n",
-		n, degradationPreemptMin, degradationPreemptMax)
+		// Table 3: worst-case victim wait at the top rate — how long ops
+		// stall behind a descheduled holder.
+		fmt.Fprintf(w, "victim wait at the top rate (%d/1000):\n", top)
+		vt := NewTable("variant", "op lat p50", "p99", "max",
+			"probe-defer p99", "preemptions", "preempted cyc", "holder hits")
+		for vi, v := range vs {
+			r := res[topRow][vi]
+			lat, defer99 := r.OpLatency, "-"
+			if r.ProbeDefer != nil && r.ProbeDefer.Count > 0 {
+				defer99 = fmt.Sprintf("%d", r.ProbeDefer.P99)
+			}
+			p50, p99, mx := "-", "-", "-"
+			if lat != nil && lat.Count > 0 {
+				p50 = fmt.Sprintf("%d", lat.P50)
+				p99 = fmt.Sprintf("%d", lat.P99)
+				mx = fmt.Sprintf("%d", lat.Max)
+			}
+			vt.Row(v.Name, p50, p99, mx, defer99,
+				r.Window.Preemptions, r.Window.PreemptedCycles, r.Faults.HolderPreemptions)
+		}
+		vt.Print(w)
+		fmt.Fprintln(w)
 
-	// Table 1: absolute throughput by rate x variant.
-	t := NewTable(append([]string{"preempt rate"}, variantNames(variants, " Mops/s")...)...)
-	for ri, rate := range degradationRates {
-		row := []interface{}{fmt.Sprintf("%d/1000", rate)}
-		for vi := range variants {
-			row = append(row, res[vi][ri].Get().MopsPerSec)
+		// Table 4: what preemption does to the lease machinery at the top
+		// rate — involuntary expiries, controller activity, ledger waste.
+		fmt.Fprintf(w, "lease accounting under faults (%d/1000):\n", top)
+		at := NewTable("variant", "leases", "invol rel", "ctrl clamp", "ctrl shrink", "ctrl grow",
+			"efficiency", "wasted cyc", "defer-inflicted cyc")
+		for vi := firstLeased; vi < len(vs); vi++ {
+			r := res[topRow][vi]
+			eff, wasted, inflicted := "-", "-", "-"
+			if l := r.LeaseLedger; l != nil && l.Leases > 0 {
+				eff = fmt.Sprintf("%.3f", l.Efficiency)
+				wasted = fmt.Sprintf("%d", l.UnusedCycles+l.ExpiredIdleCycles)
+				inflicted = fmt.Sprintf("%d", l.DeferInflictedCycles)
+			}
+			at.Row(vs[vi].Name, r.Window.Leases, r.Window.InvoluntaryReleases,
+				r.Window.CtrlClamps, r.Window.CtrlShrinks, r.Window.CtrlGrows,
+				eff, wasted, inflicted)
 		}
-		t.Row(row...)
-	}
-	t.Print(w)
-	fmt.Fprintln(w)
-
-	// Table 2: throughput retention relative to the variant's own
-	// rate-0 baseline — the degradation curve proper.
-	fmt.Fprintln(w, "throughput retention (% of the variant's own fault-free throughput):")
-	rt := NewTable(append([]string{"preempt rate"}, variantNames(variants, " %")...)...)
-	for ri, rate := range degradationRates {
-		if rate == 0 {
-			continue
-		}
-		row := []interface{}{fmt.Sprintf("%d/1000", rate)}
-		for vi := range variants {
-			row = append(row, fmt.Sprintf("%.1f",
-				100*DegradationRetention(res[vi][0].Get(), res[vi][ri].Get())))
-		}
-		rt.Row(row...)
-	}
-	rt.Print(w)
-	fmt.Fprintln(w)
-
-	// Table 3: worst-case victim wait at the top rate — how long ops
-	// stall behind a descheduled holder.
-	fmt.Fprintf(w, "victim wait at the top rate (%d/1000):\n", top)
-	vt := NewTable("variant", "op lat p50", "p99", "max",
-		"probe-defer p99", "preemptions", "preempted cyc", "holder hits")
-	for vi, v := range variants {
-		r := res[vi][len(degradationRates)-1].Get()
-		lat, defer99 := r.OpLatency, "-"
-		if r.ProbeDefer != nil && r.ProbeDefer.Count > 0 {
-			defer99 = fmt.Sprintf("%d", r.ProbeDefer.P99)
-		}
-		p50, p99, mx := "-", "-", "-"
-		if lat != nil && lat.Count > 0 {
-			p50 = fmt.Sprintf("%d", lat.P50)
-			p99 = fmt.Sprintf("%d", lat.P99)
-			mx = fmt.Sprintf("%d", lat.Max)
-		}
-		vt.Row(v.name, p50, p99, mx, defer99,
-			r.Window.Preemptions, r.Window.PreemptedCycles, r.Faults.HolderPreemptions)
-	}
-	vt.Print(w)
-	fmt.Fprintln(w)
-
-	// Table 4: what preemption does to the lease machinery at the top
-	// rate — involuntary expiries, controller activity, ledger waste.
-	fmt.Fprintf(w, "lease accounting under faults (%d/1000):\n", top)
-	at := NewTable("variant", "leases", "invol rel", "ctrl clamp", "ctrl shrink", "ctrl grow",
-		"efficiency", "wasted cyc", "defer-inflicted cyc")
-	for vi, v := range variants {
-		if !v.lease {
-			continue
-		}
-		r := res[vi][len(degradationRates)-1].Get()
-		eff, wasted, inflicted := "-", "-", "-"
-		if l := r.LeaseLedger; l != nil && l.Leases > 0 {
-			eff = fmt.Sprintf("%.3f", l.Efficiency)
-			wasted = fmt.Sprintf("%d", l.UnusedCycles+l.ExpiredIdleCycles)
-			inflicted = fmt.Sprintf("%d", l.DeferInflictedCycles)
-		}
-		at.Row(v.name, r.Window.Leases, r.Window.InvoluntaryReleases,
-			r.Window.CtrlClamps, r.Window.CtrlShrinks, r.Window.CtrlGrows,
-			eff, wasted, inflicted)
-	}
-	at.Print(w)
+		at.Print(w)
+	}}
 }
 
 // DegradationRetention returns faulted throughput as a fraction of the
 // fault-free baseline (0 when the baseline measured nothing). Exported
 // for the smoke test's lease-beats-lock assertion.
 func DegradationRetention(base, faulted Result) float64 {
-	if base.MopsPerSec == 0 {
-		return 0
-	}
-	return faulted.MopsPerSec / base.MopsPerSec
-}
-
-func variantNames(vs []degVariant, suffix string) []string {
-	out := make([]string, len(vs))
-	for i, v := range vs {
-		out[i] = v.name + suffix
-	}
-	return out
+	return ratio(faulted.MopsPerSec, base.MopsPerSec)
 }

@@ -13,7 +13,8 @@ import (
 // given seed. The window must cover many preemption durations (up to
 // 300K cycles each) for the retention comparison to be meaningful.
 func degSmokeCell(seed uint64, n, rate int, build func(d *machine.Direct) OpFunc) Result {
-	cfg := Params{}.degradationCfg(n, rate, false)
+	cfg := Params{}.cfgFor(n)
+	degradationCfg(&cfg, rate, false)
 	cfg.Seed = seed
 	return Throughput(cfg, n, 50_000, 3_000_000, build)
 }
@@ -55,7 +56,9 @@ func TestDegradationSmoke(t *testing.T) {
 // mentions faults — so existing goldens and baselines stay valid.
 func TestDegradationRateZeroMatchesClean(t *testing.T) {
 	build := StackWorkload(ds.StackOptions{Lease: LeaseTime})
-	zero := Throughput(Params{}.degradationCfg(4, 0, false), 4, 20_000, 80_000, build)
+	cfg := Params{}.cfgFor(4)
+	degradationCfg(&cfg, 0, false)
+	zero := Throughput(cfg, 4, 20_000, 80_000, build)
 	clean := Throughput(Params{}.cfgFor(4), 4, 20_000, 80_000, build)
 	if zero.Window != clean.Window || zero.Ops != clean.Ops {
 		t.Fatalf("rate-0 degradation cell differs from clean run:\nzero:  %+v\nclean: %+v",

@@ -25,11 +25,11 @@ const HistoryFile = "history.jsonl"
 // reports (histograms, hot lines, ledger rankings) stay in the original
 // -json files; the store keeps only what cross-run comparison reads.
 type HistoryEntry struct {
-	// Key is "<ds>/t<threads>/<lease|nolease>/s<seed>" — the unit trend
-	// lines are grouped by. Fault-injected runs append "/f<profile>"
-	// (faults.Config.Profile) and non-MSI-protocol runs append
-	// "/p<protocol>", so degraded or per-protocol runs trend separately
-	// from clean MSI ones instead of polluting their polylines.
+	// Key is Report.Key — the unit trend lines are grouped by. Fault-
+	// injected runs carry "/f<profile>" (faults.Config.Profile) and
+	// non-MSI-protocol runs "/p<protocol>", so degraded or per-protocol runs
+	// trend separately from clean MSI ones instead of polluting their
+	// polylines.
 	Key      string `json:"key"`
 	GitSHA   string `json:"git_sha,omitempty"`
 	Note     string `json:"note,omitempty"`
@@ -58,8 +58,11 @@ type HistoryEntry struct {
 	Error string `json:"error,omitempty"`
 }
 
-// historyKey renders the grouping key for one report.
-func historyKey(r *Report) string {
+// Key names the report's whole configuration —
+// "<ds>/t<threads>/<lease|nolease>/s<seed>[/f<fault profile>][/p<protocol>]"
+// — the one spelling `leasebench -compare`, the history store and the HTML
+// report match and label runs by.
+func (r *Report) Key() string {
 	mode := "nolease"
 	if r.Lease {
 		mode = "lease"
@@ -78,7 +81,7 @@ func historyKey(r *Report) string {
 // the given revision and wall-clock time.
 func HistoryEntryOf(r *Report, sha, note string, now time.Time) HistoryEntry {
 	e := HistoryEntry{
-		Key: historyKey(r), GitSHA: sha, Note: note, TimeUnix: now.Unix(),
+		Key: r.Key(), GitSHA: sha, Note: note, TimeUnix: now.Unix(),
 		DS: r.DS, Threads: r.Threads, Lease: r.Lease, Seed: r.Seed,
 		FaultProfile: r.FaultProfile, Protocol: r.Protocol,
 		Ops: r.Ops, MopsPerSec: r.MopsPerSec, NJPerOp: r.NJPerOp,

@@ -136,12 +136,6 @@ var htmlReportTmpl = template.Must(template.New("report").Funcs(template.FuncMap
 	"p99Trend": func(es []HistoryEntry) template.HTML {
 		return trendSVG(es, func(e HistoryEntry) float64 { return float64(e.P99) })
 	},
-	"mode": func(lease bool) string {
-		if lease {
-			return "lease"
-		}
-		return "nolease"
-	},
 	"f1":  func(v float64) string { return fmt.Sprintf("%.1f", v) },
 	"f3":  func(v float64) string { return fmt.Sprintf("%.3f", v) },
 	"pct": func(v float64) string { return fmt.Sprintf("%+.1f%%", v) },
@@ -174,7 +168,7 @@ code { background: #f2f2f8; padding: 0 .25em; }
 <tr><th>config</th><th>ops</th><th>Mops/s</th><th>nJ/op</th><th>msgs/op</th><th>miss/op</th><th>p50/p99</th><th>op-latency buckets</th></tr>
 {{range .Current}}
 <tr>
-<td>{{.DS}}/t{{.Threads}}/{{mode .Lease}}/s{{.Seed}}{{if .Protocol}}/p{{.Protocol}}{{end}}{{if .Error}} <span class="bad">FAILED</span>{{end}}</td>
+<td>{{.Key}}{{if .Error}} <span class="bad">FAILED</span>{{end}}</td>
 <td>{{.Ops}}</td><td>{{f3 .MopsPerSec}}</td><td>{{f1 .NJPerOp}}</td>
 <td>{{f3 .MsgsPerOp}}</td><td>{{f3 .MissesPerOp}}</td>
 <td>{{if .OpLatency}}{{.OpLatency.P50}}/{{.OpLatency.P99}}{{else}}-{{end}}</td>
@@ -184,7 +178,7 @@ code { background: #f2f2f8; padding: 0 .25em; }
 </table>
 
 {{range .Current}}{{if .LeaseLedger}}
-<h2>Lease ledger — {{.DS}}/t{{.Threads}}/{{mode .Lease}}/s{{.Seed}}{{if .Protocol}}/p{{.Protocol}}{{end}}</h2>
+<h2>Lease ledger — {{.Key}}</h2>
 <p>{{.LeaseLedger.Leases}} leases closed ({{.LeaseLedger.Expired}} expired, {{.LeaseLedger.OpenAtEnd}} open at end),
 efficiency {{f3 .LeaseLedger.Efficiency}}, {{f1 .LeaseLedger.Amortization}} ops/lease,
 {{.LeaseLedger.DeferInflictedCycles}} deferral cycles inflicted.</p>

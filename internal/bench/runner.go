@@ -18,6 +18,10 @@ import (
 // OpFunc performs one data structure operation on behalf of thread tid.
 type OpFunc func(tid int, c *machine.Ctx)
 
+// Workload builds a structure on a fresh machine and returns the operation
+// its threads loop on.
+type Workload = func(d *machine.Direct) OpFunc
+
 // Sample is one sampled sub-window of a measurement: the Stats delta over
 // [start of sub-window, EndCycle] plus the operations completed in it.
 type Sample struct {
@@ -39,6 +43,10 @@ type Result struct {
 	MsgsPerOp     float64
 	CASFailsPerOp float64
 	AbortsPerOp   float64 // filled by STM workloads
+
+	// Snapshots taken and the collect rounds they needed, over warm-up and
+	// window alike; filled by the snapshot workload.
+	Snapshots, SnapshotRounds uint64
 
 	// Fairness is minOps/maxOps across threads in the window (1 = perfect;
 	// 0 = some thread starved). Lease queueing tends to raise it.
@@ -206,34 +214,7 @@ func throughputGuarded(cfg machine.Config, threads int, warm, window uint64,
 			}
 		})
 	}
-	step := func(until uint64) error {
-		if o.Progress == nil {
-			if rerr := m.Run(until); rerr != nil {
-				return newRunError(m, threads, rerr)
-			}
-			return nil
-		}
-		// Step in host-side chunks so live sim-cycle counters advance
-		// during the run. The event sequence inside each chunk is exactly
-		// what one big Run would execute, so results are unchanged.
-		const chunk = 100_000
-		for {
-			now := m.Now()
-			if now >= until {
-				return nil
-			}
-			next := now + chunk
-			if next > until {
-				next = until
-			}
-			rerr := m.Run(next)
-			o.Progress.AddSimCycles(m.Now() - now)
-			o.Progress.ObserveEngine(m.EngineStats())
-			if rerr != nil {
-				return newRunError(m, threads, rerr)
-			}
-		}
-	}
+	step := func(until uint64) error { return runTo(m, until, threads, o.Progress) }
 	if err := step(warm); err != nil {
 		return res, err
 	}
@@ -309,6 +290,34 @@ func throughputGuarded(cfg machine.Config, threads int, warm, window uint64,
 		}
 	}
 	return r, nil
+}
+
+// runTo advances m to the given cycle, or to the end of the run if that
+// comes first. With a progress cell it steps in host-side chunks so the
+// cell's live sim-cycle and engine counters advance during the run; the
+// event sequence inside each chunk is exactly what one big Run would
+// execute, so results are unchanged.
+func runTo(m *machine.Machine, until uint64, threads int, cp *CellProgress) error {
+	if cp == nil {
+		if rerr := m.Run(until); rerr != nil {
+			return newRunError(m, threads, rerr)
+		}
+		return nil
+	}
+	const chunk = 100_000
+	for now := m.Now(); now < until; now = m.Now() {
+		next := min(now+chunk, until)
+		rerr := m.Run(next)
+		cp.AddSimCycles(m.Now() - now)
+		cp.ObserveEngine(m.EngineStats())
+		if rerr != nil {
+			return newRunError(m, threads, rerr)
+		}
+		if m.Now() < next {
+			return nil // the queue drained: every thread has finished
+		}
+	}
+	return nil
 }
 
 // LedgerTopN is how many lines the ledger's top-wasted and top-deferral
@@ -394,9 +403,10 @@ const DefaultCycleBudget uint64 = 500_000_000
 // (machine.Machine.FinishedAt; stats.Cycles is the clock once the queue had
 // drained, stale expiry timers included) plus the stats. A run that
 // deadlocks, panics, or exhausts the budget returns a *RunError (the
-// cycles and stats reflect the state at failure).
+// cycles and stats reflect the state at failure). cp, if non-nil, receives
+// the run's live progress.
 func RunToCompletion(cfg machine.Config, threads int, budget uint64,
-	build func(d *machine.Direct) func(tid int, c *machine.Ctx)) (cycles uint64, stats machine.Stats, err error) {
+	build func(d *machine.Direct) func(tid int, c *machine.Ctx), cp *CellProgress) (cycles uint64, stats machine.Stats, err error) {
 
 	if budget == 0 {
 		budget = DefaultCycleBudget
@@ -419,8 +429,8 @@ func RunToCompletion(cfg machine.Config, threads int, budget uint64,
 		i := i
 		m.Spawn(0, func(c *machine.Ctx) { body(i, c) })
 	}
-	if rerr := m.Run(budget); rerr != nil {
-		return m.Now(), m.Stats(), newRunError(m, threads, rerr)
+	if rerr := runTo(m, budget, threads, cp); rerr != nil {
+		return m.Now(), m.Stats(), rerr
 	}
 	d := m.DumpState()
 	for _, c := range d.Cores {

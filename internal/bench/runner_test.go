@@ -66,7 +66,7 @@ func TestRunToCompletionEndsWithLastThread(t *testing.T) {
 				c.Fence() // the engine clock catches up with the thread's
 				finish[tid] = c.Now()
 			}
-		})
+		}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

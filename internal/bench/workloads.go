@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"leaserelease/internal/apps/pagerank"
 	"leaserelease/internal/ds"
 	"leaserelease/internal/locks"
 	"leaserelease/internal/machine"
@@ -353,33 +352,6 @@ const (
 	SetMichaelHash // Michael's lock-free hash table [26]
 )
 
-// AllSetKinds lists every low-contention structure, lock-based suite
-// first, then the lock-free suite.
-func AllSetKinds() []SetKind {
-	return []SetKind{SetHarris, SetLazySkip, SetBST, SetHash,
-		SetLFSkip, SetNMTree, SetMichaelHash}
-}
-
-// String names the structure.
-func (k SetKind) String() string {
-	switch k {
-	case SetHarris:
-		return "harris-list"
-	case SetLazySkip:
-		return "skiplist"
-	case SetBST:
-		return "bst"
-	case SetLFSkip:
-		return "lf-skiplist"
-	case SetNMTree:
-		return "lf-bst"
-	case SetMichaelHash:
-		return "lf-hashtable"
-	default:
-		return "hashtable"
-	}
-}
-
 // SetWorkload: 20% updates (10% insert / 10% delete), 80% searches on
 // uniform random keys — the paper's low-contention experiment.
 func SetWorkload(kind SetKind, lease uint64, keyRange int, prefill int) func(d *machine.Direct) OpFunc {
@@ -471,16 +443,84 @@ func SnapshotWorkload(useLease bool, words int, attempts, snaps *uint64) func(d 
 	}
 }
 
-// PagerankRun runs the Figure 5 (right) application to completion (under
-// the default cycle budget) and returns total cycles. A failed run
-// returns a *RunError with the state at failure.
-func PagerankRun(cfg machine.Config, threads int, leaseTime uint64, nodes, iters int) (uint64, machine.Stats, error) {
-	return RunToCompletion(cfg, threads, 0, func(d *machine.Direct) func(int, *machine.Ctx) {
-		pcfg := pagerank.DefaultConfig(threads)
-		pcfg.Nodes = nodes
-		pcfg.Iterations = iters
-		pcfg.LeaseTime = leaseTime
-		p := pagerank.New(d, pcfg)
-		return func(tid int, c *machine.Ctx) { p.Run(c, tid) }
-	})
+// StructureOpts is what a Structures builder may read.
+type StructureOpts struct {
+	Lease             uint64 // lease duration in cycles; 0 builds the base variant
+	KeyRange, Prefill int    // the sets: key universe and initial population
+
+	// The MultiLease entry only: its flavor, and where the cumulative
+	// abort count goes.
+	TL2Mode stm.LeaseMode
+	Aborts  *uint64
+}
+
+// Structure is one `leasesim -ds` value: a structure of the evaluation with
+// its base and, under StructureOpts.Lease, the paper's lease placement.
+type Structure struct {
+	Name string // the -ds value
+	// Title is the structure's row label in text-lowcontention, which runs
+	// the entries that have one: the seven low-contention sets.
+	Title string
+	// MultiLease marks the entry whose lease placement StructureOpts.TL2Mode
+	// selects, not Lease.
+	MultiLease bool
+	Build      func(o StructureOpts) Workload
+}
+
+// leased is the builder of a structure whose lease placement is a variant
+// of its own, not a duration handed to the base one.
+func leased(lease, base Workload) func(StructureOpts) Workload {
+	return func(o StructureOpts) Workload {
+		if o.Lease > 0 {
+			return lease
+		}
+		return base
+	}
+}
+
+func setStructure(name, title string, kind SetKind) Structure {
+	return Structure{Name: name, Title: title, Build: func(o StructureOpts) Workload {
+		return SetWorkload(kind, o.Lease, o.KeyRange, o.Prefill)
+	}}
+}
+
+// Structures lists every -ds value in menu order: the contended structures
+// of Figures 2–4, then the low-contention sets, lock-based suite first. (A
+// function, like All: a package-level table would link every workload into
+// every binary that imports the package.)
+func Structures() []Structure {
+	return []Structure{
+		{Name: "stack", Build: func(o StructureOpts) Workload { return StackWorkload(ds.StackOptions{Lease: o.Lease}) }},
+		{Name: "queue", Build: leased(QueueWorkload(ds.QueueSingleLease), QueueWorkload(ds.QueueNoLease))},
+		{Name: "pq", Build: leased(PQWorkload(PQGlobalLeased, 512), PQWorkload(PQFineLocking, 512))},
+		{Name: "counter", Build: leased(CounterWorkload(CounterLeasedTTS), CounterWorkload(CounterTTS))},
+		{Name: "multiqueue", Build: func(o StructureOpts) Workload { return MQWorkload(multiqueue.Options{LeaseTime: o.Lease}) }},
+		{Name: "tl2", MultiLease: true, Build: func(o StructureOpts) Workload { return TL2Workload(o.TL2Mode, o.Aborts) }},
+		setStructure("harris", "harris-list", SetHarris),
+		setStructure("skiplist", "skiplist", SetLazySkip),
+		setStructure("bst", "bst", SetBST),
+		setStructure("hash", "hashtable", SetHash),
+		setStructure("lfskip", "lf-skiplist", SetLFSkip),
+		setStructure("lfbst", "lf-bst", SetNMTree),
+		setStructure("lfhash", "lf-hashtable", SetMichaelHash),
+	}
+}
+
+// FindStructure returns the Structures entry with the given -ds name.
+func FindStructure(name string) (Structure, bool) {
+	for _, s := range Structures() {
+		if s.Name == name {
+			return s, true
+		}
+	}
+	return Structure{}, false
+}
+
+// StructureNames lists the -ds values in menu order.
+func StructureNames() []string {
+	var names []string
+	for _, s := range Structures() {
+		names = append(names, s.Name)
+	}
+	return names
 }
