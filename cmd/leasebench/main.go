@@ -10,7 +10,7 @@
 //	leasebench -exp all [-quick] [-threads 2,4,8] [-window 1500000]
 //	leasebench -exp fig2 -protocol tardis
 //	leasebench -exp protocol-compare -quick
-//	leasebench -exp all -quick -parallel 4 -perfjson BENCH_host.json
+//	leasebench -exp all -quick -parallel 4
 //	leasebench -exp all -serve :9090
 //	leasebench -compare old.json new.json [-threshold 5]
 //	leasebench history [-dir .leasehistory] [-note s] run.json...
@@ -33,12 +33,6 @@
 // single self-contained HTML report (sweep tables, histogram sparklines,
 // lease-ledger rankings, cross-run trend lines — no external assets).
 //
-// -perfjson records per-experiment wall-clock times (the tracked host-
-// performance trajectory; see EXPERIMENTS.md §Host performance) and, as
-// "engine_stats", the event kernel's host-side counters summed over the
-// sweep's cells; -perfbase computes speedups against a previously recorded
-// file.
-//
 // A cell that fails (deadlock, livelock, panic, protocol violation, blown
 // cycle budget) is named on stderr with the machine's state dump and on a
 // FAILED line under its experiment's tables; the other cells and
@@ -47,57 +41,15 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"time"
 
 	"leaserelease/internal/bench"
-	"leaserelease/internal/sim"
 )
-
-// ExpPerf is one experiment's recorded host wall-clock.
-type ExpPerf struct {
-	ID          string  `json:"id"`
-	WallSeconds float64 `json:"wall_seconds"`
-	OK          bool    `json:"ok"`
-	// SpeedupVsBase is baseline wall-clock divided by this run's, when
-	// -perfbase was given and the baseline has this experiment.
-	SpeedupVsBase float64 `json:"speedup_vs_base,omitempty"`
-}
-
-// PerfReport is the schema of -perfjson output (BENCH_host.json): the
-// host-performance trajectory every PR is measured against.
-type PerfReport struct {
-	SchemaVersion int    `json:"schema_version"`
-	GoVersion     string `json:"go_version"`
-	GOOS          string `json:"goos"`
-	GOARCH        string `json:"goarch"`
-	NumCPU        int    `json:"num_cpu"`
-	Parallel      int    `json:"parallel"`
-	// EffectiveWorkers is the worker count the pool actually started
-	// (resolves -parallel 0 to GOMAXPROCS). A host where
-	// effective_workers > num_cpu timeshares, so its "parallel" wall-clock
-	// numbers are not scaling evidence.
-	EffectiveWorkers int       `json:"effective_workers"`
-	Quick            bool      `json:"quick"`
-	Threads          []int     `json:"threads"`
-	WarmCycles       uint64    `json:"warm_cycles"`
-	WindowCycles     uint64    `json:"window_cycles"`
-	Experiments      []ExpPerf `json:"experiments"`
-	TotalWallSeconds float64   `json:"total_wall_seconds"`
-	// EngineStats is the event kernel's host-side counters summed over
-	// every cell of the sweep (bench.EngineTotal): events executed and how
-	// core wake-ups were paid for. A sum, so the same at any -parallel.
-	EngineStats sim.EngineStats `json:"engine_stats"`
-	// BaselineFile/TotalSpeedupVsBase are filled when -perfbase was given.
-	BaselineFile       string  `json:"baseline_file,omitempty"`
-	TotalSpeedupVsBase float64 `json:"total_speedup_vs_base,omitempty"`
-}
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
@@ -131,9 +83,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 		compare   = fs.Bool("compare", false, "compare two leasesim -json report files: leasebench -compare old.json new.json")
 		threshold = fs.Float64("threshold", 5, "with -compare, highlight regressions beyond this percentage (0 disables)")
-
-		perfjson = fs.String("perfjson", "", "write per-experiment wall-clock times as JSON to this file")
-		perfbase = fs.String("perfbase", "", "baseline perfjson file to compute speedups against")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -221,23 +170,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *window > 0 {
 		p.Window = *window
 	}
-	perf := &PerfReport{
-		SchemaVersion: 1,
-		GoVersion:     runtime.Version(),
-		GOOS:          runtime.GOOS,
-		GOARCH:        runtime.GOARCH,
-		NumCPU:        runtime.NumCPU(),
-		Parallel:      host.Parallel,
-		// The count the run actually gets, not the requested one: a
-		// -parallel 4 run on a 1-CPU host timeshares — BENCH_host.json must
-		// say so.
-		EffectiveWorkers: host.Pool.Workers(),
-		Quick:            *quick,
-		Threads:          p.Threads,
-		WarmCycles:       p.Warm,
-		WindowCycles:     p.Window,
-	}
-
 	// runOne executes one experiment and reports its failed cells. An
 	// escaping panic (which the sim kernel annotates with cycle/proc/event
 	// context) is a failure too; either way the remaining experiments run.
@@ -249,10 +181,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				ok = false
 				fmt.Fprintf(stderr, "leasebench: experiment %s FAILED: %v\n", e.ID, r)
 			}
-			wall := time.Since(start).Seconds()
-			perf.Experiments = append(perf.Experiments, ExpPerf{ID: e.ID, WallSeconds: wall, OK: ok})
-			perf.TotalWallSeconds += wall
-			fmt.Fprintf(stdout, "(wall time %.1fs)\n\n", wall)
+			fmt.Fprintf(stdout, "(wall time %.1fs)\n\n", time.Since(start).Seconds())
 		}()
 		failed := e.Run(stdout, p)
 		for _, f := range failed {
@@ -273,11 +202,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-	// Tear down the pool and flush the profiles and the perf report before
-	// the process ends.
+	// Tear down the pool and flush the profiles before the process ends.
 	host.Close()
-	perf.EngineStats = bench.EngineTotal()
-	writePerf(stderr, *perfjson, *perfbase, perf)
 	return status
 }
 
@@ -367,62 +293,4 @@ func runReport(args []string) int {
 	fmt.Printf("report written to %s (%d current runs, %d history entries)\n",
 		*out, len(current), len(history))
 	return 0
-}
-
-// writePerf fills in speedups against the optional baseline file and
-// writes the perf report.
-func writePerf(stderr io.Writer, path, basePath string, perf *PerfReport) {
-	if path == "" {
-		return
-	}
-	if basePath != "" {
-		base, err := readPerf(basePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "leasebench: -perfbase: %v\n", err)
-		} else {
-			perf.BaselineFile = basePath
-			baseWall := make(map[string]float64, len(base.Experiments))
-			var baseTotal float64
-			for _, e := range base.Experiments {
-				baseWall[e.ID] = e.WallSeconds
-			}
-			for i := range perf.Experiments {
-				e := &perf.Experiments[i]
-				if bw, ok := baseWall[e.ID]; ok && e.WallSeconds > 0 {
-					e.SpeedupVsBase = bw / e.WallSeconds
-					baseTotal += bw
-				}
-			}
-			if perf.TotalWallSeconds > 0 && baseTotal > 0 {
-				perf.TotalSpeedupVsBase = baseTotal / perf.TotalWallSeconds
-			}
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(stderr, "leasebench: -perfjson: %v\n", err)
-		return
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(perf); err == nil {
-		err = f.Close()
-	} else {
-		f.Close()
-	}
-	if err != nil {
-		fmt.Fprintf(stderr, "leasebench: -perfjson: %v\n", err)
-	}
-}
-
-func readPerf(path string) (*PerfReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var p PerfReport
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &p, nil
 }

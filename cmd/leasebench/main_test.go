@@ -46,6 +46,7 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-exp", "fig2", "-threads", "65"}, []string{`bad thread count "65"`}},
 		{[]string{"-compare", "only-one.json"}, []string{"-compare wants exactly two files"}},
 		{[]string{"-nosuchflag"}, []string{"flag provided but not defined"}},
+		{[]string{"-perfjson", "x", "-exp", "table1"}, []string{"flag provided but not defined: -perfjson"}},
 		{nil, []string{"-exp string"}},
 	} {
 		status, out, errOut := leasebench(c.args...)

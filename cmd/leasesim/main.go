@@ -36,17 +36,16 @@
 // the cycles went"); -ledger records the per-line lease-efficiency ledger
 // (granted vs. used cycles, ops absorbed per lease, deferral inflicted)
 // and prints its top-N tables; -json switches the report to machine-
-// readable JSON (-compactbuckets shrinks histogram bucket arrays to
-// [lo,count] pairs there);
-// -timeline additionally writes a Chrome trace-event file loadable in
-// chrome://tracing or https://ui.perfetto.dev showing each core's lease
-// intervals — and, with spans, nested transaction slices with flow arrows —
-// on the simulated timeline.
+// readable JSON; -timeline additionally writes a Chrome trace-event file
+// loadable in chrome://tracing or https://ui.perfetto.dev showing each
+// core's lease intervals — and, with spans, nested transaction slices with
+// flow arrows — on the simulated timeline.
 package main
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -61,123 +60,12 @@ import (
 	"leaserelease/internal/telemetry"
 )
 
-func main() {
-	// -protocol -threads -strict -serve -parallel -cpuprofile -memprofile
-	// are shared with cmd/leasebench.
-	host := bench.AddHostFlags(flag.CommandLine, "8")
-	menu := bench.StructureNames() // the default is its first entry
-	var (
-		dsName     = flag.String("ds", menu[0], "data structure: "+strings.Join(menu, "|"))
-		lease      = flag.Bool("lease", false, "enable the paper's lease placement")
-		leaseTime  = flag.Uint64("leasetime", 20000, "lease duration in cycles")
-		maxLease   = flag.Uint64("maxleasetime", 20000, "MAX_LEASE_TIME in cycles")
-		cycles     = flag.Uint64("cycles", 1_000_000, "cycles to simulate")
-		warm       = flag.Uint64("warm", 100_000, "warmup cycles excluded from the report (leasebench's -warm is a different flag: an override of its sweep scale)")
-		priority   = flag.Bool("priority", false, "regular requests break leases (§5)")
-		mesi       = flag.Bool("mesi", false, "MESI exclusive-clean read fills (§8)")
-		trace      = flag.Int("trace", 0, "print the first N lease-mechanism events")
-		predictor  = flag.Bool("predictor", false, "enable the §5 speculative lease predictor")
-		multi      = flag.String("multilease", "hw", "tl2 multilease flavor: hw|sw|single|off")
-		seed       = flag.Uint64("seed", 1, "simulation seed")
-		jsonOut    = flag.Bool("json", false, "emit each run report as JSON on stdout")
-		hotlines   = flag.Int("hotlines", 10, "rank the top-N contended cache lines (0 disables)")
-		timeline   = flag.String("timeline", "", "write a Chrome trace-event timeline to this file")
-		samples    = flag.Int("sample", 0, "sample N windowed Stats deltas as a time series")
-		invariants = flag.Bool("invariants", false, "attach the runtime invariant checker (violations fail the run)")
-		faultsOn   = flag.Bool("faults", false, "enable deterministic protocol-legal fault injection")
-		preempt    = flag.Int("preempt", 0, "core-preemption probability in permille per memory access (0 disables)")
-		preemptMin = flag.Uint64("preemptmin", 500, "minimum preemption duration in cycles")
-		preemptMax = flag.Uint64("preemptmax", 40000, "maximum preemption duration in cycles")
-		preemptTgt = flag.Bool("preempttargeted", false, "preempt only lease/write holders (adversarial stalled-holder schedule)")
-		controller = flag.Bool("controller", false, "enable the adaptive lease-duration controller")
-		spans      = flag.Bool("spans", false, "trace coherence-transaction spans and report the cycle accounting")
-		ledger     = flag.Bool("ledger", false, "account per-line lease efficiency (granted/used/wasted cycles, ops absorbed, deferral inflicted)")
-		compactB   = flag.Bool("compactbuckets", false, "with -json, emit histogram buckets as compact [lo,count] pairs")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	usage := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "leasesim: "+format+"\n", args...)
-		os.Exit(2)
-	}
-	structure, ok := bench.FindStructure(*dsName)
-	if !ok {
-		// Fail fast with the full menu: a typo should not cost a trip to -help.
-		usage("unknown -ds %q (valid: %s)", *dsName, strings.Join(menu, ", "))
-	}
-	if *preempt < 0 || *preempt > 1000 {
-		usage("-preempt %d out of range (want 0..1000 permille)", *preempt)
-	}
-	if structure.MultiLease && parseMulti(*multi) < 0 {
-		usage("bad -multilease %q", *multi)
-	}
-	if err := host.Start("leasesim", os.Stderr); err != nil {
-		usage("%v", err)
-	}
-	exit := func(code int) {
-		host.Close()
-		os.Exit(code)
-	}
-	threadList := host.Threads
-	if len(threadList) == 0 {
-		host.Close()
-		usage("-threads wants at least one thread count")
-	}
-
-	// Submit every cell first, then emit buffered results in sweep order:
-	// output is byte-identical to a serial run for any -parallel value.
-	type cellResult struct {
-		out, errOut []byte
-		ok          bool
-	}
-	futures := make([]*bench.Future[cellResult], len(threadList))
-	for i, n := range threadList {
-		tl := *timeline
-		if tl != "" && len(threadList) > 1 {
-			tl = fmt.Sprintf("%s.t%d", tl, n)
-		}
-		c := cell{
-			ds: *dsName, protocol: host.Protocol, threads: n, lease: *lease, leaseTime: *leaseTime,
-			maxLease: *maxLease, cycles: *cycles, warm: *warm,
-			priority: *priority, mesi: *mesi, trace: *trace,
-			predictor: *predictor, multi: *multi, seed: *seed,
-			jsonOut: *jsonOut, hotlines: *hotlines, timeline: tl,
-			samples: *samples, invariants: *invariants, faults: *faultsOn,
-			preempt: *preempt, preemptMin: *preemptMin, preemptMax: *preemptMax,
-			preemptTargeted: *preemptTgt, controller: *controller,
-			spans: *spans, ledger: *ledger, compactBuckets: *compactB,
-			progress: host.Progress.Cell(fmt.Sprintf("%s/t%d", *dsName, n)),
-		}
-		futures[i] = bench.Go(host.Pool, func() cellResult {
-			var out, errOut bytes.Buffer
-			ok := runCell(c, &out, &errOut)
-			return cellResult{out: out.Bytes(), errOut: errOut.Bytes(), ok: ok}
-		})
-	}
-
-	anyFailed := false
-	for _, fu := range futures {
-		r := fu.Get()
-		os.Stdout.Write(r.out)
-		os.Stderr.Write(r.errOut)
-		if !r.ok {
-			anyFailed = true
-			if host.Strict {
-				exit(1)
-			}
-		}
-	}
-	if anyFailed {
-		exit(1)
-	}
-	exit(0)
-}
-
-// cell is one sweep configuration (one thread count).
+// cell is one sweep configuration, all that runCell reads: the per-binary
+// flags, which run binds straight to the fields, at one thread count.
 type cell struct {
 	ds                  string
-	protocol            string
-	threads             int
 	lease               bool
 	leaseTime, maxLease uint64
 	cycles, warm        uint64
@@ -188,7 +76,7 @@ type cell struct {
 	seed                uint64
 	jsonOut             bool
 	hotlines            int
-	timeline            string
+	timeline            string // -timeline, suffixed .t<threads> in a sweep
 	samples             int
 	invariants, faults  bool
 	preempt             int
@@ -198,8 +86,113 @@ type cell struct {
 	controller          bool
 	spans               bool
 	ledger              bool
-	compactBuckets      bool
-	progress            *bench.CellProgress
+
+	structure bench.Structure // what -ds names
+	protocol  string          // the host's -protocol
+	threads   int
+	progress  *bench.CellProgress
+}
+
+// run is main: it returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("leasesim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	// -protocol -threads -strict -serve -parallel -cpuprofile -memprofile
+	// are shared with cmd/leasebench.
+	host := bench.AddHostFlags(fs, "8")
+	menu := bench.StructureNames() // the default is its first entry
+	var f cell                     // what the flags set; each cell is a copy
+	fs.StringVar(&f.ds, "ds", menu[0], "data structure: "+strings.Join(menu, "|"))
+	fs.BoolVar(&f.lease, "lease", false, "enable the paper's lease placement")
+	fs.Uint64Var(&f.leaseTime, "leasetime", 20000, "lease duration in cycles")
+	fs.Uint64Var(&f.maxLease, "maxleasetime", 20000, "MAX_LEASE_TIME in cycles")
+	fs.Uint64Var(&f.cycles, "cycles", 1_000_000, "cycles to simulate")
+	fs.Uint64Var(&f.warm, "warm", 100_000, "warmup cycles excluded from the report (leasebench's -warm is a different flag: an override of its sweep scale)")
+	fs.BoolVar(&f.priority, "priority", false, "regular requests break leases (§5)")
+	fs.BoolVar(&f.mesi, "mesi", false, "MESI exclusive-clean read fills (§8)")
+	fs.IntVar(&f.trace, "trace", 0, "print the first N lease-mechanism events")
+	fs.BoolVar(&f.predictor, "predictor", false, "enable the §5 speculative lease predictor")
+	fs.StringVar(&f.multi, "multilease", "hw", "tl2 multilease flavor: hw|sw|single|off")
+	fs.Uint64Var(&f.seed, "seed", 1, "simulation seed")
+	fs.BoolVar(&f.jsonOut, "json", false, "emit each run report as JSON on stdout")
+	fs.IntVar(&f.hotlines, "hotlines", 10, "rank the top-N contended cache lines (0 disables)")
+	fs.StringVar(&f.timeline, "timeline", "", "write a Chrome trace-event timeline to this file")
+	fs.IntVar(&f.samples, "sample", 0, "sample N windowed Stats deltas as a time series")
+	fs.BoolVar(&f.invariants, "invariants", false, "attach the runtime invariant checker (violations fail the run)")
+	fs.BoolVar(&f.faults, "faults", false, "enable deterministic protocol-legal fault injection")
+	fs.IntVar(&f.preempt, "preempt", 0, "core-preemption probability in permille per memory access (0 disables)")
+	fs.Uint64Var(&f.preemptMin, "preemptmin", 500, "minimum preemption duration in cycles")
+	fs.Uint64Var(&f.preemptMax, "preemptmax", 40000, "maximum preemption duration in cycles")
+	fs.BoolVar(&f.preemptTargeted, "preempttargeted", false, "preempt only lease/write holders (adversarial stalled-holder schedule)")
+	fs.BoolVar(&f.controller, "controller", false, "enable the adaptive lease-duration controller")
+	fs.BoolVar(&f.spans, "spans", false, "trace coherence-transaction spans and report the cycle accounting")
+	fs.BoolVar(&f.ledger, "ledger", false, "account per-line lease efficiency (granted/used/wasted cycles, ops absorbed, deferral inflicted)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	usage := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "leasesim: "+format+"\n", args...)
+		return 2
+	}
+	var ok bool
+	if f.structure, ok = bench.FindStructure(f.ds); !ok {
+		// Fail fast with the full menu: a typo should not cost a trip to -help.
+		return usage("unknown -ds %q (valid: %s)", f.ds, strings.Join(menu, ", "))
+	}
+	if f.preempt < 0 || f.preempt > 1000 {
+		return usage("-preempt %d out of range (want 0..1000 permille)", f.preempt)
+	}
+	if f.structure.MultiLease && parseMulti(f.multi) < 0 {
+		return usage("bad -multilease %q", f.multi)
+	}
+	if err := host.Start("leasesim", stderr); err != nil {
+		return usage("%v", err)
+	}
+	// Tear down the pool and flush the profiles before the process ends.
+	defer host.Close()
+	if len(host.Threads) == 0 {
+		return usage("-threads wants at least one thread count")
+	}
+	f.protocol = host.Protocol
+
+	// Submit every cell first, then emit buffered results in sweep order:
+	// output is byte-identical to a serial run for any -parallel value.
+	type cellResult struct {
+		out, errOut []byte
+		ok          bool
+	}
+	futures := make([]*bench.Future[cellResult], len(host.Threads))
+	for i, n := range host.Threads {
+		c := f
+		c.threads = n
+		if c.timeline != "" && len(host.Threads) > 1 {
+			c.timeline = fmt.Sprintf("%s.t%d", c.timeline, n)
+		}
+		c.progress = host.Progress.Cell(fmt.Sprintf("%s/t%d", c.ds, n))
+		futures[i] = bench.Go(host.Pool, func() cellResult {
+			var out, errOut bytes.Buffer
+			ok := runCell(c, &out, &errOut)
+			return cellResult{out: out.Bytes(), errOut: errOut.Bytes(), ok: ok}
+		})
+	}
+
+	status := 0
+	for _, fu := range futures {
+		r := fu.Get()
+		stdout.Write(r.out)
+		stderr.Write(r.errOut)
+		if !r.ok {
+			status = 1
+			if host.Strict {
+				break
+			}
+		}
+	}
+	return status
 }
 
 // parseMulti maps a -multilease flavor to an stm mode, or -1 if unknown.
@@ -226,7 +219,7 @@ func runCell(c cell, out, errOut io.Writer) bool {
 	cfg.Lease.MaxLeaseTime = c.maxLease
 	cfg.RegularBreaksLease = c.priority
 	cfg.MESI = c.mesi
-	cfg.Predictor.Enable = c.predictor
+	cfg.Predictor = c.predictor
 	cfg.Seed = c.seed
 	if c.faults {
 		cfg.Faults = faults.DefaultConfig()
@@ -240,20 +233,15 @@ func runCell(c cell, out, errOut io.Writer) bool {
 		cfg.Faults.PreemptMax = c.preemptMax
 		cfg.Faults.PreemptTargeted = c.preemptTargeted
 	}
-	cfg.Controller.Enable = c.controller
+	cfg.Controller = c.controller
 
 	lt := uint64(0)
 	if c.lease {
 		lt = c.leaseTime
 	}
 
-	structure, ok := bench.FindStructure(c.ds)
-	if !ok {
-		fmt.Fprintf(errOut, "leasesim: unknown -ds %q\n", c.ds)
-		return false
-	}
 	var aborts uint64
-	build := structure.Build(bench.StructureOpts{Lease: lt, KeyRange: 1024, Prefill: 512,
+	build := c.structure.Build(bench.StructureOpts{Lease: lt, KeyRange: 1024, Prefill: 512,
 		TL2Mode: parseMulti(c.multi), Aborts: &aborts})
 
 	rec := telemetry.NewRecorder()
@@ -275,9 +263,11 @@ func runCell(c cell, out, errOut io.Writer) bool {
 	if c.trace > 0 {
 		left := c.trace
 		hooks = append(hooks, func(m *machine.Machine) {
-			m.SetTracer(func(e machine.TraceEvent) {
-				if left > 0 {
-					fmt.Fprintln(out, e)
+			m.Telemetry().Subscribe(telemetry.CatLease, func(e telemetry.Event) {
+				// ProbeServed carries a deferral delay, not a lease transition.
+				if left > 0 && e.Kind != telemetry.ProbeServed {
+					fmt.Fprintf(out, "[%10d] core %2d %-7s line %#x\n",
+						e.Time, e.Core, telemetry.LeaseKindName(e.Kind), uint64(e.Line))
 					left--
 				}
 			})
@@ -331,9 +321,6 @@ func runCell(c cell, out, errOut io.Writer) bool {
 		rep.Aborts = aborts
 		rep.TimelineFile = c.timeline
 		rep.EngineStats = engineStats
-		if c.compactBuckets {
-			bench.CompactReportBuckets(&rep)
-		}
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {

@@ -3,30 +3,31 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 
 	"leaserelease/internal/sim"
 )
 
-// counterCell is `leasesim -ds counter -threads 2 -lease -json` at the flag
-// defaults, on a short window.
-func counterCell() cell {
-	return cell{
-		ds: "counter", threads: 2, lease: true, leaseTime: 20000, maxLease: 20000,
-		cycles: 100_000, warm: 20_000, multi: "hw", seed: 1, jsonOut: true, hotlines: 10,
-		preemptMin: 500, preemptMax: 40000,
-	}
+// leasesim runs the binary's main with the given arguments.
+func leasesim(args ...string) (status int, stdout, stderr string) {
+	var out, errOut bytes.Buffer
+	status = run(args, &out, &errOut)
+	return status, out.String(), errOut.String()
 }
 
-// runJSON runs one cell and returns the report's bytes.
-func runJSON(t *testing.T, c cell) []byte {
+// counterJSON is the -json report of a leased two-thread counter cell on a
+// short window, with any further flags.
+func counterJSON(t *testing.T, more ...string) []byte {
 	t.Helper()
-	var out, errOut bytes.Buffer
-	if !runCell(c, &out, &errOut) {
-		t.Fatalf("cell failed: %s", errOut.String())
+	args := append([]string{"-ds", "counter", "-threads", "2", "-lease", "-json",
+		"-cycles", "100000", "-warm", "20000"}, more...)
+	status, out, errOut := leasesim(args...)
+	if status != 0 {
+		t.Fatalf("%v: status %d, stderr:\n%s", args, status, errOut)
 	}
-	return out.Bytes()
+	return []byte(out)
 }
 
 // engineStats parses a report and returns its engine_stats block.
@@ -67,7 +68,7 @@ func jsonKeys(v any, into map[string]bool) {
 // counters, names nothing after the removed executor, and is the same bytes
 // on a rerun and with the invariant checker attached.
 func TestJSONReportCarriesEngineStats(t *testing.T) {
-	report := runJSON(t, counterCell())
+	report := counterJSON(t)
 
 	st := engineStats(t, report)
 	if st.EventsTotal == 0 || st.SyncsSkipped == 0 || st.Lookahead == 0 {
@@ -93,12 +94,10 @@ func TestJSONReportCarriesEngineStats(t *testing.T) {
 		}
 	}
 
-	if again := runJSON(t, counterCell()); !bytes.Equal(report, again) {
+	if again := counterJSON(t); !bytes.Equal(report, again) {
 		t.Error("a rerun wrote a different report")
 	}
-	checked := counterCell()
-	checked.invariants = true
-	if got := runJSON(t, checked); !bytes.Equal(report, got) {
+	if got := counterJSON(t, "-invariants"); !bytes.Equal(report, got) {
 		t.Error("-invariants changed the report")
 	}
 }
@@ -106,14 +105,51 @@ func TestJSONReportCarriesEngineStats(t *testing.T) {
 // A run without the lookahead certificate says so in engine_stats, the one
 // place it shows: no lookahead declared, no Sync skipped.
 func TestEngineStatsWithoutCertificate(t *testing.T) {
-	tardis := counterCell()
-	tardis.protocol = "tardis"
-	faulted := counterCell()
-	faulted.faults = true
-	for name, c := range map[string]cell{"tardis": tardis, "faults": faulted} {
-		st := engineStats(t, runJSON(t, c))
+	for _, flags := range [][]string{{"-protocol", "tardis"}, {"-faults"}} {
+		st := engineStats(t, counterJSON(t, flags...))
 		if st.EventsTotal == 0 || st.Lookahead != 0 || st.SyncsSkipped != 0 {
-			t.Errorf("%s: engine_stats = %+v; want events, lookahead 0 and syncs_skipped 0", name, st)
+			t.Errorf("%v: engine_stats = %+v; want events, lookahead 0 and syncs_skipped 0", flags, st)
 		}
+	}
+}
+
+// Usage errors exit 2 before anything runs and name what was wrong;
+// -compactbuckets is a flag no more.
+func TestUsageErrors(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string // on stderr
+	}{
+		{[]string{"-compactbuckets"}, "flag provided but not defined: -compactbuckets"},
+		{[]string{"-ds", "nosuch"}, `unknown -ds "nosuch" (valid: `},
+		{[]string{"-preempt", "1001"}, "-preempt 1001 out of range"},
+		{[]string{"-ds", "tl2", "-multilease", "both"}, `bad -multilease "both"`},
+		{[]string{"-threads", ""}, "-threads wants at least one thread count"},
+		{[]string{"-protocol", "moesi"}, `unknown -protocol "moesi"`},
+	} {
+		status, out, errOut := leasesim(c.args...)
+		if status != 2 || out != "" {
+			t.Errorf("%v: status %d, stdout %q; want 2 and nothing on stdout", c.args, status, out)
+		}
+		if !strings.Contains(errOut, c.want) {
+			t.Errorf("%v: stderr lacks %q:\n%s", c.args, c.want, errOut)
+		}
+	}
+}
+
+// -trace prints the first N lease events ahead of the report. The golden
+// predates the removal of machine.TraceEvent: a bus subscription prints the
+// same bytes.
+func TestTraceGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/trace20.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, out, errOut := leasesim("-ds", "counter", "-threads", "4", "-lease", "-trace", "20")
+	if status != 0 || errOut != "" {
+		t.Fatalf("status %d, stderr:\n%s", status, errOut)
+	}
+	if out != string(want) {
+		t.Errorf("-trace 20 output:\n%s\nwant testdata/trace20.golden:\n%s", out, want)
 	}
 }

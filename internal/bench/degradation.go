@@ -58,7 +58,7 @@ func degradationCfg(cfg *machine.Config, rate int, ctrl bool) {
 		cfg.Faults.PreemptMin = degradationPreemptMin
 		cfg.Faults.PreemptMax = degradationPreemptMax
 	}
-	cfg.Controller.Enable = ctrl // the adaptive lease-duration controller
+	cfg.Controller = ctrl // the adaptive lease-duration controller
 }
 
 // degradation's grid is rates × variants at the sweep's largest thread

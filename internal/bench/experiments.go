@@ -429,7 +429,7 @@ func ablatePredictor(p Params) Sweep {
 		{Name: "bad-lease", Build: always(pathological(true)), Edit: maxLeaseTime(300)},
 		{Name: "predictor", Build: always(pathological(true)), Edit: func(cfg *machine.Config, _ Row) {
 			cfg.Lease.MaxLeaseTime = 300
-			cfg.Predictor.Enable = true
+			cfg.Predictor = true
 		}},
 	}
 	return Sweep{Rows: threadRows(p.Threads), Variants: vs, Tables: []TableSpec{{Cols: []Col{

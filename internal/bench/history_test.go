@@ -133,23 +133,3 @@ func TestWriteHTMLReport(t *testing.T) {
 		t.Error("trend SVG rendered with a single run per key")
 	}
 }
-
-// Compacted histogram buckets render sparklines identically to verbose
-// buckets — the report accepts either JSON form.
-func TestHTMLReportCompactBuckets(t *testing.T) {
-	verbose := historyRep(4, 1, 11.0, 480)
-	verbose.OpLatency.Buckets = []telemetry.HistBucket{{Lo: 64, Count: 900}, {Lo: 128, Count: 100}}
-	compact := historyRep(4, 1, 11.0, 480)
-	compact.OpLatency.CompactBuckets = [][2]uint64{{64, 900}, {128, 100}}
-
-	render := func(r Report) string {
-		var buf bytes.Buffer
-		if err := WriteHTMLReport(&buf, []Report{r}, nil, "", time.Unix(3, 0)); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	if render(verbose) != render(compact) {
-		t.Error("verbose and compact buckets render different reports")
-	}
-}

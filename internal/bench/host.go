@@ -25,9 +25,9 @@ import (
 // order, so it is byte-identical for any -parallel value; only wall-clock
 // changes. -strict stops at the first failure. -serve binds a host-side
 // HTTP endpoint with live sweep introspection (/progress JSON, /metrics
-// Prometheus text, /debug/vars expvar): per-cell progress, worker-pool
-// occupancy and simulated-cycles/s; it is safe alongside -parallel and
-// never perturbs simulated timing. -cpuprofile/-memprofile capture pprof
+// Prometheus text): per-cell progress, worker-pool occupancy and
+// simulated-cycles/s; it is safe alongside -parallel and never perturbs
+// simulated timing. -cpuprofile/-memprofile capture pprof
 // profiles of the host process.
 type Host struct {
 	// Protocol is the coherence backend for every cell. After Start the
@@ -36,10 +36,10 @@ type Host struct {
 	Protocol string
 	Threads  []int // -threads, parsed by Start; nil when it is empty
 	Strict   bool
-	Parallel int       // -parallel as given; Pool.Workers is what it resolved to
 	Pool     *Pool     // nil (serial) for one worker
 	Progress *Progress // nil (inert) without -serve
 
+	parallel                               int // -parallel as given; Pool.Workers is what it resolved to
 	threads, serve, cpuProfile, memProfile string
 	name                                   string
 	stderr                                 io.Writer
@@ -54,7 +54,7 @@ func AddHostFlags(fs *flag.FlagSet, threads string) *Host {
 	fs.StringVar(&h.threads, "threads", threads, "comma-separated thread counts, each 1..64")
 	fs.BoolVar(&h.Strict, "strict", false, "stop at the first failure")
 	fs.StringVar(&h.serve, "serve", "", "serve live sweep introspection over HTTP on this address (e.g. :9090)")
-	fs.IntVar(&h.Parallel, "parallel", 0, "worker pool size for sweep cells (0 = GOMAXPROCS, 1 = serial)")
+	fs.IntVar(&h.parallel, "parallel", 0, "worker pool size for sweep cells (0 = GOMAXPROCS, 1 = serial)")
 	fs.StringVar(&h.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&h.memProfile, "memprofile", "", "write an allocation profile to this file at exit")
 	return h
@@ -91,7 +91,7 @@ func (h *Host) Start(name string, stderr io.Writer) error {
 		}
 		h.cpuFile = f
 	}
-	h.Pool = NewPool(h.Parallel)
+	h.Pool = NewPool(h.parallel)
 	if w := h.Pool.Workers(); w > runtime.NumCPU() {
 		h.logf("warning: %d workers exceeds NumCPU=%d; host threads will timeshare and wall-clock gains flatten",
 			w, runtime.NumCPU())
@@ -104,7 +104,7 @@ func (h *Host) Start(name string, stderr io.Writer) error {
 			h.Close()
 			return fmt.Errorf("-serve: %w", err)
 		}
-		h.logf("introspection on http://%s (/progress /metrics /debug/vars)", addr)
+		h.logf("introspection on http://%s (/progress /metrics)", addr)
 	}
 	return nil
 }

@@ -38,47 +38,30 @@ func (t trendData) DeltaPct() float64 {
 	return deltaPct(t.First.MopsPerSec, t.Last.MopsPerSec)
 }
 
-// bucketPairs normalizes either histogram bucket form to [lo, count]
-// pairs for sparkline rendering.
-func bucketPairs(s *telemetry.Summary) [][2]uint64 {
-	if s == nil {
-		return nil
-	}
-	if len(s.CompactBuckets) > 0 {
-		return s.CompactBuckets
-	}
-	pairs := make([][2]uint64, 0, len(s.Buckets))
-	for _, b := range s.Buckets {
-		pairs = append(pairs, [2]uint64{b.Lo, b.Count})
-	}
-	return pairs
-}
-
 // sparklineSVG renders a histogram's occupied log2 buckets as an inline
 // SVG bar strip.
 func sparklineSVG(s *telemetry.Summary) template.HTML {
-	pairs := bucketPairs(s)
-	if len(pairs) == 0 {
+	if s == nil || len(s.Buckets) == 0 {
 		return ""
 	}
 	const barW, gap, h = 7, 2, 30
 	var maxCount uint64
-	for _, p := range pairs {
-		if p[1] > maxCount {
-			maxCount = p[1]
+	for _, p := range s.Buckets {
+		if p.Count > maxCount {
+			maxCount = p.Count
 		}
 	}
 	var b strings.Builder
-	w := len(pairs)*(barW+gap) + gap
+	w := len(s.Buckets)*(barW+gap) + gap
 	fmt.Fprintf(&b, `<svg class="spark" width="%d" height="%d" role="img">`, w, h+2)
-	for i, p := range pairs {
-		bh := int(float64(h) * float64(p[1]) / float64(maxCount))
+	for i, p := range s.Buckets {
+		bh := int(float64(h) * float64(p.Count) / float64(maxCount))
 		if bh < 1 {
 			bh = 1
 		}
 		fmt.Fprintf(&b,
 			`<rect x="%d" y="%d" width="%d" height="%d"><title>&ge;%d cycles: %d</title></rect>`,
-			gap+i*(barW+gap), h+1-bh, barW, bh, p[0], p[1])
+			gap+i*(barW+gap), h+1-bh, barW, bh, p.Lo, p.Count)
 	}
 	b.WriteString(`</svg>`)
 	return template.HTML(b.String())

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -247,25 +246,11 @@ func (s Snapshot) promText() string {
 	return string(b)
 }
 
-// expvarOnce guards the process-wide expvar name (Publish panics on
-// duplicates); expvarCurrent lets later Serve calls repoint it.
-var (
-	expvarOnce    sync.Once
-	expvarCurrent atomic.Pointer[Progress]
-)
-
 // Handler returns the introspection HTTP handler:
 //
-//	/progress    JSON Snapshot
-//	/metrics     Prometheus text exposition
-//	/debug/vars  standard expvar (includes a "leasesim" Snapshot var)
+//	/progress  JSON Snapshot
+//	/metrics   Prometheus text exposition
 func (p *Progress) Handler() http.Handler {
-	expvarCurrent.Store(p)
-	expvarOnce.Do(func() {
-		expvar.Publish("leasesim", expvar.Func(func() interface{} {
-			return expvarCurrent.Load().Snapshot()
-		}))
-	})
 	mux := http.NewServeMux()
 	mux.HandleFunc("/progress", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -277,7 +262,6 @@ func (p *Progress) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		fmt.Fprint(w, p.Snapshot().promText())
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	return mux
 }
 

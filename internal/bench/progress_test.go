@@ -95,9 +95,8 @@ func TestProgressPromText(t *testing.T) {
 	}
 }
 
-// Serve binds a real listener; /progress serves the JSON snapshot,
-// /metrics the Prometheus text, and /debug/vars the expvar surface with
-// the published leasesim var.
+// Serve binds a real listener; /progress serves the JSON snapshot and
+// /metrics the Prometheus text.
 func TestProgressServeEndpoints(t *testing.T) {
 	p := NewProgress()
 	cell := p.Cell("fig3/t4")
@@ -108,7 +107,7 @@ func TestProgressServeEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	get := func(path string) []byte {
+	get := func(addr, path string) []byte {
 		resp, err := http.Get(fmt.Sprintf("http://%s%s", addr, path))
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
@@ -125,35 +124,30 @@ func TestProgressServeEndpoints(t *testing.T) {
 	}
 
 	var snap Snapshot
-	if err := json.Unmarshal(get("/progress"), &snap); err != nil {
+	if err := json.Unmarshal(get(addr, "/progress"), &snap); err != nil {
 		t.Fatalf("/progress is not JSON: %v", err)
 	}
 	if snap.CellsTotal != 1 || snap.SimCycles != 7 {
 		t.Errorf("/progress = %+v, want 1 cell, 7 cycles", snap)
 	}
-	if !strings.Contains(string(get("/metrics")), "leasesim_sim_cycles_total 7") {
+	if !strings.Contains(string(get(addr, "/metrics")), "leasesim_sim_cycles_total 7") {
 		t.Error("/metrics missing the cycle counter")
 	}
-	if !strings.Contains(string(get("/debug/vars")), `"leasesim"`) {
-		t.Error("/debug/vars missing the leasesim var")
-	}
 
-	// A second hub can be served (tests, repeated sweeps) without the
-	// expvar duplicate-publish panic, and the var follows the newest hub.
+	// Two hubs served by one process are independent: each lists only its
+	// own cells.
 	p2 := NewProgress()
 	p2.Cell("fig4/t2")
 	addr2, err := p2.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get(fmt.Sprintf("http://%s/debug/vars", addr2))
-	if err != nil {
-		t.Fatal(err)
+	var snap2 Snapshot
+	if err := json.Unmarshal(get(addr2, "/progress"), &snap2); err != nil {
+		t.Fatalf("second hub's /progress is not JSON: %v", err)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(body), "fig4/t2") {
-		t.Error("expvar did not repoint to the newest hub")
+	if len(snap2.Cells) != 1 || snap2.Cells[0].Name != "fig4/t2" {
+		t.Errorf("second hub's /progress lists %+v, want only fig4/t2", snap2.Cells)
 	}
 }
 

@@ -243,15 +243,3 @@ func BuildReport(ds string, threads int, lease bool, cfg machine.Config,
 	}
 	return rep
 }
-
-// CompactReportBuckets rewrites every histogram digest in rep to the
-// compacted [lo, count] bucket pair form (`leasesim -compactbuckets`).
-// The default path never calls this, so default reports stay
-// byte-identical.
-func CompactReportBuckets(rep *Report) {
-	for _, s := range []*telemetry.Summary{rep.OpLatency, rep.LeaseHold, rep.ProbeDefer, rep.DirQueue} {
-		if s != nil {
-			s.Compact()
-		}
-	}
-}

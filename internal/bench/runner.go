@@ -161,7 +161,7 @@ func throughputGuarded(cfg machine.Config, threads int, warm, window uint64,
 	}
 	var chk *invariant.Checker
 	if o.Invariants {
-		chk = invariant.Attach(m, invariant.Config{})
+		chk = invariant.Attach(m)
 	}
 	rec := o.Recorder
 	var spans *telemetry.Spans
@@ -259,9 +259,7 @@ func throughputGuarded(cfg machine.Config, threads int, warm, window uint64,
 		rec.Finish(m.Now())
 	}
 	m.Stop()
-	es := m.EngineStats()
-	addEngineStats(es)
-	o.Progress.ObserveEngine(es)
+	o.Progress.ObserveEngine(m.EngineStats())
 	if chk != nil {
 		chk.CheckNow()
 		if cerr := chk.Err(); cerr != nil {
@@ -441,6 +439,5 @@ func RunToCompletion(cfg machine.Config, threads int, budget uint64,
 			return m.Now(), m.Stats(), re
 		}
 	}
-	addEngineStats(m.EngineStats())
 	return m.FinishedAt(), m.Stats(), nil
 }

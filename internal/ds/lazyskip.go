@@ -223,19 +223,6 @@ func (s *LazySkipList) Contains(x machine.API, key uint64) bool {
 		x.Load(succs[lFound]+lskMarked) == 0
 }
 
-// FirstKey returns the smallest unmarked key, or ok=false (used by the
-// Lotan–Shavit DeleteMin scan).
-func (s *LazySkipList) FirstKey(x machine.API) (uint64, bool) {
-	curr := s.next(x, s.head, 0)
-	for curr != s.tail {
-		if x.Load(curr+lskMarked) == 0 && x.Load(curr+lskFullyLinked) == 1 {
-			return x.Load(curr + lskKey), true
-		}
-		curr = s.next(x, curr, 0)
-	}
-	return 0, false
-}
-
 // DeleteMin implements the Lotan–Shavit priority-queue removal [23]: scan
 // the bottom level for the first live node and logically-then-physically
 // delete it; on a race, advance to the next candidate.

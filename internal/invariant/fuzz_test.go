@@ -30,7 +30,7 @@ func FuzzMachineOps(f *testing.F) {
 			cfg.Seed = uint64(data[0]) + 1
 		}
 		m := machine.New(cfg)
-		chk := invariant.Attach(m, invariant.Config{})
+		chk := invariant.Attach(m)
 		d := m.Direct()
 		shared := make([]mem.Addr, 8)
 		for i := range shared {

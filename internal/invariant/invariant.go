@@ -36,34 +36,20 @@ import (
 	"leaserelease/internal/telemetry"
 )
 
-// Config tunes the checker. The zero value picks sensible defaults.
-type Config struct {
-	// History is the size of the last-events ring included in diagnostic
-	// dumps (default 32).
-	History int
-	// MaxViolations caps how many violations are recorded before the
-	// checker goes quiet (default 16). The first violation usually
-	// cascades; the cap keeps dumps readable.
-	MaxViolations int
-	// DeadlineSlack is the scheduling slack, in cycles, allowed past a
+const (
+	// historyLen is the size of the last-events ring included in
+	// diagnostic dumps.
+	historyLen = 32
+	// maxViolations caps how many violations are recorded before the
+	// checker goes quiet. The first violation usually cascades; the cap
+	// keeps dumps readable.
+	maxViolations = 16
+	// deadlineSlack is the scheduling slack, in cycles, allowed past a
 	// lease deadline before a still-deferred probe counts as starved
-	// (default 256 — expiry timers fire exactly at the deadline, but the
-	// serve itself takes a few events).
-	DeadlineSlack uint64
-}
-
-func (c Config) withDefaults() Config {
-	if c.History <= 0 {
-		c.History = 32
-	}
-	if c.MaxViolations <= 0 {
-		c.MaxViolations = 16
-	}
-	if c.DeadlineSlack == 0 {
-		c.DeadlineSlack = 256
-	}
-	return c
-}
+	// (expiry timers fire exactly at the deadline, but the serve itself
+	// takes a few events).
+	deadlineSlack = 256
+)
 
 // Violation is one observed invariant breach.
 type Violation struct {
@@ -103,8 +89,7 @@ type deferral struct {
 // Attach; all methods must be called from the simulation goroutine (the
 // same context bus subscribers run in).
 type Checker struct {
-	m   *machine.Machine
-	cfg Config
+	m *machine.Machine
 
 	maxLease uint64
 	maxN     int
@@ -135,15 +120,13 @@ type Checker struct {
 // The checker's handlers read live machine state (directory entries, L1
 // states) at the moment of each event, which the bus guarantees: every
 // subscriber runs synchronously inside the emitting call.
-func Attach(m *machine.Machine, cfg Config) *Checker {
-	cfg = cfg.withDefaults()
+func Attach(m *machine.Machine) *Checker {
 	c := &Checker{
 		m:             m,
-		cfg:           cfg,
 		maxLease:      m.Config().Lease.MaxLeaseTime,
 		maxN:          m.Config().Lease.MaxNumLeases,
 		deferred:      make(map[defKey]deferral),
-		history:       make([]telemetry.Event, cfg.History),
+		history:       make([]telemetry.Event, historyLen),
 		agreementRule: m.ProtocolName() + "-agreement",
 	}
 	m.Telemetry().SubscribeAll(c.onEvent)
@@ -159,7 +142,7 @@ func (c *Checker) groupBound(now uint64) uint64 {
 }
 
 func (c *Checker) violate(cycle uint64, rule, format string, args ...interface{}) {
-	if len(c.violations) >= c.cfg.MaxViolations {
+	if len(c.violations) >= maxViolations {
 		return
 	}
 	c.violations = append(c.violations, Violation{
@@ -241,7 +224,7 @@ func (c *Checker) checkLeaseEvent(e telemetry.Event) {
 		// queued during a group acquisition phase gets the larger bound.
 		deadline := c.groupBound(e.Time)
 		if le := c.findLease(e.Core, e.Line); le != nil && le.Started {
-			deadline = le.Deadline + c.cfg.DeadlineSlack
+			deadline = le.Deadline + deadlineSlack
 		}
 		c.deferred[k] = deferral{queuedAt: e.Time, deadline: deadline}
 

@@ -56,7 +56,7 @@ func runChaos(cfg machine.Config, threads, iters int, withChecker bool) (machine
 	m := machine.New(cfg)
 	var chk *invariant.Checker
 	if withChecker {
-		chk = invariant.Attach(m, invariant.Config{})
+		chk = invariant.Attach(m)
 	}
 	d := m.Direct()
 	shared := make([]mem.Addr, 12)
@@ -142,7 +142,7 @@ func TestFaultRunsDeterministic(t *testing.T) {
 func TestMutationSecondWriter(t *testing.T) {
 	cfg := machine.DefaultConfig(2)
 	m := machine.New(cfg)
-	chk := invariant.Attach(m, invariant.Config{})
+	chk := invariant.Attach(m)
 	d := m.Direct()
 	ctr := d.Alloc(8)
 	line := mem.LineOf(ctr)
@@ -199,7 +199,7 @@ func TestMutationSecondWriter(t *testing.T) {
 func TestMutationEventStream(t *testing.T) {
 	cfg := machine.DefaultConfig(2)
 	m := machine.New(cfg)
-	chk := invariant.Attach(m, invariant.Config{})
+	chk := invariant.Attach(m)
 	bus := m.Telemetry()
 	l := mem.LineOf(0x40)
 
@@ -260,7 +260,7 @@ func TestChaosSoak(t *testing.T) {
 		fc, ctrl := p.cfg(uint64(seed))
 		fc.Seed = uint64(seed)
 		cfg.Faults = fc
-		cfg.Controller.Enable = ctrl
+		cfg.Controller = ctrl
 		_, _, chk, err := runChaos(cfg, 4, 60, true)
 		if err != nil {
 			t.Fatalf("seed %d (%s): drain: %v", seed, p.name, err)

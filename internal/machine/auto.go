@@ -20,11 +20,6 @@ type Auto struct {
 
 	// LeaseTime is the lease length for inserted leases.
 	LeaseTime uint64
-	// MinSamples loads must be seen on a line before it can be judged.
-	MinSamples uint64
-	// InsertPermille inserts leases once CAS-follows-load exceeds this
-	// rate (per thousand loads).
-	InsertPermille uint64
 
 	stats map[mem.Line]*autoLineStat
 	// loadedSinceCAS tracks lines loaded since the last CAS, so a CAS on
@@ -39,9 +34,16 @@ type Auto struct {
 	Inserted uint64
 }
 
-// autoIdleLimit drops an inserted lease after this many operations that
-// never touch the leased line (the pattern evidently moved on).
-const autoIdleLimit = 16
+const (
+	// autoMinSamples loads must be seen on a line before it can be judged.
+	autoMinSamples = 8
+	// autoInsertPermille inserts leases once CAS-follows-load exceeds this
+	// rate (per thousand loads).
+	autoInsertPermille = 300
+	// autoIdleLimit drops an inserted lease after this many operations that
+	// never touch the leased line (the pattern evidently moved on).
+	autoIdleLimit = 16
+)
 
 type autoLineStat struct {
 	loads    uint64
@@ -50,11 +52,10 @@ type autoLineStat struct {
 
 var _ API = (*Auto)(nil)
 
-// NewAuto wraps c with default learning parameters.
+// NewAuto wraps c; inserted leases last leaseTime cycles.
 func NewAuto(c *Ctx, leaseTime uint64) *Auto {
 	return &Auto{
 		c: c, LeaseTime: leaseTime,
-		MinSamples: 8, InsertPermille: 300,
 		stats:          make(map[mem.Line]*autoLineStat),
 		loadedSinceCAS: make(map[mem.Line]bool),
 	}
@@ -100,8 +101,8 @@ func (a *Auto) dropLease() {
 func (a *Auto) Load(addr mem.Addr) uint64 {
 	l := mem.LineOf(addr)
 	s := a.stat(l)
-	if !a.isLeased && s.loads >= a.MinSamples &&
-		s.casAfter*1000 > s.loads*a.InsertPermille {
+	if !a.isLeased && s.loads >= autoMinSamples &&
+		s.casAfter*1000 > s.loads*autoInsertPermille {
 		a.c.Lease(addr, a.LeaseTime)
 		a.leased, a.isLeased = l, true
 		a.Inserted++

@@ -59,14 +59,14 @@ type Config struct {
 	// than the hardware MultiLease.
 	SoftLeaseOverhead uint64
 
-	// Predictor configures the §5 speculative mechanism that ignores
+	// Predictor enables the §5 speculative mechanism that ignores
 	// leases at sites with frequent involuntary releases.
-	Predictor PredictorConfig
+	Predictor bool
 
-	// Controller configures the adaptive lease-duration controller:
+	// Controller enables the adaptive lease-duration controller:
 	// per-site exponential backoff of granted durations after
 	// involuntary releases, gradual regrowth on clean releases.
-	Controller ControllerConfig
+	Controller bool
 
 	// Energy is the event-count energy model.
 	Energy EnergyModel
@@ -108,10 +108,8 @@ func DefaultConfig(cores int) Config {
 		L1HitLat:          1,
 		Timing:            coherence.DefaultTiming(),
 		Lease:             core.DefaultConfig(),
-		SoftLeaseStagger:  50,                        // ≈ one ownership-request round trip
-		SoftLeaseOverhead: 12,                        // sort + group bookkeeping per line
-		Predictor:         DefaultPredictorConfig(),  // Enable defaults to false
-		Controller:        DefaultControllerConfig(), // Enable defaults to false
+		SoftLeaseStagger:  50, // ≈ one ownership-request round trip
+		SoftLeaseOverhead: 12, // sort + group bookkeeping per line
 		Energy:            DefaultEnergy(),
 		Seed:              1,
 	}

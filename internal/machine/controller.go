@@ -17,42 +17,35 @@ package machine
 // every grant/record happens on the owning core's event stream, so
 // adaptation is deterministic for a fixed seed.
 
-// ControllerConfig tunes the adaptive lease-duration controller.
-type ControllerConfig struct {
-	// Enable turns the controller on (Ctx.Lease/LeaseAt only; MultiLease
-	// groups keep their requested duration).
-	Enable bool
-	// MinDuration floors the adapted cap — leases never shrink below
+// The controller shrinks fast (halving) and regrows slowly, the usual
+// asymmetry of backoff loops.
+const (
+	// ctrlMinDuration floors the adapted cap — leases never shrink below
 	// this, so a site under permanent preemption still makes progress.
-	MinDuration uint64
-	// ShrinkNum/ShrinkDen scale the cap after an involuntary release
-	// (multiplicative backoff; 1/2 halves it each time).
-	ShrinkNum, ShrinkDen uint64
-	// GrowNum/GrowDen scale the cap after a clean voluntary-class
-	// release (9/8 regrows ~12% per release). Growth is capped at
-	// MAX_LEASE_TIME.
-	GrowNum, GrowDen uint64
-}
-
-// DefaultControllerConfig shrinks fast (halving) and regrows slowly, the
-// usual asymmetry of backoff loops. Enable defaults to false.
-func DefaultControllerConfig() ControllerConfig {
-	return ControllerConfig{MinDuration: 250, ShrinkNum: 1, ShrinkDen: 2, GrowNum: 9, GrowDen: 8}
-}
+	ctrlMinDuration = 250
+	// ctrlShrinkNum/ctrlShrinkDen scale the cap after an involuntary release
+	// (multiplicative backoff: halved each time).
+	ctrlShrinkNum, ctrlShrinkDen = 1, 2
+	// ctrlGrowNum/ctrlGrowDen scale the cap after a clean voluntary-class
+	// release (regrows ~12% per release). Growth is capped at MAX_LEASE_TIME.
+	ctrlGrowNum, ctrlGrowDen = 9, 8
+)
 
 type ctrlSite struct {
 	cap uint64 // current duration cap; 0 until the site's first grant
 }
 
-// leaseController is per-core, like the predictor.
+// leaseController is per-core, like the predictor; enabled is
+// Config.Controller (Ctx.Lease/LeaseAt only; MultiLease groups keep their
+// requested duration).
 type leaseController struct {
-	cfg   ControllerConfig
-	max   uint64 // MAX_LEASE_TIME: ceiling for regrowth
-	sites map[uint64]*ctrlSite
+	enabled bool
+	max     uint64 // MAX_LEASE_TIME: ceiling for regrowth
+	sites   map[uint64]*ctrlSite
 }
 
-func newLeaseController(cfg ControllerConfig, maxLease uint64) *leaseController {
-	return &leaseController{cfg: cfg, max: maxLease, sites: make(map[uint64]*ctrlSite)}
+func newLeaseController(enabled bool, maxLease uint64) *leaseController {
+	return &leaseController{enabled: enabled, max: maxLease, sites: make(map[uint64]*ctrlSite)}
 }
 
 func (lc *leaseController) site(id uint64) *ctrlSite {
@@ -68,7 +61,7 @@ func (lc *leaseController) site(id uint64) *ctrlSite {
 // min(dur, adapted cap). clamped reports whether the controller cut the
 // request. The first request at a site initializes its cap.
 func (lc *leaseController) grant(site, dur uint64) (granted uint64, clamped bool) {
-	if !lc.cfg.Enable {
+	if !lc.enabled {
 		return dur, false
 	}
 	s := lc.site(site)
@@ -87,7 +80,7 @@ func (lc *leaseController) grant(site, dur uint64) (granted uint64, clamped bool
 // machine's counters). Sites never granted through the controller are
 // ignored.
 func (lc *leaseController) record(site uint64, voluntary bool) (shrank, grew bool) {
-	if !lc.cfg.Enable {
+	if !lc.enabled {
 		return false, false
 	}
 	s := lc.site(site)
@@ -95,10 +88,7 @@ func (lc *leaseController) record(site uint64, voluntary bool) (shrank, grew boo
 		return false, false
 	}
 	if voluntary {
-		if lc.cfg.GrowDen == 0 || lc.cfg.GrowNum <= lc.cfg.GrowDen {
-			return false, false
-		}
-		n := s.cap * lc.cfg.GrowNum / lc.cfg.GrowDen
+		n := s.cap * ctrlGrowNum / ctrlGrowDen
 		if n == s.cap {
 			n++
 		}
@@ -111,12 +101,9 @@ func (lc *leaseController) record(site uint64, voluntary bool) (shrank, grew boo
 		s.cap = n
 		return false, true
 	}
-	if lc.cfg.ShrinkDen == 0 {
-		return false, false
-	}
-	n := s.cap * lc.cfg.ShrinkNum / lc.cfg.ShrinkDen
-	if n < lc.cfg.MinDuration {
-		n = lc.cfg.MinDuration
+	n := s.cap * ctrlShrinkNum / ctrlShrinkDen
+	if n < ctrlMinDuration {
+		n = ctrlMinDuration
 	}
 	if n >= s.cap {
 		return false, false

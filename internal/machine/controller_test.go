@@ -7,12 +7,10 @@ import (
 )
 
 // TestControllerUnitLoop exercises the controller's closed loop directly:
-// shrink on involuntary release, floor at MinDuration, regrow on clean
+// shrink on involuntary release, floor at ctrlMinDuration, regrow on clean
 // releases, ceiling at MAX_LEASE_TIME, and clamping of later grants.
 func TestControllerUnitLoop(t *testing.T) {
-	cfg := DefaultControllerConfig()
-	cfg.Enable = true
-	lc := newLeaseController(cfg, 20_000)
+	lc := newLeaseController(true, 20_000)
 
 	const site = 7
 	if g, clamped := lc.grant(site, 20_000); g != 20_000 || clamped {
@@ -22,9 +20,9 @@ func TestControllerUnitLoop(t *testing.T) {
 	want := uint64(20_000)
 	for i := 0; i < 10; i++ {
 		shrank, _ := lc.record(site, false)
-		next := want * cfg.ShrinkNum / cfg.ShrinkDen
-		if next < cfg.MinDuration {
-			next = cfg.MinDuration
+		next := want * ctrlShrinkNum / ctrlShrinkDen
+		if next < ctrlMinDuration {
+			next = ctrlMinDuration
 		}
 		if (next < want) != shrank {
 			t.Fatalf("step %d: shrank=%v with cap %d -> %d", i, shrank, want, next)
@@ -34,12 +32,12 @@ func TestControllerUnitLoop(t *testing.T) {
 			t.Fatalf("step %d: cap = %d, want %d", i, got, want)
 		}
 	}
-	if lc.capOf(site) != cfg.MinDuration {
-		t.Fatalf("cap %d did not floor at MinDuration %d", lc.capOf(site), cfg.MinDuration)
+	if lc.capOf(site) != ctrlMinDuration {
+		t.Fatalf("cap %d did not floor at %d", lc.capOf(site), ctrlMinDuration)
 	}
 	// A grant is now clamped to the shrunken cap.
-	if g, clamped := lc.grant(site, 20_000); g != cfg.MinDuration || !clamped {
-		t.Fatalf("post-shrink grant = %d (clamped=%v), want %d clamped", g, clamped, cfg.MinDuration)
+	if g, clamped := lc.grant(site, 20_000); g != ctrlMinDuration || !clamped {
+		t.Fatalf("post-shrink grant = %d (clamped=%v), want %d clamped", g, clamped, ctrlMinDuration)
 	}
 	// Clean releases regrow toward (and stop at) MAX_LEASE_TIME.
 	for i := 0; i < 200; i++ {
@@ -57,10 +55,10 @@ func TestControllerUnitLoop(t *testing.T) {
 	}
 }
 
-// TestControllerDisabledIsInert: with Enable=false grant/record are
+// TestControllerDisabledIsInert: when not enabled, grant/record are
 // identity operations — the default path adds no behavior.
 func TestControllerDisabledIsInert(t *testing.T) {
-	lc := newLeaseController(DefaultControllerConfig(), 20_000)
+	lc := newLeaseController(false, 20_000)
 	if g, clamped := lc.grant(1, 20_000); g != 20_000 || clamped {
 		t.Fatal("disabled controller clamped a grant")
 	}
@@ -77,7 +75,7 @@ func TestControllerDisabledIsInert(t *testing.T) {
 // and the per-site cap observably decays below the requested duration.
 func TestControllerShrinksUnderPreemption(t *testing.T) {
 	cfg := testConfig(2)
-	cfg.Controller.Enable = true
+	cfg.Controller = true
 	cfg.Faults = faults.Config{Enabled: true, PreemptPermille: 400,
 		PreemptMin: 30_000, PreemptMax: 30_000, PreemptTargeted: true}
 	m := New(cfg)
@@ -123,7 +121,7 @@ func TestControllerShrinksUnderPreemption(t *testing.T) {
 // preemption storms do not permanently cripple a site.
 func TestControllerRegrowsAfterCleanReleases(t *testing.T) {
 	cfg := testConfig(1)
-	cfg.Controller.Enable = true
+	cfg.Controller = true
 	m := New(cfg)
 	a := m.Direct().Alloc(8)
 	const site = 9

@@ -5,6 +5,7 @@ import (
 
 	"leaserelease/internal/mem"
 	"leaserelease/internal/sim"
+	"leaserelease/internal/telemetry"
 )
 
 // API is the instruction-set surface simulated programs are written
@@ -134,7 +135,14 @@ func (c *Ctx) access(a mem.Addr, write, lease bool) {
 		c.p.Work(c.m.cfg.L1HitLat)
 		return
 	}
-	req := c.m.acquireReq(c.cs, l, write, lease)
+	c.miss(l, write, lease)
+}
+
+// miss obtains line l through the coherence protocol: the thread blocks until
+// the grant arrives, then the access is charged. The caller has synchronized
+// and found no usable copy in the L1.
+func (c *Ctx) miss(l mem.Line, excl, lease bool) {
+	req := c.m.acquireReq(c.cs, l, excl, lease)
 	c.m.mintTxn(c.cs, req)
 	c.m.proto.Submit(req)
 	c.p.Block(describeReq(req))
@@ -196,7 +204,7 @@ func (c *Ctx) LeaseAt(site uint64, a mem.Addr, dur uint64) {
 	cs := c.cs
 	if cs.pred.shouldIgnore(site) {
 		c.m.stats.IgnoredLeases++
-		c.m.trace(cs, TraceIgnored, mem.LineOf(a))
+		c.m.trace(cs, telemetry.LeaseIgnored, mem.LineOf(a))
 		c.p.Work(1)
 		return
 	}
@@ -211,31 +219,22 @@ func (c *Ctx) LeaseAt(site uint64, a mem.Addr, dur uint64) {
 		dur = g
 	}
 	c.m.stats.Leases++
-	c.m.trace(cs, TraceLease, l)
+	c.m.trace(cs, telemetry.LeaseCreated, l)
 	evicted, _ := cs.leases.Insert(l, dur, false)
 	cs.leases.Find(l).Site = site
 	if evicted != nil {
-		c.m.stats.EvictedLeases++
-		c.m.traceVal(cs, TraceEvicted, evicted.Line, leaseHold(evicted, c.p.Clock()))
-		c.m.releaseEntry(cs, evicted)
+		c.m.endLease(cs, evicted, telemetry.LeaseEvicted, c.p.Clock())
 	}
 	if cs.l1.Lookup(l, true) {
 		// Already owned Exclusive: the lease starts immediately.
 		if started := cs.leases.Start(l, c.p.Clock()); started != nil {
 			cs.l1.Pin(l)
-			c.m.proto.LeaseStarted(cs.id, l, started.Duration)
-			c.m.traceVal(cs, TraceStart, l, started.Duration)
-			c.m.scheduleExpiry(cs, started)
+			c.m.startLease(cs, started)
 		}
 		c.p.Work(c.m.cfg.L1HitLat)
 		return
 	}
-	req := c.m.acquireReq(cs, l, true, true)
-	c.m.mintTxn(cs, req)
-	c.m.proto.Submit(req)
-	c.p.Block(describeReq(req))
-	c.m.releaseReq(cs, req)
-	c.p.Work(c.m.cfg.L1HitLat)
+	c.miss(l, true, true)
 }
 
 // Release implements the Release instruction, with the optional boolean
@@ -251,9 +250,7 @@ func (c *Ctx) Release(a mem.Addr) bool {
 	if e == nil {
 		return false
 	}
-	c.m.stats.VoluntaryReleases++
-	c.m.traceVal(cs, TraceVoluntary, e.Line, leaseHold(e, now))
-	c.m.releaseEntry(cs, e)
+	c.m.endLease(cs, e, telemetry.LeaseReleased, now)
 	return true
 }
 
@@ -269,9 +266,7 @@ func (c *Ctx) ReleaseAll() {
 func (c *Ctx) releaseAllNow() {
 	cs := c.cs
 	for _, e := range cs.leases.RemoveAll() {
-		c.m.stats.VoluntaryReleases++
-		c.m.traceVal(cs, TraceVoluntary, e.Line, leaseHold(e, c.p.Clock()))
-		c.m.releaseEntry(cs, e)
+		c.m.endLease(cs, e, telemetry.LeaseReleased, c.p.Clock())
 	}
 }
 
@@ -301,18 +296,11 @@ func (c *Ctx) MultiLease(dur uint64, addrs ...mem.Addr) bool {
 			c.p.Work(c.m.cfg.L1HitLat)
 			continue
 		}
-		req := c.m.acquireReq(cs, l, true, true)
-		c.m.mintTxn(cs, req)
-		c.m.proto.Submit(req)
-		c.p.Block(describeReq(req))
-		c.m.releaseReq(cs, req)
-		c.p.Work(c.m.cfg.L1HitLat)
+		c.miss(l, true, true)
 	}
 	c.p.Sync()
 	for _, e := range cs.leases.StartGroup(c.p.Clock()) {
-		c.m.proto.LeaseStarted(cs.id, e.Line, e.Duration)
-		c.m.traceVal(cs, TraceStart, e.Line, e.Duration)
-		c.m.scheduleExpiry(cs, e)
+		c.m.startLease(cs, e)
 	}
 	return true
 }

@@ -228,9 +228,6 @@ func (m *Machine) ForEachLease(c int, fn func(e *core.Entry)) {
 	m.cores[c].leases.ForEach(fn)
 }
 
-// LeaseCount returns the number of live leases on core c.
-func (m *Machine) LeaseCount(c int) int { return m.cores[c].leases.Len() }
-
 // L1 exposes core c's private cache for tests and diagnostics (e.g. the
 // invariant mutation tests corrupt it deliberately).
 func (m *Machine) L1(c int) *cache.Cache { return m.cores[c].l1 }
@@ -238,6 +235,3 @@ func (m *Machine) L1(c int) *cache.Cache { return m.cores[c].l1 }
 // FaultStats reports how many faults the injector delivered (zero when
 // fault injection is disabled).
 func (m *Machine) FaultStats() faults.Stats { return m.faults.Stats() }
-
-// BlockedProcs describes every currently blocked simulated thread.
-func (m *Machine) BlockedProcs() []string { return m.eng.Blocked() }

@@ -106,6 +106,8 @@ func New(cfg Config) *Machine {
 		m.proto = dir
 	case coherence.ProtocolTardis:
 		// cfg.MESI does not apply: Tardis has no Exclusive-clean state.
+		// tardis.Config.ReadLease has one value anywhere too; the type stays
+		// because benchmarks/leaseperf, a frozen path, spells tardis.Config{}.
 		tp := tardis.New(m.eng, (*dirEnv)(m), cfg.Timing, tardis.Config{}, cfg.Cores)
 		tp.Faults = m.faults
 		m.proto = tp
@@ -276,19 +278,6 @@ func (m *Machine) Poke(a mem.Addr, v uint64) { m.store.Store(a, v) }
 
 // ---- lease-side mechanics shared by Ctx ops, probes, and timers ----
 
-// leaseHold returns the cycles a started lease has been held as of now,
-// or telemetry.NoVal for a lease whose countdown never started.
-func leaseHold(e *core.Entry, now uint64) uint64 {
-	if e == nil {
-		return telemetry.NoVal
-	}
-	g, ok := e.GrantCycle()
-	if !ok {
-		return telemetry.NoVal
-	}
-	return now - g
-}
-
 // mintTxn assigns req a machine-unique transaction ID and emits TxnBegin,
 // if and only if someone subscribed to span tracing. With tracing off the
 // cost is Bus.Wants — a nil check plus one bitmask test — and req.Txn
@@ -313,13 +302,77 @@ func (m *Machine) mintTxn(cs *coreState, req *coherence.Request) {
 	m.bus.Emit2(telemetry.CatTxn, cs.id, telemetry.TxnBegin, req.Line, req.Txn, flags)
 }
 
-// serveDeferred delivers the (at most one) probe deferred on a released
-// lease entry: downgrade the local copy and let the directory finish the
-// stalled transaction.
-func (m *Machine) serveDeferred(cs *coreState, e *core.Entry) {
+// startLease reports a lease whose countdown has just started (core.Table's
+// Start or StartGroup) to the protocol and the bus, and arms its
+// involuntary-release timer. Cancellation is lazy: the timer checks the entry
+// generation. Fault injection may pull the timer earlier — an involuntary
+// break before the full duration, always legal since MAX_LEASE_TIME is only
+// an upper bound.
+func (m *Machine) startLease(cs *coreState, e *core.Entry) {
+	m.proto.LeaseStarted(cs.id, e.Line, e.Duration)
+	m.traceVal(cs, telemetry.LeaseStarted, e.Line, e.Duration)
+	line, gen := e.Line, e.Gen
+	at := e.Deadline
+	if cut := m.faults.LeaseCut(e.Duration); cut > 0 {
+		at -= cut
+	}
+	cs.dom.At(at, func() {
+		if x := cs.leases.RemoveIfGen(line, gen); x != nil {
+			m.endLease(cs, x, telemetry.LeaseExpired, cs.dom.Now())
+		} // else released voluntarily (or evicted) in the meantime
+	})
+}
+
+// leaseEnds says, for each kind of event that ends a lease, what the end
+// counts and records.
+var leaseEnds = [...]struct {
+	count     func(*Stats) *uint64 // the counter it increments
+	voluntary bool                 // the outcome the site's predictor and controller record
+	mayDefer  bool                 // a deferred probe may wait on the entry
+}{
+	telemetry.LeaseReleased: {func(s *Stats) *uint64 { return &s.VoluntaryReleases }, true, true},
+	telemetry.LeaseEvicted:  {func(s *Stats) *uint64 { return &s.EvictedLeases }, true, true},
+	telemetry.LeaseForced:   {func(s *Stats) *uint64 { return &s.ForcedReleases }, true, true},
+	telemetry.LeaseExpired:  {func(s *Stats) *uint64 { return &s.InvoluntaryReleases }, false, true},
+	// The probe that breaks a lease (§5 prioritization) was forwarded because
+	// none was waiting (Proposition 1), and DeliverProbe serves it itself.
+	telemetry.LeaseBroken: {func(s *Stats) *uint64 { return &s.BrokenLeases }, false, false},
+}
+
+// endLease is the core-side end of a lease whose entry e has just left the
+// table, at the caller's instant now. kind, the event that reports it, is
+// the cause: released by the program, FIFO-evicted by a newer lease, forced
+// out to unpin a full L1 set, expired, or broken by a regular request. The
+// end is counted and reported with the cycles the lease was held
+// (telemetry.NoVal if its countdown never started), the site's predictor and
+// controller record the outcome, the line is unpinned, the protocol told, and
+// the (at most one) probe deferred behind the lease is served: downgrade the
+// local copy and let the directory finish the stalled transaction.
+func (m *Machine) endLease(cs *coreState, e *core.Entry, kind uint8, now uint64) {
+	end := &leaseEnds[kind]
+	*end.count(&m.stats)++
+	hold := uint64(telemetry.NoVal)
+	if g, ok := e.GrantCycle(); ok {
+		hold = now - g
+	}
+	m.traceVal(cs, kind, e.Line, hold)
+	if kind != telemetry.LeaseBroken { // a broken lease says nothing about its site
+		cs.pred.record(e.Site, end.voluntary)
+		if shrank, grew := cs.ctrl.record(e.Site, end.voluntary); shrank {
+			m.stats.CtrlShrinks++
+		} else if grew {
+			m.stats.CtrlGrows++
+		}
+	}
+	cs.l1.Unpin(e.Line)
+	m.proto.LeaseReleased(cs.id, e.Line)
 	p := e.TakeProbe()
 	if p == nil {
 		return
+	}
+	if !end.mayDefer {
+		panic(&ProtocolViolationError{Rule: "proposition-1", Core: cs.id, Line: e.Line,
+			Detail: "broken lease already had a deferred probe"})
 	}
 	req := p.(*coherence.Request)
 	m.bus.Emit2(telemetry.CatLease, cs.id, telemetry.ProbeServed, e.Line,
@@ -330,45 +383,6 @@ func (m *Machine) serveDeferred(cs *coreState, e *core.Entry) {
 	}
 	cs.l1.Downgrade(req.Line, to)
 	m.proto.ProbeDone(cs.id, req)
-}
-
-// scheduleExpiry arms the involuntary-release timer for a started lease.
-// Cancellation is lazy: the timer checks the entry generation. Fault
-// injection may pull the timer earlier — an involuntary break before the
-// full duration, always legal since MAX_LEASE_TIME is only an upper bound.
-func (m *Machine) scheduleExpiry(cs *coreState, e *core.Entry) {
-	line, gen := e.Line, e.Gen
-	at := e.Deadline
-	if cut := m.faults.LeaseCut(e.Duration); cut > 0 {
-		at -= cut
-	}
-	cs.dom.At(at, func() {
-		x := cs.leases.RemoveIfGen(line, gen)
-		if x == nil {
-			return // released voluntarily (or evicted) in the meantime
-		}
-		m.stats.InvoluntaryReleases++
-		m.traceVal(cs, TraceInvoluntary, line, x.Duration)
-		cs.pred.record(x.Site, false)
-		if shrank, _ := cs.ctrl.record(x.Site, false); shrank {
-			m.stats.CtrlShrinks++
-		}
-		cs.l1.Unpin(line)
-		m.proto.LeaseReleased(cs.id, line)
-		m.serveDeferred(cs, x)
-	})
-}
-
-// releaseEntry performs the core-side actions of a voluntary-class release
-// (voluntary, FIFO eviction, ReleaseAll): unpin and service the probe.
-func (m *Machine) releaseEntry(cs *coreState, e *core.Entry) {
-	cs.pred.record(e.Site, true)
-	if _, grew := cs.ctrl.record(e.Site, true); grew {
-		m.stats.CtrlGrows++
-	}
-	cs.l1.Unpin(e.Line)
-	m.proto.LeaseReleased(cs.id, e.Line)
-	m.serveDeferred(cs, e)
 }
 
 // maybePreempt is the fault model's preemption point, reached before a
@@ -408,9 +422,7 @@ func (m *Machine) installLine(cs *coreState, l mem.Line, st cache.State) {
 			panic(&ProtocolViolationError{Rule: "pinned-set", Core: cs.id, Line: l,
 				Detail: "L1 set fully pinned but lease table empty"})
 		}
-		m.stats.ForcedReleases++
-		m.traceVal(cs, TraceForced, e.Line, leaseHold(e, cs.dom.Now()))
-		m.releaseEntry(cs, e)
+		m.endLease(cs, e, telemetry.LeaseForced, cs.dom.Now())
 	}
 	victim, vst, evicted := cs.l1.Install(l, st)
 	if !evicted {
@@ -441,21 +453,13 @@ func (d *dirEnv) DeliverProbe(owner int, req *coherence.Request) bool {
 	if cs.leases.ShouldDefer(req.Line, cs.dom.Now()) {
 		if m.cfg.RegularBreaksLease && !req.Lease {
 			// §5 prioritization: a regular request breaks the lease.
-			e := cs.leases.Remove(req.Line)
-			m.stats.BrokenLeases++
-			m.traceVal(cs, TraceBroken, req.Line, leaseHold(e, cs.dom.Now()))
-			cs.l1.Unpin(req.Line)
-			m.proto.LeaseReleased(owner, req.Line)
-			if e.HasProbe() {
-				panic(&ProtocolViolationError{Rule: "proposition-1", Core: owner, Line: req.Line,
-					Detail: "broken lease already had a deferred probe"})
-			}
+			m.endLease(cs, cs.leases.Remove(req.Line), telemetry.LeaseBroken, cs.dom.Now())
 		} else {
 			cs.leases.QueueProbe(req.Line, req)
 			if e := cs.leases.Find(req.Line); e != nil {
 				e.ProbeQueuedAt = cs.dom.Now()
 			}
-			m.trace(cs, TraceDeferred, req.Line)
+			m.trace(cs, telemetry.ProbeDeferred, req.Line)
 			return true
 		}
 	}
@@ -485,9 +489,7 @@ func (d *dirEnv) Complete(req *coherence.Request, st cache.State) {
 				cs.l1.Pin(req.Line)
 			} else if started := cs.leases.Start(req.Line, cs.dom.Now()); started != nil {
 				cs.l1.Pin(req.Line)
-				m.proto.LeaseStarted(cs.id, req.Line, started.Duration)
-				m.traceVal(cs, TraceStart, req.Line, started.Duration)
-				m.scheduleExpiry(cs, started)
+				m.startLease(cs, started)
 			}
 		}
 	}

@@ -10,26 +10,19 @@ package machine
 // Sites stand in for program counters: programs pass a stable site id to
 // Ctx.LeaseAt. Plain Ctx.Lease uses site 0.
 
-// PredictorConfig tunes the per-core lease predictor.
-type PredictorConfig struct {
-	// Enable turns the predictor on.
-	Enable bool
-	// MinSamples is how many leases a site must take before it can be
+// The thresholds mirror the spirit of §5: ignore a site once most of its
+// leases expire involuntarily.
+const (
+	// predMinSamples is how many leases a site must take before it can be
 	// judged.
-	MinSamples uint64
-	// IgnorePermille blacklists a site once its involuntary-release rate
+	predMinSamples = 16
+	// predIgnorePermille blacklists a site once its involuntary-release rate
 	// exceeds this many per thousand leases.
-	IgnorePermille uint64
-	// RetryEvery re-samples a blacklisted site once every N skipped
+	predIgnorePermille = 500
+	// predRetryEvery re-samples a blacklisted site once every N skipped
 	// leases, so sites whose behaviour improves are rehabilitated.
-	RetryEvery uint64
-}
-
-// DefaultPredictorConfig mirrors the spirit of §5: ignore a site once
-// most of its leases expire involuntarily.
-func DefaultPredictorConfig() PredictorConfig {
-	return PredictorConfig{MinSamples: 16, IgnorePermille: 500, RetryEvery: 64}
-}
+	predRetryEvery = 64
+)
 
 type predictorSite struct {
 	leases  uint64
@@ -37,14 +30,15 @@ type predictorSite struct {
 	skipped uint64
 }
 
-// leasePredictor is per-core (like the hardware table it models).
+// leasePredictor is per-core (like the hardware table it models); enabled is
+// Config.Predictor.
 type leasePredictor struct {
-	cfg   PredictorConfig
-	sites map[uint64]*predictorSite
+	enabled bool
+	sites   map[uint64]*predictorSite
 }
 
-func newLeasePredictor(cfg PredictorConfig) *leasePredictor {
-	return &leasePredictor{cfg: cfg, sites: make(map[uint64]*predictorSite)}
+func newLeasePredictor(enabled bool) *leasePredictor {
+	return &leasePredictor{enabled: enabled, sites: make(map[uint64]*predictorSite)}
 }
 
 func (p *leasePredictor) site(id uint64) *predictorSite {
@@ -58,18 +52,18 @@ func (p *leasePredictor) site(id uint64) *predictorSite {
 
 // shouldIgnore reports whether a lease at this site should be skipped.
 func (p *leasePredictor) shouldIgnore(id uint64) bool {
-	if !p.cfg.Enable {
+	if !p.enabled {
 		return false
 	}
 	s := p.site(id)
-	if s.leases < p.cfg.MinSamples {
+	if s.leases < predMinSamples {
 		return false
 	}
-	if s.invol*1000 <= s.leases*p.cfg.IgnorePermille {
+	if s.invol*1000 <= s.leases*predIgnorePermille {
 		return false
 	}
 	s.skipped++
-	if p.cfg.RetryEvery > 0 && s.skipped%p.cfg.RetryEvery == 0 {
+	if s.skipped%predRetryEvery == 0 {
 		return false // probation: take one lease to re-sample
 	}
 	return true
@@ -78,7 +72,7 @@ func (p *leasePredictor) shouldIgnore(id uint64) bool {
 // record notes a completed lease at the site; voluntary=false means the
 // timer expired.
 func (p *leasePredictor) record(id uint64, voluntary bool) {
-	if !p.cfg.Enable {
+	if !p.enabled {
 		return
 	}
 	s := p.site(id)

@@ -7,7 +7,7 @@ import "testing"
 func TestPredictorLearnsToIgnore(t *testing.T) {
 	cfg := testConfig(2)
 	cfg.Lease.MaxLeaseTime = 200
-	cfg.Predictor.Enable = true
+	cfg.Predictor = true
 	m := New(cfg)
 	a := m.Direct().Alloc(8)
 	m.Spawn(0, func(c *Ctx) {
@@ -25,11 +25,11 @@ func TestPredictorLearnsToIgnore(t *testing.T) {
 	if s.IgnoredLeases == 0 {
 		t.Fatalf("predictor never ignored the always-expiring site: %+v", s)
 	}
-	if s.InvoluntaryReleases < cfg.Predictor.MinSamples {
+	if s.InvoluntaryReleases < predMinSamples {
 		t.Fatalf("too few samples before judging: %d", s.InvoluntaryReleases)
 	}
 	// It must keep re-sampling occasionally rather than ignoring forever.
-	if s.Leases < cfg.Predictor.MinSamples+1 {
+	if s.Leases < predMinSamples+1 {
 		t.Fatalf("no probation re-samples: leases=%d", s.Leases)
 	}
 }
@@ -38,7 +38,7 @@ func TestPredictorLearnsToIgnore(t *testing.T) {
 // skipped.
 func TestPredictorLeavesGoodSitesAlone(t *testing.T) {
 	cfg := testConfig(1)
-	cfg.Predictor.Enable = true
+	cfg.Predictor = true
 	m := New(cfg)
 	a := m.Direct().Alloc(8)
 	m.Spawn(0, func(c *Ctx) {
@@ -89,7 +89,7 @@ func TestPredictorRecoversThroughput(t *testing.T) {
 	run := func(enable bool) uint64 {
 		cfg := testConfig(4)
 		cfg.Lease.MaxLeaseTime = 300
-		cfg.Predictor.Enable = enable
+		cfg.Predictor = enable
 		m := New(cfg)
 		a := m.Direct().Alloc(8)
 		var ops uint64

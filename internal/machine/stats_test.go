@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -79,36 +78,6 @@ func TestStatsTotalMsgs(t *testing.T) {
 	}
 	if got := s.TotalMsgs(); got != want {
 		t.Fatalf("TotalMsgs = %d, want %d", got, want)
-	}
-}
-
-// Every defined TraceKind must have a distinct human-readable name; only
-// out-of-range values fall through to the TraceKind(%d) default.
-func TestTraceKindStringExhaustive(t *testing.T) {
-	kinds := []TraceKind{
-		TraceLease, TraceStart, TraceVoluntary, TraceInvoluntary,
-		TraceEvicted, TraceForced, TraceBroken, TraceDeferred, TraceIgnored,
-	}
-	if len(kinds) != int(TraceIgnored)+1 {
-		t.Fatalf("test covers %d kinds but TraceIgnored = %d; update the list",
-			len(kinds), int(TraceIgnored))
-	}
-	seen := make(map[string]TraceKind, len(kinds))
-	for i, k := range kinds {
-		if int(k) != i {
-			t.Fatalf("kind %d numbered %d; telemetry aliasing broke the ordering", i, int(k))
-		}
-		name := k.String()
-		if strings.HasPrefix(name, "TraceKind(") {
-			t.Fatalf("TraceKind(%d) has no String case", int(k))
-		}
-		if other, dup := seen[name]; dup {
-			t.Fatalf("kinds %d and %d share the name %q", int(other), int(k), name)
-		}
-		seen[name] = k
-	}
-	if got, want := TraceKind(99).String(), fmt.Sprintf("TraceKind(%d)", 99); got != want {
-		t.Fatalf("out-of-range String = %q, want %q", got, want)
 	}
 }
 

@@ -217,7 +217,7 @@ func TestTardisInvoluntaryExpiry(t *testing.T) {
 // feed the AIMD lease-duration controller exactly as under MSI.
 func TestTardisPreemptionFeedsController(t *testing.T) {
 	cfg := tardisConfig(2)
-	cfg.Controller.Enable = true
+	cfg.Controller = true
 	cfg.Faults = faults.Config{Enabled: true, PreemptPermille: 400,
 		PreemptMin: 30_000, PreemptMax: 30_000, PreemptTargeted: true}
 	m := New(cfg)

@@ -58,9 +58,6 @@ func New(x machine.API, nObjs int, leaseTime uint64) *TL2 {
 	return t
 }
 
-// NumObjs returns the object count.
-func (t *TL2) NumObjs() int { return len(t.objs) }
-
 // Read returns an object's value outside any transaction (test oracle).
 func (t *TL2) Read(x machine.API, i int) uint64 {
 	return x.Load(t.objs[i] + objValue)

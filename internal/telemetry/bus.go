@@ -11,14 +11,18 @@
 // timelines) is byte-for-byte reproducible for a given seed.
 package telemetry
 
-import "leaserelease/internal/mem"
+import (
+	"fmt"
+
+	"leaserelease/internal/mem"
+)
 
 // Category partitions events into independently subscribable streams.
 type Category uint8
 
 const (
 	// CatLease carries lease-lifecycle events (Event.Kind is one of the
-	// Lease*/Probe* kinds below, mirrored by machine.TraceKind).
+	// Lease*/Probe* kinds below).
 	CatLease Category = iota
 	// CatCoherence carries per-line coherence-message events (Event.Kind
 	// is one of the Msg* kinds; Event.Val is the message count).
@@ -56,9 +60,8 @@ func (c Category) String() string {
 	return "category?"
 }
 
-// Lease-lifecycle kinds (CatLease). The first nine values are the canonical
-// numbering of machine.TraceKind, which aliases them; ProbeServed exists
-// only on the bus (it carries the deferral delay, not a lease transition).
+// Lease-lifecycle kinds (CatLease). ProbeServed carries the deferral delay,
+// not a lease transition.
 const (
 	LeaseCreated  uint8 = iota // lease table entry created
 	LeaseStarted               // ownership granted, countdown running; Val = granted duration
@@ -71,6 +74,34 @@ const (
 	LeaseIgnored               // skipped by the §5 speculative predictor
 	ProbeServed                // a deferred probe was delivered; Val = deferral delay
 )
+
+// LeaseKindName names a CatLease kind: the word `leasesim -trace` prints
+// and, for the five kinds that end a lease, the timeline's release reason.
+func LeaseKindName(kind uint8) string {
+	switch kind {
+	case LeaseCreated:
+		return "lease"
+	case LeaseStarted:
+		return "start"
+	case LeaseReleased:
+		return "release"
+	case LeaseExpired:
+		return "expire"
+	case LeaseEvicted:
+		return "evict"
+	case LeaseForced:
+		return "force"
+	case LeaseBroken:
+		return "break"
+	case ProbeDeferred:
+		return "defer"
+	case LeaseIgnored:
+		return "ignore"
+	case ProbeServed:
+		return "serve"
+	}
+	return fmt.Sprintf("LeaseKind(%d)", kind)
+}
 
 // Coherence message kinds (CatCoherence). coherence.MsgKind aliases these,
 // keeping the numbering in one place.

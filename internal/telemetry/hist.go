@@ -128,35 +128,14 @@ type HistBucket struct {
 // reports and bench results. Buckets carries the full (occupied-only)
 // bucket array so reports can be re-analyzed offline without re-running.
 type Summary struct {
-	Count uint64  `json:"count"`
-	Mean  float64 `json:"mean"`
-	P50   uint64  `json:"p50"`
-	P90   uint64  `json:"p90"`
-	P99   uint64  `json:"p99"`
-	Min   uint64  `json:"min"`
-	Max   uint64  `json:"max"`
-	// Buckets is the default full bucket form; CompactBuckets is the
-	// opt-in compacted form (Compact): [lo, count] pairs, the bucket's
-	// upper bound being implied by the log2 bucketing. At most one of the
-	// two is populated, so default reports marshal byte-for-byte as
-	// before the compact form existed.
-	Buckets        []HistBucket `json:"buckets,omitempty"`
-	CompactBuckets [][2]uint64  `json:"buckets_compact,omitempty"`
-}
-
-// Compact converts the full bucket array in place to the compacted
-// [lo, count] pair form (satisfying offline re-analysis at roughly a
-// third of the bytes). A summary already compacted, or without buckets,
-// is unchanged.
-func (s *Summary) Compact() {
-	if len(s.Buckets) == 0 {
-		return
-	}
-	s.CompactBuckets = make([][2]uint64, len(s.Buckets))
-	for i, b := range s.Buckets {
-		s.CompactBuckets[i] = [2]uint64{b.Lo, b.Count}
-	}
-	s.Buckets = nil
+	Count   uint64       `json:"count"`
+	Mean    float64      `json:"mean"`
+	P50     uint64       `json:"p50"`
+	P90     uint64       `json:"p90"`
+	P99     uint64       `json:"p99"`
+	Min     uint64       `json:"min"`
+	Max     uint64       `json:"max"`
+	Buckets []HistBucket `json:"buckets,omitempty"`
 }
 
 // Summary digests the histogram into count/mean/p50/p90/p99/min/max plus

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"reflect"
 	"testing"
 
 	"leaserelease/internal/mem"
@@ -262,34 +261,6 @@ func TestLedgerTopAndSummary(t *testing.T) {
 	}
 	if _, ok := decoded["Addr"]; ok {
 		t.Error("raw Addr field leaked into JSON")
-	}
-}
-
-// Summary.Compact rewrites occupied buckets as [lo, count] pairs and
-// drops the verbose form; both forms carry the same data.
-func TestHistSummaryCompact(t *testing.T) {
-	var h Hist
-	h.Observe(3)
-	h.Observe(100)
-	h.Observe(100)
-	s := h.Summary()
-	verbose := make([][2]uint64, len(s.Buckets))
-	for i, b := range s.Buckets {
-		verbose[i] = [2]uint64{b.Lo, b.Count}
-	}
-
-	s.Compact()
-	if len(s.Buckets) != 0 {
-		t.Errorf("verbose buckets survived Compact: %+v", s.Buckets)
-	}
-	if !reflect.DeepEqual(s.CompactBuckets, verbose) {
-		t.Errorf("compact %v != verbose pairs %v", s.CompactBuckets, verbose)
-	}
-
-	var empty Summary
-	empty.Compact()
-	if empty.CompactBuckets != nil {
-		t.Errorf("empty summary grew compact buckets: %v", empty.CompactBuckets)
 	}
 }
 

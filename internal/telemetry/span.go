@@ -301,26 +301,6 @@ func (sp *Spans) OpEnd(core int, start, end uint64, measured bool) {
 	*p = pendingOp{}
 }
 
-// PhaseCycles is one row of a rendered cycle-accounting breakdown.
-type PhaseCycles struct {
-	Name   string
-	Cycles uint64
-}
-
-// Breakdown lists the per-phase totals in canonical phase order, followed
-// by the op-level "other" bucket (L1 hits + local compute) when operation
-// accounting is present.
-func (t *TxnStats) Breakdown() []PhaseCycles {
-	out := make([]PhaseCycles, 0, NumPhases+1)
-	for p := Phase(0); p < NumPhases; p++ {
-		out = append(out, PhaseCycles{p.String(), t.Phase[p]})
-	}
-	if t.Ops > 0 {
-		out = append(out, PhaseCycles{"l1+compute", t.OpOtherCycles})
-	}
-	return out
-}
-
 // TxnPhases is the named-field form of a per-phase cycle split.
 type TxnPhases struct {
 	ReqNet     uint64 `json:"req_net_cycles"`

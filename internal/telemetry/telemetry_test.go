@@ -2,9 +2,11 @@ package telemetry
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"leaserelease/internal/mem"
@@ -106,6 +108,35 @@ func TestBusRouting(t *testing.T) {
 	}
 	if all[1].Time != 9 || all[1].Cat != CatCache {
 		t.Fatalf("second event = %+v", all[1])
+	}
+}
+
+// Every CatLease kind must have a distinct human-readable name; only
+// out-of-range values fall through to the LeaseKind(%d) default.
+func TestLeaseKindNameExhaustive(t *testing.T) {
+	kinds := []uint8{
+		LeaseCreated, LeaseStarted, LeaseReleased, LeaseExpired, LeaseEvicted,
+		LeaseForced, LeaseBroken, ProbeDeferred, LeaseIgnored, ProbeServed,
+	}
+	seen := make(map[string]uint8, len(kinds))
+	for i, k := range kinds {
+		if int(k) != i {
+			t.Fatalf("kind %d numbered %d: the list must follow the declaration", i, k)
+		}
+		name := LeaseKindName(k)
+		if strings.HasPrefix(name, "LeaseKind(") {
+			t.Fatalf("kind %d has no name", k)
+		}
+		if other, dup := seen[name]; dup {
+			t.Fatalf("kinds %d and %d share the name %q", other, k, name)
+		}
+		seen[name] = k
+	}
+	// The first value past the list is unnamed: a new kind must be added to
+	// both the function and the list above.
+	next := uint8(len(kinds))
+	if got, want := LeaseKindName(next), fmt.Sprintf("LeaseKind(%d)", next); got != want {
+		t.Fatalf("LeaseKindName(%d) = %q, want %q: a kind is missing from this test", next, got, want)
 	}
 }
 

@@ -80,22 +80,6 @@ func (t *Timeline) us(cycles uint64) float64 { return float64(cycles) / t.Cycles
 
 func lineName(l mem.Line) string { return fmt.Sprintf("line %#x", uint64(l)) }
 
-func releaseReason(kind uint8) string {
-	switch kind {
-	case LeaseReleased:
-		return "release"
-	case LeaseExpired:
-		return "expire"
-	case LeaseEvicted:
-		return "evict"
-	case LeaseForced:
-		return "force"
-	case LeaseBroken:
-		return "break"
-	}
-	return "unknown"
-}
-
 // OnLease consumes one CatLease event. Recorder feeds it; it may also be
 // subscribed directly to a Bus.
 func (t *Timeline) OnLease(e Event) {
@@ -104,7 +88,7 @@ func (t *Timeline) OnLease(e Event) {
 	case LeaseStarted:
 		t.open[openKey{e.Core, e.Line}] = e.Time
 	case LeaseReleased, LeaseExpired, LeaseEvicted, LeaseForced, LeaseBroken:
-		t.closeInterval(e.Core, e.Line, e.Time, releaseReason(e.Kind), e.Val)
+		t.closeInterval(e.Core, e.Line, e.Time, LeaseKindName(e.Kind), e.Val)
 	case ProbeDeferred:
 		t.instant(e.Core, e.Time, "probe deferred", e.Line)
 	case LeaseIgnored:

@@ -63,8 +63,6 @@ type (
 	Config = machine.Config
 	// Stats is a snapshot of hardware event counters.
 	Stats = machine.Stats
-	// TraceEvent is one lease-mechanism event (see Machine.SetTracer).
-	TraceEvent = machine.TraceEvent
 	// Auto wraps a Ctx with §8-style automatic lease insertion.
 	Auto = machine.Auto
 	// Addr is a simulated memory address.
