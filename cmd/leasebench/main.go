@@ -13,8 +13,6 @@
 //	leasebench -exp all -quick -parallel 4
 //	leasebench -exp all -serve :9090
 //	leasebench -compare old.json new.json [-threshold 5]
-//	leasebench history [-dir .leasehistory] [-note s] run.json...
-//	leasebench report [-dir .leasehistory] [-o lease-report.html] [run.json...]
 //
 // -protocol, -threads, -strict, -serve, -parallel, -cpuprofile and
 // -memprofile are the host flags shared with cmd/leasesim; bench.Host
@@ -27,11 +25,6 @@
 // throughput, latency percentiles and messages per op; changes that
 // regress by more than -threshold percent are marked '!', a one-line
 // verdict goes to stderr, and the exit status is 1 when any exist.
-// `history` appends per-run summary metrics from `leasesim -json` files
-// to an append-only JSONL store keyed by configuration and git revision;
-// `report` renders the store plus optional current-run files into a
-// single self-contained HTML report (sweep tables, histogram sparklines,
-// lease-ledger rankings, cross-run trend lines — no external assets).
 //
 // A cell that fails (deadlock, livelock, panic, protocol violation, blown
 // cycle budget) is named on stderr with the machine's state dump and on a
@@ -58,17 +51,6 @@ var experiments = bench.All()
 
 // run is main: it returns the exit status.
 func run(args []string, stdout, stderr io.Writer) int {
-	// Subcommands of the report pipeline dispatch before the global flag
-	// set: `leasebench history ...` and `leasebench report ...` have their
-	// own flags (see runHistory/runReport).
-	if len(args) > 0 {
-		switch args[0] {
-		case "history":
-			return runHistory(args[1:])
-		case "report":
-			return runReport(args[1:])
-		}
-	}
 	fs := flag.NewFlagSet("leasebench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	// -protocol -threads -strict -serve -parallel -cpuprofile -memprofile
@@ -78,8 +60,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		exp    = fs.String("exp", "", "experiment id to run, or 'all'")
 		list   = fs.Bool("list", false, "list experiment ids and exit")
 		quick  = fs.Bool("quick", false, "small thread sweep and short windows")
-		warm   = fs.Uint64("warm", 0, "warmup cycles: an override of the sweep scale's, 0 keeps it (leasesim's -warm is a different flag: a plain value with its own default)")
-		window = fs.Uint64("window", 0, "measurement window cycles (override)")
+		warm   = fs.Uint64("warm", 0, "warm-up cycles excluded from the measurement (default: the sweep scale's)")
+		window = fs.Uint64("window", 0, "measurement window cycles (default: the sweep scale's)")
 
 		compare   = fs.Bool("compare", false, "compare two leasesim -json report files: leasebench -compare old.json new.json")
 		threshold = fs.Float64("threshold", 5, "with -compare, highlight regressions beyond this percentage (0 disables)")
@@ -151,24 +133,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	if err := host.Start("leasebench", stderr); err != nil {
-		fmt.Fprintf(stderr, "leasebench: %v\n", err)
-		return 2
-	}
-
 	p := bench.FullParams()
 	if *quick {
 		p = bench.QuickParams()
 	}
+	// A flag that was given wins over the scale, whatever its value.
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "warm":
+			p.Warm = *warm
+		case "window":
+			p.Window = *window
+		}
+	})
+	if p.Window == 0 {
+		fmt.Fprintln(stderr, "leasebench: -window wants at least one cycle")
+		return 2
+	}
+	if err := host.Start("leasebench", stderr); err != nil {
+		fmt.Fprintf(stderr, "leasebench: %v\n", err)
+		return 2
+	}
 	p.Protocol, p.Pool, p.Progress = host.Protocol, host.Pool, host.Progress
 	if host.Threads != nil {
 		p.Threads = host.Threads
-	}
-	if *warm > 0 {
-		p.Warm = *warm
-	}
-	if *window > 0 {
-		p.Window = *window
 	}
 	// runOne executes one experiment and reports its failed cells. An
 	// escaping panic (which the sim kernel annotates with cycle/proc/event
@@ -205,92 +193,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Tear down the pool and flush the profiles before the process ends.
 	host.Close()
 	return status
-}
-
-// runHistory implements `leasebench history [-dir D] [-note s] run.json...`:
-// every report in the given `leasesim -json` files is summarized into one
-// line of the append-only JSONL store, keyed by configuration and the
-// working tree's git revision.
-func runHistory(args []string) int {
-	fs := flag.NewFlagSet("history", flag.ExitOnError)
-	dir := fs.String("dir", ".leasehistory", "history store directory")
-	note := fs.String("note", "", "free-form note attached to each entry")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: leasebench history [-dir D] [-note s] run.json...")
-		fs.PrintDefaults()
-	}
-	fs.Parse(args)
-	if fs.NArg() == 0 {
-		fs.Usage()
-		return 2
-	}
-	var reports []bench.Report
-	for _, path := range fs.Args() {
-		reps, err := bench.ReadReportFile(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "leasebench: history: %v\n", err)
-			return 2
-		}
-		reports = append(reports, reps...)
-	}
-	entries, err := bench.AppendHistory(*dir, bench.GitSHA(), *note, reports, time.Now())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "leasebench: history: %v\n", err)
-		return 1
-	}
-	for _, e := range entries {
-		fmt.Printf("recorded %s (%.3f Mops/s)\n", e.Key, e.MopsPerSec)
-	}
-	fmt.Printf("%d entries appended to %s\n", len(entries), *dir)
-	return 0
-}
-
-// runReport implements `leasebench report [-dir D] [-o F] [run.json...]`:
-// render the self-contained HTML report from the history store plus any
-// current-run report files (which supply the sweep table, histogram
-// sparklines, and ledger rankings).
-func runReport(args []string) int {
-	fs := flag.NewFlagSet("report", flag.ExitOnError)
-	dir := fs.String("dir", ".leasehistory", "history store directory")
-	out := fs.String("o", "lease-report.html", "output HTML file")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: leasebench report [-dir D] [-o F] [run.json...]")
-		fs.PrintDefaults()
-	}
-	fs.Parse(args)
-	var current []bench.Report
-	for _, path := range fs.Args() {
-		reps, err := bench.ReadReportFile(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "leasebench: report: %v\n", err)
-			return 2
-		}
-		current = append(current, reps...)
-	}
-	history, err := bench.ReadHistory(*dir)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "leasebench: report: %v\n", err)
-		return 1
-	}
-	if len(current) == 0 && len(history) == 0 {
-		fmt.Fprintf(os.Stderr, "leasebench: report: nothing to render (no report files, empty history in %s)\n", *dir)
-		return 1
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "leasebench: report: %v\n", err)
-		return 1
-	}
-	if err := bench.WriteHTMLReport(f, current, history, bench.GitSHA(), time.Now()); err == nil {
-		err = f.Close()
-	} else {
-		f.Close()
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "leasebench: report: %v\n", err)
-		return 1
-	}
-	fmt.Printf("report written to %s (%d current runs, %d history entries)\n",
-		*out, len(current), len(history))
-	return 0
 }

@@ -48,6 +48,12 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-nosuchflag"}, []string{"flag provided but not defined"}},
 		{[]string{"-perfjson", "x", "-exp", "table1"}, []string{"flag provided but not defined: -perfjson"}},
 		{nil, []string{"-exp string"}},
+		// The binary has no subcommands: a first argument that is no flag gets
+		// the usage text.
+		{[]string{"history", "run.json"}, []string{"Usage of leasebench", "-exp string"}},
+		{[]string{"report"}, []string{"Usage of leasebench", "-exp string"}},
+		{[]string{"-exp", "fig2", "-threads", "2,2"}, []string{"thread count 2 given twice"}},
+		{[]string{"-exp", "fig2", "-quick", "-window", "0"}, []string{"-window wants at least one cycle"}},
 	} {
 		status, out, errOut := leasebench(c.args...)
 		if status != 2 || out != "" {
@@ -82,6 +88,34 @@ func TestExperimentOutputIsTheDeclarations(t *testing.T) {
 	}
 	if got := wallTime.ReplaceAllString(out, ""); got != want.String() {
 		t.Errorf("CLI output, wall time stripped:\n%s\nwant the declaration's:\n%s", got, &want)
+	}
+}
+
+// -warm means what it means in leasesim, warm-up cycles excluded from the
+// measurement, so -warm 0 is a run without warm-up and not a flag left unset.
+func TestWarmZeroIsAValue(t *testing.T) {
+	run := func(args ...string) string {
+		status, out, errOut := leasebench(append([]string{"-exp", "fig4-mq", "-quick", "-parallel", "2"}, args...)...)
+		if status != 0 {
+			t.Fatalf("%v: status %d, stderr:\n%s", args, status, errOut)
+		}
+		return wallTime.ReplaceAllString(out, "")
+	}
+	cold := run("-warm", "0")
+	if cold == run() {
+		t.Error("-warm 0 printed what the scale's warm-up prints")
+	}
+	e, _ := bench.Find("fig4-mq")
+	p := bench.QuickParams()
+	p.Warm = 0
+	var want bytes.Buffer
+	want.WriteString("## fig4-mq — " + e.Paper + "\n")
+	if failed := e.Run(&want, p); len(failed) > 0 {
+		t.Fatal(failed)
+	}
+	want.WriteString("\n")
+	if cold != want.String() {
+		t.Errorf("-warm 0 printed:\n%s\nwant the declaration's with Params.Warm = 0:\n%s", cold, &want)
 	}
 }
 

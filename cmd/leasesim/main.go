@@ -107,7 +107,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Uint64Var(&f.leaseTime, "leasetime", 20000, "lease duration in cycles")
 	fs.Uint64Var(&f.maxLease, "maxleasetime", 20000, "MAX_LEASE_TIME in cycles")
 	fs.Uint64Var(&f.cycles, "cycles", 1_000_000, "cycles to simulate")
-	fs.Uint64Var(&f.warm, "warm", 100_000, "warmup cycles excluded from the report (leasebench's -warm is a different flag: an override of its sweep scale)")
+	fs.Uint64Var(&f.warm, "warm", 100_000, "warm-up cycles excluded from the measurement")
 	fs.BoolVar(&f.priority, "priority", false, "regular requests break leases (§5)")
 	fs.BoolVar(&f.mesi, "mesi", false, "MESI exclusive-clean read fills (§8)")
 	fs.IntVar(&f.trace, "trace", 0, "print the first N lease-mechanism events")

@@ -126,6 +126,9 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-ds", "tl2", "-multilease", "both"}, `bad -multilease "both"`},
 		{[]string{"-threads", ""}, "-threads wants at least one thread count"},
 		{[]string{"-protocol", "moesi"}, `unknown -protocol "moesi"`},
+		// Two cells of one thread count would share a -timeline file and a
+		// -serve name.
+		{[]string{"-threads", "2,2"}, "thread count 2 given twice"},
 	} {
 		status, out, errOut := leasesim(c.args...)
 		if status != 2 || out != "" {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -75,6 +76,11 @@ func (h *Host) Start(name string, stderr io.Writer) error {
 			n, err := strconv.Atoi(strings.TrimSpace(part))
 			if err != nil || n < 1 || n > 64 {
 				return fmt.Errorf("bad thread count %q (want 1..64)", part)
+			}
+			// A cell is named by its thread count (table row, -timeline
+			// suffix, -serve cell): two of one count would share a name.
+			if slices.Contains(h.Threads, n) {
+				return fmt.Errorf("thread count %d given twice in -threads %s", n, h.threads)
 			}
 			h.Threads = append(h.Threads, n)
 		}

@@ -22,15 +22,13 @@ type Report struct {
 
 	// FaultProfile is the compact fault-schedule identifier
 	// (faults.Config.Profile) of a fault-injected run; empty — and
-	// omitted, keeping clean reports byte-identical — otherwise. The
-	// history store folds it into the grouping key so faulted runs get
-	// their own trend lines.
+	// omitted, keeping clean reports byte-identical — otherwise. Part of
+	// Key, so -compare never matches a faulted run against a clean one.
 	FaultProfile string `json:"fault_profile,omitempty"`
 
 	// Protocol names the coherence protocol backend of a non-default run
 	// ("tardis"); empty — and omitted, keeping MSI reports byte-identical
-	// — for the default directory MSI. The history store folds it into
-	// the grouping key so per-protocol runs trend separately.
+	// — for the default directory MSI. Part of Key.
 	Protocol string `json:"protocol,omitempty"`
 
 	Ops           uint64  `json:"ops"`
@@ -70,6 +68,24 @@ type Report struct {
 	// fields above are zero then. Omitted on success, so successful
 	// reports marshal byte-for-byte as before.
 	Error string `json:"error,omitempty"`
+}
+
+// Key names the report's whole configuration —
+// "<ds>/t<threads>/<lease|nolease>/s<seed>[/f<fault profile>][/p<protocol>]"
+// — the spelling `leasebench -compare` matches and labels runs by.
+func (r *Report) Key() string {
+	mode := "nolease"
+	if r.Lease {
+		mode = "lease"
+	}
+	key := fmt.Sprintf("%s/t%d/%s/s%d", r.DS, r.Threads, mode, r.Seed)
+	if r.FaultProfile != "" {
+		key += "/f" + r.FaultProfile
+	}
+	if r.Protocol != "" {
+		key += "/p" + r.Protocol
+	}
+	return key
 }
 
 // Counters is machine.Stats with JSON-friendly names and messages broken
@@ -207,9 +223,9 @@ func BuildLedgerReport(sum *telemetry.LedgerSummary, rec *telemetry.Recorder) *L
 	}
 }
 
-// protocolTag normalizes a config's protocol for report/history purposes:
-// the default MSI (under either spelling) is the empty tag, so existing
-// reports and history keys are unchanged.
+// protocolTag normalizes a config's protocol for reports: the default MSI
+// (under either spelling) is the empty tag, so an MSI report never names a
+// protocol.
 func protocolTag(p string) string {
 	if p == coherence.ProtocolMSI {
 		return ""

@@ -128,41 +128,6 @@ func Throughput(cfg machine.Config, threads int, warm, window uint64,
 func ThroughputOpts(cfg machine.Config, threads int, warm, window uint64,
 	build func(d *machine.Direct) OpFunc, o Options) Result {
 
-	r, err := throughputGuarded(cfg, threads, warm, window, build, o)
-	if err != nil {
-		var re *RunError
-		if !errors.As(err, &re) {
-			re = &RunError{Threads: threads, Reason: classify(err), Cause: err, Detail: err.Error()}
-		}
-		return Result{Threads: uint64(threads), Err: re}
-	}
-	return r
-}
-
-// throughputGuarded is the measurement body. Escaping panics (which the
-// sim kernel re-raises on this goroutine as *sim.PanicError with cycle,
-// proc, and event context) are recovered into RunErrors here.
-func throughputGuarded(cfg machine.Config, threads int, warm, window uint64,
-	build func(d *machine.Direct) OpFunc, o Options) (res Result, err error) {
-
-	var m *machine.Machine
-	defer func() {
-		if r := recover(); r != nil {
-			err = newRunError(m, threads, toError(r))
-		}
-		if err != nil && m != nil {
-			m.Stop() // every failed cell, or its parked procs leak
-		}
-	}()
-
-	m = machine.New(cfg)
-	for _, h := range o.Hooks {
-		h(m)
-	}
-	var chk *invariant.Checker
-	if o.Invariants {
-		chk = invariant.Attach(m)
-	}
 	rec := o.Recorder
 	var spans *telemetry.Spans
 	var ledger *telemetry.Ledger
@@ -178,116 +143,161 @@ func throughputGuarded(cfg machine.Config, threads int, warm, window uint64,
 			// Same window convention: warm-up leases are not accounted.
 			ledger.WindowStart = warm
 		}
-		rec.Attach(m.Telemetry())
 	}
-	op := build(m.Direct())
-	if rec != nil {
-		inner := op
-		op = func(tid int, c *machine.Ctx) {
-			start := c.Now()
-			inner(tid, c)
-			end := c.Now()
-			// Observe puts the op-boundary bookkeeping at the thread's last
-			// access in the event order, so histogram fills, span closes and
-			// ledger op counts interleave with bus events as they happened.
-			c.Observe(func() {
-				if start >= warm {
-					rec.OpLatency.Observe(end - start)
-				}
-				if spans != nil {
-					// Threads spawn on cores in order, so tid == core id.
-					spans.OpEnd(tid, start, end, start >= warm)
-				}
-				if ledger != nil {
-					ledger.OpEnd(tid, start >= warm)
-				}
-			})
+	var chk *invariant.Checker
+	prepare := func(m *machine.Machine) {
+		for _, h := range o.Hooks {
+			h(m)
+		}
+		if o.Invariants {
+			chk = invariant.Attach(m)
+		}
+		if rec != nil {
+			rec.Attach(m.Telemetry())
 		}
 	}
 	counts := make([]uint64, threads)
-	for i := 0; i < threads; i++ {
-		i := i
-		m.Spawn(0, func(c *machine.Ctx) {
+	loop := func(d *machine.Direct) func(int, *machine.Ctx) {
+		op := build(d)
+		if rec != nil {
+			inner := op
+			op = func(tid int, c *machine.Ctx) {
+				start := c.Now()
+				inner(tid, c)
+				end := c.Now()
+				// Observe puts the op-boundary bookkeeping at the thread's last
+				// access in the event order, so histogram fills, span closes and
+				// ledger op counts interleave with bus events as they happened.
+				c.Observe(func() {
+					if start >= warm {
+						rec.OpLatency.Observe(end - start)
+					}
+					if spans != nil {
+						// Threads spawn on cores in order, so tid == core id.
+						spans.OpEnd(tid, start, end, start >= warm)
+					}
+					if ledger != nil {
+						ledger.OpEnd(tid, start >= warm)
+					}
+				})
+			}
+		}
+		return func(tid int, c *machine.Ctx) {
 			for {
-				op(i, c)
-				counts[i]++
+				op(tid, c)
+				counts[tid]++
 			}
-		})
+		}
 	}
-	step := func(until uint64) error { return runTo(m, until, threads, o.Progress) }
-	if err := step(warm); err != nil {
-		return res, err
-	}
-	start := m.Stats()
-	startCounts := append([]uint64(nil), counts...)
+	var r Result
+	// measure runs inside the guard from the first cycle to the assembled
+	// Result: tearing the machine down runs the killed procs' defers.
+	measure := func(m *machine.Machine) *RunError {
+		step := func(until uint64) *RunError { return runTo(m, until, threads, o.Progress) }
+		if err := step(warm); err != nil {
+			return err
+		}
+		start := m.Stats()
+		startCounts := append([]uint64(nil), counts...)
 
-	var series []Sample
-	if o.Samples > 0 {
-		prev, prevOps := start, total(counts)
-		chunk := window / uint64(o.Samples)
-		for s := 0; s < o.Samples; s++ {
-			end := warm + chunk*uint64(s+1)
-			if s == o.Samples-1 {
-				end = warm + window
+		var series []Sample
+		if o.Samples > 0 {
+			prev, prevOps := start, total(counts)
+			chunk := window / uint64(o.Samples)
+			for s := 0; s < o.Samples; s++ {
+				end := warm + chunk*uint64(s+1)
+				if s == o.Samples-1 {
+					end = warm + window
+				}
+				if err := step(end); err != nil {
+					return err
+				}
+				snap, ops := m.Stats(), total(counts)
+				series = append(series, Sample{EndCycle: end, Ops: ops - prevOps, Stats: snap.Sub(prev)})
+				prev, prevOps = snap, ops
 			}
-			if err := step(end); err != nil {
-				return res, err
+		} else if err := step(warm + window); err != nil {
+			return err
+		}
+		w := m.Stats().Sub(start)
+		var ops, minT, maxT uint64
+		minT = ^uint64(0)
+		for i := range counts {
+			d := counts[i] - startCounts[i]
+			ops += d
+			if d < minT {
+				minT = d
 			}
-			snap, ops := m.Stats(), total(counts)
-			series = append(series, Sample{EndCycle: end, Ops: ops - prevOps, Stats: snap.Sub(prev)})
-			prev, prevOps = snap, ops
+			if d > maxT {
+				maxT = d
+			}
 		}
-	} else {
-		if err := step(warm + window); err != nil {
-			return res, err
+		if rec != nil {
+			rec.Finish(m.Now())
 		}
+		m.Stop()
+		o.Progress.ObserveEngine(m.EngineStats())
+		if chk != nil {
+			chk.CheckNow()
+			if cerr := chk.Err(); cerr != nil {
+				return newRunError(m, threads, cerr)
+			}
+		}
+		r = summarize(m.Config(), threads, ops, w)
+		r.Faults = m.FaultStats()
+		if maxT > 0 {
+			r.Fairness = float64(minT) / float64(maxT)
+		}
+		r.Series = series
+		if rec != nil {
+			r.OpLatency = summaryOf(&rec.OpLatency)
+			r.LeaseHold = summaryOf(&rec.LeaseHold)
+			r.ProbeDefer = summaryOf(&rec.ProbeDefer)
+			r.DirQueue = summaryOf(&rec.DirQueue)
+			if spans != nil {
+				st := spans.Stats()
+				sum := st.Summary()
+				r.Txns = &sum
+			}
+			if ledger != nil {
+				sum := ledger.Summary(LedgerTopN)
+				r.LeaseLedger = &sum
+			}
+		}
+		return nil
 	}
-	w := m.Stats().Sub(start)
-	var ops, minT, maxT uint64
-	minT = ^uint64(0)
-	for i := range counts {
-		d := counts[i] - startCounts[i]
-		ops += d
-		if d < minT {
-			minT = d
-		}
-		if d > maxT {
-			maxT = d
-		}
+	if _, re := runGuarded(cfg, threads, prepare, loop, measure); re != nil {
+		return Result{Threads: uint64(threads), Err: re}
 	}
-	if rec != nil {
-		rec.Finish(m.Now())
-	}
-	m.Stop()
-	o.Progress.ObserveEngine(m.EngineStats())
-	if chk != nil {
-		chk.CheckNow()
-		if cerr := chk.Err(); cerr != nil {
-			return res, newRunError(m, threads, cerr)
+	return r
+}
+
+// runGuarded is the one place a cell's machine is built, run and torn down:
+// machine.New, prepare (hooks, checker, recorder) on the idle machine, build
+// on its Direct view, one proc per thread running body(tid, c), then drive —
+// the caller's stop rule. Escaping panics (which the sim kernel re-raises on
+// this goroutine as *sim.PanicError with cycle, proc, and event context) are
+// recovered into RunErrors. The machine comes back with the error (nil when
+// machine.New itself panicked) so the caller can read the state at failure.
+func runGuarded(cfg machine.Config, threads int, prepare func(*machine.Machine),
+	build func(*machine.Direct) func(tid int, c *machine.Ctx),
+	drive func(*machine.Machine) *RunError) (m *machine.Machine, err *RunError) {
+
+	defer func() {
+		if r := recover(); r != nil {
+			err = newRunError(m, threads, toError(r))
 		}
-	}
-	r := summarize(m.Config(), threads, ops, w)
-	r.Faults = m.FaultStats()
-	if maxT > 0 {
-		r.Fairness = float64(minT) / float64(maxT)
-	}
-	r.Series = series
-	if rec != nil {
-		r.OpLatency = summaryOf(&rec.OpLatency)
-		r.LeaseHold = summaryOf(&rec.LeaseHold)
-		r.ProbeDefer = summaryOf(&rec.ProbeDefer)
-		r.DirQueue = summaryOf(&rec.DirQueue)
-		if spans != nil {
-			st := spans.Stats()
-			sum := st.Summary()
-			r.Txns = &sum
+		if err != nil && m != nil {
+			m.Stop() // every failed cell, or its parked procs leak
 		}
-		if ledger != nil {
-			sum := ledger.Summary(LedgerTopN)
-			r.LeaseLedger = &sum
-		}
+	}()
+	m = machine.New(cfg)
+	prepare(m)
+	body := build(m.Direct())
+	for i := 0; i < threads; i++ {
+		m.Spawn(0, func(c *machine.Ctx) { body(i, c) })
 	}
-	return r, nil
+	return m, drive(m)
 }
 
 // runTo advances m to the given cycle, or to the end of the run if that
@@ -295,7 +305,7 @@ func throughputGuarded(cfg machine.Config, threads int, warm, window uint64,
 // cell's live sim-cycle and engine counters advance during the run; the
 // event sequence inside each chunk is exactly what one big Run would
 // execute, so results are unchanged.
-func runTo(m *machine.Machine, until uint64, threads int, cp *CellProgress) error {
+func runTo(m *machine.Machine, until uint64, threads int, cp *CellProgress) *RunError {
 	if cp == nil {
 		if rerr := m.Run(until); rerr != nil {
 			return newRunError(m, threads, rerr)
@@ -409,35 +419,26 @@ func RunToCompletion(cfg machine.Config, threads int, budget uint64,
 	if budget == 0 {
 		budget = DefaultCycleBudget
 	}
-	var m *machine.Machine
-	defer func() {
-		if r := recover(); r != nil {
-			err = newRunError(m, threads, toError(r))
-			if m != nil {
-				cycles, stats = m.Now(), m.Stats()
+	m, re := runGuarded(cfg, threads, func(*machine.Machine) {}, build, func(m *machine.Machine) *RunError {
+		if re := runTo(m, budget, threads, cp); re != nil {
+			return re
+		}
+		d := m.DumpState()
+		for _, c := range d.Cores {
+			if !c.Done {
+				re := &RunError{Threads: threads, Cycle: m.Now(), Reason: "budget",
+					Detail: fmt.Sprintf("cycle budget %d exhausted before completion", budget), Dump: d}
+				re.Cause = errors.New(re.Detail)
+				return re
 			}
 		}
-		if err != nil && m != nil {
-			m.Stop() // every failed run, or its parked procs leak
-		}
-	}()
-	m = machine.New(cfg)
-	body := build(m.Direct())
-	for i := 0; i < threads; i++ {
-		i := i
-		m.Spawn(0, func(c *machine.Ctx) { body(i, c) })
-	}
-	if rerr := runTo(m, budget, threads, cp); rerr != nil {
-		return m.Now(), m.Stats(), rerr
-	}
-	d := m.DumpState()
-	for _, c := range d.Cores {
-		if !c.Done {
-			re := &RunError{Threads: threads, Cycle: m.Now(), Reason: "budget",
-				Detail: fmt.Sprintf("cycle budget %d exhausted before completion", budget), Dump: d}
-			re.Cause = errors.New(re.Detail)
-			return m.Now(), m.Stats(), re
-		}
+		return nil
+	})
+	switch {
+	case m == nil:
+		return 0, machine.Stats{}, re
+	case re != nil:
+		return m.Now(), m.Stats(), re
 	}
 	return m.FinishedAt(), m.Stats(), nil
 }

@@ -64,22 +64,22 @@ func TestFailedCellFailsItsExperiment(t *testing.T) {
 	}
 }
 
-// DESIGN.md's experiment index (§4) names every experiment: the list in
+// DESIGN.md's experiment index (§7) names every experiment: the list in
 // All() and the documented one cannot drift apart unnoticed.
 func TestDesignIndexNamesEveryExperiment(t *testing.T) {
 	design, err := os.ReadFile("../../DESIGN.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := bytes.Index(design, []byte("## 4. Experiment index"))
-	end := bytes.Index(design, []byte("## 5. "))
+	start := bytes.Index(design, []byte("**Experiment index.**"))
+	end := bytes.Index(design, []byte("## 8. "))
 	if start < 0 || end < start {
-		t.Fatal("DESIGN.md has no §4 experiment index before §5")
+		t.Fatal("DESIGN.md has no experiment index in §7, before §8")
 	}
 	index := string(design[start:end])
 	for _, e := range All() {
 		if !strings.Contains(index, "`leasebench -exp "+e.ID+"`") {
-			t.Errorf("DESIGN.md §4 does not list `leasebench -exp %s`", e.ID)
+			t.Errorf("DESIGN.md §7 does not list `leasebench -exp %s`", e.ID)
 		}
 	}
 }

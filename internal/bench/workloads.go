@@ -16,45 +16,54 @@ const LeaseTime = 20000
 // jitter desynchronizes op streams a little, like real-world think time.
 func jitter(c *machine.Ctx) { c.Work(c.Rand().Uint64n(32)) }
 
+// pairOp is the operation most contended workloads loop on: put or take,
+// chosen at random, then jitter. The thread's RNG is drawn in that order —
+// Intn(2), whatever the chosen operation draws, jitter — and every golden
+// depends on it.
+func pairOp(put, take OpFunc) OpFunc {
+	return func(tid int, c *machine.Ctx) {
+		if c.Rand().Intn(2) == 0 {
+			put(tid, c)
+		} else {
+			take(tid, c)
+		}
+		jitter(c)
+	}
+}
+
+// prefill64 hands put the values 1..64: the population every stack and
+// queue run starts from.
+func prefill64(put func(v uint64)) {
+	for v := uint64(1); v <= 64; v++ {
+		put(v)
+	}
+}
+
 // StackWorkload: 100% updates, push/pop chosen at random (Figure 2).
 func StackWorkload(opt ds.StackOptions) func(d *machine.Direct) OpFunc {
 	return func(d *machine.Direct) OpFunc {
 		s := ds.NewStack(d, opt)
-		for i := 0; i < 64; i++ {
-			s.Push(d, uint64(i)+1)
-		}
-		return func(tid int, c *machine.Ctx) {
-			if c.Rand().Intn(2) == 0 {
-				s.Push(c, 1)
-			} else {
-				s.Pop(c)
-			}
-			jitter(c)
-		}
+		prefill64(func(v uint64) { s.Push(d, v) })
+		return pairOp(
+			func(_ int, c *machine.Ctx) { s.Push(c, 1) },
+			func(_ int, c *machine.Ctx) { s.Pop(c) })
 	}
 }
 
 // LockStackWorkload: the same Figure 2 op mix on a sequential stack
 // guarded by a global TTS lock — the coarse-grained baseline whose
 // throughput collapses hardest when a preempted thread parks inside the
-// critical section (the degradation experiment's worst case).
+// critical section (the degradation experiment's worst case). The lock
+// draws nothing from the RNG, so taking it after pairOp's coin flip is the
+// draw order of taking it before.
 func LockStackWorkload() func(d *machine.Direct) OpFunc {
 	return func(d *machine.Direct) OpFunc {
 		l := locks.NewTTS(d)
 		s := ds.NewStack(d, ds.StackOptions{})
-		for i := 0; i < 64; i++ {
-			s.Push(d, uint64(i)+1)
-		}
-		return func(tid int, c *machine.Ctx) {
-			l.Lock(c)
-			if c.Rand().Intn(2) == 0 {
-				s.Push(c, 1)
-			} else {
-				s.Pop(c)
-			}
-			l.Unlock(c)
-			jitter(c)
-		}
+		prefill64(func(v uint64) { s.Push(d, v) })
+		return pairOp(
+			func(_ int, c *machine.Ctx) { l.Lock(c); s.Push(c, 1); l.Unlock(c) },
+			func(_ int, c *machine.Ctx) { l.Lock(c); s.Pop(c); l.Unlock(c) })
 	}
 }
 
@@ -63,23 +72,17 @@ func LockStackWorkload() func(d *machine.Direct) OpFunc {
 func AutoStackWorkload() func(d *machine.Direct) OpFunc {
 	return func(d *machine.Direct) OpFunc {
 		s := ds.NewStack(d, ds.StackOptions{})
-		for i := 0; i < 64; i++ {
-			s.Push(d, uint64(i)+1)
-		}
+		prefill64(func(v uint64) { s.Push(d, v) })
 		var autos [64]*machine.Auto // per-tid slots
-		return func(tid int, c *machine.Ctx) {
-			a := autos[tid]
-			if a == nil {
-				a = machine.NewAuto(c, LeaseTime)
-				autos[tid] = a
+		auto := func(tid int, c *machine.Ctx) *machine.Auto {
+			if autos[tid] == nil {
+				autos[tid] = machine.NewAuto(c, LeaseTime)
 			}
-			if c.Rand().Intn(2) == 0 {
-				s.Push(a, 1)
-			} else {
-				s.Pop(a)
-			}
-			jitter(c)
+			return autos[tid]
 		}
+		return pairOp(
+			func(tid int, c *machine.Ctx) { s.Push(auto(tid, c), 1) },
+			func(tid int, c *machine.Ctx) { s.Pop(auto(tid, c)) })
 	}
 }
 
@@ -88,17 +91,10 @@ func AutoStackWorkload() func(d *machine.Direct) OpFunc {
 func FCStackWorkload(threads int) func(d *machine.Direct) OpFunc {
 	return func(d *machine.Direct) OpFunc {
 		s := ds.NewFCStack(d, threads)
-		for i := 0; i < 64; i++ {
-			s.Push(d, 0, uint64(i)+1)
-		}
-		return func(tid int, c *machine.Ctx) {
-			if c.Rand().Intn(2) == 0 {
-				s.Push(c, tid, 1)
-			} else {
-				s.Pop(c, tid)
-			}
-			jitter(c)
-		}
+		prefill64(func(v uint64) { s.Push(d, 0, v) })
+		return pairOp(
+			func(tid int, c *machine.Ctx) { s.Push(c, tid, 1) },
+			func(tid int, c *machine.Ctx) { s.Pop(c, tid) })
 	}
 }
 
@@ -107,17 +103,10 @@ func FCStackWorkload(threads int) func(d *machine.Direct) OpFunc {
 func EliminationStackWorkload() func(d *machine.Direct) OpFunc {
 	return func(d *machine.Direct) OpFunc {
 		s := ds.NewEliminationStack(d, 4)
-		for i := 0; i < 64; i++ {
-			s.Push(d, uint64(i)+1)
-		}
-		return func(tid int, c *machine.Ctx) {
-			if c.Rand().Intn(2) == 0 {
-				s.Push(c, 1)
-			} else {
-				s.Pop(c)
-			}
-			jitter(c)
-		}
+		prefill64(func(v uint64) { s.Push(d, v) })
+		return pairOp(
+			func(_ int, c *machine.Ctx) { s.Push(c, 1) },
+			func(_ int, c *machine.Ctx) { s.Pop(c) })
 	}
 }
 
@@ -136,45 +125,34 @@ func CounterWorkload(kind CounterKind) func(d *machine.Direct) OpFunc {
 	return func(d *machine.Direct) OpFunc {
 		ctr := d.Alloc(8)
 		inc := func(c *machine.Ctx) { c.Store(ctr, c.Load(ctr)+1) }
+		var l locks.TryLock
 		switch kind {
-		case CounterCLH:
-			l := locks.NewCLH(d)
+		case CounterCLH: // the one lock whose waiters carry a handle
+			clh := locks.NewCLH(d)
 			var handles [64]*locks.CLHHandle // per-tid slots
 			return func(tid int, c *machine.Ctx) {
 				h := handles[tid]
 				if h == nil {
-					h = l.NewHandle(c)
+					h = clh.NewHandle(c)
 					handles[tid] = h
 				}
-				l.Lock(c, h)
+				clh.Lock(c, h)
 				inc(c)
-				l.Unlock(c, h)
+				clh.Unlock(c, h)
 				jitter(c)
 			}
 		case CounterTicket:
-			l := locks.NewTicket(d)
-			return func(tid int, c *machine.Ctx) {
-				l.Lock(c)
-				inc(c)
-				l.Unlock(c)
-				jitter(c)
-			}
+			l = locks.NewTicket(d)
 		case CounterLeasedTTS:
-			l := locks.NewLeased(locks.NewTTS(d), LeaseTime)
-			return func(tid int, c *machine.Ctx) {
-				l.Lock(c)
-				inc(c)
-				l.Unlock(c)
-				jitter(c)
-			}
+			l = locks.NewLeased(locks.NewTTS(d), LeaseTime)
 		default:
-			l := locks.NewTTS(d)
-			return func(tid int, c *machine.Ctx) {
-				l.Lock(c)
-				inc(c)
-				l.Unlock(c)
-				jitter(c)
-			}
+			l = locks.NewTTS(d)
+		}
+		return func(tid int, c *machine.Ctx) {
+			l.Lock(c)
+			inc(c)
+			l.Unlock(c)
+			jitter(c)
 		}
 	}
 }
@@ -183,17 +161,10 @@ func CounterWorkload(kind CounterKind) func(d *machine.Direct) OpFunc {
 func QueueWorkload(mode ds.QueueLeaseMode) func(d *machine.Direct) OpFunc {
 	return func(d *machine.Direct) OpFunc {
 		q := ds.NewQueue(d, ds.QueueOptions{Mode: mode, LeaseTime: LeaseTime})
-		for i := 0; i < 64; i++ {
-			q.Enqueue(d, uint64(i)+1)
-		}
-		return func(tid int, c *machine.Ctx) {
-			if c.Rand().Intn(2) == 0 {
-				q.Enqueue(c, 1)
-			} else {
-				q.Dequeue(c)
-			}
-			jitter(c)
-		}
+		prefill64(func(v uint64) { q.Enqueue(d, v) })
+		return pairOp(
+			func(_ int, c *machine.Ctx) { q.Enqueue(c, 1) },
+			func(_ int, c *machine.Ctx) { q.Dequeue(c) })
 	}
 }
 
@@ -202,17 +173,10 @@ func QueueWorkload(mode ds.QueueLeaseMode) func(d *machine.Direct) OpFunc {
 func FCQueueWorkload(threads int) func(d *machine.Direct) OpFunc {
 	return func(d *machine.Direct) OpFunc {
 		q := ds.NewFCQueue(d, threads)
-		for i := 0; i < 64; i++ {
-			q.Enqueue(d, 0, uint64(i)+1)
-		}
-		return func(tid int, c *machine.Ctx) {
-			if c.Rand().Intn(2) == 0 {
-				q.Enqueue(c, tid, 1)
-			} else {
-				q.Dequeue(c, tid)
-			}
-			jitter(c)
-		}
+		prefill64(func(v uint64) { q.Enqueue(d, 0, v) })
+		return pairOp(
+			func(tid int, c *machine.Ctx) { q.Enqueue(c, tid, 1) },
+			func(tid int, c *machine.Ctx) { q.Dequeue(c, tid) })
 	}
 }
 
@@ -221,17 +185,10 @@ func FCQueueWorkload(threads int) func(d *machine.Direct) OpFunc {
 func LCRQWorkload() func(d *machine.Direct) OpFunc {
 	return func(d *machine.Direct) OpFunc {
 		q := ds.NewLCRQ(d, 1024)
-		for i := 0; i < 64; i++ {
-			q.Enqueue(d, uint64(i)+1)
-		}
-		return func(tid int, c *machine.Ctx) {
-			if c.Rand().Intn(2) == 0 {
-				q.Enqueue(c, 1)
-			} else {
-				q.Dequeue(c)
-			}
-			jitter(c)
-		}
+		prefill64(func(v uint64) { q.Enqueue(d, v) })
+		return pairOp(
+			func(_ int, c *machine.Ctx) { q.Enqueue(c, 1) },
+			func(_ int, c *machine.Ctx) { q.Dequeue(c) })
 	}
 }
 
@@ -260,14 +217,9 @@ func PQWorkload(kind PQKind, prefill int) func(d *machine.Direct) OpFunc {
 		for i := 0; i < prefill; i++ {
 			pq.Insert(d, d.Rand().Next()>>16|1)
 		}
-		return func(tid int, c *machine.Ctx) {
-			if c.Rand().Intn(2) == 0 {
-				pq.Insert(c, c.Rand().Next()>>16|1)
-			} else {
-				pq.DeleteMin(c)
-			}
-			jitter(c)
-		}
+		return pairOp(
+			func(_ int, c *machine.Ctx) { pq.Insert(c, c.Rand().Next()>>16|1) },
+			func(_ int, c *machine.Ctx) { pq.DeleteMin(c) })
 	}
 }
 
@@ -279,14 +231,9 @@ func MQWorkload(opt multiqueue.Options) func(d *machine.Direct) OpFunc {
 		for i := 0; i < 256; i++ {
 			q.Insert(d, d.Rand().Next()>>16|1)
 		}
-		return func(tid int, c *machine.Ctx) {
-			if c.Rand().Intn(2) == 0 {
-				q.Insert(c, c.Rand().Next()>>16|1)
-			} else {
-				q.DeleteMin(c)
-			}
-			jitter(c)
-		}
+		return pairOp(
+			func(_ int, c *machine.Ctx) { q.Insert(c, c.Rand().Next()>>16|1) },
+			func(_ int, c *machine.Ctx) { q.DeleteMin(c) })
 	}
 }
 

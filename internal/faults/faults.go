@@ -254,7 +254,7 @@ func (c Config) CapWays(ways int) int {
 }
 
 // Profile renders a compact, stable identifier of the fault schedule for
-// grouping runs (history keys, report labels). A disabled config — or an
+// grouping runs (report keys and labels). A disabled config — or an
 // enabled one whose every field is zero, which injects nothing — renders
 // as "", so clean runs keep their unsuffixed keys.
 func (c Config) Profile() string {

@@ -6,7 +6,6 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
-	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -35,14 +34,10 @@ var unreferenced = map[string]string{
 	"locks.NewTAS":          "the lock tests' baseline; experiments start from TTS",
 }
 
-// tmplName matches a field or method a text/template names.
-var tmplName = regexp.MustCompile(`\.([A-Z]\w*)`)
-
 // Every function and method that internal/ and cmd/ export has a consumer:
-// non-test code somewhere in the module uses its name, as an identifier or
-// from a template string. What only tests use, or only the standard library
-// calls, must be in unreferenced with its reason, and unreferenced holds
-// nothing else. Matching is by name, so a method shares its uses with its
+// non-test code somewhere in the module uses its name. What only tests use,
+// or only the standard library calls, must be in unreferenced with its
+// reason, and unreferenced holds nothing else. Matching is by name, so a method shares its uses with its
 // namesakes; what the test rules out is an export nobody could be calling.
 func TestExportsAreReached(t *testing.T) {
 	type decl struct{ key, pkg, name string }
@@ -92,17 +87,8 @@ func TestExportsAreReached(t *testing.T) {
 			count = testUses
 		}
 		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.Ident:
-				if !declared[n] {
-					count[n.Name]++
-				}
-			case *ast.BasicLit:
-				if n.Kind == token.STRING {
-					for _, m := range tmplName.FindAllStringSubmatch(n.Value, -1) {
-						count[m[1]]++
-					}
-				}
+			if id, ok := n.(*ast.Ident); ok && !declared[id] {
+				count[id.Name]++
 			}
 			return true
 		})
