@@ -102,13 +102,14 @@ func TestJSONReportCarriesEngineStats(t *testing.T) {
 	}
 }
 
-// A run without the lookahead certificate says so in engine_stats, the one
-// place it shows: no lookahead declared, no Sync skipped.
-func TestEngineStatsWithoutCertificate(t *testing.T) {
-	for _, flags := range [][]string{{"-protocol", "tardis"}, {"-faults"}} {
+// Every configuration holds the lookahead certificate, and engine_stats is
+// where it shows: the Tardis and the faulted cell declare the 15-cycle hop
+// too and skip some of their Syncs.
+func TestEngineStatsEveryConfigurationCertified(t *testing.T) {
+	for _, flags := range [][]string{{"-protocol", "tardis"}, {"-faults"}, {"-protocol", "tardis", "-faults"}} {
 		st := engineStats(t, counterJSON(t, flags...))
-		if st.EventsTotal == 0 || st.Lookahead != 0 || st.SyncsSkipped != 0 {
-			t.Errorf("%v: engine_stats = %+v; want events, lookahead 0 and syncs_skipped 0", flags, st)
+		if st.EventsTotal == 0 || st.Lookahead != 15 || st.SyncsSkipped == 0 {
+			t.Errorf("%v: engine_stats = %+v; want events, lookahead 15 and some syncs skipped", flags, st)
 		}
 	}
 }

@@ -1,6 +1,6 @@
-// Package coherence implements a transaction-level directory-based MSI
-// cache coherence protocol with per-line FIFO request queues, the substrate
-// the paper's Lease/Release mechanism plugs into.
+// Package coherence implements a transaction-level directory-based cache
+// coherence protocol with per-line FIFO request queues, the substrate the
+// paper's Lease/Release mechanism plugs into.
 //
 // The directory matches the paper's setup (§7): "The directory structure in
 // Graphite implements a separate request queue per cache line" — this is
@@ -9,14 +9,19 @@
 // (Proposition 1: at most a single outstanding request can be queued at a
 // core); all others wait in the line's FIFO queue at the directory.
 //
-// The package owns protocol state and timing; the per-core side (L1 state
-// changes, lease deferral decisions, waking the requesting core) is
-// delegated to an Env implemented by the machine package, keeping this
-// state machine independently testable.
+// Directory is the transport: every message, hop, queue and timer of a
+// transaction. What a protocol is, beyond that, is a line policy (Policy,
+// LinePolicy): the state it keeps per line and what it decides when a
+// request reaches the head of the line's queue. MSI (msi.go) is the policy
+// the paper evaluates on; package tardis holds a second one. The per-core
+// side (L1 state changes, lease deferral decisions, waking the requesting
+// core) is delegated to an Env implemented by the machine package, keeping
+// the directory independently testable.
 package coherence
 
 import (
 	"fmt"
+	"math/bits"
 
 	"leaserelease/internal/cache"
 	"leaserelease/internal/faults"
@@ -107,12 +112,13 @@ type Request struct {
 
 	Issued sim.Time // submission time (for latency accounting)
 
-	// exclClean marks a MESI Exclusive-clean fill of a read request. entry
-	// is the line's directory entry, which is busy on this request's behalf
-	// from service to commit: its owner, the core a forwarded probe goes
-	// to, stands still meanwhile. Both are set when the request is serviced.
+	// What service decided for the request (Decision): exclClean marks a
+	// read granted in exclusive state and owner is the core a forwarded
+	// probe goes to. line is the line's record, which is busy on this
+	// request's behalf from service to commit.
 	exclClean bool
-	entry     *dirEntry
+	owner     int
+	line      *Line
 
 	// The request's hops through a Directory, as event callbacks. They are
 	// bound the first time the directory dir sees the request and survive
@@ -131,7 +137,7 @@ type Request struct {
 // request is reset and not overwritten with a literal.
 func (r *Request) Reset(core int, line mem.Line, excl, lease bool) {
 	r.Core, r.Line, r.Excl, r.Lease = core, line, excl, lease
-	r.Txn, r.Issued, r.exclClean, r.entry = 0, 0, false, nil
+	r.Txn, r.Issued, r.exclClean, r.owner, r.line = 0, 0, false, 0, nil
 }
 
 // bind makes d the directory whose hops the request's callbacks run.
@@ -139,35 +145,8 @@ func (r *Request) bind(d *Directory) {
 	r.dir = d
 	r.reachDir = func() { d.reachDir(r) }
 	r.arrive = func() { d.arrive(r) }
-	r.probe = func() { d.probeArrive(r.entry.owner, r) }
+	r.probe = func() { d.probeArrive(r.owner, r) }
 	r.grant = func() { d.deliverGrant(r) }
-}
-
-type dirState uint8
-
-const (
-	dirI dirState = iota
-	dirS
-	dirM
-)
-
-type dirEntry struct {
-	state   dirState
-	owner   int
-	sharers uint64 // bitset over cores; Directory supports at most 64 cores
-	busy    bool
-	queue   []*Request
-	touched bool // line has been filled at least once (cold-miss tracking)
-
-	// newState/newOwner/newSharers: the transition decided when the request
-	// in service was taken off the queue, applied by commit when it
-	// completes. busy spans exactly that interval, so one set per line is
-	// enough, and the requester may reuse its Request as soon as the grant
-	// is delivered. commit is the callback that applies it, bound once.
-	newState   dirState
-	newOwner   int
-	newSharers uint64
-	commit     func()
 }
 
 // Env is the per-core side of the protocol, implemented by the machine.
@@ -195,15 +174,24 @@ type Env interface {
 	CountDRAM()
 }
 
-// Directory is the shared-L2 directory controller.
+// Directory is the shared-L2 directory controller: the transport both
+// protocols ride. Per line it keeps the FIFO of waiting requests and serves
+// one at a time; the line's policy decides how (LinePolicy.Serve), and the
+// directory carries the decision out — the probe hop to an owner and the
+// wait for its ProbeDone, the invalidation fan-out, the L2 or DRAM access,
+// the grant to the requester and, at the same cycle, the commit.
 //
-// The directory's own state (entries, queues, RNG) lives in the system
+// The directory's own state (line records, queues, RNG) lives in the system
 // domain; every mutation of it happens in sys-domain events. Core-side
 // effects (probe delivery, invalidation, grant install) are scheduled as
 // events on the owning core's domain, and every cross-domain message carries
 // at least Timing.Net cycles of latency — the lookahead the machine declares
 // to the engine, on which a core's run-ahead L1 hits rest.
 type Directory struct {
+	// Policy is the protocol: its name, its line records and its lease
+	// hooks are the directory's.
+	Policy
+
 	eng *sim.Engine
 	env Env
 	t   Timing
@@ -213,21 +201,18 @@ type Directory struct {
 	dom   *sim.Domain
 	cores [64]*sim.Domain
 
-	// MESI enables MESI-style Exclusive-clean fills (§8 "Other
-	// Protocols"): a read fill with no other sharer is granted in
-	// exclusive state, so the first subsequent write needs no upgrade
-	// transaction. Lease semantics are unchanged — a lease always
-	// demands exclusive state.
+	// MESI is the MSI policy's option of MESI-style Exclusive-clean fills
+	// (§8 "Other Protocols"): a read fill with no other sharer is granted
+	// in exclusive state, so the first subsequent write needs no upgrade
+	// transaction. Lease semantics are unchanged — a lease always demands
+	// exclusive state. Tardis has no such state and ignores it.
 	MESI bool
 
-	entries map[mem.Line]*dirEntry
-	rng     sim.RNG
+	lines map[mem.Line]*Line
+	rng   sim.RNG
 
-	// MaxQueue is the maximum per-line queue occupancy observed (§5
-	// discusses leases potentially increasing directory queuing).
-	MaxQueue int
-	// DeferredProbes counts probes that were queued at a leased core.
-	DeferredProbes uint64
+	// Stats are the counters of both halves (ProtoStats).
+	Stats ProtoStats
 
 	// Bus, when set, receives per-line coherence-message events
 	// (telemetry.CatCoherence) and queue-pressure events
@@ -243,15 +228,20 @@ type Directory struct {
 	Faults *faults.Injector
 }
 
-// NewDirectory builds a directory over the given engine and environment.
-func NewDirectory(eng *sim.Engine, env Env, t Timing) *Directory {
+// New builds a directory that serves its lines by policy p. jitterSeed seeds
+// the stream Timing.NetJitter is drawn from, one per protocol. p reaches the
+// directory it serves (Now, AtCore, Line, Stats) through the returned value.
+func New(eng *sim.Engine, env Env, t Timing, p Policy, jitterSeed uint64) *Directory {
 	return &Directory{
-		eng: eng, env: env, t: t,
-		dom:     eng.Sys(),
-		entries: make(map[mem.Line]*dirEntry),
-		rng:     sim.NewRNG(0xD12EC7),
+		Policy: p, eng: eng, env: env, t: t,
+		dom:   eng.Sys(),
+		lines: make(map[mem.Line]*Line),
+		rng:   sim.NewRNG(jitterSeed),
 	}
 }
+
+// Now returns the current simulated time.
+func (d *Directory) Now() sim.Time { return d.dom.Now() }
 
 // coreDom returns the scheduling domain of core c (the proc domains are
 // keyed by core id, see Engine.Spawn).
@@ -262,14 +252,24 @@ func (d *Directory) coreDom(c int) *sim.Domain {
 	return d.cores[c]
 }
 
-func (d *Directory) entry(l mem.Line) *dirEntry {
-	e, ok := d.entries[l]
+// AtCore schedules fn on core's domain at cycle t, from the directory's: the
+// one event a policy may schedule (a timer on a copy it granted, which must
+// fire where the copy is), and like every message at least Timing.Net ahead.
+func (d *Directory) AtCore(core int, t sim.Time, fn func()) {
+	d.dom.CrossAt(d.coreDom(core), t, fn)
+}
+
+// Line returns the record of line l, or nil if nobody has asked for it yet.
+func (d *Directory) Line(l mem.Line) *Line { return d.lines[l] }
+
+func (d *Directory) line(l mem.Line) *Line {
+	ln, ok := d.lines[l]
 	if !ok {
-		e = &dirEntry{}
-		e.commit = func() { d.commit(l, e) }
-		d.entries[l] = e
+		ln = d.NewLine(l)
+		ln.commit = func() { d.commit(ln) }
+		d.lines[l] = ln
 	}
-	return e
+	return ln
 }
 
 // countMsg accounts n messages of one kind with the machine's counters
@@ -324,19 +324,19 @@ func (d *Directory) reachDir(req *Request) {
 }
 
 func (d *Directory) arrive(req *Request) {
-	e := d.entry(req.Line)
-	e.queue = append(e.queue, req)
-	occ := len(e.queue)
-	if e.busy {
+	ln := d.line(req.Line)
+	ln.queue = append(ln.queue, req)
+	occ := len(ln.queue)
+	if ln.busy {
 		occ++ // include the request currently in service
 	}
-	if occ > d.MaxQueue {
-		d.MaxQueue = occ
+	if occ > d.Stats.MaxQueue {
+		d.Stats.MaxQueue = occ
 	}
 	d.Bus.Emit(telemetry.CatDirQueue, req.Core, 0, req.Line, uint64(occ))
 	d.txn(req, req.Core, telemetry.TxnArrive, uint64(occ))
-	if !e.busy {
-		d.serviceMaybeStalled(req.Line)
+	if !ln.busy {
+		d.serviceMaybeStalled(ln)
 	}
 }
 
@@ -344,98 +344,77 @@ func (d *Directory) arrive(req *Request) {
 // after an injected directory stall. The stall delays only *when* the head
 // enters service; service itself re-checks the busy bit, so a racing
 // second schedule is harmless and per-line FIFO order is preserved.
-func (d *Directory) serviceMaybeStalled(l mem.Line) {
+func (d *Directory) serviceMaybeStalled(ln *Line) {
 	if st := d.Faults.DirStall(); st > 0 {
-		d.dom.After(st, func() { d.service(l) })
+		d.dom.After(st, func() { d.service(ln) })
 		return
 	}
-	d.service(l)
+	d.service(ln)
 }
 
-// service begins processing the head of the line's queue. Runs in engine
-// context at the directory.
-func (d *Directory) service(l mem.Line) {
-	e := d.entry(l)
-	if e.busy || len(e.queue) == 0 {
+// service takes the head of the line's queue into service and carries out
+// what the policy decides for it. Runs in engine context at the directory.
+func (d *Directory) service(ln *Line) {
+	if ln.busy || len(ln.queue) == 0 {
 		return
 	}
 	// Pop by shifting down: re-slicing from [1:] would give the capacity
 	// away, and the next arrival on the line would allocate again.
-	req := e.queue[0]
-	n := copy(e.queue, e.queue[1:])
-	e.queue[n] = nil
-	e.queue = e.queue[:n]
-	e.busy = true
-	req.entry = e
+	req := ln.queue[0]
+	n := copy(ln.queue, ln.queue[1:])
+	ln.queue[n] = nil
+	ln.queue = ln.queue[:n]
+	ln.busy = true
+	req.line = ln
 
-	switch {
-	case e.state == dirM && e.owner != req.Core:
-		// Forward a probe to the owner; the lease mechanism may defer it
-		// there. Directory tag lookup, then one hop to the owner.
-		if req.Excl {
-			e.newState, e.newOwner = dirM, req.Core
-		} else {
-			e.newState, e.newOwner, e.newSharers = dirS, 0, bit(e.owner)|bit(req.Core)
-		}
+	dec := ln.Policy.Serve(req)
+	req.exclClean, req.owner = dec.ExclClean, dec.Owner
+	l, now := req.Line, d.dom.Now()
+	if dec.Forward {
+		// Directory tag lookup, then one hop to the owner; the lease
+		// mechanism may defer the probe there.
 		d.txn(req, req.Core, telemetry.TxnService, 0)
 		d.countMsg(l, MsgForward, 1)
-		d.dom.CrossAt(d.coreDom(e.owner), d.dom.Now()+d.t.L2Tag+d.t.Net+d.Faults.MsgDelay(), req.probe)
+		d.dom.CrossAt(d.coreDom(dec.Owner), now+d.t.L2Tag+d.t.Net+d.Faults.MsgDelay(), req.probe)
+		return
+	}
 
-	case e.state == dirS && req.Excl:
-		// Invalidate all other sharers, then grant Modified.
-		e.newState, e.newOwner = dirM, req.Core
-		others := e.sharers &^ bit(req.Core)
-		k := countBits(others)
-		dataReady := d.t.L2Tag + d.t.L2Data
-		d.txn(req, req.Core, telemetry.TxnService, uint64(dataReady))
-		if k > 0 {
-			d.countMsg(l, MsgInval, k)
-			d.countMsg(l, MsgAck, k)
-			for c := 0; c < 64; c++ {
-				if others&bit(c) != 0 {
-					c := c
-					d.dom.CrossAt(d.coreDom(c), d.dom.Now()+d.t.L2Tag+d.t.Net,
-						func() { d.env.Invalidate(c, l) })
-				}
-			}
-			acksDone := d.t.L2Tag + d.t.Net + d.t.Inval + d.t.Net
-			if acksDone > dataReady {
-				dataReady = acksDone
-			}
-		}
-		if extra := dataReady - (d.t.L2Tag + d.t.L2Data); extra > 0 {
-			d.txn(req, req.Core, telemetry.TxnInval, uint64(extra))
-		}
+	// The directory answers itself, after service cycles of L2 (and DRAM)
+	// access and extra ones of what the span books as a phase of its own:
+	// the wait for invalidation acks beyond the access, or a renewal's tag
+	// lookup.
+	var service, extra sim.Time
+	phase := telemetry.TxnInval
+	if dec.TagOnly {
+		extra, phase = d.t.L2Tag, telemetry.TxnRenew
+	} else {
+		service = d.t.L2Tag + d.t.L2Data
 		d.env.CountL2()
-		d.countMsg(l, MsgReply, 1)
-		d.scheduleComplete(d.dom, d.dom.Now()+dataReady+d.t.Net+d.Faults.MsgDelay(), req)
-
-	default:
-		// Uncached fill, a read of a Shared line, or a request by the
-		// recorded owner itself (possible after an eviction writeback
-		// raced this request): serve from L2/DRAM.
-		lat := d.t.L2Tag + d.t.L2Data
-		d.env.CountL2()
-		if !e.touched {
-			e.touched = true
-			lat += d.t.DRAM
+		if !ln.touched {
+			ln.touched = true
+			service += d.t.DRAM
 			d.env.CountDRAM()
 		}
-		d.txn(req, req.Core, telemetry.TxnService, uint64(lat))
-		switch {
-		case req.Excl:
-			e.newState, e.newOwner = dirM, req.Core
-		case d.MESI && e.state == dirI:
-			// Sole reader: grant Exclusive (MESI E). The requester may
-			// silently upgrade to Modified on its first write.
-			e.newState, e.newOwner = dirM, req.Core
-			req.exclClean = true
-		default:
-			e.newState, e.newOwner, e.newSharers = dirS, 0, e.sharers|bit(req.Core)
-		}
-		d.countMsg(l, MsgReply, 1)
-		d.scheduleComplete(d.dom, d.dom.Now()+lat+d.t.Net+d.Faults.MsgDelay(), req)
 	}
+	d.txn(req, req.Core, telemetry.TxnService, uint64(service))
+	if k := bits.OnesCount64(dec.Inval); k > 0 {
+		d.countMsg(l, MsgInval, k)
+		d.countMsg(l, MsgAck, k)
+		for c := 0; c < 64; c++ {
+			if dec.Inval&bit(c) != 0 {
+				d.dom.CrossAt(d.coreDom(c), now+d.t.L2Tag+d.t.Net,
+					func() { d.env.Invalidate(c, l) })
+			}
+		}
+		if acksDone := d.t.L2Tag + d.t.Net + d.t.Inval + d.t.Net; acksDone > service {
+			extra = acksDone - service
+		}
+	}
+	if extra > 0 || dec.TagOnly {
+		d.txn(req, req.Core, phase, uint64(extra))
+	}
+	d.countMsg(l, MsgReply, 1)
+	d.scheduleComplete(d.dom, now+service+extra+d.t.Net+d.Faults.MsgDelay(), req)
 }
 
 // probeArrive runs in the owning core's domain when a forwarded probe
@@ -443,22 +422,21 @@ func (d *Directory) service(l mem.Line) {
 func (d *Directory) probeArrive(owner int, req *Request) {
 	d.txn(req, owner, telemetry.TxnProbe, 0)
 	if d.env.DeliverProbe(owner, req) {
-		d.DeferredProbes++
+		d.Stats.DeferredProbes++
 		d.txn(req, owner, telemetry.TxnDefer, 0)
 		return // env will call ProbeDone on lease release/expiry
 	}
-	d.ownerDowngraded(owner, req)
+	d.ProbeDone(owner, req)
 }
 
-// ProbeDone resumes a deferred probe: the machine calls it from the owning
-// core's context (after downgrading its L1 copy) when the lease on
-// req.Line is released, voluntarily or involuntarily.
-func (d *Directory) ProbeDone(owner int, req *Request) { d.ownerDowngraded(owner, req) }
-
-// ownerDowngraded runs in the (former) owner's domain: the owner sends the
-// data directly to the requester and an ownership-transfer ack to the
-// directory.
-func (d *Directory) ownerDowngraded(owner int, req *Request) {
+// ProbeDone says that owner has downgraded its L1 copy for req's probe: at
+// once, or — the machine's call, from the owning core's context — when the
+// lease the probe was deferred behind is released, voluntarily or
+// involuntarily. The owner sends the data directly to the requester and an
+// ownership-transfer ack to the directory; its domain is the source of both
+// messages — it keys their events and is what the lookahead check measures
+// from.
+func (d *Directory) ProbeDone(owner int, req *Request) {
 	src := d.coreDom(owner)
 	d.txn(req, req.Core, telemetry.TxnProbeDone, 0)
 	d.countMsg(req.Line, MsgReply, 1)
@@ -469,14 +447,14 @@ func (d *Directory) ownerDowngraded(owner int, req *Request) {
 // scheduleComplete schedules the two halves of a transaction's completion
 // from domain src at time t: the grant delivery to the requesting core, and
 // the directory's state commit. The grant is a core-domain event; the commit
-// is a sys-domain event that reads the decided transition from the line's
-// entry (it never reads req, so the requester may immediately reuse the
-// Request object). Both land at the same cycle; the event key orders the
-// core delivery before the directory commit, matching the sequential
-// protocol's observable order.
+// is a sys-domain event that applies the transition the policy recorded in
+// the line's record (it never reads req, so the requester may immediately
+// reuse the Request object). Both land at the same cycle; the event key
+// orders the core delivery before the directory commit, matching the
+// sequential protocol's observable order.
 func (d *Directory) scheduleComplete(src *sim.Domain, t sim.Time, req *Request) {
 	src.CrossAt(d.coreDom(req.Core), t, req.grant)
-	src.CrossAt(d.dom, t, req.entry.commit)
+	src.CrossAt(d.dom, t, req.line.commit)
 }
 
 // deliverGrant runs in the requesting core's domain, which has been blocked
@@ -490,111 +468,44 @@ func (d *Directory) deliverGrant(req *Request) {
 	d.env.Complete(req, st)
 }
 
-// commit applies the directory transition decided at service time and
+// commit has the policy apply the transition decided at service time and
 // starts servicing the next queued request for the line. Runs in the
 // directory's domain.
-func (d *Directory) commit(l mem.Line, e *dirEntry) {
-	e.state, e.owner, e.sharers = e.newState, e.newOwner, e.newSharers
-	if e.state == dirM {
-		e.sharers = bit(e.owner)
-	}
-	e.busy = false
-	if len(e.queue) > 0 {
-		d.serviceMaybeStalled(l)
+func (d *Directory) commit(ln *Line) {
+	ln.Policy.Commit()
+	ln.busy = false
+	if len(ln.queue) > 0 {
+		d.serviceMaybeStalled(ln)
 	}
 }
 
 // Writeback records a dirty eviction by core on line l. The notice takes
 // one network hop to reach the directory; a transaction that races it sees
-// the stale owner and resolves via the probe path (the staleness guard
-// below drops the notice if ownership has already moved on).
+// the stale owner and resolves via the probe path (LinePolicy.Evict drops
+// the notice if ownership has already moved on).
 func (d *Directory) Writeback(core int, l mem.Line) {
-	src := d.coreDom(core)
 	d.countMsg(l, MsgWriteback, 1)
-	src.CrossAt(d.dom, src.Now()+d.t.Net, func() {
-		e := d.entry(l)
-		if e.state == dirM && e.owner == core {
-			e.state = dirI
-			e.sharers = 0
-		}
-	})
+	d.notify(core, func() { d.evicted(core, l, true) })
 }
 
-// SharerDrop records a silent Shared eviction (no message in MSI; the
+// SharerDrop records a silent Shared eviction (no message; under MSI the
 // directory's sharer list simply goes stale, and a later invalidation to a
 // non-holder is absorbed by the core). The bookkeeping update still rides
-// a one-hop notification so the directory map is only touched from its own
-// domain.
+// a one-hop notification so the line's record is only touched from the
+// directory's domain.
 func (d *Directory) SharerDrop(core int, l mem.Line) {
+	d.notify(core, func() { d.evicted(core, l, false) })
+}
+
+func (d *Directory) notify(core int, notice func()) {
 	src := d.coreDom(core)
-	src.CrossAt(d.dom, src.Now()+d.t.Net, func() {
-		if e, ok := d.entries[l]; ok {
-			e.sharers &^= bit(core)
-		}
-	})
+	src.CrossAt(d.dom, src.Now()+d.t.Net, notice)
 }
 
-// State reports the directory's view of a line (for tests/diagnostics):
-// "I", "S", or "M", the owner (valid for M), and the sharer bitset.
-func (d *Directory) State(l mem.Line) (state string, owner int, sharers uint64) {
-	e, ok := d.entries[l]
-	if !ok {
-		return "I", 0, 0
+func (d *Directory) evicted(core int, l mem.Line, dirty bool) {
+	if ln := d.lines[l]; ln != nil {
+		ln.Policy.Evict(core, dirty)
 	}
-	switch e.state {
-	case dirS:
-		return "S", 0, e.sharers
-	case dirM:
-		return "M", e.owner, e.sharers
-	}
-	return "I", 0, 0
-}
-
-// LineInfo reports the full directory view of one line, including whether
-// it is mid-transaction (busy, or with queued requests). Runtime checkers
-// use it to validate a single line per event instead of scanning the
-// whole directory.
-func (d *Directory) LineInfo(l mem.Line) (state string, owner int, sharers uint64, busy bool) {
-	e, ok := d.entries[l]
-	if !ok {
-		return "I", 0, 0, false
-	}
-	st := "I"
-	switch e.state {
-	case dirS:
-		st = "S"
-	case dirM:
-		st = "M"
-	}
-	return st, e.owner, e.sharers, e.busy || len(e.queue) > 0
-}
-
-// ForEachLine visits every line the directory has ever tracked, reporting
-// its committed state. busy lines are mid-transaction; checkers should
-// skip them.
-func (d *Directory) ForEachLine(fn func(l mem.Line, state string, owner int, sharers uint64, busy bool)) {
-	for l, e := range d.entries {
-		st := "I"
-		switch e.state {
-		case dirS:
-			st = "S"
-		case dirM:
-			st = "M"
-		}
-		fn(l, st, e.owner, e.sharers, e.busy || len(e.queue) > 0)
-	}
-}
-
-// QueueLen returns the current queue length for a line (tests/diagnostics).
-func (d *Directory) QueueLen(l mem.Line) int {
-	if e, ok := d.entries[l]; ok {
-		n := len(e.queue)
-		if e.busy {
-			n++
-		}
-		return n
-	}
-	return 0
 }
 
 func bit(c int) uint64 {
@@ -602,13 +513,4 @@ func bit(c int) uint64 {
 		panic("coherence: core index out of range (directory supports <= 64 cores)")
 	}
 	return 1 << uint(c)
-}
-
-func countBits(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }

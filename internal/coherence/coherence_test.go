@@ -1,16 +1,17 @@
-package coherence
+package coherence_test
 
 import (
 	"testing"
 
 	"leaserelease/internal/cache"
+	. "leaserelease/internal/coherence"
+	"leaserelease/internal/coherence/tardis"
 	"leaserelease/internal/mem"
 	"leaserelease/internal/sim"
 )
 
 // mockEnv records protocol callbacks and lets tests defer probes.
 type mockEnv struct {
-	t         *testing.T
 	msgs      [NumMsgKinds]int
 	l2, dram  int
 	completes []struct {
@@ -51,11 +52,48 @@ func (m *mockEnv) CountMsg(kind MsgKind, n int) { m.msgs[kind] += n }
 func (m *mockEnv) CountL2()                     { m.l2++ }
 func (m *mockEnv) CountDRAM()                   { m.dram++ }
 
+var testTiming = Timing{Net: 10, L2Tag: 2, L2Data: 5, Inval: 1, DRAM: 50}
+
+// backends are the two line policies, each on the one Directory: what the
+// transport does is tested on both.
+var backends = []struct {
+	name string
+	new  func(*sim.Engine, Env, Timing) *Directory
+}{
+	{ProtocolMSI, NewDirectory},
+	{ProtocolTardis, newTardis},
+}
+
+func newTardis(eng *sim.Engine, env Env, t Timing) *Directory {
+	return tardis.New(eng, env, t, tardis.Config{}, 4)
+}
+
 func setup(t *testing.T) (*sim.Engine, *mockEnv, *Directory) {
 	eng := sim.NewEngine()
-	env := &mockEnv{t: t, eng: eng}
-	d := NewDirectory(eng, env, Timing{Net: 10, L2Tag: 2, L2Data: 5, Inval: 1, DRAM: 50})
-	return eng, env, d
+	env := &mockEnv{eng: eng}
+	return eng, env, NewDirectory(eng, env, testTiming)
+}
+
+// onBothBackends runs test once per line policy.
+func onBothBackends(t *testing.T, test func(t *testing.T, eng *sim.Engine, env *mockEnv, d *Directory)) {
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			env := &mockEnv{eng: eng}
+			d := b.new(eng, env, testTiming)
+			if d.Name() != b.name {
+				t.Fatalf("the directory calls its protocol %q", d.Name())
+			}
+			test(t, eng, env, d)
+		})
+	}
+}
+
+func wantOwner(t *testing.T, d *Directory, l mem.Line, owner int) {
+	t.Helper()
+	if v := d.View(l); v.State != "M" || v.Owner != owner {
+		t.Fatalf("line %d is %s owned by %d, want M/%d", l, v.State, v.Owner, owner)
+	}
 }
 
 func TestColdFillTimingAndState(t *testing.T) {
@@ -76,9 +114,7 @@ func TestColdFillTimingAndState(t *testing.T) {
 	if c.at != 77 {
 		t.Fatalf("completion at %d, want 77", c.at)
 	}
-	if st, owner, _ := d.State(7); st != "M" || owner != 0 {
-		t.Fatalf("dir state = %s owner %d, want M/0", st, owner)
-	}
+	wantOwner(t, d, 7, 0)
 	if env.dram != 1 || env.l2 != 1 {
 		t.Fatalf("dram=%d l2=%d, want 1/1", env.dram, env.l2)
 	}
@@ -93,8 +129,8 @@ func TestWarmSharedFill(t *testing.T) {
 	eng.Drain()
 	d.Submit(&Request{Core: 1, Line: 3, Excl: false})
 	eng.Drain()
-	if st, _, sharers := d.State(3); st != "S" || sharers != 0b11 {
-		t.Fatalf("dir = %s sharers %b, want S/11", st, sharers)
+	if v := d.View(3); v.State != "S" || v.Sharers != 0b11 {
+		t.Fatalf("dir = %s sharers %b, want S/11", v.State, v.Sharers)
 	}
 	if env.dram != 1 {
 		t.Fatalf("dram = %d, want 1 (second fill is warm)", env.dram)
@@ -111,9 +147,7 @@ func TestSharedToModifiedInvalidates(t *testing.T) {
 	if len(env.invals) != 1 || env.invals[0].core != 0 {
 		t.Fatalf("invals = %v, want core 0 only", env.invals)
 	}
-	if st, owner, _ := d.State(3); st != "M" || owner != 1 {
-		t.Fatalf("dir = %s/%d, want M/1", st, owner)
-	}
+	wantOwner(t, d, 3, 1)
 	if env.msgs[MsgInval] != 1 || env.msgs[MsgAck] != 1 {
 		t.Fatalf("msgs = %v", env.msgs)
 	}
@@ -125,8 +159,8 @@ func TestForwardToOwner(t *testing.T) {
 	eng.Drain()
 	d.Submit(&Request{Core: 1, Line: 3, Excl: false}) // GetS: owner downgrades to S
 	eng.Drain()
-	if st, _, sharers := d.State(3); st != "S" || sharers != 0b11 {
-		t.Fatalf("dir = %s sharers %b, want S with both", st, sharers)
+	if v := d.View(3); v.State != "S" || v.Sharers != 0b11 {
+		t.Fatalf("dir = %s sharers %b, want S with both", v.State, v.Sharers)
 	}
 	if env.msgs[MsgForward] != 1 {
 		t.Fatalf("forwards = %d, want 1", env.msgs[MsgForward])
@@ -134,27 +168,26 @@ func TestForwardToOwner(t *testing.T) {
 }
 
 func TestPerLineFIFOOrder(t *testing.T) {
-	eng, env, d := setup(t)
-	// Three writers contend on one line; completions must be FIFO by
-	// submission and strictly serialized.
-	d.Submit(&Request{Core: 0, Line: 9, Excl: true})
-	d.Submit(&Request{Core: 1, Line: 9, Excl: true})
-	d.Submit(&Request{Core: 2, Line: 9, Excl: true})
-	eng.Drain()
-	if len(env.completes) != 3 {
-		t.Fatalf("completes = %d, want 3", len(env.completes))
-	}
-	for i, c := range env.completes {
-		if c.req.Core != i {
-			t.Fatalf("completion %d for core %d: FIFO violated", i, c.req.Core)
+	onBothBackends(t, func(t *testing.T, eng *sim.Engine, env *mockEnv, d *Directory) {
+		// Three writers contend on one line; completions must be FIFO by
+		// submission and strictly serialized.
+		d.Submit(&Request{Core: 0, Line: 9, Excl: true})
+		d.Submit(&Request{Core: 1, Line: 9, Excl: true})
+		d.Submit(&Request{Core: 2, Line: 9, Excl: true})
+		eng.Drain()
+		if len(env.completes) != 3 {
+			t.Fatalf("completes = %d, want 3", len(env.completes))
 		}
-		if i > 0 && c.at <= env.completes[i-1].at {
-			t.Fatalf("completions not serialized: %v", env.completes)
+		for i, c := range env.completes {
+			if c.req.Core != i {
+				t.Fatalf("completion %d for core %d: FIFO violated", i, c.req.Core)
+			}
+			if i > 0 && c.at <= env.completes[i-1].at {
+				t.Fatalf("completions not serialized: %v", env.completes)
+			}
 		}
-	}
-	if st, owner, _ := d.State(9); st != "M" || owner != 2 {
-		t.Fatalf("final dir = %s/%d, want M/2", st, owner)
-	}
+		wantOwner(t, d, 9, 2)
+	})
 }
 
 func TestIndependentLinesProgressIndependently(t *testing.T) {
@@ -174,63 +207,61 @@ func TestIndependentLinesProgressIndependently(t *testing.T) {
 }
 
 func TestDeferredProbeStallsLineOnly(t *testing.T) {
-	eng, env, d := setup(t)
-	d.Submit(&Request{Core: 0, Line: 5, Excl: true})
-	eng.Drain()
-	env.deferNext = true
-	d.Submit(&Request{Core: 1, Line: 5, Excl: true}) // probe deferred at core 0
-	d.Submit(&Request{Core: 2, Line: 6, Excl: true}) // other line: must complete
-	eng.Drain()
-	if len(env.probes) != 1 {
-		t.Fatalf("deferred probes = %d, want 1", len(env.probes))
-	}
-	done := 0
-	for _, c := range env.completes {
-		if c.req.Core == 2 {
-			done++
+	onBothBackends(t, func(t *testing.T, eng *sim.Engine, env *mockEnv, d *Directory) {
+		d.Submit(&Request{Core: 0, Line: 5, Excl: true})
+		eng.Drain()
+		env.deferNext = true
+		d.Submit(&Request{Core: 1, Line: 5, Excl: true}) // probe deferred at core 0
+		d.Submit(&Request{Core: 2, Line: 6, Excl: true}) // other line: must complete
+		eng.Drain()
+		if len(env.probes) != 1 {
+			t.Fatalf("deferred probes = %d, want 1", len(env.probes))
 		}
-		if c.req.Core == 1 {
-			t.Fatal("deferred request completed without ProbeDone")
+		done := 0
+		for _, c := range env.completes {
+			if c.req.Core == 2 {
+				done++
+			}
+			if c.req.Core == 1 {
+				t.Fatal("deferred request completed without ProbeDone")
+			}
 		}
-	}
-	if done != 1 {
-		t.Fatal("independent line was stalled by a deferred probe")
-	}
-	if d.DeferredProbes != 1 {
-		t.Fatalf("DeferredProbes = %d", d.DeferredProbes)
-	}
-	// Now release: ProbeDone resumes the stalled transaction.
-	env.deferNext = false
-	d.ProbeDone(0, env.probes[0])
-	eng.Drain()
-	if st, owner, _ := d.State(5); st != "M" || owner != 1 {
-		t.Fatalf("after ProbeDone dir = %s/%d, want M/1", st, owner)
-	}
+		if done != 1 {
+			t.Fatal("independent line was stalled by a deferred probe")
+		}
+		if d.Stats.DeferredProbes != 1 {
+			t.Fatalf("DeferredProbes = %d", d.Stats.DeferredProbes)
+		}
+		// Now release: ProbeDone resumes the stalled transaction.
+		env.deferNext = false
+		d.ProbeDone(0, env.probes[0])
+		eng.Drain()
+		wantOwner(t, d, 5, 1)
+	})
 }
 
 func TestQueueBehindDeferredProbe(t *testing.T) {
-	eng, env, d := setup(t)
-	d.Submit(&Request{Core: 0, Line: 5, Excl: true})
-	eng.Drain()
-	env.deferNext = true
-	d.Submit(&Request{Core: 1, Line: 5, Excl: true})
-	eng.Drain()
-	env.deferNext = false
-	d.Submit(&Request{Core: 2, Line: 5, Excl: true}) // queues at directory
-	eng.Drain()
-	if got := d.QueueLen(5); got != 2 { // one in service + one queued
-		t.Fatalf("QueueLen = %d, want 2", got)
-	}
-	d.ProbeDone(0, env.probes[0])
-	eng.Drain()
-	// Both queued requests complete in order; core 2's probe is NOT
-	// deferred (deferNext off), so everything drains.
-	if st, owner, _ := d.State(5); st != "M" || owner != 2 {
-		t.Fatalf("final dir = %s/%d, want M/2", st, owner)
-	}
-	if d.MaxQueue < 2 {
-		t.Fatalf("MaxQueue = %d, want >= 2", d.MaxQueue)
-	}
+	onBothBackends(t, func(t *testing.T, eng *sim.Engine, env *mockEnv, d *Directory) {
+		d.Submit(&Request{Core: 0, Line: 5, Excl: true})
+		eng.Drain()
+		env.deferNext = true
+		d.Submit(&Request{Core: 1, Line: 5, Excl: true})
+		eng.Drain()
+		env.deferNext = false
+		d.Submit(&Request{Core: 2, Line: 5, Excl: true}) // queues at directory
+		eng.Drain()
+		if v := d.View(5); v.QueueLen != 2 || !v.Busy { // one in service + one queued
+			t.Fatalf("QueueLen = %d, busy %v; want 2, true", v.QueueLen, v.Busy)
+		}
+		d.ProbeDone(0, env.probes[0])
+		eng.Drain()
+		// Both queued requests complete in order; core 2's probe is NOT
+		// deferred (deferNext off), so everything drains.
+		wantOwner(t, d, 5, 2)
+		if d.Stats.MaxQueue < 2 {
+			t.Fatalf("MaxQueue = %d, want >= 2", d.Stats.MaxQueue)
+		}
+	})
 }
 
 func TestWritebackInvalidatesDirState(t *testing.T) {
@@ -239,7 +270,7 @@ func TestWritebackInvalidatesDirState(t *testing.T) {
 	eng.Drain()
 	d.Writeback(0, 4) // async: the notice takes one network hop
 	eng.Drain()
-	if st, _, _ := d.State(4); st != "I" {
+	if st := d.View(4).State; st != "I" {
 		t.Fatalf("dir after writeback = %s, want I", st)
 	}
 	// Stale writeback from a non-owner is ignored.
@@ -247,9 +278,7 @@ func TestWritebackInvalidatesDirState(t *testing.T) {
 	eng.Drain()
 	d.Writeback(0, 4)
 	eng.Drain()
-	if st, owner, _ := d.State(4); st != "M" || owner != 1 {
-		t.Fatalf("stale writeback clobbered dir state: %s/%d", st, owner)
-	}
+	wantOwner(t, d, 4, 1)
 }
 
 func TestSharerDrop(t *testing.T) {
@@ -259,7 +288,7 @@ func TestSharerDrop(t *testing.T) {
 	eng.Drain()
 	d.SharerDrop(0, 4) // async: the notice takes one network hop
 	eng.Drain()
-	if _, _, sharers := d.State(4); sharers != 0b10 {
+	if sharers := d.View(4).Sharers; sharers != 0b10 {
 		t.Fatalf("sharers = %b, want 10", sharers)
 	}
 }
@@ -268,69 +297,71 @@ func TestSharerDrop(t *testing.T) {
 // the head by shifting down, so a line that is requested again and again
 // keeps one backing array, and FIFO order survives the shift.
 func TestQueuePopKeepsCapacity(t *testing.T) {
-	eng, env, d := setup(t)
-	const line = mem.Line(5)
-	d.Submit(&Request{Core: 0, Line: line, Excl: true})
-	eng.Drain()
-	e := d.entries[line]
-	backing := &e.queue[:1][0]
-	for i := 1; i <= 100; i++ {
-		d.Submit(&Request{Core: i % 4, Line: line, Excl: true})
+	onBothBackends(t, func(t *testing.T, eng *sim.Engine, env *mockEnv, d *Directory) {
+		const line = mem.Line(5)
+		d.Submit(&Request{Core: 0, Line: line, Excl: true})
 		eng.Drain()
-		if got := &e.queue[:1][0]; got != backing {
-			t.Fatalf("txn %d: the queue's backing array was reallocated", i)
+		backing, _ := QueueSlot(d, line)
+		for i := 1; i <= 100; i++ {
+			d.Submit(&Request{Core: i % 4, Line: line, Excl: true})
+			eng.Drain()
+			if got, _ := QueueSlot(d, line); got != backing {
+				t.Fatalf("txn %d: the queue's backing array was reallocated", i)
+			}
 		}
-	}
 
-	// Three requests queued behind one another complete in arrival order.
-	env.completes = env.completes[:0]
-	for c := 0; c < 3; c++ {
-		d.Submit(&Request{Core: c, Line: 9, Excl: true})
-	}
-	eng.Drain()
-	for i, c := range env.completes {
-		if c.req.Core != i {
-			t.Fatalf("completion %d went to core %d", i, c.req.Core)
+		// Three requests queued behind one another complete in arrival order.
+		env.completes = env.completes[:0]
+		for c := 0; c < 3; c++ {
+			d.Submit(&Request{Core: c, Line: 9, Excl: true})
 		}
-	}
-	if q := d.entries[9].queue; len(q) != 0 || q[:1][0] != nil {
-		t.Fatalf("drained queue still references a request: len %d", len(q))
-	}
+		eng.Drain()
+		for i, c := range env.completes {
+			if c.req.Core != i {
+				t.Fatalf("completion %d went to core %d", i, c.req.Core)
+			}
+		}
+		if slot, n := QueueSlot(d, 9); n != 0 || *slot != nil {
+			t.Fatalf("drained queue still references a request: len %d", n)
+		}
+	})
 }
 
 // TestRequestCallbacksFollowTheDirectory: a request's hop callbacks are bound
 // by the first directory that sees it, outlive Reset, and are rebound when
-// the request is submitted to another directory.
+// the request is submitted to another directory — of either protocol.
 func TestRequestCallbacksFollowTheDirectory(t *testing.T) {
-	eng, env, d := setup(t)
-	req := new(Request)
-	req.Reset(2, 7, true, false)
-	d.Submit(req)
-	eng.Drain()
-	if req.dir != d || len(env.completes) != 1 {
-		t.Fatalf("bound to %p after Submit to %p, %d completions", req.dir, d, len(env.completes))
-	}
+	onBothBackends(t, func(t *testing.T, eng *sim.Engine, env *mockEnv, d *Directory) {
+		req := new(Request)
+		req.Reset(2, 7, true, false)
+		d.Submit(req)
+		eng.Drain()
+		if to, _ := Bound(req); to != d || len(env.completes) != 1 {
+			t.Fatalf("bound to %p after Submit to %p, %d completions", to, d, len(env.completes))
+		}
 
-	req.Reset(2, 8, false, true)
-	if req.dir != d || req.reachDir == nil || req.arrive == nil || req.probe == nil || req.grant == nil {
-		t.Fatal("Reset dropped the bound callbacks")
-	}
-	if req.Core != 2 || req.Line != 8 || req.Excl || !req.Lease || req.Issued != 0 || req.entry != nil {
-		t.Fatalf("Reset left %+v", req)
-	}
+		req.Reset(2, 8, false, true)
+		to, inService := Bound(req)
+		if to != d {
+			t.Fatal("Reset dropped the bound callbacks")
+		}
+		if req.Core != 2 || req.Line != 8 || req.Excl || !req.Lease || req.Issued != 0 || inService {
+			t.Fatalf("Reset left %+v", req)
+		}
 
-	env2 := &mockEnv{t: t, eng: eng}
-	d2 := NewDirectory(eng, env2, d.t)
-	d2.Submit(req)
-	eng.Drain()
-	if req.dir != d2 || len(env2.completes) != 1 || len(env.completes) != 1 {
-		t.Fatalf("second directory: bound to %p, want %p; completions %d there, %d at the first",
-			req.dir, d2, len(env2.completes), len(env.completes))
-	}
-	if st, _, _ := d.State(8); st != "I" {
-		t.Fatalf("the first directory saw the second one's request: line 8 is %s there", st)
-	}
-	if st, _, sharers := d2.State(8); st != "S" || sharers != 1<<2 {
-		t.Fatalf("second directory: line 8 is %s sharers %b, want S/100", st, sharers)
-	}
+		env2 := &mockEnv{eng: eng}
+		d2 := NewDirectory(eng, env2, testTiming)
+		d2.Submit(req)
+		eng.Drain()
+		if to, _ := Bound(req); to != d2 || len(env2.completes) != 1 || len(env.completes) != 1 {
+			t.Fatalf("second directory: bound to %p, want %p; completions %d there, %d at the first",
+				to, d2, len(env2.completes), len(env.completes))
+		}
+		if st := d.View(8).State; st != "I" {
+			t.Fatalf("the first directory saw the second one's request: line 8 is %s there", st)
+		}
+		if v := d2.View(8); v.State != "S" || v.Sharers != 1<<2 {
+			t.Fatalf("second directory: line 8 is %s sharers %b, want S/100", v.State, v.Sharers)
+		}
+	})
 }

@@ -1,0 +1,22 @@
+package coherence
+
+import "leaserelease/internal/mem"
+
+// Hooks for the external test package, which is where the tests that run on
+// both protocols live (package tardis imports this one).
+
+// QueueSlot returns the first slot of the backing array of line l's request
+// queue, whatever the queue's length, and that length.
+func QueueSlot(d *Directory, l mem.Line) (slot **Request, n int) {
+	q := d.lines[l].queue
+	return &q[:1][0], len(q)
+}
+
+// Bound reports which directory r's hop callbacks are bound to (nil if one
+// of them is missing) and whether r is in service on some line.
+func Bound(r *Request) (d *Directory, inService bool) {
+	if r.reachDir == nil || r.arrive == nil || r.probe == nil || r.grant == nil {
+		return nil, r.line != nil
+	}
+	return r.dir, r.line != nil
+}

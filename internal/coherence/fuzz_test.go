@@ -14,14 +14,27 @@ import (
 // protocol-legal interleavings of requests, writebacks, silent sharer
 // drops, and probe deferrals (the lease mechanism's directory-visible
 // behaviour), against a model environment that mirrors every L1 state
-// transition the Env callbacks imply. At quiescence the directory's
-// committed state must agree with the model: single writer, sharer-set
-// containment, no copies of an Invalid line, and every request completed.
+// transition the Env callbacks imply. At quiescence every request has
+// completed and the directory's committed state must agree with the model,
+// as the policy's own VerifyLine judges it with the model's copies for L1s:
+// single writer, sharer-set containment, no copies of an Invalid line.
 //
 // The same corpus is fuzzed twice per input — once fault-free, once with
 // deterministic fault injection — so injected stalls and latency jitter
 // are continuously checked to be protocol-preserving.
-func FuzzDirectory(f *testing.F) {
+func FuzzDirectory(f *testing.F) { fuzzDirectory(f, coherence.NewDirectory) }
+
+// FuzzTardis is FuzzDirectory on the Tardis policy: same op decoder, same
+// model; its VerifyLine adds the timestamp order and that no Shared copy
+// outlives its reservation.
+func FuzzTardis(f *testing.F) {
+	f.Add([]byte{0x00, 0xff, 0x00, 0xff, 0x11, 0x00, 0x05, 0x00, 0x01, 0x40}) // reads, a long pause, a renewal, writes under reservations
+	fuzzDirectory(f, newTardis)
+}
+
+type newDirectory = func(*sim.Engine, coherence.Env, coherence.Timing) *coherence.Directory
+
+func fuzzDirectory(f *testing.F, build newDirectory) {
 	f.Add([]byte{0x01, 0x12, 0x23, 0x30, 0x41, 0x52})
 	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00})
 	f.Add([]byte{0xff, 0x81, 0x42, 0xc3, 0x24, 0xa5, 0x66, 0xe7, 0x08, 0x99})
@@ -29,8 +42,8 @@ func FuzzDirectory(f *testing.F) {
 		0x3a, 0x0b, 0x1c, 0x2d, 0x3e, 0x0f})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		runDirectoryModel(t, data, faults.Config{})
-		runDirectoryModel(t, data, faults.DefaultConfig())
+		runDirectoryModel(t, build, data, faults.Config{})
+		runDirectoryModel(t, build, data, faults.DefaultConfig())
 	})
 }
 
@@ -125,13 +138,13 @@ func (e *fuzzEnv) CountMsg(coherence.MsgKind, int) {}
 func (e *fuzzEnv) CountL2()                        {}
 func (e *fuzzEnv) CountDRAM()                      {}
 
-func runDirectoryModel(t *testing.T, data []byte, fcfg faults.Config) {
+func runDirectoryModel(t *testing.T, build newDirectory, data []byte, fcfg faults.Config) {
 	eng := sim.NewEngine()
 	env := &fuzzEnv{t: t, eng: eng, bytes: data, deferred: make(map[[2]uint64]bool)}
 	for c := range env.copies {
 		env.copies[c] = make(map[mem.Line]cache.State)
 	}
-	d := coherence.NewDirectory(eng, env, coherence.DefaultTiming())
+	d := build(eng, env, coherence.DefaultTiming())
 	d.Faults = faults.New(fcfg, 42)
 	env.d = d
 
@@ -185,37 +198,11 @@ func runDirectoryModel(t *testing.T, data []byte, fcfg faults.Config) {
 		}
 	}
 	for _, l := range lines {
-		state, owner, sharers, busy := d.LineInfo(l)
-		if busy {
+		if d.View(l).Busy {
 			t.Fatalf("line %#x still busy after drain", uint64(l))
 		}
-		writers, holders := 0, 0
-		for c := 0; c < fzCores; c++ {
-			st, held := env.copies[c][l]
-			if !held {
-				continue
-			}
-			holders++
-			if st == cache.Modified {
-				writers++
-				if state != "M" || owner != c {
-					t.Fatalf("line %#x: core %d holds Modified but directory says %s owner %d",
-						uint64(l), c, state, owner)
-				}
-			}
-			if sharers&(1<<uint(c)) == 0 {
-				t.Fatalf("line %#x: core %d holds a copy but is not in sharer set %#x (state %s)",
-					uint64(l), c, sharers, state)
-			}
-		}
-		if writers > 1 {
-			t.Fatalf("line %#x has %d writers", uint64(l), writers)
-		}
-		if state == "I" && holders != 0 {
-			t.Fatalf("line %#x: directory says Invalid but %d cores hold copies", uint64(l), holders)
-		}
-		if state == "S" && writers != 0 {
-			t.Fatalf("line %#x: directory says Shared but a core holds it Modified", uint64(l))
+		if err := d.VerifyLine(l, fzCores, func(c int) cache.State { return env.copies[c][l] }); err != nil {
+			t.Fatalf("%v (directory: %+v)", err, d.View(l))
 		}
 	}
 }

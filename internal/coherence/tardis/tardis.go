@@ -1,6 +1,8 @@
 // Package tardis implements Tardis-style logical-timestamp cache
 // coherence ("Tardis 2.0: Optimized Time Traveling Coherence for Relaxed
-// Consistency Models") as a second coherence.Protocol backend.
+// Consistency Models") as a line policy of coherence.Directory: the
+// timestamp manager's per-line state and decisions. Messages, queues, hops
+// and the probe path are the directory's, the same code MSI runs on.
 //
 // Instead of tracking a sharer list and fanning out invalidations, the
 // timestamp manager keeps per-line write/read timestamps (wts, rts) in the
@@ -8,7 +10,7 @@
 //
 //   - A read grant is a bounded reservation: the requester may keep its
 //     Shared copy until an absolute expiry cycle, rts is extended to cover
-//     it (rts = max(rts, grant+ReadLease)), and the copy self-invalidates
+//     it (rts = max(rts, grant+readLease)), and the copy self-invalidates
 //     when the reservation elapses — no message, no directory transaction.
 //   - A write to a line with unexpired reservations does not invalidate
 //     them: its logical commit time jumps past rts (wts = rts+1) and the
@@ -21,8 +23,8 @@
 //     read or written, giving each core a logical position in the
 //     timestamp order (exposed for dumps; physical timing is unaffected).
 //
-// Ownership transfer still requires a probe to the current owner —
-// exactly MSI's forward path — which is where the paper's lease deferral
+// Ownership transfer still requires a probe to the current owner — the
+// directory's forward path — which is where the paper's lease deferral
 // plugs in unchanged: a leased owner queues the probe and the directory
 // waits for ProbeDone. Leases also map natively onto the timestamp model:
 // a started lease extends the owned line's rts by the lease duration
@@ -31,10 +33,11 @@
 //
 // Data always comes from the shared backing store, so operation results
 // are exact even while stale-timing Shared copies coexist with a new
-// owner; wts/rts/pts govern timing and are validated by VerifyLine
+// owner; wts/rts/pts govern timing and are validated by Verify
 // (timestamp-order invariants), never consulted for values.
 //
-// The MESI Exclusive-clean option does not apply and cfg.MESI is ignored.
+// The MESI Exclusive-clean option does not apply and Directory.MESI is
+// ignored.
 package tardis
 
 import (
@@ -42,26 +45,65 @@ import (
 
 	"leaserelease/internal/cache"
 	"leaserelease/internal/coherence"
-	"leaserelease/internal/faults"
 	"leaserelease/internal/mem"
 	"leaserelease/internal/sim"
-	"leaserelease/internal/telemetry"
 )
 
-// Config tunes the protocol. The zero value picks defaults.
-type Config struct {
-	// ReadLease is the physical-cycle length of one read reservation: how
-	// long a granted Shared copy stays readable before self-invalidating.
-	// Longer reservations amortize more reads per fetch but delay a
-	// writer's logical commit time further past rts. Default 2000.
-	ReadLease uint64
+// readLease is the physical-cycle length of one read reservation: how long a
+// granted Shared copy stays readable before self-invalidating. Longer
+// reservations amortize more reads per fetch but delay a writer's logical
+// commit time further past rts.
+const readLease = 2000
+
+// Config has nothing left to tune. It is New's fourth parameter because
+// benchmarks/leaseperf, a frozen path, spells tardis.Config{} there.
+type Config struct{}
+
+// New builds a directory run by the Tardis timestamp manager over the given
+// engine and environment for ncores cores.
+func New(eng *sim.Engine, env coherence.Env, t coherence.Timing, _ Config, ncores int) *coherence.Directory {
+	m := &manager{env: env, pts: make([]uint64, ncores)}
+	m.dir = coherence.New(eng, env, t, m, 0x7A2D15) // a jitter stream of its own, not MSI's
+	return m.dir
 }
 
-func (c Config) withDefaults() Config {
-	if c.ReadLease == 0 {
-		c.ReadLease = 2000
+// manager is the timestamp manager, the policy's state across lines.
+type manager struct {
+	dir *coherence.Directory
+	env coherence.Env
+
+	pts    []uint64 // per-core program timestamps
+	genSeq uint64
+}
+
+func (m *manager) Name() string { return coherence.ProtocolTardis }
+
+func (m *manager) NewLine(l mem.Line) *coherence.Line {
+	e := &line{m: m, id: l, res: make(map[int]*reservation), pCore: -1, pPrev: -1}
+	e.Policy = e
+	return &e.Line
+}
+
+// line returns the manager's record of l, or nil.
+func (m *manager) line(l mem.Line) *line {
+	if ln := m.dir.Line(l); ln != nil {
+		return ln.Policy.(*line)
 	}
-	return c
+	return nil
+}
+
+// CoreTimestamp reports the core's program timestamp.
+func (m *manager) CoreTimestamp(core int) (uint64, bool) {
+	if core >= 0 && core < len(m.pts) {
+		return m.pts[core], true
+	}
+	return 0, false
+}
+
+func (m *manager) bumpPts(core int, ts uint64) {
+	if core >= 0 && core < len(m.pts) && m.pts[core] < ts {
+		m.pts[core] = ts
+	}
 }
 
 // reservation is one core's read grant on a line. The record outlives the
@@ -73,329 +115,145 @@ type reservation struct {
 	wts uint64 // line wts at grant time (renewal check)
 }
 
-// entry is the timestamp manager's per-line state.
-type entry struct {
-	wts     uint64 // logical write timestamp (cycle domain)
-	rts     uint64 // logical read timestamp: reads are valid through rts
-	owned   bool
-	owner   int
-	busy    bool
-	queue   []*coherence.Request
-	touched bool // filled at least once (cold-miss tracking)
-	res     map[int]*reservation
+// line is the timestamp manager's per-line state.
+type line struct {
+	coherence.Line
+	m  *manager
+	id mem.Line
+
+	wts   uint64 // logical write timestamp (cycle domain)
+	rts   uint64 // logical read timestamp: reads are valid through rts
+	owned bool
+	owner int
+	res   map[int]*reservation
 
 	// Pending transition for the request in service (at most one per
-	// line), committed on complete.
-	pOwned bool
-	pRead  bool // grant a read reservation to the requester
-	pRenew bool // served as a tag-only renewal
-	pPrev  int  // previous owner to re-reserve on a read-forward, or -1
-}
-
-// Protocol is the Tardis timestamp manager (the directory-side agent).
-// It implements coherence.Protocol against the same Env as the MSI
-// directory, so the machine's core side is shared between backends.
-type Protocol struct {
-	eng *sim.Engine
-	env coherence.Env
-	t   coherence.Timing
-	cfg Config
-
-	entries map[mem.Line]*entry
-	rng     sim.RNG
-	pts     []uint64 // per-core program timestamps
-	genSeq  uint64
-
-	// MaxQueue is the peak per-line queue occupancy observed; the other
-	// counters are described on coherence.ProtoStats.
-	MaxQueue       int
-	DeferredProbes uint64
-	Renewals       uint64
-	RTSJumps       uint64
-
-	// Bus and Faults mirror Directory's fields: nil values are inert.
-	Bus    *telemetry.Bus
-	Faults *faults.Injector
-}
-
-// New builds a Tardis timestamp manager over the given engine and
-// environment for ncores cores.
-func New(eng *sim.Engine, env coherence.Env, t coherence.Timing, cfg Config, ncores int) *Protocol {
-	return &Protocol{
-		eng: eng, env: env, t: t, cfg: cfg.withDefaults(),
-		entries: make(map[mem.Line]*entry),
-		rng:     sim.NewRNG(0x7A2D15), // independent of the MSI directory's stream
-		pts:     make([]uint64, ncores),
-	}
-}
-
-// Name returns coherence.ProtocolTardis.
-func (p *Protocol) Name() string { return coherence.ProtocolTardis }
-
-// SetBus wires the telemetry bus.
-func (p *Protocol) SetBus(b *telemetry.Bus) { p.Bus = b }
-
-// ProtoStats snapshots the manager's internal counters.
-func (p *Protocol) ProtoStats() coherence.ProtoStats {
-	return coherence.ProtoStats{
-		MaxQueue: p.MaxQueue, DeferredProbes: p.DeferredProbes,
-		Renewals: p.Renewals, RTSJumps: p.RTSJumps,
-	}
-}
-
-func (p *Protocol) entry(l mem.Line) *entry {
-	e, ok := p.entries[l]
-	if !ok {
-		e = &entry{res: make(map[int]*reservation), pPrev: -1}
-		p.entries[l] = e
-	}
-	return e
-}
-
-func (p *Protocol) countMsg(l mem.Line, kind coherence.MsgKind, n int) {
-	p.env.CountMsg(kind, n)
-	p.Bus.Emit(telemetry.CatCoherence, -1, uint8(kind), l, uint64(n))
-}
-
-func (p *Protocol) txn(req *coherence.Request, core int, kind uint8, aux uint64) {
-	if req.Txn != 0 {
-		p.Bus.Emit2(telemetry.CatTxn, core, kind, req.Line, req.Txn, aux)
-	}
-}
-
-// jitter draws 0..NetJitter extra cycles from the manager's own RNG.
-func (p *Protocol) jitter() sim.Time {
-	if p.t.NetJitter == 0 {
-		return 0
-	}
-	return p.rng.Uint64n(uint64(p.t.NetJitter) + 1)
-}
-
-// Submit issues a request from a core at the current time; one network hop
-// (plus jitter) to the timestamp manager, then the line's FIFO queue.
-func (p *Protocol) Submit(req *coherence.Request) {
-	req.Issued = p.eng.Now()
-	p.countMsg(req.Line, coherence.MsgRequest, 1)
-	p.eng.After(p.t.Net+p.jitter()+p.Faults.MsgDelay(), func() { p.arrive(req) })
-}
-
-func (p *Protocol) arrive(req *coherence.Request) {
-	e := p.entry(req.Line)
-	e.queue = append(e.queue, req)
-	occ := len(e.queue)
-	if e.busy {
-		occ++
-	}
-	if occ > p.MaxQueue {
-		p.MaxQueue = occ
-	}
-	p.Bus.Emit(telemetry.CatDirQueue, req.Core, 0, req.Line, uint64(occ))
-	p.txn(req, req.Core, telemetry.TxnArrive, uint64(occ))
-	if !e.busy {
-		p.serviceMaybeStalled(req.Line)
-	}
-}
-
-func (p *Protocol) serviceMaybeStalled(l mem.Line) {
-	if st := p.Faults.DirStall(); st > 0 {
-		p.eng.After(st, func() { p.service(l) })
-		return
-	}
-	p.service(l)
+	// line), applied by Commit. pCore is -1 between transactions.
+	pCore  int    // the requester
+	pOwned bool   // it becomes the owner; otherwise it gets a read reservation
+	pPrev  int    // previous owner to re-reserve on a read-forward, or -1
+	pLease uint64 // rts extension of a lease that started with the grant
 }
 
 // canRenew reports whether core's read can be served as a tag-only
 // renewal: it held a reservation on the line and the line's wts is
 // unchanged since, so only rts needs extending — the data the core last
 // saw is still current.
-func (e *entry) canRenew(core int) bool {
+func (e *line) canRenew(core int) bool {
 	rec, ok := e.res[core]
 	return ok && rec.wts == e.wts
 }
 
-// service begins processing the head of the line's queue.
-func (p *Protocol) service(l mem.Line) {
-	e := p.entry(l)
-	if e.busy || len(e.queue) == 0 {
-		return
-	}
-	// Pop by shifting down: re-slicing from [1:] would give the capacity
-	// away, and the next arrival on the line would allocate again.
-	req := e.queue[0]
-	n := copy(e.queue, e.queue[1:])
-	e.queue[n] = nil
-	e.queue = e.queue[:n]
-	e.busy = true
-	e.pRenew, e.pPrev = false, -1
-
+func (e *line) Serve(req *coherence.Request) coherence.Decision {
+	e.pCore, e.pOwned, e.pPrev, e.pLease = req.Core, req.Excl, -1, 0
 	switch {
 	case e.owned && e.owner != req.Core:
 		// Ownership transfer needs the owner's copy back: forward a probe,
 		// exactly as MSI does — this is where lease deferral applies.
-		if req.Excl {
-			e.pOwned, e.pRead = true, false
-		} else {
-			e.pOwned, e.pRead = false, true
+		if !req.Excl {
 			e.pPrev = e.owner // the downgraded owner keeps a readable copy
 		}
-		p.txn(req, req.Core, telemetry.TxnService, 0)
-		p.countMsg(l, coherence.MsgForward, 1)
-		owner := e.owner
-		p.eng.After(p.t.L2Tag+p.t.Net+p.Faults.MsgDelay(), func() { p.probeArrive(owner, req) })
+		return coherence.Decision{Forward: true, Owner: e.owner}
 
-	case !req.Excl && e.touched && e.canRenew(req.Core):
+	case !req.Excl && e.canRenew(req.Core):
 		// Tag-only renewal: wts is unchanged since the requester's last
 		// reservation, so the manager only extends rts — no data access,
 		// no transfer beyond the grant message.
-		e.pOwned, e.pRead, e.pRenew = false, true, true
-		lat := p.t.L2Tag
-		p.Renewals++
-		p.txn(req, req.Core, telemetry.TxnService, 0)
-		if req.Txn != 0 {
-			p.Bus.Emit2(telemetry.CatTxn, req.Core, telemetry.TxnRenew, l, req.Txn, uint64(lat))
-		}
-		p.countMsg(l, coherence.MsgReply, 1)
-		p.eng.After(lat+p.t.Net+p.Faults.MsgDelay(), func() { p.complete(req) })
-
-	default:
-		// Fill from L2/DRAM (or a write to an unowned line). Note the
-		// write case sends no invalidations even with unexpired read
-		// reservations outstanding: the commit jumps past rts instead.
-		lat := p.t.L2Tag + p.t.L2Data
-		p.env.CountL2()
-		if !e.touched {
-			e.touched = true
-			lat += p.t.DRAM
-			p.env.CountDRAM()
-		}
-		if req.Excl {
-			e.pOwned, e.pRead = true, false
-		} else {
-			e.pOwned, e.pRead = false, true
-		}
-		p.txn(req, req.Core, telemetry.TxnService, uint64(lat))
-		p.countMsg(l, coherence.MsgReply, 1)
-		p.eng.After(lat+p.t.Net+p.Faults.MsgDelay(), func() { p.complete(req) })
+		e.m.dir.Stats.Renewals++
+		return coherence.Decision{TagOnly: true}
 	}
+	// Fill from L2/DRAM (or a write to an unowned line). Note the write
+	// case sends no invalidations even with unexpired read reservations
+	// outstanding: the commit jumps past rts instead.
+	return coherence.Decision{}
 }
 
-// probeArrive runs when a forwarded probe reaches the owning core.
-func (p *Protocol) probeArrive(owner int, req *coherence.Request) {
-	p.txn(req, owner, telemetry.TxnProbe, 0)
-	if p.env.DeliverProbe(owner, req) {
-		p.DeferredProbes++
-		p.txn(req, owner, telemetry.TxnDefer, 0)
-		return // env calls ProbeDone on lease release/expiry
-	}
-	p.ownerDowngraded(req)
-}
-
-// ProbeDone resumes a deferred probe after the lease on req.Line released.
-// owner (the releasing core) is unused here: Tardis schedules every event on
-// the system domain, which is why it holds no lookahead certificate.
-func (p *Protocol) ProbeDone(owner int, req *coherence.Request) { p.ownerDowngraded(req) }
-
-func (p *Protocol) ownerDowngraded(req *coherence.Request) {
-	p.txn(req, req.Core, telemetry.TxnProbeDone, 0)
-	p.countMsg(req.Line, coherence.MsgReply, 1)
-	p.countMsg(req.Line, coherence.MsgAck, 1)
-	p.eng.After(p.t.Inval+p.t.Net+p.Faults.MsgDelay(), func() { p.complete(req) })
-}
-
-// reserve grants core a read reservation on l until end: the record feeds
-// renewal checks and VerifyLine, and the timer self-invalidates the copy
-// when the reservation elapses — costing no coherence messages.
-func (p *Protocol) reserve(e *entry, core int, l mem.Line, end uint64) {
-	p.genSeq++
-	gen := p.genSeq
+// reserve grants core a read reservation until end: the record feeds
+// renewal checks and Verify, and the timer self-invalidates the copy when
+// the reservation elapses — costing no coherence messages. The timer fires
+// on the reader's domain, where the copy is.
+func (e *line) reserve(core int, end uint64) {
+	e.m.genSeq++
+	gen := e.m.genSeq
 	e.res[core] = &reservation{end: end, gen: gen, wts: e.wts}
-	p.eng.At(end, func() {
+	e.m.dir.AtCore(core, end, func() {
 		rec, ok := e.res[core]
 		if !ok || rec.gen != gen {
 			return // re-granted, evicted, or promoted to owner meanwhile
 		}
-		p.env.Invalidate(core, l)
+		if e.pCore == core {
+			return // ... or about to be: the grant in flight replaces the copy
+		}
+		e.m.env.Invalidate(core, e.id)
 	})
 }
 
-// complete commits the pending transition, installs the line at the
-// requester, and starts servicing the next queued request.
-func (p *Protocol) complete(req *coherence.Request) {
-	e := p.entry(req.Line)
-	now := p.eng.Now()
-	st := cache.Shared
+// Commit applies the pending transition.
+func (e *line) Commit() {
+	now := e.m.dir.Now()
 	if e.pOwned {
-		st = cache.Modified
 		wts := now
 		if e.rts >= wts {
 			// Unexpired read reservations (or a logical clock already
 			// ahead): the write's logical commit time jumps past rts
 			// rather than invalidating the readers.
 			wts = e.rts + 1
-			p.RTSJumps++
+			e.m.dir.Stats.RTSJumps++
 		}
-		e.wts, e.rts = wts, wts
-		e.owned, e.owner = true, req.Core
-		delete(e.res, req.Core) // the owner needs no read reservation
-		p.bumpPts(req.Core, wts)
+		e.wts, e.rts = wts, max(wts, e.pLease)
+		e.owned, e.owner = true, e.pCore
+		delete(e.res, e.pCore) // the owner needs no read reservation
+		e.m.bumpPts(e.pCore, wts)
 	} else {
-		end := now + p.cfg.ReadLease
-		if e.rts < end {
-			e.rts = end
-		}
-		p.reserve(e, req.Core, req.Line, end)
-		if e.pPrev >= 0 && e.pPrev != req.Core {
+		end := now + readLease
+		e.rts = max(e.rts, end)
+		e.reserve(e.pCore, end)
+		if e.pPrev >= 0 && e.pPrev != e.pCore {
 			// A read-forward downgraded the owner to Shared: its copy
 			// stays readable under the same reservation bound.
-			p.reserve(e, e.pPrev, req.Line, end)
+			e.reserve(e.pPrev, end)
 		}
 		e.owned = false
-		p.bumpPts(req.Core, e.wts)
+		e.m.bumpPts(e.pCore, e.wts)
 	}
-	e.busy = false
-	e.pPrev = -1
-	p.txn(req, req.Core, telemetry.TxnComplete, 0)
-	p.env.Complete(req, st)
-	if len(e.queue) > 0 {
-		p.serviceMaybeStalled(req.Line)
-	}
+	e.pCore = -1
 }
 
-func (p *Protocol) bumpPts(core int, ts uint64) {
-	if core >= 0 && core < len(p.pts) && p.pts[core] < ts {
-		p.pts[core] = ts
-	}
-}
-
-// Writeback records a dirty eviction by core on line l: ownership is
-// surrendered; timestamps persist (they describe the logical past).
-func (p *Protocol) Writeback(core int, l mem.Line) {
-	p.countMsg(l, coherence.MsgWriteback, 1)
-	if e, ok := p.entries[l]; ok && e.owned && e.owner == core {
+// Evict: a writeback surrenders ownership, unless it has moved on and the
+// notice is stale; timestamps persist (they describe the logical past). A
+// Shared eviction drops the reservation record, so the self-invalidation
+// timer no-ops and a later re-read takes a full fill (the data is gone from
+// the L1 either way).
+func (e *line) Evict(core int, dirty bool) {
+	switch {
+	case !dirty:
+		delete(e.res, core)
+	case e.owned && e.owner == core:
 		e.owned = false
 	}
 }
 
-// SharerDrop records a silent Shared eviction: the reservation record is
-// dropped so the self-invalidation timer no-ops and a later re-read takes
-// a full fill (the data is gone from the L1 either way).
-func (p *Protocol) SharerDrop(core int, l mem.Line) {
-	if e, ok := p.entries[l]; ok {
-		delete(e.res, core)
-	}
-}
+// granted reports whether core's exclusive grant on the line has been
+// delivered in this cycle and is not committed yet. Only then can a core
+// whose own request is in service, and which is therefore blocked, report a
+// lease on the line.
+func (e *line) granted(core int) bool { return e.pCore == core && e.pOwned }
 
 // LeaseStarted maps a started lease onto the timestamp model: the lease is
 // a bounded rts reservation on the owned line — rts extends to cover the
 // lease window (duration is clamped to MAX_LEASE_TIME upstream), declaring
-// the owner's copy logically valid through the lease deadline.
-func (p *Protocol) LeaseStarted(core int, l mem.Line, duration uint64) {
-	e, ok := p.entries[l]
-	if !ok || !e.owned || e.owner != core {
-		return
-	}
-	if end := p.eng.Now() + duration; e.rts < end {
-		e.rts = end
+// the owner's copy logically valid through the lease deadline. A lease that
+// starts with the grant is reported before the line's Commit, which would
+// overwrite rts: the extension waits in the pending transition.
+func (m *manager) LeaseStarted(core int, l mem.Line, duration uint64) {
+	e := m.line(l)
+	end := m.dir.Now() + duration
+	switch {
+	case e == nil:
+	case e.granted(core):
+		e.pLease = end
+	case e.owned && e.owner == core:
+		e.rts = max(e.rts, end)
 	}
 }
 
@@ -403,101 +261,45 @@ func (p *Protocol) LeaseStarted(core int, l mem.Line, duration uint64) {
 // the latest cycle something still needs it — the line's wts, now, or an
 // outstanding read reservation's end — so a subsequent write commits
 // without jumping past a reservation nobody holds anymore.
-func (p *Protocol) LeaseReleased(core int, l mem.Line) {
-	e, ok := p.entries[l]
-	if !ok || !e.owned || e.owner != core {
+func (m *manager) LeaseReleased(core int, l mem.Line) {
+	e := m.line(l)
+	switch {
+	case e == nil:
+		return
+	case e.granted(core):
+		e.pLease = 0
+		return
+	case !e.owned || e.owner != core:
 		return
 	}
-	floor := e.wts
-	if now := p.eng.Now(); now > floor {
-		floor = now
-	}
+	floor := max(e.wts, m.dir.Now())
 	for _, rec := range e.res {
-		if rec.end > floor {
-			floor = rec.end
-		}
+		floor = max(floor, rec.end)
 	}
-	if floor < e.rts {
-		e.rts = floor
-	}
+	e.rts = min(e.rts, floor)
 }
 
-// state classifies a line for dumps and LineInfo: owned lines are "M"; an
-// unowned line with a live reservation is "S"; otherwise "I". readers is
-// the bitset of cores with unexpired reservations.
-func (e *entry) state(now uint64) (st string, readers uint64) {
+// View classifies a line for dumps: owned lines are "M"; an unowned line
+// with a live reservation is "S"; otherwise "I". Sharers is the bitset of
+// cores with unexpired reservations.
+func (e *line) View() coherence.LineView {
+	v := coherence.LineView{State: "I", WTS: e.wts, RTS: e.rts}
+	now := e.m.dir.Now()
 	for c, rec := range e.res {
 		if rec.end >= now && c >= 0 && c < 64 {
-			readers |= 1 << uint(c)
+			v.Sharers |= 1 << uint(c)
 		}
 	}
 	switch {
 	case e.owned:
-		return "M", readers
-	case readers != 0:
-		return "S", readers
+		v.State, v.Owner = "M", e.owner
+	case v.Sharers != 0:
+		v.State = "S"
 	}
-	return "I", readers
+	return v
 }
 
-// LineInfo reports the manager's committed view of one line.
-func (p *Protocol) LineInfo(l mem.Line) (string, int, uint64, bool) {
-	e, ok := p.entries[l]
-	if !ok {
-		return "I", 0, 0, false
-	}
-	st, readers := e.state(p.eng.Now())
-	owner := 0
-	if e.owned {
-		owner = e.owner
-	}
-	return st, owner, readers, e.busy || len(e.queue) > 0
-}
-
-// ForEachLine visits every line the manager has ever tracked.
-func (p *Protocol) ForEachLine(fn func(l mem.Line, state string, owner int, sharers uint64, busy bool)) {
-	now := p.eng.Now()
-	for l, e := range p.entries {
-		st, readers := e.state(now)
-		owner := 0
-		if e.owned {
-			owner = e.owner
-		}
-		fn(l, st, owner, readers, e.busy || len(e.queue) > 0)
-	}
-}
-
-// QueueLen returns the line's current queue length (including in-service).
-func (p *Protocol) QueueLen(l mem.Line) int {
-	if e, ok := p.entries[l]; ok {
-		n := len(e.queue)
-		if e.busy {
-			n++
-		}
-		return n
-	}
-	return 0
-}
-
-// LineTimestamps reports the line's (wts, rts); ok is false for a line the
-// manager has never tracked.
-func (p *Protocol) LineTimestamps(l mem.Line) (uint64, uint64, bool) {
-	if e, ok := p.entries[l]; ok {
-		return e.wts, e.rts, true
-	}
-	return 0, 0, false
-}
-
-// CoreTimestamp reports the core's program timestamp.
-func (p *Protocol) CoreTimestamp(core int) (uint64, bool) {
-	if core >= 0 && core < len(p.pts) {
-		return p.pts[core], true
-	}
-	return 0, false
-}
-
-// VerifyLine validates the Tardis agreement and timestamp-order
-// invariants for one non-busy line:
+// Verify validates the Tardis agreement and timestamp-order invariants:
 //
 //   - wts <= rts (a write commits inside the line's read-valid window);
 //   - a Modified L1 copy exists only at the recorded owner;
@@ -505,14 +307,10 @@ func (p *Protocol) CoreTimestamp(core int) (uint64, bool) {
 //     copies are legal in Tardis only until their reservation elapses —
 //     the self-invalidation timer enforces that bound);
 //   - every reservation's expiry lies within rts.
-func (p *Protocol) VerifyLine(l mem.Line, ncores int, l1 func(core int) cache.State) error {
-	e, ok := p.entries[l]
-	if !ok {
-		return nil
-	}
-	now := p.eng.Now()
+func (e *line) Verify(_ mem.Line, ncores int, l1 func(core int) cache.State) error {
+	l, now := uint64(e.id), e.m.dir.Now()
 	if e.wts > e.rts {
-		return fmt.Errorf("line %#x: wts %d exceeds rts %d", uint64(l), e.wts, e.rts)
+		return fmt.Errorf("line %#x: wts %d exceeds rts %d", l, e.wts, e.rts)
 	}
 	for c := 0; c < ncores; c++ {
 		switch l1(c) {
@@ -522,24 +320,22 @@ func (p *Protocol) VerifyLine(l mem.Line, ncores int, l1 func(core int) cache.St
 				if e.owned {
 					rec = fmt.Sprintf("owner %d", e.owner)
 				}
-				return fmt.Errorf("line %#x: core %d holds M but timestamp manager records %s", uint64(l), c, rec)
+				return fmt.Errorf("line %#x: core %d holds M but timestamp manager records %s", l, c, rec)
 			}
 		case cache.Shared:
 			rec, held := e.res[c]
 			if !held {
-				return fmt.Errorf("line %#x: core %d holds S with no read reservation", uint64(l), c)
+				return fmt.Errorf("line %#x: core %d holds S with no read reservation", l, c)
 			}
 			if rec.end < now {
 				return fmt.Errorf("line %#x: core %d Shared copy outlived its reservation (end %d, now %d)",
-					uint64(l), c, rec.end, now)
+					l, c, rec.end, now)
 			}
 			if rec.end > e.rts {
 				return fmt.Errorf("line %#x: core %d reservation end %d exceeds rts %d",
-					uint64(l), c, rec.end, e.rts)
+					l, c, rec.end, e.rts)
 			}
 		}
 	}
 	return nil
 }
-
-var _ coherence.Protocol = (*Protocol)(nil)

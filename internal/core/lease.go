@@ -45,9 +45,10 @@ func DefaultConfig() Config {
 type Entry struct {
 	Line     mem.Line
 	Duration uint64 // clamped lease length in cycles
-	Started  bool   // ownership granted, countdown running
 	Deadline uint64 // absolute expiry time, valid when Started
+	Timer    uint64 // when the expiry timer fires: Deadline, unless the caller moved it earlier
 	Gen      uint64 // generation, to lazily cancel stale expiry events
+	Started  bool   // ownership granted, countdown running
 
 	// InGroup marks membership in the core's single active MultiLease
 	// group. Group entries defer probes during the acquisition phase
@@ -152,9 +153,14 @@ func (t *Table) Start(l mem.Line, now uint64) *Entry {
 	if e == nil || e.Started {
 		return nil
 	}
+	e.start(now)
+	return e
+}
+
+func (e *Entry) start(now uint64) {
 	e.Started = true
 	e.Deadline = now + e.Duration
-	return e
+	e.Timer = e.Deadline
 }
 
 // GroupPending returns how many MultiLease-group entries are still waiting
@@ -179,8 +185,7 @@ func (t *Table) StartGroup(now uint64) []*Entry {
 	var started []*Entry
 	for _, e := range t.fifo {
 		if e.InGroup && !e.Started {
-			e.Started = true
-			e.Deadline = now + e.Duration
+			e.start(now)
 			started = append(started, e)
 		}
 	}
@@ -214,14 +219,13 @@ func (t *Table) ShouldDefer(l mem.Line, now uint64) bool {
 	return e.InGroup
 }
 
-// ExpiresBy reports whether some started lease has its deadline at or
-// before now, that is, whether an expiry timer of this core is due by then
-// (timers of leases already released are cancelled lazily and do not show
-// here). The machine consults it before it lets a core act ahead of the
-// event queue.
+// ExpiresBy reports whether the expiry timer of some started lease fires at
+// or before now (timers of leases already released are cancelled lazily and
+// do not show here). The machine consults it before it lets a core act ahead
+// of the event queue.
 func (t *Table) ExpiresBy(now uint64) bool {
 	for _, e := range t.fifo {
-		if e.Started && e.Deadline <= now {
+		if e.Started && e.Timer <= now {
 			return true
 		}
 	}

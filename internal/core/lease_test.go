@@ -341,3 +341,31 @@ func TestExpiresBy(t *testing.T) {
 		t.Fatal("after releasing line 1 only line 2's deadline (560) counts")
 	}
 }
+
+// A lease whose expiry timer was moved ahead of its deadline (the fault
+// injector cuts leases short) expires by the timer: in [Timer, Deadline) the
+// deadline alone would say nothing is due. StartGroup sets the timer too.
+func TestExpiresByFollowsACutTimer(t *testing.T) {
+	tb := NewTable(DefaultConfig())
+	tb.Insert(1, 100, false)
+	e := tb.Start(1, 50)
+	if e.Deadline != 150 || e.Timer != 150 {
+		t.Fatalf("deadline %d, timer %d; want 150 and 150", e.Deadline, e.Timer)
+	}
+	e.Timer -= 30
+	for now, want := range map[uint64]bool{119: false, 120: true, 149: true, 150: true} {
+		if got := tb.ExpiresBy(now); got != want {
+			t.Errorf("ExpiresBy(%d) = %v, want %v (timer at 120, deadline 150)", now, got, want)
+		}
+	}
+	if !tb.ShouldDefer(1, 149) {
+		t.Error("the cut moved the deadline: a probe at 149 is not deferred")
+	}
+
+	tb.Insert(2, 40, true)
+	for _, g := range tb.StartGroup(200) {
+		if g.Timer != 240 {
+			t.Errorf("group lease: timer %d, want the deadline 240", g.Timer)
+		}
+	}
+}

@@ -125,7 +125,7 @@ func (c *Ctx) Observe(fn func()) {
 func (c *Ctx) access(a mem.Addr, write, lease bool) {
 	c.m.maybePreempt(c.cs, c.p, write)
 	l := mem.LineOf(a)
-	if c.m.runAhead && c.cs.l1.Holds(l, write) && !c.cs.leases.ExpiresBy(c.p.Clock()) && c.p.RunAhead() {
+	if c.cs.l1.Holds(l, write) && !c.cs.leases.ExpiresBy(c.p.Clock()) && c.p.RunAhead() {
 		c.cs.l1.Lookup(l, write)
 		c.p.Work(c.m.cfg.L1HitLat)
 		return

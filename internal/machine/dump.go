@@ -9,7 +9,6 @@ import (
 	"leaserelease/internal/coherence"
 	"leaserelease/internal/core"
 	"leaserelease/internal/faults"
-	"leaserelease/internal/mem"
 	"leaserelease/internal/telemetry"
 )
 
@@ -18,15 +17,17 @@ import (
 // an escaping panic) so the failure is debuggable without re-running under
 // a tracer. It marshals to JSON and renders as text via String.
 type StateDump struct {
-	Cycle      uint64        `json:"cycle"`
-	EventCount uint64        `json:"event_count"`
-	Pending    int           `json:"pending_events"`
-	Seed       uint64        `json:"seed"`
-	Protocol   string        `json:"protocol,omitempty"` // omitted under MSI (the default)
-	Cores      []CoreDump    `json:"cores"`
-	DirLines   []DirLineDump `json:"dir_lines"`
-	Faults     faults.Stats  `json:"fault_stats"`
-	Events     []EventDump   `json:"last_events,omitempty"`
+	Cycle      uint64     `json:"cycle"`
+	EventCount uint64     `json:"event_count"`
+	Pending    int        `json:"pending_events"`
+	Seed       uint64     `json:"seed"`
+	Protocol   string     `json:"protocol,omitempty"` // omitted under MSI (the default)
+	Cores      []CoreDump `json:"cores"`
+	// DirLines is the directory's view of every active line, by address
+	// (lines that are Invalid with no queued work are omitted).
+	DirLines []coherence.LineView `json:"dir_lines"`
+	Faults   faults.Stats         `json:"fault_stats"`
+	Events   []EventDump          `json:"last_events,omitempty"`
 }
 
 // CoreDump is one core's state: scheduling status and lease table.
@@ -54,20 +55,6 @@ type LeaseDump struct {
 	InGroup    bool   `json:"in_group,omitempty"`
 	HasProbe   bool   `json:"has_probe,omitempty"`
 	Pinned     bool   `json:"pinned"`
-}
-
-// DirLineDump is the protocol's view of one active line (lines that are
-// Invalid with no queued work are omitted). WTS/RTS carry the per-line
-// timestamps of a timestamp protocol and are omitted under MSI.
-type DirLineDump struct {
-	Line     uint64 `json:"line"`
-	State    string `json:"state"`
-	Owner    int    `json:"owner,omitempty"`
-	Sharers  uint64 `json:"sharers,omitempty"`
-	Busy     bool   `json:"busy,omitempty"`
-	QueueLen int    `json:"queue_len,omitempty"`
-	WTS      uint64 `json:"wts,omitempty"`
-	RTS      uint64 `json:"rts,omitempty"`
 }
 
 // EventDump is one telemetry event in dump form (stringly typed so the
@@ -137,20 +124,11 @@ func (m *Machine) DumpState() *StateDump {
 		})
 		d.Cores = append(d.Cores, cd)
 	}
-	m.proto.ForEachLine(func(l mem.Line, state string, owner int, sharers uint64, busy bool) {
-		q := m.proto.QueueLen(l)
-		if state == "I" && !busy && q == 0 {
-			return
+	for v := range m.proto.Lines() {
+		if v.State != "I" || v.Busy {
+			d.DirLines = append(d.DirLines, v)
 		}
-		ld := DirLineDump{
-			Line: uint64(l), State: state, Owner: owner, Sharers: sharers,
-			Busy: busy, QueueLen: q,
-		}
-		if wts, rts, ok := m.proto.LineTimestamps(l); ok {
-			ld.WTS, ld.RTS = wts, rts
-		}
-		d.DirLines = append(d.DirLines, ld)
-	})
+	}
 	sort.Slice(d.DirLines, func(i, j int) bool { return d.DirLines[i].Line < d.DirLines[j].Line })
 	return d
 }
@@ -202,7 +180,7 @@ func (d *StateDump) String() string {
 			ts = fmt.Sprintf(" wts=%d rts=%d", l.WTS, l.RTS)
 		}
 		fmt.Fprintf(&b, "  dir line %#x: %s owner %d sharers %#x busy=%v queue=%d%s\n",
-			l.Line, l.State, l.Owner, l.Sharers, l.Busy, l.QueueLen, ts)
+			uint64(l.Line), l.State, l.Owner, l.Sharers, l.Busy, l.QueueLen, ts)
 	}
 	if f := (faults.Stats{}); d.Faults != f {
 		fmt.Fprintf(&b, "  faults injected: %+v\n", d.Faults)

@@ -4,10 +4,10 @@ import "leaserelease/internal/mem"
 
 // Hooks for the external test package (runahead_diff_test.go).
 
-// ForceSync sends every access of m down the Sync path, whatever the
-// lookahead certificate says: the reference run of the differential test.
-// Call it before the first Run.
-func ForceSync(m *Machine) { m.runAhead = false }
+// ForceSync sends every access of m down the Sync path by withdrawing the
+// lookahead New declared (with none, Proc.RunAhead always declines): the
+// reference run of the differential test. Call it before the first Run.
+func ForceSync(m *Machine) { m.eng.DeclareLookahead(0) }
 
 // MemImage returns every word the setup allocator and the cores' arenas have
 // handed out, in address order.

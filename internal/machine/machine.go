@@ -1,17 +1,17 @@
 // Package machine assembles the full simulated multicore: event engine,
-// per-core L1 caches and lease tables, a pluggable coherence protocol
-// (directory MSI by default, Tardis timestamp coherence via
-// Config.Protocol), the backing store, and the Ctx instruction-set surface
-// that simulated programs are written against.
+// per-core L1 caches and lease tables, the coherence directory with its line
+// policy (MSI by default, Tardis timestamp coherence via Config.Protocol),
+// the backing store, and the Ctx instruction-set surface that simulated
+// programs are written against.
 //
 // It corresponds to the paper's modified Graphite setup: "we extended the
 // L1 cache controller logic (at the cores) to implement memory leases. As
 // such, the directory did not have to be modified in any way." Here, too,
 // all lease logic lives on the core side (DeliverProbe, release paths);
-// the coherence.Protocol backend is lease-agnostic apart from waiting for
-// ProbeDone — though a protocol with native reservations (Tardis) is
+// the coherence.Directory is lease-agnostic apart from waiting for
+// ProbeDone — though a policy with native reservations (Tardis) is
 // additionally notified of lease starts/releases so it can mirror them
-// onto its own timestamp mechanism (see coherence.Protocol).
+// onto its own timestamp mechanism (see coherence.Policy).
 package machine
 
 import (
@@ -33,18 +33,13 @@ type Machine struct {
 	eng   *sim.Engine
 	store mem.Store
 	alloc *mem.Allocator
-	proto coherence.Protocol
+	proto *coherence.Directory
 	cores []*coreState
 
 	stats   Stats // machine-level counters (caches keep their own)
 	spawned int
 	bus     *telemetry.Bus   // nil until Telemetry() — telemetry disabled
 	faults  *faults.Injector // nil unless cfg.Faults.Enabled
-
-	// runAhead says the run holds the lookahead certificate
-	// (declareLookahead), so an L1 hit with nothing in flight to the core is performed without
-	// Sync (Ctx.access).
-	runAhead bool
 
 	// finishedAt is the latest cycle at which a thread's body returned.
 	finishedAt uint64
@@ -100,20 +95,14 @@ func New(cfg Config) *Machine {
 	m.faults = faults.New(cfg.Faults, cfg.Seed)
 	switch cfg.Protocol {
 	case "", coherence.ProtocolMSI:
-		dir := coherence.NewDirectory(m.eng, (*dirEnv)(m), cfg.Timing)
-		dir.MESI = cfg.MESI
-		dir.Faults = m.faults
-		m.proto = dir
+		m.proto = coherence.NewDirectory(m.eng, (*dirEnv)(m), cfg.Timing)
 	case coherence.ProtocolTardis:
-		// cfg.MESI does not apply: Tardis has no Exclusive-clean state.
-		// tardis.Config.ReadLease has one value anywhere too; the type stays
-		// because benchmarks/leaseperf, a frozen path, spells tardis.Config{}.
-		tp := tardis.New(m.eng, (*dirEnv)(m), cfg.Timing, tardis.Config{}, cfg.Cores)
-		tp.Faults = m.faults
-		m.proto = tp
+		m.proto = tardis.New(m.eng, (*dirEnv)(m), cfg.Timing, tardis.Config{}, cfg.Cores)
 	default:
 		panic(fmt.Sprintf("machine: unknown Protocol %q (valid: %v)", cfg.Protocol, coherence.Protocols()))
 	}
+	m.proto.MESI = cfg.MESI // Tardis has no Exclusive-clean state and ignores it
+	m.proto.Faults = m.faults
 	l1cfg := cfg.L1
 	if ways := cfg.Faults.CapWays(l1cfg.Ways); ways != l1cfg.Ways {
 		// Capacity pressure: shrink associativity (and size with it, so
@@ -134,7 +123,12 @@ func New(cfg Config) *Machine {
 			req:    new(coherence.Request),
 		}
 	}
-	m.declareLookahead()
+	// The lookahead certificate of the run-ahead hit (Ctx.access): every
+	// cross-domain message of either protocol is scheduled through its
+	// sender's domain with at least Timing.Net cycles of latency, and the
+	// fault injector only ever adds to that. The engine enforces it from
+	// here on; a Net of 0 declares nothing, and then no access runs ahead.
+	m.eng.DeclareLookahead(cfg.Timing.Net)
 	return m
 }
 
@@ -187,26 +181,9 @@ func (m *Machine) Run(untilCycle uint64) error { return m.eng.Run(untilCycle) }
 // Drain runs until all threads finish.
 func (m *Machine) Drain() error { return m.eng.Drain() }
 
-// declareLookahead certifies the run's lookahead and declares it to the
-// engine, which enforces it from then on. The certificate says that every
-// cross-domain message is scheduled through its sender's domain with at
-// least Timing.Net cycles of latency. It covers the MSI directory without
-// fault injection (the injector's draw order is defined by the global event
-// order, and it moves expiry timers and message latencies) and needs
-// Net > 0. Tardis schedules everything on the system domain, so what is in
-// flight to a core is invisible per domain. A run without the certificate
-// executes the same event order; it only has to Sync before every access.
-func (m *Machine) declareLookahead() {
-	m.runAhead = m.proto.Name() == coherence.ProtocolMSI && m.faults == nil && m.cfg.Timing.Net > 0
-	if m.runAhead {
-		m.eng.DeclareLookahead(m.cfg.Timing.Net)
-	}
-}
-
 // EngineStats returns the event kernel's host-side counters for the run so
 // far: events executed and how proc wake-ups were paid for (sim.EngineStats).
-// A run without the lookahead certificate reports Lookahead and SyncsSkipped
-// as zero. Call while the machine is idle (between or after Runs).
+// Call while the machine is idle (between or after Runs).
 func (m *Machine) EngineStats() sim.EngineStats { return m.eng.Stats() }
 
 // Stop tears down all still-blocked threads. Call after the final Run so
@@ -221,7 +198,7 @@ func (m *Machine) Stats() Stats {
 		s.L1Hits += c.l1.Hits
 		s.L1Misses += c.l1.Misses
 	}
-	ps := m.proto.ProtoStats()
+	ps := m.proto.Stats
 	s.DeferredProbes = ps.DeferredProbes
 	s.MaxDirQueue = ps.MaxQueue
 	s.Renewals = ps.Renewals
@@ -229,8 +206,10 @@ func (m *Machine) Stats() Stats {
 	return s
 }
 
-// Protocol exposes the coherence protocol for tests and diagnostics.
-func (m *Machine) Protocol() coherence.Protocol { return m.proto }
+// Protocol exposes the coherence directory for tests and diagnostics. A
+// thread reads directory state after a Fence: in the cycle of its own grant
+// the line's commit is still to come.
+func (m *Machine) Protocol() *coherence.Directory { return m.proto }
 
 // ProtocolName returns the canonical name of the active protocol.
 func (m *Machine) ProtocolName() string { return m.proto.Name() }
@@ -242,16 +221,12 @@ func (m *Machine) ProtocolName() string { return m.proto.Name() }
 // simulation is quiescent (after Run/Drain); it returns the first
 // violation found.
 func (m *Machine) VerifyCoherence() error {
-	var err error
-	m.proto.ForEachLine(func(l mem.Line, state string, owner int, sharers uint64, busy bool) {
-		if err != nil || busy {
-			return
+	for v := range m.proto.Lines() {
+		if err := m.VerifyLine(v.Line); err != nil {
+			return err
 		}
-		err = m.proto.VerifyLine(l, len(m.cores), func(core int) cache.State {
-			return m.cores[core].l1.State(l)
-		})
-	})
-	return err
+	}
+	return nil
 }
 
 // VerifyLine cross-checks one line's committed protocol state against
@@ -260,9 +235,6 @@ func (m *Machine) VerifyCoherence() error {
 // which is how state corruption (e.g. a second writer) is caught within
 // one event of its introduction.
 func (m *Machine) VerifyLine(l mem.Line) error {
-	if _, _, _, busy := m.proto.LineInfo(l); busy {
-		return nil
-	}
 	return m.proto.VerifyLine(l, len(m.cores), func(core int) cache.State {
 		return m.cores[core].l1.State(l)
 	})
@@ -305,18 +277,15 @@ func (m *Machine) mintTxn(cs *coreState, req *coherence.Request) {
 // startLease reports a lease whose countdown has just started (core.Table's
 // Start or StartGroup) to the protocol and the bus, and arms its
 // involuntary-release timer. Cancellation is lazy: the timer checks the entry
-// generation. Fault injection may pull the timer earlier — an involuntary
-// break before the full duration, always legal since MAX_LEASE_TIME is only
-// an upper bound.
+// generation. Fault injection may pull the timer earlier (Entry.Timer) — an
+// involuntary break before the full duration, always legal since
+// MAX_LEASE_TIME is only an upper bound.
 func (m *Machine) startLease(cs *coreState, e *core.Entry) {
 	m.proto.LeaseStarted(cs.id, e.Line, e.Duration)
 	m.traceVal(cs, telemetry.LeaseStarted, e.Line, e.Duration)
 	line, gen := e.Line, e.Gen
-	at := e.Deadline
-	if cut := m.faults.LeaseCut(e.Duration); cut > 0 {
-		at -= cut
-	}
-	cs.dom.At(at, func() {
+	e.Timer -= m.faults.LeaseCut(e.Duration)
+	cs.dom.At(e.Timer, func() {
 		if x := cs.leases.RemoveIfGen(line, gen); x != nil {
 			m.endLease(cs, x, telemetry.LeaseExpired, cs.dom.Now())
 		} // else released voluntarily (or evicted) in the meantime

@@ -9,11 +9,11 @@ import (
 // outstanding (Proposition 1: the core blocks in Ctx until Complete wakes
 // it), so a single reusable Request per core replaces one heap allocation
 // per L1 miss. The pooled object is live from acquireReq until the
-// requester's Block returns; by then the protocol side has finished with
-// it — the MSI directory's commit event reads the decided transition from
-// the line's directory entry, never from the Request (see
-// coherence.Directory.scheduleComplete), and Tardis reads it only inside
-// the completion event that precedes the requester's wake. The slot also
+// requester's Block returns; by then the directory has finished with it —
+// under either protocol the commit event, which runs after the grant has
+// woken the requester, applies the transition the policy recorded in the
+// line's record and never reads the Request (see
+// coherence.Directory.scheduleComplete, coherence.LinePolicy). The slot also
 // keeps the callbacks of the request's hops through the directory, bound
 // once (coherence.Request.Reset), so a miss allocates no closure either.
 //

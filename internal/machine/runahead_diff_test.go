@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"leaserelease/internal/bench"
+	"leaserelease/internal/coherence"
 	"leaserelease/internal/ds"
+	"leaserelease/internal/faults"
 	"leaserelease/internal/machine"
 	"leaserelease/internal/sim"
 	"leaserelease/internal/telemetry"
@@ -27,10 +29,9 @@ type diffCell struct {
 const opEnd = telemetry.Category(255)
 
 func runDiffCell(t *testing.T, build func(*machine.Direct) bench.OpFunc,
-	threads int, seed uint64, traced, forceSync bool) diffCell {
+	cfg machine.Config, traced, forceSync bool) diffCell {
 	t.Helper()
-	cfg := machine.DefaultConfig(threads)
-	cfg.Seed = seed
+	threads := cfg.Cores
 	m := machine.New(cfg)
 	op := build(m.Direct())
 	var stream []telemetry.Event
@@ -71,16 +72,22 @@ func runDiffCell(t *testing.T, build func(*machine.Direct) bench.OpFunc,
 }
 
 // TestRunAheadDifferential runs each structure with the run-ahead hit and
-// with every access forced through Sync, and requires the same simulation:
-// statistics, memory image and per-thread progress; with a subscriber on the
-// bus, the same events and operation-boundary observations in the same order
-// (hits emit nothing, and Observe rejoins the event queue first). The
-// engine's counters must account for the difference exactly. Only Sync
-// wakes separate the two event counts; and a Sync that has to move the clock
-// is a wake, a fast-forward or skipped, so what one run skipped the other
-// paid for as one of the first two. (Not always as a wake: after a wake that
-// the fast run skipped, the forced run may find nothing else due and
+// with every access forced through Sync, under both protocols and with the
+// fault injector off, on, and on with preemption, and requires the same
+// simulation: statistics, memory image and per-thread progress; with a
+// subscriber on the bus, the same events and operation-boundary observations
+// in the same order (hits emit nothing, and Observe rejoins the event queue
+// first). The engine's counters must account for the difference exactly.
+// Only Sync wakes separate the two event counts; and a Sync that has to move
+// the clock is a wake, a fast-forward or skipped, so what one run skipped the
+// other paid for as one of the first two. (Not always as a wake: after a wake
+// that the fast run skipped, the forced run may find nothing else due and
 // fast-forward the next Sync.)
+//
+// Every MSI cell must have skipped some Syncs. A Tardis reader has its
+// reservation's timer queued on its domain for 2000 cycles after every read
+// grant, and a queued foreign event rules run-ahead out, so a Tardis cell may
+// skip none; some cell of each fault profile must.
 func TestRunAheadDifferential(t *testing.T) {
 	const threads = 12
 	workloads := []struct {
@@ -93,39 +100,71 @@ func TestRunAheadDifferential(t *testing.T) {
 		{"tts-counter", bench.CounterWorkload(bench.CounterTTS)},
 		{"leased-tts-counter", bench.CounterWorkload(bench.CounterLeasedTTS)},
 	}
+	profiles := []struct {
+		name   string
+		faults faults.Config
+	}{
+		{"clean", faults.Config{}},
+		{"faults", faults.DefaultConfig()},
+		{"preempt", faults.DefaultConfig().WithPreemption()},
+	}
+	tardisSkipped := map[string]uint64{} // by profile
 	for _, w := range workloads {
 		for _, seed := range []uint64{1, 7} {
 			traced := seed == 7
 			t.Run(fmt.Sprintf("%s/seed%d", w.name, seed), func(t *testing.T) {
-				fast := runDiffCell(t, w.build, threads, seed, traced, false)
-				ref := runDiffCell(t, w.build, threads, seed, traced, true)
-				if fast.stats != ref.stats {
-					t.Errorf("Stats differ:\n run-ahead %+v\n all-Sync  %+v", fast.stats, ref.stats)
-				}
-				if !slices.Equal(fast.ops, ref.ops) {
-					t.Errorf("per-thread operations differ:\n run-ahead %v\n all-Sync  %v", fast.ops, ref.ops)
-				}
-				if !slices.Equal(fast.image, ref.image) {
-					t.Error("final memory images differ")
-				}
-				if !slices.Equal(fast.stream, ref.stream) {
-					t.Errorf("subscriber streams differ (%d and %d entries)", len(fast.stream), len(ref.stream))
-				} else if traced && len(fast.stream) == 0 {
-					t.Error("the traced cell delivered nothing")
-				}
-				f, r := fast.engine, ref.engine
-				if r.SyncsSkipped != 0 || f.SyncsSkipped == 0 {
-					t.Fatalf("syncs skipped: %d in the all-Sync run, %d with run-ahead", r.SyncsSkipped, f.SyncsSkipped)
-				}
-				t.Logf("L1 hits %d, syncs skipped %d; all-Sync run: %d more events, %d more fast-forwards",
-					fast.stats.L1Hits, f.SyncsSkipped, r.EventsTotal-f.EventsTotal, int64(r.SyncFastForwards-f.SyncFastForwards))
-				if got, want := r.EventsTotal-f.EventsTotal, r.SyncWakes-f.SyncWakes; got != want {
-					t.Errorf("event counts differ by %d, Sync wakes by %d", got, want)
-				}
-				if got := (r.SyncWakes - f.SyncWakes) + (r.SyncFastForwards - f.SyncFastForwards); got != f.SyncsSkipped {
-					t.Errorf("%d syncs skipped, but the all-Sync run paid for %d more wakes and fast-forwards", f.SyncsSkipped, got)
+				for _, proto := range coherence.Protocols() {
+					for _, prof := range profiles {
+						t.Run(proto+"/"+prof.name, func(t *testing.T) {
+							cfg := machine.DefaultConfig(threads)
+							cfg.Seed, cfg.Protocol, cfg.Faults = seed, proto, prof.faults
+							fast := runDiffCell(t, w.build, cfg, traced, false)
+							ref := runDiffCell(t, w.build, cfg, traced, true)
+							compareDiffCells(t, fast, ref, traced)
+							switch skipped := fast.engine.SyncsSkipped; {
+							case proto == coherence.ProtocolTardis:
+								tardisSkipped[prof.name] += skipped
+							case skipped == 0:
+								t.Error("no Sync skipped: the cell did not exercise run-ahead")
+							}
+						})
+					}
 				}
 			})
 		}
+	}
+	for _, prof := range profiles {
+		if tardisSkipped[prof.name] == 0 {
+			t.Errorf("profile %s: no Tardis cell skipped a Sync", prof.name)
+		}
+	}
+}
+
+func compareDiffCells(t *testing.T, fast, ref diffCell, traced bool) {
+	if fast.stats != ref.stats {
+		t.Errorf("Stats differ:\n run-ahead %+v\n all-Sync  %+v", fast.stats, ref.stats)
+	}
+	if !slices.Equal(fast.ops, ref.ops) {
+		t.Errorf("per-thread operations differ:\n run-ahead %v\n all-Sync  %v", fast.ops, ref.ops)
+	}
+	if !slices.Equal(fast.image, ref.image) {
+		t.Error("final memory images differ")
+	}
+	if !slices.Equal(fast.stream, ref.stream) {
+		t.Errorf("subscriber streams differ (%d and %d entries)", len(fast.stream), len(ref.stream))
+	} else if traced && len(fast.stream) == 0 {
+		t.Error("the traced cell delivered nothing")
+	}
+	f, r := fast.engine, ref.engine
+	if r.SyncsSkipped != 0 {
+		t.Fatalf("%d syncs skipped in the all-Sync run", r.SyncsSkipped)
+	}
+	t.Logf("L1 hits %d, syncs skipped %d; all-Sync run: %d more events, %d more fast-forwards",
+		fast.stats.L1Hits, f.SyncsSkipped, r.EventsTotal-f.EventsTotal, int64(r.SyncFastForwards-f.SyncFastForwards))
+	if got, want := r.EventsTotal-f.EventsTotal, r.SyncWakes-f.SyncWakes; got != want {
+		t.Errorf("event counts differ by %d, Sync wakes by %d", got, want)
+	}
+	if got := (r.SyncWakes - f.SyncWakes) + (r.SyncFastForwards - f.SyncFastForwards); got != f.SyncsSkipped {
+		t.Errorf("%d syncs skipped, but the all-Sync run paid for %d more wakes and fast-forwards", f.SyncsSkipped, got)
 	}
 }

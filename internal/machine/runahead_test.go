@@ -1,7 +1,9 @@
 package machine
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"leaserelease/internal/coherence"
@@ -183,20 +185,23 @@ func TestRunAheadStaysInsideHorizonAndLookahead(t *testing.T) {
 	}
 }
 
-// Without the certificate no access runs ahead: Tardis keeps what is in
-// flight on the system domain, and the fault injector moves timers.
+// The certificate is Timing.Net > 0 and nothing else: hits run ahead under
+// either protocol, with or without the fault injector, and never on a machine
+// whose messages may take no time at all.
 func TestRunAheadNeedsCertificate(t *testing.T) {
 	for name, mod := range map[string]func(*Config){
-		"msi":    func(*Config) {},
-		"tardis": func(c *Config) { c.Protocol = coherence.ProtocolTardis },
-		"faults": func(c *Config) { c.Faults = faults.Config{Enabled: true} },
-		"net0":   func(c *Config) { c.Timing.Net = 0 },
+		"msi":           func(*Config) {},
+		"tardis":        func(c *Config) { c.Protocol = coherence.ProtocolTardis },
+		"faults":        func(c *Config) { c.Faults = faults.DefaultConfig() },
+		"tardis+faults": func(c *Config) { c.Protocol, c.Faults = coherence.ProtocolTardis, faults.DefaultConfig() },
+		"net0":          func(c *Config) { c.Timing.Net = 0 },
 	} {
 		cfg := testConfig(2)
 		mod(&cfg)
 		m := New(cfg)
 		x := m.Direct().Alloc(8)
 		m.Spawn(0, func(c *Ctx) {
+			c.Store(x, 1) // an owner's copy: no reservation timer is queued for it
 			for i := 0; i < 100; i++ {
 				c.Work(2)
 				c.Load(x)
@@ -206,9 +211,35 @@ func TestRunAheadNeedsCertificate(t *testing.T) {
 		if err := m.Drain(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		skipped := m.eng.Stats().SyncsSkipped
-		if (name == "msi") != (skipped > 0) {
-			t.Errorf("%s: %d syncs skipped", name, skipped)
+		st := m.EngineStats()
+		if st.Lookahead != cfg.Timing.Net || (name != "net0") != (st.SyncsSkipped > 0) {
+			t.Errorf("%s: lookahead %d, %d syncs skipped", name, st.Lookahead, st.SyncsSkipped)
 		}
+	}
+}
+
+// The engine holds every configuration to the lookahead New declared: a
+// message onto another domain closer than Timing.Net panics in push, on a
+// Tardis machine and a faulted one as on plain MSI (internal/sim's
+// TestLookaheadEnforced shows it on a bare engine).
+func TestLookaheadEnforcedOnEveryMachine(t *testing.T) {
+	for name, mod := range map[string]func(*Config){
+		"msi":    func(*Config) {},
+		"tardis": func(c *Config) { c.Protocol = coherence.ProtocolTardis },
+		"faults": func(c *Config) { c.Faults = faults.DefaultConfig() },
+	} {
+		cfg := testConfig(2)
+		mod(&cfg)
+		m := New(cfg)
+		sys, core1 := m.eng.Sys(), m.cores[1].dom
+		sys.CrossAt(core1, cfg.Timing.Net, func() {}) // a full hop: accepted
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "lookahead violation") {
+					t.Errorf("%s: a message %d cycles ahead got %v, want a lookahead violation", name, cfg.Timing.Net-1, r)
+				}
+			}()
+			sys.CrossAt(core1, cfg.Timing.Net-1, func() {})
+		}()
 	}
 }

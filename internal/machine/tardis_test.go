@@ -148,7 +148,10 @@ func TestTardisLeaseDefersProbe(t *testing.T) {
 
 // TestTardisLeaseMapsToRTS checks the lease<->rts mapping: a started lease
 // extends the owned line's rts to cover the lease window, and a voluntary
-// release truncates the extension back down.
+// release truncates the extension back down. The lease starts with the
+// grant, a moment before the line's commit in the same cycle, and the
+// extension has to survive that order; the thread samples the directory a
+// cycle later, after a Fence.
 func TestTardisLeaseMapsToRTS(t *testing.T) {
 	m := New(tardisConfig(1))
 	a := m.Direct().Alloc(8)
@@ -157,10 +160,12 @@ func TestTardisLeaseMapsToRTS(t *testing.T) {
 	m.Spawn(0, func(c *Ctx) {
 		c.Lease(a, 10000)
 		grantAt = c.Now()
-		_, rtsUnderLease, _ = m.Protocol().LineTimestamps(line)
+		c.Work(1)
+		c.Fence()
+		rtsUnderLease = m.Protocol().View(line).RTS
 		c.Store(a, 1)
 		c.Release(a)
-		_, rtsAfterRelease, _ = m.Protocol().LineTimestamps(line)
+		rtsAfterRelease = m.Protocol().View(line).RTS
 	})
 	if err := m.Drain(); err != nil {
 		t.Fatal(err)

@@ -12,7 +12,7 @@ import (
 func (m *Machine) Telemetry() *telemetry.Bus {
 	if m.bus == nil {
 		m.bus = telemetry.NewBus(m.eng.Now)
-		m.proto.SetBus(m.bus)
+		m.proto.Bus = m.bus
 		for _, cs := range m.cores {
 			cs.l1.Bus = m.bus
 			cs.l1.CoreID = cs.id
