@@ -58,9 +58,14 @@ type way struct {
 // Cache is one core's private L1.
 type Cache struct {
 	cfg     Config
-	sets    [][]way
+	ways    []way // set i is ways[i*cfg.Ways : (i+1)*cfg.Ways]
 	setMask uint64
 	tick    uint64
+
+	// last is the way find found last, which find checks before it walks a
+	// set: an access that probes with Holds and then performs the hit with
+	// Lookup walks the set once, and so does a run of accesses to one line.
+	last *way
 
 	// Stats
 	Hits, Misses, Evictions uint64
@@ -83,21 +88,24 @@ func New(cfg Config) *Cache {
 	if nSets&(nSets-1) != 0 {
 		panic("cache: set count must be a power of two")
 	}
-	sets := make([][]way, nSets)
-	backing := make([]way, nSets*cfg.Ways)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways]
-	}
-	return &Cache{cfg: cfg, sets: sets, setMask: uint64(nSets - 1)}
+	ways := make([]way, nLines)
+	return &Cache{cfg: cfg, ways: ways, setMask: uint64(nSets - 1), last: &ways[0]}
 }
 
-func (c *Cache) set(l mem.Line) []way { return c.sets[uint64(l)&c.setMask] }
+func (c *Cache) set(l mem.Line) []way {
+	i := int(uint64(l)&c.setMask) * c.cfg.Ways
+	return c.ways[i : i+c.cfg.Ways]
+}
 
 func (c *Cache) find(l mem.Line) *way {
+	if w := c.last; w.line == l && w.state != Invalid {
+		return w
+	}
 	s := c.set(l)
 	for i := range s {
 		if s[i].state != Invalid && s[i].line == l {
-			return &s[i]
+			c.last = &s[i]
+			return c.last
 		}
 	}
 	return nil
@@ -113,7 +121,8 @@ func (c *Cache) State(l mem.Line) State {
 
 // Holds reports whether Lookup would hit, and changes nothing: no LRU
 // refresh, no hit or miss counted. The machine probes with it before it
-// decides at what time the access is performed.
+// decides at what time the access is performed; the Lookup that performs a
+// hit then finds the way without walking the set again.
 func (c *Cache) Holds(l mem.Line, write bool) bool {
 	return c.find(l).permits(write)
 }

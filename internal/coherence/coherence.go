@@ -208,8 +208,11 @@ type Directory struct {
 	// exclusive state. Tardis has no such state and ignores it.
 	MESI bool
 
-	lines map[mem.Line]*Line
+	lines mem.Index[*Line]
 	rng   sim.RNG
+
+	// notices is the free list of pooled notice records.
+	notices *notice
 
 	// Stats are the counters of both halves (ProtoStats).
 	Stats ProtoStats
@@ -234,9 +237,8 @@ type Directory struct {
 func New(eng *sim.Engine, env Env, t Timing, p Policy, jitterSeed uint64) *Directory {
 	return &Directory{
 		Policy: p, eng: eng, env: env, t: t,
-		dom:   eng.Sys(),
-		lines: make(map[mem.Line]*Line),
-		rng:   sim.NewRNG(jitterSeed),
+		dom: eng.Sys(),
+		rng: sim.NewRNG(jitterSeed),
 	}
 }
 
@@ -260,16 +262,21 @@ func (d *Directory) AtCore(core int, t sim.Time, fn func()) {
 }
 
 // Line returns the record of line l, or nil if nobody has asked for it yet.
-func (d *Directory) Line(l mem.Line) *Line { return d.lines[l] }
+func (d *Directory) Line(l mem.Line) *Line {
+	if p := d.lines.Find(l); p != nil {
+		return *p
+	}
+	return nil
+}
 
 func (d *Directory) line(l mem.Line) *Line {
-	ln, ok := d.lines[l]
-	if !ok {
-		ln = d.NewLine(l)
+	p := d.lines.Slot(l)
+	if *p == nil {
+		ln := d.NewLine(l)
 		ln.commit = func() { d.commit(ln) }
-		d.lines[l] = ln
+		*p = ln
 	}
-	return ln
+	return *p
 }
 
 // countMsg accounts n messages of one kind with the machine's counters
@@ -402,8 +409,7 @@ func (d *Directory) service(ln *Line) {
 		d.countMsg(l, MsgAck, k)
 		for c := 0; c < 64; c++ {
 			if dec.Inval&bit(c) != 0 {
-				d.dom.CrossAt(d.coreDom(c), now+d.t.L2Tag+d.t.Net,
-					func() { d.env.Invalidate(c, l) })
+				d.dom.CrossAt(d.coreDom(c), now+d.t.L2Tag+d.t.Net, d.notice(noticeInval, c, l))
 			}
 		}
 		if acksDone := d.t.L2Tag + d.t.Net + d.t.Inval + d.t.Net; acksDone > service {
@@ -485,7 +491,7 @@ func (d *Directory) commit(ln *Line) {
 // the notice if ownership has already moved on).
 func (d *Directory) Writeback(core int, l mem.Line) {
 	d.countMsg(l, MsgWriteback, 1)
-	d.notify(core, func() { d.evicted(core, l, true) })
+	d.notify(noticeWriteback, core, l)
 }
 
 // SharerDrop records a silent Shared eviction (no message; under MSI the
@@ -494,17 +500,62 @@ func (d *Directory) Writeback(core int, l mem.Line) {
 // a one-hop notification so the line's record is only touched from the
 // directory's domain.
 func (d *Directory) SharerDrop(core int, l mem.Line) {
-	d.notify(core, func() { d.evicted(core, l, false) })
+	d.notify(noticeDrop, core, l)
 }
 
-func (d *Directory) notify(core int, notice func()) {
+func (d *Directory) notify(kind noticeKind, core int, l mem.Line) {
 	src := d.coreDom(core)
-	src.CrossAt(d.dom, src.Now()+d.t.Net, notice)
+	src.CrossAt(d.dom, src.Now()+d.t.Net, d.notice(kind, core, l))
 }
 
-func (d *Directory) evicted(core int, l mem.Line, dirty bool) {
-	if ln := d.lines[l]; ln != nil {
-		ln.Policy.Evict(core, dirty)
+type noticeKind uint8
+
+const (
+	noticeInval     noticeKind = iota // the directory tells a sharer to drop its copy
+	noticeWriteback                   // a core tells the directory it evicted a Modified copy
+	noticeDrop                        // ... or a Shared one
+)
+
+// notice is a one-way message about one (core, line) pair that no request
+// carries: an invalidation, or an eviction notice. Like a Request's hops, its
+// callback is bound once; the records are pooled on the directory, and the
+// callback returns its record to the pool before it acts, so a notice
+// allocates nothing once the pool is warm.
+type notice struct {
+	kind noticeKind
+	core int
+	line mem.Line
+	live bool // scheduled and not yet run (checked by the -race poison mode)
+	next *notice
+	run  func()
+}
+
+// notice takes a record from the pool and returns its callback.
+func (d *Directory) notice(kind noticeKind, core int, l mem.Line) func() {
+	n := d.notices
+	if n == nil {
+		n = new(notice)
+		n.run = func() { d.deliver(n) }
+	} else {
+		d.notices = n.next
+	}
+	n.kind, n.core, n.line = kind, core, l
+	poisonTake(n)
+	return n.run
+}
+
+// deliver frees n, then acts on what it said.
+func (d *Directory) deliver(n *notice) {
+	kind, core, l := n.kind, n.core, n.line
+	poisonFree(n)
+	n.next, d.notices = d.notices, n
+	switch kind {
+	case noticeInval:
+		d.env.Invalidate(core, l)
+	default:
+		if ln := d.Line(l); ln != nil {
+			ln.Policy.Evict(core, kind == noticeWriteback)
+		}
 	}
 }
 

@@ -8,7 +8,7 @@ import "leaserelease/internal/mem"
 // QueueSlot returns the first slot of the backing array of line l's request
 // queue, whatever the queue's length, and that length.
 func QueueSlot(d *Directory, l mem.Line) (slot **Request, n int) {
-	q := d.lines[l].queue
+	q := d.Line(l).queue
 	return &q[:1][0], len(q)
 }
 
@@ -19,4 +19,12 @@ func Bound(r *Request) (d *Directory, inService bool) {
 		return nil, r.line != nil
 	}
 	return r.dir, r.line != nil
+}
+
+// RunNoticeTwice runs one pooled notice's callback, and then again, as an
+// event scheduled twice would: the second run finds the record released.
+func RunNoticeTwice(d *Directory) {
+	run := d.notice(noticeDrop, 0, 1)
+	run()
+	run()
 }

@@ -54,7 +54,7 @@ type Policy interface {
 	// NewLine allocates the record of line l in its initial state: the
 	// policy's own struct with the directory's Line embedded in it and
 	// Line.Policy pointing back at the whole, so that a line is one
-	// allocation and the one map lookup of a hop reaches both halves.
+	// allocation and the one index lookup of a hop reaches both halves.
 	NewLine(l mem.Line) *Line
 
 	// LeaseStarted and LeaseReleased report the core-side lease lifecycle,
@@ -107,7 +107,7 @@ type LinePolicy interface {
 
 // Line is the directory's half of one line's record: the FIFO of waiting
 // requests and the one in service. The line's address is the record's key in
-// the directory's map; a policy that needs it keeps it (NewLine).
+// the directory's index; a policy that needs it keeps it (NewLine).
 type Line struct {
 	// Policy is the protocol's half of the record; Policy.NewLine sets it.
 	Policy LinePolicy
@@ -168,17 +168,18 @@ func (ln *Line) view(l mem.Line) LineView {
 // is current between events only: a thread reads it after a Fence, not in
 // the cycle of its own grant, whose Commit comes later in that cycle.
 func (d *Directory) View(l mem.Line) LineView {
-	if ln := d.lines[l]; ln != nil {
+	if ln := d.Line(l); ln != nil {
 		return ln.view(l)
 	}
 	return LineView{Line: l, State: "I"}
 }
 
-// Lines visits every line the directory has ever tracked, in no order.
+// Lines visits every line the directory has ever tracked, in ascending
+// order.
 func (d *Directory) Lines() iter.Seq[LineView] {
 	return func(yield func(LineView) bool) {
-		for l, ln := range d.lines {
-			if !yield(ln.view(l)) {
+		for l, ln := range d.lines.All() {
+			if *ln != nil && !yield((*ln).view(l)) {
 				return
 			}
 		}
@@ -189,7 +190,7 @@ func (d *Directory) Lines() iter.Seq[LineView] {
 // a transaction passes. A line nobody has asked for yet is checked in its
 // initial state.
 func (d *Directory) VerifyLine(l mem.Line, ncores int, l1 func(core int) cache.State) error {
-	ln := d.lines[l]
+	ln := d.Line(l)
 	switch {
 	case ln == nil:
 		ln = d.NewLine(l)

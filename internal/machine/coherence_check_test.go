@@ -1,8 +1,11 @@
 package machine
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"leaserelease/internal/cache"
 	"leaserelease/internal/mem"
 )
 
@@ -83,5 +86,51 @@ func TestCoherenceInvariantWithEvictions(t *testing.T) {
 	}
 	if err := m.VerifyCoherence(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestVerifyCoherenceIsDeterministic: the directory visits its lines in
+// ascending order, so with two lines corrupt VerifyCoherence ("the first
+// violation found") names the lower one, every time.
+func TestVerifyCoherenceIsDeterministic(t *testing.T) {
+	m := New(testConfig(2))
+	addrs := make([]mem.Addr, 128)
+	for i := range addrs {
+		addrs[i] = m.Direct().Alloc(8)
+	}
+	m.Spawn(0, func(c *Ctx) {
+		for _, a := range addrs {
+			c.Store(a, 1)
+		}
+	})
+	if err := m.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	var prev mem.Line
+	for v := range m.Protocol().Lines() {
+		if n > 0 && v.Line <= prev {
+			t.Fatalf("line %#x visited after %#x", uint64(v.Line), uint64(prev))
+		}
+		prev = v.Line
+		n++
+	}
+	if n < len(addrs) {
+		t.Fatalf("the directory visited %d lines, want >= %d", n, len(addrs))
+	}
+
+	// Core 1 takes a Modified copy of two lines the directory records as
+	// core 0's.
+	for _, a := range []mem.Addr{addrs[90], addrs[10]} {
+		m.cores[1].l1.Install(mem.LineOf(a), cache.Modified)
+	}
+	first := m.VerifyCoherence()
+	if first == nil || !strings.Contains(first.Error(), fmt.Sprintf("line %#x:", uint64(mem.LineOf(addrs[10])))) {
+		t.Fatalf("VerifyCoherence = %v, want the lower corrupt line %#x", first, uint64(mem.LineOf(addrs[10])))
+	}
+	for i := 0; i < 20; i++ {
+		if err := m.VerifyCoherence(); err == nil || err.Error() != first.Error() {
+			t.Fatalf("call %d: %v, then %v", i, first, err)
+		}
 	}
 }

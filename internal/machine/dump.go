@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"leaserelease/internal/cache"
@@ -124,12 +123,11 @@ func (m *Machine) DumpState() *StateDump {
 		})
 		d.Cores = append(d.Cores, cd)
 	}
-	for v := range m.proto.Lines() {
+	for v := range m.proto.Lines() { // in line order
 		if v.State != "I" || v.Busy {
 			d.DirLines = append(d.DirLines, v)
 		}
 	}
-	sort.Slice(d.DirLines, func(i, j int) bool { return d.DirLines[i].Line < d.DirLines[j].Line })
 	return d
 }
 

@@ -20,7 +20,7 @@ func MemImage(m *Machine) []uint64 {
 	}
 	span(mem.LineSize, m.alloc.Brk())
 	for i, cs := range m.cores {
-		span(coreArenaBase(i), cs.arena.Brk())
+		span(mem.NewArena(i).Brk(), cs.arena.Brk()) // a fresh arena's frontier is its base
 	}
 	return img
 }

@@ -117,7 +117,7 @@ func New(cfg Config) *Machine {
 			l1:     cache.New(l1cfg),
 			leases: core.NewTable(cfg.Lease),
 			dom:    m.eng.Domain(uint32(i)),
-			arena:  mem.NewAllocatorAt(coreArenaBase(i)),
+			arena:  mem.NewArena(i),
 			pred:   newLeasePredictor(cfg.Predictor),
 			ctrl:   newLeaseController(cfg.Controller, cfg.Lease.MaxLeaseTime),
 			req:    new(coherence.Request),
@@ -130,13 +130,6 @@ func New(cfg Config) *Machine {
 	// here on; a Net of 0 declares nothing, and then no access runs ahead.
 	m.eng.DeclareLookahead(cfg.Timing.Net)
 	return m
-}
-
-// coreArenaBase places each core's allocation arena at a fixed,
-// core-indexed address, so the addresses a thread sees depend only on its
-// own allocation sequence, never on cross-core interleaving.
-func coreArenaBase(core int) mem.Addr {
-	return mem.Addr(1)<<40 | mem.Addr(core)<<32
 }
 
 // Config returns the machine's configuration.
