@@ -30,7 +30,7 @@ func BenchmarkExperiment(b *testing.B) {
 				b.Run(bench.CellName(e.ID, row, v), func(b *testing.B) {
 					var r bench.Result
 					for i := 0; i < b.N; i++ {
-						if r = s.RunCell(p, row, v, nil); r.Err != nil {
+						if r = s.RunCell(p, row, v); r.Err != nil {
 							b.Fatal(r.Err)
 						}
 					}

@@ -11,11 +11,10 @@
 //	leasebench -exp fig2 -protocol tardis
 //	leasebench -exp protocol-compare -quick
 //	leasebench -exp all -quick -parallel 4
-//	leasebench -exp all -serve :9090
 //	leasebench -compare old.json new.json [-threshold 5]
 //
-// -protocol, -threads, -strict, -serve, -parallel, -cpuprofile and
-// -memprofile are the host flags shared with cmd/leasesim; bench.Host
+// -protocol, -threads, -strict, -parallel, -cpuprofile and -memprofile
+// are the host flags shared with cmd/leasesim; bench.Host
 // documents them. Here -threads overrides the scale's thread counts, and
 // the protocol-compare experiment runs both -protocol backends side by
 // side with identical seeds.
@@ -53,8 +52,8 @@ var experiments = bench.All()
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("leasebench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	// -protocol -threads -strict -serve -parallel -cpuprofile -memprofile
-	// are shared with cmd/leasesim; -threads overrides the scale's counts.
+	// -protocol -threads -strict -parallel -cpuprofile -memprofile are
+	// shared with cmd/leasesim; -threads overrides the scale's counts.
 	host := bench.AddHostFlags(fs, "")
 	var (
 		exp    = fs.String("exp", "", "experiment id to run, or 'all'")
@@ -154,7 +153,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "leasebench: %v\n", err)
 		return 2
 	}
-	p.Protocol, p.Pool, p.Progress = host.Protocol, host.Pool, host.Progress
+	p.Protocol, p.Pool = host.Protocol, host.Pool
 	if host.Threads != nil {
 		p.Threads = host.Threads
 	}

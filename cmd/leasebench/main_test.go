@@ -54,6 +54,8 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"report"}, []string{"Usage of leasebench", "-exp string"}},
 		{[]string{"-exp", "fig2", "-threads", "2,2"}, []string{"thread count 2 given twice"}},
 		{[]string{"-exp", "fig2", "-quick", "-window", "0"}, []string{"-window wants at least one cycle"}},
+		{[]string{"-exp", "fig2", "-quick", "-parallel", "-3"}, []string{"-parallel -3 is negative"}},
+		{[]string{"-exp", "table1", "-quick", "-serve", ":0"}, []string{"flag provided but not defined: -serve"}},
 	} {
 		status, out, errOut := leasebench(c.args...)
 		if status != 2 || out != "" {

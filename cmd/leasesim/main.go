@@ -11,10 +11,10 @@
 //	leasesim -ds stack -threads 1,2,4,8,16,32 -lease -parallel 4
 //	leasesim -ds counter -threads 8 -lease -protocol tardis -spans
 //
-// -protocol, -threads, -strict, -serve, -parallel, -cpuprofile and
-// -memprofile are the host flags shared with cmd/leasebench; bench.Host
-// documents them. Each -threads count is one cell, with stdout/stderr
-// buffered per cell and emitted in sweep order. Each -json report carries
+// -protocol, -threads, -strict, -parallel, -cpuprofile and -memprofile
+// are the host flags shared with cmd/leasebench; bench.Host documents them.
+// Each -threads count is one cell, with stdout/stderr buffered per cell and
+// emitted in sweep order. Each -json report carries
 // the event kernel's host-side counters (events executed, how core wake-ups
 // were paid for) as "engine_stats".
 // A failing cell (deadlock, panic, protocol/invariant violation) is
@@ -90,15 +90,14 @@ type cell struct {
 	structure bench.Structure // what -ds names
 	protocol  string          // the host's -protocol
 	threads   int
-	progress  *bench.CellProgress
 }
 
 // run is main: it returns the exit status.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("leasesim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	// -protocol -threads -strict -serve -parallel -cpuprofile -memprofile
-	// are shared with cmd/leasebench.
+	// -protocol -threads -strict -parallel -cpuprofile -memprofile are
+	// shared with cmd/leasebench.
 	host := bench.AddHostFlags(fs, "8")
 	menu := bench.StructureNames() // the default is its first entry
 	var f cell                     // what the flags set; each cell is a copy
@@ -149,6 +148,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if f.structure.MultiLease && parseMulti(f.multi) < 0 {
 		return usage("bad -multilease %q", f.multi)
 	}
+	if f.cycles == 0 {
+		return usage("-cycles wants at least one cycle")
+	}
 	if err := host.Start("leasesim", stderr); err != nil {
 		return usage("%v", err)
 	}
@@ -172,7 +174,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if c.timeline != "" && len(host.Threads) > 1 {
 			c.timeline = fmt.Sprintf("%s.t%d", c.timeline, n)
 		}
-		c.progress = host.Progress.Cell(fmt.Sprintf("%s/t%d", c.ds, n))
 		futures[i] = bench.Go(host.Pool, func() cellResult {
 			var out, errOut bytes.Buffer
 			ok := runCell(c, &out, &errOut)
@@ -254,8 +255,6 @@ func runCell(c cell, out, errOut io.Writer) bool {
 	if c.ledger {
 		rec.EnableLedger()
 	}
-	c.progress.Start()
-	defer c.progress.Done()
 	var hooks []func(*machine.Machine)
 	// Capture the machine so the report can carry its engine counters.
 	var mach *machine.Machine
@@ -275,7 +274,7 @@ func runCell(c cell, out, errOut io.Writer) bool {
 	}
 	r := bench.ThroughputOpts(cfg, c.threads, c.warm, c.cycles, build,
 		bench.Options{Recorder: rec, Samples: c.samples, Hooks: hooks,
-			Invariants: c.invariants, Progress: c.progress})
+			Invariants: c.invariants})
 
 	var engineStats *sim.EngineStats
 	if mach != nil {

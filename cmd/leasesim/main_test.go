@@ -115,7 +115,7 @@ func TestEngineStatsEveryConfigurationCertified(t *testing.T) {
 }
 
 // Usage errors exit 2 before anything runs and name what was wrong;
-// -compactbuckets is a flag no more.
+// -compactbuckets and -serve are flags no more.
 func TestUsageErrors(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -127,9 +127,11 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-ds", "tl2", "-multilease", "both"}, `bad -multilease "both"`},
 		{[]string{"-threads", ""}, "-threads wants at least one thread count"},
 		{[]string{"-protocol", "moesi"}, `unknown -protocol "moesi"`},
-		// Two cells of one thread count would share a -timeline file and a
-		// -serve name.
+		// Two cells of one thread count would share a -timeline file.
 		{[]string{"-threads", "2,2"}, "thread count 2 given twice"},
+		{[]string{"-ds", "counter", "-threads", "2", "-parallel", "-3"}, "-parallel -3 is negative"},
+		{[]string{"-cycles", "0"}, "-cycles wants at least one cycle"},
+		{[]string{"-serve", ":0"}, "flag provided but not defined: -serve"},
 	} {
 		status, out, errOut := leasesim(c.args...)
 		if status != 2 || out != "" {

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -35,11 +36,13 @@ func TestThroughputDeterministic(t *testing.T) {
 	}
 }
 
+// goldenParams is the scale of the experiment goldens.
+func goldenParams() Params { return Params{Threads: []int{2, 4}, Warm: 20_000, Window: 60_000} }
+
 // TestAllExperimentsRunQuick pins every experiment's output, byte for byte,
 // to testdata/experiments/<id>.golden — and fig2, degradation and table1
-// again under Tardis — once run serially and once on a worker pool with a
-// live-introspection hub attached, which must see every cell exactly once.
-// An intentional change regenerates the goldens:
+// again under Tardis — once run serially and once on a worker pool. An
+// intentional change regenerates the goldens:
 //
 //	go test ./internal/bench -run TestAllExperimentsRunQuick -update
 func TestAllExperimentsRunQuick(t *testing.T) {
@@ -48,60 +51,62 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 	}
 	pool := NewPool(3)
 	defer pool.Close()
-	hub := NewProgress()
-	cells, ran := 0, map[string]bool{}
 	tardis := map[string]bool{"fig2": true, "degradation": true, "table1": true}
 	for _, e := range All() {
-		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			p := Params{Threads: []int{2, 4}, Warm: 20_000, Window: 60_000, Progress: hub}
-			s := e.Sweep(p)
-			cells += len(s.Rows) * len(s.Variants)
-			ran[e.ID] = true
+			p := goldenParams()
 			checkExperimentGolden(t, e, p, pool, e.ID+".golden")
 			if tardis[e.ID] {
-				p.Protocol, p.Progress = coherence.ProtocolTardis, nil
+				p.Protocol = coherence.ProtocolTardis
 				checkExperimentGolden(t, e, p, pool, e.ID+".tardis.golden")
 			}
 		})
 	}
+}
 
-	// -serve sees every cell once: as many cells as (row, variant) pairs,
-	// each under its own name, all done, all having reported cycles — the
-	// fixed-work and self-counting cells (Pagerank, TL2, snapshot) included.
-	snap := hub.Snapshot()
-	if snap.CellsTotal != cells || snap.CellsDone != cells {
-		t.Errorf("hub saw %d cells, %d done; the declarations have %d", snap.CellsTotal, snap.CellsDone, cells)
-	}
-	seen := map[string]bool{}
-	for _, c := range snap.Cells {
-		if seen[c.Name] {
-			t.Errorf("cell name %q registered twice", c.Name)
+// TestCellNamesAreDistinct: a FAILED line names its cell, so at every scale
+// each experiment's rows × variants cells have as many names — the
+// fixed-work and self-counting cells (Pagerank, TL2, snapshot) included. It
+// reads the declarations only; nothing runs.
+func TestCellNamesAreDistinct(t *testing.T) {
+	for _, scale := range []struct {
+		name string
+		p    Params
+	}{{"golden", goldenParams()}, {"quick", QuickParams()}, {"full", FullParams()}} {
+		all := map[string]bool{}
+		for _, e := range All() {
+			s := e.Sweep(scale.p)
+			names := map[string]bool{}
+			for _, r := range s.Rows {
+				for _, v := range s.Variants {
+					names[CellName(e.ID, r, v)] = true
+				}
+			}
+			if cells := len(s.Rows) * len(s.Variants); len(names) != cells {
+				t.Errorf("%s scale: %s declares %d cells under %d names", scale.name, e.ID, cells, len(names))
+			}
+			maps.Copy(all, names)
 		}
-		seen[c.Name] = true
-		if c.SimCycles == 0 {
-			t.Errorf("cell %q reported no simulated cycles", c.Name)
+		if scale.name != "golden" {
+			continue
 		}
-	}
-	for _, name := range []string{"fig4-tl2/multi/t4", "fig5-pagerank/lease/t2", "snapshot/dcollect/t4",
-		"text-lowcontention/lf-bst/base/t4", "degradation/rate10/lease+ctrl/t4", "protocol-compare/tardis-lease/t2"} {
-		if exp, _, _ := strings.Cut(name, "/"); ran[exp] && !seen[name] {
-			t.Errorf("no cell named %q among %d", name, len(seen))
+		for _, name := range []string{"fig4-tl2/multi/t4", "fig5-pagerank/lease/t2", "snapshot/dcollect/t4",
+			"text-lowcontention/lf-bst/base/t4", "degradation/rate10/lease+ctrl/t4", "protocol-compare/tardis-lease/t2"} {
+			if !all[name] {
+				t.Errorf("no cell named %q among %d", name, len(all))
+			}
 		}
-	}
-	if snap.EngineStats.EventsTotal == 0 {
-		t.Error("hub summed no engine events")
 	}
 }
 
-// checkExperimentGolden runs e twice — on the pool with p's progress hub,
-// then serially with neither — and compares both outputs with the golden.
+// checkExperimentGolden runs e twice — on the pool, then serially — and
+// compares both outputs with the golden.
 func checkExperimentGolden(t *testing.T, e Experiment, p Params, pool *Pool, name string) {
 	t.Helper()
 	var serial, pooled bytes.Buffer
 	p.Pool = pool
 	failed := e.Run(&pooled, p)
-	p.Pool, p.Progress = nil, nil
+	p.Pool = nil
 	failed = append(failed, e.Run(&serial, p)...)
 	if len(failed) > 0 {
 		t.Errorf("%s: failed cells: %v", name, failed)

@@ -29,10 +29,6 @@ type Params struct {
 	// Protocol selects the coherence protocol backend for every cell of
 	// the sweep ("" = MSI); see machine.Config.Protocol.
 	Protocol string
-
-	// Progress, when non-nil, receives live per-cell progress for the
-	// -serve introspection endpoint. Host-side only.
-	Progress *Progress
 }
 
 // FullParams reproduces the paper's sweeps (2..64 threads, Fig. 2 also 1).
@@ -211,9 +207,9 @@ func fig4MQ(p Params) Sweep {
 // accumulate over warm+window; the window's share is approximated by its
 // share of the cycles.
 func tl2Variant(name string, mode stm.LeaseMode) Variant {
-	return Variant{Name: name, Run: func(p Params, cfg machine.Config, r Row, cp *CellProgress) Result {
+	return Variant{Name: name, Run: func(p Params, cfg machine.Config, r Row) Result {
 		var aborts uint64
-		res := ThroughputOpts(cfg, r.Threads, p.Warm, p.Window, TL2Workload(mode, &aborts), Options{Progress: cp})
+		res := Throughput(cfg, r.Threads, p.Warm, p.Window, TL2Workload(mode, &aborts))
 		if res.Ops > 0 {
 			frac := float64(p.Window) / float64(p.Warm+p.Window)
 			res.AbortsPerOp = float64(aborts) * frac / float64(res.Ops)
@@ -242,7 +238,7 @@ func fig5SwHw(p Params) Sweep {
 // pagerankVariant runs the Figure 5 (right) application to completion under
 // the default cycle budget: Result.Cycles is when its last thread finished.
 func pagerankVariant(name string, leaseTime uint64) Variant {
-	return Variant{Name: name, Run: func(p Params, cfg machine.Config, r Row, cp *CellProgress) Result {
+	return Variant{Name: name, Run: func(p Params, cfg machine.Config, r Row) Result {
 		pcfg := pagerank.DefaultConfig(r.Threads)
 		pcfg.Nodes, pcfg.Iterations, pcfg.LeaseTime = 1024, 3, leaseTime
 		if p.Window <= QuickParams().Window {
@@ -251,7 +247,7 @@ func pagerankVariant(name string, leaseTime uint64) Variant {
 		cycles, stats, err := RunToCompletion(cfg, r.Threads, 0, func(d *machine.Direct) func(int, *machine.Ctx) {
 			pr := pagerank.New(d, pcfg)
 			return func(tid int, c *machine.Ctx) { pr.Run(c, tid) }
-		}, cp)
+		})
 		if re := (*RunError)(nil); errors.As(err, &re) {
 			return Result{Threads: uint64(r.Threads), Err: re}
 		}
@@ -455,10 +451,9 @@ func ablateAutoLease(p Params) Sweep {
 // half take 4-word snapshots. The workload counts its snapshots and retry
 // rounds itself, over warm+window.
 func snapshotVariant(name string, useLease bool) Variant {
-	return Variant{Name: name, Run: func(p Params, cfg machine.Config, r Row, cp *CellProgress) Result {
+	return Variant{Name: name, Run: func(p Params, cfg machine.Config, r Row) Result {
 		var rounds, snaps uint64
-		res := ThroughputOpts(cfg, r.Threads, p.Warm, p.Window,
-			SnapshotWorkload(useLease, 4, &rounds, &snaps), Options{Progress: cp})
+		res := Throughput(cfg, r.Threads, p.Warm, p.Window, SnapshotWorkload(useLease, 4, &rounds, &snaps))
 		res.Snapshots, res.SnapshotRounds = snaps, rounds
 		return res
 	}}

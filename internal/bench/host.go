@@ -24,12 +24,8 @@ import (
 // counts. Cells — one simulated machine each — run on a host worker pool
 // (-parallel, default GOMAXPROCS) and their output is emitted in sweep
 // order, so it is byte-identical for any -parallel value; only wall-clock
-// changes. -strict stops at the first failure. -serve binds a host-side
-// HTTP endpoint with live sweep introspection (/progress JSON, /metrics
-// Prometheus text): per-cell progress, worker-pool occupancy and
-// simulated-cycles/s; it is safe alongside -parallel and never perturbs
-// simulated timing. -cpuprofile/-memprofile capture pprof
-// profiles of the host process.
+// changes. -strict stops at the first failure. -cpuprofile/-memprofile
+// capture pprof profiles of the host process.
 type Host struct {
 	// Protocol is the coherence backend for every cell. After Start the
 	// default MSI is the empty tag, so default runs are byte-identical to
@@ -37,14 +33,13 @@ type Host struct {
 	Protocol string
 	Threads  []int // -threads, parsed by Start; nil when it is empty
 	Strict   bool
-	Pool     *Pool     // nil (serial) for one worker
-	Progress *Progress // nil (inert) without -serve
+	Pool     *Pool // nil (serial) for one worker
 
-	parallel                               int // -parallel as given; Pool.Workers is what it resolved to
-	threads, serve, cpuProfile, memProfile string
-	name                                   string
-	stderr                                 io.Writer
-	cpuFile                                *os.File
+	parallel                        int // -parallel as given; Pool.Workers is what it resolved to
+	threads, cpuProfile, memProfile string
+	name                            string
+	stderr                          io.Writer
+	cpuFile                         *os.File
 }
 
 // AddHostFlags registers the host flags on fs. threads is the default of
@@ -54,23 +49,25 @@ func AddHostFlags(fs *flag.FlagSet, threads string) *Host {
 	fs.StringVar(&h.Protocol, "protocol", coherence.ProtocolMSI, "coherence protocol backend: "+strings.Join(coherence.Protocols(), "|"))
 	fs.StringVar(&h.threads, "threads", threads, "comma-separated thread counts, each 1..64")
 	fs.BoolVar(&h.Strict, "strict", false, "stop at the first failure")
-	fs.StringVar(&h.serve, "serve", "", "serve live sweep introspection over HTTP on this address (e.g. :9090)")
 	fs.IntVar(&h.parallel, "parallel", 0, "worker pool size for sweep cells (0 = GOMAXPROCS, 1 = serial)")
 	fs.StringVar(&h.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&h.memProfile, "memprofile", "", "write an allocation profile to this file at exit")
 	return h
 }
 
-// Start validates the parsed flag values, then starts the CPU profile, the
-// worker pool and the -serve endpoint. name prefixes what it writes to
-// stderr. An error is a usage error; after a nil one the caller must Close
-// the host before the process exits.
+// Start validates the parsed flag values, then starts the CPU profile and
+// the worker pool. name prefixes what it writes to stderr. An error is a
+// usage error; after a nil one the caller must Close the host before the
+// process exits.
 func (h *Host) Start(name string, stderr io.Writer) error {
 	h.name, h.stderr = name, stderr
 	if !coherence.ValidProtocol(h.Protocol) {
 		return fmt.Errorf("unknown -protocol %q (valid: %s)", h.Protocol, strings.Join(coherence.Protocols(), ", "))
 	}
 	h.Protocol = protocolTag(h.Protocol)
+	if h.parallel < 0 {
+		return fmt.Errorf("-parallel %d is negative (want 0 for GOMAXPROCS, or a worker count)", h.parallel)
+	}
 	if h.threads != "" {
 		for _, part := range strings.Split(h.threads, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))
@@ -78,7 +75,7 @@ func (h *Host) Start(name string, stderr io.Writer) error {
 				return fmt.Errorf("bad thread count %q (want 1..64)", part)
 			}
 			// A cell is named by its thread count (table row, -timeline
-			// suffix, -serve cell): two of one count would share a name.
+			// suffix, FAILED line): two of one count would share a name.
 			if slices.Contains(h.Threads, n) {
 				return fmt.Errorf("thread count %d given twice in -threads %s", n, h.threads)
 			}
@@ -101,16 +98,6 @@ func (h *Host) Start(name string, stderr io.Writer) error {
 	if w := h.Pool.Workers(); w > runtime.NumCPU() {
 		h.logf("warning: %d workers exceeds NumCPU=%d; host threads will timeshare and wall-clock gains flatten",
 			w, runtime.NumCPU())
-	}
-	if h.serve != "" {
-		h.Progress = NewProgress()
-		h.Progress.SetPool(h.Pool)
-		addr, err := h.Progress.Serve(h.serve)
-		if err != nil {
-			h.Close()
-			return fmt.Errorf("-serve: %w", err)
-		}
-		h.logf("introspection on http://%s (/progress /metrics)", addr)
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // Pool is the parallel experiment scheduler: a fixed set of host worker
@@ -19,7 +18,6 @@ type Pool struct {
 	queue   chan func()
 	wg      sync.WaitGroup
 	workers int
-	running atomic.Int32 // workers currently executing a cell
 }
 
 // NewPool starts a pool of the given number of workers; workers <= 0 means
@@ -37,9 +35,7 @@ func NewPool(workers int) *Pool {
 		go func() {
 			defer p.wg.Done()
 			for f := range p.queue {
-				p.running.Add(1)
 				f()
-				p.running.Add(-1)
 			}
 		}()
 	}
@@ -52,15 +48,6 @@ func (p *Pool) Workers() int {
 		return 1
 	}
 	return p.workers
-}
-
-// Running returns how many workers are currently executing a cell.
-// Host-side introspection only; always 0 for a nil pool.
-func (p *Pool) Running() int {
-	if p == nil {
-		return 0
-	}
-	return int(p.running.Load())
 }
 
 // Close stops the workers after all submitted cells have finished. Safe on

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -64,6 +65,36 @@ func TestPoolFutureOrder(t *testing.T) {
 	}
 	if n := running.Load(); n != 64 {
 		t.Errorf("ran %d cells, want 64", n)
+	}
+}
+
+// TestPoolOccupancy: a pool of two workers runs two cells at once, and
+// Workers reports the fixed pool size (1 for the nil, serial pool).
+func TestPoolOccupancy(t *testing.T) {
+	pool := NewPool(2)
+	defer pool.Close()
+	if pool.Workers() != 2 {
+		t.Fatalf("Workers() = %d, want 2", pool.Workers())
+	}
+	// Each cell blocks until both have started: on fewer than two
+	// concurrent workers this never returns.
+	release := make(chan struct{})
+	var started sync.WaitGroup
+	started.Add(2)
+	futures := []*Future[int]{
+		Go(pool, func() int { started.Done(); <-release; return 1 }),
+		Go(pool, func() int { started.Done(); <-release; return 2 }),
+	}
+	started.Wait()
+	close(release)
+	for i, f := range futures {
+		if got := f.Get(); got != i+1 {
+			t.Errorf("future %d = %d, want %d", i, got, i+1)
+		}
+	}
+	var nilPool *Pool
+	if nilPool.Workers() != 1 {
+		t.Errorf("nil pool = %d workers, want 1", nilPool.Workers())
 	}
 }
 

@@ -101,11 +101,6 @@ type Options struct {
 	// carrying the diagnostic dump. With fault injection disabled the
 	// checker is a pure observer and does not change simulated timing.
 	Invariants bool
-	// Progress, when non-nil, receives live cell progress: the run is
-	// stepped in host-side chunks (simulation-identical — only the Run
-	// call granularity changes) so simulated-cycle counters advance while
-	// the cell executes.
-	Progress *CellProgress
 }
 
 // Throughput runs a standard throughput benchmark: build the structure,
@@ -193,7 +188,7 @@ func ThroughputOpts(cfg machine.Config, threads int, warm, window uint64,
 	// measure runs inside the guard from the first cycle to the assembled
 	// Result: tearing the machine down runs the killed procs' defers.
 	measure := func(m *machine.Machine) *RunError {
-		step := func(until uint64) *RunError { return runTo(m, until, threads, o.Progress) }
+		step := func(until uint64) *RunError { return runTo(m, until, threads) }
 		if err := step(warm); err != nil {
 			return err
 		}
@@ -236,7 +231,6 @@ func ThroughputOpts(cfg machine.Config, threads int, warm, window uint64,
 			rec.Finish(m.Now())
 		}
 		m.Stop()
-		o.Progress.ObserveEngine(m.EngineStats())
 		if chk != nil {
 			chk.CheckNow()
 			if cerr := chk.Err(); cerr != nil {
@@ -301,29 +295,10 @@ func runGuarded(cfg machine.Config, threads int, prepare func(*machine.Machine),
 }
 
 // runTo advances m to the given cycle, or to the end of the run if that
-// comes first. With a progress cell it steps in host-side chunks so the
-// cell's live sim-cycle and engine counters advance during the run; the
-// event sequence inside each chunk is exactly what one big Run would
-// execute, so results are unchanged.
-func runTo(m *machine.Machine, until uint64, threads int, cp *CellProgress) *RunError {
-	if cp == nil {
-		if rerr := m.Run(until); rerr != nil {
-			return newRunError(m, threads, rerr)
-		}
-		return nil
-	}
-	const chunk = 100_000
-	for now := m.Now(); now < until; now = m.Now() {
-		next := min(now+chunk, until)
-		rerr := m.Run(next)
-		cp.AddSimCycles(m.Now() - now)
-		cp.ObserveEngine(m.EngineStats())
-		if rerr != nil {
-			return newRunError(m, threads, rerr)
-		}
-		if m.Now() < next {
-			return nil // the queue drained: every thread has finished
-		}
+// comes first.
+func runTo(m *machine.Machine, until uint64, threads int) *RunError {
+	if rerr := m.Run(until); rerr != nil {
+		return newRunError(m, threads, rerr)
 	}
 	return nil
 }
@@ -411,16 +386,15 @@ const DefaultCycleBudget uint64 = 500_000_000
 // (machine.Machine.FinishedAt; stats.Cycles is the clock once the queue had
 // drained, stale expiry timers included) plus the stats. A run that
 // deadlocks, panics, or exhausts the budget returns a *RunError (the
-// cycles and stats reflect the state at failure). cp, if non-nil, receives
-// the run's live progress.
+// cycles and stats reflect the state at failure).
 func RunToCompletion(cfg machine.Config, threads int, budget uint64,
-	build func(d *machine.Direct) func(tid int, c *machine.Ctx), cp *CellProgress) (cycles uint64, stats machine.Stats, err error) {
+	build func(d *machine.Direct) func(tid int, c *machine.Ctx)) (cycles uint64, stats machine.Stats, err error) {
 
 	if budget == 0 {
 		budget = DefaultCycleBudget
 	}
 	m, re := runGuarded(cfg, threads, func(*machine.Machine) {}, build, func(m *machine.Machine) *RunError {
-		if re := runTo(m, budget, threads, cp); re != nil {
+		if re := runTo(m, budget, threads); re != nil {
 			return re
 		}
 		d := m.DumpState()

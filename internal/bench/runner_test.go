@@ -22,28 +22,24 @@ import (
 // threads blocked.
 func TestFailedCellLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
-	for _, progress := range []*CellProgress{nil, NewProgress().Cell("deadlock")} {
-		var m *machine.Machine
-		build := func(d *machine.Direct) OpFunc {
-			lines := [2]mem.Addr{d.Alloc(8), d.Alloc(8)}
-			return func(tid int, c *machine.Ctx) {
-				c.Lease(lines[tid], 20_000)
-				m.ForEachLease(tid, func(e *core.Entry) { e.Gen++ })
-				c.Work(1000)
-				c.Store(lines[1-tid], 1)
-			}
+	var m *machine.Machine
+	build := func(d *machine.Direct) OpFunc {
+		lines := [2]mem.Addr{d.Alloc(8), d.Alloc(8)}
+		return func(tid int, c *machine.Ctx) {
+			c.Lease(lines[tid], 20_000)
+			m.ForEachLease(tid, func(e *core.Entry) { e.Gen++ })
+			c.Work(1000)
+			c.Store(lines[1-tid], 1)
 		}
-		r := ThroughputOpts(machine.DefaultConfig(2), 2, 50_000, 50_000, build, Options{
-			Hooks:    []func(*machine.Machine){func(mm *machine.Machine) { m = mm }},
-			Progress: progress, // nil: one Run per phase; set: chunked stepping
-		})
-		var de *sim.DeadlockError
-		if r.Err == nil || r.Err.Reason != "deadlock" || !errors.As(r.Err, &de) {
-			t.Fatalf("cell error = %v, want a deadlock", r.Err)
-		}
-		if n := runtime.NumGoroutine(); n > before {
-			t.Fatalf("%d goroutines after the deadlocked cell, %d before it", n, before)
-		}
+	}
+	r := Throughput(machine.DefaultConfig(2), 2, 50_000, 50_000, build,
+		func(mm *machine.Machine) { m = mm })
+	var de *sim.DeadlockError
+	if r.Err == nil || r.Err.Reason != "deadlock" || !errors.As(r.Err, &de) {
+		t.Fatalf("cell error = %v, want a deadlock", r.Err)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after the deadlocked cell, %d before it", n, before)
 	}
 }
 
@@ -66,7 +62,7 @@ func TestRunToCompletionEndsWithLastThread(t *testing.T) {
 				c.Fence() // the engine clock catches up with the thread's
 				finish[tid] = c.Now()
 			}
-		}, nil)
+		})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,8 @@ import (
 
 // This file is the one sweep path. An experiment is a declaration — a grid
 // of rows × variants and the tables read from it — and runSweep is the only
-// code that turns a declaration into cells on the pool, progress cells,
-// printed tables and a list of failures.
+// code that turns a declaration into cells on the pool, printed tables and a
+// list of failures.
 
 // Row is one line of an experiment's grid.
 type Row struct {
@@ -44,7 +44,7 @@ type Variant struct {
 	// Run, when set, replaces the windowed throughput measurement of Build:
 	// fixed-work programs (Result.Cycles is the time to completion and Ops
 	// stays 0) and workloads that count what the harness cannot.
-	Run func(p Params, cfg machine.Config, r Row, cp *CellProgress) Result
+	Run func(p Params, cfg machine.Config, r Row) Result
 }
 
 // always is the Build of a variant whose workload does not depend on the row.
@@ -81,14 +81,14 @@ type CellFailure struct {
 	Err  *RunError
 }
 
-// CellName names one cell for live introspection and failure reports:
+// CellName names one cell for failure reports:
 // <exp>/<row key>/<variant>/t<threads>, the key only on a second axis.
 func CellName(exp string, r Row, v Variant) string {
 	return path.Join(exp, r.Key, v.Name, fmt.Sprintf("t%d", r.Threads))
 }
 
 // RunCell measures one cell of the grid on the calling goroutine.
-func (s Sweep) RunCell(p Params, r Row, v Variant, cp *CellProgress) Result {
+func (s Sweep) RunCell(p Params, r Row, v Variant) Result {
 	if s.HalfWindow {
 		p.Window /= 2
 	}
@@ -97,9 +97,9 @@ func (s Sweep) RunCell(p Params, r Row, v Variant, cp *CellProgress) Result {
 		v.Edit(&cfg, r)
 	}
 	if v.Run != nil {
-		return v.Run(p, cfg, r, cp)
+		return v.Run(p, cfg, r)
 	}
-	o := Options{Progress: cp}
+	var o Options
 	if v.Measured {
 		o.Recorder = telemetry.NewRecorder()
 		o.Recorder.EnableSpans()
@@ -117,12 +117,7 @@ func runSweep(w io.Writer, p Params, exp string, s Sweep) []CellFailure {
 	for i, r := range s.Rows {
 		futures[i] = make([]*Future[Result], len(s.Variants))
 		for j, v := range s.Variants {
-			cp := p.Progress.Cell(CellName(exp, r, v))
-			futures[i][j] = Go(p.Pool, func() Result {
-				cp.Start()
-				defer cp.Done()
-				return s.RunCell(p, r, v, cp)
-			})
+			futures[i][j] = Go(p.Pool, func() Result { return s.RunCell(p, r, v) })
 		}
 	}
 	var failed []CellFailure

@@ -3,6 +3,7 @@ package invariant_test
 import (
 	"testing"
 
+	"leaserelease/internal/coherence"
 	"leaserelease/internal/faults"
 	"leaserelease/internal/invariant"
 	"leaserelease/internal/machine"
@@ -12,13 +13,16 @@ import (
 // FuzzMachineOps drives full machines (cores, L1s, directory, lease
 // tables) with byte-derived instruction streams — leases, releases,
 // MultiLease groups, plain and RMW accesses — under fault injection, with
-// the invariant checker attached. Any violation or escaped panic fails.
+// the invariant checker attached. The first byte seeds the run and its low
+// bit picks the coherence protocol, MSI or Tardis. Any violation or escaped
+// panic fails.
 func FuzzMachineOps(f *testing.F) {
 	f.Add([]byte{0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77})
 	f.Add([]byte{0x03, 0x03, 0x03, 0x03, 0x13, 0x13, 0x13, 0x13})
 	f.Add([]byte{0xf0, 0xe1, 0xd2, 0xc3, 0xb4, 0xa5, 0x96, 0x87, 0x78, 0x69,
 		0x5a, 0x4b, 0x3c, 0x2d, 0x1e, 0x0f})
 	f.Add([]byte{0x04, 0x40, 0x04, 0x40, 0x04, 0x40})
+	f.Add([]byte{0x01, 0x08, 0x10, 0x0b, 0x1b, 0x2c, 0x39, 0x42, 0x51, 0x60, 0x7a, 0x83})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
@@ -28,6 +32,7 @@ func FuzzMachineOps(f *testing.F) {
 		cfg.Faults = faults.DefaultConfig()
 		if len(data) > 0 {
 			cfg.Seed = uint64(data[0]) + 1
+			cfg.Protocol = coherence.Protocols()[data[0]%2]
 		}
 		m := machine.New(cfg)
 		chk := invariant.Attach(m)

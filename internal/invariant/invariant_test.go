@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"leaserelease/internal/cache"
+	"leaserelease/internal/coherence"
 	"leaserelease/internal/faults"
 	"leaserelease/internal/invariant"
 	"leaserelease/internal/machine"
@@ -221,9 +222,11 @@ func TestMutationEventStream(t *testing.T) {
 
 // TestChaosSoak runs the chaos workload under fault injection across many
 // seeds with the checker attached, rotating through fault profiles that
-// now include core preemption (untargeted and targeted stalled-holder,
-// with and without the adaptive lease controller). SOAK_SEEDS scales it
-// up for CI (default kept small for the ordinary test run).
+// include core preemption (untargeted and targeted stalled-holder, with and
+// without the adaptive lease controller) and, one profile round to the next,
+// through both coherence protocols, so every profile meets MSI and Tardis.
+// SOAK_SEEDS scales it up for CI (default kept small for the ordinary test
+// run).
 func TestChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak skipped in -short mode")
@@ -255,7 +258,9 @@ func TestChaosSoak(t *testing.T) {
 	}
 	for seed := 1; seed <= seeds; seed++ {
 		p := profiles[seed%len(profiles)]
+		proto := coherence.Protocols()[(seed/len(profiles))%2]
 		cfg := machine.DefaultConfig(4)
+		cfg.Protocol = proto
 		cfg.Seed = uint64(seed)
 		fc, ctrl := p.cfg(uint64(seed))
 		fc.Seed = uint64(seed)
@@ -263,10 +268,10 @@ func TestChaosSoak(t *testing.T) {
 		cfg.Controller = ctrl
 		_, _, chk, err := runChaos(cfg, 4, 60, true)
 		if err != nil {
-			t.Fatalf("seed %d (%s): drain: %v", seed, p.name, err)
+			t.Fatalf("seed %d (%s, %s): drain: %v", seed, p.name, proto, err)
 		}
 		if verr := chk.Err(); verr != nil {
-			t.Fatalf("seed %d (%s): invariant violations under fault injection:\n%v", seed, p.name, verr)
+			t.Fatalf("seed %d (%s, %s): invariant violations under fault injection:\n%v", seed, p.name, proto, verr)
 		}
 	}
 }

@@ -48,25 +48,6 @@ type EngineStats struct {
 	MaxPending uint64 `json:"max_pending"`
 }
 
-// Add accumulates o's counters into s, so a sweep can report one total
-// whatever order its cells finished in. Lookahead is a setting, not a
-// count, and MaxPending is a high-water mark: the sum keeps the largest one
-// seen of each.
-func (s *EngineStats) Add(o EngineStats) {
-	s.Lookahead = max(s.Lookahead, o.Lookahead)
-	s.MaxPending = max(s.MaxPending, o.MaxPending)
-	s.EventsTotal += o.EventsTotal
-	s.ProcSwitches += o.ProcSwitches
-	s.OwnWakes += o.OwnWakes
-	s.SyncFastForwards += o.SyncFastForwards
-	s.SyncWakes += o.SyncWakes
-	s.SyncsSkipped += o.SyncsSkipped
-	s.RingEvents += o.RingEvents
-	s.BucketEvents += o.BucketEvents
-	s.HeapEvents += o.HeapEvents
-	s.BucketOverflows += o.BucketOverflows
-}
-
 // Stats returns the engine's host-side counters.
 func (e *Engine) Stats() EngineStats {
 	st := e.stats

@@ -45,9 +45,9 @@ func mixedScenario(log *[]string) *Engine {
 	return e
 }
 
-// Run need not stay on one goroutine: chunked stepping (-serve) calls it
-// from whichever goroutine handles the step. The event order must not
-// depend on that.
+// Run need not stay on one goroutine: a caller may step an engine from
+// whichever goroutine holds it, one Run call to the next. The event order
+// must not depend on that.
 func TestRunFromDifferentGoroutines(t *testing.T) {
 	const until, chunk = 2000, 37
 	var want []string

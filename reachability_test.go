@@ -30,7 +30,6 @@ var unreferenced = map[string]string{
 	"Allocator.Brk":         "internal/machine's export_test.go walks the arenas with it",
 	"Domain.CrossAfter":     "internal/sim's lookahead tests; non-test code uses CrossAt",
 	"Config.WithPreemption": "the chaos soak's preemption profiles",
-	"bench.Throughput":      "the tests' and root benchmarks' short form of ThroughputOpts",
 	"locks.NewTAS":          "the lock tests' baseline; experiments start from TTS",
 }
 
