@@ -8,6 +8,12 @@
 // free of simulator dependencies makes the paper's semantics directly
 // unit-testable.
 //
+// Like the hardware it models, the table is one small array of Entry
+// values, allocated once by NewTable and searched linearly. An entry that
+// leaves the table is returned by value, so no caller holds a pointer into
+// a slot a later Insert reuses; the pointers Find, Start, QueueProbe,
+// StartGroup and ForEach hand out are valid until the table next changes.
+//
 // Semantics implemented (paper §3–§4):
 //
 //   - Lease(addr, t) on an already-leased address is a no-op: leases cannot
@@ -23,7 +29,11 @@
 //     all counters start together once every line in the group is owned.
 package core
 
-import "leaserelease/internal/mem"
+import (
+	"slices"
+
+	"leaserelease/internal/mem"
+)
 
 // Config bounds the leasing mechanism. Both bounds are system-wide
 // constants in the paper.
@@ -90,9 +100,12 @@ func (e *Entry) TakeProbe() interface{} {
 
 // Table is a core's lease table. The zero value is unusable; use NewTable.
 type Table struct {
-	cfg     Config
-	fifo    []*Entry // insertion order, oldest first
-	byLine  map[mem.Line]*Entry
+	maxLeaseTime uint64
+	// fifo holds the live entries, oldest first. Its capacity is
+	// MaxNumLeases and never changes: a removal shifts the later entries
+	// down, and an insert into a full table evicts fifo[0] first, so FIFO
+	// order and strictly increasing Gen hold by construction.
+	fifo    []Entry
 	nextGen uint64
 }
 
@@ -101,47 +114,55 @@ func NewTable(cfg Config) *Table {
 	if cfg.MaxNumLeases <= 0 {
 		panic("core: MaxNumLeases must be positive")
 	}
-	return &Table{cfg: cfg, byLine: make(map[mem.Line]*Entry)}
+	return &Table{maxLeaseTime: cfg.MaxLeaseTime, fifo: make([]Entry, 0, cfg.MaxNumLeases)}
 }
-
-// Config returns the table's bounds.
-func (t *Table) Config() Config { return t.cfg }
 
 // Len returns the number of live entries.
 func (t *Table) Len() int { return len(t.fifo) }
 
+func (t *Table) index(l mem.Line) int {
+	for i := range t.fifo {
+		if t.fifo[i].Line == l {
+			return i
+		}
+	}
+	return -1
+}
+
 // Find returns the entry for line l, or nil.
-func (t *Table) Find(l mem.Line) *Entry { return t.byLine[l] }
+func (t *Table) Find(l mem.Line) *Entry {
+	if i := t.index(l); i >= 0 {
+		return &t.fifo[i]
+	}
+	return nil
+}
 
 // ForEach visits every live entry in FIFO (insertion) order. Callers must
-// not mutate the table during iteration; checkers and diagnostics use this
-// to validate bounds and FIFO ordering without copying.
+// not add or remove entries during iteration; checkers and diagnostics use
+// this to validate bounds and FIFO ordering without copying.
 func (t *Table) ForEach(fn func(e *Entry)) {
-	for _, e := range t.fifo {
-		fn(e)
+	for i := range t.fifo {
+		fn(&t.fifo[i])
 	}
 }
 
 // Insert creates a lease entry for line l with the requested duration
-// (clamped to MaxLeaseTime). If l is already leased, Insert does nothing
-// and returns inserted=false — leases are never extended. If the table is
-// full, the oldest entry is evicted FIFO and returned; the caller must
-// treat it as a voluntary release (deliver its probe, unpin, ...).
-func (t *Table) Insert(l mem.Line, duration uint64, inGroup bool) (evicted *Entry, inserted bool) {
-	if _, ok := t.byLine[l]; ok {
-		return nil, false
+// (clamped to MaxLeaseTime) and returns it. If l is already leased, Insert
+// does nothing and returns nil — leases are never extended. If the table is
+// full, the oldest entry is evicted FIFO and returned as old with
+// evicted=true; the caller must treat it as a voluntary release (deliver
+// its probe, unpin, ...).
+func (t *Table) Insert(l mem.Line, duration uint64, inGroup bool) (e *Entry, old Entry, evicted bool) {
+	if t.index(l) >= 0 {
+		return nil, Entry{}, false
 	}
-	if duration > t.cfg.MaxLeaseTime {
-		duration = t.cfg.MaxLeaseTime
-	}
-	if len(t.fifo) >= t.cfg.MaxNumLeases {
-		evicted = t.removeAt(0)
+	if len(t.fifo) == cap(t.fifo) {
+		old, evicted = t.removeAt(0), true
 	}
 	t.nextGen++
-	e := &Entry{Line: l, Duration: duration, Gen: t.nextGen, InGroup: inGroup}
-	t.fifo = append(t.fifo, e)
-	t.byLine[l] = e
-	return evicted, true
+	t.fifo = append(t.fifo, Entry{Line: l, Duration: min(duration, t.maxLeaseTime),
+		Gen: t.nextGen, InGroup: inGroup})
+	return &t.fifo[len(t.fifo)-1], old, evicted
 }
 
 // Start begins the countdown for line l at time now, returning the entry
@@ -149,7 +170,7 @@ func (t *Table) Insert(l mem.Line, duration uint64, inGroup bool) (evicted *Entr
 // returns nil (the lease was force-released while its ownership request was
 // in flight, or Start raced a duplicate grant).
 func (t *Table) Start(l mem.Line, now uint64) *Entry {
-	e := t.byLine[l]
+	e := t.Find(l)
 	if e == nil || e.Started {
 		return nil
 	}
@@ -163,45 +184,17 @@ func (e *Entry) start(now uint64) {
 	e.Timer = e.Deadline
 }
 
-// GroupPending returns how many MultiLease-group entries are still waiting
-// for exclusive ownership. Ownership of group lines arrives one by one
-// (sorted order); once the last grant lands (GroupPending()==0 after the
-// caller's Start bookkeeping), the machine calls StartGroup to start all
-// counters together.
-func (t *Table) GroupPending() int {
-	n := 0
-	for _, e := range t.fifo {
-		if e.InGroup && !e.Started {
-			n++
-		}
-	}
-	return n
-}
-
-// StartGroup starts the countdown of every not-yet-started group entry at
-// time now (correlated counters, §5 "MultiLeases require the counters ...
-// to be correlated"). It returns the started entries.
-func (t *Table) StartGroup(now uint64) []*Entry {
-	var started []*Entry
-	for _, e := range t.fifo {
-		if e.InGroup && !e.Started {
+// StartGroup starts the countdown of every not-yet-started MultiLease group
+// entry at time now (correlated counters, §5 "MultiLeases require the
+// counters ... to be correlated") and visits each as it starts, in table
+// (acquisition) order. visit must not add or remove entries.
+func (t *Table) StartGroup(now uint64, visit func(e *Entry)) {
+	for i := range t.fifo {
+		if e := &t.fifo[i]; e.InGroup && !e.Started {
 			e.start(now)
-			started = append(started, e)
+			visit(e)
 		}
 	}
-	return started
-}
-
-// GroupLines returns the lines of the current MultiLease group, in table
-// (acquisition) order.
-func (t *Table) GroupLines() []mem.Line {
-	var ls []mem.Line
-	for _, e := range t.fifo {
-		if e.InGroup {
-			ls = append(ls, e.Line)
-		}
-	}
-	return ls
 }
 
 // ShouldDefer reports whether a coherence probe for line l arriving at time
@@ -209,7 +202,7 @@ func (t *Table) GroupLines() []mem.Line {
 // has started and has not yet expired, or the line belongs to a MultiLease
 // group still in its acquisition phase.
 func (t *Table) ShouldDefer(l mem.Line, now uint64) bool {
-	e := t.byLine[l]
+	e := t.Find(l)
 	if e == nil {
 		return false
 	}
@@ -224,20 +217,20 @@ func (t *Table) ShouldDefer(l mem.Line, now uint64) bool {
 // do not show here). The machine consults it before it lets a core act ahead
 // of the event queue.
 func (t *Table) ExpiresBy(now uint64) bool {
-	for _, e := range t.fifo {
-		if e.Started && e.Timer <= now {
+	for i := range t.fifo {
+		if e := &t.fifo[i]; e.Started && e.Timer <= now {
 			return true
 		}
 	}
 	return false
 }
 
-// QueueProbe stores the (single) deferred probe on line l. It panics if a
-// probe is already queued — Proposition 1 guarantees the directory never
-// sends a second concurrent probe for the same line, so a violation is a
-// protocol bug, not a recoverable condition.
-func (t *Table) QueueProbe(l mem.Line, probe interface{}) {
-	e := t.byLine[l]
+// QueueProbe stores the (single) deferred probe on line l and returns the
+// entry it waits on. It panics if a probe is already queued — Proposition
+// 1 guarantees the directory never sends a second concurrent probe for the
+// same line, so a violation is a protocol bug, not a recoverable condition.
+func (t *Table) QueueProbe(l mem.Line, probe interface{}) *Entry {
+	e := t.Find(l)
 	if e == nil {
 		panic("core: queueing probe on unleased line")
 	}
@@ -245,60 +238,47 @@ func (t *Table) QueueProbe(l mem.Line, probe interface{}) {
 		panic("core: second probe queued on one line (violates Proposition 1)")
 	}
 	e.probe = probe
+	return e
 }
 
-// Remove deletes the entry for line l and returns it (nil if absent). The
-// caller services any deferred probe on the returned entry. This is the
-// voluntary-release path.
-func (t *Table) Remove(l mem.Line) *Entry {
-	e := t.byLine[l]
-	if e == nil {
-		return nil
+// Remove deletes the entry for line l and returns it; ok is false if l is
+// not leased. The caller services any deferred probe on the returned
+// entry. This is the voluntary-release path.
+func (t *Table) Remove(l mem.Line) (e Entry, ok bool) {
+	i := t.index(l)
+	if i < 0 {
+		return Entry{}, false
 	}
-	for i, x := range t.fifo {
-		if x == e {
-			return t.removeAt(i)
-		}
-	}
-	panic("core: table fifo/byLine out of sync")
+	return t.removeAt(i), true
 }
 
 // RemoveIfGen deletes the entry for line l only if it still has generation
-// gen and has started; it returns the entry or nil. Expiry events use this
-// to cancel lazily: a voluntary release or FIFO eviction bumps the entry
-// out, and the stale timer then finds nothing.
-func (t *Table) RemoveIfGen(l mem.Line, gen uint64) *Entry {
-	e := t.byLine[l]
-	if e == nil || e.Gen != gen || !e.Started {
-		return nil
+// gen and has started, and returns it. Expiry events use this to cancel
+// lazily: a voluntary release or FIFO eviction bumps the entry out, and the
+// stale timer then finds nothing.
+func (t *Table) RemoveIfGen(l mem.Line, gen uint64) (e Entry, ok bool) {
+	i := t.index(l)
+	if i < 0 || t.fifo[i].Gen != gen || !t.fifo[i].Started {
+		return Entry{}, false
 	}
-	return t.Remove(l)
+	return t.removeAt(i), true
 }
 
-// RemoveOldest force-releases the oldest lease (used when an L1 set is
-// fully pinned). Returns nil if the table is empty.
-func (t *Table) RemoveOldest() *Entry {
+// RemoveOldest removes and returns the oldest lease; ok is false if the
+// table is empty. It force-releases a lease when an L1 set is fully pinned,
+// and drained until empty it is MultiRelease ("the MultiLease call will
+// first release all currently held leases").
+func (t *Table) RemoveOldest() (e Entry, ok bool) {
 	if len(t.fifo) == 0 {
-		return nil
+		return Entry{}, false
 	}
-	return t.removeAt(0)
+	return t.removeAt(0), true
 }
 
-// RemoveAll empties the table, returning the removed entries in FIFO order.
-// MultiLease calls this first ("the MultiLease call will first release all
-// currently held leases").
-func (t *Table) RemoveAll() []*Entry {
-	out := t.fifo
-	t.fifo = nil
-	for l := range t.byLine {
-		delete(t.byLine, l)
-	}
-	return out
-}
-
-func (t *Table) removeAt(i int) *Entry {
+// removeAt copies entry i out, shifts the later entries down one slot and
+// clears the vacated one, so a dropped probe is not kept reachable.
+func (t *Table) removeAt(i int) Entry {
 	e := t.fifo[i]
-	t.fifo = append(t.fifo[:i], t.fifo[i+1:]...)
-	delete(t.byLine, e.Line)
+	t.fifo = slices.Delete(t.fifo, i, i+1)
 	return e
 }

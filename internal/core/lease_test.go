@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -13,13 +14,12 @@ func newT(max int) *Table {
 
 func TestInsertAndFind(t *testing.T) {
 	tb := newT(4)
-	ev, ins := tb.Insert(1, 50, false)
-	if ev != nil || !ins {
-		t.Fatalf("Insert = (%v, %v), want (nil, true)", ev, ins)
+	e, _, evicted := tb.Insert(1, 50, false)
+	if e == nil || evicted {
+		t.Fatalf("Insert = (%v, evicted %v), want (entry, false)", e, evicted)
 	}
-	e := tb.Find(1)
-	if e == nil || e.Duration != 50 || e.Started {
-		t.Fatalf("Find = %+v", e)
+	if f := tb.Find(1); f != e || f.Duration != 50 || f.Started {
+		t.Fatalf("Find = %+v, want the inserted entry %+v", f, e)
 	}
 }
 
@@ -27,8 +27,8 @@ func TestNoLeaseExtension(t *testing.T) {
 	tb := newT(4)
 	tb.Insert(1, 50, false)
 	tb.Start(1, 10)
-	ev, ins := tb.Insert(1, 99, false)
-	if ins || ev != nil {
+	e, _, evicted := tb.Insert(1, 99, false)
+	if e != nil || evicted {
 		t.Fatal("re-leasing an existing line must be a no-op")
 	}
 	if e := tb.Find(1); e.Deadline != 60 {
@@ -48,11 +48,11 @@ func TestFIFOEvictionWhenFull(t *testing.T) {
 	tb := newT(2)
 	tb.Insert(1, 10, false)
 	tb.Insert(2, 10, false)
-	ev, ins := tb.Insert(3, 10, false)
-	if !ins || ev == nil || ev.Line != 1 {
-		t.Fatalf("evicted = %v, want oldest (line 1)", ev)
+	e, old, evicted := tb.Insert(3, 10, false)
+	if e == nil || !evicted || old.Line != 1 {
+		t.Fatalf("evicted %v (%v), want oldest (line 1)", old, evicted)
 	}
-	if tb.Find(1) != nil || tb.Find(2) == nil || tb.Find(3) == nil {
+	if tb.Find(1) != nil || tb.Find(2) == nil || tb.Find(3) != e {
 		t.Fatal("wrong entries survived")
 	}
 	if tb.Len() != 2 {
@@ -68,17 +68,17 @@ func TestFIFOEvictionExactBoundary(t *testing.T) {
 	const max = 8
 	tb := newT(max)
 	for i := 1; i <= max; i++ {
-		ev, ins := tb.Insert(mem.Line(i), 10, false)
-		if !ins || ev != nil {
-			t.Fatalf("insert %d of %d: (ev=%v, ins=%v), want no eviction yet", i, max, ev, ins)
+		e, old, evicted := tb.Insert(mem.Line(i), 10, false)
+		if e == nil || evicted {
+			t.Fatalf("insert %d of %d: evicted %v (%v), want no eviction yet", i, max, old, evicted)
 		}
 	}
 	if tb.Len() != max {
 		t.Fatalf("Len = %d, want exactly %d", tb.Len(), max)
 	}
-	ev, ins := tb.Insert(mem.Line(max+1), 10, false)
-	if !ins || ev == nil || ev.Line != 1 {
-		t.Fatalf("insert %d: evicted %v, want oldest (line 1)", max+1, ev)
+	e, old, evicted := tb.Insert(mem.Line(max+1), 10, false)
+	if e == nil || !evicted || old.Line != 1 {
+		t.Fatalf("insert %d: evicted %v (%v), want oldest (line 1)", max+1, old, evicted)
 	}
 	if tb.Len() != max {
 		t.Fatalf("Len after boundary eviction = %d, want %d", tb.Len(), max)
@@ -105,6 +105,9 @@ func TestStartSetsDeadline(t *testing.T) {
 	e := tb.Start(1, 1000)
 	if e == nil || e.Deadline != 1040 || !e.Started {
 		t.Fatalf("Start = %+v", e)
+	}
+	if e != tb.Find(1) {
+		t.Fatal("Start must return the live entry")
 	}
 	if tb.Start(1, 2000) != nil {
 		t.Fatal("double Start must return nil")
@@ -143,9 +146,11 @@ func TestGroupDefersDuringAcquisition(t *testing.T) {
 func TestQueueProbeSingle(t *testing.T) {
 	tb := newT(4)
 	tb.Insert(1, 40, false)
-	tb.QueueProbe(1, "probe-a")
-	e := tb.Remove(1)
-	if e == nil || !e.HasProbe() {
+	if q := tb.QueueProbe(1, "probe-a"); q != tb.Find(1) {
+		t.Fatal("QueueProbe must return the entry the probe waits on")
+	}
+	e, ok := tb.Remove(1)
+	if !ok || !e.HasProbe() {
 		t.Fatal("probe lost")
 	}
 	if got := e.TakeProbe(); got != "probe-a" {
@@ -153,6 +158,11 @@ func TestQueueProbeSingle(t *testing.T) {
 	}
 	if e.HasProbe() {
 		t.Fatal("TakeProbe did not clear probe")
+	}
+	// The vacated slot keeps nothing: a new lease in it has no probe.
+	tb.Insert(2, 40, false)
+	if tb.Find(2).HasProbe() {
+		t.Fatal("a reused slot carried the removed entry's probe")
 	}
 }
 
@@ -172,35 +182,44 @@ func TestRemoveIfGen(t *testing.T) {
 	tb := newT(4)
 	tb.Insert(1, 40, false)
 	gen := tb.Find(1).Gen
-	if tb.RemoveIfGen(1, gen) != nil {
-		t.Fatal("RemoveIfGen before Start must be nil (timer cannot exist)")
+	if _, ok := tb.RemoveIfGen(1, gen); ok {
+		t.Fatal("RemoveIfGen before Start must fail (timer cannot exist)")
 	}
 	tb.Start(1, 0)
-	if tb.RemoveIfGen(1, gen+1) != nil {
+	if _, ok := tb.RemoveIfGen(1, gen+1); ok {
 		t.Fatal("stale generation matched")
 	}
-	if tb.RemoveIfGen(1, gen) == nil {
-		t.Fatal("matching generation did not remove")
+	if e, ok := tb.RemoveIfGen(1, gen); !ok || e.Line != 1 || e.Gen != gen {
+		t.Fatalf("matching generation removed %+v (%v), want line 1 gen %d", e, ok, gen)
 	}
 	// Re-lease the same line: new generation, stale timer must not fire.
 	tb.Insert(1, 40, false)
 	tb.Start(1, 0)
-	if tb.RemoveIfGen(1, gen) != nil {
+	if _, ok := tb.RemoveIfGen(1, gen); ok {
 		t.Fatal("old-generation timer removed a fresh lease")
 	}
 }
 
-func TestRemoveAllOrder(t *testing.T) {
+// Draining the table with RemoveOldest, as MultiRelease does, yields the
+// entries in FIFO order, each a copy that later inserts cannot overwrite.
+func TestDrainOldestFirst(t *testing.T) {
 	tb := newT(8)
 	for l := mem.Line(1); l <= 3; l++ {
 		tb.Insert(l, 10, false)
 	}
-	out := tb.RemoveAll()
+	var out []Entry
+	for e, ok := tb.RemoveOldest(); ok; e, ok = tb.RemoveOldest() {
+		out = append(out, e)
+	}
 	if len(out) != 3 || out[0].Line != 1 || out[2].Line != 3 {
-		t.Fatalf("RemoveAll = %v", out)
+		t.Fatalf("drained %v", out)
 	}
 	if tb.Len() != 0 || tb.Find(2) != nil {
-		t.Fatal("table not empty after RemoveAll")
+		t.Fatal("table not empty after draining")
+	}
+	tb.Insert(9, 10, false)
+	if out[0].Line != 1 {
+		t.Fatal("a removed entry changed when its slot was reused")
 	}
 }
 
@@ -209,68 +228,150 @@ func TestGroupStartTogether(t *testing.T) {
 	tb.Insert(10, 40, true)
 	tb.Insert(20, 40, true)
 	tb.Insert(30, 25, true)
-	if got := tb.GroupPending(); got != 3 {
-		t.Fatalf("GroupPending = %d, want 3", got)
-	}
-	started := tb.StartGroup(1000)
-	if len(started) != 3 {
-		t.Fatalf("started %d, want 3", len(started))
-	}
-	if tb.GroupPending() != 0 {
-		t.Fatal("entries still pending after StartGroup")
+	tb.Insert(40, 25, false) // not a group member: StartGroup leaves it alone
+	var started []mem.Line
+	tb.StartGroup(1000, func(e *Entry) {
+		if e != tb.Find(e.Line) || !e.Started {
+			t.Errorf("visited %+v, want the live, started entry", e)
+		}
+		started = append(started, e.Line)
+	})
+	if len(started) != 3 || started[0] != 10 || started[1] != 20 || started[2] != 30 {
+		t.Fatalf("started %v, want the group in acquisition order", started)
 	}
 	if tb.Find(10).Deadline != 1040 || tb.Find(30).Deadline != 1025 {
 		t.Fatal("joint start deadlines wrong")
 	}
-	lines := tb.GroupLines()
-	if len(lines) != 3 || lines[0] != 10 || lines[1] != 20 || lines[2] != 30 {
-		t.Fatalf("GroupLines = %v", lines)
+	if tb.Find(40).Started {
+		t.Fatal("StartGroup started a single lease")
 	}
+	tb.StartGroup(2000, func(e *Entry) { t.Errorf("restarted line %d", e.Line) })
 }
 
 func TestRemoveOldest(t *testing.T) {
 	tb := newT(4)
-	if tb.RemoveOldest() != nil {
-		t.Fatal("RemoveOldest on empty table must be nil")
+	if _, ok := tb.RemoveOldest(); ok {
+		t.Fatal("RemoveOldest on empty table must fail")
 	}
 	tb.Insert(7, 10, false)
 	tb.Insert(8, 10, false)
-	if e := tb.RemoveOldest(); e == nil || e.Line != 7 {
+	if e, ok := tb.RemoveOldest(); !ok || e.Line != 7 {
 		t.Fatalf("RemoveOldest = %v, want line 7", e)
 	}
 }
 
-// leaseModel mirrors Table semantics for the property test.
-type leaseModel struct {
-	order []mem.Line
-	max   int
+// After NewTable the table allocates nothing: not on insert, not on a FIFO
+// eviction, not on any lookup, probe or removal.
+func TestTableZeroAlloc(t *testing.T) {
+	cfg := DefaultConfig()
+	tb := NewTable(cfg)
+	probe := new(int)
+	next := mem.Line(1)
+	insert := func() (evicted bool) {
+		_, _, evicted = tb.Insert(next, 100, false)
+		next++
+		return evicted
+	}
+	for tb.Len() < cfg.MaxNumLeases {
+		insert()
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		l := next
+		if !insert() { // full: evicts the oldest
+			t.Fatal("insert into a full table did not evict")
+		}
+		e := tb.Start(l, uint64(l))
+		tb.ShouldDefer(l, uint64(l)+1)
+		tb.QueueProbe(l, probe).TakeProbe()
+		tb.RemoveIfGen(l, e.Gen-1) // stale: keeps it
+		tb.RemoveIfGen(l, e.Gen)
+		l = next
+		insert()
+		tb.Remove(l)
+		tb.RemoveOldest()
+		insert()
+		insert()
+	})
+	if allocs != 0 {
+		t.Errorf("lease table operations allocate %.1f objects, want 0", allocs)
+	}
+	if tb.Len() != cfg.MaxNumLeases {
+		t.Fatalf("Len = %d, want the loop to leave the table full", tb.Len())
+	}
 }
 
-func (m *leaseModel) insert(l mem.Line) bool {
-	for _, x := range m.order {
-		if x == l {
+// modelEntry and leaseModel mirror Table semantics for the property test.
+type modelEntry struct {
+	line             mem.Line
+	gen              uint64
+	started, inGroup bool
+}
+
+type leaseModel struct {
+	order   []modelEntry // oldest first
+	max     int
+	nextGen uint64
+}
+
+func (m *leaseModel) index(l mem.Line) int {
+	for i, x := range m.order {
+		if x.line == l {
+			return i
+		}
+	}
+	return -1
+}
+
+func (m *leaseModel) insert(l mem.Line, inGroup bool) (inserted bool, old modelEntry, evicted bool) {
+	if m.index(l) >= 0 {
+		return false, modelEntry{}, false
+	}
+	if len(m.order) >= m.max {
+		old, evicted = m.removeAt(0), true
+	}
+	m.nextGen++
+	m.order = append(m.order, modelEntry{line: l, gen: m.nextGen, inGroup: inGroup})
+	return true, old, evicted
+}
+
+func (m *leaseModel) removeAt(i int) modelEntry {
+	x := m.order[i]
+	m.order = append(m.order[:i:i], m.order[i+1:]...)
+	return x
+}
+
+// same reports whether a removed entry is the model's.
+func same(e Entry, x modelEntry) bool {
+	return e.Line == x.line && e.Gen == x.gen && e.Started == x.started && e.InGroup == x.inGroup
+}
+
+// matches reports whether tb holds exactly the model's entries, in the
+// model's order, with strictly increasing generations.
+func (m *leaseModel) matches(tb *Table) bool {
+	i, lastGen, ok := 0, uint64(0), true
+	tb.ForEach(func(e *Entry) {
+		if i >= len(m.order) || !same(*e, m.order[i]) || e.Gen <= lastGen {
+			ok = false
+		}
+		lastGen = e.Gen
+		i++
+	})
+	if !ok || i != len(m.order) || tb.Len() != len(m.order) {
+		return false
+	}
+	for l := mem.Line(0); l < 8; l++ {
+		if (tb.Find(l) != nil) != (m.index(l) >= 0) {
 			return false
 		}
 	}
-	if len(m.order) >= m.max {
-		m.order = m.order[1:]
-	}
-	m.order = append(m.order, l)
 	return true
 }
 
-func (m *leaseModel) remove(l mem.Line) bool {
-	for i, x := range m.order {
-		if x == l {
-			m.order = append(m.order[:i], m.order[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// TestTableVsModel checks membership/FIFO behaviour against a simple model
-// over random operation sequences.
+// TestTableVsModel checks the table against a simple model over random
+// operation sequences: after every operation the table's FIFO order,
+// generations and start states equal the model's, and every entry an
+// operation removes — a FIFO eviction included — is the one the model
+// removes.
 func TestTableVsModel(t *testing.T) {
 	type op struct {
 		Kind byte
@@ -279,43 +380,69 @@ func TestTableVsModel(t *testing.T) {
 	f := func(ops []op) bool {
 		tb := NewTable(Config{MaxLeaseTime: 50, MaxNumLeases: 3})
 		m := &leaseModel{max: 3}
-		for _, o := range ops {
+		for now, o := range ops {
 			l := mem.Line(o.L % 8)
-			switch o.Kind % 3 {
-			case 0:
-				_, ins := tb.Insert(l, 10, false)
-				if ins != m.insert(l) {
-					return false
-				}
-			case 1:
-				if (tb.Remove(l) != nil) != m.remove(l) {
+			i := m.index(l)
+			switch o.Kind % 8 {
+			case 0, 1: // single and group insert
+				inGroup := o.Kind%8 == 1
+				e, old, evicted := tb.Insert(l, 10, inGroup)
+				ins, mold, mevicted := m.insert(l, inGroup)
+				if (e != nil) != ins || evicted != mevicted || (evicted && !same(old, mold)) {
 					return false
 				}
 			case 2:
-				e := tb.RemoveOldest()
-				if len(m.order) == 0 {
-					if e != nil {
-						return false
-					}
-				} else {
-					if e == nil || e.Line != m.order[0] {
-						return false
-					}
-					m.order = m.order[1:]
-				}
-			}
-			if tb.Len() != len(m.order) {
-				return false
-			}
-			for _, x := range m.order {
-				if tb.Find(x) == nil {
+				e, ok := tb.Remove(l)
+				if ok != (i >= 0) || (ok && !same(e, m.removeAt(i))) {
 					return false
 				}
+			case 3:
+				e, ok := tb.RemoveOldest()
+				if ok != (len(m.order) > 0) || (ok && !same(e, m.removeAt(0))) {
+					return false
+				}
+			case 4:
+				e := tb.Start(l, uint64(now))
+				if want := i >= 0 && !m.order[i].started; (e != nil) != want {
+					return false
+				}
+				if e != nil {
+					m.order[i].started = true
+				}
+			case 5:
+				var visited, want []mem.Line
+				tb.StartGroup(uint64(now), func(e *Entry) { visited = append(visited, e.Line) })
+				for j := range m.order {
+					if x := &m.order[j]; x.inGroup && !x.started {
+						x.started = true
+						want = append(want, x.line)
+					}
+				}
+				if !slices.Equal(visited, want) {
+					return false
+				}
+			case 6, 7: // an expiry timer of the current and of a stale generation
+				gen := uint64(0)
+				if i >= 0 {
+					gen = m.order[i].gen
+				}
+				stale := o.Kind%8 == 7
+				if stale {
+					gen--
+				}
+				e, ok := tb.RemoveIfGen(l, gen)
+				want := i >= 0 && !stale && m.order[i].started
+				if ok != want || (ok && !same(e, m.removeAt(i))) {
+					return false
+				}
+			}
+			if !m.matches(tb) {
+				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -363,9 +490,9 @@ func TestExpiresByFollowsACutTimer(t *testing.T) {
 	}
 
 	tb.Insert(2, 40, true)
-	for _, g := range tb.StartGroup(200) {
+	tb.StartGroup(200, func(g *Entry) {
 		if g.Timer != 240 {
 			t.Errorf("group lease: timer %d, want the deadline 240", g.Timer)
 		}
-	}
+	})
 }

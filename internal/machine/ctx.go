@@ -3,6 +3,7 @@ package machine
 import (
 	"sort"
 
+	"leaserelease/internal/core"
 	"leaserelease/internal/mem"
 	"leaserelease/internal/sim"
 	"leaserelease/internal/telemetry"
@@ -220,10 +221,10 @@ func (c *Ctx) LeaseAt(site uint64, a mem.Addr, dur uint64) {
 	}
 	c.m.stats.Leases++
 	c.m.trace(cs, telemetry.LeaseCreated, l)
-	evicted, _ := cs.leases.Insert(l, dur, false)
-	cs.leases.Find(l).Site = site
-	if evicted != nil {
-		c.m.endLease(cs, evicted, telemetry.LeaseEvicted, c.p.Clock())
+	e, old, evicted := cs.leases.Insert(l, dur, false)
+	e.Site = site
+	if evicted {
+		c.m.endLease(cs, old, telemetry.LeaseEvicted, c.p.Clock())
 	}
 	if cs.l1.Lookup(l, true) {
 		// Already owned Exclusive: the lease starts immediately.
@@ -245,9 +246,9 @@ func (c *Ctx) Release(a mem.Addr) bool {
 	c.p.Sync()
 	cs := c.cs
 	now := c.p.Clock()
-	e := cs.leases.Remove(mem.LineOf(a))
+	e, ok := cs.leases.Remove(mem.LineOf(a))
 	c.p.Work(1)
-	if e == nil {
+	if !ok {
 		return false
 	}
 	c.m.endLease(cs, e, telemetry.LeaseReleased, now)
@@ -265,7 +266,7 @@ func (c *Ctx) ReleaseAll() {
 // releaseAllNow releases all leases at the current (synced) instant.
 func (c *Ctx) releaseAllNow() {
 	cs := c.cs
-	for _, e := range cs.leases.RemoveAll() {
+	for e, ok := cs.leases.RemoveOldest(); ok; e, ok = cs.leases.RemoveOldest() {
 		c.m.endLease(cs, e, telemetry.LeaseReleased, c.p.Clock())
 	}
 }
@@ -299,9 +300,7 @@ func (c *Ctx) MultiLease(dur uint64, addrs ...mem.Addr) bool {
 		c.miss(l, true, true)
 	}
 	c.p.Sync()
-	for _, e := range cs.leases.StartGroup(c.p.Clock()) {
-		c.m.startLease(cs, e)
-	}
+	cs.leases.StartGroup(c.p.Clock(), func(e *core.Entry) { c.m.startLease(cs, e) })
 	return true
 }
 

@@ -279,7 +279,7 @@ func (m *Machine) startLease(cs *coreState, e *core.Entry) {
 	line, gen := e.Line, e.Gen
 	e.Timer -= m.faults.LeaseCut(e.Duration)
 	cs.dom.At(e.Timer, func() {
-		if x := cs.leases.RemoveIfGen(line, gen); x != nil {
+		if x, ok := cs.leases.RemoveIfGen(line, gen); ok {
 			m.endLease(cs, x, telemetry.LeaseExpired, cs.dom.Now())
 		} // else released voluntarily (or evicted) in the meantime
 	})
@@ -302,15 +302,16 @@ var leaseEnds = [...]struct {
 }
 
 // endLease is the core-side end of a lease whose entry e has just left the
-// table, at the caller's instant now. kind, the event that reports it, is
-// the cause: released by the program, FIFO-evicted by a newer lease, forced
+// table (e is a copy; its slot may hold another lease by now), at the
+// caller's instant now. kind, the event that reports it, is the cause:
+// released by the program, FIFO-evicted by a newer lease, forced
 // out to unpin a full L1 set, expired, or broken by a regular request. The
 // end is counted and reported with the cycles the lease was held
 // (telemetry.NoVal if its countdown never started), the site's predictor and
 // controller record the outcome, the line is unpinned, the protocol told, and
 // the (at most one) probe deferred behind the lease is served: downgrade the
 // local copy and let the directory finish the stalled transaction.
-func (m *Machine) endLease(cs *coreState, e *core.Entry, kind uint8, now uint64) {
+func (m *Machine) endLease(cs *coreState, e core.Entry, kind uint8, now uint64) {
 	end := &leaseEnds[kind]
 	*end.count(&m.stats)++
 	hold := uint64(telemetry.NoVal)
@@ -379,8 +380,8 @@ func (m *Machine) installLine(cs *coreState, l mem.Line, st cache.State) {
 		if !allPinned {
 			break
 		}
-		e := cs.leases.RemoveOldest()
-		if e == nil {
+		e, ok := cs.leases.RemoveOldest()
+		if !ok {
 			panic(&ProtocolViolationError{Rule: "pinned-set", Core: cs.id, Line: l,
 				Detail: "L1 set fully pinned but lease table empty"})
 		}
@@ -415,12 +416,10 @@ func (d *dirEnv) DeliverProbe(owner int, req *coherence.Request) bool {
 	if cs.leases.ShouldDefer(req.Line, cs.dom.Now()) {
 		if m.cfg.RegularBreaksLease && !req.Lease {
 			// §5 prioritization: a regular request breaks the lease.
-			m.endLease(cs, cs.leases.Remove(req.Line), telemetry.LeaseBroken, cs.dom.Now())
+			e, _ := cs.leases.Remove(req.Line)
+			m.endLease(cs, e, telemetry.LeaseBroken, cs.dom.Now())
 		} else {
-			cs.leases.QueueProbe(req.Line, req)
-			if e := cs.leases.Find(req.Line); e != nil {
-				e.ProbeQueuedAt = cs.dom.Now()
-			}
+			cs.leases.QueueProbe(req.Line, req).ProbeQueuedAt = cs.dom.Now()
 			m.trace(cs, telemetry.ProbeDeferred, req.Line)
 			return true
 		}

@@ -79,3 +79,32 @@ func TestHitRunZeroAlloc(t *testing.T) {
 			after.SyncsSkipped-before.SyncsSkipped, after.SyncWakes-before.SyncWakes)
 	}
 }
+
+// TestLeaseCycleAllocsOnlyTheExpiryClosure asserts that a lease on a line
+// the thread owns — Lease, Store, Release — allocates one object: the
+// expiry timer's closure. The lease table itself allocates nothing.
+func TestLeaseCycleAllocsOnlyTheExpiryClosure(t *testing.T) {
+	m := New(testConfig(1))
+	a := m.Direct().Alloc(8)
+	m.Spawn(0, func(c *Ctx) {
+		for i := uint64(0); ; i++ {
+			c.Lease(a, 1000)
+			c.Store(a, i)
+			c.Release(a)
+		}
+	})
+	if err := m.Run(20_000); err != nil { // the first lease misses; timers fill the heap
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		for n := m.stats.Leases; m.stats.Leases == n; {
+			if err := m.Run(m.Now() + 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	m.Stop()
+	if allocs != 1 {
+		t.Errorf("a lease on an owned line allocates %.1f objects, want 1 (the expiry closure)", allocs)
+	}
+}

@@ -3,6 +3,7 @@ package machine
 import (
 	"testing"
 
+	"leaserelease/internal/core"
 	"leaserelease/internal/mem"
 )
 
@@ -83,7 +84,11 @@ func TestMultiLeaseSortedAcquisition(t *testing.T) {
 	var lines []mem.Line
 	m.Spawn(0, func(c *Ctx) {
 		c.MultiLease(1000, cAddr, a, b) // deliberately unsorted args
-		lines = c.cs.leases.GroupLines()
+		c.cs.leases.ForEach(func(e *core.Entry) {
+			if e.InGroup {
+				lines = append(lines, e.Line)
+			}
+		})
 	})
 	if err := m.Drain(); err != nil {
 		t.Fatal(err)

@@ -25,8 +25,6 @@ var unreferenced = map[string]string{
 	"Ctx.Fence":             "tests sample Machine.Stats from inside a thread",
 	"Ctx.LeaseHeld":         "tests assert which leases a thread holds",
 	"Machine.Poke":          "tests plant a word before any line is cached",
-	"Table.GroupLines":      "internal/core's tests assert a MultiLease group's membership",
-	"Table.GroupPending":    "internal/core's tests assert a MultiLease group's acquisition phase",
 	"Allocator.Brk":         "internal/machine's export_test.go walks the arenas with it",
 	"Domain.CrossAfter":     "internal/sim's lookahead tests; non-test code uses CrossAt",
 	"Config.WithPreemption": "the chaos soak's preemption profiles",
