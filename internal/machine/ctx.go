@@ -113,59 +113,73 @@ func (c *Ctx) Observe(fn func()) {
 // through the coherence protocol on a miss. On return the access itself
 // has been charged (L1 hit latency) and the value may be read/written.
 //
-// An access synchronizes with the event queue first, so that every probe,
-// invalidation, grant or lease expiry due at the core before the thread's
-// local clock T has been applied to its L1. One case needs none of that: the
-// line is held with the needed permission, no started lease of the core
-// expires by T, and the engine vouches that nothing else can reach the
-// core's domain before T (sim.Proc.RunAhead: T less than one lookahead
-// ahead, no foreign callback queued, T inside the horizon). The hit is then
-// performed at T at once. It touches the core's ways, its hit counter and
-// the word, which only events on this core's domain could change or expose,
-// and none is due before T; the wake it saves ordered no other event.
-func (c *Ctx) access(a mem.Addr, write, lease bool) {
-	c.m.maybePreempt(c.cs, c.p, write)
+// The thread's local clock T may be ahead of the event queue. Three cases:
+//
+//   - The line is held with the needed permission, no started lease of the
+//     core expires by T, and the engine vouches that nothing else can reach
+//     the core's domain before T (sim.Proc.RunAhead: T less than one
+//     lookahead ahead, no foreign callback queued, T inside the horizon). The
+//     hit is performed at T at once. It touches the core's ways, its hit
+//     counter and the word, which only events on this core's domain could
+//     change or expose, and none is due before T; the wake it saves ordered
+//     no other event.
+//   - The line is not held. It is still not held at T: with no transaction
+//     outstanding, only a grant adds a permission to the L1 (DESIGN.md §2.4).
+//     The miss is issued at T by an event on the core's domain, in the slot
+//     the Sync wake would have taken (sim.Proc.BlockAfter), and the thread
+//     is not resumed until the grant.
+//   - Otherwise the access synchronizes with the event queue first, so that
+//     every probe, invalidation, grant or lease expiry due at the core before
+//     T has been applied to its L1, and then looks the line up.
+func (c *Ctx) access(a mem.Addr, write bool) {
+	cs := c.cs
+	c.m.maybePreempt(cs, c.p, write)
 	l := mem.LineOf(a)
-	if c.cs.l1.Holds(l, write) && !c.cs.leases.ExpiresBy(c.p.Clock()) && c.p.RunAhead() {
-		c.cs.l1.Lookup(l, write)
+	held := cs.l1.Holds(l, write)
+	if held && !cs.leases.ExpiresBy(c.p.Clock()) && c.p.RunAhead() {
+		cs.l1.Lookup(l, write)
 		c.p.Work(c.m.cfg.L1HitLat)
+		return
+	}
+	if !held && !c.m.syncMisses {
+		c.miss(l, write, false, cs.issue)
 		return
 	}
 	c.p.Sync()
-	if c.cs.l1.Lookup(l, write) {
+	if cs.l1.Lookup(l, write) {
 		c.p.Work(c.m.cfg.L1HitLat)
 		return
 	}
-	c.miss(l, write, lease)
+	c.miss(l, write, false, cs.submit)
 }
 
-// miss obtains line l through the coherence protocol: the thread blocks until
-// the grant arrives, then the access is charged. The caller has synchronized
-// and found no usable copy in the L1.
-func (c *Ctx) miss(l mem.Line, excl, lease bool) {
+// miss obtains line l through the coherence protocol: issue sends the
+// request at the thread's local clock, the thread blocks until the grant
+// arrives, then the access is charged. issue is the core's submit when the
+// caller has synchronized and its Lookup missed, and its issue when the
+// caller found l not held ahead of the event queue and looked nothing up.
+func (c *Ctx) miss(l mem.Line, excl, lease bool, issue func()) {
 	req := c.m.acquireReq(c.cs, l, excl, lease)
-	c.m.mintTxn(c.cs, req)
-	c.m.proto.Submit(req)
-	c.p.Block(describeReq(req))
+	c.p.BlockAfter(issue, describeReq(req))
 	c.m.releaseReq(c.cs, req)
 	c.p.Work(c.m.cfg.L1HitLat)
 }
 
 // Load returns the word at a, timed through the memory hierarchy.
 func (c *Ctx) Load(a mem.Addr) uint64 {
-	c.access(a, false, false)
+	c.access(a, false)
 	return c.m.store.Load(a)
 }
 
 // Store writes the word at a, obtaining exclusive ownership first.
 func (c *Ctx) Store(a mem.Addr, v uint64) {
-	c.access(a, true, false)
+	c.access(a, true)
 	c.m.store.Store(a, v)
 }
 
 // CAS performs a compare-and-swap on the word at a.
 func (c *Ctx) CAS(a mem.Addr, old, new uint64) bool {
-	c.access(a, true, false)
+	c.access(a, true)
 	if c.m.store.Load(a) != old {
 		c.m.stats.CASFailures++
 		return false
@@ -177,7 +191,7 @@ func (c *Ctx) CAS(a mem.Addr, old, new uint64) bool {
 
 // FetchAdd atomically adds delta to the word at a, returning the old value.
 func (c *Ctx) FetchAdd(a mem.Addr, delta uint64) uint64 {
-	c.access(a, true, false)
+	c.access(a, true)
 	v := c.m.store.Load(a)
 	c.m.store.Store(a, v+delta)
 	return v
@@ -185,7 +199,7 @@ func (c *Ctx) FetchAdd(a mem.Addr, delta uint64) uint64 {
 
 // Swap atomically stores v at a, returning the old value.
 func (c *Ctx) Swap(a mem.Addr, v uint64) uint64 {
-	c.access(a, true, false)
+	c.access(a, true)
 	old := c.m.store.Load(a)
 	c.m.store.Store(a, v)
 	return old
@@ -235,7 +249,7 @@ func (c *Ctx) LeaseAt(site uint64, a mem.Addr, dur uint64) {
 		c.p.Work(c.m.cfg.L1HitLat)
 		return
 	}
-	c.miss(l, true, true)
+	c.miss(l, true, true, cs.submit)
 }
 
 // Release implements the Release instruction, with the optional boolean
@@ -297,7 +311,7 @@ func (c *Ctx) MultiLease(dur uint64, addrs ...mem.Addr) bool {
 			c.p.Work(c.m.cfg.L1HitLat)
 			continue
 		}
-		c.miss(l, true, true)
+		c.miss(l, true, true, cs.submit)
 	}
 	c.p.Sync()
 	cs.leases.StartGroup(c.p.Clock(), func(e *core.Entry) { c.m.startLease(cs, e) })

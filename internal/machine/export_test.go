@@ -4,10 +4,21 @@ import "leaserelease/internal/mem"
 
 // Hooks for the external test package (runahead_diff_test.go).
 
-// ForceSync sends every access of m down the Sync path by withdrawing the
-// lookahead New declared (with none, Proc.RunAhead always declines): the
-// reference run of the differential test. Call it before the first Run.
-func ForceSync(m *Machine) { m.eng.DeclareLookahead(0) }
+// SyncHits sends every hit of m through Sync by withdrawing the lookahead New
+// declared (with none, Proc.RunAhead always declines). Call it before the
+// first Run.
+func SyncHits(m *Machine) { m.eng.DeclareLookahead(0) }
+
+// SyncMisses sends every miss of m through Sync, so that the thread issues
+// it itself after its wake, instead of an event in the wake's place.
+func SyncMisses(m *Machine) { m.syncMisses = true }
+
+// ForceSync sends every access of m through Sync: the reference run of the
+// differential test. Call it before the first Run.
+func ForceSync(m *Machine) {
+	SyncHits(m)
+	SyncMisses(m)
+}
 
 // MemImage returns every word the setup allocator and the cores' arenas have
 // handed out, in address order.

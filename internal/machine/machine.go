@@ -43,6 +43,11 @@ type Machine struct {
 
 	// finishedAt is the latest cycle at which a thread's body returned.
 	finishedAt uint64
+
+	// syncMisses makes every miss Sync before the thread issues it: half
+	// of the differential test's reference order (SyncMisses), never set
+	// outside tests.
+	syncMisses bool
 }
 
 // ProtocolViolationError is the panic value raised when simulated hardware
@@ -80,6 +85,14 @@ type coreState struct {
 	// poison mode (see pool_poison_race.go).
 	req     *coherence.Request
 	reqBusy bool
+
+	// issue and submit send the pooled request, bound once in New. submit
+	// is for a thread that has synchronized and seen its Lookup miss; issue
+	// looks the line up first, at the time it runs (Machine.issue).
+	issue, submit func()
+
+	// expiries is the free list of pooled lease-expiry records (startLease).
+	expiries *expiry
 }
 
 // New builds a machine from cfg.
@@ -112,7 +125,7 @@ func New(cfg Config) *Machine {
 	}
 	m.cores = make([]*coreState, cfg.Cores)
 	for i := range m.cores {
-		m.cores[i] = &coreState{
+		cs := &coreState{
 			id:     i,
 			l1:     cache.New(l1cfg),
 			leases: core.NewTable(cfg.Lease),
@@ -122,6 +135,9 @@ func New(cfg Config) *Machine {
 			ctrl:   newLeaseController(cfg.Controller, cfg.Lease.MaxLeaseTime),
 			req:    new(coherence.Request),
 		}
+		cs.issue = func() { m.issue(cs) }
+		cs.submit = func() { m.submit(cs) }
+		m.cores[i] = cs
 	}
 	// The lookahead certificate of the run-ahead hit (Ctx.access): every
 	// cross-domain message of either protocol is scheduled through its
@@ -243,6 +259,27 @@ func (m *Machine) Poke(a mem.Addr, v uint64) { m.store.Store(a, v) }
 
 // ---- lease-side mechanics shared by Ctx ops, probes, and timers ----
 
+// issue sends the core's pooled request for a line the thread found missing
+// ahead of the event queue (Ctx.access), at the thread's local clock: the L1
+// lookup, and with it the miss count, happens here. The line cannot have
+// been granted in between — an in-order core with no transaction outstanding
+// gains a permission only from a grant — and a line the core holds by now
+// is a simulator bug.
+func (m *Machine) issue(cs *coreState) {
+	req := cs.req
+	if cs.l1.Lookup(req.Line, req.Excl) {
+		panic(&ProtocolViolationError{Rule: "miss-monotone", Core: cs.id, Line: req.Line,
+			Detail: "a line missing when the access was decided is held when its miss issues"})
+	}
+	m.submit(cs)
+}
+
+// submit sends the core's pooled request to the directory.
+func (m *Machine) submit(cs *coreState) {
+	m.mintTxn(cs, cs.req)
+	m.proto.Submit(cs.req)
+}
+
 // mintTxn assigns req a machine-unique transaction ID and emits TxnBegin,
 // if and only if someone subscribed to span tracing. With tracing off the
 // cost is Bus.Wants — a nil check plus one bitmask test — and req.Txn
@@ -269,20 +306,25 @@ func (m *Machine) mintTxn(cs *coreState, req *coherence.Request) {
 
 // startLease reports a lease whose countdown has just started (core.Table's
 // Start or StartGroup) to the protocol and the bus, and arms its
-// involuntary-release timer. Cancellation is lazy: the timer checks the entry
-// generation. Fault injection may pull the timer earlier (Entry.Timer) — an
-// involuntary break before the full duration, always legal since
-// MAX_LEASE_TIME is only an upper bound.
+// involuntary-release timer, a pooled expiry record. Cancellation is lazy: the
+// timer checks the entry generation. Fault injection may pull the timer
+// earlier (Entry.Timer) — an involuntary break before the full duration,
+// always legal since MAX_LEASE_TIME is only an upper bound.
 func (m *Machine) startLease(cs *coreState, e *core.Entry) {
 	m.proto.LeaseStarted(cs.id, e.Line, e.Duration)
 	m.traceVal(cs, telemetry.LeaseStarted, e.Line, e.Duration)
-	line, gen := e.Line, e.Gen
 	e.Timer -= m.faults.LeaseCut(e.Duration)
-	cs.dom.At(e.Timer, func() {
-		if x, ok := cs.leases.RemoveIfGen(line, gen); ok {
-			m.endLease(cs, x, telemetry.LeaseExpired, cs.dom.Now())
-		} // else released voluntarily (or evicted) in the meantime
-	})
+	cs.dom.At(e.Timer, m.expiry(cs, e.Line, e.Gen))
+}
+
+// expire frees x, then ends its lease if the table still holds that
+// generation.
+func (m *Machine) expire(x *expiry) {
+	cs, line, gen := x.cs, x.line, x.gen
+	m.freeExpiry(x)
+	if e, ok := cs.leases.RemoveIfGen(line, gen); ok {
+		m.endLease(cs, e, telemetry.LeaseExpired, cs.dom.Now())
+	} // else released voluntarily (or evicted) in the meantime
 }
 
 // leaseEnds says, for each kind of event that ends a lease, what the end

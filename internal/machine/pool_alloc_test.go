@@ -80,10 +80,10 @@ func TestHitRunZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestLeaseCycleAllocsOnlyTheExpiryClosure asserts that a lease on a line
-// the thread owns — Lease, Store, Release — allocates one object: the
-// expiry timer's closure. The lease table itself allocates nothing.
-func TestLeaseCycleAllocsOnlyTheExpiryClosure(t *testing.T) {
+// TestLeaseCycleZeroAlloc asserts that a lease on a line the thread owns —
+// Lease, Store, Release — allocates nothing: the lease table is fixed, and
+// the expiry timer is a pooled record whose callback was bound once.
+func TestLeaseCycleZeroAlloc(t *testing.T) {
 	m := New(testConfig(1))
 	a := m.Direct().Alloc(8)
 	m.Spawn(0, func(c *Ctx) {
@@ -104,7 +104,7 @@ func TestLeaseCycleAllocsOnlyTheExpiryClosure(t *testing.T) {
 		}
 	})
 	m.Stop()
-	if allocs != 1 {
-		t.Errorf("a lease on an owned line allocates %.1f objects, want 1 (the expiry closure)", allocs)
+	if allocs != 0 {
+		t.Errorf("a lease on an owned line allocates %.1f objects, want 0", allocs)
 	}
 }

@@ -9,3 +9,7 @@ import "leaserelease/internal/coherence"
 func poisonAcquire(*coreState, *coherence.Request) {}
 
 func poisonRelease(*coreState, *coherence.Request) {}
+
+func poisonTakeExpiry(*expiry) {}
+
+func poisonFreeExpiry(*expiry) {}

@@ -40,3 +40,16 @@ func poisonRelease(cs *coreState, req *coherence.Request) {
 	req.Line = poisonLine
 	req.Txn = 0
 }
+
+// An expiry record back in its core's pool — its callback queued twice, or
+// kept past its event — panics when it fires instead of ending whatever lease
+// the record names next.
+
+func poisonTakeExpiry(x *expiry) { x.live = true }
+
+func poisonFreeExpiry(x *expiry) {
+	if !x.live {
+		panic(fmt.Sprintf("machine: released lease expiry fired (core %d)", x.cs.id))
+	}
+	x.live = false
+}

@@ -2,7 +2,11 @@
 
 package machine
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
 // Poison-mode tests, compiled only into -race builds (where poison mode is
 // armed): pooled-request lifecycle bugs must fail loudly, not corrupt
@@ -11,9 +15,8 @@ import "testing"
 func mustPanic(t *testing.T, want string, f func()) {
 	t.Helper()
 	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatalf("expected panic containing %q, got none", want)
+		if r := fmt.Sprint(recover()); !strings.Contains(r, want) {
+			t.Fatalf("expected panic containing %q, got %q", want, r)
 		}
 	}()
 	f()
@@ -60,4 +63,14 @@ func TestPoisonScribble(t *testing.T) {
 		t.Fatalf("acquire after poison left stale fields: %+v", req)
 	}
 	m.releaseReq(cs, req)
+}
+
+// TestPoisonReleasedExpiryPanics: a lease-expiry record that fires after it
+// went back to its core's pool panics instead of ending whatever lease the
+// record names next.
+func TestPoisonReleasedExpiryPanics(t *testing.T) {
+	m := New(testConfig(1))
+	fire := m.expiry(m.cores[0], 5, 1)
+	fire() // the table has no lease of that generation: a stale timer
+	mustPanic(t, "released lease expiry fired", fire)
 }

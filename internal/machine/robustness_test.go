@@ -4,8 +4,10 @@ import (
 	"reflect"
 	"testing"
 
+	"leaserelease/internal/cache"
 	"leaserelease/internal/faults"
 	"leaserelease/internal/mem"
+	"leaserelease/internal/sim"
 	"leaserelease/internal/telemetry"
 )
 
@@ -203,4 +205,32 @@ func contains(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// TestMissMonotone: a line a thread found missing ahead of the event queue is
+// still missing when its miss issues at the thread's local clock, because a
+// core with no transaction outstanding gains a permission only from a grant.
+// A hook that grants the line to the L1 in between must make the run fail
+// under the miss-monotone rule instead of sending a request for a line the
+// core holds.
+func TestMissMonotone(t *testing.T) {
+	m := New(testConfig(1))
+	a := m.Direct().Alloc(8)
+	cs := m.cores[0]
+	m.Spawn(0, func(c *Ctx) {
+		c.Work(100)
+		c.Load(a) // not held at cycle 0, with the hook due first: issued at 100
+	})
+	cs.dom.At(50, func() { cs.l1.Install(mem.LineOf(a), cache.Shared) })
+	defer m.Stop()
+	defer func() {
+		pe, _ := recover().(*sim.PanicError)
+		if pe == nil {
+			t.Fatal("a miss was issued for a line the core holds")
+		}
+		if v, _ := pe.Value.(*ProtocolViolationError); v == nil || v.Rule != "miss-monotone" || pe.Cycle != 100 {
+			t.Fatalf("run failed at cycle %d with %v, want rule miss-monotone at 100", pe.Cycle, pe.Value)
+		}
+	}()
+	_ = m.Drain()
 }

@@ -28,8 +28,15 @@ type diffCell struct {
 // operation-boundary observation (Ctx.Observe) among the bus events.
 const opEnd = telemetry.Category(255)
 
+// mode says which accesses of a run go without their Sync: hits that run
+// ahead of the event queue, misses issued by an event in the wake's place.
+type mode struct {
+	name         string
+	hits, misses bool
+}
+
 func runDiffCell(t *testing.T, build func(*machine.Direct) bench.OpFunc,
-	cfg machine.Config, traced, forceSync bool) diffCell {
+	cfg machine.Config, traced bool, md mode) diffCell {
 	t.Helper()
 	threads := cfg.Cores
 	m := machine.New(cfg)
@@ -54,8 +61,11 @@ func runDiffCell(t *testing.T, build func(*machine.Direct) bench.OpFunc,
 			}
 		})
 	}
-	if forceSync {
-		machine.ForceSync(m)
+	if !md.hits {
+		machine.SyncHits(m)
+	}
+	if !md.misses {
+		machine.SyncMisses(m)
 	}
 	// Two Runs, so that a stop time falls in the middle of the work.
 	for _, until := range []uint64{25_000, 60_000} {
@@ -71,23 +81,29 @@ func runDiffCell(t *testing.T, build func(*machine.Direct) bench.OpFunc,
 	return cell
 }
 
-// TestRunAheadDifferential runs each structure with the run-ahead hit and
-// with every access forced through Sync, under both protocols and with the
-// fault injector off, on, and on with preemption, and requires the same
-// simulation: statistics, memory image and per-thread progress; with a
+// TestRunAheadDifferential runs each structure with run-ahead hits, with
+// misses issued by an event in the Sync wake's place (deferred issue), with
+// both, and with every access forced through Sync, under both protocols and
+// with the fault injector off, on, and on with preemption, and requires the
+// same simulation: statistics, memory image and per-thread progress; with a
 // subscriber on the bus, the same events and operation-boundary observations
-// in the same order (hits emit nothing, and Observe rejoins the event queue
-// first). The engine's counters must account for the difference exactly.
-// Only Sync wakes separate the two event counts; and a Sync that has to move
-// the clock is a wake, a fast-forward or skipped, so what one run skipped the
-// other paid for as one of the first two. (Not always as a wake: after a wake
-// that the fast run skipped, the forced run may find nothing else due and
-// fast-forward the next Sync.)
+// in the same order (hits emit nothing, a deferred miss emits at the wake's
+// place, and Observe rejoins the event queue first). The engine's counters
+// must account for the difference exactly. Only Sync wakes and the issue
+// callbacks that replace some of them separate the event counts; and a Sync
+// that has to move the clock is a wake, a fast-forward, skipped or an issue,
+// so what one run skipped or issued the forced run paid for as one of the
+// first two. (Not always as a wake: after a wake that the fast run did
+// without, the forced run may find nothing else due and fast-forward the next
+// Sync.)
 //
-// Every MSI cell must have skipped some Syncs. A Tardis reader has its
-// reservation's timer queued on its domain for 2000 cycles after every read
-// grant, and a queued foreign event rules run-ahead out, so a Tardis cell may
-// skip none; some cell of each fault profile must.
+// Every MSI cell must have skipped some Syncs, and every cell must have
+// issued some misses from events; an MSI hashmap cell, where more than a
+// third of the accesses miss, must switch procs less often with both than
+// forced. A Tardis reader has its reservation's timer queued on its domain
+// for 2000 cycles after every read grant, and a queued foreign event rules
+// run-ahead out, so a Tardis cell may skip none; some cell of each fault
+// profile must.
 func TestRunAheadDifferential(t *testing.T) {
 	const threads = 12
 	workloads := []struct {
@@ -108,6 +124,7 @@ func TestRunAheadDifferential(t *testing.T) {
 		{"faults", faults.DefaultConfig()},
 		{"preempt", faults.DefaultConfig().WithPreemption()},
 	}
+	modes := []mode{{"hits", true, false}, {"misses", false, true}, {"both", true, true}}
 	tardisSkipped := map[string]uint64{} // by profile
 	for _, w := range workloads {
 		for _, seed := range []uint64{1, 7} {
@@ -118,14 +135,27 @@ func TestRunAheadDifferential(t *testing.T) {
 						t.Run(proto+"/"+prof.name, func(t *testing.T) {
 							cfg := machine.DefaultConfig(threads)
 							cfg.Seed, cfg.Protocol, cfg.Faults = seed, proto, prof.faults
-							fast := runDiffCell(t, w.build, cfg, traced, false)
-							ref := runDiffCell(t, w.build, cfg, traced, true)
-							compareDiffCells(t, fast, ref, traced)
-							switch skipped := fast.engine.SyncsSkipped; {
-							case proto == coherence.ProtocolTardis:
-								tardisSkipped[prof.name] += skipped
-							case skipped == 0:
-								t.Error("no Sync skipped: the cell did not exercise run-ahead")
+							ref := runDiffCell(t, w.build, cfg, traced, mode{name: "all-Sync"})
+							for _, md := range modes {
+								fast := runDiffCell(t, w.build, cfg, traced, md)
+								compareDiffCells(t, md.name, fast, ref, traced)
+								f := fast.engine
+								if md.misses && f.SyncIssues == 0 {
+									t.Errorf("%s: no miss issued by an event", md.name)
+								}
+								if md.name == "both" && proto == coherence.ProtocolMSI &&
+									w.name == "hashmap" && f.ProcSwitches >= ref.engine.ProcSwitches {
+									t.Errorf("%s: %d proc switches, %d forced", md.name, f.ProcSwitches, ref.engine.ProcSwitches)
+								}
+								if !md.hits {
+									continue
+								}
+								switch {
+								case proto == coherence.ProtocolTardis:
+									tardisSkipped[prof.name] += f.SyncsSkipped
+								case f.SyncsSkipped == 0:
+									t.Errorf("%s: no Sync skipped: the cell did not exercise run-ahead", md.name)
+								}
 							}
 						})
 					}
@@ -140,31 +170,32 @@ func TestRunAheadDifferential(t *testing.T) {
 	}
 }
 
-func compareDiffCells(t *testing.T, fast, ref diffCell, traced bool) {
+func compareDiffCells(t *testing.T, name string, fast, ref diffCell, traced bool) {
 	if fast.stats != ref.stats {
-		t.Errorf("Stats differ:\n run-ahead %+v\n all-Sync  %+v", fast.stats, ref.stats)
+		t.Errorf("%s: Stats differ:\n %s %+v\n all-Sync %+v", name, name, fast.stats, ref.stats)
 	}
 	if !slices.Equal(fast.ops, ref.ops) {
-		t.Errorf("per-thread operations differ:\n run-ahead %v\n all-Sync  %v", fast.ops, ref.ops)
+		t.Errorf("%s: per-thread operations differ:\n %s %v\n all-Sync %v", name, name, fast.ops, ref.ops)
 	}
 	if !slices.Equal(fast.image, ref.image) {
-		t.Error("final memory images differ")
+		t.Errorf("%s: final memory images differ", name)
 	}
 	if !slices.Equal(fast.stream, ref.stream) {
-		t.Errorf("subscriber streams differ (%d and %d entries)", len(fast.stream), len(ref.stream))
+		t.Errorf("%s: subscriber streams differ (%d and %d entries)", name, len(fast.stream), len(ref.stream))
 	} else if traced && len(fast.stream) == 0 {
-		t.Error("the traced cell delivered nothing")
+		t.Errorf("%s: the traced cell delivered nothing", name)
 	}
 	f, r := fast.engine, ref.engine
-	if r.SyncsSkipped != 0 {
-		t.Fatalf("%d syncs skipped in the all-Sync run", r.SyncsSkipped)
+	if r.SyncsSkipped != 0 || r.SyncIssues != 0 {
+		t.Fatalf("%d syncs skipped and %d issued in the all-Sync run", r.SyncsSkipped, r.SyncIssues)
 	}
-	t.Logf("L1 hits %d, syncs skipped %d; all-Sync run: %d more events, %d more fast-forwards",
-		fast.stats.L1Hits, f.SyncsSkipped, r.EventsTotal-f.EventsTotal, int64(r.SyncFastForwards-f.SyncFastForwards))
-	if got, want := r.EventsTotal-f.EventsTotal, r.SyncWakes-f.SyncWakes; got != want {
-		t.Errorf("event counts differ by %d, Sync wakes by %d", got, want)
+	t.Logf("%s: L1 hits %d, syncs skipped %d, misses issued %d, proc switches %d; all-Sync run: %d more events, %d more fast-forwards, %d proc switches",
+		name, fast.stats.L1Hits, f.SyncsSkipped, f.SyncIssues, f.ProcSwitches,
+		int64(r.EventsTotal-f.EventsTotal), int64(r.SyncFastForwards-f.SyncFastForwards), r.ProcSwitches)
+	if got, want := r.EventsTotal-f.EventsTotal, r.SyncWakes-f.SyncWakes-f.SyncIssues; got != want {
+		t.Errorf("%s: event counts differ by %d, Sync wakes less issues by %d", name, got, want)
 	}
-	if got := (r.SyncWakes - f.SyncWakes) + (r.SyncFastForwards - f.SyncFastForwards); got != f.SyncsSkipped {
-		t.Errorf("%d syncs skipped, but the all-Sync run paid for %d more wakes and fast-forwards", f.SyncsSkipped, got)
+	if got, want := (r.SyncWakes-f.SyncWakes)+(r.SyncFastForwards-f.SyncFastForwards), f.SyncsSkipped+f.SyncIssues; got != want {
+		t.Errorf("%s: %d syncs skipped or issued, but the all-Sync run paid for %d more wakes and fast-forwards", name, want, got)
 	}
 }

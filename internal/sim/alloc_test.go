@@ -97,3 +97,41 @@ func TestBlockWakeZeroAlloc(t *testing.T) {
 		t.Errorf("block/wake allocates %.1f objects per 32 cycles, want 0", allocs)
 	}
 }
+
+// TestBlockAfterZeroAlloc exercises the miss issued by an event: a proc ahead
+// of a ticking clock posts its issue callback in its wake's place and blocks
+// until the callback wakes it.
+func TestBlockAfterZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is unreliable under the race detector")
+	}
+	e := NewEngine()
+	var p *Proc
+	issue := func() { p.WakeAt(e.Now() + 1) }
+	p = e.Spawn(0, 0, 1, func(p *Proc) {
+		for {
+			p.Work(3)
+			p.BlockAfter(issue, "waiting for reply")
+		}
+	})
+	var tick func()
+	tick = func() { e.After(1, tick) }
+	e.After(1, tick)
+	if err := e.Run(100); err != nil { // warm up
+		t.Fatal(err)
+	}
+	before := e.Stats().SyncIssues
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := e.Run(e.Now() + 32); err != nil {
+			t.Fatal(err)
+		}
+	})
+	issued := e.Stats().SyncIssues - before
+	e.KillAll()
+	if allocs != 0 {
+		t.Errorf("block-after allocates %.1f objects per 32 cycles, want 0", allocs)
+	}
+	if issued == 0 {
+		t.Error("no issue callback was queued")
+	}
+}

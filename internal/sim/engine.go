@@ -26,7 +26,10 @@
 // coroutine resumed from inside another would run nested on top of it, and
 // could never hand control back to the one underneath. The same yield, with
 // no proc named, returns control to the loop when a stop condition is
-// reached; a proc whose body returns simply ends up in the loop too.
+// reached; a proc whose body returns simply ends up in the loop too. A proc
+// whose next step is to post a message and block (a core's L1 miss) need not
+// be resumed for it: Proc.BlockAfter queues the post as a callback in the
+// slot its wake would have taken, and that costs no move at all.
 //
 // A simulation may declare a lookahead (DeclareLookahead): the minimum
 // latency of any event one domain schedules onto another, which push then

@@ -175,7 +175,7 @@ func (p *Proc) Sync() {
 	if p.clock == s.now {
 		return
 	}
-	if s.fifo.n == 0 && s.events.nextAt() > p.clock && p.clock < s.stopAt {
+	if p.canFastForward() {
 		s.now = p.clock
 		s.stallEvents = 0
 		s.stats.SyncFastForwards++
@@ -184,6 +184,14 @@ func (p *Proc) Sync() {
 	s.stats.SyncWakes++
 	p.scheduleWake(p.clock)
 	p.clock = p.park("advancing clock")
+}
+
+// canFastForward reports whether nothing is due before the proc's local clock,
+// which lies inside the execution horizon: a Sync to it moves the engine
+// clock itself.
+func (p *Proc) canFastForward() bool {
+	s := p.eng
+	return s.fifo.n == 0 && s.events.nextAt() > p.clock && p.clock < s.stopAt
 }
 
 // RunAhead reports whether the proc may, instead of calling Sync, act at its
@@ -212,7 +220,7 @@ func (p *Proc) RunAhead() bool {
 	if t <= s.now || t-s.now >= s.lookahead || p.dom.foreign != 0 || t >= s.stopAt || p.killed {
 		return false
 	}
-	if s.fifo.n == 0 && s.events.nextAt() > t {
+	if p.canFastForward() {
 		return false // Sync fast-forwards
 	}
 	s.stats.SyncsSkipped++
@@ -251,6 +259,29 @@ func (p *Proc) Block(reason string) Time {
 	t := p.park(reason)
 	p.clock = t
 	return t
+}
+
+// BlockAfter is Sync, then issue(), then Block(reason), without resuming the
+// proc for the issue: when Sync would park, issue is queued instead as a
+// callback on the proc's domain at its local clock — the (cycle, target,
+// source, sequence) key the Sync wake would have had — and the proc blocks
+// at once. Every other event keeps its place in the order, and issue runs
+// where the proc would have, without the two switches. issue must act only
+// on what the proc would have acted on at its local clock, and the proc must
+// not depend on anything that happens between now and then (a core whose
+// next step is a miss: it has nothing else to do until the grant). When Sync
+// would not park (the clock is not ahead, nothing is due before it, or the
+// proc is being killed), BlockAfter is literally Sync, issue(), Block.
+func (p *Proc) BlockAfter(issue func(), reason string) Time {
+	s := p.eng
+	if p.clock <= s.now || p.killed || p.canFastForward() {
+		p.Sync()
+		issue()
+		return p.Block(reason)
+	}
+	s.stats.SyncIssues++
+	s.push(p.dom, p.dom, p.clock, issue, nil)
+	return p.Block(reason)
 }
 
 // WakeAt schedules p (which must be blocked via Block) to resume at time t.

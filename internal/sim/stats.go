@@ -29,10 +29,14 @@ type EngineStats struct {
 	// SyncWakes is the number of Syncs that scheduled a wake — one event
 	// each. SyncsSkipped is the number of Syncs a proc did without because
 	// RunAhead let it act at its local clock (an L1 hit with nothing in
-	// flight to the core). A Sync that has to move the clock is exactly one
-	// of fast-forward, wake or skipped.
+	// flight to the core). SyncIssues is the number of Syncs whose wake
+	// BlockAfter replaced with the callback the proc would have run after
+	// it (a miss issued at the core's local clock) — one event each, no
+	// switch. A Sync that has to move the clock is exactly one of wake,
+	// fast-forward, skipped or issue.
 	SyncWakes    uint64 `json:"sync_wakes"`
 	SyncsSkipped uint64 `json:"syncs_skipped"`
+	SyncIssues   uint64 `json:"sync_issues"`
 	// RingEvents, BucketEvents and HeapEvents say where each executed event
 	// was popped from — the same-cycle ring, a near-tier bucket or the heap
 	// behind them (eventQueue) — and sum to EventsTotal. BucketOverflows is
