@@ -145,6 +145,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if f.preempt < 0 || f.preempt > 1000 {
 		return usage("-preempt %d out of range (want 0..1000 permille)", f.preempt)
 	}
+	// The injector reads PreemptMax 0 as "no preemption" and a minimum above
+	// the maximum as a fixed duration; neither may stand in for what was asked.
+	switch {
+	case f.preemptMax == 0:
+		return usage("-preemptmax wants at least one cycle")
+	case f.preemptMin > f.preemptMax:
+		return usage("-preemptmin %d exceeds -preemptmax %d", f.preemptMin, f.preemptMax)
+	case f.samples < 0:
+		return usage("-sample %d is negative", f.samples)
+	case f.hotlines < 0:
+		return usage("-hotlines %d is negative", f.hotlines)
+	case f.trace < 0:
+		return usage("-trace %d is negative", f.trace)
+	}
 	if f.structure.MultiLease && parseMulti(f.multi) < 0 {
 		return usage("bad -multilease %q", f.multi)
 	}

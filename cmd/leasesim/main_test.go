@@ -132,6 +132,15 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-ds", "counter", "-threads", "2", "-parallel", "-3"}, "-parallel -3 is negative"},
 		{[]string{"-cycles", "0"}, "-cycles wants at least one cycle"},
 		{[]string{"-serve", ":0"}, "flag provided but not defined: -serve"},
+		// Preemption is run as asked or refused: not fixed at -preemptmin,
+		// not silently off.
+		{[]string{"-ds", "counter", "-threads", "2", "-preempt", "5", "-preemptmin", "5000", "-preemptmax", "100"},
+			"-preemptmin 5000 exceeds -preemptmax 100"},
+		{[]string{"-ds", "counter", "-threads", "2", "-preempt", "5", "-preemptmax", "0"},
+			"-preemptmax wants at least one cycle"},
+		{[]string{"-ds", "counter", "-threads", "2", "-sample", "-1"}, "-sample -1 is negative"},
+		{[]string{"-ds", "counter", "-threads", "2", "-hotlines", "-1"}, "-hotlines -1 is negative"},
+		{[]string{"-ds", "counter", "-threads", "2", "-trace", "-1"}, "-trace -1 is negative"},
 	} {
 		status, out, errOut := leasesim(c.args...)
 		if status != 2 || out != "" {

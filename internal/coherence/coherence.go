@@ -233,7 +233,7 @@ type Directory struct {
 
 // New builds a directory that serves its lines by policy p. jitterSeed seeds
 // the stream Timing.NetJitter is drawn from, one per protocol. p reaches the
-// directory it serves (Now, AtCore, Line, Stats) through the returned value.
+// directory it serves (Now, Line, Stats) through the returned value.
 func New(eng *sim.Engine, env Env, t Timing, p Policy, jitterSeed uint64) *Directory {
 	return &Directory{
 		Policy: p, eng: eng, env: env, t: t,
@@ -254,13 +254,6 @@ func (d *Directory) coreDom(c int) *sim.Domain {
 	return d.cores[c]
 }
 
-// AtCore schedules fn on core's domain at cycle t, from the directory's: the
-// one event a policy may schedule (a timer on a copy it granted, which must
-// fire where the copy is), and like every message at least Timing.Net ahead.
-func (d *Directory) AtCore(core int, t sim.Time, fn func()) {
-	d.dom.CrossAt(d.coreDom(core), t, fn)
-}
-
 // Line returns the record of line l, or nil if nobody has asked for it yet.
 func (d *Directory) Line(l mem.Line) *Line {
 	if p := d.lines.Find(l); p != nil {
@@ -273,7 +266,7 @@ func (d *Directory) line(l mem.Line) *Line {
 	p := d.lines.Slot(l)
 	if *p == nil {
 		ln := d.NewLine(l)
-		ln.commit = func() { d.commit(ln) }
+		ln.commit = func() { d.commit(l, ln) }
 		*p = ln
 	}
 	return *p
@@ -474,11 +467,15 @@ func (d *Directory) deliverGrant(req *Request) {
 	d.env.Complete(req, st)
 }
 
-// commit has the policy apply the transition decided at service time and
-// starts servicing the next queued request for the line. Runs in the
+// commit has the policy apply the transition decided at service time, sends
+// a lapse notice to each reader the transition reserved a copy for, and
+// starts servicing the next queued request for line l. Runs in the
 // directory's domain.
-func (d *Directory) commit(ln *Line) {
-	ln.Policy.Commit()
+func (d *Directory) commit(l mem.Line, ln *Line) {
+	for readers, end := ln.Policy.Commit(); readers != 0; readers &= readers - 1 {
+		c := bits.TrailingZeros64(readers)
+		d.dom.CrossAt(d.coreDom(c), end, d.notice(noticeLapse, c, l))
+	}
 	ln.busy = false
 	if len(ln.queue) > 0 {
 		d.serviceMaybeStalled(ln)
@@ -514,13 +511,14 @@ const (
 	noticeInval     noticeKind = iota // the directory tells a sharer to drop its copy
 	noticeWriteback                   // a core tells the directory it evicted a Modified copy
 	noticeDrop                        // ... or a Shared one
+	noticeLapse                       // a reader's read reservation ends
 )
 
 // notice is a one-way message about one (core, line) pair that no request
-// carries: an invalidation, or an eviction notice. Like a Request's hops, its
-// callback is bound once; the records are pooled on the directory, and the
-// callback returns its record to the pool before it acts, so a notice
-// allocates nothing once the pool is warm.
+// carries: an invalidation, an eviction notice, or the lapse of a read
+// reservation. Like a Request's hops, its callback is bound once; the records
+// are pooled on the directory, and the callback returns its record to the
+// pool before it acts, so a notice allocates nothing once the pool is warm.
 type notice struct {
 	kind noticeKind
 	core int
@@ -552,6 +550,10 @@ func (d *Directory) deliver(n *notice) {
 	switch kind {
 	case noticeInval:
 		d.env.Invalidate(core, l)
+	case noticeLapse:
+		if ln := d.Line(l); ln != nil && ln.Policy.Lapsed(core) {
+			d.env.Invalidate(core, l)
+		}
 	default:
 		if ln := d.Line(l); ln != nil {
 			ln.Policy.Evict(core, kind == noticeWriteback)

@@ -21,10 +21,15 @@ func Bound(r *Request) (d *Directory, inService bool) {
 	return r.dir, r.line != nil
 }
 
-// RunNoticeTwice runs one pooled notice's callback, and then again, as an
-// event scheduled twice would: the second run finds the record released.
-func RunNoticeTwice(d *Directory) {
-	run := d.notice(noticeDrop, 0, 1)
+// RunNoticeTwice runs one pooled notice's callback — a SharerDrop, or a
+// reservation's lapse — and then again, as an event scheduled twice would:
+// the second run finds the record released.
+func RunNoticeTwice(d *Directory, lapse bool) {
+	kind := noticeDrop
+	if lapse {
+		kind = noticeLapse
+	}
+	run := d.notice(kind, 0, 1)
 	run()
 	run()
 }

@@ -29,6 +29,7 @@ func FuzzDirectory(f *testing.F) { fuzzDirectory(f, coherence.NewDirectory) }
 // outlives its reservation.
 func FuzzTardis(f *testing.F) {
 	f.Add([]byte{0x00, 0xff, 0x00, 0xff, 0x11, 0x00, 0x05, 0x00, 0x01, 0x40}) // reads, a long pause, a renewal, writes under reservations
+	f.Add([]byte{0x01, 0xff, 0x04, 0xff})                                     // a read forwarded to the owner: the grant ends its ownership
 	fuzzDirectory(f, newTardis)
 }
 

@@ -30,7 +30,6 @@ func (msi) NewLine(mem.Line) *Line {
 // MSI keeps all lease state on the core side and has no timestamps.
 func (msi) LeaseStarted(int, mem.Line, uint64) {}
 func (msi) LeaseReleased(int, mem.Line)        {}
-func (msi) CoreTimestamp(int) (uint64, bool)   { return 0, false }
 
 type dirState uint8
 
@@ -88,12 +87,16 @@ func (e *msiLine) Serve(req *Request) Decision {
 	return Decision{}
 }
 
-func (e *msiLine) Commit() {
+func (e *msiLine) Commit() (uint64, sim.Time) {
 	e.state, e.owner, e.sharers = e.newState, e.newOwner, e.newSharers
 	if e.state == dirM {
 		e.sharers = bit(e.owner)
 	}
+	return 0, 0
 }
+
+// Lapsed: MSI grants no bounded reservations, so no lapse notices.
+func (e *msiLine) Lapsed(int) bool { return false }
 
 // Evict: a writeback leaves the line uncached unless ownership has moved on
 // meanwhile, in which case the notice is stale and dropped; a Shared

@@ -6,6 +6,7 @@ import (
 
 	"leaserelease/internal/cache"
 	"leaserelease/internal/mem"
+	"leaserelease/internal/sim"
 )
 
 // Canonical protocol names, as accepted by machine.Config.Protocol and the
@@ -67,17 +68,12 @@ type Policy interface {
 	// is reported before the line's Commit at the same cycle.
 	LeaseStarted(core int, l mem.Line, duration uint64)
 	LeaseReleased(core int, l mem.Line)
-
-	// CoreTimestamp reports a timestamp protocol's per-core program
-	// timestamp; ok is false for protocols without one.
-	CoreTimestamp(core int) (pts uint64, ok bool)
 }
 
 // LinePolicy is the protocol's half of one line's record: the state it keeps
 // and the decisions it takes on it. Serve, Commit and Evict run in the
-// directory's domain. A policy sends no message and schedules no event; the
-// exception is Tardis's reservation timer, which goes through
-// Directory.AtCore.
+// directory's domain, Lapsed in a reader's. A policy sends no message and
+// schedules no event: what it decides, the directory carries out.
 type LinePolicy interface {
 	// Serve decides how req, which has just reached the head of the line's
 	// queue, is answered, and records the transition Commit will apply.
@@ -86,12 +82,18 @@ type LinePolicy interface {
 	// requester may reuse req as soon as the grant is delivered.
 	Serve(req *Request) Decision
 	// Commit applies the pending transition: the grant has been delivered
-	// earlier in the same cycle.
-	Commit()
+	// earlier in the same cycle. If it reserved copies that lapse at end
+	// (Tardis), readers is their cores' bitset, and the directory sends each
+	// a lapse notice that lands on its domain at end.
+	Commit() (readers uint64, end sim.Time)
 	// Evict applies core's eviction notice, a hop after the eviction: of a
 	// Modified copy (dirty) or of a Shared one. The line may be serving a
 	// request that raced the notice, and ownership may have moved on.
 	Evict(core int, dirty bool)
+	// Lapsed answers core's lapse notice: whether its copy is invalidated
+	// now, which it is not if re-granted, evicted or promoted meanwhile, or
+	// about to be replaced by a grant in flight.
+	Lapsed(core int) bool
 
 	// View reports the committed State, Owner, Sharers and timestamps; the
 	// directory fills in the rest.

@@ -9,9 +9,11 @@
 // cycle domain:
 //
 //   - A read grant is a bounded reservation: the requester may keep its
-//     Shared copy until an absolute expiry cycle, rts is extended to cover
-//     it (rts = max(rts, grant+readLease)), and the copy self-invalidates
-//     when the reservation elapses — no message, no directory transaction.
+//     Shared copy until an absolute end cycle, rts is extended to cover it
+//     (rts = max(rts, grant+readLease)), and the copy self-invalidates at
+//     its lapse — no message, no directory transaction. A reservation is a
+//     value in the line's record; its lapse is a directory notice on the
+//     reader's domain, acted on only if the record still ends then.
 //   - A write to a line with unexpired reservations does not invalidate
 //     them: its logical commit time jumps past rts (wts = rts+1) and the
 //     stale Shared copies expire on their own. This is the fan-out MSI
@@ -19,9 +21,6 @@
 //   - A re-read of a line whose wts is unchanged since the reader's last
 //     reservation is a tag-only renewal: the manager only extends rts, at
 //     L2-tag latency, with no data transfer (counted as Renewals).
-//   - Per-core program timestamps (pts) advance to the wts of every line
-//     read or written, giving each core a logical position in the
-//     timestamp order (exposed for dumps; physical timing is unaffected).
 //
 // Ownership transfer still requires a probe to the current owner — the
 // directory's forward path — which is where the paper's lease deferral
@@ -29,11 +28,11 @@
 // waits for ProbeDone. Leases also map natively onto the timestamp model:
 // a started lease extends the owned line's rts by the lease duration
 // (bounded by MAX_LEASE_TIME upstream) and a release truncates the
-// extension back to what outstanding read reservations still need.
+// extension back to max(wts, now).
 //
 // Data always comes from the shared backing store, so operation results
 // are exact even while stale-timing Shared copies coexist with a new
-// owner; wts/rts/pts govern timing and are validated by Verify
+// owner; wts/rts govern timing and are validated by Verify
 // (timestamp-order invariants), never consulted for values.
 //
 // The MESI Exclusive-clean option does not apply and Directory.MESI is
@@ -42,6 +41,7 @@ package tardis
 
 import (
 	"fmt"
+	"slices"
 
 	"leaserelease/internal/cache"
 	"leaserelease/internal/coherence"
@@ -55,14 +55,14 @@ import (
 // commit time further past rts.
 const readLease = 2000
 
-// Config has nothing left to tune. It is New's fourth parameter because
-// benchmarks/leaseperf, a frozen path, spells tardis.Config{} there.
+// Config has nothing left to tune. It and New's core count are parameters
+// because benchmarks/leaseperf, a frozen path, passes them.
 type Config struct{}
 
 // New builds a directory run by the Tardis timestamp manager over the given
-// engine and environment for ncores cores.
-func New(eng *sim.Engine, env coherence.Env, t coherence.Timing, _ Config, ncores int) *coherence.Directory {
-	m := &manager{env: env, pts: make([]uint64, ncores)}
+// engine and environment; the core count is unread (see Config).
+func New(eng *sim.Engine, env coherence.Env, t coherence.Timing, _ Config, _ int) *coherence.Directory {
+	m := new(manager)
 	m.dir = coherence.New(eng, env, t, m, 0x7A2D15) // a jitter stream of its own, not MSI's
 	return m.dir
 }
@@ -70,16 +70,12 @@ func New(eng *sim.Engine, env coherence.Env, t coherence.Timing, _ Config, ncore
 // manager is the timestamp manager, the policy's state across lines.
 type manager struct {
 	dir *coherence.Directory
-	env coherence.Env
-
-	pts    []uint64 // per-core program timestamps
-	genSeq uint64
 }
 
 func (m *manager) Name() string { return coherence.ProtocolTardis }
 
-func (m *manager) NewLine(l mem.Line) *coherence.Line {
-	e := &line{m: m, id: l, res: make(map[int]*reservation), pCore: -1, pPrev: -1}
+func (m *manager) NewLine(mem.Line) *coherence.Line {
+	e := &line{m: m, pCore: -1, pPrev: -1}
 	e.Policy = e
 	return &e.Line
 }
@@ -92,40 +88,25 @@ func (m *manager) line(l mem.Line) *line {
 	return nil
 }
 
-// CoreTimestamp reports the core's program timestamp.
-func (m *manager) CoreTimestamp(core int) (uint64, bool) {
-	if core >= 0 && core < len(m.pts) {
-		return m.pts[core], true
-	}
-	return 0, false
-}
-
-func (m *manager) bumpPts(core int, ts uint64) {
-	if core >= 0 && core < len(m.pts) && m.pts[core] < ts {
-		m.pts[core] = ts
-	}
-}
-
 // reservation is one core's read grant on a line. The record outlives the
 // reservation itself (end in the past) so a later re-read can check
 // whether the line was written since (wts match = tag-only renewal).
 type reservation struct {
-	end uint64 // absolute cycle the Shared copy self-invalidates
-	gen uint64 // grant generation; stale self-invalidation timers no-op
-	wts uint64 // line wts at grant time (renewal check)
+	core int
+	end  uint64 // the cycle the Shared copy lapses
+	wts  uint64 // line wts at grant time (renewal check)
 }
 
 // line is the timestamp manager's per-line state.
 type line struct {
 	coherence.Line
-	m  *manager
-	id mem.Line
+	m *manager
 
 	wts   uint64 // logical write timestamp (cycle domain)
 	rts   uint64 // logical read timestamp: reads are valid through rts
 	owned bool
 	owner int
-	res   map[int]*reservation
+	res   []reservation // at most one per core, searched linearly
 
 	// Pending transition for the request in service (at most one per
 	// line), applied by Commit. pCore is -1 between transactions.
@@ -135,13 +116,28 @@ type line struct {
 	pLease uint64 // rts extension of a lease that started with the grant
 }
 
+// find returns core's reservation record, or nil.
+func (e *line) find(core int) *reservation {
+	for i := range e.res {
+		if e.res[i].core == core {
+			return &e.res[i]
+		}
+	}
+	return nil
+}
+
+// drop deletes core's reservation record, if it has one.
+func (e *line) drop(core int) {
+	e.res = slices.DeleteFunc(e.res, func(r reservation) bool { return r.core == core })
+}
+
 // canRenew reports whether core's read can be served as a tag-only
 // renewal: it held a reservation on the line and the line's wts is
 // unchanged since, so only rts needs extending — the data the core last
 // saw is still current.
 func (e *line) canRenew(core int) bool {
-	rec, ok := e.res[core]
-	return ok && rec.wts == e.wts
+	r := e.find(core)
+	return r != nil && r.wts == e.wts
 }
 
 func (e *line) Serve(req *coherence.Request) coherence.Decision {
@@ -168,28 +164,20 @@ func (e *line) Serve(req *coherence.Request) coherence.Decision {
 	return coherence.Decision{}
 }
 
-// reserve grants core a read reservation until end: the record feeds
-// renewal checks and Verify, and the timer self-invalidates the copy when
-// the reservation elapses — costing no coherence messages. The timer fires
-// on the reader's domain, where the copy is.
+// reserve grants core a read reservation until end, in place of any it
+// held: the record feeds renewal checks, Verify and the lapse notice.
 func (e *line) reserve(core int, end uint64) {
-	e.m.genSeq++
-	gen := e.m.genSeq
-	e.res[core] = &reservation{end: end, gen: gen, wts: e.wts}
-	e.m.dir.AtCore(core, end, func() {
-		rec, ok := e.res[core]
-		if !ok || rec.gen != gen {
-			return // re-granted, evicted, or promoted to owner meanwhile
-		}
-		if e.pCore == core {
-			return // ... or about to be: the grant in flight replaces the copy
-		}
-		e.m.env.Invalidate(core, e.id)
-	})
+	if r := e.find(core); r != nil {
+		*r = reservation{core, end, e.wts}
+		return
+	}
+	e.res = append(e.res, reservation{core, end, e.wts})
 }
 
-// Commit applies the pending transition.
-func (e *line) Commit() {
+// Commit applies the pending transition. A read grant reserves the copies
+// of the requester and, on a read-forward, of the downgraded owner; both
+// lapse at end.
+func (e *line) Commit() (readers uint64, end sim.Time) {
 	now := e.m.dir.Now()
 	if e.pOwned {
 		wts := now
@@ -202,32 +190,42 @@ func (e *line) Commit() {
 		}
 		e.wts, e.rts = wts, max(wts, e.pLease)
 		e.owned, e.owner = true, e.pCore
-		delete(e.res, e.pCore) // the owner needs no read reservation
-		e.m.bumpPts(e.pCore, wts)
+		e.drop(e.pCore) // the owner needs no read reservation
 	} else {
-		end := now + readLease
+		end = now + readLease
 		e.rts = max(e.rts, end)
 		e.reserve(e.pCore, end)
+		readers = 1 << uint(e.pCore)
 		if e.pPrev >= 0 && e.pPrev != e.pCore {
 			// A read-forward downgraded the owner to Shared: its copy
 			// stays readable under the same reservation bound.
 			e.reserve(e.pPrev, end)
+			readers |= 1 << uint(e.pPrev)
 		}
 		e.owned = false
-		e.m.bumpPts(e.pCore, e.wts)
 	}
 	e.pCore = -1
+	return readers, end
+}
+
+// Lapsed: core's copy lapses now if its record still ends now — not
+// re-granted (a later end: the ends of one core's grants strictly increase,
+// as a line commits at most once a cycle), evicted or promoted (no record)
+// meanwhile — and no grant to core is in flight to replace the copy.
+func (e *line) Lapsed(core int) bool {
+	r := e.find(core)
+	return r != nil && r.end == e.m.dir.Now() && e.pCore != core
 }
 
 // Evict: a writeback surrenders ownership, unless it has moved on and the
 // notice is stale; timestamps persist (they describe the logical past). A
-// Shared eviction drops the reservation record, so the self-invalidation
-// timer no-ops and a later re-read takes a full fill (the data is gone from
-// the L1 either way).
+// Shared eviction drops the reservation record, so the lapse notice finds
+// nothing to invalidate and a later re-read takes a full fill (the data is
+// gone from the L1 either way).
 func (e *line) Evict(core int, dirty bool) {
 	switch {
 	case !dirty:
-		delete(e.res, core)
+		e.drop(core)
 	case e.owned && e.owner == core:
 		e.owned = false
 	}
@@ -257,26 +255,20 @@ func (m *manager) LeaseStarted(core int, l mem.Line, duration uint64) {
 	}
 }
 
-// LeaseReleased truncates the lease's rts extension: rts shrinks back to
-// the latest cycle something still needs it — the line's wts, now, or an
-// outstanding read reservation's end — so a subsequent write commits
-// without jumping past a reservation nobody holds anymore.
+// LeaseReleased truncates the lease's rts extension back to the latest
+// cycle something still needs it, the line's wts or now, so a subsequent
+// write commits without jumping past a reservation nobody holds anymore.
+// No read reservation needs more: each ends before the wts of the commit
+// that made the line owned (Verify checks it).
 func (m *manager) LeaseReleased(core int, l mem.Line) {
 	e := m.line(l)
 	switch {
 	case e == nil:
-		return
 	case e.granted(core):
 		e.pLease = 0
-		return
-	case !e.owned || e.owner != core:
-		return
+	case e.owned && e.owner == core:
+		e.rts = min(e.rts, max(e.wts, m.dir.Now()))
 	}
-	floor := max(e.wts, m.dir.Now())
-	for _, rec := range e.res {
-		floor = max(floor, rec.end)
-	}
-	e.rts = min(e.rts, floor)
 }
 
 // View classifies a line for dumps: owned lines are "M"; an unowned line
@@ -285,9 +277,9 @@ func (m *manager) LeaseReleased(core int, l mem.Line) {
 func (e *line) View() coherence.LineView {
 	v := coherence.LineView{State: "I", WTS: e.wts, RTS: e.rts}
 	now := e.m.dir.Now()
-	for c, rec := range e.res {
-		if rec.end >= now && c >= 0 && c < 64 {
-			v.Sharers |= 1 << uint(c)
+	for _, r := range e.res {
+		if r.end >= now {
+			v.Sharers |= 1 << uint(r.core)
 		}
 	}
 	switch {
@@ -302,15 +294,25 @@ func (e *line) View() coherence.LineView {
 // Verify validates the Tardis agreement and timestamp-order invariants:
 //
 //   - wts <= rts (a write commits inside the line's read-valid window);
+//   - every reservation ends within rts and, while the line is owned,
+//     before wts (what LeaseReleased's truncation rests on);
 //   - a Modified L1 copy exists only at the recorded owner;
 //   - a Shared L1 copy is backed by an unexpired read reservation (stale
 //     copies are legal in Tardis only until their reservation elapses —
-//     the self-invalidation timer enforces that bound);
-//   - every reservation's expiry lies within rts.
-func (e *line) Verify(_ mem.Line, ncores int, l1 func(core int) cache.State) error {
-	l, now := uint64(e.id), e.m.dir.Now()
+//     the lapse notice enforces that bound).
+func (e *line) Verify(id mem.Line, ncores int, l1 func(core int) cache.State) error {
+	l, now := uint64(id), e.m.dir.Now()
 	if e.wts > e.rts {
 		return fmt.Errorf("line %#x: wts %d exceeds rts %d", l, e.wts, e.rts)
+	}
+	for _, r := range e.res {
+		if r.end > e.rts {
+			return fmt.Errorf("line %#x: core %d reservation end %d exceeds rts %d", l, r.core, r.end, e.rts)
+		}
+		if e.owned && r.end >= e.wts {
+			return fmt.Errorf("line %#x: core %d reservation end %d is not before wts %d of the line owned by %d",
+				l, r.core, r.end, e.wts, e.owner)
+		}
 	}
 	for c := 0; c < ncores; c++ {
 		switch l1(c) {
@@ -323,17 +325,13 @@ func (e *line) Verify(_ mem.Line, ncores int, l1 func(core int) cache.State) err
 				return fmt.Errorf("line %#x: core %d holds M but timestamp manager records %s", l, c, rec)
 			}
 		case cache.Shared:
-			rec, held := e.res[c]
-			if !held {
+			r := e.find(c)
+			if r == nil {
 				return fmt.Errorf("line %#x: core %d holds S with no read reservation", l, c)
 			}
-			if rec.end < now {
+			if r.end < now {
 				return fmt.Errorf("line %#x: core %d Shared copy outlived its reservation (end %d, now %d)",
-					l, c, rec.end, now)
-			}
-			if rec.end > e.rts {
-				return fmt.Errorf("line %#x: core %d reservation end %d exceeds rts %d",
-					l, c, rec.end, e.rts)
+					l, c, r.end, now)
 			}
 		}
 	}

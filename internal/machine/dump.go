@@ -37,7 +37,6 @@ type CoreDump struct {
 	BlockReason string      `json:"block_reason,omitempty"`
 	BlockSince  uint64      `json:"block_since,omitempty"`
 	Preempted   uint64      `json:"preempted_cycles,omitempty"`
-	PTS         uint64      `json:"pts,omitempty"` // program timestamp (timestamp protocols only)
 	Leases      []LeaseDump `json:"leases,omitempty"`
 }
 
@@ -109,9 +108,6 @@ func (m *Machine) DumpState() *StateDump {
 			cd.Blocked, cd.BlockReason, cd.BlockSince, cd.Done = blocked, reason, since, done
 			cd.Preempted = cs.proc.PreemptedCycles()
 		}
-		if pts, ok := m.proto.CoreTimestamp(cs.id); ok {
-			cd.PTS = pts
-		}
 		cs.leases.ForEach(func(e *core.Entry) {
 			grant, _ := e.GrantCycle()
 			cd.Leases = append(cd.Leases, LeaseDump{
@@ -149,9 +145,6 @@ func (d *StateDump) String() string {
 		}
 		if c.Preempted > 0 {
 			status += fmt.Sprintf(" (preempted %d cycles total)", c.Preempted)
-		}
-		if c.PTS > 0 {
-			status += fmt.Sprintf(" pts=%d", c.PTS)
 		}
 		fmt.Fprintf(&b, "  core %2d: %s\n", c.ID, status)
 		for _, l := range c.Leases {

@@ -100,10 +100,10 @@ func runDiffCell(t *testing.T, build func(*machine.Direct) bench.OpFunc,
 // Every MSI cell must have skipped some Syncs, and every cell must have
 // issued some misses from events; an MSI hashmap cell, where more than a
 // third of the accesses miss, must switch procs less often with both than
-// forced. A Tardis reader has its reservation's timer queued on its domain
-// for 2000 cycles after every read grant, and a queued foreign event rules
-// run-ahead out, so a Tardis cell may skip none; some cell of each fault
-// profile must.
+// forced. A Tardis reader has its reservation's lapse notice queued on its
+// domain for 2000 cycles after every read grant, and a queued foreign event
+// rules run-ahead out, so a Tardis cell may skip none; some cell of each
+// fault profile must.
 func TestRunAheadDifferential(t *testing.T) {
 	const threads = 12
 	workloads := []struct {

@@ -201,7 +201,7 @@ func TestRunAheadNeedsCertificate(t *testing.T) {
 		m := New(cfg)
 		x := m.Direct().Alloc(8)
 		m.Spawn(0, func(c *Ctx) {
-			c.Store(x, 1) // an owner's copy: no reservation timer is queued for it
+			c.Store(x, 1) // an owner's copy: no lapse notice is queued for it
 			for i := 0; i < 100; i++ {
 				c.Work(2)
 				c.Load(x)

@@ -179,9 +179,6 @@ func TestTardisLeaseMapsToRTS(t *testing.T) {
 	if rtsAfterRelease >= rtsUnderLease {
 		t.Fatalf("release did not truncate rts: %d -> %d", rtsUnderLease, rtsAfterRelease)
 	}
-	if _, ok := m.Protocol().CoreTimestamp(0); !ok {
-		t.Fatal("Tardis must report a core program timestamp")
-	}
 }
 
 // TestTardisInvoluntaryExpiry: MAX_LEASE_TIME still bounds a never-released
