@@ -138,3 +138,24 @@ func TestLedgerDoesNotPerturbSimulation(t *testing.T) {
 		t.Error("plain run produced lease accounting")
 	}
 }
+
+// A ledger line the hot-line profiler never saw joins with zero counters,
+// and the join makes no hot-line entry: leasesim's "top N of M" keeps M.
+func TestLedgerRowsLeaveHotLinesAlone(t *testing.T) {
+	rec := telemetry.NewRecorder()
+	seen := rec.Lines.Get(0x10)
+	seen.Msgs, seen.Invals = 7, 2
+	rows := LedgerRows([]telemetry.LedgerLineSummary{
+		{Addr: 0x10, Line: "0x10", Leases: 1},
+		{Addr: 0x20, Line: "0x20", Leases: 3},
+	}, rec)
+	if len(rows) != 2 || rows[0].HotScore != 9 || rows[0].Msgs != 7 || rows[0].Invals != 2 {
+		t.Fatalf("seen line joined as %+v", rows)
+	}
+	if r := rows[1]; r.HotScore != 0 || r.Msgs != 0 || r.Invals != 0 || r.Leases != 3 {
+		t.Errorf("unseen line joined as %+v, want zero counters", r)
+	}
+	if n := rec.Lines.Len(); n != 1 {
+		t.Errorf("hot lines = %d after the join, want 1", n)
+	}
+}

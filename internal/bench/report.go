@@ -201,9 +201,10 @@ func LedgerRows(lines []telemetry.LedgerLineSummary, rec *telemetry.Recorder) []
 	rows := make([]LedgerRow, 0, len(lines))
 	for _, ls := range lines {
 		row := LedgerRow{LedgerLineSummary: ls}
-		if rec != nil && rec.Lines.Len() > 0 {
-			s := rec.Lines.Get(ls.Addr)
-			row.HotScore, row.Msgs, row.Invals = s.Score(), s.Msgs, s.Invals
+		if rec != nil {
+			if s := rec.Lines.Find(ls.Addr); s != nil {
+				row.HotScore, row.Msgs, row.Invals = s.Score(), s.Msgs, s.Invals
+			}
 		}
 		rows = append(rows, row)
 	}

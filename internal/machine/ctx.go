@@ -1,7 +1,7 @@
 package machine
 
 import (
-	"sort"
+	"slices"
 
 	"leaserelease/internal/core"
 	"leaserelease/internal/mem"
@@ -294,7 +294,7 @@ func (c *Ctx) releaseAllNow() {
 func (c *Ctx) MultiLease(dur uint64, addrs ...mem.Addr) bool {
 	c.p.Sync()
 	c.releaseAllNow()
-	lines := sortedUniqueLines(addrs)
+	lines := c.cs.sortedLines(addrs)
 	if len(lines) > c.m.cfg.Lease.MaxNumLeases {
 		// "A MultiLease request that causes the MAX_NUM_LEASES bound to
 		// be exceeded is ignored."
@@ -322,7 +322,7 @@ func (c *Ctx) MultiLease(dur uint64, addrs ...mem.Addr) bool {
 // (§4): leases are taken in sorted order and the j-th outer (earlier) lease
 // runs longer by j·SoftLeaseStagger, approximating a joint hold.
 func (c *Ctx) SoftMultiLease(dur uint64, addrs ...mem.Addr) {
-	lines := sortedUniqueLines(addrs)
+	lines := c.cs.sortedLines(addrs)
 	n := len(lines)
 	for j, l := range lines {
 		// Per-line software bookkeeping (sorting, group-id management):
@@ -333,21 +333,16 @@ func (c *Ctx) SoftMultiLease(dur uint64, addrs ...mem.Addr) {
 	}
 }
 
-func sortedUniqueLines(addrs []mem.Addr) []mem.Line {
-	lines := make([]mem.Line, 0, len(addrs))
+// sortedLines returns the distinct lines of addrs in ascending order, in
+// the core's reusable buffer: valid until the core's next group lease.
+func (cs *coreState) sortedLines(addrs []mem.Addr) []mem.Line {
+	lines := cs.lines[:0]
 	for _, a := range addrs {
 		lines = append(lines, mem.LineOf(a))
 	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	out := lines[:0]
-	var prev mem.Line
-	for i, l := range lines {
-		if i == 0 || l != prev {
-			out = append(out, l)
-			prev = l
-		}
-	}
-	return out
+	slices.Sort(lines)
+	cs.lines = slices.Compact(lines)
+	return cs.lines
 }
 
 // Fence advances global simulated time to the thread's local clock. Memory

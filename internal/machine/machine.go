@@ -93,6 +93,9 @@ type coreState struct {
 
 	// expiries is the free list of pooled lease-expiry records (startLease).
 	expiries *expiry
+
+	// lines is the reusable buffer a MultiLease sorts its group into.
+	lines []mem.Line
 }
 
 // New builds a machine from cfg.
@@ -290,7 +293,7 @@ func (m *Machine) mintTxn(cs *coreState, req *coherence.Request) {
 		return
 	}
 	cs.txnSeq++
-	req.Txn = uint64(cs.id)<<48 | cs.txnSeq
+	req.Txn = telemetry.TxnID(cs.id, cs.txnSeq)
 	var flags uint64
 	if req.Excl {
 		flags |= telemetry.TxnFlagExcl

@@ -108,3 +108,33 @@ func TestLeaseCycleZeroAlloc(t *testing.T) {
 		t.Errorf("a lease on an owned line allocates %.1f objects, want 0", allocs)
 	}
 }
+
+// TestMultiLeaseZeroAlloc asserts that a MultiLease of two lines the thread
+// owns — MultiLease, two Stores, ReleaseAll — allocates nothing: the group
+// is sorted in the core's reusable buffer, and the expiry timers are pooled.
+func TestMultiLeaseZeroAlloc(t *testing.T) {
+	m := New(testConfig(1))
+	a, b := m.Direct().Alloc(8), m.Direct().Alloc(8)
+	m.Spawn(0, func(c *Ctx) {
+		for i := uint64(0); ; i++ {
+			c.MultiLease(1000, b, a) // out of order: the group is sorted
+			c.Store(a, i)
+			c.Store(b, i)
+			c.ReleaseAll()
+		}
+	})
+	if err := m.Run(20_000); err != nil { // the first group misses; timers fill the heap
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		for n := m.stats.MultiLeases; m.stats.MultiLeases == n; {
+			if err := m.Run(m.Now() + 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	m.Stop()
+	if allocs != 0 {
+		t.Errorf("a MultiLease of two owned lines allocates %.1f objects, want 0", allocs)
+	}
+}

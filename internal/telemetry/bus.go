@@ -36,9 +36,11 @@ const (
 	CatDirQueue
 	// CatTxn carries coherence-transaction span events (Event.Kind is one
 	// of the Txn* kinds below; Event.Val is the transaction ID minted at
-	// the requesting core, Event.Aux a kind-specific payload). The span
-	// assembler (Spans) reconstructs per-transaction phase breakdowns
-	// from this stream.
+	// the requesting core, always TxnID(core, seq), and Event.Aux a
+	// kind-specific payload). A core has at most one open transaction
+	// (Proposition 1): it mints its next ID only after its last one's
+	// TxnComplete. The span assembler (Spans) reconstructs per-transaction
+	// phase breakdowns from this stream.
 	CatTxn
 	// NumCategories is the number of event categories.
 	NumCategories
@@ -153,6 +155,17 @@ const (
 	// renew/extension cycles instead of invalidation fan-out.
 	TxnRenew
 )
+
+// txnCoreShift places the requesting core above a transaction's sequence
+// number.
+const txnCoreShift = 48
+
+// TxnID is the ID of core's seq-th transaction, carried in every CatTxn
+// event's Val: core<<48 | seq.
+func TxnID(core int, seq uint64) uint64 { return uint64(core)<<txnCoreShift | seq }
+
+// txnCore is the core that minted transaction id.
+func txnCore(id uint64) uint64 { return id >> txnCoreShift }
 
 // TxnFlag* describe a transaction in TxnBegin's Aux payload.
 const (

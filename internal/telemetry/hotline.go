@@ -30,33 +30,35 @@ func (s *LineStats) Score() uint64 {
 
 // HotLines aggregates LineStats per line and ranks the top K — turning
 // "this workload is contended" into "these 3 lines are contended". The
-// zero value is ready for use.
+// counters are values in a paged line index, so an event costs no hashing
+// and, once its line's chunk exists, no allocation. The zero value is ready
+// for use.
 type HotLines struct {
-	lines map[mem.Line]*LineStats
+	lines lineTable[LineStats]
 }
 
 // Get returns the (lazily created) counters for line l.
 func (h *HotLines) Get(l mem.Line) *LineStats {
-	if h.lines == nil {
-		h.lines = make(map[mem.Line]*LineStats)
-	}
-	s, ok := h.lines[l]
-	if !ok {
-		s = &LineStats{Line: l}
-		h.lines[l] = s
+	s, made := h.lines.get(l)
+	if made {
+		s.Line = l
 	}
 	return s
 }
 
+// Find returns the counters for line l, or nil if l was never observed.
+// Unlike Get it creates nothing, so a lookup leaves Len unchanged.
+func (h *HotLines) Find(l mem.Line) *LineStats { return h.lines.find(l) }
+
 // Len returns the number of distinct lines observed.
-func (h *HotLines) Len() int { return len(h.lines) }
+func (h *HotLines) Len() int { return h.lines.n }
 
 // Top returns the k highest-Score lines, ties broken by more deferred
 // probes, then more invalidations, then lower line address — a total
 // order, so the ranking is deterministic for a given event stream.
 func (h *HotLines) Top(k int) []LineStats {
-	all := make([]LineStats, 0, len(h.lines))
-	for _, s := range h.lines {
+	all := make([]LineStats, 0, h.lines.n)
+	for s := range h.lines.all() {
 		all = append(all, *s)
 	}
 	sort.Slice(all, func(i, j int) bool {

@@ -33,14 +33,14 @@ type Ledger struct {
 	// Spans.WindowStart).
 	WindowStart uint64
 
-	lines map[mem.Line]*LineLedger
+	lines lineTable[LineLedger]
 	open  [][]openLease // per-core open (started) leases, insertion order
 	// closed holds, per core, the lines of counted leases closed since the
 	// last operation boundary: a lease acquired and released inside one
 	// operation (the common leased data structure pattern) still absorbed
 	// that operation, even though it is gone by the time OpEnd fires.
 	closed [][]mem.Line
-	txns   map[uint64]ledgerTxn
+	txns   []ledgerTxn // per core: its one in-flight transaction (txnSlot)
 }
 
 // openLease is one started lease whose end event has not arrived yet.
@@ -56,6 +56,7 @@ type openLease struct {
 // the same fold point and window filter the span assembler uses, which is
 // what makes the two accountings reconcile exactly.
 type ledgerTxn struct {
+	txnSlot
 	line             mem.Line
 	begin            uint64
 	probe, probeDone uint64
@@ -116,25 +117,19 @@ func (l *LineLedger) WastedCycles() uint64 {
 }
 
 // NewLedger returns an empty ledger.
-func NewLedger() *Ledger {
-	return &Ledger{
-		lines: make(map[mem.Line]*LineLedger),
-		txns:  make(map[uint64]ledgerTxn),
-	}
-}
+func NewLedger() *Ledger { return &Ledger{} }
 
 // Line returns the (lazily created) accounting for line l.
 func (ld *Ledger) Line(l mem.Line) *LineLedger {
-	s, ok := ld.lines[l]
-	if !ok {
-		s = &LineLedger{Line: l}
-		ld.lines[l] = s
+	s, made := ld.lines.get(l)
+	if made {
+		s.Line = l
 	}
 	return s
 }
 
 // Len returns the number of distinct lines with ledger entries.
-func (ld *Ledger) Len() int { return len(ld.lines) }
+func (ld *Ledger) Len() int { return ld.lines.n }
 
 // OpenLeases returns the number of started leases whose end event has not
 // arrived (at end of run: leases open when the simulation stopped).
@@ -227,26 +222,26 @@ func (ld *Ledger) OnTxn(e Event) {
 	}
 	id := e.Val
 	if e.Kind == TxnBegin {
-		ld.txns[id] = ledgerTxn{line: e.Line, begin: e.Time}
+		*txnSlotFor(&ld.txns, id) = ledgerTxn{
+			txnSlot: txnSlot{id: id, open: true}, line: e.Line, begin: e.Time,
+		}
 		return
 	}
-	t, ok := ld.txns[id]
-	if !ok {
+	c := txnCore(id)
+	if c >= uint64(len(ld.txns)) || !ld.txns[c].holds(id) {
 		return
 	}
+	t := &ld.txns[c]
 	switch e.Kind {
 	case TxnProbe:
 		t.forwarded = true
 		t.probe = e.Time
-		ld.txns[id] = t
 	case TxnDefer:
 		t.deferred = true
-		ld.txns[id] = t
 	case TxnProbeDone:
 		t.probeDone = e.Time
-		ld.txns[id] = t
 	case TxnComplete:
-		delete(ld.txns, id)
+		t.open = false
 		if t.forwarded && t.begin >= ld.WindowStart {
 			s := ld.Line(t.line)
 			s.DeferInflictedCycles += t.probeDone - t.probe
@@ -303,7 +298,7 @@ type LedgerTotals struct {
 // Totals aggregates every line's accounting.
 func (ld *Ledger) Totals() LedgerTotals {
 	var t LedgerTotals
-	for _, s := range ld.lines {
+	for s := range ld.lines.all() {
 		t.Leases += s.Leases
 		t.Expired += s.Expired
 		t.GrantedCycles += s.GrantedCycles
@@ -324,22 +319,21 @@ func (ld *Ledger) Totals() LedgerTotals {
 	return t
 }
 
-// Lines returns every line's accounting, sorted by line address — the
-// full table behind the top-N rankings (conservation tests iterate it).
+// Lines returns every line's accounting in line address order — the full
+// table behind the top-N rankings (conservation tests iterate it).
 func (ld *Ledger) Lines() []LineLedger {
-	all := make([]LineLedger, 0, len(ld.lines))
-	for _, s := range ld.lines {
+	all := make([]LineLedger, 0, ld.lines.n)
+	for s := range ld.lines.all() {
 		all = append(all, *s)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Line < all[j].Line })
 	return all
 }
 
 // top returns the k highest lines under key, ties broken by lower line
 // address — a total order, so rankings are deterministic.
 func (ld *Ledger) top(k int, key func(*LineLedger) uint64) []LineLedger {
-	all := make([]LineLedger, 0, len(ld.lines))
-	for _, s := range ld.lines {
+	all := make([]LineLedger, 0, ld.lines.n)
+	for s := range ld.lines.all() {
 		if key(s) > 0 {
 			all = append(all, *s)
 		}

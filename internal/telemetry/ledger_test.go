@@ -123,33 +123,38 @@ func TestLedgerDeferFold(t *testing.T) {
 	ld.WindowStart = 100
 
 	// Forwarded + deferred, in window: charged.
-	ld.OnTxn(txnEv(120, 0, TxnBegin, 5, 1, 0))
-	ld.OnTxn(txnEv(140, 3, TxnProbe, 5, 1, 0))
-	ld.OnTxn(txnEv(140, 3, TxnDefer, 5, 1, 0))
-	ld.OnTxn(txnEv(190, 3, TxnProbeDone, 5, 1, 0))
-	ld.OnTxn(txnEv(200, 0, TxnComplete, 5, 1, 0))
+	id := TxnID(0, 1)
+	ld.OnTxn(txnEv(120, 0, TxnBegin, 5, id, 0))
+	ld.OnTxn(txnEv(140, 3, TxnProbe, 5, id, 0))
+	ld.OnTxn(txnEv(140, 3, TxnDefer, 5, id, 0))
+	ld.OnTxn(txnEv(190, 3, TxnProbeDone, 5, id, 0))
+	ld.OnTxn(txnEv(200, 0, TxnComplete, 5, id, 0))
 
 	// Forwarded but served immediately (no TxnDefer): probe round-trip
 	// cycles still fold, but it is not a deferred transaction.
-	ld.OnTxn(txnEv(210, 1, TxnBegin, 5, 2, 0))
-	ld.OnTxn(txnEv(220, 3, TxnProbe, 5, 2, 0))
-	ld.OnTxn(txnEv(225, 3, TxnProbeDone, 5, 2, 0))
-	ld.OnTxn(txnEv(230, 1, TxnComplete, 5, 2, 0))
+	id = TxnID(1, 1)
+	ld.OnTxn(txnEv(210, 1, TxnBegin, 5, id, 0))
+	ld.OnTxn(txnEv(220, 3, TxnProbe, 5, id, 0))
+	ld.OnTxn(txnEv(225, 3, TxnProbeDone, 5, id, 0))
+	ld.OnTxn(txnEv(230, 1, TxnComplete, 5, id, 0))
 
 	// Began before the window: excluded even though it completes inside.
-	ld.OnTxn(txnEv(90, 2, TxnBegin, 5, 3, 0))
-	ld.OnTxn(txnEv(140, 3, TxnProbe, 5, 3, 0))
-	ld.OnTxn(txnEv(150, 3, TxnProbeDone, 5, 3, 0))
-	ld.OnTxn(txnEv(160, 2, TxnComplete, 5, 3, 0))
+	id = TxnID(2, 1)
+	ld.OnTxn(txnEv(90, 2, TxnBegin, 5, id, 0))
+	ld.OnTxn(txnEv(140, 3, TxnProbe, 5, id, 0))
+	ld.OnTxn(txnEv(150, 3, TxnProbeDone, 5, id, 0))
+	ld.OnTxn(txnEv(160, 2, TxnComplete, 5, id, 0))
 
 	// Never completes: nothing charged.
-	ld.OnTxn(txnEv(300, 0, TxnBegin, 5, 4, 0))
-	ld.OnTxn(txnEv(310, 3, TxnProbe, 5, 4, 0))
-	ld.OnTxn(txnEv(350, 3, TxnDefer, 5, 4, 0))
+	id = TxnID(0, 2)
+	ld.OnTxn(txnEv(300, 0, TxnBegin, 5, id, 0))
+	ld.OnTxn(txnEv(310, 3, TxnProbe, 5, id, 0))
+	ld.OnTxn(txnEv(350, 3, TxnDefer, 5, id, 0))
 
 	// Fill path (never forwarded): nothing charged.
-	ld.OnTxn(txnEv(400, 1, TxnBegin, 5, 5, 0))
-	ld.OnTxn(txnEv(440, 1, TxnComplete, 5, 5, 0))
+	id = TxnID(1, 2)
+	ld.OnTxn(txnEv(400, 1, TxnBegin, 5, id, 0))
+	ld.OnTxn(txnEv(440, 1, TxnComplete, 5, id, 0))
 
 	s := ld.Line(5)
 	if s.DeferInflictedCycles != 55 { // 50 + 5

@@ -90,6 +90,7 @@ func (s *Span) Total() uint64 { return s.End - s.Begin }
 
 // openSpan is a transaction mid-assembly.
 type openSpan struct {
+	txnSlot
 	span       Span
 	arrive     uint64
 	service    uint64
@@ -128,8 +129,8 @@ type TxnStats struct {
 
 // Spans assembles CatTxn bus events into per-transaction spans and folds
 // them into critical-path cycle accounting. Subscribe OnEvent to CatTxn
-// (Recorder.EnableSpans does this); the zero value is not ready — use
-// NewSpans.
+// (Recorder.EnableSpans does this). Each in-flight transaction lives in its
+// core's slot (txnSlot), so assembly allocates nothing per transaction.
 type Spans struct {
 	// WindowStart excludes transactions beginning before it (the harness
 	// sets it to the warm-up boundary so accounting matches the measured
@@ -143,10 +144,13 @@ type Spans struct {
 
 	// OnComplete, when non-nil, observes every completed span in
 	// completion order (the Timeline uses it to draw transaction slices).
+	// The *Span lives in its core's slot and is valid only during the call;
+	// copy it to keep it.
 	OnComplete func(*Span)
 
 	stats   TxnStats
-	open    map[uint64]*openSpan
+	open    []openSpan  // per core: its one in-flight transaction
+	nopen   int         // slots holding an open transaction
 	pending []pendingOp // per-core span cycles since the last op boundary
 }
 
@@ -160,38 +164,40 @@ type pendingOp struct {
 }
 
 // NewSpans returns an empty span assembler.
-func NewSpans() *Spans {
-	return &Spans{open: make(map[uint64]*openSpan)}
-}
+func NewSpans() *Spans { return &Spans{} }
 
 // Stats returns a snapshot of the aggregated cycle accounting.
 func (sp *Spans) Stats() TxnStats { return sp.stats }
 
 // Open returns the number of transactions still in flight.
-func (sp *Spans) Open() int { return len(sp.open) }
+func (sp *Spans) Open() int { return sp.nopen }
 
 // OnEvent consumes one CatTxn event. Events for one transaction arrive in
 // simulated-time order; events of unknown transactions (begun before the
-// assembler attached) are ignored.
+// assembler attached, or completed already) are ignored.
 func (sp *Spans) OnEvent(e Event) {
 	if e.Cat != CatTxn {
 		return
 	}
 	id := e.Val
 	if e.Kind == TxnBegin {
-		o := &openSpan{span: Span{
+		o := txnSlotFor(&sp.open, id)
+		if !o.open {
+			sp.nopen++
+		}
+		*o = openSpan{txnSlot: txnSlot{id: id, open: true}, span: Span{
 			ID: id, Core: e.Core, Owner: -1, Line: e.Line, Begin: e.Time,
 			Excl:    e.Aux&TxnFlagExcl != 0,
 			Lease:   e.Aux&TxnFlagLease != 0,
 			Upgrade: e.Aux&TxnFlagUpgrade != 0,
 		}}
-		sp.open[id] = o
 		return
 	}
-	o, ok := sp.open[id]
-	if !ok {
+	c := txnCore(id)
+	if c >= uint64(len(sp.open)) || !sp.open[c].holds(id) {
 		return
 	}
+	o := &sp.open[c]
 	switch e.Kind {
 	case TxnArrive:
 		o.arrive = e.Time
@@ -217,7 +223,8 @@ func (sp *Spans) OnEvent(e Event) {
 	case TxnProbeDone:
 		o.probeDone = e.Time
 	case TxnComplete:
-		delete(sp.open, id)
+		o.open = false
+		sp.nopen--
 		o.span.End = e.Time
 		sp.finalize(o)
 	}

@@ -17,7 +17,7 @@ func txnEv(time uint64, core int, kind uint8, line mem.Line, id, aux uint64) Eve
 func TestSpanFillPathPhases(t *testing.T) {
 	sp := NewSpans()
 	sp.Keep = true
-	const id = uint64(1)<<48 | 1
+	id := TxnID(1, 1)
 	sp.OnEvent(txnEv(100, 1, TxnBegin, 7, id, TxnFlagExcl))
 	sp.OnEvent(txnEv(110, -1, TxnArrive, 7, id, 3))
 	sp.OnEvent(txnEv(130, -1, TxnService, 7, id, 12))
@@ -47,7 +47,7 @@ func TestSpanFillPathPhases(t *testing.T) {
 func TestSpanInvalPathPhases(t *testing.T) {
 	sp := NewSpans()
 	sp.Keep = true
-	const id = uint64(2)<<48 | 9
+	id := TxnID(2, 9)
 	sp.OnEvent(txnEv(100, 2, TxnBegin, 7, id, TxnFlagExcl|TxnFlagUpgrade))
 	sp.OnEvent(txnEv(110, -1, TxnArrive, 7, id, 1))
 	sp.OnEvent(txnEv(130, -1, TxnService, 7, id, 12))
@@ -72,7 +72,7 @@ func TestSpanInvalPathPhases(t *testing.T) {
 func TestSpanForwardDeferPhases(t *testing.T) {
 	sp := NewSpans()
 	sp.Keep = true
-	const id = uint64(3)<<48 | 4
+	id := TxnID(0, 4)
 	sp.OnEvent(txnEv(100, 0, TxnBegin, 9, id, 0))
 	sp.OnEvent(txnEv(108, -1, TxnArrive, 9, id, 1))
 	sp.OnEvent(txnEv(120, -1, TxnService, 9, id, 0))
@@ -107,11 +107,11 @@ func TestSpanWindowFilterAndUnknownIDs(t *testing.T) {
 	sp.WindowStart = 500
 
 	// Unknown transaction: no Begin was observed.
-	sp.OnEvent(txnEv(510, -1, TxnArrive, 1, 42, 0))
-	sp.OnEvent(txnEv(530, 0, TxnComplete, 1, 42, 0))
+	sp.OnEvent(txnEv(510, -1, TxnArrive, 1, TxnID(0, 42), 0))
+	sp.OnEvent(txnEv(530, 0, TxnComplete, 1, TxnID(0, 42), 0))
 
 	// Pre-window transaction.
-	const id = uint64(1)<<48 | 7
+	id := TxnID(0, 7)
 	sp.OnEvent(txnEv(400, 0, TxnBegin, 1, id, 0))
 	sp.OnEvent(txnEv(410, -1, TxnArrive, 1, id, 0))
 	sp.OnEvent(txnEv(420, -1, TxnService, 1, id, 4))
@@ -133,7 +133,7 @@ func TestSpanWindowFilterAndUnknownIDs(t *testing.T) {
 func TestSpanServiceLatencyClamped(t *testing.T) {
 	sp := NewSpans()
 	sp.Keep = true
-	const id = uint64(4)<<48 | 2
+	id := TxnID(0, 2)
 	sp.OnEvent(txnEv(100, 0, TxnBegin, 3, id, 0))
 	sp.OnEvent(txnEv(105, -1, TxnArrive, 3, id, 0))
 	sp.OnEvent(txnEv(110, -1, TxnService, 3, id, 10_000))
@@ -165,8 +165,8 @@ func TestSpanOpAccounting(t *testing.T) {
 		sp.OnEvent(txnEv(t0+20, -1, TxnService, 1, id, 8))
 		sp.OnEvent(txnEv(t0+40, 0, TxnComplete, 1, id, 0))
 	}
-	emit(uint64(1)<<48|1, 100) // 40 txn cycles
-	emit(uint64(1)<<48|2, 150) // 40 txn cycles
+	emit(TxnID(0, 1), 100)     // 40 txn cycles
+	emit(TxnID(0, 2), 150)     // 40 txn cycles
 	sp.OpEnd(0, 90, 200, true) // 110-cycle op, 80 inside txns
 
 	st := sp.Stats()
@@ -182,7 +182,7 @@ func TestSpanOpAccounting(t *testing.T) {
 	}
 
 	// Unmeasured boundary: resets pending without touching the stats.
-	emit(uint64(1)<<48|3, 300)
+	emit(TxnID(0, 3), 300)
 	sp.OpEnd(0, 290, 350, false)
 	sp.OpEnd(0, 350, 360, true) // no pending spans left
 	st = sp.Stats()
@@ -219,5 +219,73 @@ func TestTxnDisabledZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("disabled CatTxn emit allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// Each core's in-flight transaction lives in its own slot: two cores'
+// transactions overlap in time and both assemble, and an event carrying an
+// ID its core's slot no longer holds — the transaction completed, and
+// perhaps the core began its next — is ignored by the span assembler and
+// the ledger alike.
+func TestTxnSlotsOverlapAndIgnoreStaleIDs(t *testing.T) {
+	sp := NewSpans()
+	sp.Keep = true
+	ld := NewLedger()
+	feed := func(e Event) {
+		sp.OnEvent(e)
+		ld.OnTxn(e)
+	}
+	a, b := TxnID(1, 1), TxnID(2, 1)
+	feed(txnEv(100, 1, TxnBegin, 7, a, TxnFlagExcl))
+	feed(txnEv(105, 2, TxnBegin, 9, b, 0))
+	feed(txnEv(110, -1, TxnArrive, 7, a, 1))
+	feed(txnEv(112, -1, TxnArrive, 9, b, 1))
+	feed(txnEv(120, -1, TxnService, 7, a, 0))
+	feed(txnEv(125, -1, TxnService, 9, b, 8))
+	feed(txnEv(135, 3, TxnProbe, 7, a, 0))
+	feed(txnEv(135, 3, TxnDefer, 7, a, 0))
+	if sp.Open() != 2 {
+		t.Fatalf("open = %d mid-overlap, want 2", sp.Open())
+	}
+	feed(txnEv(160, 2, TxnComplete, 9, b, 0))
+	feed(txnEv(180, 3, TxnProbeDone, 7, a, 0))
+	feed(txnEv(195, 1, TxnComplete, 7, a, 0))
+
+	// Stale: a completed ID, before and after its core begins its next.
+	feed(txnEv(200, 3, TxnProbe, 9, b, 0))
+	feed(txnEv(201, 2, TxnComplete, 9, b, 0))
+	next := TxnID(1, 2)
+	feed(txnEv(210, 1, TxnBegin, 7, next, 0))
+	feed(txnEv(215, 3, TxnProbe, 7, a, 0))
+	feed(txnEv(216, 3, TxnProbeDone, 7, a, 0))
+	feed(txnEv(220, 1, TxnComplete, 7, a, 0))
+
+	if len(sp.Completed) != 2 || sp.Open() != 1 {
+		t.Fatalf("completed %d, open %d; want 2 and 1 (the next transaction)", len(sp.Completed), sp.Open())
+	}
+	bs, as := sp.Completed[0], sp.Completed[1]
+	if bs.ID != b || bs.Total() != 55 || bs.Owner != -1 || bs.Phases[PhaseDirService] != 8 {
+		t.Errorf("core 2's span = %+v", bs)
+	}
+	want := [NumPhases]uint64{PhaseReqNet: 10, PhaseQueue: 10, PhaseDirService: 15, PhaseDefer: 45, PhaseTransfer: 15}
+	if as.ID != a || as.Owner != 3 || !as.Deferred || as.Phases != want {
+		t.Errorf("core 1's span = %+v, want phases %v", as, want)
+	}
+	if st := sp.Stats(); st.Spans != 2 || st.Deferred != 1 || st.SpanCycles != 150 {
+		t.Errorf("stats = %+v, want 2 spans, 1 deferred, 150 cycles", st)
+	}
+
+	// The next transaction still assembles from its own events only.
+	feed(txnEv(230, -1, TxnArrive, 7, next, 0))
+	feed(txnEv(240, -1, TxnService, 7, next, 4))
+	feed(txnEv(250, 1, TxnComplete, 7, next, 0))
+	if n := len(sp.Completed); n != 3 || sp.Completed[2].Owner != -1 || sp.Completed[2].Total() != 40 {
+		t.Errorf("next span = %+v", sp.Completed[n-1])
+	}
+	if s := ld.Line(7); s.DeferInflictedCycles != 45 || s.DeferredTxns != 1 {
+		t.Errorf("ledger line 7 = %+v, want 45 deferral cycles over 1 txn", *s)
+	}
+	if s := ld.Line(9); s.DeferInflictedCycles != 0 || s.DeferredTxns != 0 {
+		t.Errorf("ledger line 9 = %+v, want nothing charged", *s)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -258,5 +259,169 @@ func TestRecorderFoldsEvents(t *testing.T) {
 	}
 	if len(r.Timeline.events) != 2 { // probe-deferred instant + closed slice
 		t.Fatalf("timeline events = %d, want 2", len(r.Timeline.events))
+	}
+}
+
+// Line 0 is an ordinary key: the benchmark's recorder probe emits for it.
+// It is counted once and ranks like any other line; Find makes no entry.
+func TestHotLinesLineZero(t *testing.T) {
+	var h HotLines
+	if h.Find(0) != nil {
+		t.Fatal("Find reports line 0 before any event")
+	}
+	h.Get(0).Msgs += 5
+	h.Get(0).Msgs += 5
+	h.Get(3).Msgs++
+	if h.Len() != 2 {
+		t.Fatalf("len = %d, want 2 (line 0 counted once)", h.Len())
+	}
+	top := h.Top(5)
+	if len(top) != 2 || top[0].Line != 0 || top[0].Msgs != 10 || top[1].Line != 3 {
+		t.Fatalf("top = %+v, want line 0 (10 msgs) then line 3", top)
+	}
+	if s := h.Find(0); s == nil || s.Msgs != 10 {
+		t.Fatalf("Find(0) = %+v, want line 0's counters", s)
+	}
+	if h.Find(4) != nil || h.Len() != 2 {
+		t.Fatalf("Find of an unseen line made an entry: len %d", h.Len())
+	}
+}
+
+// The rankings keep the order the map-plus-sort version gave, ties
+// included, over lines in the setup region and in two core arenas (three
+// regions of the paged index), whatever order the lines were first seen in.
+func TestRankingsKeepTheirOrderAcrossRegions(t *testing.T) {
+	var lines []mem.Line
+	for _, al := range []*mem.Allocator{mem.NewAllocator(), mem.NewArena(0), mem.NewArena(37)} {
+		for i := 0; i < 40; i++ {
+			lines = append(lines, mem.LineOf(al.AllocAligned(mem.LineSize*uint64(1+i%3))))
+		}
+	}
+	lines = append(lines, 0)
+	rng := rand.New(rand.NewSource(7))
+	rng.Shuffle(len(lines), func(i, j int) { lines[i], lines[j] = lines[j], lines[i] })
+
+	var h HotLines
+	ld := NewLedger()
+	refHot := map[mem.Line]*LineStats{}
+	refLed := map[mem.Line]*LineLedger{}
+	for _, l := range lines {
+		s := h.Get(l)
+		s.Msgs, s.Deferred, s.Invals = uint64(rng.Intn(3)), uint64(rng.Intn(2)), uint64(rng.Intn(2))
+		c := *s
+		refHot[l] = &c
+		dur, hold := uint64(100), uint64(rng.Intn(3))*10
+		ld.OnLease(leaseEv(0, 0, LeaseStarted, l, dur))
+		ld.OnLease(leaseEv(hold, 0, LeaseReleased, l, hold))
+		refLed[l] = &LineLedger{Line: l, Leases: 1, GrantedCycles: dur, UsedCycles: hold, UnusedCycles: dur - hold}
+	}
+
+	// The reference: the map-plus-sort implementation these replaced.
+	hot := make([]LineStats, 0, len(refHot))
+	for _, s := range refHot {
+		hot = append(hot, *s)
+	}
+	sort.Slice(hot, func(i, j int) bool {
+		si, sj := hot[i].Score(), hot[j].Score()
+		if si != sj {
+			return si > sj
+		}
+		if hot[i].Deferred != hot[j].Deferred {
+			return hot[i].Deferred > hot[j].Deferred
+		}
+		if hot[i].Invals != hot[j].Invals {
+			return hot[i].Invals > hot[j].Invals
+		}
+		return hot[i].Line < hot[j].Line
+	})
+	led := make([]LineLedger, 0, len(refLed))
+	for _, s := range refLed {
+		led = append(led, *s)
+	}
+	sort.Slice(led, func(i, j int) bool { return led[i].Line < led[j].Line })
+	wasted := slices.Clone(led)
+	sort.Slice(wasted, func(i, j int) bool {
+		if wi, wj := wasted[i].WastedCycles(), wasted[j].WastedCycles(); wi != wj {
+			return wi > wj
+		}
+		return wasted[i].Line < wasted[j].Line
+	})
+	wasted = slices.DeleteFunc(wasted, func(l LineLedger) bool { return l.WastedCycles() == 0 })
+
+	if h.Len() != len(lines) || ld.Len() != len(lines) {
+		t.Fatalf("len = %d hot, %d ledger; want %d", h.Len(), ld.Len(), len(lines))
+	}
+	for _, k := range []int{1, 10, len(lines)} {
+		if got := h.Top(k); !reflect.DeepEqual(got, hot[:k]) {
+			t.Errorf("Top(%d) = %v\nwant %v", k, got, hot[:k])
+		}
+	}
+	if got := ld.Lines(); !reflect.DeepEqual(got, led) {
+		t.Errorf("Ledger.Lines out of line order:\n%v\nwant %v", got, led)
+	}
+	if got := ld.TopWasted(-1); !reflect.DeepEqual(got, wasted) {
+		t.Errorf("TopWasted = %v\nwant %v", got, wasted)
+	}
+}
+
+// With spans, ledger and hot lines attached, one leased transaction's whole
+// event stream on a line already seen allocates nothing: counters are
+// values in a paged line index and the transaction lives in its core's slot.
+func TestRecorderZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is unreliable under the race detector")
+	}
+	var now uint64
+	b := NewBus(func() uint64 { return now })
+	r := NewRecorder()
+	r.EnableSpans()
+	r.EnableLedger()
+	r.Attach(b)
+	const core, owner = 2, 5
+	l := mem.Line(0x40)
+	var seq uint64
+	txn := func() {
+		seq++
+		id := TxnID(core, seq)
+		start := now
+		b.Emit(CatLease, owner, LeaseStarted, l, 100)
+		b.Emit(CatLease, core, LeaseCreated, l, NoVal)
+		b.Emit2(CatTxn, core, TxnBegin, l, id, TxnFlagExcl|TxnFlagLease)
+		b.Emit(CatCoherence, core, MsgRequest, l, 1)
+		now += 15
+		b.Emit(CatDirQueue, -1, 0, l, 2)
+		b.Emit2(CatTxn, -1, TxnArrive, l, id, 2)
+		b.Emit2(CatTxn, -1, TxnService, l, id, 0)
+		b.Emit(CatCoherence, -1, MsgForward, l, 1)
+		now += 15
+		b.Emit2(CatTxn, owner, TxnProbe, l, id, 0)
+		b.Emit2(CatTxn, owner, TxnDefer, l, id, 0)
+		b.Emit(CatLease, owner, ProbeDeferred, l, NoVal)
+		now += 40
+		b.Emit(CatLease, owner, LeaseReleased, l, 70)
+		b.Emit(CatLease, owner, ProbeServed, l, 40)
+		b.Emit2(CatTxn, owner, TxnProbeDone, l, id, 0)
+		b.Emit(CatCoherence, owner, MsgReply, l, 1)
+		b.Emit(CatCoherence, owner, MsgAck, l, 1)
+		now += 17
+		b.Emit2(CatTxn, core, TxnComplete, l, id, 0)
+		b.Emit(CatLease, core, LeaseStarted, l, 100)
+		now += 30
+		b.Emit(CatLease, core, LeaseReleased, l, 30)
+		b.Emit(CatCache, core, 2, l+1, 1)
+		r.Spans.OpEnd(core, start, now, true)
+		r.Ledger.OpEnd(core, true)
+		r.Ledger.OpEnd(owner, true)
+	}
+	txn() // first sight of the lines, the cores' slots and their lease records
+	allocs := testing.AllocsPerRun(1000, txn)
+	if allocs != 0 {
+		t.Errorf("a leased transaction's events allocate %.1f objects, want 0", allocs)
+	}
+	if st := r.Spans.Stats(); st.Spans != seq || st.Deferred != seq {
+		t.Errorf("spans = %+v, want %d deferred spans", st, seq)
+	}
+	if tot := r.Ledger.Totals(); tot.Leases != 2*seq || tot.DeferredTxns != seq {
+		t.Errorf("ledger totals = %+v, want %d leases, %d deferred txns", tot, 2*seq, seq)
 	}
 }
