@@ -172,10 +172,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 		failed := e.Run(stdout, p)
 		for _, f := range failed {
-			fmt.Fprintf(stderr, "leasebench: %s FAILED (%s): %s\n", f.Cell, f.Err.Reason, f.Err.Detail)
-			if f.Err.Dump != nil {
-				fmt.Fprint(stderr, f.Err.Dump)
-			}
+			f.Print(stderr, "leasebench")
 		}
 		return len(failed) == 0
 	}

@@ -13,16 +13,19 @@
 //
 // -protocol, -threads, -strict, -parallel, -cpuprofile and -memprofile
 // are the host flags shared with cmd/leasebench; bench.Host documents them.
-// Each -threads count is one cell, with stdout/stderr buffered per cell and
-// emitted in sweep order. Each -json report carries
+// An invocation is a one-variant sweep (bench.Sweep): one row per -threads
+// count, the variant named lease or base after -lease, its config edited
+// from the flags. The cells run on the pool and their reports are printed
+// in sweep order. Each -json report carries
 // the event kernel's host-side counters (events executed, how core wake-ups
 // were paid for) as "engine_stats".
 // A failing cell (deadlock, panic, protocol/invariant violation) is
-// reported on stderr with a machine state dump, the rest of the sweep
-// still runs, and the exit status is 1; -strict instead stops emitting at
-// the first failed cell. -invariants attaches the runtime invariant
-// checker; -faults enables deterministic protocol-legal fault injection
-// (seeded from -seed, so failures replay exactly). -preempt N deschedules
+// reported on stderr by its cell name (counter/lease/t2) with a machine
+// state dump, the rest of the sweep is still printed, and the exit status
+// is 1; -strict instead stops printing at the first failed cell.
+// -invariants attaches the runtime invariant checker; -faults enables
+// deterministic protocol-legal fault injection (seeded from -seed, so
+// failures replay exactly). -preempt N deschedules
 // cores at N permille of memory accesses for -preemptmin..-preemptmax
 // cycles (leases keep expiring while the core sleeps); -preempttargeted
 // restricts preemption to lease/write holders — the adversarial
@@ -43,7 +46,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -55,41 +57,24 @@ import (
 	"leaserelease/internal/bench"
 	"leaserelease/internal/faults"
 	"leaserelease/internal/machine"
-	"leaserelease/internal/sim"
 	"leaserelease/internal/stm"
 	"leaserelease/internal/telemetry"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// cell is one sweep configuration, all that runCell reads: the per-binary
-// flags, which run binds straight to the fields, at one thread count.
-type cell struct {
-	ds                  string
-	lease               bool
-	leaseTime, maxLease uint64
-	cycles, warm        uint64
-	priority, mesi      bool
-	trace               int
-	predictor           bool
-	multi               string
-	seed                uint64
-	jsonOut             bool
-	hotlines            int
-	timeline            string // -timeline, suffixed .t<threads> in a sweep
-	samples             int
-	invariants, faults  bool
-	preempt             int
-	preemptMin          uint64
-	preemptMax          uint64
-	preemptTargeted     bool
-	controller          bool
-	spans               bool
-	ledger              bool
+// findStructure is what -ds looks up; a test swaps in a structure that fails.
+var findStructure = bench.FindStructure
 
-	structure bench.Structure // what -ds names
-	protocol  string          // the host's -protocol
-	threads   int
+// observed is what one row's cell leaves beside its Result: the recorder
+// and the TL2 abort count, allocated before the sweep is submitted and read
+// once it is back, and the config the cell ran on. timeline is the file the
+// row's timeline goes to.
+type observed struct {
+	rec      *telemetry.Recorder
+	aborts   uint64
+	cfg      machine.Config
+	timeline string
 }
 
 // run is main: it returns the exit status.
@@ -100,32 +85,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// shared with cmd/leasebench.
 	host := bench.AddHostFlags(fs, "8")
 	menu := bench.StructureNames() // the default is its first entry
-	var f cell                     // what the flags set; each cell is a copy
-	fs.StringVar(&f.ds, "ds", menu[0], "data structure: "+strings.Join(menu, "|"))
-	fs.BoolVar(&f.lease, "lease", false, "enable the paper's lease placement")
-	fs.Uint64Var(&f.leaseTime, "leasetime", 20000, "lease duration in cycles")
-	fs.Uint64Var(&f.maxLease, "maxleasetime", 20000, "MAX_LEASE_TIME in cycles")
-	fs.Uint64Var(&f.cycles, "cycles", 1_000_000, "cycles to simulate")
-	fs.Uint64Var(&f.warm, "warm", 100_000, "warm-up cycles excluded from the measurement")
-	fs.BoolVar(&f.priority, "priority", false, "regular requests break leases (§5)")
-	fs.BoolVar(&f.mesi, "mesi", false, "MESI exclusive-clean read fills (§8)")
-	fs.IntVar(&f.trace, "trace", 0, "print the first N lease-mechanism events")
-	fs.BoolVar(&f.predictor, "predictor", false, "enable the §5 speculative lease predictor")
-	fs.StringVar(&f.multi, "multilease", "hw", "tl2 multilease flavor: hw|sw|single|off")
-	fs.Uint64Var(&f.seed, "seed", 1, "simulation seed")
-	fs.BoolVar(&f.jsonOut, "json", false, "emit each run report as JSON on stdout")
-	fs.IntVar(&f.hotlines, "hotlines", 10, "rank the top-N contended cache lines (0 disables)")
-	fs.StringVar(&f.timeline, "timeline", "", "write a Chrome trace-event timeline to this file")
-	fs.IntVar(&f.samples, "sample", 0, "sample N windowed Stats deltas as a time series")
-	fs.BoolVar(&f.invariants, "invariants", false, "attach the runtime invariant checker (violations fail the run)")
-	fs.BoolVar(&f.faults, "faults", false, "enable deterministic protocol-legal fault injection")
-	fs.IntVar(&f.preempt, "preempt", 0, "core-preemption probability in permille per memory access (0 disables)")
-	fs.Uint64Var(&f.preemptMin, "preemptmin", 500, "minimum preemption duration in cycles")
-	fs.Uint64Var(&f.preemptMax, "preemptmax", 40000, "maximum preemption duration in cycles")
-	fs.BoolVar(&f.preemptTargeted, "preempttargeted", false, "preempt only lease/write holders (adversarial stalled-holder schedule)")
-	fs.BoolVar(&f.controller, "controller", false, "enable the adaptive lease-duration controller")
-	fs.BoolVar(&f.spans, "spans", false, "trace coherence-transaction spans and report the cycle accounting")
-	fs.BoolVar(&f.ledger, "ledger", false, "account per-line lease efficiency (granted/used/wasted cycles, ops absorbed, deferral inflicted)")
+	var (
+		ds              = fs.String("ds", menu[0], "data structure: "+strings.Join(menu, "|"))
+		lease           = fs.Bool("lease", false, "enable the paper's lease placement")
+		leaseTime       = fs.Uint64("leasetime", 20000, "lease duration in cycles")
+		maxLease        = fs.Uint64("maxleasetime", 20000, "MAX_LEASE_TIME in cycles")
+		cycles          = fs.Uint64("cycles", 1_000_000, "cycles to simulate")
+		warm            = fs.Uint64("warm", 100_000, "warm-up cycles excluded from the measurement")
+		priority        = fs.Bool("priority", false, "regular requests break leases (§5)")
+		mesi            = fs.Bool("mesi", false, "MESI exclusive-clean read fills (§8)")
+		predictor       = fs.Bool("predictor", false, "enable the §5 speculative lease predictor")
+		multi           = fs.String("multilease", "hw", "tl2 multilease flavor: hw|sw|single|off")
+		seed            = fs.Uint64("seed", 1, "simulation seed")
+		jsonOut         = fs.Bool("json", false, "emit each run report as JSON on stdout")
+		hotlines        = fs.Int("hotlines", 10, "rank the top-N contended cache lines (0 disables)")
+		timeline        = fs.String("timeline", "", "write a Chrome trace-event timeline to this file")
+		invariants      = fs.Bool("invariants", false, "attach the runtime invariant checker (violations fail the run)")
+		faultsOn        = fs.Bool("faults", false, "enable deterministic protocol-legal fault injection")
+		preempt         = fs.Int("preempt", 0, "core-preemption probability in permille per memory access (0 disables)")
+		preemptMin      = fs.Uint64("preemptmin", 500, "minimum preemption duration in cycles")
+		preemptMax      = fs.Uint64("preemptmax", 40000, "maximum preemption duration in cycles")
+		preemptTargeted = fs.Bool("preempttargeted", false, "preempt only lease/write holders (adversarial stalled-holder schedule)")
+		controller      = fs.Bool("controller", false, "enable the adaptive lease-duration controller")
+		spans           = fs.Bool("spans", false, "trace coherence-transaction spans and report the cycle accounting")
+		ledger          = fs.Bool("ledger", false, "account per-line lease efficiency (granted/used/wasted cycles, ops absorbed, deferral inflicted)")
+	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -137,32 +121,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "leasesim: "+format+"\n", args...)
 		return 2
 	}
-	var ok bool
-	if f.structure, ok = bench.FindStructure(f.ds); !ok {
+	structure, ok := findStructure(*ds)
+	if !ok {
 		// Fail fast with the full menu: a typo should not cost a trip to -help.
-		return usage("unknown -ds %q (valid: %s)", f.ds, strings.Join(menu, ", "))
+		return usage("unknown -ds %q (valid: %s)", *ds, strings.Join(menu, ", "))
 	}
-	if f.preempt < 0 || f.preempt > 1000 {
-		return usage("-preempt %d out of range (want 0..1000 permille)", f.preempt)
+	if *preempt < 0 || *preempt > 1000 {
+		return usage("-preempt %d out of range (want 0..1000 permille)", *preempt)
 	}
 	// The injector reads PreemptMax 0 as "no preemption" and a minimum above
 	// the maximum as a fixed duration; neither may stand in for what was asked.
 	switch {
-	case f.preemptMax == 0:
+	case *preemptMax == 0:
 		return usage("-preemptmax wants at least one cycle")
-	case f.preemptMin > f.preemptMax:
-		return usage("-preemptmin %d exceeds -preemptmax %d", f.preemptMin, f.preemptMax)
-	case f.samples < 0:
-		return usage("-sample %d is negative", f.samples)
-	case f.hotlines < 0:
-		return usage("-hotlines %d is negative", f.hotlines)
-	case f.trace < 0:
-		return usage("-trace %d is negative", f.trace)
+	case *preemptMin > *preemptMax:
+		return usage("-preemptmin %d exceeds -preemptmax %d", *preemptMin, *preemptMax)
+	case *hotlines < 0:
+		return usage("-hotlines %d is negative", *hotlines)
+	// A zero duration builds the base structure: it may not report as leased.
+	case *lease && *leaseTime == 0:
+		return usage("-lease wants a -leasetime of at least one cycle")
 	}
-	if f.structure.MultiLease && parseMulti(f.multi) < 0 {
-		return usage("bad -multilease %q", f.multi)
+	if structure.MultiLease && parseMulti(*multi) < 0 {
+		return usage("bad -multilease %q", *multi)
 	}
-	if f.cycles == 0 {
+	if *cycles == 0 {
 		return usage("-cycles wants at least one cycle")
 	}
 	if err := host.Start("leasesim", stderr); err != nil {
@@ -173,37 +156,109 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(host.Threads) == 0 {
 		return usage("-threads wants at least one thread count")
 	}
-	f.protocol = host.Protocol
 
-	// Submit every cell first, then emit buffered results in sweep order:
-	// output is byte-identical to a serial run for any -parallel value.
-	type cellResult struct {
-		out, errOut []byte
-		ok          bool
-	}
-	futures := make([]*bench.Future[cellResult], len(host.Threads))
+	rows := make([]bench.Row, len(host.Threads))
+	obs := make([]observed, len(host.Threads))
 	for i, n := range host.Threads {
-		c := f
-		c.threads = n
-		if c.timeline != "" && len(host.Threads) > 1 {
-			c.timeline = fmt.Sprintf("%s.t%d", c.timeline, n)
+		rows[i] = bench.Row{Threads: n, Val: i} // Val: the row's index in obs
+		o := &obs[i]
+		o.rec = telemetry.NewRecorder()
+		if *spans || *timeline != "" {
+			o.rec.EnableSpans() // with -timeline, spans become nested txn slices
 		}
-		futures[i] = bench.Go(host.Pool, func() cellResult {
-			var out, errOut bytes.Buffer
-			ok := runCell(c, &out, &errOut)
-			return cellResult{out: out.Bytes(), errOut: errOut.Bytes(), ok: ok}
-		})
+		if *ledger {
+			o.rec.EnableLedger()
+		}
+		if o.timeline = *timeline; o.timeline != "" && len(host.Threads) > 1 {
+			o.timeline = fmt.Sprintf("%s.t%d", o.timeline, n)
+		}
+	}
+	v := bench.Variant{Name: "base", Edit: func(cfg *machine.Config, _ bench.Row) {
+		cfg.Lease.MaxLeaseTime = *maxLease
+		cfg.RegularBreaksLease = *priority
+		cfg.MESI = *mesi
+		cfg.Predictor = *predictor
+		cfg.Seed = *seed
+		if *faultsOn {
+			cfg.Faults = faults.DefaultConfig()
+			cfg.Faults.Seed = *seed
+		}
+		if *preempt > 0 {
+			cfg.Faults.Enabled = true
+			cfg.Faults.Seed = *seed
+			cfg.Faults.PreemptPermille = *preempt
+			cfg.Faults.PreemptMin = *preemptMin
+			cfg.Faults.PreemptMax = *preemptMax
+			cfg.Faults.PreemptTargeted = *preemptTargeted
+		}
+		cfg.Controller = *controller
+	}}
+	lt := uint64(0)
+	if *lease {
+		v.Name, lt = "lease", *leaseTime
+	}
+	v.Run = func(p bench.Params, cfg machine.Config, r bench.Row) bench.Result {
+		o := &obs[r.Val]
+		o.cfg = cfg
+		if o.timeline != "" {
+			o.rec.EnableTimeline(float64(cfg.ClockHz) / 1e6) // cycles per µs
+		}
+		build := structure.Build(bench.StructureOpts{Lease: lt, KeyRange: 1024, Prefill: 512,
+			TL2Mode: parseMulti(*multi), Aborts: &o.aborts})
+		return bench.ThroughputOpts(cfg, r.Threads, p.Warm, p.Window, build,
+			bench.Options{Recorder: o.rec, Invariants: *invariants})
+	}
+	sweep := bench.Sweep{Rows: rows, Variants: []bench.Variant{v}}
+	res := sweep.Measure(bench.Params{Warm: *warm, Window: *cycles, Pool: host.Pool, Protocol: host.Protocol})
+
+	// report prints row i: a failed cell's name, cause and dump on errOut
+	// (and its -json report on out), or the cell's timeline file and then
+	// its report. It returns false when the row failed.
+	report := func(out, errOut io.Writer, i int) bool {
+		r, o := res[i][0], &obs[i]
+		if r.Err != nil {
+			bench.CellFailure{Cell: bench.CellName(*ds, rows[i], v), Err: r.Err}.Print(errOut, "leasesim")
+			if *jsonOut {
+				rep := bench.BuildReport(*ds, rows[i].Threads, *lease, o.cfg, *warm, *cycles, r, nil, 0)
+				rep.EngineStats = r.EngineStats
+				writeJSON(out, rep)
+			}
+			return false
+		}
+		if o.timeline != "" {
+			if err := writeTimeline(o.timeline, o.rec.Timeline); err != nil {
+				fmt.Fprintf(errOut, "leasesim: %v\n", err)
+				return false
+			}
+		}
+		if *jsonOut {
+			rep := bench.BuildReport(*ds, rows[i].Threads, *lease, o.cfg, *warm, *cycles, r, o.rec, *hotlines)
+			rep.Aborts = o.aborts
+			rep.TimelineFile = o.timeline
+			rep.EngineStats = r.EngineStats
+			if err := writeJSON(out, rep); err != nil {
+				fmt.Fprintf(errOut, "leasesim: %v\n", err)
+				return false
+			}
+			return true
+		}
+		proto := ""
+		if host.Protocol != "" {
+			proto = " protocol=" + host.Protocol
+		}
+		fmt.Fprintf(out, "ds=%s threads=%d lease=%v%s window=%d cycles\n", *ds, rows[i].Threads, *lease, proto, r.Cycles)
+		printText(out, r, o, host.Protocol, *hotlines)
+		return true
 	}
 
 	status := 0
-	for _, fu := range futures {
-		r := fu.Get()
-		stdout.Write(r.out)
-		stderr.Write(r.errOut)
-		if !r.ok {
+	for i := range rows {
+		if !report(stdout, stderr, i) {
 			status = 1
 			if host.Strict {
-				break
+				// Print nothing more; the cells after this one have run and
+				// still write their timelines.
+				stdout, stderr = io.Discard, io.Discard
 			}
 		}
 	}
@@ -225,129 +280,29 @@ func parseMulti(s string) stm.LeaseMode {
 	return -1
 }
 
-// runCell runs one configuration and reports it on out/errOut (buffered
-// per cell so sweep cells can run concurrently); false means the run
-// failed (the failure has been reported on errOut).
-func runCell(c cell, out, errOut io.Writer) bool {
-	cfg := machine.DefaultConfig(c.threads)
-	cfg.Protocol = c.protocol
-	cfg.Lease.MaxLeaseTime = c.maxLease
-	cfg.RegularBreaksLease = c.priority
-	cfg.MESI = c.mesi
-	cfg.Predictor = c.predictor
-	cfg.Seed = c.seed
-	if c.faults {
-		cfg.Faults = faults.DefaultConfig()
-		cfg.Faults.Seed = c.seed
-	}
-	if c.preempt > 0 {
-		cfg.Faults.Enabled = true
-		cfg.Faults.Seed = c.seed
-		cfg.Faults.PreemptPermille = c.preempt
-		cfg.Faults.PreemptMin = c.preemptMin
-		cfg.Faults.PreemptMax = c.preemptMax
-		cfg.Faults.PreemptTargeted = c.preemptTargeted
-	}
-	cfg.Controller = c.controller
+func writeJSON(out io.Writer, rep bench.Report) error {
+	enc := json.NewEncoder(out)
+	enc.SetIndent("", "  ")
+	return enc.Encode(rep)
+}
 
-	lt := uint64(0)
-	if c.lease {
-		lt = c.leaseTime
+func writeTimeline(path string, tl *telemetry.Timeline) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
+	if err := tl.Write(f); err != nil {
+		f.Close()
+		return fmt.Errorf("writing timeline: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("writing timeline: %w", err)
+	}
+	return nil
+}
 
-	var aborts uint64
-	build := c.structure.Build(bench.StructureOpts{Lease: lt, KeyRange: 1024, Prefill: 512,
-		TL2Mode: parseMulti(c.multi), Aborts: &aborts})
-
-	rec := telemetry.NewRecorder()
-	if c.timeline != "" {
-		rec.EnableTimeline(float64(cfg.ClockHz) / 1e6) // cycles per µs
-	}
-	if c.spans || c.timeline != "" {
-		rec.EnableSpans() // with -timeline, spans become nested txn slices
-	}
-	if c.ledger {
-		rec.EnableLedger()
-	}
-	var hooks []func(*machine.Machine)
-	// Capture the machine so the report can carry its engine counters.
-	var mach *machine.Machine
-	hooks = append(hooks, func(m *machine.Machine) { mach = m })
-	if c.trace > 0 {
-		left := c.trace
-		hooks = append(hooks, func(m *machine.Machine) {
-			m.Telemetry().Subscribe(telemetry.CatLease, func(e telemetry.Event) {
-				// ProbeServed carries a deferral delay, not a lease transition.
-				if left > 0 && e.Kind != telemetry.ProbeServed {
-					fmt.Fprintf(out, "[%10d] core %2d %-7s line %#x\n",
-						e.Time, e.Core, telemetry.LeaseKindName(e.Kind), uint64(e.Line))
-					left--
-				}
-			})
-		})
-	}
-	r := bench.ThroughputOpts(cfg, c.threads, c.warm, c.cycles, build,
-		bench.Options{Recorder: rec, Samples: c.samples, Hooks: hooks,
-			Invariants: c.invariants})
-
-	var engineStats *sim.EngineStats
-	if mach != nil {
-		st := mach.EngineStats()
-		engineStats = &st
-	}
-
-	if r.Err != nil {
-		fmt.Fprintf(errOut, "leasesim: ds=%s threads=%d seed=%d FAILED (%s): %s\n",
-			c.ds, c.threads, c.seed, r.Err.Reason, r.Err.Detail)
-		if r.Err.Dump != nil {
-			fmt.Fprint(errOut, r.Err.Dump)
-		}
-		if c.jsonOut {
-			rep := bench.BuildReport(c.ds, c.threads, c.lease, cfg, c.warm, c.cycles, r, nil, 0)
-			rep.EngineStats = engineStats
-			enc := json.NewEncoder(out)
-			enc.SetIndent("", "  ")
-			enc.Encode(rep)
-		}
-		return false
-	}
-
-	if c.timeline != "" {
-		f, err := os.Create(c.timeline)
-		if err != nil {
-			fmt.Fprintf(errOut, "leasesim: %v\n", err)
-			return false
-		}
-		if err := rec.Timeline.Write(f); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			fmt.Fprintf(errOut, "leasesim: writing timeline: %v\n", err)
-			return false
-		}
-	}
-
-	if c.jsonOut {
-		rep := bench.BuildReport(c.ds, c.threads, c.lease, cfg, c.warm, c.cycles, r, rec, c.hotlines)
-		rep.Aborts = aborts
-		rep.TimelineFile = c.timeline
-		rep.EngineStats = engineStats
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fmt.Fprintf(errOut, "leasesim: %v\n", err)
-			return false
-		}
-		return true
-	}
-
-	proto := ""
-	if c.protocol != "" && c.protocol != "msi" {
-		proto = " protocol=" + c.protocol
-	}
-	fmt.Fprintf(out, "ds=%s threads=%d lease=%v%s window=%d cycles\n", c.ds, c.threads, c.lease, proto, r.Cycles)
+// printText writes the body of one cell's text report, under its header.
+func printText(out io.Writer, r bench.Result, o *observed, protocol string, hotlines int) {
 	fmt.Fprintf(out, "ops            %d\n", r.Ops)
 	fmt.Fprintf(out, "throughput     %.3f Mops/s\n", r.MopsPerSec)
 	fmt.Fprintf(out, "energy         %.3f nJ/op\n", r.NJPerOp)
@@ -355,8 +310,8 @@ func runCell(c cell, out, errOut io.Writer) bool {
 	fmt.Fprintf(out, "messages/op    %.3f\n", r.MsgsPerOp)
 	fmt.Fprintf(out, "CAS fails/op   %.3f\n", r.CASFailsPerOp)
 	fmt.Fprintf(out, "fairness       %.3f\n", r.Fairness)
-	if aborts > 0 {
-		fmt.Fprintf(out, "tl2 aborts     %d (warm+window)\n", aborts)
+	if o.aborts > 0 {
+		fmt.Fprintf(out, "tl2 aborts     %d (warm+window)\n", o.aborts)
 	}
 
 	fmt.Fprintln(out, "\nlatency distributions (cycles):")
@@ -381,7 +336,7 @@ func runCell(c cell, out, errOut io.Writer) bool {
 					pct = 100 * float64(v) / float64(total)
 				}
 				fmt.Fprintf(out, "  %-14s %14d cycles %6.1f%%\n",
-					telemetry.PhaseName(telemetry.Phase(i), c.protocol), v, pct)
+					telemetry.PhaseName(telemetry.Phase(i), protocol), v, pct)
 			}
 		}
 		fmt.Fprintf(out, "span critical path (%d cycles):\n", t.TotalCycles)
@@ -398,11 +353,12 @@ func runCell(c cell, out, errOut io.Writer) bool {
 		}
 	}
 
-	if c.hotlines > 0 && rec.Lines.Len() > 0 {
-		fmt.Fprintf(out, "\nhot lines (top %d of %d):\n", c.hotlines, rec.Lines.Len())
+	rec := o.rec
+	if hotlines > 0 && rec.Lines.Len() > 0 {
+		fmt.Fprintf(out, "\nhot lines (top %d of %d):\n", hotlines, rec.Lines.Len())
 		fmt.Fprintf(out, "%-12s %10s %10s %8s %10s %10s %8s %8s\n",
 			"line", "score", "msgs", "invals", "deferred", "defcycles", "leases", "maxdirq")
-		for _, h := range bench.HotLineRows(rec, c.hotlines) {
+		for _, h := range bench.HotLineRows(rec, hotlines) {
 			fmt.Fprintf(out, "%-12s %10d %10d %8d %10d %10d %8d %8d\n",
 				h.Line, h.Score, h.Msgs, h.Invals, h.Deferred, h.DeferredCycles, h.Leases, h.MaxQueue)
 		}
@@ -434,20 +390,10 @@ func runCell(c cell, out, errOut io.Writer) bool {
 		printLedgerRows("top deferral inflicted", bench.LedgerRows(led.TopDeferInflicted, rec))
 	}
 
-	if len(r.Series) > 0 {
-		fmt.Fprintln(out, "\ntime series (per-window deltas):")
-		fmt.Fprintf(out, "%12s %10s %10s %10s %10s\n", "end cycle", "ops", "msgs", "l1miss", "deferred")
-		for _, s := range r.Series {
-			fmt.Fprintf(out, "%12d %10d %10d %10d %10d\n",
-				s.EndCycle, s.Ops, s.Stats.TotalMsgs(), s.Stats.L1Misses, s.Stats.DeferredProbes)
-		}
-	}
-
-	if c.timeline != "" {
-		fmt.Fprintf(out, "\ntimeline written to %s (open in chrome://tracing or ui.perfetto.dev)\n", c.timeline)
+	if o.timeline != "" {
+		fmt.Fprintf(out, "\ntimeline written to %s (open in chrome://tracing or ui.perfetto.dev)\n", o.timeline)
 	}
 
 	fmt.Fprintln(out, "\nwindow counters:")
 	fmt.Fprintln(out, r.Window)
-	return true
 }

@@ -74,16 +74,16 @@ func TestLedgerIdenticalAcrossPoolSizes(t *testing.T) {
 		pool := NewPool(workers)
 		defer pool.Close()
 		seeds := []uint64{1, 2, 3, 4}
-		futures := make([]*Future[ledgerRun], len(seeds))
+		futures := make([]*future[ledgerRun], len(seeds))
 		for i, seed := range seeds {
 			seed := seed
-			futures[i] = Go(pool, func() ledgerRun {
+			futures[i] = goCell(pool, func() ledgerRun {
 				return runLedgerCell(t, seed, 4)
 			})
 		}
 		out := make([]ledgerRun, len(futures))
 		for i, f := range futures {
-			out[i] = f.Get()
+			out[i] = f.get()
 		}
 		return out
 	}

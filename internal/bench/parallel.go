@@ -70,19 +70,19 @@ func (p *Pool) submit(f func()) {
 	p.queue <- f
 }
 
-// Future is the pending result of one submitted cell.
-type Future[T any] struct {
+// future is the pending result of one submitted cell.
+type future[T any] struct {
 	done chan struct{}
 	v    T
 }
 
-// Go submits f as one cell on the pool and returns its future. Cells must
-// be independent: submitting from a cell (or calling Get before all Go
-// calls were issued from the orchestrating goroutine) can starve the
-// queue. Experiments submit every cell of a sweep first and then Get them
-// in row order.
-func Go[T any](p *Pool, f func() T) *Future[T] {
-	fu := &Future[T]{done: make(chan struct{})}
+// goCell submits f as one cell on the pool and returns its future. Cells
+// must be independent: submitting from a cell (or calling get before all
+// goCell calls were issued from the orchestrating goroutine) can starve the
+// queue. Sweep.Measure submits every cell of a sweep first and then gets
+// them in row order.
+func goCell[T any](p *Pool, f func() T) *future[T] {
+	fu := &future[T]{done: make(chan struct{})}
 	p.submit(func() {
 		fu.v = f()
 		close(fu.done)
@@ -90,9 +90,9 @@ func Go[T any](p *Pool, f func() T) *Future[T] {
 	return fu
 }
 
-// Get blocks until the cell has run and returns its value. Get may be
+// get blocks until the cell has run and returns its value. get may be
 // called any number of times.
-func (f *Future[T]) Get() T {
+func (f *future[T]) get() T {
 	<-f.done
 	return f.v
 }

@@ -43,24 +43,24 @@ func TestPoolDeterminism(t *testing.T) {
 }
 
 // TestPoolFutureOrder checks that futures resolve to their own cell's
-// value regardless of execution order, and that Get is idempotent.
+// value regardless of execution order, and that get is idempotent.
 func TestPoolFutureOrder(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
 	var running atomic.Int32
-	futures := make([]*Future[int], 64)
+	futures := make([]*future[int], 64)
 	for i := range futures {
-		futures[i] = Go(p, func() int {
+		futures[i] = goCell(p, func() int {
 			running.Add(1)
 			return i * i
 		})
 	}
 	for i, fu := range futures {
-		if got := fu.Get(); got != i*i {
+		if got := fu.get(); got != i*i {
 			t.Errorf("future %d = %d, want %d", i, got, i*i)
 		}
-		if got := fu.Get(); got != i*i {
-			t.Errorf("future %d second Get = %d, want %d", i, got, i*i)
+		if got := fu.get(); got != i*i {
+			t.Errorf("future %d second get = %d, want %d", i, got, i*i)
 		}
 	}
 	if n := running.Load(); n != 64 {
@@ -81,14 +81,14 @@ func TestPoolOccupancy(t *testing.T) {
 	release := make(chan struct{})
 	var started sync.WaitGroup
 	started.Add(2)
-	futures := []*Future[int]{
-		Go(pool, func() int { started.Done(); <-release; return 1 }),
-		Go(pool, func() int { started.Done(); <-release; return 2 }),
+	futures := []*future[int]{
+		goCell(pool, func() int { started.Done(); <-release; return 1 }),
+		goCell(pool, func() int { started.Done(); <-release; return 2 }),
 	}
 	started.Wait()
 	close(release)
 	for i, f := range futures {
-		if got := f.Get(); got != i+1 {
+		if got := f.get(); got != i+1 {
 			t.Errorf("future %d = %d, want %d", i, got, i+1)
 		}
 	}
@@ -107,12 +107,12 @@ func TestPoolSerialIsInline(t *testing.T) {
 	}
 	var order []int
 	for i := 0; i < 8; i++ {
-		fu := Go[int](nil, func() int {
+		fu := goCell[int](nil, func() int {
 			order = append(order, i)
 			return i
 		})
 		// Inline execution: the future is already resolved at submit time.
-		if got := fu.Get(); got != i {
+		if got := fu.get(); got != i {
 			t.Fatalf("inline future = %d, want %d", got, i)
 		}
 	}

@@ -54,14 +54,13 @@ type Report struct {
 
 	Counters Counters     `json:"counters"`
 	HotLines []HotLineRow `json:"hot_lines,omitempty"`
-	Series   []Sample     `json:"series,omitempty"`
 
 	TimelineFile string `json:"timeline_file,omitempty"`
 
 	// EngineStats is the event kernel's host-side counters for the run
 	// (machine.Machine.EngineStats): how the host executed it, never what
-	// it simulated. BuildReport leaves it nil; the host that owns the
-	// machine sets it.
+	// it simulated. BuildReport leaves it nil; leasesim copies
+	// Result.EngineStats.
 	EngineStats *sim.EngineStats `json:"engine_stats,omitempty"`
 
 	// Error is set when the run failed (see Result.Err); the metric
@@ -249,7 +248,7 @@ func BuildReport(ds string, threads int, lease bool, cfg machine.Config,
 		OpLatency: r.OpLatency, LeaseHold: r.LeaseHold,
 		ProbeDefer: r.ProbeDefer, DirQueue: r.DirQueue,
 		Txns:     r.Txns,
-		Counters: CountersOf(r.Window), Series: r.Series,
+		Counters: CountersOf(r.Window),
 	}
 	if rec != nil && hotK > 0 {
 		rep.HotLines = HotLineRows(rec, hotK)

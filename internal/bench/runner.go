@@ -22,14 +22,6 @@ type OpFunc func(tid int, c *machine.Ctx)
 // its threads loop on.
 type Workload = func(d *machine.Direct) OpFunc
 
-// Sample is one sampled sub-window of a measurement: the Stats delta over
-// [start of sub-window, EndCycle] plus the operations completed in it.
-type Sample struct {
-	EndCycle uint64        `json:"end_cycle"`
-	Ops      uint64        `json:"ops"`
-	Stats    machine.Stats `json:"stats"`
-}
-
 // Result summarizes one measurement window.
 type Result struct {
 	Threads uint64
@@ -74,28 +66,25 @@ type Result struct {
 	// warm-up faults too, so it reports the schedule actually delivered.
 	Faults faults.Stats
 
-	// Series holds the periodic time-series samples of windowed Stats
-	// deltas (Options.Samples sub-windows); nil when sampling is off.
-	Series []Sample
+	// EngineStats is the event kernel's host-side counters for the run
+	// (machine.Machine.EngineStats), read once the machine has stopped,
+	// failed runs included; nil when no machine was built.
+	EngineStats *sim.EngineStats
 
 	// Err is set when the run failed (deadlock, panic, protocol or
-	// invariant violation, blown cycle budget); the metric fields above
-	// are zero then. A sweep reports the failed cell and continues.
+	// invariant violation, blown cycle budget); the metric fields above,
+	// EngineStats aside, are zero then. A sweep reports the failed cell and
+	// continues.
 	Err *RunError
 }
 
 // Options selects the optional observability features of a Throughput run.
-// The zero value reproduces the plain harness: no telemetry, no sampling.
+// The zero value reproduces the plain harness: no telemetry, no checker.
 type Options struct {
 	// Recorder, when non-nil, is attached to the machine's telemetry bus
 	// and additionally observes per-operation latency for every operation
 	// that starts inside the measurement window.
 	Recorder *telemetry.Recorder
-	// Samples > 0 splits the measurement window into that many sampled
-	// sub-windows reported in Result.Series.
-	Samples int
-	// Hooks run on the freshly built machine before any thread spawns.
-	Hooks []func(*machine.Machine)
 	// Invariants attaches the runtime invariant checker (see the
 	// invariant package); any violation fails the run with a RunError
 	// carrying the diagnostic dump. With fault injection disabled the
@@ -105,11 +94,9 @@ type Options struct {
 
 // Throughput runs a standard throughput benchmark: build the structure,
 // spawn `threads` workers looping op, warm up, then measure a window.
-// Optional hooks run on the freshly built machine (e.g. to install a
-// tracer) before any thread is spawned.
 func Throughput(cfg machine.Config, threads int, warm, window uint64,
-	build func(d *machine.Direct) OpFunc, hooks ...func(*machine.Machine)) Result {
-	return ThroughputOpts(cfg, threads, warm, window, build, Options{Hooks: hooks})
+	build func(d *machine.Direct) OpFunc) Result {
+	return ThroughputOpts(cfg, threads, warm, window, build, Options{})
 }
 
 // ThroughputOpts is Throughput with observability options. Telemetry rides
@@ -141,9 +128,6 @@ func ThroughputOpts(cfg machine.Config, threads int, warm, window uint64,
 	}
 	var chk *invariant.Checker
 	prepare := func(m *machine.Machine) {
-		for _, h := range o.Hooks {
-			h(m)
-		}
 		if o.Invariants {
 			chk = invariant.Attach(m)
 		}
@@ -188,30 +172,12 @@ func ThroughputOpts(cfg machine.Config, threads int, warm, window uint64,
 	// measure runs inside the guard from the first cycle to the assembled
 	// Result: tearing the machine down runs the killed procs' defers.
 	measure := func(m *machine.Machine) *RunError {
-		step := func(until uint64) *RunError { return runTo(m, until, threads) }
-		if err := step(warm); err != nil {
+		if err := runTo(m, warm, threads); err != nil {
 			return err
 		}
 		start := m.Stats()
 		startCounts := append([]uint64(nil), counts...)
-
-		var series []Sample
-		if o.Samples > 0 {
-			prev, prevOps := start, total(counts)
-			chunk := window / uint64(o.Samples)
-			for s := 0; s < o.Samples; s++ {
-				end := warm + chunk*uint64(s+1)
-				if s == o.Samples-1 {
-					end = warm + window
-				}
-				if err := step(end); err != nil {
-					return err
-				}
-				snap, ops := m.Stats(), total(counts)
-				series = append(series, Sample{EndCycle: end, Ops: ops - prevOps, Stats: snap.Sub(prev)})
-				prev, prevOps = snap, ops
-			}
-		} else if err := step(warm + window); err != nil {
+		if err := runTo(m, warm+window, threads); err != nil {
 			return err
 		}
 		w := m.Stats().Sub(start)
@@ -242,7 +208,6 @@ func ThroughputOpts(cfg machine.Config, threads int, warm, window uint64,
 		if maxT > 0 {
 			r.Fairness = float64(minT) / float64(maxT)
 		}
-		r.Series = series
 		if rec != nil {
 			r.OpLatency = summaryOf(&rec.OpLatency)
 			r.LeaseHold = summaryOf(&rec.LeaseHold)
@@ -260,14 +225,19 @@ func ThroughputOpts(cfg machine.Config, threads int, warm, window uint64,
 		}
 		return nil
 	}
-	if _, re := runGuarded(cfg, threads, prepare, loop, measure); re != nil {
-		return Result{Threads: uint64(threads), Err: re}
+	m, re := runGuarded(cfg, threads, prepare, loop, measure)
+	if re != nil {
+		r = Result{Threads: uint64(threads), Err: re}
+	}
+	if m != nil {
+		st := m.EngineStats()
+		r.EngineStats = &st
 	}
 	return r
 }
 
 // runGuarded is the one place a cell's machine is built, run and torn down:
-// machine.New, prepare (hooks, checker, recorder) on the idle machine, build
+// machine.New, prepare (checker, recorder) on the idle machine, build
 // on its Direct view, one proc per thread running body(tid, c), then drive —
 // the caller's stop rule. Escaping panics (which the sim kernel re-raises on
 // this goroutine as *sim.PanicError with cycle, proc, and event context) are
@@ -310,14 +280,6 @@ const LedgerTopN = 10
 func summaryOf(h *telemetry.Hist) *telemetry.Summary {
 	s := h.Summary()
 	return &s
-}
-
-func total(xs []uint64) uint64 {
-	var s uint64
-	for _, x := range xs {
-		s += x
-	}
-	return s
 }
 
 func summarize(cfg machine.Config, threads int, ops uint64, w machine.Stats) Result {

@@ -19,11 +19,12 @@ import (
 // threads leases its own line, bumps the entry's generation so the expiry
 // timer mistakes the lease for a released one, then stores to the other's
 // line. Both probes stay deferred and the event queue drains with both
-// threads blocked.
+// threads blocked. runGuarded is what stops a failed cell's machine, and its
+// prepare hands the op the machine.
 func TestFailedCellLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	var m *machine.Machine
-	build := func(d *machine.Direct) OpFunc {
+	build := func(d *machine.Direct) func(int, *machine.Ctx) {
 		lines := [2]mem.Addr{d.Alloc(8), d.Alloc(8)}
 		return func(tid int, c *machine.Ctx) {
 			c.Lease(lines[tid], 20_000)
@@ -32,11 +33,11 @@ func TestFailedCellLeavesNoGoroutines(t *testing.T) {
 			c.Store(lines[1-tid], 1)
 		}
 	}
-	r := Throughput(machine.DefaultConfig(2), 2, 50_000, 50_000, build,
-		func(mm *machine.Machine) { m = mm })
+	_, re := runGuarded(machine.DefaultConfig(2), 2, func(mm *machine.Machine) { m = mm }, build,
+		func(m *machine.Machine) *RunError { return runTo(m, 100_000, 2) })
 	var de *sim.DeadlockError
-	if r.Err == nil || r.Err.Reason != "deadlock" || !errors.As(r.Err, &de) {
-		t.Fatalf("cell error = %v, want a deadlock", r.Err)
+	if re == nil || re.Reason != "deadlock" || !errors.As(re, &de) {
+		t.Fatalf("cell error = %v, want a deadlock", re)
 	}
 	if n := runtime.NumGoroutine(); n > before {
 		t.Fatalf("%d goroutines after the deadlocked cell, %d before it", n, before)

@@ -127,10 +127,10 @@ func TestSpanTreesIdenticalAcrossPoolSizes(t *testing.T) {
 		pool := NewPool(workers)
 		defer pool.Close()
 		seeds := []uint64{1, 2, 3, 4}
-		futures := make([]*Future[[]telemetry.Span], len(seeds))
+		futures := make([]*future[[]telemetry.Span], len(seeds))
 		for i, seed := range seeds {
 			seed := seed
-			futures[i] = Go(pool, func() []telemetry.Span {
+			futures[i] = goCell(pool, func() []telemetry.Span {
 				cfg := machine.DefaultConfig(4)
 				cfg.Seed = seed
 				rec := telemetry.NewRecorder()
@@ -146,7 +146,7 @@ func TestSpanTreesIdenticalAcrossPoolSizes(t *testing.T) {
 		}
 		out := make([][]telemetry.Span, len(futures))
 		for i, f := range futures {
-			out[i] = f.Get()
+			out[i] = f.get()
 		}
 		return out
 	}

@@ -10,9 +10,10 @@ import (
 )
 
 // This file is the one sweep path. An experiment is a declaration — a grid
-// of rows × variants and the tables read from it — and runSweep is the only
-// code that turns a declaration into cells on the pool, printed tables and a
-// list of failures.
+// of rows × variants and the tables read from it. Sweep.Measure is the only
+// code that turns a declaration into cells on the pool; runSweep prints an
+// experiment's tables and failures from what it measured, and cmd/leasesim
+// prints its reports from a one-variant sweep of its own.
 
 // Row is one line of an experiment's grid.
 type Row struct {
@@ -87,6 +88,15 @@ func CellName(exp string, r Row, v Variant) string {
 	return path.Join(exp, r.Key, v.Name, fmt.Sprintf("t%d", r.Threads))
 }
 
+// Print reports the failure on w, as both binaries do on stderr: the
+// program's name, the cell, the cause and the machine state dump.
+func (f CellFailure) Print(w io.Writer, prog string) {
+	fmt.Fprintf(w, "%s: %s FAILED (%s): %s\n", prog, f.Cell, f.Err.Reason, f.Err.Detail)
+	if f.Err.Dump != nil {
+		fmt.Fprint(w, f.Err.Dump)
+	}
+}
+
 // RunCell measures one cell of the grid on the calling goroutine.
 func (s Sweep) RunCell(p Params, r Row, v Variant) Result {
 	if s.HalfWindow {
@@ -108,24 +118,34 @@ func (s Sweep) RunCell(p Params, r Row, v Variant) Result {
 	return ThroughputOpts(cfg, r.Threads, p.Warm, p.Window, v.Build(r), o)
 }
 
-// runSweep submits every cell of the grid to the pool, reads the results
-// back in row order — so the output is byte-identical for any pool size —
-// prints the tables, and reports the cells that failed: a FAILED line each
-// under the tables, and the return value.
-func runSweep(w io.Writer, p Params, exp string, s Sweep) []CellFailure {
-	futures := make([][]*Future[Result], len(s.Rows))
+// Measure submits every cell of the grid to p.Pool and reads the results
+// back in row order, so what it returns is the same for any pool size.
+// res is indexed [row][variant].
+func (s Sweep) Measure(p Params) (res [][]Result) {
+	futures := make([][]*future[Result], len(s.Rows))
 	for i, r := range s.Rows {
-		futures[i] = make([]*Future[Result], len(s.Variants))
+		futures[i] = make([]*future[Result], len(s.Variants))
 		for j, v := range s.Variants {
-			futures[i][j] = Go(p.Pool, func() Result { return s.RunCell(p, r, v) })
+			futures[i][j] = goCell(p.Pool, func() Result { return s.RunCell(p, r, v) })
 		}
 	}
-	var failed []CellFailure
-	res := make([][]Result, len(s.Rows))
-	for i, r := range s.Rows {
+	res = make([][]Result, len(s.Rows))
+	for i := range s.Rows {
 		res[i] = make([]Result, len(s.Variants))
+		for j := range s.Variants {
+			res[i][j] = futures[i][j].get()
+		}
+	}
+	return res
+}
+
+// runSweep measures the grid, prints the tables, and reports the cells that
+// failed: a FAILED line each under the tables, and the return value.
+func runSweep(w io.Writer, p Params, exp string, s Sweep) []CellFailure {
+	res := s.Measure(p)
+	var failed []CellFailure
+	for i, r := range s.Rows {
 		for j, v := range s.Variants {
-			res[i][j] = futures[i][j].Get()
 			if err := res[i][j].Err; err != nil {
 				failed = append(failed, CellFailure{CellName(exp, r, v), err})
 			}

@@ -19,7 +19,7 @@ func telemetryRun(t *testing.T, seed uint64) (Result, *telemetry.Recorder, []byt
 	rec.EnableTimeline(float64(cfg.ClockHz) / 1e6)
 	r := ThroughputOpts(cfg, 8, 20_000, 80_000,
 		StackWorkload(ds.StackOptions{Lease: 20_000}),
-		Options{Recorder: rec, Samples: 4})
+		Options{Recorder: rec})
 	var buf bytes.Buffer
 	if err := rec.Timeline.Write(&buf); err != nil {
 		t.Fatal(err)
@@ -29,8 +29,7 @@ func telemetryRun(t *testing.T, seed uint64) (Result, *telemetry.Recorder, []byt
 
 // Telemetry output is part of the experiment's reproducibility contract:
 // two runs with the same seed must produce identical histograms, identical
-// hot-line rankings, an identical time series, and a byte-for-byte
-// identical timeline file.
+// hot-line rankings and a byte-for-byte identical timeline file.
 func TestTelemetryDeterministicAcrossRuns(t *testing.T) {
 	r1, rec1, tl1 := telemetryRun(t, 7)
 	r2, rec2, tl2 := telemetryRun(t, 7)
@@ -54,9 +53,6 @@ func TestTelemetryDeterministicAcrossRuns(t *testing.T) {
 	}
 	if r1.LeaseHold == nil || r1.LeaseHold.Count == 0 {
 		t.Error("lease-hold histogram empty on a leased stack run")
-	}
-	if len(r1.Series) != 4 {
-		t.Errorf("series has %d samples, want 4", len(r1.Series))
 	}
 	if len(top1) == 0 || top1[0].Score() == 0 {
 		t.Error("hot-line profile empty on a contended run")
@@ -84,7 +80,7 @@ func TestTelemetrySeedSensitivity(t *testing.T) {
 
 // Attaching telemetry must not perturb the simulation: the measured window
 // (ops, every hardware counter, fairness) is identical with and without a
-// Recorder, and with and without time-series sampling.
+// Recorder.
 func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
 	run := func(o Options) Result {
 		cfg := machine.DefaultConfig(8)
@@ -95,7 +91,7 @@ func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
 	plain := run(Options{})
 	rec := telemetry.NewRecorder()
 	rec.EnableTimeline(1000)
-	traced := run(Options{Recorder: rec, Samples: 5})
+	traced := run(Options{Recorder: rec})
 
 	if plain.Ops != traced.Ops {
 		t.Errorf("ops changed with telemetry: %d vs %d", plain.Ops, traced.Ops)

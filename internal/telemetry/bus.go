@@ -77,8 +77,8 @@ const (
 	ProbeServed                // a deferred probe was delivered; Val = deferral delay
 )
 
-// LeaseKindName names a CatLease kind: the word `leasesim -trace` prints
-// and, for the five kinds that end a lease, the timeline's release reason.
+// LeaseKindName names a CatLease kind; for the five kinds that end a lease
+// it is the timeline's release reason.
 func LeaseKindName(kind uint8) string {
 	switch kind {
 	case LeaseCreated:
