@@ -38,7 +38,8 @@
 // transaction spans and reports the critical-path cycle accounting ("where
 // the cycles went"); -ledger records the per-line lease-efficiency ledger
 // (granted vs. used cycles, ops absorbed per lease, deferral inflicted)
-// and prints its top-N tables; -json switches the report to machine-
+// and prints its top-N tables — and, since the ledger reads completed spans,
+// the span accounting too; -json switches the report to machine-
 // readable JSON; -timeline additionally writes a Chrome trace-event file
 // loadable in chrome://tracing or https://ui.perfetto.dev showing each
 // core's lease intervals — and, with spans, nested transaction slices with
@@ -353,12 +354,11 @@ func printText(out io.Writer, r bench.Result, o *observed, protocol string, hotl
 		}
 	}
 
-	rec := o.rec
-	if hotlines > 0 && rec.Lines.Len() > 0 {
-		fmt.Fprintf(out, "\nhot lines (top %d of %d):\n", hotlines, rec.Lines.Len())
+	if n := o.rec.Lines.Len(); hotlines > 0 && n > 0 {
+		fmt.Fprintf(out, "\nhot lines (top %d of %d):\n", min(hotlines, n), n)
 		fmt.Fprintf(out, "%-12s %10s %10s %8s %10s %10s %8s %8s\n",
 			"line", "score", "msgs", "invals", "deferred", "defcycles", "leases", "maxdirq")
-		for _, h := range bench.HotLineRows(rec, hotlines) {
+		for _, h := range bench.HotLineRows(o.rec, hotlines) {
 			fmt.Fprintf(out, "%-12s %10d %10d %8d %10d %10d %8d %8d\n",
 				h.Line, h.Score, h.Msgs, h.Invals, h.Deferred, h.DeferredCycles, h.Leases, h.MaxQueue)
 		}
@@ -372,7 +372,7 @@ func printText(out io.Writer, r bench.Result, o *observed, protocol string, hotl
 			led.UnusedCycles, led.UnusedCycles+led.ExpiredIdleCycles)
 		fmt.Fprintf(out, "ops absorbed %d (%.1f per lease), deferral inflicted %d cycles over %d txns\n",
 			led.OpsUnder, led.Amortization, led.DeferInflictedCycles, led.DeferredTxns)
-		printLedgerRows := func(title string, rows []bench.LedgerRow) {
+		printRanking := func(title string, rows []telemetry.LedgerLineSummary) {
 			if len(rows) == 0 {
 				return
 			}
@@ -386,8 +386,8 @@ func printText(out io.Writer, r bench.Result, o *observed, protocol string, hotl
 					l.DeferInflictedCycles, l.HotScore)
 			}
 		}
-		printLedgerRows("top wasted cycles", bench.LedgerRows(led.TopWasted, rec))
-		printLedgerRows("top deferral inflicted", bench.LedgerRows(led.TopDeferInflicted, rec))
+		printRanking("top wasted cycles", led.TopWasted)
+		printRanking("top deferral inflicted", led.TopDeferInflicted)
 	}
 
 	if o.timeline != "" {

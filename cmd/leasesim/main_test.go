@@ -163,6 +163,24 @@ func TestEngineStatsEveryConfigurationCertified(t *testing.T) {
 	}
 }
 
+// -ledger alone reports the span accounting the ledger reads, and the
+// deferral the ledger charges to lines is that accounting's probe-defer
+// phase, cycle for cycle, under both protocols and under fault injection.
+func TestLedgerAloneCarriesSpanAccounting(t *testing.T) {
+	for _, flags := range [][]string{{}, {"-protocol", "tardis"}, {"-faults"}} {
+		var rep bench.Report
+		if err := json.Unmarshal(counterJSON(t, append([]string{"-ledger"}, flags...)...), &rep); err != nil {
+			t.Fatal(err)
+		}
+		if rep.Txns == nil || rep.LeaseLedger == nil {
+			t.Fatalf("%v: txn_accounting %v, lease_ledger %v; want both", flags, rep.Txns != nil, rep.LeaseLedger != nil)
+		}
+		if got, want := rep.LeaseLedger.DeferInflictedCycles, rep.Txns.Phases.DeferWait; got != want || want == 0 {
+			t.Errorf("%v: defer_inflicted_cycles %d, probe_defer_cycles %d; want them equal and nonzero", flags, got, want)
+		}
+	}
+}
+
 // Usage errors exit 2 before anything runs and name what was wrong;
 // -compactbuckets, -serve, -trace and -sample are flags no more.
 func TestUsageErrors(t *testing.T) {

@@ -1,9 +1,12 @@
 package bench
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
+	"leaserelease/internal/coherence"
+	"leaserelease/internal/faults"
 	"leaserelease/internal/machine"
 	"leaserelease/internal/telemetry"
 )
@@ -17,17 +20,15 @@ type ledgerRun struct {
 	defer_ uint64 // span assembler probe-defer phase total
 }
 
-func runLedgerCell(t *testing.T, seed uint64, threads int) ledgerRun {
+func runLedgerCell(t *testing.T, cfg machine.Config, threads int) ledgerRun {
 	t.Helper()
-	cfg := machine.DefaultConfig(threads)
-	cfg.Seed = seed
 	rec := telemetry.NewRecorder()
 	sp := rec.EnableSpans()
 	ld := rec.EnableLedger()
 	r := ThroughputOpts(cfg, threads, 20_000, 100_000,
 		CounterWorkload(CounterLeasedTTS), Options{Recorder: rec})
 	if r.Err != nil {
-		t.Fatalf("seed %d run failed: %v", seed, r.Err)
+		t.Fatalf("seed %d run failed: %v", cfg.Seed, r.Err)
 	}
 	return ledgerRun{
 		result: r,
@@ -37,32 +38,50 @@ func runLedgerCell(t *testing.T, seed uint64, threads int) ledgerRun {
 	}
 }
 
+// ledgerConfig is a machine for a leased-counter ledger cell: MSI or
+// Tardis, with or without fault injection.
+func ledgerConfig(threads int, seed uint64, protocol string, faulted bool) machine.Config {
+	cfg := machine.DefaultConfig(threads)
+	cfg.Seed = seed
+	cfg.Protocol = protocol
+	if faulted {
+		cfg.Faults = faults.DefaultConfig()
+		cfg.Faults.Seed = seed
+	}
+	return cfg
+}
+
 // The ledger's two conservation identities on real leased-counter runs,
-// exact per seed: every line's granted cycles partition into used plus
-// unused, and the total deferral the ledger charges to lines equals the
-// span assembler's probe-defer phase total (same windowing, same
-// completed-transactions-only fold).
+// exact per seed, under both protocols and with faults injected: every
+// line's granted cycles partition into used plus unused, and the total
+// deferral the ledger charges to lines equals the span assembler's
+// probe-defer phase total (same windowing, same completed spans).
 func TestLedgerConservationRealRuns(t *testing.T) {
-	for _, seed := range []uint64{1, 2} {
-		run := runLedgerCell(t, seed, 8)
-		if run.totals.Leases == 0 {
-			t.Fatalf("seed %d: no leases closed on a leased contended counter", seed)
-		}
-		for _, s := range run.lines {
-			if s.GrantedCycles != s.UsedCycles+s.UnusedCycles {
-				t.Errorf("seed %d line %#x: granted %d != used %d + unused %d",
-					seed, uint64(s.Line), s.GrantedCycles, s.UsedCycles, s.UnusedCycles)
+	for _, protocol := range coherence.Protocols() {
+		for _, faulted := range []bool{false, true} {
+			for _, seed := range []uint64{1, 2} {
+				name := fmt.Sprintf("%s/faults=%v/seed %d", protocol, faulted, seed)
+				run := runLedgerCell(t, ledgerConfig(8, seed, protocol, faulted), 8)
+				if run.totals.Leases == 0 {
+					t.Fatalf("%s: no leases closed on a leased contended counter", name)
+				}
+				for _, s := range run.lines {
+					if s.GrantedCycles != s.UsedCycles+s.UnusedCycles {
+						t.Errorf("%s line %#x: granted %d != used %d + unused %d",
+							name, uint64(s.Line), s.GrantedCycles, s.UsedCycles, s.UnusedCycles)
+					}
+				}
+				if run.totals.DeferInflictedCycles != run.defer_ || run.defer_ == 0 {
+					t.Errorf("%s: ledger defer-inflicted %d != span probe-defer phase %d, or both zero",
+						name, run.totals.DeferInflictedCycles, run.defer_)
+				}
+				if run.result.LeaseLedger == nil {
+					t.Fatalf("%s: Result.LeaseLedger not populated", name)
+				}
+				if got := run.result.LeaseLedger.LedgerTotals; got != run.totals {
+					t.Errorf("%s: summary totals %+v != ledger totals %+v", name, got, run.totals)
+				}
 			}
-		}
-		if run.totals.DeferInflictedCycles != run.defer_ {
-			t.Errorf("seed %d: ledger defer-inflicted %d != span probe-defer phase %d",
-				seed, run.totals.DeferInflictedCycles, run.defer_)
-		}
-		if run.result.LeaseLedger == nil {
-			t.Fatalf("seed %d: Result.LeaseLedger not populated", seed)
-		}
-		if got := run.result.LeaseLedger.LedgerTotals; got != run.totals {
-			t.Errorf("seed %d: summary totals %+v != ledger totals %+v", seed, got, run.totals)
 		}
 	}
 }
@@ -78,7 +97,7 @@ func TestLedgerIdenticalAcrossPoolSizes(t *testing.T) {
 		for i, seed := range seeds {
 			seed := seed
 			futures[i] = goCell(pool, func() ledgerRun {
-				return runLedgerCell(t, seed, 4)
+				return runLedgerCell(t, ledgerConfig(4, seed, coherence.ProtocolMSI, false), 4)
 			})
 		}
 		out := make([]ledgerRun, len(futures))
@@ -136,26 +155,5 @@ func TestLedgerDoesNotPerturbSimulation(t *testing.T) {
 	}
 	if plain.LeaseLedger != nil {
 		t.Error("plain run produced lease accounting")
-	}
-}
-
-// A ledger line the hot-line profiler never saw joins with zero counters,
-// and the join makes no hot-line entry: leasesim's "top N of M" keeps M.
-func TestLedgerRowsLeaveHotLinesAlone(t *testing.T) {
-	rec := telemetry.NewRecorder()
-	seen := rec.Lines.Get(0x10)
-	seen.Msgs, seen.Invals = 7, 2
-	rows := LedgerRows([]telemetry.LedgerLineSummary{
-		{Addr: 0x10, Line: "0x10", Leases: 1},
-		{Addr: 0x20, Line: "0x20", Leases: 3},
-	}, rec)
-	if len(rows) != 2 || rows[0].HotScore != 9 || rows[0].Msgs != 7 || rows[0].Invals != 2 {
-		t.Fatalf("seen line joined as %+v", rows)
-	}
-	if r := rows[1]; r.HotScore != 0 || r.Msgs != 0 || r.Invals != 0 || r.Leases != 3 {
-		t.Errorf("unseen line joined as %+v, want zero counters", r)
-	}
-	if n := rec.Lines.Len(); n != 1 {
-		t.Errorf("hot lines = %d after the join, want 1", n)
 	}
 }

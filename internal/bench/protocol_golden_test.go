@@ -73,7 +73,7 @@ func TestTardisReportGolden(t *testing.T) {
 	if parsed.Counters.Renewals == 0 && parsed.Counters.RTSJumps == 0 {
 		t.Error("golden report has neither renewals nor rts-jumps")
 	}
-	if parsed.Counters.Msgs[coherence.MsgInval.String()] != 0 {
+	if parsed.Counters.Msgs[coherence.MsgInval] != 0 {
 		t.Error("golden Tardis report records invalidation messages")
 	}
 }

@@ -50,10 +50,10 @@ type Report struct {
 
 	// LeaseLedger is the lease-efficiency accounting (-ledger), with the
 	// ranked lines joined against the hot-line contention profile.
-	LeaseLedger *LedgerReport `json:"lease_ledger,omitempty"`
+	LeaseLedger *telemetry.LedgerSummary `json:"lease_ledger,omitempty"`
 
-	Counters Counters     `json:"counters"`
-	HotLines []HotLineRow `json:"hot_lines,omitempty"`
+	Counters machine.Stats `json:"counters"` // Result.Window
+	HotLines []HotLineRow  `json:"hot_lines,omitempty"`
 
 	TimelineFile string `json:"timeline_file,omitempty"`
 
@@ -85,63 +85,6 @@ func (r *Report) Key() string {
 		key += "/p" + r.Protocol
 	}
 	return key
-}
-
-// Counters is machine.Stats with JSON-friendly names and messages broken
-// out per kind.
-type Counters struct {
-	Cycles              uint64            `json:"cycles"`
-	L1Hits              uint64            `json:"l1_hits"`
-	L1Misses            uint64            `json:"l1_misses"`
-	Msgs                map[string]uint64 `json:"msgs"`
-	L2Accesses          uint64            `json:"l2_accesses"`
-	DRAMAccesses        uint64            `json:"dram_accesses"`
-	Leases              uint64            `json:"leases"`
-	MultiLeases         uint64            `json:"multi_leases"`
-	VoluntaryReleases   uint64            `json:"voluntary_releases"`
-	InvoluntaryReleases uint64            `json:"involuntary_releases"`
-	EvictedLeases       uint64            `json:"evicted_leases"`
-	ForcedReleases      uint64            `json:"forced_releases"`
-	BrokenLeases        uint64            `json:"broken_leases"`
-	IgnoredLeases       uint64            `json:"ignored_leases"`
-	DeferredProbes      uint64            `json:"deferred_probes"`
-	CASSuccesses        uint64            `json:"cas_successes"`
-	CASFailures         uint64            `json:"cas_failures"`
-	MaxDirQueue         int               `json:"max_dir_queue"`
-
-	// Preemption-fault and adaptive-controller counters; omitted when
-	// zero so clean-run reports stay byte-identical to older builds.
-	Preemptions     uint64 `json:"preemptions,omitempty"`
-	PreemptedCycles uint64 `json:"preempted_cycles,omitempty"`
-	CtrlClamps      uint64 `json:"ctrl_clamps,omitempty"`
-	CtrlShrinks     uint64 `json:"ctrl_shrinks,omitempty"`
-	CtrlGrows       uint64 `json:"ctrl_grows,omitempty"`
-
-	// Timestamp-protocol counters (Tardis); zero and omitted under MSI.
-	Renewals uint64 `json:"renewals,omitempty"`
-	RTSJumps uint64 `json:"rts_jumps,omitempty"`
-}
-
-// CountersOf converts a Stats snapshot to report form.
-func CountersOf(s machine.Stats) Counters {
-	msgs := make(map[string]uint64, len(s.Msgs))
-	for k, n := range s.Msgs {
-		msgs[coherence.MsgKind(k).String()] = n
-	}
-	return Counters{
-		Cycles: s.Cycles, L1Hits: s.L1Hits, L1Misses: s.L1Misses,
-		Msgs: msgs, L2Accesses: s.L2Accesses, DRAMAccesses: s.DRAMAccesses,
-		Leases: s.Leases, MultiLeases: s.MultiLeases,
-		VoluntaryReleases: s.VoluntaryReleases, InvoluntaryReleases: s.InvoluntaryReleases,
-		EvictedLeases: s.EvictedLeases, ForcedReleases: s.ForcedReleases,
-		BrokenLeases: s.BrokenLeases, IgnoredLeases: s.IgnoredLeases,
-		DeferredProbes: s.DeferredProbes,
-		CASSuccesses:   s.CASSuccesses, CASFailures: s.CASFailures,
-		MaxDirQueue: s.MaxDirQueue,
-		Preemptions: s.Preemptions, PreemptedCycles: s.PreemptedCycles,
-		CtrlClamps: s.CtrlClamps, CtrlShrinks: s.CtrlShrinks, CtrlGrows: s.CtrlGrows,
-		Renewals: s.Renewals, RTSJumps: s.RTSJumps,
-	}
 }
 
 // HotLineRow is one line of the ranked hot-line table, with the line
@@ -176,53 +119,6 @@ func HotLineRows(rec *telemetry.Recorder, k int) []HotLineRow {
 	return rows
 }
 
-// LedgerRow is one ranked ledger line joined with its hot-line profile
-// counters: lease efficiency alongside the contention that motivated (or
-// should motivate) the lease.
-type LedgerRow struct {
-	telemetry.LedgerLineSummary
-	HotScore uint64 `json:"hotline_score"`
-	Msgs     uint64 `json:"msgs"`
-	Invals   uint64 `json:"invalidations"`
-}
-
-// LedgerReport is the lease-ledger section of a run report: run totals
-// plus the two top-N rankings, each row joined with the hot-line profile.
-type LedgerReport struct {
-	telemetry.LedgerTotals
-	TopWasted         []LedgerRow `json:"top_wasted,omitempty"`
-	TopDeferInflicted []LedgerRow `json:"top_defer_inflicted,omitempty"`
-}
-
-// LedgerRows joins ranked ledger lines with the recorder's hot-line
-// counters (zero counters when the profiler never saw the line).
-func LedgerRows(lines []telemetry.LedgerLineSummary, rec *telemetry.Recorder) []LedgerRow {
-	rows := make([]LedgerRow, 0, len(lines))
-	for _, ls := range lines {
-		row := LedgerRow{LedgerLineSummary: ls}
-		if rec != nil {
-			if s := rec.Lines.Find(ls.Addr); s != nil {
-				row.HotScore, row.Msgs, row.Invals = s.Score(), s.Msgs, s.Invals
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rows
-}
-
-// BuildLedgerReport converts a run's ledger summary to report form,
-// joining against rec's hot-line profile. Nil in, nil out.
-func BuildLedgerReport(sum *telemetry.LedgerSummary, rec *telemetry.Recorder) *LedgerReport {
-	if sum == nil {
-		return nil
-	}
-	return &LedgerReport{
-		LedgerTotals:      sum.LedgerTotals,
-		TopWasted:         LedgerRows(sum.TopWasted, rec),
-		TopDeferInflicted: LedgerRows(sum.TopDeferInflicted, rec),
-	}
-}
-
 // protocolTag normalizes a config's protocol for reports: the default MSI
 // (under either spelling) is the empty tag, so an MSI report never names a
 // protocol.
@@ -247,13 +143,12 @@ func BuildReport(ds string, threads int, lease bool, cfg machine.Config,
 		CASFailsPerOp: r.CASFailsPerOp, Fairness: r.Fairness,
 		OpLatency: r.OpLatency, LeaseHold: r.LeaseHold,
 		ProbeDefer: r.ProbeDefer, DirQueue: r.DirQueue,
-		Txns:     r.Txns,
-		Counters: CountersOf(r.Window),
+		Txns: r.Txns, LeaseLedger: r.LeaseLedger,
+		Counters: r.Window,
 	}
 	if rec != nil && hotK > 0 {
 		rep.HotLines = HotLineRows(rec, hotK)
 	}
-	rep.LeaseLedger = BuildLedgerReport(r.LeaseLedger, rec)
 	if r.Err != nil {
 		rep.Error = r.Err.Error()
 	}

@@ -219,7 +219,7 @@ func ThroughputOpts(cfg machine.Config, threads int, warm, window uint64,
 				r.Txns = &sum
 			}
 			if ledger != nil {
-				sum := ledger.Summary(LedgerTopN)
+				sum := ledger.Summary(LedgerTopN, &rec.Lines)
 				r.LeaseLedger = &sum
 			}
 		}

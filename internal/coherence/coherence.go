@@ -20,6 +20,7 @@
 package coherence
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/bits"
 
@@ -70,6 +71,32 @@ func (k MsgKind) String() string {
 		return "writeback"
 	}
 	return fmt.Sprintf("MsgKind(%d)", int(k))
+}
+
+// MsgCounts counts messages per kind, indexed by MsgKind. In JSON it is an
+// object keyed by kind name, every kind present, in name order.
+type MsgCounts [NumMsgKinds]uint64
+
+// MarshalJSON writes the counts as an object keyed by MsgKind.String.
+func (c MsgCounts) MarshalJSON() ([]byte, error) {
+	byName := make(map[string]uint64, len(c))
+	for k, n := range c {
+		byName[MsgKind(k).String()] = n
+	}
+	return json.Marshal(byName) // sorts the keys
+}
+
+// UnmarshalJSON reads what MarshalJSON writes; a kind it does not name
+// counts zero, and a name that is no kind is ignored.
+func (c *MsgCounts) UnmarshalJSON(b []byte) error {
+	var byName map[string]uint64
+	if err := json.Unmarshal(b, &byName); err != nil {
+		return err
+	}
+	for k := range c {
+		c[k] = byName[MsgKind(k).String()]
+	}
+	return nil
 }
 
 // Timing holds the latency parameters of the memory system beyond L1,

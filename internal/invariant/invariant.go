@@ -27,7 +27,9 @@
 package invariant
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"leaserelease/internal/core"
@@ -276,15 +278,25 @@ func (c *Checker) checkTable(coreID int, now uint64) {
 }
 
 // checkDeferred flags probes still queued past their serve deadline (a
-// starved probe would otherwise only surface as a deadlock much later).
+// starved probe would otherwise only surface as a deadlock much later), in
+// (core, line) order, so the recorded violations — and which of them the
+// cap keeps — do not depend on the map's iteration order.
 func (c *Checker) checkDeferred(now uint64) {
+	var late []defKey
 	for k, d := range c.deferred {
 		if now > d.deadline {
-			c.violate(now, "probe-deferral-bound",
-				"probe on core %d line %#x still deferred %d cycles after queueing (deadline was cycle %d)",
-				k.core, uint64(k.line), now-d.queuedAt, d.deadline)
-			delete(c.deferred, k) // report once
+			late = append(late, k)
 		}
+	}
+	slices.SortFunc(late, func(a, b defKey) int {
+		return cmp.Or(cmp.Compare(a.core, b.core), cmp.Compare(a.line, b.line))
+	})
+	for _, k := range late {
+		d := c.deferred[k]
+		c.violate(now, "probe-deferral-bound",
+			"probe on core %d line %#x still deferred %d cycles after queueing (deadline was cycle %d)",
+			k.core, uint64(k.line), now-d.queuedAt, d.deadline)
+		delete(c.deferred, k) // report once
 	}
 }
 

@@ -8,41 +8,44 @@ import (
 )
 
 // Stats is a snapshot of the machine's hardware event counters. Subtract
-// two snapshots (Sub) to measure a window.
+// two snapshots (Sub) to measure a window. It marshals as a run report's
+// "counters" object, in field order.
 type Stats struct {
-	Cycles uint64 // simulated time of the snapshot
+	Cycles uint64 `json:"cycles"` // simulated time of the snapshot
 
-	L1Hits   uint64
-	L1Misses uint64
+	L1Hits   uint64 `json:"l1_hits"`
+	L1Misses uint64 `json:"l1_misses"`
 
-	Msgs         [coherence.NumMsgKinds]uint64
-	L2Accesses   uint64
-	DRAMAccesses uint64
+	Msgs         coherence.MsgCounts `json:"msgs"`
+	L2Accesses   uint64              `json:"l2_accesses"`
+	DRAMAccesses uint64              `json:"dram_accesses"`
 
-	Leases              uint64 // Lease instructions that created an entry
-	MultiLeases         uint64 // MultiLease group acquisitions
-	VoluntaryReleases   uint64
-	InvoluntaryReleases uint64 // lease timers expired
-	EvictedLeases       uint64 // FIFO-evicted by a newer lease (full table)
-	ForcedReleases      uint64 // released to unpin a fully-pinned L1 set
-	BrokenLeases        uint64 // broken by a regular request (prioritization)
-	IgnoredLeases       uint64 // skipped by the §5 speculative predictor
-	DeferredProbes      uint64 // probes queued at a leased core
+	Leases              uint64 `json:"leases"`       // Lease instructions that created an entry
+	MultiLeases         uint64 `json:"multi_leases"` // MultiLease group acquisitions
+	VoluntaryReleases   uint64 `json:"voluntary_releases"`
+	InvoluntaryReleases uint64 `json:"involuntary_releases"` // lease timers expired
+	EvictedLeases       uint64 `json:"evicted_leases"`       // FIFO-evicted by a newer lease (full table)
+	ForcedReleases      uint64 `json:"forced_releases"`      // released to unpin a fully-pinned L1 set
+	BrokenLeases        uint64 `json:"broken_leases"`        // broken by a regular request (prioritization)
+	IgnoredLeases       uint64 `json:"ignored_leases"`       // skipped by the §5 speculative predictor
+	DeferredProbes      uint64 `json:"deferred_probes"`      // probes queued at a leased core
 
-	Renewals uint64 // Tardis tag-only timestamp renewals (0 under MSI)
-	RTSJumps uint64 // Tardis writes whose commit time jumped past rts (0 under MSI)
+	CASSuccesses uint64 `json:"cas_successes"`
+	CASFailures  uint64 `json:"cas_failures"`
 
-	CASSuccesses uint64
-	CASFailures  uint64
+	MaxDirQueue int `json:"max_dir_queue"` // peak per-line directory queue occupancy
 
-	Preemptions     uint64 // fault-injected core preemptions delivered
-	PreemptedCycles uint64 // cycles cores spent descheduled
+	// Preemption-fault and adaptive-controller counters; omitted when zero,
+	// as clean runs leave them.
+	Preemptions     uint64 `json:"preemptions,omitempty"`      // fault-injected core preemptions delivered
+	PreemptedCycles uint64 `json:"preempted_cycles,omitempty"` // cycles cores spent descheduled
+	CtrlClamps      uint64 `json:"ctrl_clamps,omitempty"`      // lease requests cut by the adaptive controller
+	CtrlShrinks     uint64 `json:"ctrl_shrinks,omitempty"`     // controller cap shrinks (involuntary releases)
+	CtrlGrows       uint64 `json:"ctrl_grows,omitempty"`       // controller cap regrowths (clean releases)
 
-	CtrlClamps  uint64 // lease requests cut by the adaptive controller
-	CtrlShrinks uint64 // controller cap shrinks (involuntary releases)
-	CtrlGrows   uint64 // controller cap regrowths (clean releases)
-
-	MaxDirQueue int // peak per-line directory queue occupancy
+	// Timestamp-protocol counters; zero under MSI, and then omitted.
+	Renewals uint64 `json:"renewals,omitempty"`  // Tardis tag-only timestamp renewals
+	RTSJumps uint64 `json:"rts_jumps,omitempty"` // Tardis writes whose commit time jumped past rts
 }
 
 // TotalMsgs returns the total coherence message count.

@@ -7,16 +7,20 @@ import (
 	"leaserelease/internal/mem"
 )
 
-// Ledger is the lease-efficiency ledger: it consumes CatLease and CatTxn
-// bus events and produces per-line (and run-total) accounting of whether
-// each lease earned its keep — granted duration vs. cycles actually held,
-// operations absorbed under the lease, and the deferral cycles the lease
-// inflicted on other cores' coherence transactions (Proposition 1).
+// Ledger is the lease-efficiency ledger: it consumes CatLease bus events
+// and the span assembler's completed spans, and produces per-line (and
+// run-total) accounting of whether each lease earned its keep — granted
+// duration vs. cycles actually held, operations absorbed under the lease,
+// and the deferral cycles the lease inflicted on other cores' coherence
+// transactions (Proposition 1).
 //
 // Accounting identities (exact, per line, enforced by tests):
 //
 //	GrantedCycles == UsedCycles + UnusedCycles
 //	sum(DeferInflictedCycles) == span assembler probe-defer phase total
+//
+// The second holds by construction when both share a WindowStart: the
+// ledger charges each span's PhaseDefer (OnSpan).
 //
 // A lease is counted iff its countdown started at or after WindowStart
 // (the harness sets WindowStart to the warm-up boundary, matching the
@@ -40,7 +44,6 @@ type Ledger struct {
 	// operation (the common leased data structure pattern) still absorbed
 	// that operation, even though it is gone by the time OpEnd fires.
 	closed [][]mem.Line
-	txns   []ledgerTxn // per core: its one in-flight transaction (txnSlot)
 }
 
 // openLease is one started lease whose end event has not arrived yet.
@@ -49,19 +52,6 @@ type openLease struct {
 	dur     uint64 // granted duration (LeaseStarted's Val)
 	ops     uint64 // operations completed on the core while it was open
 	counted bool   // started inside the window with a known duration
-}
-
-// ledgerTxn tracks one in-flight coherence transaction so the deferral
-// cycles it suffered can be charged to the owning line at completion —
-// the same fold point and window filter the span assembler uses, which is
-// what makes the two accountings reconcile exactly.
-type ledgerTxn struct {
-	txnSlot
-	line             mem.Line
-	begin            uint64
-	probe, probeDone uint64
-	forwarded        bool
-	deferred         bool
 }
 
 // LineLedger is the per-cache-line lease-efficiency accounting.
@@ -212,43 +202,17 @@ func (ld *Ledger) close(e Event, ol openLease) {
 	}
 }
 
-// OnTxn consumes one CatTxn event. The deferral a transaction suffered is
-// charged to its line only at TxnComplete and only for transactions that
-// began inside the window — exactly when and what the span assembler
-// folds into its probe-defer phase, so the two totals reconcile.
-func (ld *Ledger) OnTxn(e Event) {
-	if e.Cat != CatTxn {
+// OnSpan charges one completed transaction's probe deferral to its line:
+// the probe-defer phase of a forwarded span that began inside the window.
+// Recorder.Attach hands it every span the assembler completes.
+func (ld *Ledger) OnSpan(s *Span) {
+	if s.Owner < 0 || s.Begin < ld.WindowStart {
 		return
 	}
-	id := e.Val
-	if e.Kind == TxnBegin {
-		*txnSlotFor(&ld.txns, id) = ledgerTxn{
-			txnSlot: txnSlot{id: id, open: true}, line: e.Line, begin: e.Time,
-		}
-		return
-	}
-	c := txnCore(id)
-	if c >= uint64(len(ld.txns)) || !ld.txns[c].holds(id) {
-		return
-	}
-	t := &ld.txns[c]
-	switch e.Kind {
-	case TxnProbe:
-		t.forwarded = true
-		t.probe = e.Time
-	case TxnDefer:
-		t.deferred = true
-	case TxnProbeDone:
-		t.probeDone = e.Time
-	case TxnComplete:
-		t.open = false
-		if t.forwarded && t.begin >= ld.WindowStart {
-			s := ld.Line(t.line)
-			s.DeferInflictedCycles += t.probeDone - t.probe
-			if t.deferred {
-				s.DeferredTxns++
-			}
-		}
+	l := ld.Line(s.Line)
+	l.DeferInflictedCycles += s.Phases[PhaseDefer]
+	if s.Deferred {
+		l.DeferredTxns++
 	}
 }
 
@@ -363,12 +327,11 @@ func (ld *Ledger) TopDeferInflicted(k int) []LineLedger {
 	return ld.top(k, func(l *LineLedger) uint64 { return l.DeferInflictedCycles })
 }
 
-// LedgerLineSummary is the JSON form of one ranked ledger line. Addr
-// carries the raw line for host-side joins (e.g. with the hot-line
-// profile) and is not marshaled; Line is the hex rendering.
+// LedgerLineSummary is the JSON form of one ranked ledger line (Line is
+// its hex rendering), joined with the line's hot-line profile counters:
+// lease efficiency alongside the contention that motivated the lease.
 type LedgerLineSummary struct {
-	Addr mem.Line `json:"-"`
-	Line string   `json:"line"`
+	Line string `json:"line"`
 
 	Leases               uint64  `json:"leases"`
 	Expired              uint64  `json:"expired"`
@@ -382,20 +345,12 @@ type LedgerLineSummary struct {
 	DeferInflictedCycles uint64  `json:"defer_inflicted_cycles"`
 	Efficiency           float64 `json:"efficiency"`
 	Amortization         float64 `json:"amortization"`
-}
 
-func lineSummaryOf(s *LineLedger) LedgerLineSummary {
-	return LedgerLineSummary{
-		Addr: s.Line, Line: fmt.Sprintf("%#x", uint64(s.Line)),
-		Leases: s.Leases, Expired: s.Expired,
-		GrantedCycles: s.GrantedCycles, UsedCycles: s.UsedCycles,
-		UnusedCycles: s.UnusedCycles, ExpiredIdleCycles: s.ExpiredIdleCycles,
-		WastedCycles: s.WastedCycles(), OpsUnder: s.OpsUnder,
-		DeferredTxns:         s.DeferredTxns,
-		DeferInflictedCycles: s.DeferInflictedCycles,
-		Efficiency:           s.Efficiency(),
-		Amortization:         s.Amortization(),
-	}
+	// The hot-line profile's counters for the line; zero when the profiler
+	// never saw it.
+	HotScore uint64 `json:"hotline_score"`
+	Msgs     uint64 `json:"msgs"`
+	Invals   uint64 `json:"invalidations"`
 }
 
 // LedgerSummary is the JSON form of the full ledger, as embedded in run
@@ -406,16 +361,34 @@ type LedgerSummary struct {
 	TopDeferInflicted []LedgerLineSummary `json:"top_defer_inflicted,omitempty"`
 }
 
-// Summary digests the ledger: run totals plus the two top-k rankings.
-func (ld *Ledger) Summary(k int) LedgerSummary {
-	sum := LedgerSummary{LedgerTotals: ld.Totals()}
-	for _, s := range ld.TopWasted(k) {
-		s := s
-		sum.TopWasted = append(sum.TopWasted, lineSummaryOf(&s))
+// Summary digests the ledger: run totals plus the two top-k rankings, each
+// line joined with hot's counters (HotLines.Find, which makes no entry).
+func (ld *Ledger) Summary(k int, hot *HotLines) LedgerSummary {
+	rows := func(top []LineLedger) []LedgerLineSummary {
+		var out []LedgerLineSummary
+		for i := range top {
+			s := &top[i]
+			row := LedgerLineSummary{
+				Line:   fmt.Sprintf("%#x", uint64(s.Line)),
+				Leases: s.Leases, Expired: s.Expired,
+				GrantedCycles: s.GrantedCycles, UsedCycles: s.UsedCycles,
+				UnusedCycles: s.UnusedCycles, ExpiredIdleCycles: s.ExpiredIdleCycles,
+				WastedCycles: s.WastedCycles(), OpsUnder: s.OpsUnder,
+				DeferredTxns:         s.DeferredTxns,
+				DeferInflictedCycles: s.DeferInflictedCycles,
+				Efficiency:           s.Efficiency(),
+				Amortization:         s.Amortization(),
+			}
+			if h := hot.Find(s.Line); h != nil {
+				row.HotScore, row.Msgs, row.Invals = h.Score(), h.Msgs, h.Invals
+			}
+			out = append(out, row)
+		}
+		return out
 	}
-	for _, s := range ld.TopDeferInflicted(k) {
-		s := s
-		sum.TopDeferInflicted = append(sum.TopDeferInflicted, lineSummaryOf(&s))
+	return LedgerSummary{
+		LedgerTotals:      ld.Totals(),
+		TopWasted:         rows(ld.TopWasted(k)),
+		TopDeferInflicted: rows(ld.TopDeferInflicted(k)),
 	}
-	return sum
 }

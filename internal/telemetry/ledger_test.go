@@ -115,46 +115,55 @@ func TestLedgerHoldClamped(t *testing.T) {
 	}
 }
 
-// The deferral fold: a forwarded transaction charges probeDone-probe to
-// its line at TxnComplete — and only then, only if it began inside the
-// window. DeferredTxns counts only transactions that actually deferred.
+// spanLedger returns a span assembler that hands every completed span to a
+// ledger, as Recorder.Attach wires them, both windowed at windowStart.
+func spanLedger(windowStart uint64) (*Spans, *Ledger) {
+	sp, ld := NewSpans(), NewLedger()
+	sp.WindowStart, ld.WindowStart = windowStart, windowStart
+	sp.OnComplete = ld.OnSpan
+	return sp, ld
+}
+
+// The deferral fold: a forwarded transaction charges its probe-defer phase
+// (probeDone-probe) to its line when its span completes — and only then,
+// only if it began inside the window. DeferredTxns counts only transactions
+// that actually deferred.
 func TestLedgerDeferFold(t *testing.T) {
-	ld := NewLedger()
-	ld.WindowStart = 100
+	sp, ld := spanLedger(100)
 
 	// Forwarded + deferred, in window: charged.
 	id := TxnID(0, 1)
-	ld.OnTxn(txnEv(120, 0, TxnBegin, 5, id, 0))
-	ld.OnTxn(txnEv(140, 3, TxnProbe, 5, id, 0))
-	ld.OnTxn(txnEv(140, 3, TxnDefer, 5, id, 0))
-	ld.OnTxn(txnEv(190, 3, TxnProbeDone, 5, id, 0))
-	ld.OnTxn(txnEv(200, 0, TxnComplete, 5, id, 0))
+	sp.OnEvent(txnEv(120, 0, TxnBegin, 5, id, 0))
+	sp.OnEvent(txnEv(140, 3, TxnProbe, 5, id, 0))
+	sp.OnEvent(txnEv(140, 3, TxnDefer, 5, id, 0))
+	sp.OnEvent(txnEv(190, 3, TxnProbeDone, 5, id, 0))
+	sp.OnEvent(txnEv(200, 0, TxnComplete, 5, id, 0))
 
 	// Forwarded but served immediately (no TxnDefer): probe round-trip
 	// cycles still fold, but it is not a deferred transaction.
 	id = TxnID(1, 1)
-	ld.OnTxn(txnEv(210, 1, TxnBegin, 5, id, 0))
-	ld.OnTxn(txnEv(220, 3, TxnProbe, 5, id, 0))
-	ld.OnTxn(txnEv(225, 3, TxnProbeDone, 5, id, 0))
-	ld.OnTxn(txnEv(230, 1, TxnComplete, 5, id, 0))
+	sp.OnEvent(txnEv(210, 1, TxnBegin, 5, id, 0))
+	sp.OnEvent(txnEv(220, 3, TxnProbe, 5, id, 0))
+	sp.OnEvent(txnEv(225, 3, TxnProbeDone, 5, id, 0))
+	sp.OnEvent(txnEv(230, 1, TxnComplete, 5, id, 0))
 
 	// Began before the window: excluded even though it completes inside.
 	id = TxnID(2, 1)
-	ld.OnTxn(txnEv(90, 2, TxnBegin, 5, id, 0))
-	ld.OnTxn(txnEv(140, 3, TxnProbe, 5, id, 0))
-	ld.OnTxn(txnEv(150, 3, TxnProbeDone, 5, id, 0))
-	ld.OnTxn(txnEv(160, 2, TxnComplete, 5, id, 0))
+	sp.OnEvent(txnEv(90, 2, TxnBegin, 5, id, 0))
+	sp.OnEvent(txnEv(140, 3, TxnProbe, 5, id, 0))
+	sp.OnEvent(txnEv(150, 3, TxnProbeDone, 5, id, 0))
+	sp.OnEvent(txnEv(160, 2, TxnComplete, 5, id, 0))
 
 	// Never completes: nothing charged.
 	id = TxnID(0, 2)
-	ld.OnTxn(txnEv(300, 0, TxnBegin, 5, id, 0))
-	ld.OnTxn(txnEv(310, 3, TxnProbe, 5, id, 0))
-	ld.OnTxn(txnEv(350, 3, TxnDefer, 5, id, 0))
+	sp.OnEvent(txnEv(300, 0, TxnBegin, 5, id, 0))
+	sp.OnEvent(txnEv(310, 3, TxnProbe, 5, id, 0))
+	sp.OnEvent(txnEv(350, 3, TxnDefer, 5, id, 0))
 
 	// Fill path (never forwarded): nothing charged.
 	id = TxnID(1, 2)
-	ld.OnTxn(txnEv(400, 1, TxnBegin, 5, id, 0))
-	ld.OnTxn(txnEv(440, 1, TxnComplete, 5, id, 0))
+	sp.OnEvent(txnEv(400, 1, TxnBegin, 5, id, 0))
+	sp.OnEvent(txnEv(440, 1, TxnComplete, 5, id, 0))
 
 	s := ld.Line(5)
 	if s.DeferInflictedCycles != 55 { // 50 + 5
@@ -162,6 +171,9 @@ func TestLedgerDeferFold(t *testing.T) {
 	}
 	if s.DeferredTxns != 1 {
 		t.Errorf("deferred txns = %d, want 1", s.DeferredTxns)
+	}
+	if st := sp.Stats(); st.Phase[PhaseDefer] != s.DeferInflictedCycles {
+		t.Errorf("span probe-defer phase = %d, ledger charged %d", st.Phase[PhaseDefer], s.DeferInflictedCycles)
 	}
 }
 
@@ -248,9 +260,9 @@ func TestLedgerTopAndSummary(t *testing.T) {
 		t.Errorf("no deferrals but top defer-inflicted = %+v", ds)
 	}
 
-	sum := ld.Summary(2)
+	sum := ld.Summary(2, &HotLines{})
 	if len(sum.TopWasted) != 2 || sum.TopWasted[0].Line != "0x40" ||
-		sum.TopWasted[0].Addr != 0x40 || sum.TopWasted[0].WastedCycles != 100 {
+		sum.TopWasted[0].WastedCycles != 100 {
 		t.Errorf("summary top wasted = %+v", sum.TopWasted)
 	}
 	raw, err := json.Marshal(sum.TopWasted[0])
@@ -264,8 +276,33 @@ func TestLedgerTopAndSummary(t *testing.T) {
 	if decoded["line"] != "0x40" {
 		t.Errorf("marshaled line = %v, want 0x40", decoded["line"])
 	}
-	if _, ok := decoded["Addr"]; ok {
-		t.Error("raw Addr field leaked into JSON")
+	if decoded["hotline_score"] != 0.0 {
+		t.Errorf("marshaled hotline_score = %v without a hot-line profile, want 0", decoded["hotline_score"])
+	}
+}
+
+// A ranked line joins with its hot-line counters; one the profiler never
+// saw joins with zero counters, and the join makes no hot-line entry:
+// leasesim's "top N of M" keeps M.
+func TestLedgerSummaryLeavesHotLinesAlone(t *testing.T) {
+	var hot HotLines
+	seen := hot.Get(0x10)
+	seen.Msgs, seen.Invals = 7, 2
+	ld := NewLedger()
+	ld.OnLease(leaseEv(0, 0, LeaseStarted, 0x10, 100))
+	ld.OnLease(leaseEv(90, 0, LeaseReleased, 0x10, 90)) // 10 wasted
+	ld.OnLease(leaseEv(0, 1, LeaseStarted, 0x20, 100))
+	ld.OnLease(leaseEv(50, 1, LeaseReleased, 0x20, 50)) // 50 wasted
+
+	rows := ld.Summary(5, &hot).TopWasted
+	if len(rows) != 2 || rows[1].Line != "0x10" || rows[1].HotScore != 9 || rows[1].Msgs != 7 || rows[1].Invals != 2 {
+		t.Fatalf("seen line joined as %+v", rows)
+	}
+	if r := rows[0]; r.Line != "0x20" || r.HotScore != 0 || r.Msgs != 0 || r.Invals != 0 || r.Leases != 1 {
+		t.Errorf("unseen line joined as %+v, want zero counters", r)
+	}
+	if n := hot.Len(); n != 1 {
+		t.Errorf("hot lines = %d after the join, want 1", n)
 	}
 }
 

@@ -49,26 +49,3 @@ func (t *lineTable[T]) all() iter.Seq[*T] {
 		}
 	}
 }
-
-// txnSlot is the head of an in-flight transaction's record. A core has at
-// most one open transaction (Proposition 1), so the span assembler and the
-// ledger keep each in a slot indexed by its requesting core, txnCore(id),
-// and check the stored ID on every event: an event of a transaction the
-// slot does not hold — begun before the subscriber attached, completed
-// already, or superseded by the core's next request — is ignored.
-type txnSlot struct {
-	id   uint64
-	open bool
-}
-
-func (s *txnSlot) holds(id uint64) bool { return s.open && s.id == id }
-
-// txnSlotFor returns the slot transaction id lives in, growing slots to
-// reach it.
-func txnSlotFor[T any](slots *[]T, id uint64) *T {
-	c := txnCore(id)
-	if c >= uint64(len(*slots)) {
-		*slots = append(*slots, make([]T, c+1-uint64(len(*slots)))...)
-	}
-	return &(*slots)[c]
-}

@@ -26,10 +26,8 @@ type Recorder struct {
 	// disabled path.
 	Spans *Spans
 
-	// Ledger, when non-nil (EnableLedger), folds lease-lifecycle and
-	// transaction events into the per-line lease-efficiency ledger. Like
-	// Spans it makes Attach subscribe CatTxn; when disabled the fast path
-	// stays cold.
+	// Ledger, when non-nil (EnableLedger), folds lease-lifecycle events and
+	// completed spans into the per-line lease-efficiency ledger.
 	Ledger *Ledger
 }
 
@@ -51,9 +49,13 @@ func (r *Recorder) EnableSpans() *Spans {
 	return r.Spans
 }
 
-// EnableLedger attaches a lease-efficiency ledger and returns it. Call
-// before Attach.
+// EnableLedger attaches a lease-efficiency ledger and returns it, enabling
+// spans too unless they already are: the ledger reads completed spans.
+// Call before Attach.
 func (r *Recorder) EnableLedger() *Ledger {
+	if r.Spans == nil {
+		r.EnableSpans()
+	}
 	r.Ledger = NewLedger()
 	return r.Ledger
 }
@@ -67,13 +69,18 @@ func (r *Recorder) Attach(b *Bus) {
 	b.Subscribe(CatCache, r.onCache)
 	b.Subscribe(CatDirQueue, r.onDirQueue)
 	if r.Spans != nil {
-		if r.Timeline != nil && r.Spans.OnComplete == nil {
-			r.Spans.OnComplete = r.Timeline.OnTxnSpan
-		}
+		r.Spans.OnComplete = r.onSpan
 		b.Subscribe(CatTxn, r.Spans.OnEvent)
 	}
+}
+
+// onSpan hands one completed span to the timeline and the ledger.
+func (r *Recorder) onSpan(s *Span) {
+	if r.Timeline != nil {
+		r.Timeline.OnTxnSpan(s)
+	}
 	if r.Ledger != nil {
-		b.Subscribe(CatTxn, r.Ledger.OnTxn)
+		r.Ledger.OnSpan(s)
 	}
 }
 

@@ -101,6 +101,29 @@ type openSpan struct {
 	forwarded  bool
 }
 
+// txnSlot is the head of an in-flight transaction's record. A core has at
+// most one open transaction (Proposition 1), so the span assembler keeps
+// each in a slot indexed by its requesting core, txnCore(id), and checks the
+// stored ID on every event: an event of a transaction the slot does not
+// hold — begun before the assembler attached, completed already, or
+// superseded by the core's next request — is ignored.
+type txnSlot struct {
+	id   uint64
+	open bool
+}
+
+func (s *txnSlot) holds(id uint64) bool { return s.open && s.id == id }
+
+// txnSlotFor returns the slot transaction id lives in, growing slots to
+// reach it.
+func txnSlotFor[T any](slots *[]T, id uint64) *T {
+	c := txnCore(id)
+	if c >= uint64(len(*slots)) {
+		*slots = append(*slots, make([]T, c+1-uint64(len(*slots)))...)
+	}
+	return &(*slots)[c]
+}
+
 // TxnStats is the aggregated critical-path cycle accounting of a run's
 // coherence transactions, plus the operation-level roll-up maintained by
 // the harness's OpEnd calls. All counters cover only spans whose Begin is
@@ -129,7 +152,8 @@ type TxnStats struct {
 
 // Spans assembles CatTxn bus events into per-transaction spans and folds
 // them into critical-path cycle accounting. Subscribe OnEvent to CatTxn
-// (Recorder.EnableSpans does this). Each in-flight transaction lives in its
+// (Recorder.Attach does this, and nothing else subscribes CatTxn: the ledger
+// reads completed spans). Each in-flight transaction lives in its
 // core's slot (txnSlot), so assembly allocates nothing per transaction.
 type Spans struct {
 	// WindowStart excludes transactions beginning before it (the harness
@@ -143,9 +167,10 @@ type Spans struct {
 	Completed []Span
 
 	// OnComplete, when non-nil, observes every completed span in
-	// completion order (the Timeline uses it to draw transaction slices).
-	// The *Span lives in its core's slot and is valid only during the call;
-	// copy it to keep it.
+	// completion order (Recorder.Attach hands each one to the timeline, which
+	// draws it, and to the ledger, which charges its deferral). The *Span
+	// lives in its core's slot and is valid only during the call; copy it to
+	// keep it.
 	OnComplete func(*Span)
 
 	stats   TxnStats

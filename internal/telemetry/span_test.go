@@ -225,16 +225,12 @@ func TestTxnDisabledZeroAlloc(t *testing.T) {
 // Each core's in-flight transaction lives in its own slot: two cores'
 // transactions overlap in time and both assemble, and an event carrying an
 // ID its core's slot no longer holds — the transaction completed, and
-// perhaps the core began its next — is ignored by the span assembler and
-// the ledger alike.
+// perhaps the core began its next — is ignored, and the ledger reading the
+// completed spans is charged for neither.
 func TestTxnSlotsOverlapAndIgnoreStaleIDs(t *testing.T) {
-	sp := NewSpans()
+	sp, ld := spanLedger(0)
 	sp.Keep = true
-	ld := NewLedger()
-	feed := func(e Event) {
-		sp.OnEvent(e)
-		ld.OnTxn(e)
-	}
+	feed := sp.OnEvent
 	a, b := TxnID(1, 1), TxnID(2, 1)
 	feed(txnEv(100, 1, TxnBegin, 7, a, TxnFlagExcl))
 	feed(txnEv(105, 2, TxnBegin, 9, b, 0))

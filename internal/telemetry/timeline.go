@@ -126,8 +126,8 @@ func (t *Timeline) instant(core int, now uint64, name string, l mem.Line) {
 // slice on the requesting core's track with nested per-phase slices (the
 // phases are consecutive, so nesting is exact), an async slice on the
 // directory track covering the directory's involvement, and a flow arrow
-// chain requester -> directory [-> owner] -> requester. Recorder wires it
-// as Spans.OnComplete when both spans and a timeline are enabled.
+// chain requester -> directory [-> owner] -> requester. The Recorder hands
+// it every completed span when both spans and a timeline are enabled.
 func (t *Timeline) OnTxnSpan(s *Span) {
 	t.cores[s.Core] = true
 	t.hasDir = true

@@ -19,8 +19,10 @@ var unreferenced = map[string]string{
 	"Pagerank.Reference": "the sequential reference the simulated PageRank is compared against",
 	"TL2.Read":           "the TL2 tests' oracle",
 
-	"PanicError.Unwrap": "errors.As and errors.Is call it",
-	"RunError.Unwrap":   "errors.As and errors.Is call it",
+	"PanicError.Unwrap":       "errors.As and errors.Is call it",
+	"RunError.Unwrap":         "errors.As and errors.Is call it",
+	"MsgCounts.MarshalJSON":   "encoding/json calls it",
+	"MsgCounts.UnmarshalJSON": "encoding/json calls it",
 
 	"Ctx.Fence":             "tests sample Machine.Stats from inside a thread",
 	"Ctx.LeaseHeld":         "tests assert which leases a thread holds",
