@@ -20,6 +20,16 @@ func leasebench(args ...string) (status int, stdout, stderr string) {
 	return status, out.String(), errOut.String()
 }
 
+// experiment returns the experiment -exp id selects.
+func experiment(id string) bench.Experiment {
+	for _, e := range experiments {
+		if e.ID == id {
+			return e
+		}
+	}
+	panic("no experiment " + id)
+}
+
 func TestListNamesEveryExperiment(t *testing.T) {
 	status, out, _ := leasebench("-list")
 	lines := strings.Split(strings.TrimSpace(out), "\n")
@@ -78,7 +88,7 @@ func TestExperimentOutputIsTheDeclarations(t *testing.T) {
 	if status != 0 {
 		t.Fatalf("status %d, stderr:\n%s", status, errOut)
 	}
-	e, _ := bench.Find("fig4-mq")
+	e := experiment("fig4-mq")
 	var want bytes.Buffer
 	want.WriteString("## fig4-mq — " + e.Paper + "\n")
 	if failed := e.Run(&want, bench.QuickParams()); len(failed) > 0 {
@@ -107,7 +117,7 @@ func TestWarmZeroIsAValue(t *testing.T) {
 	if cold == run() {
 		t.Error("-warm 0 printed what the scale's warm-up prints")
 	}
-	e, _ := bench.Find("fig4-mq")
+	e := experiment("fig4-mq")
 	p := bench.QuickParams()
 	p.Warm = 0
 	var want bytes.Buffer
@@ -169,7 +179,7 @@ func TestFailedCellExitsOne(t *testing.T) {
 				Cell: func(res []bench.Result) any { return res[0].MopsPerSec }}}}},
 		}
 	}}
-	table1, _ := bench.Find("table1")
+	table1 := experiment("table1")
 	defer func(saved []bench.Experiment) { experiments = saved }(experiments)
 	experiments = []bench.Experiment{failing, table1}
 

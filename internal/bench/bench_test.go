@@ -137,11 +137,22 @@ func checkExperimentGolden(t *testing.T, e Experiment, p Params, pool *Pool, nam
 	}
 }
 
+// find returns the experiment with the given id, as leasebench -exp picks
+// it from All.
+func find(id string) (Experiment, bool) {
+	for _, e := range All() {
+		if e.ID == id {
+			return e, true
+		}
+	}
+	return Experiment{}, false
+}
+
 func TestFindExperiment(t *testing.T) {
-	if _, ok := Find("fig2"); !ok {
+	if _, ok := find("fig2"); !ok {
 		t.Fatal("fig2 not found")
 	}
-	if _, ok := Find("nope"); ok {
+	if _, ok := find("nope"); ok {
 		t.Fatal("bogus id found")
 	}
 	ids := map[string]bool{}

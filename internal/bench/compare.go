@@ -61,14 +61,20 @@ func deltaPct(old, new float64) float64 {
 	return 100 * (new - old) / old
 }
 
-// fmtDelta renders a signed percentage column, flagging regressions.
-// higherIsBetter says which direction counts as a regression; beyond
-// thresholdPct the cell is marked with '!' and counted.
-func fmtDelta(pct float64, higherIsBetter bool, thresholdPct float64, regressions *int) string {
+// fmtDelta renders the change from old to new as a signed percentage,
+// flagging regressions. higherIsBetter says which direction counts as a
+// regression; beyond thresholdPct the cell is marked with '!' and counted.
+// A change from 0 has no percentage: the cell reads "(was 0)", and any move
+// in the bad direction counts.
+func fmtDelta(old, new float64, higherIsBetter bool, thresholdPct float64, regressions *int) string {
+	pct := deltaPct(old, new)
 	s := fmt.Sprintf("%+.1f%%", pct)
 	bad := pct < -thresholdPct
 	if !higherIsBetter {
 		bad = pct > thresholdPct
+	}
+	if old == 0 && new != 0 {
+		s, bad = "(was 0)", (new > 0) != higherIsBetter
 	}
 	if bad && thresholdPct > 0 {
 		*regressions++
@@ -107,11 +113,11 @@ func CompareReports(w io.Writer, old, new []Report, thresholdPct float64) (regre
 		matched++
 		delete(oldBy, k)
 		t.Row(k,
-			n.Ops, fmtDelta(deltaPct(float64(o.Ops), float64(n.Ops)), true, thresholdPct, &regressions),
-			n.MopsPerSec, fmtDelta(deltaPct(o.MopsPerSec, n.MopsPerSec), true, thresholdPct, &regressions),
-			latP50(n), fmtDelta(deltaPct(float64(latP50(o)), float64(latP50(n))), false, thresholdPct, &regressions),
-			latP99(n), fmtDelta(deltaPct(float64(latP99(o)), float64(latP99(n))), false, thresholdPct, &regressions),
-			n.MsgsPerOp, fmtDelta(deltaPct(o.MsgsPerOp, n.MsgsPerOp), false, thresholdPct, &regressions),
+			n.Ops, fmtDelta(float64(o.Ops), float64(n.Ops), true, thresholdPct, &regressions),
+			n.MopsPerSec, fmtDelta(o.MopsPerSec, n.MopsPerSec, true, thresholdPct, &regressions),
+			latP50(n), fmtDelta(float64(latP50(o)), float64(latP50(n)), false, thresholdPct, &regressions),
+			latP99(n), fmtDelta(float64(latP99(o)), float64(latP99(n)), false, thresholdPct, &regressions),
+			n.MsgsPerOp, fmtDelta(o.MsgsPerOp, n.MsgsPerOp, false, thresholdPct, &regressions),
 		)
 	}
 	for _, k := range slices.Sorted(maps.Keys(oldBy)) {

@@ -93,6 +93,24 @@ func TestCompareReportsRegressions(t *testing.T) {
 	}
 }
 
+// A metric that leaves 0 has no percentage change: a one-thread leased
+// counter sends no messages, so one that starts sending them is a regression
+// however few it sends, and one that gains ops from 0 is not.
+func TestCompareFlagsChangeFromZero(t *testing.T) {
+	old := []Report{compareRep("counter", 1, true, 0, 0, 10, 10, 0)}
+	cur := []Report{compareRep("counter", 1, true, 0, 0, 10, 10, 0.5)}
+	var buf bytes.Buffer
+	if got, _ := CompareReports(&buf, old, cur, 5); got != 1 || !strings.Contains(buf.String(), "(was 0) !") {
+		t.Errorf("msgs/op 0 -> 0.5: %d regressions, want 1 marked '(was 0) !':\n%s", got, &buf)
+	}
+
+	cur = []Report{compareRep("counter", 1, true, 100, 1.0, 10, 10, 0)}
+	buf.Reset()
+	if got, _ := CompareReports(&buf, old, cur, 5); got != 0 || !strings.Contains(buf.String(), "(was 0)") {
+		t.Errorf("ops and Mops/s from 0: %d regressions, want 0 and '(was 0)' cells:\n%s", got, &buf)
+	}
+}
+
 // Reports that differ only in protocol, seed or fault profile are different
 // configurations: a file holding several of them compared with itself
 // matches each report to itself and finds nothing.

@@ -134,7 +134,7 @@ func degradation(p Params) Sweep {
 				mx = fmt.Sprintf("%d", lat.Max)
 			}
 			vt.Row(v.Name, p50, p99, mx, defer99,
-				r.Window.Preemptions, r.Window.PreemptedCycles, r.Faults.HolderPreemptions)
+				r.Window.Preemptions, r.Window.PreemptedCycles, r.Window.HolderPreemptions)
 		}
 		vt.Print(w)
 		fmt.Fprintln(w)

@@ -71,7 +71,7 @@ func TestDegradationRateZeroMatchesClean(t *testing.T) {
 // -parallel contract extended to fault-injected sweeps.
 func TestDegradationParallelDeterminism(t *testing.T) {
 	params := Params{Threads: []int{4}, Warm: 10_000, Window: 40_000}
-	e, ok := Find("degradation")
+	e, ok := find("degradation")
 	if !ok {
 		t.Fatal("degradation experiment not registered")
 	}

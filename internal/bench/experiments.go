@@ -84,16 +84,6 @@ func All() []Experiment {
 	}
 }
 
-// Find returns the experiment with the given id.
-func Find(id string) (Experiment, bool) {
-	for _, e := range All() {
-		if e.ID == id {
-			return e, true
-		}
-	}
-	return Experiment{}, false
-}
-
 // cfgFor builds the machine config for one sweep cell: the paper's default
 // system, on the sweep's coherence protocol.
 func (p Params) cfgFor(threads int) machine.Config {

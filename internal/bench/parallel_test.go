@@ -18,7 +18,7 @@ func TestPoolDeterminism(t *testing.T) {
 	// A heap-sweep experiment, a measured (telemetry recorder) experiment,
 	// and the multi-table one with interleaved submission patterns.
 	for _, id := range []string{"fig2", "fig3-counter", "ablate-mesi"} {
-		e, ok := Find(id)
+		e, ok := find(id)
 		if !ok {
 			t.Fatalf("experiment %q not found", id)
 		}

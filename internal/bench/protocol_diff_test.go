@@ -193,7 +193,7 @@ func TestTardisSweepDeterministicAcrossPoolSizes(t *testing.T) {
 		{"fig3-counter", coherence.ProtocolTardis},
 		{"protocol-compare", ""},
 	} {
-		e, ok := Find(tc.id)
+		e, ok := find(tc.id)
 		if !ok {
 			t.Fatalf("experiment %q not found", tc.id)
 		}

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 
-	"leaserelease/internal/faults"
 	"leaserelease/internal/invariant"
 	"leaserelease/internal/machine"
 	"leaserelease/internal/sim"
@@ -60,11 +59,6 @@ type Result struct {
 	// used cycles, ops absorbed, deferral inflicted), filled when the
 	// recorder had the ledger enabled (Recorder.EnableLedger); nil otherwise.
 	LeaseLedger *telemetry.LedgerSummary
-
-	// Faults is the injector's whole-run delivery count (zero when fault
-	// injection is disabled). Unlike Window it is not windowed: it counts
-	// warm-up faults too, so it reports the schedule actually delivered.
-	Faults faults.Stats
 
 	// EngineStats is the event kernel's host-side counters for the run
 	// (machine.Machine.EngineStats), read once the machine has stopped,
@@ -204,7 +198,6 @@ func ThroughputOpts(cfg machine.Config, threads int, warm, window uint64,
 			}
 		}
 		r = summarize(m.Config(), threads, ops, w)
-		r.Faults = m.FaultStats()
 		if maxT > 0 {
 			r.Fairness = float64(minT) / float64(maxT)
 		}

@@ -86,59 +86,6 @@ func (s *SeqSkipList) DeleteMin(x machine.API) (key uint64, ok bool) {
 	return key, true
 }
 
-// Contains reports whether key is present.
-func (s *SeqSkipList) Contains(x machine.API, key uint64) bool {
-	p := s.head
-	for l := seqMaxLevel - 1; l >= 0; l-- {
-		for {
-			n := mem.Addr(x.Load(p + sskNext + mem.Addr(8*l)))
-			if x.Load(n+sskKey) < key {
-				p = n
-				continue
-			}
-			break
-		}
-	}
-	n := mem.Addr(x.Load(p + sskNext))
-	return x.Load(n+sskKey) == key
-}
-
-// Delete removes one instance of key, reporting whether it was found.
-func (s *SeqSkipList) Delete(x machine.API, key uint64) bool {
-	var preds [seqMaxLevel]mem.Addr
-	p := s.head
-	for l := seqMaxLevel - 1; l >= 0; l-- {
-		for {
-			n := mem.Addr(x.Load(p + sskNext + mem.Addr(8*l)))
-			if x.Load(n+sskKey) < key {
-				p = n
-				continue
-			}
-			break
-		}
-		preds[l] = p
-	}
-	victim := mem.Addr(x.Load(preds[0] + sskNext))
-	if x.Load(victim+sskKey) != key {
-		return false
-	}
-	for l := 0; l < seqMaxLevel; l++ {
-		if mem.Addr(x.Load(preds[l]+sskNext+mem.Addr(8*l))) == victim {
-			x.Store(preds[l]+sskNext+mem.Addr(8*l), x.Load(victim+sskNext+mem.Addr(8*l)))
-		}
-	}
-	return true
-}
-
-// Min returns the smallest key without removing it; ok=false when empty.
-func (s *SeqSkipList) Min(x machine.API) (key uint64, ok bool) {
-	first := mem.Addr(x.Load(s.head + sskNext))
-	if first == s.tail {
-		return 0, false
-	}
-	return x.Load(first + sskKey), true
-}
-
 // Len counts elements via the bottom level (test oracle).
 func (s *SeqSkipList) Len(x machine.API) int {
 	n := 0

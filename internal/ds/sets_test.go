@@ -211,27 +211,3 @@ func TestSeqSkipListVsSortedSlice(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSeqSkipListDeleteContains(t *testing.T) {
-	m := newM(1)
-	d := m.Direct()
-	s := NewSeqSkipList(d)
-	for _, k := range []uint64{5, 3, 9, 7, 1} {
-		s.Insert(d, k, k*10)
-	}
-	if !s.Contains(d, 7) || s.Contains(d, 4) {
-		t.Fatal("Contains wrong")
-	}
-	if !s.Delete(d, 7) || s.Delete(d, 7) {
-		t.Fatal("Delete wrong")
-	}
-	if s.Contains(d, 7) {
-		t.Fatal("deleted key still present")
-	}
-	if min, ok := s.Min(d); !ok || min != 1 {
-		t.Fatalf("Min = %d,%v", min, ok)
-	}
-	if s.Len(d) != 4 {
-		t.Fatalf("Len = %d, want 4", s.Len(d))
-	}
-}

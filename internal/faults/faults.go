@@ -111,10 +111,6 @@ type Stats struct {
 	DirStallCycles uint64 `json:"dir_stall_cycles"`
 	LeaseCuts      uint64 `json:"lease_cuts"`
 	LeaseCutCycles uint64 `json:"lease_cut_cycles"`
-
-	Preemptions       uint64 `json:"preemptions,omitempty"`
-	PreemptCycles     uint64 `json:"preempt_cycles,omitempty"`
-	HolderPreemptions uint64 `json:"holder_preemptions,omitempty"`
 }
 
 // Injector draws fault decisions from a deterministic stream. A nil
@@ -235,13 +231,7 @@ func (i *Injector) Preempt(core int, holder bool) sim.Time {
 	if hi < lo {
 		hi = lo
 	}
-	d := lo + r.Uint64n(hi-lo+1)
-	i.stats.Preemptions++
-	i.stats.PreemptCycles += d
-	if holder {
-		i.stats.HolderPreemptions++
-	}
-	return d
+	return lo + r.Uint64n(hi-lo+1)
 }
 
 // CapWays returns the effective L1 associativity under capacity pressure:

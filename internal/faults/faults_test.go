@@ -84,12 +84,11 @@ func TestPreemptDeterministicPerCore(t *testing.T) {
 	}
 }
 
-// TestPreemptStatsConserve: PreemptCycles equals the sum of delivered
-// durations, and each duration respects the [Min, Max] bounds.
-func TestPreemptStatsConserve(t *testing.T) {
+// TestPreemptDurationsInBounds: each delivered duration respects the
+// [Min, Max] bounds, and preemption counts as no other fault.
+func TestPreemptDurationsInBounds(t *testing.T) {
 	cfg := Config{Enabled: true, PreemptPermille: 300, PreemptMin: 200, PreemptMax: 3000}
 	inj := New(cfg, 9)
-	var sum sim.Time
 	var count uint64
 	for i := 0; i < 5000; i++ {
 		d := inj.Preempt(i%8, i%3 == 0)
@@ -99,21 +98,18 @@ func TestPreemptStatsConserve(t *testing.T) {
 		if d < cfg.PreemptMin || d > cfg.PreemptMax {
 			t.Fatalf("duration %d outside [%d, %d]", d, cfg.PreemptMin, cfg.PreemptMax)
 		}
-		sum += d
 		count++
-	}
-	s := inj.Stats()
-	if s.Preemptions != count || s.PreemptCycles != sum {
-		t.Fatalf("stats %d/%d cycles, delivered %d/%d", s.Preemptions, s.PreemptCycles, count, sum)
 	}
 	if count == 0 {
 		t.Fatal("permille 300 over 5000 points delivered nothing")
 	}
+	if s := inj.Stats(); s != (Stats{}) {
+		t.Fatalf("preemption counted as another fault: %+v", s)
+	}
 }
 
 // TestPreemptTargetedSkipsNonHolders: targeted mode never preempts a
-// non-holder, consumes no draw for one, and counts every delivery as a
-// holder hit.
+// non-holder and consumes no draw for one.
 func TestPreemptTargetedSkipsNonHolders(t *testing.T) {
 	cfg := Config{Enabled: true, PreemptPermille: 1000, PreemptMin: 10, PreemptMax: 10, PreemptTargeted: true}
 	inj := New(cfg, 5)
@@ -122,10 +118,6 @@ func TestPreemptTargetedSkipsNonHolders(t *testing.T) {
 	}
 	if d := inj.Preempt(0, true); d == 0 {
 		t.Fatal("permille 1000 did not preempt a holder")
-	}
-	s := inj.Stats()
-	if s.Preemptions != 1 || s.HolderPreemptions != 1 {
-		t.Fatalf("stats %+v, want 1 preemption, all holder", s)
 	}
 	// Interleaving ineligible points must not perturb the schedule.
 	a := New(cfg, 6)

@@ -315,9 +315,6 @@ func (c *Checker) CheckNow() {
 	c.checkDeferred(now)
 }
 
-// Violations returns the recorded violations (nil if none).
-func (c *Checker) Violations() []Violation { return c.violations }
-
 // History returns the last events observed, oldest first.
 func (c *Checker) History() []telemetry.Event {
 	if !c.histFull {

@@ -171,64 +171,6 @@ func (l *CLH) Unlock(x machine.API, h *CLHHandle) {
 	h.node = h.pred
 }
 
-// Addr returns the tail pointer address.
-func (l *CLH) Addr() mem.Addr { return l.tail }
-
-// MCS is an MCS queue lock [25]: threads enqueue via a tail swap and each
-// spins on a flag in its own queue node; the releaser hands the lock to
-// its successor directly.
-type MCS struct{ tail mem.Addr }
-
-// MCSHandle is a thread's private queue node: [locked, next].
-type MCSHandle struct{ node mem.Addr }
-
-const (
-	mcsLocked = 0
-	mcsNext   = 8
-)
-
-// NewMCS allocates the lock (tail = 0 means free).
-func NewMCS(x machine.API) *MCS { return &MCS{tail: x.Alloc(8)} }
-
-// NewHandle allocates a thread's MCS node.
-func (l *MCS) NewHandle(x machine.API) *MCSHandle {
-	return &MCSHandle{node: x.Alloc(16)}
-}
-
-// Lock enqueues h's node and spins on its own flag until the predecessor
-// hands over.
-func (l *MCS) Lock(x machine.API, h *MCSHandle) {
-	x.Store(h.node+mcsLocked, 1)
-	x.Store(h.node+mcsNext, 0)
-	pred := x.Swap(l.tail, uint64(h.node))
-	if pred == 0 {
-		return // lock was free
-	}
-	x.Store(mem.Addr(pred)+mcsNext, uint64(h.node))
-	for x.Load(h.node+mcsLocked) != 0 {
-		x.Work(8)
-	}
-}
-
-// Unlock hands the lock to the successor, or frees it if none.
-func (l *MCS) Unlock(x machine.API, h *MCSHandle) {
-	next := x.Load(h.node + mcsNext)
-	if next == 0 {
-		if x.CAS(l.tail, uint64(h.node), 0) {
-			return // no successor
-		}
-		// A successor is enqueueing; wait for its link.
-		for next == 0 {
-			x.Work(4)
-			next = x.Load(h.node + mcsNext)
-		}
-	}
-	x.Store(mem.Addr(next)+mcsLocked, 0)
-}
-
-// Addr returns the tail pointer address.
-func (l *MCS) Addr() mem.Addr { return l.tail }
-
 // Leased wraps a TryLock with the §6 pattern: the thread leases the lock
 // variable before try_lock and holds the lease for the whole critical
 // section, so (a) the unlock is a guaranteed L1 hit and (b) waiters queue

@@ -108,7 +108,7 @@ func TestVerifyCoherenceIsDeterministic(t *testing.T) {
 	}
 	n := 0
 	var prev mem.Line
-	for v := range m.Protocol().Lines() {
+	for v := range m.proto.Lines() {
 		if n > 0 && v.Line <= prev {
 			t.Fatalf("line %#x visited after %#x", uint64(v.Line), uint64(prev))
 		}

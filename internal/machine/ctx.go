@@ -76,12 +76,6 @@ type Ctx struct {
 
 var _ API = (*Ctx)(nil)
 
-// ID returns the core/thread id.
-func (c *Ctx) ID() int { return c.cs.id }
-
-// Cores returns the machine's core count.
-func (c *Ctx) Cores() int { return len(c.m.cores) }
-
 // Now returns the thread's local clock in cycles.
 func (c *Ctx) Now() uint64 { return c.p.Clock() }
 

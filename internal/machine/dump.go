@@ -200,7 +200,3 @@ func (m *Machine) ForEachLease(c int, fn func(e *core.Entry)) {
 // L1 exposes core c's private cache for tests and diagnostics (e.g. the
 // invariant mutation tests corrupt it deliberately).
 func (m *Machine) L1(c int) *cache.Cache { return m.cores[c].l1 }
-
-// FaultStats reports how many faults the injector delivered (zero when
-// fault injection is disabled).
-func (m *Machine) FaultStats() faults.Stats { return m.faults.Stats() }

@@ -164,11 +164,6 @@ func (m *Machine) Now() uint64 { return m.eng.Now() }
 // another, and each moves the clock.
 func (m *Machine) FinishedAt() uint64 { return m.finishedAt }
 
-// Seconds converts a cycle count to seconds at the configured clock.
-func (m *Machine) Seconds(cycles uint64) float64 {
-	return float64(cycles) / float64(m.cfg.ClockHz)
-}
-
 // Spawn starts a simulated thread running fn on the next free core at time
 // start. It panics if all cores are occupied.
 func (m *Machine) Spawn(start uint64, fn func(*Ctx)) {
@@ -218,11 +213,6 @@ func (m *Machine) Stats() Stats {
 	return s
 }
 
-// Protocol exposes the coherence directory for tests and diagnostics. A
-// thread reads directory state after a Fence: in the cycle of its own grant
-// the line's commit is still to come.
-func (m *Machine) Protocol() *coherence.Directory { return m.proto }
-
 // ProtocolName returns the canonical name of the active protocol.
 func (m *Machine) ProtocolName() string { return m.proto.Name() }
 
@@ -255,10 +245,6 @@ func (m *Machine) VerifyLine(l mem.Line) error {
 // Peek reads a word directly from the backing store (setup/verification
 // only; no timing, no coherence).
 func (m *Machine) Peek(a mem.Addr) uint64 { return m.store.Load(a) }
-
-// Poke writes a word directly to the backing store (setup only; must not
-// be used once lines may be cached).
-func (m *Machine) Poke(a mem.Addr, v uint64) { m.store.Store(a, v) }
 
 // ---- lease-side mechanics shared by Ctx ops, probes, and timers ----
 
@@ -413,6 +399,9 @@ func (m *Machine) maybePreempt(cs *coreState, p *sim.Proc, write bool) {
 	}
 	m.stats.Preemptions++
 	m.stats.PreemptedCycles += d
+	if holder {
+		m.stats.HolderPreemptions++
+	}
 	p.Preempt(d)
 }
 

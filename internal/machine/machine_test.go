@@ -112,7 +112,7 @@ func TestFetchAddAtomic(t *testing.T) {
 func TestSwap(t *testing.T) {
 	m := New(testConfig(1))
 	a := m.Direct().Alloc(8)
-	m.Poke(a, 5)
+	m.store.Store(a, 5)
 	var old uint64
 	m.Spawn(0, func(c *Ctx) { old = c.Swap(a, 11) })
 	if err := m.Drain(); err != nil {

@@ -37,11 +37,12 @@ type Stats struct {
 
 	// Preemption-fault and adaptive-controller counters; omitted when zero,
 	// as clean runs leave them.
-	Preemptions     uint64 `json:"preemptions,omitempty"`      // fault-injected core preemptions delivered
-	PreemptedCycles uint64 `json:"preempted_cycles,omitempty"` // cycles cores spent descheduled
-	CtrlClamps      uint64 `json:"ctrl_clamps,omitempty"`      // lease requests cut by the adaptive controller
-	CtrlShrinks     uint64 `json:"ctrl_shrinks,omitempty"`     // controller cap shrinks (involuntary releases)
-	CtrlGrows       uint64 `json:"ctrl_grows,omitempty"`       // controller cap regrowths (clean releases)
+	Preemptions       uint64 `json:"preemptions,omitempty"`        // fault-injected core preemptions delivered
+	PreemptedCycles   uint64 `json:"preempted_cycles,omitempty"`   // cycles cores spent descheduled
+	HolderPreemptions uint64 `json:"holder_preemptions,omitempty"` // those that hit a lease holder or a write (not in String)
+	CtrlClamps        uint64 `json:"ctrl_clamps,omitempty"`        // lease requests cut by the adaptive controller
+	CtrlShrinks       uint64 `json:"ctrl_shrinks,omitempty"`       // controller cap shrinks (involuntary releases)
+	CtrlGrows         uint64 `json:"ctrl_grows,omitempty"`         // controller cap regrowths (clean releases)
 
 	// Timestamp-protocol counters; zero under MSI, and then omitted.
 	Renewals uint64 `json:"renewals,omitempty"`  // Tardis tag-only timestamp renewals
@@ -92,6 +93,7 @@ func (s Stats) Sub(prev Stats) Stats {
 	d.CASFailures -= prev.CASFailures
 	d.Preemptions -= prev.Preemptions
 	d.PreemptedCycles -= prev.PreemptedCycles
+	d.HolderPreemptions -= prev.HolderPreemptions
 	d.CtrlClamps -= prev.CtrlClamps
 	d.CtrlShrinks -= prev.CtrlShrinks
 	d.CtrlGrows -= prev.CtrlGrows

@@ -162,10 +162,10 @@ func TestTardisLeaseMapsToRTS(t *testing.T) {
 		grantAt = c.Now()
 		c.Work(1)
 		c.Fence()
-		rtsUnderLease = m.Protocol().View(line).RTS
+		rtsUnderLease = m.proto.View(line).RTS
 		c.Store(a, 1)
 		c.Release(a)
-		rtsAfterRelease = m.Protocol().View(line).RTS
+		rtsAfterRelease = m.proto.View(line).RTS
 	})
 	if err := m.Drain(); err != nil {
 		t.Fatal(err)

@@ -155,25 +155,12 @@ func NewArena(core int) *Allocator {
 	return &Allocator{next: arenasBase + Addr(core)<<arenaShift}
 }
 
-// Alloc returns a word-aligned block of at least size bytes.
-func (al *Allocator) Alloc(size uint64) Addr {
-	if size == 0 {
-		size = WordSize
-	}
-	size = (size + WordSize - 1) &^ (WordSize - 1)
-	a := al.next
-	al.next += Addr(size)
-	return a
-}
-
 // AllocAligned returns a block of at least size bytes starting on a cache
 // line boundary and padded to a whole number of lines, so that no two
-// AllocAligned blocks share a line. Concurrent data structures use this to
-// avoid false sharing, as §7 of the paper prescribes.
+// blocks share a line. Concurrent data structures use this to avoid false
+// sharing, as §7 of the paper prescribes. Every allocator starts on a line
+// boundary and hands out whole lines, so its frontier stays aligned.
 func (al *Allocator) AllocAligned(size uint64) Addr {
-	if rem := uint64(al.next) % LineSize; rem != 0 {
-		al.next += Addr(LineSize - rem)
-	}
 	a := al.next
 	if size == 0 {
 		size = WordSize

@@ -75,22 +75,18 @@ func TestLineMath(t *testing.T) {
 
 func TestAllocNonOverlapping(t *testing.T) {
 	al := NewAllocator()
-	a := al.Alloc(24)
-	b := al.Alloc(8)
+	a := al.AllocAligned(24)
+	b := al.AllocAligned(8)
 	if a == 0 {
 		t.Fatal("allocation returned NULL address")
 	}
 	if b < a+24 {
 		t.Fatalf("blocks overlap: a=%d (24 bytes), b=%d", a, b)
 	}
-	if a%WordSize != 0 || b%WordSize != 0 {
-		t.Fatal("allocations not word aligned")
-	}
 }
 
 func TestAllocAlignedNoFalseSharing(t *testing.T) {
 	al := NewAllocator()
-	al.Alloc(8) // misalign the frontier
 	a := al.AllocAligned(8)
 	b := al.AllocAligned(70)
 	c := al.AllocAligned(8)
@@ -103,17 +99,16 @@ func TestAllocAlignedNoFalseSharing(t *testing.T) {
 }
 
 func TestAllocProperty(t *testing.T) {
-	// Allocations are disjoint and aligned for arbitrary size sequences.
-	f := func(sizes []uint16, aligned bool) bool {
+	// Allocations are disjoint and line aligned for arbitrary size
+	// sequences, from the setup allocator and from a core's arena alike.
+	f := func(sizes []uint16, arena bool) bool {
 		al := NewAllocator()
+		if arena {
+			al = NewArena(3)
+		}
 		var prevEnd Addr
 		for _, sz := range sizes {
-			var a Addr
-			if aligned {
-				a = al.AllocAligned(uint64(sz))
-			} else {
-				a = al.Alloc(uint64(sz))
-			}
+			a := al.AllocAligned(uint64(sz))
 			if a < prevEnd || a == 0 {
 				return false
 			}
@@ -122,10 +117,7 @@ func TestAllocProperty(t *testing.T) {
 				n = WordSize
 			}
 			prevEnd = a + Addr(n)
-			if aligned && a%LineSize != 0 {
-				return false
-			}
-			if a%WordSize != 0 {
+			if a%LineSize != 0 {
 				return false
 			}
 		}

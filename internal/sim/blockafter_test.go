@@ -33,7 +33,7 @@ func blockAfterOrder(t *testing.T, withEvent bool) ([]string, EngineStats) {
 		}
 		order = append(order, fmt.Sprintf("woke@%d", woke))
 	})
-	e.At(0, func() { e.Sys().CrossAt(p.Domain(), 10, func() { order = append(order, "sys") }) })
+	e.At(0, func() { e.Sys().CrossAt(p.dom, 10, func() { order = append(order, "sys") }) })
 	if err := e.Drain(); err != nil {
 		t.Fatal(err)
 	}

@@ -210,9 +210,6 @@ type Domain struct {
 	foreign int
 }
 
-// ID returns the domain id.
-func (d *Domain) ID() uint32 { return d.id }
-
 // Now returns the current simulated time.
 func (d *Domain) Now() Time { return d.eng.now }
 
@@ -228,9 +225,6 @@ func (d *Domain) After(dt Time, fn func()) { d.At(d.eng.now+dt, fn) }
 // another domain must land at least that many cycles after now; a closer
 // one panics. Proc run-ahead rests on that bound.
 func (d *Domain) CrossAt(dst *Domain, t Time, fn func()) { d.eng.push(dst, d, t, fn, nil) }
-
-// CrossAfter schedules fn on dst dt cycles from now.
-func (d *Domain) CrossAfter(dst *Domain, dt Time, fn func()) { d.CrossAt(dst, d.eng.now+dt, fn) }
 
 // Engine is a deterministic discrete-event simulator. The zero value is not
 // usable; construct with NewEngine.

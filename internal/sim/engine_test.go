@@ -233,13 +233,3 @@ func TestRNGDeterministic(t *testing.T) {
 		}
 	}
 }
-
-func TestRNGFloat64Range(t *testing.T) {
-	r := NewRNG(7)
-	for i := 0; i < 1000; i++ {
-		v := r.Float64()
-		if v < 0 || v >= 1 {
-			t.Fatalf("Float64 out of range: %v", v)
-		}
-	}
-}

@@ -289,9 +289,6 @@ func (p *Proc) BlockAfter(issue func(), reason string) Time {
 // completion delivery that unblocks it).
 func (p *Proc) WakeAt(t Time) { p.scheduleWake(t) }
 
-// Domain returns the proc's scheduling domain handle.
-func (p *Proc) Domain() *Domain { return p.dom }
-
 // Clock returns the proc's local time.
 func (p *Proc) Clock() Time { return p.clock }
 

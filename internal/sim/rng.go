@@ -32,8 +32,3 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 	}
 	return r.Next() % n
 }
-
-// Float64 returns a pseudo-random float64 in [0, 1).
-func (r *RNG) Float64() float64 {
-	return float64(r.Next()>>11) / (1 << 53)
-}

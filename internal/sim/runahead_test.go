@@ -42,7 +42,7 @@ func TestLookaheadEnforced(t *testing.T) {
 		delivered := false
 		a.At(5, func() {
 			a.After(1, func() {})
-			a.CrossAfter(b, dt, func() { delivered = true })
+			a.CrossAt(b, a.Now()+dt, func() { delivered = true })
 		})
 		msg := runPanic(e)
 		switch {
@@ -180,7 +180,7 @@ func TestForeignCount(t *testing.T) {
 	e.At(5, func() {
 		e.Sys().CrossAt(d, 30, func() {
 			atPop = d.foreign
-			d.CrossAfter(e.Sys(), la, func() { back = e.Sys().foreign })
+			d.CrossAt(e.Sys(), d.Now()+la, func() { back = e.Sys().foreign })
 		})
 	})
 	d.At(14, func() { queued = d.foreign }) // a domain's own events do not count
@@ -214,9 +214,9 @@ func TestRejoin(t *testing.T) {
 		}
 		p.Work(3)
 		p.Rejoin()
-		order = append(order, fmt.Sprintf("rejoined@%d, local clock %d", p.Domain().Now(), p.Clock()))
+		order = append(order, fmt.Sprintf("rejoined@%d, local clock %d", p.dom.Now(), p.Clock()))
 		p.Rejoin()
-		order = append(order, fmt.Sprintf("again@%d", p.Domain().Now()))
+		order = append(order, fmt.Sprintf("again@%d", p.dom.Now()))
 	})
 	if err := e.Drain(); err != nil {
 		t.Fatal(err)

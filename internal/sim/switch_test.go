@@ -23,7 +23,7 @@ func mixedScenario(log *[]string) *Engine {
 			for i := 0; ; i++ {
 				p.Work(1 + p.RNG().Uint64n(7))
 				p.Sync()
-				*log = append(*log, fmt.Sprintf("p%d sync @%d", id, p.Domain().Now()))
+				*log = append(*log, fmt.Sprintf("p%d sync @%d", id, p.dom.Now()))
 				if i%3 == id%3 {
 					t := p.Block("reply")
 					*log = append(*log, fmt.Sprintf("p%d woke @%d", id, t))

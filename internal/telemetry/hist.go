@@ -35,15 +35,6 @@ func (h *Hist) Observe(v uint64) {
 	h.sum += v
 }
 
-// Count returns the number of observations.
-func (h *Hist) Count() uint64 { return h.n }
-
-// Min returns the smallest observation (0 if empty).
-func (h *Hist) Min() uint64 { return h.min }
-
-// Max returns the largest observation (0 if empty).
-func (h *Hist) Max() uint64 { return h.max }
-
 // Mean returns the exact arithmetic mean (0 if empty).
 func (h *Hist) Mean() float64 {
 	if h.n == 0 {

@@ -118,9 +118,6 @@ func (ld *Ledger) Line(l mem.Line) *LineLedger {
 	return s
 }
 
-// Len returns the number of distinct lines with ledger entries.
-func (ld *Ledger) Len() int { return ld.lines.n }
-
 // OpenLeases returns the number of started leases whose end event has not
 // arrived (at end of run: leases open when the simulation stopped).
 func (ld *Ledger) OpenLeases() int {

@@ -15,17 +15,17 @@ import (
 
 func TestHistBasics(t *testing.T) {
 	var h Hist
-	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
+	if h.n != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("zero hist must report zeros")
 	}
 	for _, v := range []uint64{0, 1, 2, 3, 100, 1000, 1000, 1 << 40} {
 		h.Observe(v)
 	}
-	if h.Count() != 8 {
-		t.Fatalf("count = %d, want 8", h.Count())
+	if h.n != 8 {
+		t.Fatalf("count = %d, want 8", h.n)
 	}
-	if h.Min() != 0 || h.Max() != 1<<40 {
-		t.Fatalf("min/max = %d/%d", h.Min(), h.Max())
+	if h.min != 0 || h.max != 1<<40 {
+		t.Fatalf("min/max = %d/%d", h.min, h.max)
 	}
 	wantMean := float64(0+1+2+3+100+1000+1000+(1<<40)) / 8
 	if h.Mean() != wantMean {
@@ -49,8 +49,8 @@ func TestHistQuantiles(t *testing.T) {
 		if v < prev {
 			t.Fatalf("quantile not monotone at q=%v: %d < %d", q, v, prev)
 		}
-		if v < h.Min() || v > h.Max() {
-			t.Fatalf("quantile %v = %d outside [%d, %d]", q, v, h.Min(), h.Max())
+		if v < h.min || v > h.max {
+			t.Fatalf("quantile %v = %d outside [%d, %d]", q, v, h.min, h.max)
 		}
 		prev = v
 	}
@@ -240,16 +240,16 @@ func TestRecorderFoldsEvents(t *testing.T) {
 	// A lease that never starts must not pollute the hold histogram.
 	b.Emit(CatLease, 1, LeaseEvicted, mem.Line(0x80), NoVal)
 
-	if got := r.LeaseHold.Count(); got != 1 {
+	if got := r.LeaseHold.n; got != 1 {
 		t.Fatalf("hold count = %d, want 1", got)
 	}
-	if got := r.LeaseHold.Max(); got != 50 {
+	if got := r.LeaseHold.max; got != 50 {
 		t.Fatalf("hold max = %d, want 50", got)
 	}
-	if got := r.ProbeDefer.Max(); got != 40 {
+	if got := r.ProbeDefer.max; got != 40 {
 		t.Fatalf("defer max = %d, want 40", got)
 	}
-	if got := r.DirQueue.Max(); got != 5 {
+	if got := r.DirQueue.max; got != 5 {
 		t.Fatalf("dirq max = %d, want 5", got)
 	}
 	s := r.Lines.Get(l)
@@ -348,8 +348,8 @@ func TestRankingsKeepTheirOrderAcrossRegions(t *testing.T) {
 	})
 	wasted = slices.DeleteFunc(wasted, func(l LineLedger) bool { return l.WastedCycles() == 0 })
 
-	if h.Len() != len(lines) || ld.Len() != len(lines) {
-		t.Fatalf("len = %d hot, %d ledger; want %d", h.Len(), ld.Len(), len(lines))
+	if h.Len() != len(lines) || ld.lines.n != len(lines) {
+		t.Fatalf("len = %d hot, %d ledger; want %d", h.Len(), ld.lines.n, len(lines))
 	}
 	for _, k := range []int{1, 10, len(lines)} {
 		if got := h.Top(k); !reflect.DeepEqual(got, hot[:k]) {

@@ -1,6 +1,10 @@
 package leaserelease
 
-import "testing"
+import (
+	"testing"
+
+	"leaserelease/internal/locks"
+)
 
 // TestFacadeQuickstart runs the doc-comment quickstart through the public
 // façade only.
@@ -33,41 +37,28 @@ func TestFacadeStructures(t *testing.T) {
 	m := New(DefaultConfig(2))
 	d := m.Direct()
 
-	q := NewQueue(d, QueueOptions{Mode: QueueSingleLease, LeaseTime: 20000})
-	pqf := NewPQFine(d)
-	pqg := NewPQGlobal(d, 20000)
-	hl := NewHarrisList(d)
-	sk := NewLazySkipList(d)
-	bst := NewBST(d)
+	q := NewQueue(d, QueueOptions{Mode: QueueMultiLease, LeaseTime: 20000})
 	hm := NewHashMap(d, 16, 20000)
+	sk := NewLFSkipList(d)
 	mq := NewMultiQueue(d, 4, 64, MultiQueueOptions{LeaseTime: 20000})
 	tl := NewTL2(d, 10, 20000)
 	tl.Mode = TL2HWMulti
 
-	var ok [8]bool
+	var ok [4]bool
 	m.Spawn(0, func(c *Ctx) {
 		q.Enqueue(c, 7)
 		v, found := q.Dequeue(c)
 		ok[0] = found && v == 7
 
-		pqf.Insert(c, 5)
-		v, found = pqf.DeleteMin(c)
-		ok[1] = found && v == 5
-
-		pqg.Insert(c, 9)
-		v, found = pqg.DeleteMin(c)
-		ok[2] = found && v == 9
-
-		ok[3] = hl.Insert(c, 3) && hl.Contains(c, 3) && hl.Remove(c, 3)
-		ok[4] = sk.Insert(c, 3) && sk.Contains(c, 3) && sk.Remove(c, 3)
-		ok[5] = bst.Insert(c, 3) && bst.Contains(c, 3) && bst.Delete(c, 3)
 		hm.Put(c, 3, 33)
 		got, found := hm.Get(c, 3)
-		ok[6] = found && got == 33
+		ok[1] = found && got == 33
+
+		ok[2] = sk.Insert(c, 3) && sk.Contains(c, 3) && sk.Remove(c, 3)
 
 		mq.Insert(c, 11)
 		v, found = mq.DeleteMin(c)
-		ok[7] = found && v == 11
+		ok[3] = found && v == 11
 
 		tl.UpdatePair(c, 0, 1, 2)
 	})
@@ -84,21 +75,11 @@ func TestFacadeStructures(t *testing.T) {
 	}
 }
 
-func TestFacadeExperimentsRegistry(t *testing.T) {
-	exps := Experiments()
-	if len(exps) < 15 {
-		t.Fatalf("registry has %d experiments, want >= 15", len(exps))
-	}
-	if _, ok := FindExperiment("fig5-pagerank"); !ok {
-		t.Fatal("fig5-pagerank missing")
-	}
-}
-
 func TestFacadeLocksAndBarrier(t *testing.T) {
 	m := New(DefaultConfig(4))
 	d := m.Direct()
 	lk := NewLeasedLock(NewTTSLock(d), 20000)
-	bar := NewBarrier(d, 4)
+	bar := locks.NewBarrier(d, 4)
 	ctr := d.Alloc(8)
 	for i := 0; i < 4; i++ {
 		m.Spawn(0, func(c *Ctx) {

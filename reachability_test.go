@@ -1,148 +1,392 @@
 package leaserelease
 
 import (
+	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// unreferenced lists the exports of internal/ and cmd/ that no non-test code
-// names, each with the reason it stays. A key is "Type.Method",
-// "package.Func", or a package directory for all of its exports.
+// unreferenced lists the exports of internal/, cmd/ and the root package
+// that no non-test code resolves to, each with the reader that keeps it: an
+// oracle a test compares against, or the paper section that names it. A key
+// is "dir.Name" or "dir.Type.Method" (dir is "leaserelease" for the root
+// package), or a package directory for all of its exports.
 var unreferenced = map[string]string{
-	"internal/linearize": "the reference checker the structure tests compare histories against",
-	"Pagerank.Reference": "the sequential reference the simulated PageRank is compared against",
-	"TL2.Read":           "the TL2 tests' oracle",
+	"internal/linearize":                        "the linearizability checker the structure tests hold their histories to",
+	"internal/apps/pagerank.Pagerank.Reference": "the sequential PageRank the Figure 5 tests compare the simulated one against",
+	"internal/stm.TL2.Read":                     "the TL2 tests' oracle (Figures 4 and 5)",
+	"internal/locks.NewTAS":                     "PAPER.md §1 lists TAS among the paper's locks; the lock tests run it",
 
-	"PanicError.Unwrap":       "errors.As and errors.Is call it",
-	"RunError.Unwrap":         "errors.As and errors.Is call it",
-	"MsgCounts.MarshalJSON":   "encoding/json calls it",
-	"MsgCounts.UnmarshalJSON": "encoding/json calls it",
+	"internal/ds.BST.CheckInvariants":            "the set tests' structural oracle",
+	"internal/ds.LazySkipList.CheckInvariants":   "the set tests' structural oracle",
+	"internal/ds.LFSkipList.CheckInvariants":     "the set tests' structural oracle",
+	"internal/ds.MichaelHashMap.CheckInvariants": "the set tests' structural oracle",
+	"internal/ds.NMTree.CheckInvariants":         "the set tests' structural oracle",
+	"internal/ds.Stack.Len":                      "the structure tests' conservation oracle",
+	"internal/ds.EliminationStack.Len":           "the structure tests' conservation oracle",
+	"internal/ds.FCStack.Len":                    "the structure tests' conservation oracle",
+	"internal/ds.FCQueue.Len":                    "the structure tests' conservation oracle",
+	"internal/ds.LCRQ.Len":                       "the structure tests' conservation oracle",
+	"internal/ds.MichaelHashMap.Len":             "the structure tests' conservation oracle",
+	"internal/ds.PQFine.Len":                     "the structure tests' conservation oracle",
+	"internal/ds.PQGlobal.Len":                   "the structure tests' conservation oracle",
+	"internal/multiqueue.MultiQueue.Len":         "the structure tests' conservation oracle",
 
-	"Ctx.Fence":             "tests sample Machine.Stats from inside a thread",
-	"Ctx.LeaseHeld":         "tests assert which leases a thread holds",
-	"Machine.Poke":          "tests plant a word before any line is cached",
-	"Allocator.Brk":         "internal/machine's export_test.go walks the arenas with it",
-	"Domain.CrossAfter":     "internal/sim's lookahead tests; non-test code uses CrossAt",
-	"Config.WithPreemption": "the chaos soak's preemption profiles",
-	"locks.NewTAS":          "the lock tests' baseline; experiments start from TTS",
+	"internal/machine.Ctx.Fence":            "tests read Machine.Stats and directory state from inside a thread",
+	"internal/machine.Ctx.LeaseHeld":        "the lease tests assert which leases a thread holds (Algorithm 1)",
+	"internal/machine.Machine.L1":           "the invariant checker's mutation tests corrupt a core's L1 through it",
+	"internal/coherence.Directory.View":     "the directory and Tardis tests read a line's committed state with it",
+	"internal/mem.Allocator.Brk":            "MemImage, the memory the run-ahead differential compares (DESIGN.md §2.4), walks the arenas with it",
+	"internal/faults.Config.WithPreemption": "the chaos soak's and the run-ahead differential's preemption profiles",
+	"internal/telemetry.Ledger.Lines":       "the ledger tests' per-line oracle",
+	"internal/telemetry.Spans.Open":         "the span tests check that every transaction closes (Proposition 1: one in flight per core)",
 }
 
-// Every function and method that internal/ and cmd/ export has a consumer:
-// non-test code somewhere in the module uses its name. What only tests use,
-// or only the standard library calls, must be in unreferenced with its
-// reason, and unreferenced holds nothing else. Matching is by name, so a method shares its uses with its
-// namesakes; what the test rules out is an export nobody could be calling.
+// Every exported function, method, type, constant and variable of internal/,
+// cmd/ and the root package has a reader: non-test code somewhere in the
+// module (examples/ and benchmarks/ included) resolves to that object, or the
+// method implements an interface method such code calls. What only tests
+// read must be in unreferenced with its reader, and unreferenced holds
+// nothing else. Exported struct fields are not audited: encoding/json reads
+// most of them.
 func TestExportsAreReached(t *testing.T) {
-	type decl struct{ key, pkg, name string }
-	var decls []decl
-	declared := map[*ast.Ident]bool{}
-	uses := map[string]int{}     // name -> uses in non-test files
-	testUses := map[string]int{} // name -> uses in _test.go files
-
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		path = filepath.ToSlash(path)
-		isTest := strings.HasSuffix(path, "_test.go")
-		audited := !isTest && (strings.HasPrefix(path, "internal/") || strings.HasPrefix(path, "cmd/"))
-		for _, d := range file.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok || !fn.Name.IsExported() {
-				continue
-			}
-			declared[fn.Name] = true
-			if !audited {
-				continue
-			}
-			owner := file.Name.Name
-			if fn.Recv != nil {
-				owner = receiverType(fn.Recv.List[0].Type)
-			}
-			decls = append(decls, decl{owner + "." + fn.Name.Name, filepath.ToSlash(filepath.Dir(path)), fn.Name.Name})
-		}
-		count := uses
-		if isTest {
-			count = testUses
-		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				count[id.Name]++
-			}
-			return true
-		})
-		return nil
-	})
+	findings, err := unreached(".", "leaserelease")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(decls) < 200 {
-		t.Fatalf("found %d exported functions under internal/ and cmd/: run the test from the module root", len(decls))
-	}
-
 	stale := map[string]bool{}
 	for k := range unreferenced {
 		stale[k] = true
 	}
-	sort.Slice(decls, func(i, j int) bool { return decls[i].key < decls[j].key })
-	for _, d := range decls {
-		if uses[d.name] > 0 {
-			continue
-		}
-		key := d.key
-		if _, ok := unreferenced[d.pkg]; ok {
-			key = d.pkg
+	for _, key := range findings {
+		if _, ok := unreferenced[key]; !ok {
+			dir, _, _ := strings.Cut(key, ".")
+			if _, ok := unreferenced[dir]; !ok {
+				t.Errorf("no non-test code reads %s: delete it, or add it to unreferenced with its reader", key)
+				continue
+			}
+			key = dir
 		}
 		delete(stale, key)
-		if _, ok := unreferenced[key]; ok {
-			continue
-		}
-		if testUses[d.name] == 0 {
-			t.Errorf("%s (%s) is referenced nowhere in the module: delete it", d.key, d.pkg)
-		} else {
-			t.Errorf("%s (%s) is referenced by tests only: delete it, or add it to unreferenced with the reason it stays", d.key, d.pkg)
-		}
 	}
 	for k := range stale {
-		t.Errorf("unreferenced[%q] is stale: non-test code names it, or it is gone", k)
+		t.Errorf("unreferenced[%q] is stale: non-test code reads it, or it is gone", k)
 	}
 }
 
-// receiverType names a method's receiver type, without pointer or type
-// parameters.
-func receiverType(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return "?"
+// TestAuditResolvesObjects runs the audit on a fixture module: a method whose
+// only call is a namesake's (clock.Clock.Seconds beside time.Duration.Seconds)
+// is reported, and a method only called through an interface it implements
+// (clock.Quartz.Tick) is not.
+func TestAuditResolvesObjects(t *testing.T) {
+	findings, err := unreached("testdata/reach", "reach")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"internal/clock.Clock.Seconds"}; fmt.Sprint(findings) != fmt.Sprint(want) {
+		t.Fatalf("findings = %q, want %q", findings, want)
+	}
+}
+
+// unreached type-checks the module rooted at root, whose module path is
+// modPath, and returns the keys of the exports of internal/, cmd/ and the
+// root package that its non-test code does not read, sorted.
+func unreached(root, modPath string) ([]string, error) {
+	l := &loader{
+		root: root, mod: modPath,
+		fset:  token.NewFileSet(),
+		pkgs:  map[string]*types.Package{},
+		decls: map[types.Object]ast.Node{},
+		info: &types.Info{
+			Defs: map[*ast.Ident]types.Object{},
+			Uses: map[*ast.Ident]types.Object{},
+		},
+	}
+	l.std = importer.ForCompiler(l.fset, "source", nil).(types.ImporterFrom)
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+			return filepath.SkipDir
+		}
+		rel, _ := filepath.Rel(root, path)
+		_, err = l.load(l.importPath(filepath.ToSlash(rel)))
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// What non-test code reads: every object an identifier resolves to,
+	// outside the object's own declaration, and the interfaces among them.
+	read := map[types.Object]bool{}
+	ifaces := map[*types.Interface]bool{}
+	for id, obj := range l.info.Uses {
+		if obj.Pkg() == nil || l.insideOwnDecl(id, obj) {
+			continue
+		}
+		read[origin(obj)] = true
+		if tn, ok := obj.(*types.TypeName); ok {
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+				ifaces[it] = true
+			}
 		}
 	}
+	std, err := l.stdInterfaces()
+	if err != nil {
+		return nil, err
+	}
+	for _, it := range std {
+		ifaces[it] = true
+	}
+
+	var findings []string
+	for _, obj := range l.exports {
+		if read[obj] || implementsRead(obj, ifaces) {
+			continue
+		}
+		findings = append(findings, l.key(obj))
+	}
+	sort.Strings(findings)
+	return findings, nil
+}
+
+// loader type-checks a module's non-test packages from source, all into one
+// types.Info, with standard packages from the source importer.
+type loader struct {
+	root, mod string
+	fset      *token.FileSet
+	std       types.ImporterFrom
+	pkgs      map[string]*types.Package
+	info      *types.Info
+	decls     map[types.Object]ast.Node // an object's own declaration
+	exports   []types.Object            // in the audited packages, in load order
+}
+
+func (l *loader) importPath(rel string) string {
+	if rel == "." {
+		return l.mod
+	}
+	return l.mod + "/" + rel
+}
+
+func (l *loader) inModule(path string) bool {
+	return path == l.mod || strings.HasPrefix(path, l.mod+"/")
+}
+
+func (l *loader) Import(path string) (*types.Package, error) {
+	return l.ImportFrom(path, l.root, 0)
+}
+
+func (l *loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if l.inModule(path) {
+		pkg, err := l.load(path)
+		if err == nil && pkg == nil {
+			err = fmt.Errorf("%s: no Go files", path)
+		}
+		return pkg, err
+	}
+	return l.std.ImportFrom(path, dir, mode)
+}
+
+// load type-checks the module package at import path, once; a directory
+// without non-test Go files yields nil.
+func (l *loader) load(path string) (*types.Package, error) {
+	if pkg, ok := l.pkgs[path]; ok {
+		return pkg, nil
+	}
+	l.pkgs[path] = nil
+	rel := strings.TrimPrefix(strings.TrimPrefix(path, l.mod), "/")
+	dir := filepath.Join(l.root, filepath.FromSlash(rel))
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
+			if err != nil {
+				return nil, err
+			}
+			continue
+		}
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	if len(files) == 0 {
+		return nil, nil
+	}
+	conf := types.Config{Importer: l}
+	pkg, err := conf.Check(path, l.fset, files, l.info)
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[path] = pkg
+	audited := rel == "" || rel == "internal" || rel == "cmd" ||
+		strings.HasPrefix(rel, "internal/") || strings.HasPrefix(rel, "cmd/")
+	for _, f := range files {
+		l.declare(f, audited)
+	}
+	return pkg, nil
+}
+
+// declare records the declaring node of each package-level object and
+// method of f and, in an audited package, its exports.
+func (l *loader) declare(f *ast.File, audited bool) {
+	add := func(id *ast.Ident, node ast.Node) {
+		obj := l.info.Defs[id]
+		if obj == nil || id.Name == "_" {
+			return
+		}
+		l.decls[obj] = node
+		if audited && id.IsExported() {
+			l.exports = append(l.exports, obj)
+		}
+	}
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			add(d.Name, d)
+		case *ast.GenDecl:
+			for _, s := range d.Specs {
+				switch s := s.(type) {
+				case *ast.TypeSpec:
+					add(s.Name, s)
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						add(n, s)
+					}
+				}
+			}
+		}
+	}
+}
+
+// insideOwnDecl reports whether id lies in obj's own declaration, or, for a
+// type, in a method declared on it: a recursive type, a recursive call and
+// a receiver do not read what they name.
+func (l *loader) insideOwnDecl(id *ast.Ident, obj types.Object) bool {
+	obj = origin(obj)
+	if n, ok := l.decls[obj]; ok && n.Pos() <= id.Pos() && id.Pos() < n.End() {
+		return true
+	}
+	tn, ok := obj.(*types.TypeName)
+	if !ok {
+		return false
+	}
+	named, ok := tn.Type().(*types.Named)
+	if !ok {
+		return false
+	}
+	for i := 0; i < named.NumMethods(); i++ {
+		if n, ok := l.decls[named.Method(i)]; ok && n.Pos() <= id.Pos() && id.Pos() < n.End() {
+			return true
+		}
+	}
+	return false
+}
+
+// stdCallers declares the interfaces the standard library calls on any
+// value it is handed: fmt's, encoding/json's, and the Unwrap that errors.Is
+// and errors.As call.
+const stdCallers = `package std
+
+import (
+	"encoding/json"
+	"fmt"
+)
+
+type (
+	e error
+	s fmt.Stringer
+	m json.Marshaler
+	u json.Unmarshaler
+	w interface{ Unwrap() error }
+)
+`
+
+func (l *loader) stdInterfaces() ([]*types.Interface, error) {
+	f, err := parser.ParseFile(l.fset, "std.go", stdCallers, 0)
+	if err != nil {
+		return nil, err
+	}
+	pkg, err := (&types.Config{Importer: l.std}).Check("std", l.fset, []*ast.File{f}, nil)
+	if err != nil {
+		return nil, err
+	}
+	var out []*types.Interface
+	for _, name := range pkg.Scope().Names() {
+		out = append(out, pkg.Scope().Lookup(name).Type().Underlying().(*types.Interface))
+	}
+	return out, nil
+}
+
+// implementsRead reports whether obj is a method that implements a method
+// of one of ifaces.
+func implementsRead(obj types.Object, ifaces map[*types.Interface]bool) bool {
+	fn, ok := obj.(*types.Func)
+	if !ok {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	for it := range ifaces {
+		if !types.Implements(recv.Type(), it) && !types.Implements(types.NewPointer(recv.Type()), it) {
+			continue
+		}
+		for i := 0; i < it.NumMethods(); i++ {
+			if it.Method(i).Name() == fn.Name() {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// origin maps a method or function of an instantiated generic back to its
+// declaration.
+func origin(obj types.Object) types.Object {
+	if fn, ok := obj.(*types.Func); ok {
+		return fn.Origin()
+	}
+	return obj
+}
+
+// key names obj as unreferenced does.
+func (l *loader) key(obj types.Object) string {
+	dir := strings.TrimPrefix(strings.TrimPrefix(obj.Pkg().Path(), l.mod), "/")
+	if dir == "" {
+		dir = l.mod
+	}
+	name := obj.Name()
+	if fn, ok := obj.(*types.Func); ok {
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			t := recv.Type()
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			name = t.(*types.Named).Obj().Name() + "." + name
+		}
+	}
+	return dir + "." + name
 }
