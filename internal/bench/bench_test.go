@@ -69,10 +69,13 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 // fixed-work and self-counting cells (Pagerank, TL2, snapshot) included. It
 // reads the declarations only; nothing runs.
 func TestCellNamesAreDistinct(t *testing.T) {
+	// A -threads list in the user's order, 1 not first.
+	userOrdered := QuickParams()
+	userOrdered.Threads = []int{4, 1}
 	for _, scale := range []struct {
 		name string
 		p    Params
-	}{{"golden", goldenParams()}, {"quick", QuickParams()}, {"full", FullParams()}} {
+	}{{"golden", goldenParams()}, {"quick", QuickParams()}, {"full", FullParams()}, {"user-ordered", userOrdered}} {
 		all := map[string]bool{}
 		for _, e := range All() {
 			s := e.Sweep(scale.p)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"leaserelease/internal/apps/pagerank"
 	"leaserelease/internal/coherence"
@@ -127,7 +128,7 @@ func table1(p Params) Sweep {
 
 func fig2(p Params) Sweep {
 	threads := p.Threads
-	if threads[0] != 1 {
+	if !slices.Contains(threads, 1) {
 		threads = append([]int{1}, threads...)
 	}
 	const base, lease = 0, 1

@@ -5,12 +5,14 @@ import "testing"
 // The hot paths of the kernel must not allocate in steady state: every
 // simulated memory access costs at least one event or proc handoff, so a
 // single allocation per step dominates host time with GC work. These
-// guards pin the zero-alloc property the typed event queue and the
-// allocation-free proc wakes were built for. (Skipped under -race: the
-// detector instruments allocations and AllocsPerRun over-counts.)
+// guards pin the zero-alloc property the event queue (a fixed bucket array
+// in front of a typed heap) and the allocation-free proc wakes were built
+// for. They are skipped under -race, where the detector instruments
+// allocations and AllocsPerRun over-counts, so CI runs them in its plain
+// `go test ./...` step.
 
 // TestEventDispatchZeroAlloc drives a self-rescheduling event chain — the
-// event-dispatch path: heap/ring pop, exec, reschedule — and asserts the
+// event-dispatch path: bucket pop, exec, reschedule — and asserts the
 // steady state allocates nothing.
 func TestEventDispatchZeroAlloc(t *testing.T) {
 	if raceEnabled {

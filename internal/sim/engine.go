@@ -56,9 +56,6 @@ const MaxTime Time = math.MaxUint64
 // first.
 const SysDomain = ^uint32(0)
 
-// noDomain marks "no event executing" (engine idle / between events).
-const noDomain = SysDomain - 1
-
 // event is a scheduled callback (p == nil) or a proc wake (p != nil; fn is
 // unused). Wakes are distinguished so whoever pops one can switch to the
 // target proc's coroutine instead of calling into it.
@@ -85,108 +82,6 @@ func (a *event) before(b *event) bool {
 		return a.src < b.src
 	}
 	return a.seq < b.seq
-}
-
-// eventHeap is an inlined 4-ary min-heap of events: the far tier of the
-// eventQueue, and the order the whole queue keeps. Compared to
-// container/heap it avoids the interface{} boxing allocation on every push
-// and the indirect Less/Swap calls on every sift; the wider fan-out halves
-// the tree depth, trading cheap sibling compares (same cache line) for
-// expensive level hops.
-type eventHeap []event
-
-func (h *eventHeap) push(ev event) {
-	s := append(*h, ev)
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !s[i].before(&s[p]) {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
-	}
-	*h = s
-}
-
-func (h *eventHeap) pop() event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	last := s[n]
-	s[n] = event{} // drop the fn/proc references so they can be collected
-	s = s[:n]
-	*h = s
-	if n > 0 {
-		i := 0
-		for {
-			c := i<<2 + 1
-			if c >= n {
-				break
-			}
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			best := c
-			for j := c + 1; j < end; j++ {
-				if s[j].before(&s[best]) {
-					best = j
-				}
-			}
-			if !s[best].before(&last) {
-				break
-			}
-			s[i] = s[best]
-			i = best
-		}
-		s[i] = last
-	}
-	return top
-}
-
-// eventRing is a growable power-of-two ring buffer holding the same-cycle
-// same-domain FIFO: events a domain schedules for itself at the current
-// cycle (After(0, ...) — the dominant case in coherence message hops and
-// proc wakes) bypass the queue and run in plain insertion order, which by
-// construction is their sequence order. All buffered events share one
-// (cycle, domain), so the ring is totally ordered and the dispatcher only
-// has to compare its head against the queue's first event.
-type eventRing struct {
-	buf  []event // len(buf) is always a power of two (or zero)
-	head int
-	n    int
-}
-
-func (r *eventRing) push(ev event) {
-	if r.n == len(r.buf) {
-		r.grow()
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = ev
-	r.n++
-}
-
-func (r *eventRing) pop() event {
-	ev := r.buf[r.head]
-	r.buf[r.head] = event{}
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return ev
-}
-
-func (r *eventRing) grow() {
-	nb := make([]event, max2(16, 2*len(r.buf)))
-	for i := 0; i < r.n; i++ {
-		nb[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-	}
-	r.buf, r.head = nb, 0
-}
-
-func max2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Domain is a scheduling context owned by one simulated actor. Each core is
@@ -237,8 +132,7 @@ type Engine struct {
 	procs []*Proc
 
 	now    Time
-	events eventQueue // future (and cross-domain same-cycle) events
-	fifo   eventRing  // same-cycle same-domain events, in insertion order
+	events eventQueue
 
 	// lookahead is the declared minimum latency of a cross-domain event
 	// (DeclareLookahead; 0 = none declared). started is set by the first Run.
@@ -248,10 +142,9 @@ type Engine struct {
 	// stopAt is the exclusive execution horizon of the current Run.
 	stopAt Time
 
-	// curDom and curSeq are the target domain and sequence of the event
-	// currently executing, maintained by next. While a proc runs they name
-	// its wake, the last event popped.
-	curDom uint32
+	// curSeq is the sequence of the event currently executing, maintained
+	// by next. While a proc runs it names the proc's wake, the last event
+	// popped.
 	curSeq uint64
 
 	// handoff is the proc a parked proc asks the loop to resume next: its
@@ -282,7 +175,7 @@ const DefaultStallLimit = 1 << 20
 
 // NewEngine returns an empty engine at time 0.
 func NewEngine() *Engine {
-	e := &Engine{StallLimit: DefaultStallLimit, curDom: noDomain, stopAt: MaxTime}
+	e := &Engine{StallLimit: DefaultStallLimit, stopAt: MaxTime}
 	e.sys = &Domain{eng: e, id: SysDomain}
 	return e
 }
@@ -378,14 +271,7 @@ func (e *Engine) push(dst, src *Domain, t Time, fn func(), p *Proc) {
 		dst.foreign++
 	}
 	src.seq++
-	ev := event{at: t, seq: src.seq, dom: dst.id, src: src.id, fn: fn, p: p}
-	// The ring only buffers a domain's same-cycle self-schedules, and only
-	// while the ring is homogeneous (one cycle, one domain), so its entries
-	// are totally ordered by construction.
-	if t == e.now && ev.dom == e.curDom && ev.src == e.curDom &&
-		(e.fifo.n == 0 || e.fifo.buf[e.fifo.head].dom == ev.dom) {
-		e.fifo.push(ev)
-	} else if e.events.push(ev, e.now) {
+	if e.events.push(event{at: t, seq: src.seq, dom: dst.id, src: src.id, fn: fn, p: p}, e.now) {
 		e.stats.BucketOverflows++
 	}
 	if n := uint64(e.Pending()); n > e.stats.MaxPending {
@@ -398,59 +284,38 @@ func (e *Engine) push(dst, src *Domain, t Time, fn func(), p *Proc) {
 // ok == false means the engine is done for now: the horizon was reached, the
 // queue drained, or the watchdog fired (e.verdict).
 func (e *Engine) next() (event, bool) {
-	var ev event
-	bound := e.stopAt
-	if e.fifo.n > 0 {
-		// Same-cycle work pending (e.now < bound by construction: the
-		// ring only fills at the executing cycle). Queued events can still
-		// order first — compare keys.
-		if e.now >= bound {
-			return event{}, false // keep them queued for a later Run
-		}
-		if top, far := e.events.min(); top != nil && top.at == e.now && top.before(&e.fifo.buf[e.fifo.head]) {
-			ev = e.take(far)
-		} else {
-			ev = e.fifo.pop()
-			e.stats.RingEvents++
-		}
-	} else if top, far := e.events.min(); top != nil {
-		if top.at >= bound {
-			if bound > e.now {
-				e.now = bound
-				e.stallEvents = 0
-			}
-			return event{}, false
-		}
-		ev = e.take(far)
-		if ev.at > e.now {
-			e.stallEvents = 0
-			e.now = ev.at
-		}
-	} else {
+	top, far := e.events.min()
+	if top == nil {
 		// Queue drained: leave the clock at the last executed event.
 		return event{}, false
+	}
+	if bound := e.stopAt; top.at >= bound {
+		if bound > e.now {
+			e.now = bound
+			e.stallEvents = 0
+		}
+		return event{}, false
+	}
+	if far {
+		e.stats.HeapEvents++
+	} else {
+		e.stats.BucketEvents++
+	}
+	ev := e.events.pop(far)
+	if ev.at > e.now {
+		e.stallEvents = 0
+		e.now = ev.at
 	}
 	if ev.src != ev.dom {
 		e.domain(ev.dom).foreign--
 	}
-	e.curDom, e.curSeq = ev.dom, ev.seq
+	e.curSeq = ev.seq
 	e.stallEvents++
 	if limit := e.StallLimit; limit > 0 && e.stallEvents > limit {
 		e.verdict = &StallError{Time: e.now, Events: e.stallEvents}
 		return event{}, false
 	}
 	return ev, true
-}
-
-// take pops the event e.events.min just returned, counting the tier it came
-// from.
-func (e *Engine) take(far bool) event {
-	if far {
-		e.stats.HeapEvents++
-	} else {
-		e.stats.BucketEvents++
-	}
-	return e.events.pop(far)
 }
 
 // settle leaves a drained engine's clock at its last executed event, counting
@@ -591,7 +456,7 @@ func (e *Engine) exec(ev event) {
 func (e *Engine) Drain() error { return e.Run(MaxTime) }
 
 // Pending returns the number of queued (not yet executed) events.
-func (e *Engine) Pending() int { return e.events.len() + e.fifo.n }
+func (e *Engine) Pending() int { return e.events.len() }
 
 // Blocked describes every currently blocked proc (diagnostics; the same
 // strings a DeadlockError would carry).

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -39,6 +40,38 @@ func TestSameCycleFIFO(t *testing.T) {
 		if got[i] != i {
 			t.Fatalf("same-cycle events not FIFO: %v", got)
 		}
+	}
+
+	// A domain schedules more events for its own executing cycle than the
+	// cycle's bucket holds, so the rest go to the heap; they still pop in the
+	// order they were scheduled. The event it sends to a lower domain at the
+	// same cycle, scheduled last, pops before all of them; the one the system
+	// domain queued first pops after them.
+	e = NewEngine()
+	got = nil
+	d0, d1 := e.Domain(0), e.Domain(1)
+	const n = 3 * bucketCap
+	e.At(5, func() { got = append(got, -2) })
+	d1.At(5, func() {
+		for i := 0; i < n; i++ {
+			d1.After(0, func() { got = append(got, i) })
+		}
+		d1.CrossAt(d0, 5, func() { got = append(got, -1) })
+	})
+	if err := e.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	want := []int{-1}
+	for i := 0; i < n; i++ {
+		want = append(want, i)
+	}
+	want = append(want, -2)
+	if !slices.Equal(got, want) {
+		t.Fatalf("pop order %v, want %v", got, want)
+	}
+	if st := e.Stats(); st.BucketOverflows == 0 || st.HeapEvents == 0 || e.Now() != 5 {
+		t.Fatalf("%d overflows, %d heap events, clock %d; want the cycle's bucket overflowed into the heap at cycle 5",
+			st.BucketOverflows, st.HeapEvents, e.Now())
 	}
 }
 

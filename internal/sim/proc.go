@@ -191,7 +191,7 @@ func (p *Proc) Sync() {
 // clock itself.
 func (p *Proc) canFastForward() bool {
 	s := p.eng
-	return s.fifo.n == 0 && s.events.nextAt() > p.clock && p.clock < s.stopAt
+	return s.events.nextAt() > p.clock && p.clock < s.stopAt
 }
 
 // RunAhead reports whether the proc may, instead of calling Sync, act at its

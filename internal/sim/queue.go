@@ -13,12 +13,13 @@ const (
 	bucketCap = 16  // events a bucket holds before the rest go to the heap
 )
 
-// eventQueue holds every queued event outside the same-cycle ring, in two
-// tiers. The near tier is nearSpan buckets of one cycle each, a fixed array
-// that never grows: an event less than nearSpan cycles ahead goes to bucket
-// at % nearSpan, kept sorted by the rest of the canonical key. The far tier
-// is the eventHeap, which takes whatever lies further ahead or finds its
-// bucket full.
+// eventQueue holds every queued event, in two tiers. The near tier is
+// nearSpan buckets of one cycle each, a fixed array that never grows: an
+// event less than nearSpan cycles ahead goes to bucket at % nearSpan, kept
+// sorted by the rest of the canonical key (an event scheduled for the
+// executing cycle joins the bucket that is draining). The far tier is the
+// eventHeap, which takes whatever lies further ahead or finds its bucket
+// full.
 //
 // Which tier an event sits in never decides when it pops: min compares the
 // near tier's first event with the heap's by event.before, so the pop order
@@ -132,4 +133,62 @@ func (q *eventQueue) gap(s uint) Time {
 		d += 64
 	}
 	panic("sim: near tier counts events but no bucket is occupied")
+}
+
+// eventHeap is an inlined 4-ary min-heap of events: the far tier of the
+// eventQueue, and the order the whole queue keeps. Compared to
+// container/heap it avoids the interface{} boxing allocation on every push
+// and the indirect Less/Swap calls on every sift; the wider fan-out halves
+// the tree depth, trading cheap sibling compares (same cache line) for
+// expensive level hops.
+type eventHeap []event
+
+func (h *eventHeap) push(ev event) {
+	s := append(*h, ev)
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) >> 2
+		if !s[i].before(&s[p]) {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+	*h = s
+}
+
+func (h *eventHeap) pop() event {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	last := s[n]
+	s[n] = event{} // drop the fn/proc references so they can be collected
+	s = s[:n]
+	*h = s
+	if n > 0 {
+		i := 0
+		for {
+			c := i<<2 + 1
+			if c >= n {
+				break
+			}
+			end := c + 4
+			if end > n {
+				end = n
+			}
+			best := c
+			for j := c + 1; j < end; j++ {
+				if s[j].before(&s[best]) {
+					best = j
+				}
+			}
+			if !s[best].before(&last) {
+				break
+			}
+			s[i] = s[best]
+			i = best
+		}
+		s[i] = last
+	}
+	return top
 }

@@ -142,20 +142,19 @@ func checkQueueMatchesHeap(t *testing.T, seed uint64, chains, hops int) *Engine 
 	return e
 }
 
-// TestQueueMatchesHeap: the two-tier queue and the ring in front of it pop in
-// the order of a single heap, on schedules that use every placement.
+// TestQueueMatchesHeap: the two-tier queue pops in the order of a single
+// heap, on schedules that use every placement.
 func TestQueueMatchesHeap(t *testing.T) {
-	var ring, bucket, heap, overflows uint64
+	var bucket, heap, overflows uint64
 	for seed := uint64(1); seed <= 8; seed++ {
 		st := checkQueueMatchesHeap(t, seed, 32, 120).Stats()
-		ring += st.RingEvents
 		bucket += st.BucketEvents
 		heap += st.HeapEvents
 		overflows += st.BucketOverflows
 	}
-	if ring == 0 || bucket == 0 || heap == 0 || overflows == 0 {
-		t.Errorf("the scripts did not reach every tier: %d ring, %d bucket, %d heap events, %d overflows",
-			ring, bucket, heap, overflows)
+	if bucket == 0 || heap == 0 || overflows == 0 {
+		t.Errorf("the scripts did not reach every tier: %d bucket, %d heap events, %d overflows",
+			bucket, heap, overflows)
 	}
 }
 
@@ -176,7 +175,7 @@ func TestQueueTierCounters(t *testing.T) {
 	for i := 0; i < bucketCap+1; i++ {
 		e.At(5, nop) // the last one finds the bucket full
 	}
-	e.At(10, func() { e.After(0, nop) }) // the system domain onto itself, same cycle: the ring
+	e.At(10, func() { e.After(0, nop) }) // same cycle: the bucket that is draining
 	e.At(nearSpan-1, nop)                // the near tier's last cycle
 	e.At(nearSpan, nop)                  // the heap's first
 	if got := e.Pending(); got != bucketCap+4 {
@@ -189,7 +188,7 @@ func TestQueueTierCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := e.Stats()
-	want := EngineStats{EventsTotal: bucketCap + 5, RingEvents: 1, BucketEvents: bucketCap + 2,
+	want := EngineStats{EventsTotal: bucketCap + 5, BucketEvents: bucketCap + 3,
 		HeapEvents: 2, BucketOverflows: 1, MaxPending: bucketCap + 4}
 	if st != want {
 		t.Fatalf("stats = %+v, want %+v", st, want)

@@ -13,7 +13,7 @@ type EngineStats struct {
 	// the lookahead certificate and no proc ran ahead.
 	Lookahead uint64 `json:"lookahead"`
 	// EventsTotal is the number of events executed (Stats computes it, as
-	// RingEvents + BucketEvents + HeapEvents). A proc Sync that
+	// BucketEvents + HeapEvents). A proc Sync that
 	// fast-forwards time (nothing else was due first) consumes no event and
 	// is not counted, nor is one that RunAhead made unnecessary.
 	EventsTotal uint64 `json:"events_total"`
@@ -37,14 +37,13 @@ type EngineStats struct {
 	SyncWakes    uint64 `json:"sync_wakes"`
 	SyncsSkipped uint64 `json:"syncs_skipped"`
 	SyncIssues   uint64 `json:"sync_issues"`
-	// RingEvents, BucketEvents and HeapEvents say where each executed event
-	// was popped from — the same-cycle ring, a near-tier bucket or the heap
-	// behind them (eventQueue) — and sum to EventsTotal. BucketOverflows is
+	// BucketEvents and HeapEvents say where each executed event was popped
+	// from — a near-tier bucket or the heap behind them (eventQueue) — and
+	// sum to EventsTotal. BucketOverflows is
 	// the number of events inside the near tier's span (256 cycles ahead)
 	// that found their bucket full and went to the heap instead. Together they say whether
 	// the near tier is sized for the run's traffic: the heap should see the
 	// far timers and little else.
-	RingEvents      uint64 `json:"ring_events"`
 	BucketEvents    uint64 `json:"bucket_events"`
 	HeapEvents      uint64 `json:"heap_events"`
 	BucketOverflows uint64 `json:"bucket_overflows"`
@@ -56,6 +55,6 @@ type EngineStats struct {
 func (e *Engine) Stats() EngineStats {
 	st := e.stats
 	st.Lookahead = e.lookahead
-	st.EventsTotal = st.RingEvents + st.BucketEvents + st.HeapEvents
+	st.EventsTotal = st.BucketEvents + st.HeapEvents
 	return st
 }

@@ -179,12 +179,12 @@ func TestProcSchedulingCounters(t *testing.T) {
 		t.Fatalf("sync wakes %d, syncs skipped %d; want 1, 0", st.SyncWakes, st.SyncsSkipped)
 	}
 	// All five events were a few cycles ahead and on another domain than the
-	// one executing when scheduled: near-tier buckets, no ring, no heap. The
+	// one executing when scheduled: near-tier buckets, no heap. The
 	// queue was at its fullest before the run, with the two start wakes and
 	// the event at 20.
-	if st.RingEvents != 0 || st.BucketEvents != 5 || st.HeapEvents != 0 || st.BucketOverflows != 0 || st.MaxPending != 3 {
-		t.Fatalf("ring %d, bucket %d, heap %d, overflows %d, max pending %d; want 0, 5, 0, 0, 3",
-			st.RingEvents, st.BucketEvents, st.HeapEvents, st.BucketOverflows, st.MaxPending)
+	if st.BucketEvents != 5 || st.HeapEvents != 0 || st.BucketOverflows != 0 || st.MaxPending != 3 {
+		t.Fatalf("bucket %d, heap %d, overflows %d, max pending %d; want 5, 0, 0, 3",
+			st.BucketEvents, st.HeapEvents, st.BucketOverflows, st.MaxPending)
 	}
 	if e.Now() != 25 {
 		t.Fatalf("Now() = %d, want 25", e.Now())
