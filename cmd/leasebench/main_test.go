@@ -137,9 +137,9 @@ func TestCompareSelfIsClean(t *testing.T) {
 	var file bytes.Buffer
 	enc := json.NewEncoder(&file)
 	for _, r := range []bench.Report{
-		{DS: "counter", Threads: 4, Lease: true, Seed: 1, Ops: 1000, MopsPerSec: 14.5, MsgsPerOp: 5},
-		{DS: "counter", Threads: 4, Lease: true, Seed: 1, Protocol: "tardis", Ops: 700, MopsPerSec: 9.9, MsgsPerOp: 7.5},
-		{DS: "counter", Threads: 4, Lease: true, Seed: 2, Ops: 900, MopsPerSec: 13, MsgsPerOp: 5.2},
+		{DS: "counter", Threads: 4, Lease: true, Seed: 1, Result: bench.Result{Ops: 1000, MopsPerSec: 14.5, MsgsPerOp: 5}},
+		{DS: "counter", Threads: 4, Lease: true, Seed: 1, Protocol: "tardis", Result: bench.Result{Ops: 700, MopsPerSec: 9.9, MsgsPerOp: 7.5}},
+		{DS: "counter", Threads: 4, Lease: true, Seed: 2, Result: bench.Result{Ops: 900, MopsPerSec: 13, MsgsPerOp: 5.2}},
 	} {
 		if err := enc.Encode(r); err != nil {
 			t.Fatal(err)

@@ -67,15 +67,13 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // findStructure is what -ds looks up; a test swaps in a structure that fails.
 var findStructure = bench.FindStructure
 
-// observed is what one row's cell leaves beside its Result: the recorder
-// and the TL2 abort count, allocated before the sweep is submitted and read
-// once it is back, and the config the cell ran on. timeline is the file the
-// row's timeline goes to.
+// observed is what one row's cell leaves beside its Result: the recorder,
+// allocated before the sweep is submitted and read once it is back, the
+// file the row's timeline goes to, and the row's report.
 type observed struct {
 	rec      *telemetry.Recorder
-	aborts   uint64
-	cfg      machine.Config
 	timeline string
+	rep      bench.Report
 }
 
 // run is main: it returns the exit status.
@@ -173,6 +171,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if o.timeline = *timeline; o.timeline != "" && len(host.Threads) > 1 {
 			o.timeline = fmt.Sprintf("%s.t%d", o.timeline, n)
 		}
+		o.rep = bench.Report{DS: *ds, Threads: n, Lease: *lease, Seed: *seed,
+			WarmCycles: *warm, WindowCycles: *cycles, Protocol: host.Protocol}
 	}
 	v := bench.Variant{Name: "base", Edit: func(cfg *machine.Config, _ bench.Row) {
 		cfg.Lease.MaxLeaseTime = *maxLease
@@ -200,29 +200,36 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	v.Run = func(p bench.Params, cfg machine.Config, r bench.Row) bench.Result {
 		o := &obs[r.Val]
-		o.cfg = cfg
+		o.rep.FaultProfile = cfg.Faults.Profile()
 		if o.timeline != "" {
 			o.rec.EnableTimeline(float64(cfg.ClockHz) / 1e6) // cycles per µs
 		}
+		var aborts uint64
 		build := structure.Build(bench.StructureOpts{Lease: lt, KeyRange: 1024, Prefill: 512,
-			TL2Mode: parseMulti(*multi), Aborts: &o.aborts})
-		return bench.ThroughputOpts(cfg, r.Threads, p.Warm, p.Window, build,
+			TL2Mode: parseMulti(*multi), Aborts: &aborts})
+		res := bench.ThroughputOpts(cfg, r.Threads, p.Warm, p.Window, build,
 			bench.Options{Recorder: o.rec, Invariants: *invariants})
+		if res.Err == nil {
+			res.Aborts = aborts
+			res.HotLines = bench.HotLineRows(o.rec, *hotlines)
+		}
+		return res
 	}
 	sweep := bench.Sweep{Rows: rows, Variants: []bench.Variant{v}}
 	res := sweep.Measure(bench.Params{Warm: *warm, Window: *cycles, Pool: host.Pool, Protocol: host.Protocol})
 
 	// report prints row i: a failed cell's name, cause and dump on errOut
 	// (and its -json report on out), or the cell's timeline file and then
-	// its report. It returns false when the row failed.
+	// its report, as text or -json. It returns false when the row failed.
 	report := func(out, errOut io.Writer, i int) bool {
-		r, o := res[i][0], &obs[i]
-		if r.Err != nil {
-			bench.CellFailure{Cell: bench.CellName(*ds, rows[i], v), Err: r.Err}.Print(errOut, "leasesim")
+		o := &obs[i]
+		rep := &o.rep
+		rep.Result = res[i][0]
+		if rep.Err != nil {
+			bench.CellFailure{Cell: bench.CellName(*ds, rows[i], v), Err: rep.Err}.Print(errOut, "leasesim")
+			rep.Error = rep.Err.Error()
 			if *jsonOut {
-				rep := bench.BuildReport(*ds, rows[i].Threads, *lease, o.cfg, *warm, *cycles, r, nil, 0)
-				rep.EngineStats = r.EngineStats
-				writeJSON(out, rep)
+				writeJSON(out, *rep)
 			}
 			return false
 		}
@@ -231,24 +238,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(errOut, "leasesim: %v\n", err)
 				return false
 			}
-		}
-		if *jsonOut {
-			rep := bench.BuildReport(*ds, rows[i].Threads, *lease, o.cfg, *warm, *cycles, r, o.rec, *hotlines)
-			rep.Aborts = o.aborts
 			rep.TimelineFile = o.timeline
-			rep.EngineStats = r.EngineStats
-			if err := writeJSON(out, rep); err != nil {
-				fmt.Fprintf(errOut, "leasesim: %v\n", err)
-				return false
-			}
+		}
+		if !*jsonOut {
+			printText(out, *rep, o.rec.Lines.Len())
 			return true
 		}
-		proto := ""
-		if host.Protocol != "" {
-			proto = " protocol=" + host.Protocol
+		if err := writeJSON(out, *rep); err != nil {
+			fmt.Fprintf(errOut, "leasesim: %v\n", err)
+			return false
 		}
-		fmt.Fprintf(out, "ds=%s threads=%d lease=%v%s window=%d cycles\n", *ds, rows[i].Threads, *lease, proto, r.Cycles)
-		printText(out, r, o, host.Protocol, *hotlines)
 		return true
 	}
 
@@ -302,17 +301,23 @@ func writeTimeline(path string, tl *telemetry.Timeline) error {
 	return nil
 }
 
-// printText writes the body of one cell's text report, under its header.
-func printText(out io.Writer, r bench.Result, o *observed, protocol string, hotlines int) {
-	fmt.Fprintf(out, "ops            %d\n", r.Ops)
-	fmt.Fprintf(out, "throughput     %.3f Mops/s\n", r.MopsPerSec)
-	fmt.Fprintf(out, "energy         %.3f nJ/op\n", r.NJPerOp)
-	fmt.Fprintf(out, "L1 misses/op   %.3f\n", r.MissesPerOp)
-	fmt.Fprintf(out, "messages/op    %.3f\n", r.MsgsPerOp)
-	fmt.Fprintf(out, "CAS fails/op   %.3f\n", r.CASFailsPerOp)
-	fmt.Fprintf(out, "fairness       %.3f\n", r.Fairness)
-	if o.aborts > 0 {
-		fmt.Fprintf(out, "tl2 aborts     %d (warm+window)\n", o.aborts)
+// printText writes one cell's report as text; lines is how many lines the
+// recorder profiled, of which rep.HotLines are the top.
+func printText(out io.Writer, rep bench.Report, lines int) {
+	proto := ""
+	if rep.Protocol != "" {
+		proto = " protocol=" + rep.Protocol
+	}
+	fmt.Fprintf(out, "ds=%s threads=%d lease=%v%s window=%d cycles\n", rep.DS, rep.Threads, rep.Lease, proto, rep.Cycles)
+	fmt.Fprintf(out, "ops            %d\n", rep.Ops)
+	fmt.Fprintf(out, "throughput     %.3f Mops/s\n", rep.MopsPerSec)
+	fmt.Fprintf(out, "energy         %.3f nJ/op\n", rep.NJPerOp)
+	fmt.Fprintf(out, "L1 misses/op   %.3f\n", rep.MissesPerOp)
+	fmt.Fprintf(out, "messages/op    %.3f\n", rep.MsgsPerOp)
+	fmt.Fprintf(out, "CAS fails/op   %.3f\n", rep.CASFailsPerOp)
+	fmt.Fprintf(out, "fairness       %.3f\n", rep.Fairness)
+	if rep.Aborts > 0 {
+		fmt.Fprintf(out, "tl2 aborts     %d (warm+window)\n", rep.Aborts)
 	}
 
 	fmt.Fprintln(out, "\nlatency distributions (cycles):")
@@ -322,12 +327,12 @@ func printText(out io.Writer, r bench.Result, o *observed, protocol string, hotl
 		}
 		fmt.Fprintf(out, "%-14s %s\n", name, s)
 	}
-	printDist("op latency", r.OpLatency)
-	printDist("lease hold", r.LeaseHold)
-	printDist("probe defer", r.ProbeDefer)
-	printDist("dir queue", r.DirQueue)
+	printDist("op latency", rep.OpLatency)
+	printDist("lease hold", rep.LeaseHold)
+	printDist("probe defer", rep.ProbeDefer)
+	printDist("dir queue", rep.DirQueue)
 
-	if t := r.Txns; t != nil && t.Count > 0 {
+	if t := rep.Txns; t != nil && t.Count > 0 {
 		fmt.Fprintf(out, "\ntransaction cycle accounting (%d txns, %d deferred):\n",
 			t.Count, t.Deferred)
 		printPhases := func(total uint64, ph telemetry.TxnPhases) {
@@ -337,7 +342,7 @@ func printText(out io.Writer, r bench.Result, o *observed, protocol string, hotl
 					pct = 100 * float64(v) / float64(total)
 				}
 				fmt.Fprintf(out, "  %-14s %14d cycles %6.1f%%\n",
-					telemetry.PhaseName(telemetry.Phase(i), protocol), v, pct)
+					telemetry.PhaseName(telemetry.Phase(i), rep.Protocol), v, pct)
 			}
 		}
 		fmt.Fprintf(out, "span critical path (%d cycles):\n", t.TotalCycles)
@@ -354,17 +359,17 @@ func printText(out io.Writer, r bench.Result, o *observed, protocol string, hotl
 		}
 	}
 
-	if n := o.rec.Lines.Len(); hotlines > 0 && n > 0 {
-		fmt.Fprintf(out, "\nhot lines (top %d of %d):\n", min(hotlines, n), n)
+	if len(rep.HotLines) > 0 {
+		fmt.Fprintf(out, "\nhot lines (top %d of %d):\n", len(rep.HotLines), lines)
 		fmt.Fprintf(out, "%-12s %10s %10s %8s %10s %10s %8s %8s\n",
 			"line", "score", "msgs", "invals", "deferred", "defcycles", "leases", "maxdirq")
-		for _, h := range bench.HotLineRows(o.rec, hotlines) {
+		for _, h := range rep.HotLines {
 			fmt.Fprintf(out, "%-12s %10d %10d %8d %10d %10d %8d %8d\n",
 				h.Line, h.Score, h.Msgs, h.Invals, h.Deferred, h.DeferredCycles, h.Leases, h.MaxQueue)
 		}
 	}
 
-	if led := r.LeaseLedger; led != nil {
+	if led := rep.LeaseLedger; led != nil {
 		fmt.Fprintf(out, "\nlease-efficiency ledger (%d leases closed, %d expired, %d open at end):\n",
 			led.Leases, led.Expired, led.OpenAtEnd)
 		fmt.Fprintf(out, "granted %d cycles, used %d (efficiency %.3f), unused %d, wasted %d\n",
@@ -390,10 +395,10 @@ func printText(out io.Writer, r bench.Result, o *observed, protocol string, hotl
 		printRanking("top deferral inflicted", led.TopDeferInflicted)
 	}
 
-	if o.timeline != "" {
-		fmt.Fprintf(out, "\ntimeline written to %s (open in chrome://tracing or ui.perfetto.dev)\n", o.timeline)
+	if rep.TimelineFile != "" {
+		fmt.Fprintf(out, "\ntimeline written to %s (open in chrome://tracing or ui.perfetto.dev)\n", rep.TimelineFile)
 	}
 
 	fmt.Fprintln(out, "\nwindow counters:")
-	fmt.Fprintln(out, r.Window)
+	fmt.Fprintln(out, rep.Window)
 }

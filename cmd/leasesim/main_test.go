@@ -151,6 +151,31 @@ func TestReportGoldens(t *testing.T) {
 	}
 }
 
+// A -json golden decodes into reports (what -compare reads) and encodes
+// back byte for byte: the schema keeps every field leasesim writes.
+func TestReportGoldensRoundTrip(t *testing.T) {
+	for _, name := range []string{"counter.json", "counter.tardis.json", "faults.json"} {
+		path := filepath.Join("testdata", name+".golden")
+		reps, err := bench.ReadReportFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		for _, rep := range reps {
+			if err := writeJSON(&buf, rep); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("%s re-encodes as:\n%s\nwant:\n%s", path, &buf, want)
+		}
+	}
+}
+
 // Every configuration holds the lookahead certificate, and engine_stats is
 // where it shows: the Tardis and the faulted cell declare the 15-cycle hop
 // too and skip some of their Syncs.
@@ -248,7 +273,7 @@ func TestFailedCellExitsOne(t *testing.T) {
 		t.Errorf("status %d, want 1", status)
 	}
 	for _, want := range []string{"leasesim: counter/lease/t4 FAILED (panic): ", "boom", "machine state at cycle",
-		"leasesim: counter/lease/t8 FAILED (panic): "} {
+		"goroutine ", "leasesim: counter/lease/t8 FAILED (panic): "} {
 		if !strings.Contains(errOut, want) {
 			t.Errorf("stderr lacks %q:\n%s", want, errOut)
 		}

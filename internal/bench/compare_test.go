@@ -12,8 +12,8 @@ func compareRep(ds string, threads int, lease bool, ops uint64, mops float64,
 	p50, p99 uint64, msgs float64) Report {
 	return Report{
 		DS: ds, Threads: threads, Lease: lease,
-		Ops: ops, MopsPerSec: mops, MsgsPerOp: msgs,
-		OpLatency: &telemetry.Summary{Count: ops, P50: p50, P99: p99},
+		Result: Result{Ops: ops, MopsPerSec: mops, MsgsPerOp: msgs,
+			OpLatency: &telemetry.Summary{Count: ops, P50: p50, P99: p99}},
 	}
 }
 

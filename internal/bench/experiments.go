@@ -240,9 +240,9 @@ func pagerankVariant(name string, leaseTime uint64) Variant {
 			return func(tid int, c *machine.Ctx) { pr.Run(c, tid) }
 		})
 		if re := (*RunError)(nil); errors.As(err, &re) {
-			return Result{Threads: uint64(r.Threads), Err: re}
+			return Result{Err: re}
 		}
-		return Result{Threads: uint64(r.Threads), Cycles: cycles, Window: stats}
+		return Result{Cycles: cycles, Window: stats}
 	}}
 }
 

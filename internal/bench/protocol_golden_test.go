@@ -32,7 +32,9 @@ func TestTardisReportGolden(t *testing.T) {
 		t.Fatalf("run failed: %v", r.Err)
 	}
 
-	rep := BuildReport("counter", 2, true, cfg, warm, window, r, rec, 5)
+	r.HotLines = HotLineRows(rec, 5)
+	rep := Report{DS: "counter", Threads: 2, Lease: true, Seed: cfg.Seed,
+		WarmCycles: warm, WindowCycles: window, Protocol: protocolTag(cfg.Protocol), Result: r}
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
@@ -70,10 +72,10 @@ func TestTardisReportGolden(t *testing.T) {
 	if parsed.Protocol != coherence.ProtocolTardis {
 		t.Errorf("golden protocol = %q, want %q", parsed.Protocol, coherence.ProtocolTardis)
 	}
-	if parsed.Counters.Renewals == 0 && parsed.Counters.RTSJumps == 0 {
+	if parsed.Window.Renewals == 0 && parsed.Window.RTSJumps == 0 {
 		t.Error("golden report has neither renewals nor rts-jumps")
 	}
-	if parsed.Counters.Msgs[coherence.MsgInval] != 0 {
+	if parsed.Window.Msgs[coherence.MsgInval] != 0 {
 		t.Error("golden Tardis report records invalidation messages")
 	}
 }

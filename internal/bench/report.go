@@ -4,14 +4,13 @@ import (
 	"fmt"
 
 	"leaserelease/internal/coherence"
-	"leaserelease/internal/machine"
-	"leaserelease/internal/sim"
 	"leaserelease/internal/telemetry"
 )
 
-// Report is the machine-readable summary of one run, as emitted by
-// `leasesim -json`. Field order and types are stable: for a fixed seed
-// and configuration the marshaled report is byte-for-byte reproducible.
+// Report is one cell as `leasesim -json` emits it: the cell's
+// configuration, then its Result. Field order and types are stable: for a
+// fixed seed and configuration the marshaled report is byte-for-byte
+// reproducible.
 type Report struct {
 	DS           string `json:"ds"`
 	Threads      int    `json:"threads"`
@@ -31,41 +30,12 @@ type Report struct {
 	// — for the default directory MSI. Part of Key.
 	Protocol string `json:"protocol,omitempty"`
 
-	Ops           uint64  `json:"ops"`
-	MopsPerSec    float64 `json:"mops_per_sec"`
-	NJPerOp       float64 `json:"nj_per_op"`
-	MissesPerOp   float64 `json:"l1_misses_per_op"`
-	MsgsPerOp     float64 `json:"msgs_per_op"`
-	CASFailsPerOp float64 `json:"cas_fails_per_op"`
-	Fairness      float64 `json:"fairness"`
-	Aborts        uint64  `json:"tl2_aborts,omitempty"`
-
-	OpLatency  *telemetry.Summary `json:"op_latency_cycles,omitempty"`
-	LeaseHold  *telemetry.Summary `json:"lease_hold_cycles,omitempty"`
-	ProbeDefer *telemetry.Summary `json:"probe_defer_cycles,omitempty"`
-	DirQueue   *telemetry.Summary `json:"dir_queue_occupancy,omitempty"`
-
-	// Txns is the coherence-transaction cycle accounting (span tracing).
-	Txns *telemetry.TxnSummary `json:"txn_accounting,omitempty"`
-
-	// LeaseLedger is the lease-efficiency accounting (-ledger), with the
-	// ranked lines joined against the hot-line contention profile.
-	LeaseLedger *telemetry.LedgerSummary `json:"lease_ledger,omitempty"`
-
-	Counters machine.Stats `json:"counters"` // Result.Window
-	HotLines []HotLineRow  `json:"hot_lines,omitempty"`
+	Result
 
 	TimelineFile string `json:"timeline_file,omitempty"`
 
-	// EngineStats is the event kernel's host-side counters for the run
-	// (machine.Machine.EngineStats): how the host executed it, never what
-	// it simulated. BuildReport leaves it nil; leasesim copies
-	// Result.EngineStats.
-	EngineStats *sim.EngineStats `json:"engine_stats,omitempty"`
-
-	// Error is set when the run failed (see Result.Err); the metric
-	// fields above are zero then. Omitted on success, so successful
-	// reports marshal byte-for-byte as before.
+	// Error is Result.Err's text when the run failed; the metrics are zero
+	// then. Omitted on success.
 	Error string `json:"error,omitempty"`
 }
 
@@ -127,30 +97,4 @@ func protocolTag(p string) string {
 		return ""
 	}
 	return p
-}
-
-// BuildReport assembles the JSON report for one telemetry-enabled run.
-func BuildReport(ds string, threads int, lease bool, cfg machine.Config,
-	warm, window uint64, r Result, rec *telemetry.Recorder, hotK int) Report {
-
-	rep := Report{
-		DS: ds, Threads: threads, Lease: lease, Seed: cfg.Seed,
-		WarmCycles: warm, WindowCycles: window,
-		FaultProfile: cfg.Faults.Profile(),
-		Protocol:     protocolTag(cfg.Protocol),
-		Ops:          r.Ops, MopsPerSec: r.MopsPerSec, NJPerOp: r.NJPerOp,
-		MissesPerOp: r.MissesPerOp, MsgsPerOp: r.MsgsPerOp,
-		CASFailsPerOp: r.CASFailsPerOp, Fairness: r.Fairness,
-		OpLatency: r.OpLatency, LeaseHold: r.LeaseHold,
-		ProbeDefer: r.ProbeDefer, DirQueue: r.DirQueue,
-		Txns: r.Txns, LeaseLedger: r.LeaseLedger,
-		Counters: r.Window,
-	}
-	if rec != nil && hotK > 0 {
-		rep.HotLines = HotLineRows(rec, hotK)
-	}
-	if r.Err != nil {
-		rep.Error = r.Err.Error()
-	}
-	return rep
 }

@@ -21,55 +21,66 @@ type OpFunc func(tid int, c *machine.Ctx)
 // its threads loop on.
 type Workload = func(d *machine.Direct) OpFunc
 
-// Result summarizes one measurement window.
+// Result summarizes one measurement window. Its tagged fields are the
+// measured half of a Report, in the order `leasesim -json` prints them.
 type Result struct {
-	Threads uint64
-	Ops     uint64
-	Cycles  uint64
-	Window  machine.Stats
+	Ops    uint64 `json:"ops"`
+	Cycles uint64 `json:"-"` // the window's length
 
-	MopsPerSec    float64 // million operations per wall-clock second at ClockHz
-	NJPerOp       float64
-	MissesPerOp   float64
-	MsgsPerOp     float64
-	CASFailsPerOp float64
-	AbortsPerOp   float64 // filled by STM workloads
-
-	// Snapshots taken and the collect rounds they needed, over warm-up and
-	// window alike; filled by the snapshot workload.
-	Snapshots, SnapshotRounds uint64
+	MopsPerSec    float64 `json:"mops_per_sec"` // million operations per wall-clock second at ClockHz
+	NJPerOp       float64 `json:"nj_per_op"`
+	MissesPerOp   float64 `json:"l1_misses_per_op"`
+	MsgsPerOp     float64 `json:"msgs_per_op"`
+	CASFailsPerOp float64 `json:"cas_fails_per_op"`
 
 	// Fairness is minOps/maxOps across threads in the window (1 = perfect;
 	// 0 = some thread starved). Lease queueing tends to raise it.
-	Fairness float64
+	Fairness float64 `json:"fairness"`
+
+	// Aborts is a TL2 run's abort count over warm-up and window (leasesim
+	// fills it); AbortsPerOp is the window's aborts per op (tl2Variant's).
+	Aborts      uint64  `json:"tl2_aborts,omitempty"`
+	AbortsPerOp float64 `json:"-"`
+
+	// Snapshots taken and the collect rounds they needed, over warm-up and
+	// window alike; filled by the snapshot workload.
+	Snapshots, SnapshotRounds uint64 `json:"-"`
 
 	// Distribution digests (p50/p90/p99 alongside the means above), filled
 	// when the run was telemetry-enabled (Options.Recorder); nil otherwise.
-	OpLatency  *telemetry.Summary // cycles per operation
-	LeaseHold  *telemetry.Summary // lease start -> release/expire/break
-	ProbeDefer *telemetry.Summary // probe wait behind a lease
-	DirQueue   *telemetry.Summary // directory queue occupancy at arrival
+	OpLatency  *telemetry.Summary `json:"op_latency_cycles,omitempty"`   // cycles per operation
+	LeaseHold  *telemetry.Summary `json:"lease_hold_cycles,omitempty"`   // lease start -> release/expire/break
+	ProbeDefer *telemetry.Summary `json:"probe_defer_cycles,omitempty"`  // probe wait behind a lease
+	DirQueue   *telemetry.Summary `json:"dir_queue_occupancy,omitempty"` // directory queue occupancy at arrival
 
 	// Txns is the critical-path cycle accounting of the window's coherence
 	// transactions, filled when the recorder had spans enabled
 	// (Recorder.EnableSpans); nil otherwise.
-	Txns *telemetry.TxnSummary
+	Txns *telemetry.TxnSummary `json:"txn_accounting,omitempty"`
 
 	// LeaseLedger is the lease-efficiency accounting (per-lease granted vs.
 	// used cycles, ops absorbed, deferral inflicted), filled when the
 	// recorder had the ledger enabled (Recorder.EnableLedger); nil otherwise.
-	LeaseLedger *telemetry.LedgerSummary
+	LeaseLedger *telemetry.LedgerSummary `json:"lease_ledger,omitempty"`
+
+	// Window is the measured window's hardware counters.
+	Window machine.Stats `json:"counters"`
+
+	// HotLines is the recorder's top contended lines (HotLineRows), filled
+	// by leasesim.
+	HotLines []HotLineRow `json:"hot_lines,omitempty"`
 
 	// EngineStats is the event kernel's host-side counters for the run
 	// (machine.Machine.EngineStats), read once the machine has stopped,
-	// failed runs included; nil when no machine was built.
-	EngineStats *sim.EngineStats
+	// failed runs included; nil when no machine was built. They say how the
+	// host executed the run, never what it simulated.
+	EngineStats *sim.EngineStats `json:"engine_stats,omitempty"`
 
 	// Err is set when the run failed (deadlock, panic, protocol or
 	// invariant violation, blown cycle budget); the metric fields above,
 	// EngineStats aside, are zero then. A sweep reports the failed cell and
 	// continues.
-	Err *RunError
+	Err *RunError `json:"-"`
 }
 
 // Options selects the optional observability features of a Throughput run.
@@ -197,7 +208,7 @@ func ThroughputOpts(cfg machine.Config, threads int, warm, window uint64,
 				return newRunError(m, threads, cerr)
 			}
 		}
-		r = summarize(m.Config(), threads, ops, w)
+		r = summarize(m.Config(), ops, w)
 		if maxT > 0 {
 			r.Fairness = float64(minT) / float64(maxT)
 		}
@@ -220,7 +231,7 @@ func ThroughputOpts(cfg machine.Config, threads int, warm, window uint64,
 	}
 	m, re := runGuarded(cfg, threads, prepare, loop, measure)
 	if re != nil {
-		r = Result{Threads: uint64(threads), Err: re}
+		r = Result{Err: re}
 	}
 	if m != nil {
 		st := m.EngineStats()
@@ -275,8 +286,8 @@ func summaryOf(h *telemetry.Hist) *telemetry.Summary {
 	return &s
 }
 
-func summarize(cfg machine.Config, threads int, ops uint64, w machine.Stats) Result {
-	r := Result{Threads: uint64(threads), Ops: ops, Cycles: w.Cycles, Window: w}
+func summarize(cfg machine.Config, ops uint64, w machine.Stats) Result {
+	r := Result{Ops: ops, Cycles: w.Cycles, Window: w}
 	if w.Cycles == 0 || ops == 0 {
 		return r
 	}
@@ -321,11 +332,19 @@ func toError(r interface{}) error {
 }
 
 // newRunError converts a failure cause into a RunError with a machine
-// state dump. Safe with m == nil (failure before construction).
+// state dump: the checker's, taken at the first violation with the events
+// that led to it, when the cause carries one; else the machine's now. Safe
+// with m == nil (failure before construction).
 func newRunError(m *machine.Machine, threads int, cause error) *RunError {
 	re := &RunError{Threads: threads, Reason: classify(cause), Cause: cause, Detail: cause.Error()}
 	if m != nil {
 		re.Cycle = m.Now()
+	}
+	var ie *invariant.Error
+	switch {
+	case errors.As(cause, &ie) && ie.Dump != nil:
+		re.Dump = ie.Dump
+	case m != nil:
 		re.Dump = m.DumpState()
 	}
 	return re

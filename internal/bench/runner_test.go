@@ -5,7 +5,9 @@ import (
 	"runtime"
 	"testing"
 
+	"leaserelease/internal/cache"
 	"leaserelease/internal/core"
+	"leaserelease/internal/invariant"
 	"leaserelease/internal/machine"
 	"leaserelease/internal/mem"
 	"leaserelease/internal/sim"
@@ -77,5 +79,56 @@ func TestRunToCompletionEndsWithLastThread(t *testing.T) {
 	if stats.Cycles < cycles+LeaseTime/2 {
 		t.Errorf("the drained clock is %d, %d past the last thread: the leased cell left no expiry timers behind and the test shows nothing",
 			stats.Cycles, stats.Cycles-cycles)
+	}
+}
+
+// An invariant failure reports the checker's dump: the state at the first
+// violation with the telemetry events that led to it, not the machine as the
+// window left it. The cell seeds a second writer (the corruption of the
+// invariant package's TestMutationSecondWriter): core 1 installs the line
+// Modified without a transaction while core 0 keeps leasing it.
+func TestInvariantFailureCarriesFirstViolationDump(t *testing.T) {
+	var (
+		m   *machine.Machine
+		chk *invariant.Checker
+	)
+	prepare := func(mm *machine.Machine) { m, chk = mm, invariant.Attach(mm) }
+	build := func(d *machine.Direct) func(int, *machine.Ctx) {
+		ctr := d.Alloc(8)
+		return func(tid int, c *machine.Ctx) {
+			if tid == 0 {
+				for i := 0; i < 12; i++ {
+					c.Lease(ctr, 2000)
+					c.Store(ctr, c.Load(ctr)+1)
+					c.Work(60)
+					c.Release(ctr)
+					c.Work(120)
+				}
+				return
+			}
+			c.Work(900)
+			c.Fence()
+			m.L1(1).Install(mem.LineOf(ctr), cache.Modified)
+			c.Work(4000)
+		}
+	}
+	_, re := runGuarded(machine.DefaultConfig(2), 2, prepare, build, func(m *machine.Machine) *RunError {
+		if re := runTo(m, 100_000, 2); re != nil {
+			return re
+		}
+		chk.CheckNow()
+		return newRunError(m, 2, chk.Err())
+	})
+	var ie *invariant.Error
+	if re == nil || re.Reason != "invariant" || !errors.As(re, &ie) {
+		t.Fatalf("cell error = %v, want an invariant failure", re)
+	}
+	first := ie.Violations[0].Cycle
+	if re.Dump == nil || re.Dump.Cycle != first || len(re.Dump.Events) == 0 {
+		t.Fatalf("dump at cycle %d with %d events, want the first violation's (cycle %d) with its events",
+			re.Dump.Cycle, len(re.Dump.Events), first)
+	}
+	if re.Cycle <= first {
+		t.Errorf("the cell failed at cycle %d, not after its first violation at %d: the test shows nothing", re.Cycle, first)
 	}
 }

@@ -1,11 +1,13 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"path"
 
 	"leaserelease/internal/machine"
+	"leaserelease/internal/sim"
 	"leaserelease/internal/telemetry"
 )
 
@@ -89,11 +91,15 @@ func CellName(exp string, r Row, v Variant) string {
 }
 
 // Print reports the failure on w, as both binaries do on stderr: the
-// program's name, the cell, the cause and the machine state dump.
+// program's name, the cell, the cause, the machine state dump and, for a
+// panic, the Go stack it was raised on.
 func (f CellFailure) Print(w io.Writer, prog string) {
 	fmt.Fprintf(w, "%s: %s FAILED (%s): %s\n", prog, f.Cell, f.Err.Reason, f.Err.Detail)
 	if f.Err.Dump != nil {
 		fmt.Fprint(w, f.Err.Dump)
+	}
+	if pe := (*sim.PanicError)(nil); errors.As(f.Err.Cause, &pe) {
+		fmt.Fprintf(w, "panic stack:\n%s", pe.Stack)
 	}
 }
 

@@ -105,14 +105,16 @@ func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
 }
 
 // The JSON report must round-trip and carry the documented fields.
-func TestBuildReportJSON(t *testing.T) {
+func TestReportJSON(t *testing.T) {
 	cfg := machine.DefaultConfig(4)
 	cfg.Seed = 5
 	rec := telemetry.NewRecorder()
 	r := ThroughputOpts(cfg, 4, 10_000, 40_000,
 		StackWorkload(ds.StackOptions{Lease: 20_000}),
 		Options{Recorder: rec})
-	rep := BuildReport("stack", 4, true, cfg, 10_000, 40_000, r, rec, 5)
+	r.HotLines = HotLineRows(rec, 5)
+	rep := Report{DS: "stack", Threads: 4, Lease: true, Seed: cfg.Seed,
+		WarmCycles: 10_000, WindowCycles: 40_000, Result: r}
 
 	b, err := json.Marshal(rep)
 	if err != nil {

@@ -68,7 +68,7 @@ type Cache struct {
 	last *way
 
 	// Stats
-	Hits, Misses, Evictions uint64
+	Hits, Misses uint64
 
 	// Bus, when set, receives a telemetry.CatCache event for every
 	// replacement victim (kind = the victim's state, CoreID = this
@@ -210,7 +210,6 @@ func (c *Cache) Install(l mem.Line, st State) (victim mem.Line, victimState Stat
 			panic("cache: all ways pinned; controller must force-release a lease")
 		}
 		victim, victimState, evicted = lru.line, lru.state, true
-		c.Evictions++
 		c.Bus.Emit(telemetry.CatCache, c.CoreID, uint8(victimState), victim, 1)
 		slot = lru
 	}

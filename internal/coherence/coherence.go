@@ -137,8 +137,6 @@ type Request struct {
 	// Event.Val, so the span assembler can reconstruct the causal tree.
 	Txn uint64
 
-	Issued sim.Time // submission time (for latency accounting)
-
 	// What service decided for the request (Decision): exclClean marks a
 	// read granted in exclusive state and owner is the core a forwarded
 	// probe goes to. line is the line's record, which is busy on this
@@ -164,7 +162,7 @@ type Request struct {
 // request is reset and not overwritten with a literal.
 func (r *Request) Reset(core int, line mem.Line, excl, lease bool) {
 	r.Core, r.Line, r.Excl, r.Lease = core, line, excl, lease
-	r.Txn, r.Issued, r.exclClean, r.owner, r.line = 0, 0, false, 0, nil
+	r.Txn, r.exclClean, r.owner, r.line = 0, false, 0, nil
 }
 
 // bind makes d the directory whose hops the request's callbacks run.
@@ -326,7 +324,6 @@ func (d *Directory) Submit(req *Request) {
 		req.bind(d)
 	}
 	src := d.coreDom(req.Core)
-	req.Issued = src.Now()
 	d.countMsg(req.Line, MsgRequest, 1)
 	src.CrossAt(d.dom, src.Now()+d.t.Net, req.reachDir)
 }

@@ -345,7 +345,7 @@ func TestRequestCallbacksFollowTheDirectory(t *testing.T) {
 		if to != d {
 			t.Fatal("Reset dropped the bound callbacks")
 		}
-		if req.Core != 2 || req.Line != 8 || req.Excl || !req.Lease || req.Issued != 0 || inService {
+		if req.Core != 2 || req.Line != 8 || req.Excl || !req.Lease || inService {
 			t.Fatalf("Reset left %+v", req)
 		}
 

@@ -287,9 +287,6 @@ func (m *Machine) mintTxn(cs *coreState, req *coherence.Request) {
 	if req.Lease {
 		flags |= telemetry.TxnFlagLease
 	}
-	if cs.l1.State(req.Line) == cache.Shared {
-		flags |= telemetry.TxnFlagUpgrade
-	}
 	m.bus.Emit2(telemetry.CatTxn, cs.id, telemetry.TxnBegin, req.Line, req.Txn, flags)
 }
 

@@ -169,9 +169,8 @@ func txnCore(id uint64) uint64 { return id >> txnCoreShift }
 
 // TxnFlag* describe a transaction in TxnBegin's Aux payload.
 const (
-	TxnFlagExcl    uint64 = 1 << iota // GetX (exclusive) request
-	TxnFlagLease                      // initiated by a Lease instruction
-	TxnFlagUpgrade                    // requester held the line Shared (S->M upgrade)
+	TxnFlagExcl  uint64 = 1 << iota // GetX (exclusive) request
+	TxnFlagLease                    // initiated by a Lease instruction
 )
 
 // NoVal marks an Event.Val that carries no measurement (e.g. the hold time

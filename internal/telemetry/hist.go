@@ -3,7 +3,6 @@ package telemetry
 import (
 	"fmt"
 	"math/bits"
-	"strings"
 )
 
 // histBuckets covers the full uint64 range: bucket b holds values v with
@@ -156,22 +155,4 @@ func (h *Hist) Summary() Summary {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.1f p50=%d p90=%d p99=%d max=%d",
 		s.Count, s.Mean, s.P50, s.P90, s.P99, s.Max)
-}
-
-// String renders the histogram digest plus a compact bucket sparkline.
-func (h *Hist) String() string {
-	var b strings.Builder
-	b.WriteString(h.Summary().String())
-	if h.n == 0 {
-		return b.String()
-	}
-	b.WriteString(" |")
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		lo, _ := bucketBounds(i)
-		fmt.Fprintf(&b, " %d:%d", lo, c)
-	}
-	return b.String()
 }

@@ -74,13 +74,10 @@ type Span struct {
 	Line  mem.Line // requested cache line
 
 	Excl     bool // GetX (exclusive) request
-	Lease    bool // initiated by a Lease instruction
-	Upgrade  bool // requester held the line Shared
 	Deferred bool // the owner probe was deferred behind a lease
 	Renewal  bool // served as a tag-only timestamp renewal (Tardis)
 
 	Begin, End uint64 // submit and completion cycles
-	Occupancy  uint64 // directory queue occupancy at arrival
 
 	Phases [NumPhases]uint64 // cycle breakdown; sums to End-Begin
 }
@@ -184,8 +181,6 @@ type Spans struct {
 type pendingOp struct {
 	txnCycles uint64
 	phase     [NumPhases]uint64
-	deferred  uint64
-	spans     uint64
 }
 
 // NewSpans returns an empty span assembler.
@@ -212,9 +207,7 @@ func (sp *Spans) OnEvent(e Event) {
 		}
 		*o = openSpan{txnSlot: txnSlot{id: id, open: true}, span: Span{
 			ID: id, Core: e.Core, Owner: -1, Line: e.Line, Begin: e.Time,
-			Excl:    e.Aux&TxnFlagExcl != 0,
-			Lease:   e.Aux&TxnFlagLease != 0,
-			Upgrade: e.Aux&TxnFlagUpgrade != 0,
+			Excl: e.Aux&TxnFlagExcl != 0,
 		}}
 		return
 	}
@@ -226,7 +219,6 @@ func (sp *Spans) OnEvent(e Event) {
 	switch e.Kind {
 	case TxnArrive:
 		o.arrive = e.Time
-		o.span.Occupancy = e.Aux
 	case TxnService:
 		o.service = e.Time
 		o.serviceLat = e.Aux
@@ -289,11 +281,7 @@ func (sp *Spans) finalize(o *openSpan) {
 			sp.stats.Phase[i] += c
 		}
 		p := sp.pendingFor(s.Core)
-		p.spans++
 		p.txnCycles += s.Total()
-		if s.Deferred {
-			p.deferred++
-		}
 		for i, c := range s.Phases {
 			p.phase[i] += c
 		}

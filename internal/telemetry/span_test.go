@@ -33,12 +33,11 @@ func TestSpanFillPathPhases(t *testing.T) {
 	if s.Phases != want {
 		t.Errorf("phases = %v, want %v", s.Phases, want)
 	}
-	if !s.Excl || s.Lease || s.Upgrade || s.Deferred {
-		t.Errorf("flags = excl=%v lease=%v upgrade=%v deferred=%v, want excl only",
-			s.Excl, s.Lease, s.Upgrade, s.Deferred)
+	if !s.Excl || s.Deferred {
+		t.Errorf("flags = excl=%v deferred=%v, want excl only", s.Excl, s.Deferred)
 	}
-	if s.Occupancy != 3 || s.Owner != -1 || s.Total() != 60 {
-		t.Errorf("occ=%d owner=%d total=%d, want 3/-1/60", s.Occupancy, s.Owner, s.Total())
+	if s.Owner != -1 || s.Total() != 60 {
+		t.Errorf("owner=%d total=%d, want -1/60", s.Owner, s.Total())
 	}
 }
 
@@ -48,7 +47,7 @@ func TestSpanInvalPathPhases(t *testing.T) {
 	sp := NewSpans()
 	sp.Keep = true
 	id := TxnID(2, 9)
-	sp.OnEvent(txnEv(100, 2, TxnBegin, 7, id, TxnFlagExcl|TxnFlagUpgrade))
+	sp.OnEvent(txnEv(100, 2, TxnBegin, 7, id, TxnFlagExcl))
 	sp.OnEvent(txnEv(110, -1, TxnArrive, 7, id, 1))
 	sp.OnEvent(txnEv(130, -1, TxnService, 7, id, 12))
 	sp.OnEvent(txnEv(130, -1, TxnInval, 7, id, 5))
@@ -61,9 +60,6 @@ func TestSpanInvalPathPhases(t *testing.T) {
 	}
 	if s.Phases != want {
 		t.Errorf("phases = %v, want %v", s.Phases, want)
-	}
-	if !s.Upgrade {
-		t.Error("upgrade flag lost")
 	}
 }
 

@@ -11,15 +11,18 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// unreferenced lists the exports of internal/, cmd/ and the root package
-// that no non-test code resolves to, each with the reader that keeps it: an
-// oracle a test compares against, or the paper section that names it. A key
-// is "dir.Name" or "dir.Type.Method" (dir is "leaserelease" for the root
+// unreferenced lists the exports and struct fields of internal/, cmd/ and
+// the root package that no non-test code reads, each with the reader that
+// keeps it: an oracle a test compares against, the paper section that names
+// it, or the -race build that checks it. A key is "dir.Name" or
+// "dir.Type.Method" or "dir.Type.field" (dir is "leaserelease" for the root
 // package), or a package directory for all of its exports.
 var unreferenced = map[string]string{
 	"internal/linearize":                        "the linearizability checker the structure tests hold their histories to",
@@ -50,15 +53,22 @@ var unreferenced = map[string]string{
 	"internal/faults.Config.WithPreemption": "the chaos soak's and the run-ahead differential's preemption profiles",
 	"internal/telemetry.Ledger.Lines":       "the ledger tests' per-line oracle",
 	"internal/telemetry.Spans.Open":         "the span tests check that every transaction closes (Proposition 1: one in flight per core)",
+
+	"internal/invariant.Checker.Checks":         "the checker tests' oracle: a healthy run observed events, and one seed checks the same number twice",
+	"internal/machine.Auto.Inserted":            "TestAutoLearnsLoadCASPattern and TestAutoHarmlessOnReadOnly count the leases it placed",
+	"internal/ds.EliminationStack.Eliminations": "TestEliminationHappens: symmetric contention eliminates",
+	"internal/machine.coreState.reqBusy":        "the -race poison mode (pool_poison_race.go) panics on a request reused in flight",
+	"internal/machine.expiry.live":              "the -race poison mode (pool_poison_race.go) panics on an expiry record fired after its release",
+	"internal/coherence.notice.live":            "the -race poison mode (notice_poison_race.go) panics on a notice run after its release",
 }
 
 // Every exported function, method, type, constant and variable of internal/,
 // cmd/ and the root package has a reader: non-test code somewhere in the
 // module (examples/ and benchmarks/ included) resolves to that object, or the
-// method implements an interface method such code calls. What only tests
-// read must be in unreferenced with its reader, and unreferenced holds
-// nothing else. Exported struct fields are not audited: encoding/json reads
-// most of them.
+// method implements an interface method such code calls. Every struct field
+// there has one too: such code selects it other than to store to it, or
+// encoding/json reads it by its tag. What only tests read must be in
+// unreferenced with its reader, and unreferenced holds nothing else.
 func TestExportsAreReached(t *testing.T) {
 	findings, err := unreached(".", "leaserelease")
 	if err != nil {
@@ -87,29 +97,35 @@ func TestExportsAreReached(t *testing.T) {
 // TestAuditResolvesObjects runs the audit on a fixture module: a method whose
 // only call is a namesake's (clock.Clock.Seconds beside time.Duration.Seconds)
 // is reported, and a method only called through an interface it implements
-// (clock.Quartz.Tick) is not.
+// (clock.Quartz.Tick) is not. A field only incremented (Clock.Ticks) or only
+// set in a literal (Clock.Started) is reported; one only assigned but
+// carrying a json tag (Clock.Name) is not.
 func TestAuditResolvesObjects(t *testing.T) {
 	findings, err := unreached("testdata/reach", "reach")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"internal/clock.Clock.Seconds"}; fmt.Sprint(findings) != fmt.Sprint(want) {
+	want := []string{"internal/clock.Clock.Seconds", "internal/clock.Clock.Started", "internal/clock.Clock.Ticks"}
+	if fmt.Sprint(findings) != fmt.Sprint(want) {
 		t.Fatalf("findings = %q, want %q", findings, want)
 	}
 }
 
 // unreached type-checks the module rooted at root, whose module path is
-// modPath, and returns the keys of the exports of internal/, cmd/ and the
-// root package that its non-test code does not read, sorted.
+// modPath, and returns the keys of the exports and struct fields of
+// internal/, cmd/ and the root package that its non-test code does not read,
+// sorted.
 func unreached(root, modPath string) ([]string, error) {
 	l := &loader{
 		root: root, mod: modPath,
-		fset:  token.NewFileSet(),
-		pkgs:  map[string]*types.Package{},
-		decls: map[types.Object]ast.Node{},
+		fset:   token.NewFileSet(),
+		pkgs:   map[string]*types.Package{},
+		decls:  map[types.Object]ast.Node{},
+		fields: map[types.Object]string{},
 		info: &types.Info{
-			Defs: map[*ast.Ident]types.Object{},
-			Uses: map[*ast.Ident]types.Object{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		},
 	}
 	l.std = importer.ForCompiler(l.fset, "source", nil).(types.ImporterFrom)
@@ -158,8 +174,46 @@ func unreached(root, modPath string) ([]string, error) {
 		}
 		findings = append(findings, l.key(obj))
 	}
+	fieldsRead := l.fieldsRead()
+	for obj, key := range l.fields {
+		if !fieldsRead[obj] {
+			findings = append(findings, key)
+		}
+	}
 	sort.Strings(findings)
 	return findings, nil
+}
+
+// fieldsRead returns the struct fields that non-test code selects other than
+// to store to them: a selector on the left of an assignment or in an
+// increment or decrement stores, and a composite-literal key is no selector.
+func (l *loader) fieldsRead() map[types.Object]bool {
+	stores := map[*ast.SelectorExpr]bool{}
+	store := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			stores[sel] = true
+		}
+	}
+	for _, f := range l.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, e := range n.Lhs {
+					store(e)
+				}
+			case *ast.IncDecStmt:
+				store(n.X)
+			}
+			return true
+		})
+	}
+	read := map[types.Object]bool{}
+	for sel, s := range l.info.Selections {
+		if s.Kind() == types.FieldVal && !stores[sel] {
+			read[s.Obj().(*types.Var).Origin()] = true
+		}
+	}
+	return read
 }
 
 // loader type-checks a module's non-test packages from source, all into one
@@ -172,6 +226,8 @@ type loader struct {
 	info      *types.Info
 	decls     map[types.Object]ast.Node // an object's own declaration
 	exports   []types.Object            // in the audited packages, in load order
+	fields    map[types.Object]string   // the audited packages' struct fields, by key
+	files     []*ast.File               // every non-test file of the module
 }
 
 func (l *loader) importPath(rel string) string {
@@ -242,10 +298,60 @@ func (l *loader) load(path string) (*types.Package, error) {
 	l.pkgs[path] = pkg
 	audited := rel == "" || rel == "internal" || rel == "cmd" ||
 		strings.HasPrefix(rel, "internal/") || strings.HasPrefix(rel, "cmd/")
+	l.files = append(l.files, files...)
 	for _, f := range files {
 		l.declare(f, audited)
+		if audited {
+			l.declareFields(f, rel)
+		}
 	}
 	return pkg, nil
+}
+
+// declareFields records the struct fields declared in f, in package
+// directory dir, each keyed "dir.Type.field" after the declaration that
+// encloses it: a type, else a variable or a function. A field
+// whose json tag names it is read by encoding/json; an embedded field is read
+// through what it promotes. Neither is recorded.
+func (l *loader) declareFields(f *ast.File, dir string) {
+	if dir == "" {
+		dir = l.mod
+	}
+	var scope []string // names of the enclosing declarations
+	ast.Inspect(f, func(n ast.Node) bool {
+		if n == nil {
+			scope = scope[:len(scope)-1]
+			return true
+		}
+		name := ""
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			name = n.Name.Name
+		case *ast.TypeSpec:
+			name = n.Name.Name
+		case *ast.ValueSpec:
+			name = n.Names[0].Name
+		case *ast.StructType:
+			for _, fld := range n.Fields.List {
+				if fld.Tag != nil {
+					tag, _ := strconv.Unquote(fld.Tag.Value)
+					if jn, ok := reflect.StructTag(tag).Lookup("json"); ok && jn != "-" {
+						continue
+					}
+				}
+				for _, id := range fld.Names {
+					if obj := l.info.Defs[id]; obj != nil && id.Name != "_" {
+						l.fields[obj] = dir + "." + scope[len(scope)-1] + "." + id.Name
+					}
+				}
+			}
+		}
+		if name == "" && len(scope) > 0 {
+			name = scope[len(scope)-1]
+		}
+		scope = append(scope, name)
+		return true
+	})
 }
 
 // declare records the declaring node of each package-level object and
