@@ -41,30 +41,34 @@ type eventQueue struct {
 
 func (q *eventQueue) len() int { return len(q.far) + q.nearN }
 
-// push queues ev, now being the engine clock (ev.at >= now). full reports a
-// near event that found its bucket full and went to the heap.
-func (q *eventQueue) push(ev event, now Time) (full bool) {
-	if ev.at-now < nearSpan {
-		s := ev.at % nearSpan
+// push queues the event keyed (at, dom, src, seq) that runs fn or wakes p,
+// now being the engine clock (at >= now). full reports a near event that
+// found its bucket full and went to the heap. The fields are stored straight
+// into the slot the event ends up in: an event built on the stack and copied
+// in would be read back with wider loads than the stores that wrote it, which
+// stalls store forwarding (DESIGN.md §2.1).
+func (q *eventQueue) push(at Time, seq uint64, dom, src uint32, fn func(), p *Proc, now Time) (full bool) {
+	if at-now < nearSpan {
+		s := at % nearSpan
 		n := q.cnt[s]
 		if n < bucketCap {
 			b := &q.near[s]
 			i := n
-			for ; i > 0 && b[i-1].before(&ev); i-- {
+			for ; i > 0 && b[i-1].precedes(at, dom, src, seq); i-- {
 				b[i] = b[i-1]
 			}
-			b[i] = ev
+			b[i] = event{at: at, seq: seq, dom: dom, src: src, fn: fn, p: p}
 			q.cnt[s] = n + 1
 			q.occ[s/64] |= 1 << (s % 64)
-			if q.nearN == 0 || ev.at < q.minAt {
-				q.minAt = ev.at
+			if q.nearN == 0 || at < q.minAt {
+				q.minAt = at
 			}
 			q.nearN++
 			return false
 		}
 		full = true
 	}
-	q.far.push(ev)
+	q.far.push(at, seq, dom, src, fn, p)
 	return full
 }
 
@@ -94,15 +98,16 @@ func (q *eventQueue) min() (ev *event, far bool) {
 	return ev, false
 }
 
-// pop removes the event min returned; far is min's second result.
-func (q *eventQueue) pop(far bool) event {
+// pop removes the event min returned; far is min's second result. Whoever
+// needs the event reads it through min's pointer first.
+func (q *eventQueue) pop(far bool) {
 	if far {
-		return q.far.pop()
+		q.far.pop()
+		return
 	}
 	s := q.minAt % nearSpan
 	n := q.cnt[s] - 1
 	slot := &q.near[s][n]
-	ev := *slot
 	slot.fn, slot.p = nil, nil // drop the references so they can be collected
 	q.cnt[s] = n
 	q.nearN--
@@ -112,7 +117,6 @@ func (q *eventQueue) pop(far bool) event {
 			q.minAt += q.gap(uint(s))
 		}
 	}
-	return ev
 }
 
 // gap returns the distance in cycles from bucket s, just emptied, to the
@@ -143,23 +147,27 @@ func (q *eventQueue) gap(s uint) Time {
 // expensive level hops.
 type eventHeap []event
 
-func (h *eventHeap) push(ev event) {
-	s := append(*h, ev)
+// push sifts a hole up from the end and stores the event in the slot where
+// it stops. Keys are unique (a source's sequence never repeats), so an event
+// moves above every parent that does not pop before it.
+func (h *eventHeap) push(at Time, seq uint64, dom, src uint32, fn func(), p *Proc) {
+	s := append(*h, event{})
 	i := len(s) - 1
 	for i > 0 {
-		p := (i - 1) >> 2
-		if !s[i].before(&s[p]) {
+		par := (i - 1) >> 2
+		if s[par].precedes(at, dom, src, seq) {
 			break
 		}
-		s[i], s[p] = s[p], s[i]
-		i = p
+		s[i] = s[par]
+		i = par
 	}
+	s[i] = event{at: at, seq: seq, dom: dom, src: src, fn: fn, p: p}
 	*h = s
 }
 
-func (h *eventHeap) pop() event {
+// pop removes the first event.
+func (h *eventHeap) pop() {
 	s := *h
-	top := s[0]
 	n := len(s) - 1
 	last := s[n]
 	s[n] = event{} // drop the fn/proc references so they can be collected
@@ -190,5 +198,4 @@ func (h *eventHeap) pop() event {
 		}
 		s[i] = last
 	}
-	return top
 }

@@ -92,16 +92,17 @@ func newHeapRef() *heapRef {
 	r.now = func() Time { return r.at }
 	r.schedule = func(from, to int, at Time, fn func()) {
 		r.seq[from]++
-		r.h.push(event{at: at, seq: r.seq[from], dom: scriptDomains[to], src: scriptDomains[from], fn: fn})
+		r.h.push(at, r.seq[from], scriptDomains[to], scriptDomains[from], fn, nil)
 	}
 	return r
 }
 
 func (r *heapRef) run(until Time) {
 	for len(r.h) > 0 && r.h[0].at < until {
-		ev := r.h.pop()
-		r.at = ev.at
-		ev.fn()
+		fn := r.h[0].fn
+		r.at = r.h[0].at
+		r.h.pop()
+		fn()
 	}
 }
 
