@@ -110,7 +110,8 @@ func (c *Ctx) Observe(fn func()) {
 // The thread's local clock T may be ahead of the event queue. Three cases:
 //
 //   - The line is held with the needed permission, no started lease of the
-//     core expires by T, and the engine vouches that nothing else can reach
+//     core expires by T (RunAhead is told, so that it counts the refusal),
+//     and the engine vouches that nothing else can reach
 //     the core's domain before T (sim.Proc.RunAhead: T less than one
 //     lookahead ahead, no foreign callback queued, T inside the horizon). The
 //     hit is performed at T at once. It touches the core's ways, its hit
@@ -130,7 +131,7 @@ func (c *Ctx) access(a mem.Addr, write bool) {
 	c.m.maybePreempt(cs, c.p, write)
 	l := mem.LineOf(a)
 	held := cs.l1.Holds(l, write)
-	if held && !cs.leases.ExpiresBy(c.p.Clock()) && c.p.RunAhead() {
+	if held && c.p.RunAhead(cs.leases.ExpiresBy(c.p.Clock())) {
 		cs.l1.Lookup(l, write)
 		c.p.Work(c.m.cfg.L1HitLat)
 		return
