@@ -2,15 +2,16 @@ package sim
 
 import "testing"
 
-// The kernel microbenchmarks below are the tracked host-performance
-// baseline for the simulator (see EXPERIMENTS.md "Host performance"):
+// The kernel microbenchmarks below measure the event kernel alone:
 // wall-clock ns/op here is nanoseconds of host time per simulated event
-// or per proc handoff. Run with
+// or per proc handoff. Their numbers depend on the host, so compare only
+// runs made on one host, alternating the two builds:
 //
-//	go test ./internal/sim -bench=. -benchmem
+//	go test -c -o sim.test ./internal/sim   # once per commit
+//	./sim.test -test.run '^$' -test.bench . -test.cpu 2
 //
-// and compare against the table recorded in EXPERIMENTS.md before
-// touching the engine or proc hot paths.
+// EXPERIMENTS.md "Host performance" keeps the last such A/B (the kernel
+// microbenchmark table, every run in BENCH_36.json).
 
 // BenchmarkEventChainDelay1 measures the queue at its emptiest: a chain of
 // events each scheduling its successor one cycle later, so every event pays
@@ -34,8 +35,8 @@ func BenchmarkEventChainDelay1(b *testing.B) {
 }
 
 // BenchmarkEventChainZeroDelay measures the same-cycle path: every event
-// schedules its successor with After(0), the dominant pattern in
-// coherence message hops and proc wakes.
+// schedules its successor with After(0), so each push joins the bucket that
+// is draining and each pop empties it again.
 func BenchmarkEventChainZeroDelay(b *testing.B) {
 	e := NewEngine()
 	e.StallLimit = 0 // the chain intentionally stays at one cycle
