@@ -216,6 +216,8 @@ type Directory struct {
 	// Policy is the protocol: its name, its line records and its lease
 	// hooks are the directory's.
 	Policy
+	// privacy is the policy's Privacy, nil if it keeps every copy private.
+	privacy Privacy
 
 	eng *sim.Engine
 	env Env
@@ -260,15 +262,24 @@ type Directory struct {
 // the stream Timing.NetJitter is drawn from, one per protocol. p reaches the
 // directory it serves (Now, Line, Stats) through the returned value.
 func New(eng *sim.Engine, env Env, t Timing, p Policy, jitterSeed uint64) *Directory {
-	return &Directory{
+	d := &Directory{
 		Policy: p, eng: eng, env: env, t: t,
 		dom: eng.Sys(),
 		rng: sim.NewRNG(jitterSeed),
 	}
+	d.privacy, _ = p.(Privacy)
+	return d
 }
 
 // Now returns the current simulated time.
 func (d *Directory) Now() sim.Time { return d.dom.Now() }
+
+// Private is the policy's Privacy.Private. Under a policy that does not
+// implement Privacy (MSI) every copy is private, and the answer costs one
+// branch.
+func (d *Directory) Private(core int, l mem.Line, write bool) bool {
+	return d.privacy == nil || d.privacy.Private(core, l, write)
+}
 
 // coreDom returns the scheduling domain of core c (the proc domains are
 // keyed by core id, see Engine.Spawn).

@@ -16,7 +16,9 @@ func NewDirectory(eng *sim.Engine, env Env, t Timing) *Directory {
 
 // msi is the MSI policy (MESI with Directory.MESI): the directory records an
 // owner or a sharer set per line, forwards a request for an owned line to
-// its owner, and invalidates the sharers before it grants a write.
+// its owner, and invalidates the sharers before it grants a write. So what a
+// core holds is reached only by a message to it, and msi does not implement
+// Privacy: every copy is private.
 type msi struct{}
 
 func (msi) Name() string { return ProtocolMSI }

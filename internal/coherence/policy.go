@@ -70,6 +70,21 @@ type Policy interface {
 	LeaseReleased(core int, l mem.Line)
 }
 
+// Privacy is implemented by a policy under which another core can see or
+// change what a core reads or writes in a copy its L1 holds, with no message
+// to that core: Tardis, whose readers keep a Shared copy of a word that a
+// new owner overwrites until their reservations lapse. A policy without it
+// (MSI) keeps every copy private, since another core reaches one only by a
+// probe or an invalidation, and the Directory then answers Private without a
+// call.
+type Privacy interface {
+	// Private reports whether core's copy of l, which its L1 holds with
+	// the permission the access needs, is private to the core for the
+	// access (write: a store): whether only a message to the core lets
+	// another core see or change what it reads or writes there.
+	Private(core int, l mem.Line, write bool) bool
+}
+
 // LinePolicy is the protocol's half of one line's record: the state it keeps
 // and the decisions it takes on it. Serve, Commit and Evict run in the
 // directory's domain, Lapsed in a reader's. A policy sends no message and

@@ -271,6 +271,27 @@ func (m *manager) LeaseReleased(core int, l mem.Line) {
 	}
 }
 
+// Private: only an owned line is private to its owner. A Shared copy reads
+// a word that a new owner may overwrite with no message to the reader (its
+// write commits past rts). A store to an owned line is private only while
+// no other core's reservation on it ends at or after now: until its lapse
+// notice, such a reader still reads the word the store writes.
+func (m *manager) Private(core int, l mem.Line, write bool) bool {
+	e := m.line(l)
+	if e == nil || !e.owned || e.owner != core {
+		return false
+	}
+	if write {
+		now := m.dir.Now()
+		for _, r := range e.res {
+			if r.end >= now {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // View classifies a line for dumps: owned lines are "M"; an unowned line
 // with a live reservation is "S"; otherwise "I". Sharers is the bitset of
 // cores with unexpired reservations.

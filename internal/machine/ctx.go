@@ -110,14 +110,15 @@ func (c *Ctx) Observe(fn func()) {
 // The thread's local clock T may be ahead of the event queue. Three cases:
 //
 //   - The line is held with the needed permission, no started lease of the
-//     core expires by T (RunAhead is told, so that it counts the refusal),
-//     and the engine vouches that nothing else can reach
-//     the core's domain before T (sim.Proc.RunAhead: T less than one
-//     lookahead ahead, no foreign callback queued, T inside the horizon). The
-//     hit is performed at T at once. It touches the core's ways, its hit
-//     counter and the word, which only events on this core's domain could
-//     change or expose, and none is due before T; the wake it saves ordered
-//     no other event.
+//     core expires by T, the protocol reports the copy private for the
+//     access (coherence.Directory.Private; RunAhead is told both, so that it
+//     counts the refusal), and the engine vouches that nothing else can
+//     reach the core's domain by T (sim.Proc.RunAhead: T less than one
+//     lookahead ahead, no foreign callback queued at or before T, T inside
+//     the horizon). The hit is performed at T at once. It touches the core's
+//     ways, its hit counter and the word, which only events on this core's
+//     domain could change or expose, and none is due by T; the wake it saves
+//     ordered no other event.
 //   - The line is not held. It is still not held at T: with no transaction
 //     outstanding, only a grant adds a permission to the L1 (DESIGN.md §2.4).
 //     The miss is issued at T by an event on the core's domain, in the slot
@@ -131,7 +132,7 @@ func (c *Ctx) access(a mem.Addr, write bool) {
 	c.m.maybePreempt(cs, c.p, write)
 	l := mem.LineOf(a)
 	held := cs.l1.Holds(l, write)
-	if held && c.p.RunAhead(cs.leases.ExpiresBy(c.p.Clock())) {
+	if held && c.p.RunAhead(cs.leases.ExpiresBy(c.p.Clock()), !c.m.proto.Private(cs.id, l, write)) {
 		cs.l1.Lookup(l, write)
 		c.p.Work(c.m.cfg.L1HitLat)
 		return

@@ -97,13 +97,11 @@ func runDiffCell(t *testing.T, build func(*machine.Direct) bench.OpFunc,
 // without, the forced run may find nothing else due and fast-forward the next
 // Sync.)
 //
-// Every MSI cell must have skipped some Syncs, and every cell must have
-// issued some misses from events; an MSI hashmap cell, where more than a
-// third of the accesses miss, must switch procs less often with both than
-// forced. A Tardis reader has its reservation's lapse notice queued on its
-// domain for 2000 cycles after every read grant, and a queued foreign event
-// rules run-ahead out, so a Tardis cell may skip none; some cell of each
-// fault profile must.
+// Every cell must have skipped some Syncs and issued some misses from
+// events; an MSI hashmap cell, where more than a third of the accesses miss,
+// must switch procs less often with both than forced. Under Tardis only hits
+// on owned lines run ahead (a Shared copy is not private to its reader), and
+// those each cell has too.
 func TestRunAheadDifferential(t *testing.T) {
 	const threads = 12
 	workloads := []struct {
@@ -125,7 +123,6 @@ func TestRunAheadDifferential(t *testing.T) {
 		{"preempt", faults.DefaultConfig().WithPreemption()},
 	}
 	modes := []mode{{"hits", true, false}, {"misses", false, true}, {"both", true, true}}
-	tardisSkipped := map[string]uint64{} // by profile
 	for _, w := range workloads {
 		for _, seed := range []uint64{1, 7} {
 			traced := seed == 7
@@ -147,13 +144,7 @@ func TestRunAheadDifferential(t *testing.T) {
 									w.name == "hashmap" && f.ProcSwitches >= ref.engine.ProcSwitches {
 									t.Errorf("%s: %d proc switches, %d forced", md.name, f.ProcSwitches, ref.engine.ProcSwitches)
 								}
-								if !md.hits {
-									continue
-								}
-								switch {
-								case proto == coherence.ProtocolTardis:
-									tardisSkipped[prof.name] += f.SyncsSkipped
-								case f.SyncsSkipped == 0:
+								if md.hits && f.SyncsSkipped == 0 {
 									t.Errorf("%s: no Sync skipped: the cell did not exercise run-ahead", md.name)
 								}
 							}
@@ -161,11 +152,6 @@ func TestRunAheadDifferential(t *testing.T) {
 					}
 				}
 			})
-		}
-	}
-	for _, prof := range profiles {
-		if tardisSkipped[prof.name] == 0 {
-			t.Errorf("profile %s: no Tardis cell skipped a Sync", prof.name)
 		}
 	}
 }

@@ -48,11 +48,15 @@ func fenceAt(c *Ctx, t uint64) {
 }
 
 // A forwarded probe (the other core loads a line this core holds Modified)
-// or an invalidation (it stores to a line this core holds Shared) is in
-// flight to core 0 from the moment the directory serves the request, at
-// cycle 215, until it lands at 233 = 215 + L2Tag + Net. Every hit attempted
-// in between takes the slow path, though the line is still held.
+// or an invalidation (it stores to a line this core holds Shared) is queued
+// for core 0 from the moment the directory serves the request, at cycle 215,
+// until it lands at 233 = 215 + L2Tag + Net. A hit timed before 233 orders
+// before it and runs ahead; one timed at 233 or later, attempted while the
+// message is still queued, takes the slow path, though the line is still
+// held. Core 0 tries its hits k cycles ahead of the engine, one run for each
+// k short of a lookahead.
 func TestRunAheadYieldsToInFlightProbe(t *testing.T) {
+	const served, lands = 215, 233
 	for _, tc := range []struct {
 		name   string
 		holdM  bool // core 0 holds the line Modified, and core 1 reads it
@@ -62,54 +66,60 @@ func TestRunAheadYieldsToInFlightProbe(t *testing.T) {
 		{"invalidation", false, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m := runAheadMachine(3)
-			x := m.Direct().Alloc(8)
-			type rec struct {
-				now  uint64
-				took bool
-			}
-			var recs []rec
-			m.Spawn(0, func(c *Ctx) {
-				if tc.holdM {
-					c.Store(x, 1)
-				} else {
-					c.Load(x)
+			before, after := 0, 0
+			for k := uint64(1); k < testConfig(1).Timing.Net; k++ {
+				m := runAheadMachine(3)
+				x := m.Direct().Alloc(8)
+				type rec struct {
+					now, at uint64
+					took    bool
 				}
-				for c.Now() < 300 {
-					c.Fence()
-					now := m.eng.Now()
-					c.Work(2)
-					recs = append(recs, rec{now, ranAhead(m, c, x)})
-				}
-			})
-			m.Spawn(0, func(c *Ctx) {
-				c.Work(200)
-				if tc.holdM {
-					c.Load(x)
-				} else {
-					c.Store(x, 2)
-				}
-			})
-			spawnTicker(m)
-			if err := m.Drain(); err != nil {
-				t.Fatal(err)
-			}
-			inFlight := 0
-			for _, r := range recs {
-				switch {
-				case r.now > 215 && r.now <= 233:
-					inFlight++
-					if r.took {
-						t.Errorf("hit at engine cycle %d ran ahead with the %s in flight", r.now, tc.name)
+				var recs []rec
+				m.Spawn(0, func(c *Ctx) {
+					if tc.holdM {
+						c.Store(x, 1)
+					} else {
+						c.Load(x)
 					}
-				case r.now > 150 && r.now <= 215, r.now > 260 && tc.stillS:
-					if !r.took {
-						t.Errorf("hit at engine cycle %d took the slow path with nothing in flight", r.now)
+					for c.Now() < 300 {
+						c.Fence()
+						now := m.eng.Now()
+						c.Work(k)
+						recs = append(recs, rec{now, c.Now(), ranAhead(m, c, x)})
+					}
+				})
+				m.Spawn(0, func(c *Ctx) {
+					c.Work(200)
+					if tc.holdM {
+						c.Load(x)
+					} else {
+						c.Store(x, 2)
+					}
+				})
+				spawnTicker(m)
+				if err := m.Drain(); err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range recs {
+					queued := r.now >= served && r.now < lands
+					switch {
+					case queued && r.at >= lands:
+						after++
+						if r.took {
+							t.Errorf("hit at cycle %d (engine at %d) ran ahead of the %s landing at %d", r.at, r.now, tc.name, lands)
+						}
+					case r.now > 150 && r.at < lands, r.now > 260 && tc.stillS:
+						if queued {
+							before++
+						}
+						if !r.took {
+							t.Errorf("hit at cycle %d (engine at %d) took the slow path with nothing due by then", r.at, r.now)
+						}
 					}
 				}
 			}
-			if inFlight < 3 {
-				t.Fatalf("only %d hits fell inside the in-flight window; the scenario drifted", inFlight)
+			if before < 10 || after < 10 {
+				t.Fatalf("%d hits timed before the %s landed and %d after it while it was queued; the scenario drifted", before, tc.name, after)
 			}
 		})
 	}
@@ -201,7 +211,7 @@ func TestRunAheadNeedsCertificate(t *testing.T) {
 		m := New(cfg)
 		x := m.Direct().Alloc(8)
 		m.Spawn(0, func(c *Ctx) {
-			c.Store(x, 1) // an owner's copy: no lapse notice is queued for it
+			c.Store(x, 1) // an owner's copy: private under Tardis too
 			for i := 0; i < 100; i++ {
 				c.Work(2)
 				c.Load(x)
@@ -241,5 +251,56 @@ func TestLookaheadEnforcedOnEveryMachine(t *testing.T) {
 			}()
 			sys.CrossAt(core1, cfg.Timing.Net-1, func() {})
 		}()
+	}
+}
+
+// Under Tardis a store does not invalidate a reader's Shared copy: it
+// commits past the reader's reservation, and the reader goes on reading the
+// word until the reservation lapses, with no message between the two. So a
+// writer's store may not run ahead of a live reservation on its line. Here
+// one thread only stores, so no lapse notice is ever queued for its domain,
+// and the other re-reads the line every cycle: the reader's (cycle, value)
+// log must be the one every access through Sync gives. MSI, which
+// invalidates the reader first, gives it too.
+func TestRunAheadTardisStoreUnderReservation(t *testing.T) {
+	type read struct{ at, v uint64 }
+	run := func(proto string, forced bool) []read {
+		cfg := testConfig(2)
+		cfg.Protocol = proto
+		m := New(cfg)
+		x := m.Direct().Alloc(8)
+		var log []read
+		m.Spawn(0, func(c *Ctx) {
+			for i := 0; i < 400; i++ {
+				c.Work(1)
+				at := c.Now()
+				log = append(log, read{at, c.Load(x)})
+			}
+		})
+		m.Spawn(0, func(c *Ctx) {
+			for v := uint64(1); v <= 40; v++ {
+				c.Work(11)
+				c.Store(x, v)
+			}
+		})
+		if forced {
+			ForceSync(m)
+		}
+		if err := m.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		return log
+	}
+	for _, proto := range coherence.Protocols() {
+		got, want := run(proto, false), run(proto, true)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d reads, %d through Sync", proto, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: read %d at cycle %d returned %d; through Sync, at cycle %d, %d",
+					proto, i+1, got[i].at, got[i].v, want[i].at, want[i].v)
+			}
+		}
 	}
 }

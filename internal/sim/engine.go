@@ -33,9 +33,10 @@
 //
 // A simulation may declare a lookahead (DeclareLookahead): the minimum
 // latency of any event one domain schedules onto another, which push then
-// enforces. Proc.RunAhead rests on it: a proc with nothing queued for its
-// domain from outside knows nothing can reach it sooner than one lookahead
-// from now, and may act at its local clock without going through the queue.
+// enforces. Proc.RunAhead rests on it: a proc whose local clock is less
+// than one lookahead from now, with nothing queued for its domain from
+// outside at or before that clock, knows nothing can reach it by then, and
+// may act at its local clock without going through the queue.
 package sim
 
 import (
@@ -104,7 +105,8 @@ type Domain struct {
 	// onto this one (probes, invalidations, grants; proc wakes and the
 	// domain's own timers are same-domain and do not count). It is kept by
 	// Engine.push and Engine.next. Proc.RunAhead reads it: with zero,
-	// nothing can reach the domain sooner than one lookahead from now.
+	// nothing can reach the domain sooner than one lookahead from now, and
+	// it need not look in the queue for when the first of them lands.
 	foreign int
 }
 

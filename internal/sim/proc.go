@@ -198,13 +198,16 @@ func (p *Proc) canFastForward() bool {
 // action must read and write only state that nothing but events of the
 // proc's own domain and the proc itself touch (an L1 hit: the core's ways,
 // its hit counter, a word of a line the core holds). The caller answers for
-// the domain's own timers: expiring says one of them fires at or before T.
-// The engine answers for everything else:
+// two things the engine cannot see: expiring says one of the domain's own
+// timers fires at or before T, and shared says the state the action touches
+// is not private to the domain after all (another domain can reach it with
+// no callback to this one). The engine answers for everything else:
 //
 //   - a lookahead L is declared and now < T < now+L. Whatever an event at or
 //     after now schedules onto this domain from another one lands at now+L
 //     or later (push enforces it), so beyond T;
-//   - no callback from another domain is queued for this domain now;
+//   - no callback from another domain is queued for this domain at or before
+//     T. One queued after T orders after the action's wake anyway;
 //   - T is inside the execution horizon, so a Run slice performs the
 //     actions it would have performed with Sync.
 //
@@ -216,8 +219,8 @@ func (p *Proc) canFastForward() bool {
 //
 // A refusal with T ahead of the clock is counted under the first of these
 // that fails, in the order lookahead, foreign callback, horizon, expiry,
-// free Sync (EngineStats.RefusedLookahead and on).
-func (p *Proc) RunAhead(expiring bool) bool {
+// shared state, free Sync (EngineStats.RefusedLookahead and on).
+func (p *Proc) RunAhead(expiring, shared bool) bool {
 	s := p.eng
 	t := p.clock
 	if t <= s.now || p.killed {
@@ -226,12 +229,14 @@ func (p *Proc) RunAhead(expiring bool) bool {
 	switch {
 	case t-s.now >= s.lookahead:
 		s.stats.RefusedLookahead++
-	case p.dom.foreign != 0:
+	case p.dom.foreign != 0 && s.events.foreignBy(p.dom.id, t, s.now):
 		s.stats.RefusedForeign++
 	case t >= s.stopAt:
 		s.stats.RefusedStop++
 	case expiring:
 		s.stats.RefusedExpiry++
+	case shared:
+		s.stats.RefusedShared++
 	case p.canFastForward():
 		s.stats.RefusedFastForward++ // Sync fast-forwards
 	default:

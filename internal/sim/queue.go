@@ -85,6 +85,24 @@ func (q *eventQueue) nextAt() Time {
 	return at
 }
 
+// foreignBy reports whether an event that another domain scheduled onto
+// domain d is queued at or before cycle t, now being the engine clock: in the
+// near tier's buckets of the cycles from now to t, or in the heap, which
+// holds the far events and whatever overflowed a full bucket.
+func (q *eventQueue) foreignBy(d uint32, t, now Time) bool {
+	if q.nearN > 0 {
+		for c := q.minAt; c <= min(t, now+nearSpan-1); c++ {
+			s := c % nearSpan
+			for i := range q.cnt[s] {
+				if ev := &q.near[s][i]; ev.dom == d && ev.src != d {
+					return true
+				}
+			}
+		}
+	}
+	return len(q.far) > 0 && q.far[0].at <= t && q.far.foreignBy(0, d, t)
+}
+
 // min returns the event that pops next and the tier it sits in, nil if the
 // queue is empty. The pointer is valid until the next push or pop.
 func (q *eventQueue) min() (ev *event, far bool) {
@@ -163,6 +181,24 @@ func (h *eventHeap) push(at Time, seq uint64, dom, src uint32, fn func(), p *Pro
 	}
 	s[i] = event{at: at, seq: seq, dom: dom, src: src, fn: fn, p: p}
 	*h = s
+}
+
+// foreignBy reports whether the subtree rooted at slot i holds an event for
+// domain d from another domain at or before cycle t. No event in a subtree
+// pops before its root, so one whose root is later than t holds none.
+func (h eventHeap) foreignBy(i int, d uint32, t Time) bool {
+	if i >= len(h) || h[i].at > t {
+		return false
+	}
+	if h[i].dom == d && h[i].src != d {
+		return true
+	}
+	for c := i<<2 + 1; c <= i<<2+4; c++ {
+		if h.foreignBy(c, d, t) {
+			return true
+		}
+	}
+	return false
 }
 
 // pop removes the first event.

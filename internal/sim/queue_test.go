@@ -55,15 +55,20 @@ type scriptPop struct {
 	id uint64
 }
 
-// scriptRun executes a script on whatever now and schedule drive.
+// scriptRun executes a script on whatever now and schedule drive; probe, if
+// set, runs first in every event.
 type scriptRun struct {
 	log      []scriptPop
 	now      func() Time
 	schedule func(from, to int, at Time, fn func())
+	probe    func()
 }
 
 func (s *scriptRun) event(c scriptEvent) func() {
 	return func() {
+		if s.probe != nil {
+			s.probe()
+		}
 		s.log = append(s.log, scriptPop{s.now(), c.id})
 		for _, k := range scriptChildren(c) {
 			s.schedule(c.dom, k.dom, s.now()+k.delay, s.event(k))
@@ -106,12 +111,62 @@ func (r *heapRef) run(until Time) {
 	}
 }
 
+// foreignChecks counts the answers checkForeignBy compared: true ones, those
+// true only for an event that overflowed a full bucket into the heap, and
+// those for an event at exactly T.
+type foreignChecks struct{ found, overflow, atT uint64 }
+
+// checkForeignBy compares eventQueue.foreignBy with a walk over every queued
+// event, for each script domain at several cycles T: now, one hop and one
+// near span ahead, and the cycle of the domain's earliest foreign event and
+// the one before it.
+func checkForeignBy(t *testing.T, e *Engine, n *foreignChecks) {
+	q, now := &e.events, e.Now()
+	var near, far [len(scriptDomains)]Time // earliest foreign event per domain and tier
+	for k, d := range scriptDomains {
+		near[k], far[k] = MaxTime, MaxTime
+		for s := range q.near {
+			for i := range q.cnt[s] {
+				if ev := &q.near[s][i]; ev.dom == d && ev.src != d {
+					near[k] = min(near[k], ev.at)
+				}
+			}
+		}
+		for i := range q.far {
+			if ev := &q.far[i]; ev.dom == d && ev.src != d {
+				far[k] = min(far[k], ev.at)
+			}
+		}
+		first := min(near[k], far[k])
+		for _, at := range [...]Time{now, now + 15, now + nearSpan, first - 1, first} {
+			if at < now || at == MaxTime {
+				continue
+			}
+			got, want := q.foreignBy(d, at, now), first <= at
+			if got != want {
+				t.Fatalf("cycle %d: foreignBy(domain %d, T %d) = %v; the earliest foreign event is at %d in the near tier, %d in the heap",
+					now, d, at, got, near[k], far[k])
+			}
+			if want {
+				n.found++
+			}
+			if want && near[k] > at && far[k]-now < nearSpan && q.cnt[far[k]%nearSpan] == bucketCap {
+				n.overflow++
+			}
+			if want && first == at {
+				n.atT++
+			}
+		}
+	}
+}
+
 // checkQueueMatchesHeap runs one script on an Engine, Run cut into slices,
 // and on the reference, and returns the engine for a look at its counters.
-func checkQueueMatchesHeap(t *testing.T, seed uint64, chains, hops int) *Engine {
+// Every event of the engine's run checks foreignBy first.
+func checkQueueMatchesHeap(t *testing.T, seed uint64, chains, hops int, n *foreignChecks) *Engine {
 	t.Helper()
 	e := NewEngine()
-	got := &scriptRun{now: e.Now}
+	got := &scriptRun{now: e.Now, probe: func() { checkForeignBy(t, e, n) }}
 	got.schedule = func(from, to int, at Time, fn func()) {
 		e.Domain(scriptDomains[from]).CrossAt(e.Domain(scriptDomains[to]), at, fn)
 	}
@@ -144,11 +199,13 @@ func checkQueueMatchesHeap(t *testing.T, seed uint64, chains, hops int) *Engine 
 }
 
 // TestQueueMatchesHeap: the two-tier queue pops in the order of a single
-// heap, on schedules that use every placement.
+// heap, on schedules that use every placement, and finds a domain's foreign
+// events at or before a cycle wherever they sit.
 func TestQueueMatchesHeap(t *testing.T) {
 	var bucket, heap, overflows uint64
+	var n foreignChecks
 	for seed := uint64(1); seed <= 8; seed++ {
-		st := checkQueueMatchesHeap(t, seed, 32, 120).Stats()
+		st := checkQueueMatchesHeap(t, seed, 32, 120, &n).Stats()
 		bucket += st.BucketEvents
 		heap += st.HeapEvents
 		overflows += st.BucketOverflows
@@ -157,6 +214,10 @@ func TestQueueMatchesHeap(t *testing.T) {
 		t.Errorf("the scripts did not reach every tier: %d bucket, %d heap events, %d overflows",
 			bucket, heap, overflows)
 	}
+	if n.found == 0 || n.overflow == 0 || n.atT == 0 {
+		t.Errorf("foreignBy found %d foreign events, %d only in an overflowed bucket's heap share, %d at exactly T; want each",
+			n.found, n.overflow, n.atT)
+	}
 }
 
 func FuzzEventQueue(f *testing.F) {
@@ -164,7 +225,7 @@ func FuzzEventQueue(f *testing.F) {
 	f.Add(uint64(7), uint8(64), uint8(20))
 	f.Add(uint64(0xfeed), uint8(200), uint8(3))
 	f.Fuzz(func(t *testing.T, seed uint64, chains, hops uint8) {
-		checkQueueMatchesHeap(t, seed, int(chains), int(hops))
+		checkQueueMatchesHeap(t, seed, int(chains), int(hops), new(foreignChecks))
 	})
 }
 

@@ -75,8 +75,8 @@ func TestRunAheadRules(t *testing.T) {
 		want bool
 	}
 	var steps []step
-	check := func(p *Proc, what string, expiring, want bool) {
-		steps = append(steps, step{what, p.RunAhead(expiring), want})
+	check := func(p *Proc, what string, expiring, shared, want bool) {
+		steps = append(steps, step{what, p.RunAhead(expiring, shared), want})
 	}
 	syncTo := func(p *Proc, at Time) {
 		p.Work(at - p.Clock())
@@ -84,33 +84,36 @@ func TestRunAheadRules(t *testing.T) {
 	}
 	var dom0 *Domain
 	e.Spawn(0, 0, 1, func(p *Proc) {
-		check(p, "T == now", false, false)
+		check(p, "T == now", false, false, false)
 		p.Work(3)
-		check(p, "a timer of the domain expires by T", true, false)
-		check(p, "T = now+3", false, true)
+		check(p, "a timer of the domain expires by T", true, false, false)
+		check(p, "the caller says the state is shared", false, true, false)
+		check(p, "T = now+3", false, false, true)
 		p.Work(6)
-		check(p, "T = now+9, still behind the same now", false, true)
+		check(p, "T = now+9, still behind the same now", false, false, true)
 		p.Work(1)
-		check(p, "T = now+lookahead", false, false)
+		check(p, "T = now+lookahead", false, false, false)
 		syncTo(p, 15) // the tick at 12 has sent a callback for cycle 22
 		p.Work(2)
 		if dom0.foreign != 1 {
 			t.Errorf("foreign = %d with one callback in flight, want 1", dom0.foreign)
 		}
-		check(p, "a foreign callback is queued", false, false)
+		check(p, "a foreign callback is queued for 22, after T = 17", false, false, true)
+		p.Work(5)
+		check(p, "a foreign callback is queued for T = 22", false, false, false)
 		syncTo(p, 27)
 		p.Work(2)
 		if dom0.foreign != 0 {
 			t.Errorf("foreign = %d after the callback ran, want 0", dom0.foreign)
 		}
-		check(p, "the callback has run", false, true)
+		check(p, "the callback has run", false, false, true)
 		syncTo(p, 38)
 		p.Work(2)
-		check(p, "T = until", false, false) // Run(40)
+		check(p, "T = until", false, false, false) // Run(40)
 		p.Sync()
 		syncTo(p, 59)
 		p.Work(2)
-		check(p, "T = 61, past the last tick", false, true)
+		check(p, "T = 61, past the last tick", false, false, true)
 	})
 	dom0 = e.Domain(0)
 	e.At(12, func() { e.Sys().CrossAt(dom0, 22, func() {}) })
@@ -129,27 +132,27 @@ func TestRunAheadRules(t *testing.T) {
 			t.Errorf("%s: RunAhead() = %v, want %v", s.what, s.got, s.want)
 		}
 	}
-	if len(steps) != 9 {
-		t.Fatalf("%d checks ran, want 9", len(steps))
+	if len(steps) != 11 {
+		t.Fatalf("%d checks ran, want 11", len(steps))
 	}
 	// The wake the last run-ahead did without would have been the last
 	// event executed, at 61; the last real one is the tick at 60.
 	if e.Now() != 61 {
 		t.Errorf("Now() = %d after the queue drained, want 61", e.Now())
 	}
-	// Syncs that had to move the clock: to 15, 27, 38, 40, 59 by wake; four
+	// Syncs that had to move the clock: to 15, 27, 38, 40, 59 by wake; five
 	// skipped; none free, the ticks are always due first.
 	st := e.Stats()
-	if st.SyncWakes != 5 || st.SyncsSkipped != 4 || st.SyncFastForwards != 0 {
-		t.Errorf("sync wakes %d, skipped %d, fast-forwards %d; want 5, 4, 0",
+	if st.SyncWakes != 5 || st.SyncsSkipped != 5 || st.SyncFastForwards != 0 {
+		t.Errorf("sync wakes %d, skipped %d, fast-forwards %d; want 5, 5, 0",
 			st.SyncWakes, st.SyncsSkipped, st.SyncFastForwards)
 	}
 	// Each refusal with T ahead of the clock under its own reason; T == now
 	// is no refusal, and a free Sync is TestRunAheadNeedsLookahead's.
 	refused := [...]uint64{st.RefusedLookahead, st.RefusedForeign, st.RefusedStop,
-		st.RefusedExpiry, st.RefusedFastForward}
-	if refused != [...]uint64{1, 1, 1, 1, 0} {
-		t.Errorf("refused lookahead, foreign, stop, expiry, fast-forward = %v, want 1, 1, 1, 1, 0", refused)
+		st.RefusedExpiry, st.RefusedShared, st.RefusedFastForward}
+	if refused != [...]uint64{1, 1, 1, 1, 1, 0} {
+		t.Errorf("refused lookahead, foreign, stop, expiry, shared, fast-forward = %v, want 1, 1, 1, 1, 1, 0", refused)
 	}
 }
 
@@ -163,10 +166,10 @@ func TestRunAheadNeedsLookahead(t *testing.T) {
 		var busy, idle bool
 		e.Spawn(0, 0, 1, func(p *Proc) {
 			p.Work(6)
-			busy = p.RunAhead(false) // the event at 5 is due first
+			busy = p.RunAhead(false, false) // the event at 5 is due first
 			p.Sync()
 			p.Work(1)
-			idle = p.RunAhead(false) // nothing is
+			idle = p.RunAhead(false, false) // nothing is
 		})
 		if err := e.Drain(); err != nil {
 			t.Fatal(err)
@@ -227,7 +230,7 @@ func TestRejoin(t *testing.T) {
 	e.Spawn(0, 0, 1, func(p *Proc) {
 		p.Rejoin() // not ahead: returns at once
 		p.Work(5)
-		if !p.RunAhead(false) {
+		if !p.RunAhead(false, false) {
 			t.Error("RunAhead() = false with an event due at 3")
 		}
 		p.Work(3)

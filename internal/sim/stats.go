@@ -41,14 +41,17 @@ type EngineStats struct {
 	// a local clock T ahead of the engine's, had to Sync instead, each call
 	// counted under the first reason that held: T at or beyond one
 	// lookahead from now, a callback from another domain queued for the
-	// proc's, T at or beyond the Run's stop time, one of the domain's own
-	// timers (a lease expiry) at or before T, or nothing due before T, so
-	// that the Sync fast-forwards for free. With SyncsSkipped they count
-	// every such call.
+	// proc's at or before T, T at or beyond the Run's stop time, one of the
+	// domain's own timers (a lease expiry) at or before T, state that
+	// another domain reaches without a callback (a Tardis Shared line, or a
+	// store to a line another core holds a live reservation on), or nothing
+	// due before T, so that the Sync fast-forwards for free. With
+	// SyncsSkipped they count every such call.
 	RefusedLookahead   uint64 `json:"refused_lookahead"`
 	RefusedForeign     uint64 `json:"refused_foreign"`
 	RefusedStop        uint64 `json:"refused_stop"`
 	RefusedExpiry      uint64 `json:"refused_expiry"`
+	RefusedShared      uint64 `json:"refused_shared"`
 	RefusedFastForward uint64 `json:"refused_fast_forward"`
 	// BucketEvents and HeapEvents say where each executed event was popped
 	// from — a near-tier bucket or the heap behind them (eventQueue) — and

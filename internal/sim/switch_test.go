@@ -211,7 +211,7 @@ func TestEventPanicUnwindsThroughDeferredRejoin(t *testing.T) {
 			p.BlockAfter(func() { issued = true }, "unwinding")
 		}()
 		p.Work(10)
-		if !p.RunAhead(false) { // to 15, behind the events at 10 and 12
+		if !p.RunAhead(false, false) { // to 15, behind the events at 10 and 12
 			t.Error("RunAhead() = false with events due at 10 and 12")
 		}
 		p.Block("forever")
