@@ -11,19 +11,12 @@
 //	leasebench -exp fig2 -protocol tardis
 //	leasebench -exp protocol-compare -quick
 //	leasebench -exp all -quick -parallel 4
-//	leasebench -compare old.json new.json [-threshold 5]
 //
 // -protocol, -threads, -strict, -parallel, -cpuprofile and -memprofile
 // are the host flags shared with cmd/leasesim; bench.Host
 // documents them. Here -threads overrides the scale's thread counts, and
 // the protocol-compare experiment runs both -protocol backends side by
 // side with identical seeds.
-//
-// -compare diffs two `leasesim -json` report files per configuration —
-// structure, threads, lease, seed, fault profile and protocol — on ops,
-// throughput, latency percentiles and messages per op; changes that
-// regress by more than -threshold percent are marked '!', a one-line
-// verdict goes to stderr, and the exit status is 1 when any exist.
 //
 // A cell that fails (deadlock, livelock, panic, protocol violation, blown
 // cycle budget) is named on stderr with the machine's state dump and on a
@@ -61,9 +54,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		quick  = fs.Bool("quick", false, "small thread sweep and short windows")
 		warm   = fs.Uint64("warm", 0, "warm-up cycles excluded from the measurement (default: the sweep scale's)")
 		window = fs.Uint64("window", 0, "measurement window cycles (default: the sweep scale's)")
-
-		compare   = fs.Bool("compare", false, "compare two leasesim -json report files: leasebench -compare old.json new.json")
-		threshold = fs.Float64("threshold", 5, "with -compare, highlight regressions beyond this percentage (0 disables)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -79,36 +69,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *list {
 		menu(stdout, "")
-		return 0
-	}
-	if *compare {
-		if fs.NArg() != 2 {
-			fmt.Fprintln(stderr, "leasebench: -compare wants exactly two files: old.json new.json")
-			return 2
-		}
-		oldReps, err := bench.ReadReportFile(fs.Arg(0))
-		if err != nil {
-			fmt.Fprintf(stderr, "leasebench: -compare: %v\n", err)
-			return 2
-		}
-		newReps, err := bench.ReadReportFile(fs.Arg(1))
-		if err != nil {
-			fmt.Fprintf(stderr, "leasebench: -compare: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "## compare %s -> %s\n", fs.Arg(0), fs.Arg(1))
-		regressions, compared := bench.CompareReports(stdout, oldReps, newReps, *threshold)
-		// One-line verdict on stderr so CI logs carry the outcome without
-		// scraping the stdout table.
-		verdict := "OK"
-		if regressions > 0 {
-			verdict = "REGRESSED"
-		}
-		fmt.Fprintf(stderr, "leasebench: -compare %s: %d configs compared, %d regressions beyond %.1f%%\n",
-			verdict, compared, regressions, *threshold)
-		if regressions > 0 {
-			return 1
-		}
 		return 0
 	}
 	if *exp == "" {

@@ -2,9 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -54,7 +51,8 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-exp", "fig2", "-protocol", "moesi"}, []string{`unknown -protocol "moesi"`, "msi, tardis"}},
 		{[]string{"-exp", "fig2", "-threads", "2,x"}, []string{`bad thread count "x"`}},
 		{[]string{"-exp", "fig2", "-threads", "65"}, []string{`bad thread count "65"`}},
-		{[]string{"-compare", "only-one.json"}, []string{"-compare wants exactly two files"}},
+		{[]string{"-compare", "a.json", "b.json"}, []string{"flag provided but not defined: -compare"}},
+		{[]string{"-exp", "fig2", "-threshold", "5"}, []string{"flag provided but not defined: -threshold"}},
 		{[]string{"-nosuchflag"}, []string{"flag provided but not defined"}},
 		{[]string{"-perfjson", "x", "-exp", "table1"}, []string{"flag provided but not defined: -perfjson"}},
 		{nil, []string{"-exp string"}},
@@ -128,33 +126,6 @@ func TestWarmZeroIsAValue(t *testing.T) {
 	want.WriteString("\n")
 	if cold != want.String() {
 		t.Errorf("-warm 0 printed:\n%s\nwant the declaration's with Params.Warm = 0:\n%s", cold, &want)
-	}
-}
-
-// A report file holding the same structure under two protocols and two
-// seeds, compared with itself, matches every report to itself: exit 0.
-func TestCompareSelfIsClean(t *testing.T) {
-	var file bytes.Buffer
-	enc := json.NewEncoder(&file)
-	for _, r := range []bench.Report{
-		{DS: "counter", Threads: 4, Lease: true, Seed: 1, Result: bench.Result{Ops: 1000, MopsPerSec: 14.5, MsgsPerOp: 5}},
-		{DS: "counter", Threads: 4, Lease: true, Seed: 1, Protocol: "tardis", Result: bench.Result{Ops: 700, MopsPerSec: 9.9, MsgsPerOp: 7.5}},
-		{DS: "counter", Threads: 4, Lease: true, Seed: 2, Result: bench.Result{Ops: 900, MopsPerSec: 13, MsgsPerOp: 5.2}},
-	} {
-		if err := enc.Encode(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	path := filepath.Join(t.TempDir(), "m.json")
-	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	status, out, errOut := leasebench("-compare", path, path)
-	if status != 0 || !strings.Contains(errOut, "-compare OK: 3 configs compared, 0 regressions") {
-		t.Errorf("status %d, stderr %q; want 0 and an OK verdict over 3 configs\n%s", status, errOut, out)
-	}
-	if strings.Contains(out, "(new)") || strings.Contains(out, "% !") || !strings.Contains(out, "counter/t4/lease/s1/ptardis") {
-		t.Errorf("self-compare table:\n%s", out)
 	}
 }
 

@@ -5,7 +5,7 @@
 //
 //	leasesim -ds stack -threads 8 -lease -cycles 1000000
 //	leasesim -ds counter -threads 16 -priority
-//	leasesim -ds tl2 -threads 8 -multilease sw
+//	leasesim -ds tl2 -threads 8 -lease -multilease sw
 //	leasesim -ds stack -threads 16 -lease -json -hotlines 5 -timeline t.json
 //	leasesim -ds stack -threads 4,8,16 -lease -invariants -faults
 //	leasesim -ds stack -threads 1,2,4,8,16,32 -lease -parallel 4
@@ -94,7 +94,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		priority        = fs.Bool("priority", false, "regular requests break leases (§5)")
 		mesi            = fs.Bool("mesi", false, "MESI exclusive-clean read fills (§8)")
 		predictor       = fs.Bool("predictor", false, "enable the §5 speculative lease predictor")
-		multi           = fs.String("multilease", "hw", "tl2 multilease flavor: hw|sw|single|off")
+		multi           = fs.String("multilease", "hw", "tl2 multilease flavor under -lease: hw|sw|single|off")
 		seed            = fs.Uint64("seed", 1, "simulation seed")
 		jsonOut         = fs.Bool("json", false, "emit each run report as JSON on stdout")
 		hotlines        = fs.Int("hotlines", 10, "rank the top-N contended cache lines (0 disables)")
@@ -140,9 +140,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// A zero duration builds the base structure: it may not report as leased.
 	case *lease && *leaseTime == 0:
 		return usage("-lease wants a -leasetime of at least one cycle")
-	}
-	if structure.MultiLease && parseMulti(*multi) < 0 {
+	case structure.MultiLease && parseMulti(*multi) < 0:
 		return usage("bad -multilease %q", *multi)
+	// -multilease is the leased variant's flavor, and off leases nothing.
+	case *lease && structure.MultiLease && parseMulti(*multi) == stm.NoLease:
+		return usage("-lease wants a -multilease other than off")
 	}
 	if *cycles == 0 {
 		return usage("-cycles wants at least one cycle")

@@ -151,28 +151,76 @@ func TestReportGoldens(t *testing.T) {
 	}
 }
 
-// A -json golden decodes into reports (what -compare reads) and encodes
-// back byte for byte: the schema keeps every field leasesim writes.
+// decodeReports decodes the stream of reports a -json sweep prints.
+func decodeReports(t *testing.T, data []byte) []bench.Report {
+	t.Helper()
+	var reps []bench.Report
+	dec := json.NewDecoder(bytes.NewReader(data))
+	for dec.More() {
+		var rep bench.Report
+		if err := dec.Decode(&rep); err != nil {
+			t.Fatalf("report %d: %v\n%s", len(reps), err, data)
+		}
+		reps = append(reps, rep)
+	}
+	return reps
+}
+
+// A -json report decodes into bench.Report and encodes back byte for byte:
+// the schema keeps every field leasesim writes. The inputs are the -json
+// goldens and a run of the real binary whose reports carry fault_profile,
+// protocol and timeline_file.
 func TestReportGoldensRoundTrip(t *testing.T) {
+	inputs := map[string][]byte{}
 	for _, name := range []string{"counter.json", "counter.tardis.json", "faults.json"} {
 		path := filepath.Join("testdata", name+".golden")
-		reps, err := bench.ReadReportFile(path)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
+		inputs[path] = data
+	}
+	args := []string{"-ds", "counter", "-threads", "2,4", "-lease", "-faults", "-protocol", "tardis",
+		"-timeline", filepath.Join(t.TempDir(), "t.json"), "-json", "-cycles", "100000", "-warm", "20000"}
+	status, out, errOut := leasesim(args...)
+	if status != 0 {
+		t.Fatalf("%v: status %d, stderr:\n%s", args, status, errOut)
+	}
+	for _, key := range []string{`"fault_profile": "`, `"protocol": "tardis"`, `"timeline_file": "`} {
+		if strings.Count(out, key) != 2 {
+			t.Errorf("%v: %d reports carry %s, want 2:\n%s", args, strings.Count(out, key), key, out)
+		}
+	}
+	inputs["faulted tardis sweep"] = []byte(out)
+
+	for name, data := range inputs {
+		reps := decodeReports(t, data)
 		var buf bytes.Buffer
 		for _, rep := range reps {
 			if err := writeJSON(&buf, rep); err != nil {
 				t.Fatal(err)
 			}
 		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
+		if len(reps) == 0 || !bytes.Equal(buf.Bytes(), data) {
+			t.Errorf("%s: %d reports re-encode as:\n%s\nwant:\n%s", name, len(reps), &buf, data)
 		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("%s re-encodes as:\n%s\nwant:\n%s", path, &buf, want)
-		}
+	}
+}
+
+// Without -lease, -ds tl2 is its base: the default -multilease flavor
+// leases nothing, and the report is the one -multilease off prints.
+func TestTL2BaseLeasesNothing(t *testing.T) {
+	args := []string{"-ds", "tl2", "-threads", "4", "-json", "-cycles", "100000", "-warm", "20000"}
+	status, base, errOut := leasesim(args...)
+	if status != 0 {
+		t.Fatalf("%v: status %d, stderr:\n%s", args, status, errOut)
+	}
+	if _, off, _ := leasesim(append(args, "-multilease", "off")...); base != off {
+		t.Errorf("-ds tl2 printed:\n%s\nwant what -multilease off prints:\n%s", base, off)
+	}
+	reps := decodeReports(t, []byte(base))
+	if len(reps) != 1 || reps[0].Lease || reps[0].Ops == 0 || reps[0].Window.MultiLeases != 0 {
+		t.Fatalf("-ds tl2 printed:\n%s\nwant one base report with ops and no multi_leases", base)
 	}
 }
 
@@ -231,9 +279,10 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-ds", "counter", "-threads", "2", "-preempt", "5", "-preemptmax", "0"},
 			"-preemptmax wants at least one cycle"},
 		{[]string{"-ds", "counter", "-threads", "2", "-hotlines", "-1"}, "-hotlines -1 is negative"},
-		// A zero lease builds the base structure, which must not report (and
-		// be compared) as leased.
+		// A zero lease, or -multilease off, builds the base structure, which
+		// must not report as leased.
 		{[]string{"-ds", "counter", "-threads", "2", "-lease", "-leasetime", "0"}, "-lease wants a -leasetime of at least one cycle"},
+		{[]string{"-ds", "tl2", "-threads", "2", "-lease", "-multilease", "off"}, "-lease wants a -multilease other than off"},
 		{[]string{"-ds", "counter", "-threads", "2", "-trace", "20"}, "flag provided but not defined: -trace"},
 		{[]string{"-ds", "counter", "-threads", "2", "-sample", "4"}, "flag provided but not defined: -sample"},
 	} {
@@ -249,7 +298,7 @@ func TestUsageErrors(t *testing.T) {
 
 // A failed cell is named on stderr by its cell name, with its cause and the
 // machine's state dump; its -json report, with the error and engine_stats,
-// stays in the stdout stream -compare reads; the other cells still print
+// stays in the stdout stream of reports; the other cells still print
 // and the exit status is 1. -strict prints nothing after the first failure.
 func TestFailedCellExitsOne(t *testing.T) {
 	defer func(saved func(string) (bench.Structure, bool)) { findStructure = saved }(findStructure)
@@ -278,13 +327,9 @@ func TestFailedCellExitsOne(t *testing.T) {
 			t.Errorf("stderr lacks %q:\n%s", want, errOut)
 		}
 	}
-	path := filepath.Join(t.TempDir(), "reports.json")
-	if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	reps, err := bench.ReadReportFile(path)
-	if err != nil || len(reps) != 3 {
-		t.Fatalf("stdout holds %d reports (%v), want 3:\n%s", len(reps), err, out)
+	reps := decodeReports(t, []byte(out))
+	if len(reps) != 3 {
+		t.Fatalf("stdout holds %d reports, want 3:\n%s", len(reps), out)
 	}
 	for i, rep := range reps {
 		if failed := rep.Threads != 2; failed != (rep.Error != "") || rep.EngineStats == nil {

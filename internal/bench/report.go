@@ -21,13 +21,12 @@ type Report struct {
 
 	// FaultProfile is the compact fault-schedule identifier
 	// (faults.Config.Profile) of a fault-injected run; empty — and
-	// omitted, keeping clean reports byte-identical — otherwise. Part of
-	// Key, so -compare never matches a faulted run against a clean one.
+	// omitted, keeping clean reports byte-identical — otherwise.
 	FaultProfile string `json:"fault_profile,omitempty"`
 
 	// Protocol names the coherence protocol backend of a non-default run
 	// ("tardis"); empty — and omitted, keeping MSI reports byte-identical
-	// — for the default directory MSI. Part of Key.
+	// — for the default directory MSI.
 	Protocol string `json:"protocol,omitempty"`
 
 	Result
@@ -37,24 +36,6 @@ type Report struct {
 	// Error is Result.Err's text when the run failed; the metrics are zero
 	// then. Omitted on success.
 	Error string `json:"error,omitempty"`
-}
-
-// Key names the report's whole configuration —
-// "<ds>/t<threads>/<lease|nolease>/s<seed>[/f<fault profile>][/p<protocol>]"
-// — the spelling `leasebench -compare` matches and labels runs by.
-func (r *Report) Key() string {
-	mode := "nolease"
-	if r.Lease {
-		mode = "lease"
-	}
-	key := fmt.Sprintf("%s/t%d/%s/s%d", r.DS, r.Threads, mode, r.Seed)
-	if r.FaultProfile != "" {
-		key += "/f" + r.FaultProfile
-	}
-	if r.Protocol != "" {
-		key += "/p" + r.Protocol
-	}
-	return key
 }
 
 // HotLineRow is one line of the ranked hot-line table, with the line

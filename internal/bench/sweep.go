@@ -262,6 +262,15 @@ func deltaCol(a, b int) Col {
 	return Col{"delta %", func(res []Result) any { return deltaPct(res[b].MopsPerSec, res[a].MopsPerSec) }}
 }
 
+// deltaPct returns the relative change new-vs-old in percent; 0 when the
+// old value is 0 (no meaningful baseline).
+func deltaPct(old, new float64) float64 {
+	if old == 0 {
+		return 0
+	}
+	return 100 * (new - old) / old
+}
+
 // perOpCol is a window counter of variant v per measured operation.
 func perOpCol(head string, v int, count func(machine.Stats) uint64) Col {
 	return Col{head, func(res []Result) any {

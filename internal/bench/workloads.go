@@ -395,8 +395,8 @@ type StructureOpts struct {
 	Lease             uint64 // lease duration in cycles; 0 builds the base variant
 	KeyRange, Prefill int    // the sets: key universe and initial population
 
-	// The MultiLease entry only: its flavor, and where the cumulative
-	// abort count goes.
+	// The MultiLease entry only: its leased variant's flavor, and where the
+	// cumulative abort count goes.
 	TL2Mode stm.LeaseMode
 	Aborts  *uint64
 }
@@ -409,7 +409,7 @@ type Structure struct {
 	// the entries that have one: the seven low-contention sets.
 	Title string
 	// MultiLease marks the entry whose lease placement StructureOpts.TL2Mode
-	// selects, not Lease.
+	// selects; Lease still picks between its base and its leased variant.
 	MultiLease bool
 	Build      func(o StructureOpts) Workload
 }
@@ -442,7 +442,12 @@ func Structures() []Structure {
 		{Name: "pq", Build: leased(PQWorkload(PQGlobalLeased, 512), PQWorkload(PQFineLocking, 512))},
 		{Name: "counter", Build: leased(CounterWorkload(CounterLeasedTTS), CounterWorkload(CounterTTS))},
 		{Name: "multiqueue", Build: func(o StructureOpts) Workload { return MQWorkload(multiqueue.Options{LeaseTime: o.Lease}) }},
-		{Name: "tl2", MultiLease: true, Build: func(o StructureOpts) Workload { return TL2Workload(o.TL2Mode, o.Aborts) }},
+		{Name: "tl2", MultiLease: true, Build: func(o StructureOpts) Workload {
+			if o.Lease == 0 {
+				return TL2Workload(stm.NoLease, o.Aborts)
+			}
+			return TL2Workload(o.TL2Mode, o.Aborts)
+		}},
 		setStructure("harris", "harris-list", SetHarris),
 		setStructure("skiplist", "skiplist", SetLazySkip),
 		setStructure("bst", "bst", SetBST),

@@ -155,20 +155,20 @@ type Decision struct {
 // LineView is a directory's committed view of one line, for tests, dumps
 // (it is machine.StateDump's per-line entry) and checkers.
 type LineView struct {
-	Line  mem.Line `json:"line"`
-	State string   `json:"state"` // "I", "S" or "M"
+	Line  mem.Line
+	State string // "I", "S" or "M"
 	// Owner is valid in state M. Sharers is the sharer bitset under MSI and
 	// the cores with an unexpired read reservation under Tardis.
-	Owner   int    `json:"owner,omitempty"`
-	Sharers uint64 `json:"sharers,omitempty"`
+	Owner   int
+	Sharers uint64
 	// Busy lines are mid-transaction (QueueLen counts the request in
 	// service and those waiting); their state is about to change and
 	// checkers skip them.
-	Busy     bool `json:"busy,omitempty"`
-	QueueLen int  `json:"queue_len,omitempty"`
+	Busy     bool
+	QueueLen int
 	// WTS and RTS are a timestamp protocol's; zero under MSI.
-	WTS uint64 `json:"wts,omitempty"`
-	RTS uint64 `json:"rts,omitempty"`
+	WTS uint64
+	RTS uint64
 }
 
 func (ln *Line) view(l mem.Line) LineView {

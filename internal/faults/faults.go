@@ -103,7 +103,10 @@ func (c Config) WithPreemption() Config {
 }
 
 // Stats counts injected faults; exported fields so harnesses can report
-// how much perturbation a run actually received.
+// how much perturbation a run actually received. Nothing marshals it: the
+// json tags stay because machine.StateDump prints it with %+v, a read of
+// every field that TestExportsAreReached cannot see, and a tag exempts a
+// field from that audit.
 type Stats struct {
 	MsgDelays      uint64 `json:"msg_delays"`
 	MsgDelayCycles uint64 `json:"msg_delay_cycles"`

@@ -14,30 +14,30 @@ import (
 // StateDump is a structured snapshot of the simulated machine, produced
 // when a run fails (deadlock, protocol violation, invariant violation, or
 // an escaping panic) so the failure is debuggable without re-running under
-// a tracer. It marshals to JSON and renders as text via String.
+// a tracer. It renders as text via String.
 type StateDump struct {
-	Cycle      uint64     `json:"cycle"`
-	EventCount uint64     `json:"event_count"`
-	Pending    int        `json:"pending_events"`
-	Seed       uint64     `json:"seed"`
-	Protocol   string     `json:"protocol,omitempty"` // omitted under MSI (the default)
-	Cores      []CoreDump `json:"cores"`
+	Cycle      uint64
+	EventCount uint64
+	Pending    int
+	Seed       uint64
+	Protocol   string // empty under MSI (the default)
+	Cores      []CoreDump
 	// DirLines is the directory's view of every active line, by address
 	// (lines that are Invalid with no queued work are omitted).
-	DirLines []coherence.LineView `json:"dir_lines"`
-	Faults   faults.Stats         `json:"fault_stats"`
-	Events   []EventDump          `json:"last_events,omitempty"`
+	DirLines []coherence.LineView
+	Faults   faults.Stats
+	Events   []EventDump
 }
 
 // CoreDump is one core's state: scheduling status and lease table.
 type CoreDump struct {
-	ID          int         `json:"id"`
-	Done        bool        `json:"done"`
-	Blocked     bool        `json:"blocked"`
-	BlockReason string      `json:"block_reason,omitempty"`
-	BlockSince  uint64      `json:"block_since,omitempty"`
-	Preempted   uint64      `json:"preempted_cycles,omitempty"`
-	Leases      []LeaseDump `json:"leases,omitempty"`
+	ID          int
+	Done        bool
+	Blocked     bool
+	BlockReason string
+	BlockSince  uint64
+	Preempted   uint64
+	Leases      []LeaseDump
 }
 
 // LeaseDump is one currently-held lease-table entry. The owning core is
@@ -45,25 +45,25 @@ type CoreDump struct {
 // StallError/RunError dump shows exactly which lease a victim is waiting
 // behind and until when — without rerunning under a tracer.
 type LeaseDump struct {
-	Line       uint64 `json:"line"`
-	Duration   uint64 `json:"duration"`
-	Started    bool   `json:"started"`
-	GrantCycle uint64 `json:"grant_cycle,omitempty"`
-	Deadline   uint64 `json:"deadline,omitempty"`
-	InGroup    bool   `json:"in_group,omitempty"`
-	HasProbe   bool   `json:"has_probe,omitempty"`
-	Pinned     bool   `json:"pinned"`
+	Line       uint64
+	Duration   uint64
+	Started    bool
+	GrantCycle uint64
+	Deadline   uint64
+	InGroup    bool
+	HasProbe   bool
+	Pinned     bool
 }
 
-// EventDump is one telemetry event in dump form (stringly typed so the
-// JSON is readable without the numbering tables).
+// EventDump is one telemetry event in dump form (its category by name, so
+// the dump is readable without the numbering tables).
 type EventDump struct {
-	Time uint64 `json:"t"`
-	Core int    `json:"core"`
-	Cat  string `json:"cat"`
-	Kind uint8  `json:"kind"`
-	Line uint64 `json:"line"`
-	Val  uint64 `json:"val,omitempty"`
+	Time uint64
+	Core int
+	Cat  string
+	Kind uint8
+	Line uint64
+	Val  uint64
 }
 
 // DumpEvents converts telemetry events (e.g. an invariant checker's

@@ -9,16 +9,16 @@ import (
 // LineStats accumulates per-cache-line contention counters. A line's
 // Score ranks it in the hot-line profile.
 type LineStats struct {
-	Line mem.Line `json:"line"`
+	Line mem.Line
 
-	Msgs           uint64 `json:"msgs"`            // coherence messages for the line
-	Invals         uint64 `json:"invalidations"`   // owner probes + sharer invalidations
-	Deferred       uint64 `json:"deferred_probes"` // probes queued behind a lease
-	DeferredCycles uint64 `json:"deferred_cycles"` // total cycles probes spent deferred
-	Leases         uint64 `json:"leases"`          // lease entries created
-	Breaks         uint64 `json:"broken_leases"`   // leases broken by regular requests
-	Evictions      uint64 `json:"l1_evictions"`    // L1 replacement victims
-	MaxQueue       uint64 `json:"max_dir_queue"`   // peak directory queue occupancy
+	Msgs           uint64 // coherence messages for the line
+	Invals         uint64 // owner probes + sharer invalidations
+	Deferred       uint64 // probes queued behind a lease
+	DeferredCycles uint64 // total cycles probes spent deferred
+	Leases         uint64 // lease entries created
+	Breaks         uint64 // leases broken by regular requests
+	Evictions      uint64 // L1 replacement victims
+	MaxQueue       uint64 // peak directory queue occupancy
 }
 
 // Score is the contention ranking key: coherence conflict events
