@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"leaserelease/internal/bench"
@@ -117,11 +118,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if host.Threads != nil {
 		p.Threads = host.Threads
 	}
+	// An experiment with no rows at these thread counts measures nothing: a
+	// usage error asked for alone, one line in place of its tables in all.
+	noRows := func(e bench.Experiment) string {
+		if len(e.Sweep(p).Rows) > 0 {
+			return ""
+		}
+		return fmt.Sprintf("%s has no rows at -threads %s", e.ID, strings.ReplaceAll(strings.Trim(fmt.Sprint(p.Threads), "[]"), " ", ","))
+	}
+	if msg := noRows(selected[0]); msg != "" && *exp != "all" {
+		host.Close()
+		fmt.Fprintf(stderr, "leasebench: %s\n", msg)
+		return 2
+	}
 	// runOne executes one experiment and reports its failed cells. An
 	// escaping panic (which the sim kernel annotates with cycle/proc/event
 	// context) is a failure too; either way the remaining experiments run.
 	runOne := func(e bench.Experiment) (ok bool) {
 		fmt.Fprintf(stdout, "## %s — %s\n", e.ID, e.Paper)
+		if msg := noRows(e); msg != "" {
+			fmt.Fprintf(stdout, "(%s)\n\n", msg)
+			return true
+		}
 		start := time.Now()
 		defer func() {
 			if r := recover(); r != nil {

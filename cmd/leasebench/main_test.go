@@ -64,6 +64,9 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-exp", "fig2", "-quick", "-window", "0"}, []string{"-window wants at least one cycle"}},
 		{[]string{"-exp", "fig2", "-quick", "-parallel", "-3"}, []string{"-parallel -3 is negative"}},
 		{[]string{"-exp", "table1", "-quick", "-serve", ":0"}, []string{"flag provided but not defined: -serve"}},
+		// An experiment asked for alone must measure something.
+		{[]string{"-exp", "snapshot", "-threads", "1", "-quick"}, []string{"snapshot has no rows at -threads 1"}},
+		{[]string{"-exp", "text-lowcontention", "-threads", "1,2,3", "-quick"}, []string{"text-lowcontention has no rows at -threads 1,2,3"}},
 	} {
 		status, out, errOut := leasebench(c.args...)
 		if status != 2 || out != "" {
@@ -172,5 +175,17 @@ func TestFailedCellExitsOne(t *testing.T) {
 	status, out, _ = leasebench("-exp", "all", "-quick", "-parallel", "1", "-strict")
 	if status != 1 || strings.Contains(out, "## table1") {
 		t.Errorf("-strict: status %d, want 1 and nothing after the failed experiment:\n%s", status, out)
+	}
+}
+
+// Under -exp all, an experiment with no rows at the given -threads prints one
+// line in place of its tables, and the others still run.
+func TestEmptyGridUnderAllIsOneLine(t *testing.T) {
+	defer func(saved []bench.Experiment) { experiments = saved }(experiments)
+	experiments = []bench.Experiment{experiment("snapshot"), experiment("table1")}
+	status, out, errOut := leasebench("-exp", "all", "-threads", "1", "-quick")
+	want := "## snapshot — " + experiment("snapshot").Paper + "\n(snapshot has no rows at -threads 1)\n\n## table1 — "
+	if status != 0 || !strings.HasPrefix(out, want) || !strings.Contains(out, "MAX_NUM_LEASES") {
+		t.Errorf("status %d, want 0; stdout:\n%s\nwant it to start:\n%s\nstderr:\n%s", status, out, want, errOut)
 	}
 }

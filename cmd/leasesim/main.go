@@ -187,7 +187,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			cfg.Faults.Seed = *seed
 		}
 		if *preempt > 0 {
-			cfg.Faults.Enabled = true
 			cfg.Faults.Seed = *seed
 			cfg.Faults.PreemptPermille = *preempt
 			cfg.Faults.PreemptMin = *preemptMin
@@ -207,8 +206,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			o.rec.EnableTimeline(float64(cfg.ClockHz) / 1e6) // cycles per µs
 		}
 		var aborts uint64
-		build := structure.Build(bench.StructureOpts{Lease: lt, KeyRange: 1024, Prefill: 512,
-			TL2Mode: parseMulti(*multi), Aborts: &aborts})
+		build := structure.Build(bench.StructureOpts{Lease: lt, TL2Mode: parseMulti(*multi), Aborts: &aborts})
 		res := bench.ThroughputOpts(cfg, r.Threads, p.Warm, p.Window, build,
 			bench.Options{Recorder: o.rec, Invariants: *invariants})
 		if res.Err == nil {

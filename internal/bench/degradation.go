@@ -53,7 +53,6 @@ const (
 // curve this sweep measures.)
 func degradationCfg(cfg *machine.Config, rate int, ctrl bool) {
 	if rate > 0 {
-		cfg.Faults.Enabled = true
 		cfg.Faults.PreemptPermille = rate
 		cfg.Faults.PreemptMin = degradationPreemptMin
 		cfg.Faults.PreemptMax = degradationPreemptMax

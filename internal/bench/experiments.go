@@ -274,23 +274,24 @@ func textBackoff(p Params) Sweep {
 		vs.mops(0), vs.mops(1), vs.mops(2), vs.mops(3), vs.mops(4), vs.mops(5)}}}}
 }
 
-// textLowContention: the paper's observation concerns relative deltas
-// ("throughput is the same... ≤5%"), so this sweep halves the window and
-// skips tiny thread counts to keep seven structures tractable.
+// textLowContention runs the seven sets of ds.Sets(). The paper's
+// observation concerns relative deltas ("throughput is the same... ≤5%"),
+// so this sweep halves the window and skips tiny thread counts to keep
+// seven structures tractable.
 func textLowContention(p Params) Sweep {
 	const base, lease = 0, 1
-	structures := Structures()
+	sets := ds.Sets()
 	var rows []Row
-	for i, s := range structures {
+	for i, s := range sets {
 		for _, n := range p.Threads {
-			if s.Title != "" && (n >= 4 || len(p.Threads) <= 2) {
+			if n >= 4 || len(p.Threads) <= 2 {
 				rows = append(rows, Row{Threads: n, Key: s.Title, Val: i})
 			}
 		}
 	}
 	set := func(leaseTime uint64) func(Row) Workload {
 		return func(r Row) Workload {
-			return structures[r.Val].Build(StructureOpts{Lease: leaseTime, KeyRange: 512, Prefill: 256})
+			return SetWorkload(func(x machine.API) ds.Set { return sets[r.Val].New(x, leaseTime, 512/4) }, 512, 256)
 		}
 	}
 	vs := variants{{Name: "base", Build: set(0)}, {Name: "lease", Build: set(LeaseTime)}}
@@ -372,7 +373,7 @@ func ablateMESI(p Params) Sweep {
 		name string
 		w    Workload
 	}{
-		{"hashtable", SetWorkload(SetHash, 0, 1024, 512)},
+		{"hashtable", SetWorkload(func(x machine.API) ds.Set { return ds.NewHashSet(x, 1024/4, 0) }, 1024, 512)},
 		{"stack-base", StackWorkload(ds.StackOptions{})},
 	}
 	var rows []Row

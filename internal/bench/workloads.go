@@ -286,68 +286,24 @@ func ImproperLockWorkload() func(d *machine.Direct) OpFunc {
 	}
 }
 
-// SetKind selects a low-contention set structure (§7 "Low Contention").
-type SetKind int
-
-const (
-	SetHarris SetKind = iota
-	SetLazySkip
-	SetBST
-	SetHash
-	SetLFSkip      // lock-free skiplist [15]
-	SetNMTree      // Natarajan–Mittal lock-free BST [31]
-	SetMichaelHash // Michael's lock-free hash table [26]
-)
-
 // SetWorkload: 20% updates (10% insert / 10% delete), 80% searches on
-// uniform random keys — the paper's low-contention experiment.
-func SetWorkload(kind SetKind, lease uint64, keyRange int, prefill int) func(d *machine.Direct) OpFunc {
+// uniform random keys — the paper's low-contention experiment. Each op
+// draws its key, then its kind, then the jitter.
+func SetWorkload(newSet func(x machine.API) ds.Set, keyRange int, prefill int) func(d *machine.Direct) OpFunc {
 	return func(d *machine.Direct) OpFunc {
-		var ins func(x machine.API, k uint64) bool
-		var del func(x machine.API, k uint64) bool
-		var has func(x machine.API, k uint64) bool
-		switch kind {
-		case SetHarris:
-			l := ds.NewHarrisList(d)
-			l.LeaseTime = lease
-			ins, del, has = l.Insert, l.Remove, l.Contains
-		case SetLazySkip:
-			s := ds.NewLazySkipList(d)
-			s.LeaseTime = lease
-			ins, del, has = s.Insert, s.Remove, s.Contains
-		case SetBST:
-			t := ds.NewBST(d)
-			t.LeaseTime = lease
-			ins, del, has = t.Insert, t.Delete, t.Contains
-		case SetLFSkip:
-			s := ds.NewLFSkipList(d)
-			s.LeaseTime = lease
-			ins, del, has = s.Insert, s.Remove, s.Contains
-		case SetNMTree:
-			t := ds.NewNMTree(d)
-			t.LeaseTime = lease
-			ins, del, has = t.Insert, t.Delete, t.Contains
-		case SetMichaelHash:
-			h := ds.NewMichaelHashMap(d, keyRange/4, lease)
-			ins, del, has = h.Insert, h.Remove, h.Contains
-		default:
-			h := ds.NewHashMap(d, keyRange/4, lease)
-			ins = func(x machine.API, k uint64) bool { return h.Put(x, k, k) }
-			del = h.Delete
-			has = func(x machine.API, k uint64) bool { _, ok := h.Get(x, k); return ok }
-		}
+		s := newSet(d)
 		for i := 0; i < prefill; i++ {
-			ins(d, uint64(d.Rand().Intn(keyRange))+1)
+			s.Insert(d, uint64(d.Rand().Intn(keyRange))+1)
 		}
 		return func(tid int, c *machine.Ctx) {
 			k := uint64(c.Rand().Intn(keyRange)) + 1
 			switch p := c.Rand().Intn(10); {
 			case p == 0:
-				ins(c, k)
+				s.Insert(c, k)
 			case p == 1:
-				del(c, k)
+				s.Remove(c, k)
 			default:
-				has(c, k)
+				s.Contains(c, k)
 			}
 			jitter(c)
 		}
@@ -392,8 +348,7 @@ func SnapshotWorkload(useLease bool, words int, attempts, snaps *uint64) func(d 
 
 // StructureOpts is what a Structures builder may read.
 type StructureOpts struct {
-	Lease             uint64 // lease duration in cycles; 0 builds the base variant
-	KeyRange, Prefill int    // the sets: key universe and initial population
+	Lease uint64 // lease duration in cycles; 0 builds the base variant
 
 	// The MultiLease entry only: its leased variant's flavor, and where the
 	// cumulative abort count goes.
@@ -405,9 +360,6 @@ type StructureOpts struct {
 // its base and, under StructureOpts.Lease, the paper's lease placement.
 type Structure struct {
 	Name string // the -ds value
-	// Title is the structure's row label in text-lowcontention, which runs
-	// the entries that have one: the seven low-contention sets.
-	Title string
 	// MultiLease marks the entry whose lease placement StructureOpts.TL2Mode
 	// selects; Lease still picks between its base and its leased variant.
 	MultiLease bool
@@ -425,18 +377,12 @@ func leased(lease, base Workload) func(StructureOpts) Workload {
 	}
 }
 
-func setStructure(name, title string, kind SetKind) Structure {
-	return Structure{Name: name, Title: title, Build: func(o StructureOpts) Workload {
-		return SetWorkload(kind, o.Lease, o.KeyRange, o.Prefill)
-	}}
-}
-
 // Structures lists every -ds value in menu order: the contended structures
-// of Figures 2–4, then the low-contention sets, lock-based suite first. (A
-// function, like All: a package-level table would link every workload into
-// every binary that imports the package.)
+// of Figures 2–4, then the low-contention sets of ds.Sets() over 1024 keys,
+// 512 of them prefilled. (A function, like All: a package-level table would
+// link every workload into every binary that imports the package.)
 func Structures() []Structure {
-	return []Structure{
+	structures := []Structure{
 		{Name: "stack", Build: func(o StructureOpts) Workload { return StackWorkload(ds.StackOptions{Lease: o.Lease}) }},
 		{Name: "queue", Build: leased(QueueWorkload(ds.QueueSingleLease), QueueWorkload(ds.QueueNoLease))},
 		{Name: "pq", Build: leased(PQWorkload(PQGlobalLeased, 512), PQWorkload(PQFineLocking, 512))},
@@ -448,14 +394,13 @@ func Structures() []Structure {
 			}
 			return TL2Workload(o.TL2Mode, o.Aborts)
 		}},
-		setStructure("harris", "harris-list", SetHarris),
-		setStructure("skiplist", "skiplist", SetLazySkip),
-		setStructure("bst", "bst", SetBST),
-		setStructure("hash", "hashtable", SetHash),
-		setStructure("lfskip", "lf-skiplist", SetLFSkip),
-		setStructure("lfbst", "lf-bst", SetNMTree),
-		setStructure("lfhash", "lf-hashtable", SetMichaelHash),
 	}
+	for _, set := range ds.Sets() {
+		structures = append(structures, Structure{Name: set.Name, Build: func(o StructureOpts) Workload {
+			return SetWorkload(func(x machine.API) ds.Set { return set.New(x, o.Lease, 1024/4) }, 1024, 512)
+		}})
+	}
+	return structures
 }
 
 // FindStructure returns the Structures entry with the given -ds name.

@@ -11,12 +11,12 @@ import (
 // descendant, so lock ordering is acyclic). It stands in for the paper's
 // low-contention tree baselines [31] (see DESIGN.md substitution 3).
 //
-// With LeaseTime > 0 the locked nodes' lines are leased for the update
+// With a lease time > 0 the locked nodes' lines are leased for the update
 // window (the low-contention lease placement of §7). Keys must lie in
 // [1, 2^64-3]; the two largest values are infinity sentinels.
 type BST struct {
 	root      mem.Addr // internal sentinel (key = inf2)
-	LeaseTime uint64
+	leaseTime uint64
 }
 
 const (
@@ -34,8 +34,8 @@ const (
 
 // NewBST allocates the sentinel skeleton: root(inf2) with children
 // leaf(inf1) and leaf(inf2).
-func NewBST(x machine.API) *BST {
-	t := &BST{root: x.Alloc(bstSize)}
+func NewBST(x machine.API, lease uint64) *BST {
+	t := &BST{root: x.Alloc(bstSize), leaseTime: lease}
 	l1 := x.Alloc(bstSize)
 	l2 := x.Alloc(bstSize)
 	x.Store(l1+bstKey, inf1)
@@ -82,8 +82,8 @@ func (t *BST) find(x machine.API, key uint64) (gparent, parent, leaf mem.Addr) {
 func (t *BST) lockNode(x machine.API, n mem.Addr) {
 	for {
 		if x.Load(n+bstLock) == 0 && x.Swap(n+bstLock, 1) == 0 {
-			if t.LeaseTime > 0 {
-				x.Lease(n, t.LeaseTime)
+			if t.leaseTime > 0 {
+				x.Lease(n, t.leaseTime)
 			}
 			return
 		}
@@ -93,7 +93,7 @@ func (t *BST) lockNode(x machine.API, n mem.Addr) {
 
 func (t *BST) unlockNode(x machine.API, n mem.Addr) {
 	x.Store(n+bstLock, 0)
-	if t.LeaseTime > 0 {
+	if t.leaseTime > 0 {
 		x.Release(n)
 	}
 }
@@ -130,9 +130,9 @@ func (t *BST) Insert(x machine.API, key uint64) bool {
 	}
 }
 
-// Delete removes key, reporting whether it was present. The parent
+// Remove deletes key, reporting whether it was present. The parent
 // internal node is spliced out and marked.
-func (t *BST) Delete(x machine.API, key uint64) bool {
+func (t *BST) Remove(x machine.API, key uint64) bool {
 	for {
 		gparent, parent, leaf := t.find(x, key)
 		if x.Load(leaf+bstKey) != key {

@@ -5,94 +5,51 @@ import (
 	"leaserelease/internal/mem"
 )
 
-// FCQueue is a flat-combining FIFO queue [18] — the optimized software
-// comparator for the Michael–Scott queue (§2 cites combining as a leading
-// software technique for contended queues). Same publication-record
-// protocol as FCStack over a sequential linked queue.
+// FCQueue is a flat-combining FIFO queue [18] over a sequential linked
+// queue — the optimized software comparator for the Michael–Scott queue (§2
+// cites combining as a leading software technique for contended queues).
 type FCQueue struct {
-	lock    mem.Addr
-	head    mem.Addr // sequential queue head (combiner-only)
-	tail    mem.Addr // sequential queue tail (combiner-only)
-	records []mem.Addr
-	// CombineRounds bounds how long a waiting thread spins before trying
-	// to become the combiner itself.
-	CombineRounds int
+	combiner
+	head mem.Addr // sequential queue head (combiner-only)
+	tail mem.Addr // sequential queue tail (combiner-only)
 }
 
 // NewFCQueue allocates the queue (with dummy node) and one publication
 // record per thread.
 func NewFCQueue(x machine.API, threads int) *FCQueue {
-	q := &FCQueue{lock: x.Alloc(8), head: x.Alloc(8), tail: x.Alloc(8), CombineRounds: 32}
+	q := &FCQueue{combiner: combiner{lock: x.Alloc(8)}, head: x.Alloc(8), tail: x.Alloc(8)}
 	dummy := x.Alloc(qSize)
 	x.Store(q.head, uint64(dummy))
 	x.Store(q.tail, uint64(dummy))
-	for i := 0; i < threads; i++ {
-		q.records = append(q.records, x.Alloc(fcSize))
-	}
+	q.start(x, threads, q.step)
 	return q
 }
 
 // Enqueue appends v on behalf of thread tid.
-func (q *FCQueue) Enqueue(x machine.API, tid int, v uint64) {
-	q.run(x, tid, fcPush, v)
-}
+func (q *FCQueue) Enqueue(x machine.API, tid int, v uint64) { q.run(x, tid, fcPush, v) }
 
 // Dequeue removes the oldest value on behalf of thread tid.
-func (q *FCQueue) Dequeue(x machine.API, tid int) (uint64, bool) {
-	r := q.records[tid]
-	q.run(x, tid, fcPop, 0)
-	return x.Load(r + fcRet), x.Load(r+fcRetOK) == 1
-}
+func (q *FCQueue) Dequeue(x machine.API, tid int) (uint64, bool) { return q.take(x, tid) }
 
-func (q *FCQueue) run(x machine.API, tid int, op, arg uint64) {
-	r := q.records[tid]
-	x.Store(r+fcDone, 0)
-	x.Store(r+fcArg, arg)
-	x.Store(r+fcOp, op)
-	for {
-		for i := 0; i < q.CombineRounds; i++ {
-			if x.Load(r+fcDone) == 1 {
-				return
-			}
-			x.Work(16)
-		}
-		if x.Load(q.lock) == 0 && x.Swap(q.lock, 1) == 0 {
-			q.combine(x)
-			x.Store(q.lock, 0)
-			if x.Load(r+fcDone) == 1 {
-				return
-			}
-		}
+// step is the sequential queue's apply.
+func (q *FCQueue) step(x machine.API, op uint64, r mem.Addr) {
+	if op == fcPush { // enqueue
+		node := x.Alloc(qSize)
+		x.Store(node+qValue, x.Load(r+fcArg))
+		t := mem.Addr(x.Load(q.tail))
+		x.Store(t+qNext, uint64(node))
+		x.Store(q.tail, uint64(node))
+		return
 	}
-}
-
-func (q *FCQueue) combine(x machine.API) {
-	for _, r := range q.records {
-		op := x.Load(r + fcOp)
-		if op == fcNone || x.Load(r+fcDone) == 1 {
-			continue
-		}
-		switch op {
-		case fcPush: // enqueue
-			node := x.Alloc(qSize)
-			x.Store(node+qValue, x.Load(r+fcArg))
-			t := mem.Addr(x.Load(q.tail))
-			x.Store(t+qNext, uint64(node))
-			x.Store(q.tail, uint64(node))
-		case fcPop: // dequeue
-			h := mem.Addr(x.Load(q.head))
-			n := x.Load(h + qNext)
-			if n == 0 {
-				x.Store(r+fcRetOK, 0)
-			} else {
-				x.Store(r+fcRet, x.Load(mem.Addr(n)+qValue))
-				x.Store(r+fcRetOK, 1)
-				x.Store(q.head, n)
-			}
-		}
-		x.Store(r+fcOp, fcNone)
-		x.Store(r+fcDone, 1)
+	h := mem.Addr(x.Load(q.head))
+	n := x.Load(h + qNext)
+	if n == 0 {
+		x.Store(r+fcRetOK, 0)
+		return
 	}
+	x.Store(r+fcRet, x.Load(mem.Addr(n)+qValue))
+	x.Store(r+fcRetOK, 1)
+	x.Store(q.head, n)
 }
 
 // Len walks the sequential queue (test oracle; quiescent use only).

@@ -5,18 +5,16 @@ import (
 	"leaserelease/internal/mem"
 )
 
-// FCStack is a flat-combining stack after Hendler, Incze, Shavit &
-// Tzafrir [18] — the §2 "combining" software technique: threads publish
-// operations in per-thread records; whoever wins the combiner lock applies
-// everyone's pending operations to a sequential stack and distributes the
-// results, so the hotspot is touched by one thread at a time.
-type FCStack struct {
+// combiner is flat combining after Hendler, Incze, Shavit & Tzafrir [18],
+// the §2 "combining" technique: threads publish operations in per-thread
+// records; whoever wins the combiner lock applies everyone's pending
+// operations to the sequential structure (apply, all FCStack and FCQueue
+// differ in), so the hotspot is touched by one thread at a time.
+type combiner struct {
 	lock    mem.Addr // combiner try-lock
-	head    mem.Addr // sequential stack head (combiner-only)
 	records []mem.Addr
-	// CombineRounds bounds how long a waiting thread spins before trying
-	// to become the combiner itself.
-	CombineRounds int
+	// apply performs record r's pending op, reading and replying through r.
+	apply func(x machine.API, op uint64, r mem.Addr)
 }
 
 // Publication record layout (one line per thread).
@@ -30,47 +28,40 @@ const (
 	fcNone  = 0
 	fcPush  = 1
 	fcPop   = 2
+
+	// fcSpinRounds bounds how long a waiting thread spins before trying to
+	// become the combiner itself.
+	fcSpinRounds = 32
 )
 
-// NewFCStack allocates the stack with one publication record per thread.
-func NewFCStack(x machine.API, threads int) *FCStack {
-	s := &FCStack{lock: x.Alloc(8), head: x.Alloc(8), CombineRounds: 32}
+// start sets the structure's apply and allocates one publication record per
+// thread, after the lock and the structure's own words.
+func (fc *combiner) start(x machine.API, threads int, apply func(x machine.API, op uint64, r mem.Addr)) {
+	fc.apply = apply
 	for i := 0; i < threads; i++ {
-		s.records = append(s.records, x.Alloc(fcSize))
+		fc.records = append(fc.records, x.Alloc(fcSize))
 	}
-	return s
 }
 
-// Push pushes v on behalf of thread tid.
-func (s *FCStack) Push(x machine.API, tid int, v uint64) {
-	s.run(x, tid, fcPush, v)
-}
-
-// Pop pops on behalf of thread tid.
-func (s *FCStack) Pop(x machine.API, tid int) (uint64, bool) {
-	r := s.records[tid]
-	s.run(x, tid, fcPop, 0)
-	return x.Load(r + fcRet), x.Load(r+fcRetOK) == 1
-}
-
-// run publishes the op and waits for a combiner (possibly itself).
-func (s *FCStack) run(x machine.API, tid int, op, arg uint64) {
-	r := s.records[tid]
+// run publishes the op for thread tid and waits for a combiner (possibly
+// itself) to apply it.
+func (fc *combiner) run(x machine.API, tid int, op, arg uint64) {
+	r := fc.records[tid]
 	x.Store(r+fcDone, 0)
 	x.Store(r+fcArg, arg)
 	x.Store(r+fcOp, op) // publish last
 	for {
 		// Spin a little waiting for a passing combiner.
-		for i := 0; i < s.CombineRounds; i++ {
+		for i := 0; i < fcSpinRounds; i++ {
 			if x.Load(r+fcDone) == 1 {
 				return
 			}
 			x.Work(16)
 		}
 		// Try to become the combiner.
-		if x.Load(s.lock) == 0 && x.Swap(s.lock, 1) == 0 {
-			s.combine(x)
-			x.Store(s.lock, 0)
+		if x.Load(fc.lock) == 0 && x.Swap(fc.lock, 1) == 0 {
+			fc.combine(x)
+			x.Store(fc.lock, 0)
 			if x.Load(r+fcDone) == 1 {
 				return
 			}
@@ -79,32 +70,62 @@ func (s *FCStack) run(x machine.API, tid int, op, arg uint64) {
 	}
 }
 
-// combine applies every pending published op to the sequential stack.
-func (s *FCStack) combine(x machine.API) {
-	for _, r := range s.records {
+// take runs a pop for thread tid and returns its result.
+func (fc *combiner) take(x machine.API, tid int) (uint64, bool) {
+	fc.run(x, tid, fcPop, 0)
+	r := fc.records[tid]
+	return x.Load(r + fcRet), x.Load(r+fcRetOK) == 1
+}
+
+// combine applies every pending published op.
+func (fc *combiner) combine(x machine.API) {
+	for _, r := range fc.records {
 		op := x.Load(r + fcOp)
 		if op == fcNone || x.Load(r+fcDone) == 1 {
 			continue
 		}
-		switch op {
-		case fcPush:
-			node := x.Alloc(stkSize)
-			x.Store(node+stkValue, x.Load(r+fcArg))
-			x.Store(node+stkNext, x.Load(s.head))
-			x.Store(s.head, uint64(node))
-		case fcPop:
-			h := x.Load(s.head)
-			if h == 0 {
-				x.Store(r+fcRetOK, 0)
-			} else {
-				x.Store(r+fcRet, x.Load(mem.Addr(h)+stkValue))
-				x.Store(r+fcRetOK, 1)
-				x.Store(s.head, x.Load(mem.Addr(h)+stkNext))
-			}
-		}
+		fc.apply(x, op, r)
 		x.Store(r+fcOp, fcNone)
 		x.Store(r+fcDone, 1)
 	}
+}
+
+// FCStack is a flat-combining stack [18] over a sequential linked stack.
+type FCStack struct {
+	combiner
+	head mem.Addr // sequential stack head (combiner-only)
+}
+
+// NewFCStack allocates the stack with one publication record per thread.
+func NewFCStack(x machine.API, threads int) *FCStack {
+	s := &FCStack{combiner: combiner{lock: x.Alloc(8)}, head: x.Alloc(8)}
+	s.start(x, threads, s.step)
+	return s
+}
+
+// Push pushes v on behalf of thread tid.
+func (s *FCStack) Push(x machine.API, tid int, v uint64) { s.run(x, tid, fcPush, v) }
+
+// Pop pops on behalf of thread tid.
+func (s *FCStack) Pop(x machine.API, tid int) (uint64, bool) { return s.take(x, tid) }
+
+// step is the sequential stack's apply.
+func (s *FCStack) step(x machine.API, op uint64, r mem.Addr) {
+	if op == fcPush {
+		node := x.Alloc(stkSize)
+		x.Store(node+stkValue, x.Load(r+fcArg))
+		x.Store(node+stkNext, x.Load(s.head))
+		x.Store(s.head, uint64(node))
+		return
+	}
+	h := x.Load(s.head)
+	if h == 0 {
+		x.Store(r+fcRetOK, 0)
+		return
+	}
+	x.Store(r+fcRet, x.Load(mem.Addr(h)+stkValue))
+	x.Store(r+fcRetOK, 1)
+	x.Store(s.head, x.Load(mem.Addr(h)+stkNext))
 }
 
 // Len walks the sequential stack (test oracle; quiescent use only).

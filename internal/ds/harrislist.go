@@ -10,13 +10,13 @@ import (
 // by searches, exactly as in the original algorithm. Keys must lie in
 // [1, 2^64-2].
 //
-// With LeaseTime > 0 the predecessor's line is leased around the unlink
+// With a lease time > 0 the predecessor's line is leased around the unlink
 // CAS in Remove (leasing traversal-path nodes more aggressively measured
 // as a net loss under search-heavy workloads; see EXPERIMENTS.md).
 type HarrisList struct {
 	head      mem.Addr
 	tail      mem.Addr
-	LeaseTime uint64
+	leaseTime uint64
 }
 
 const (
@@ -31,8 +31,8 @@ func marked(p uint64) bool   { return p&markBit != 0 }
 func unmark(p uint64) uint64 { return p &^ markBit }
 
 // NewHarrisList allocates an empty set with sentinels.
-func NewHarrisList(x machine.API) *HarrisList {
-	l := &HarrisList{head: x.Alloc(hlSize), tail: x.Alloc(hlSize)}
+func NewHarrisList(x machine.API, lease uint64) *HarrisList {
+	l := &HarrisList{head: x.Alloc(hlSize), tail: x.Alloc(hlSize), leaseTime: lease}
 	x.Store(l.head+hlKey, 0)
 	x.Store(l.tail+hlKey, ^uint64(0))
 	x.Store(l.head+hlNext, uint64(l.tail))
@@ -108,11 +108,11 @@ func (l *HarrisList) Remove(x machine.API, key uint64) bool {
 			continue
 		}
 		// Try to unlink eagerly; on failure a search will finish it.
-		if l.LeaseTime > 0 {
-			x.Lease(pred, l.LeaseTime)
+		if l.leaseTime > 0 {
+			x.Lease(pred, l.leaseTime)
 		}
 		x.CAS(pred+hlNext, uint64(curr), unmark(succ))
-		if l.LeaseTime > 0 {
+		if l.leaseTime > 0 {
 			x.Release(pred)
 		}
 		return true

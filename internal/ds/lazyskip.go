@@ -17,14 +17,14 @@ import (
 type LazySkipList struct {
 	head mem.Addr
 	tail mem.Addr
-	// LeaseTime, when nonzero, leases the bottom-level predecessor while
+	// leaseTime, when nonzero, leases the bottom-level predecessor while
 	// its lock is held (the §7 low-contention lease placement). Two
 	// placements turned out to be anti-patterns and are deliberately NOT
 	// leased: tall routing predecessors (their lease defers every
 	// traversal through them) and the removal victim (it stays linked on
 	// the traversal path until unlinked, so its lease stalls all passing
 	// searches). See EXPERIMENTS.md.
-	LeaseTime uint64
+	leaseTime uint64
 }
 
 const (
@@ -41,8 +41,8 @@ const (
 func lskNodeSize() uint64 { return lskNext + 8*lskMaxLevel }
 
 // NewLazySkipList allocates an empty set.
-func NewLazySkipList(x machine.API) *LazySkipList {
-	s := &LazySkipList{head: x.Alloc(lskNodeSize()), tail: x.Alloc(lskNodeSize())}
+func NewLazySkipList(x machine.API, lease uint64) *LazySkipList {
+	s := &LazySkipList{head: x.Alloc(lskNodeSize()), tail: x.Alloc(lskNodeSize()), leaseTime: lease}
 	x.Store(s.head+lskKey, 0)
 	x.Store(s.tail+lskKey, ^uint64(0))
 	x.Store(s.head+lskTopLevel, lskMaxLevel-1)
@@ -68,8 +68,8 @@ func (s *LazySkipList) next(x machine.API, n mem.Addr, level int) mem.Addr {
 func (s *LazySkipList) lockNode(x machine.API, n mem.Addr, lease bool) {
 	for {
 		if x.Load(n+lskLock) == 0 && x.Swap(n+lskLock, 1) == 0 {
-			if lease && s.LeaseTime > 0 {
-				x.Lease(n, s.LeaseTime)
+			if lease && s.leaseTime > 0 {
+				x.Lease(n, s.leaseTime)
 			}
 			return
 		}
@@ -79,7 +79,7 @@ func (s *LazySkipList) lockNode(x machine.API, n mem.Addr, lease bool) {
 
 func (s *LazySkipList) unlockNode(x machine.API, n mem.Addr) {
 	x.Store(n+lskLock, 0)
-	if s.LeaseTime > 0 {
+	if s.leaseTime > 0 {
 		x.Release(n) // no-op unless this node's line was leased
 	}
 }

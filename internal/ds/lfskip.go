@@ -31,8 +31,8 @@ const (
 func lfsNodeSize() uint64 { return lfsNext + 8*lfsMaxLevel }
 
 // NewLFSkipList allocates an empty set.
-func NewLFSkipList(x machine.API) *LFSkipList {
-	s := &LFSkipList{head: x.Alloc(lfsNodeSize()), tail: x.Alloc(lfsNodeSize())}
+func NewLFSkipList(x machine.API, lease uint64) *LFSkipList {
+	s := &LFSkipList{head: x.Alloc(lfsNodeSize()), tail: x.Alloc(lfsNodeSize()), LeaseTime: lease}
 	x.Store(s.head+lfsKey, 0)
 	x.Store(s.tail+lfsKey, ^uint64(0))
 	x.Store(s.head+lfsTop, lfsMaxLevel-1)

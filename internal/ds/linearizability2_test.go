@@ -70,70 +70,3 @@ func TestFCStackLinearizable(t *testing.T) {
 		t.Fatalf("flat-combining stack history not linearizable:\n%v", rec.Ops)
 	}
 }
-
-// TestLFSkipListLinearizable: lock-free skiplist under maximal key
-// conflicts.
-func TestLFSkipListLinearizable(t *testing.T) {
-	m := newM(4)
-	s := NewLFSkipList(m.Direct())
-	rec := &linearize.Recorder{}
-	for i := 0; i < 4; i++ {
-		i := i
-		m.Spawn(0, func(c *machine.Ctx) {
-			for n := 0; n < 5; n++ {
-				k := uint64(c.Rand().Intn(3) + 1)
-				inv := c.Now()
-				switch c.Rand().Intn(3) {
-				case 0:
-					ok := s.Insert(c, k)
-					rec.Record(i, inv, c.Now(), "ins", k, 0, ok)
-				case 1:
-					ok := s.Remove(c, k)
-					rec.Record(i, inv, c.Now(), "del", k, 0, ok)
-				default:
-					ok := s.Contains(c, k)
-					rec.Record(i, inv, c.Now(), "has", k, 0, ok)
-				}
-			}
-		})
-	}
-	if err := m.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if !linearize.Check(rec.Ops, linearize.SetModel()) {
-		t.Fatalf("lock-free skiplist history not linearizable:\n%v", rec.Ops)
-	}
-}
-
-// TestNMTreeLinearizable: lock-free BST under maximal key conflicts.
-func TestNMTreeLinearizable(t *testing.T) {
-	m := newM(4)
-	tree := NewNMTree(m.Direct())
-	rec := &linearize.Recorder{}
-	for i := 0; i < 4; i++ {
-		i := i
-		m.Spawn(0, func(c *machine.Ctx) {
-			for n := 0; n < 5; n++ {
-				k := uint64(c.Rand().Intn(3) + 1)
-				inv := c.Now()
-				switch c.Rand().Intn(3) {
-				case 0:
-					ok := tree.Insert(c, k)
-					rec.Record(i, inv, c.Now(), "ins", k, 0, ok)
-				case 1:
-					ok := tree.Delete(c, k)
-					rec.Record(i, inv, c.Now(), "del", k, 0, ok)
-				default:
-					ok := tree.Contains(c, k)
-					rec.Record(i, inv, c.Now(), "has", k, 0, ok)
-				}
-			}
-		})
-	}
-	if err := m.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if !linearize.Check(rec.Ops, linearize.SetModel()) {
-		t.Fatalf("lock-free BST history not linearizable:\n%v", rec.Ops)
-	}
-}

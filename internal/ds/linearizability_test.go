@@ -93,38 +93,6 @@ func TestStackLinearizable(t *testing.T) {
 	}
 }
 
-func TestHarrisListLinearizable(t *testing.T) {
-	m := newM(4)
-	l := NewHarrisList(m.Direct())
-	rec := &linearize.Recorder{}
-	for i := 0; i < 4; i++ {
-		i := i
-		m.Spawn(0, func(c *machine.Ctx) {
-			for n := 0; n < 5; n++ {
-				k := uint64(c.Rand().Intn(3) + 1) // tiny key space: max conflicts
-				inv := c.Now()
-				switch c.Rand().Intn(3) {
-				case 0:
-					ok := l.Insert(c, k)
-					rec.Record(i, inv, c.Now(), "ins", k, 0, ok)
-				case 1:
-					ok := l.Remove(c, k)
-					rec.Record(i, inv, c.Now(), "del", k, 0, ok)
-				default:
-					ok := l.Contains(c, k)
-					rec.Record(i, inv, c.Now(), "has", k, 0, ok)
-				}
-			}
-		})
-	}
-	if err := m.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if !linearize.Check(rec.Ops, linearize.SetModel()) {
-		t.Fatalf("harris list history not linearizable:\n%v", rec.Ops)
-	}
-}
-
 // TestBrokenQueueCaughtByChecker sanity-checks the checker's power: a
 // deliberately racy queue (plain head/tail indices into an array, no
 // atomicity) must produce non-linearizable histories under contention.

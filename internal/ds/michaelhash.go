@@ -6,7 +6,7 @@ import (
 
 // MichaelHashMap is Michael's lock-free hash table [26]: a fixed array of
 // buckets, each an independent Harris-style lock-free sorted list. All
-// operations are lock-free; with LeaseTime > 0 each bucket list uses the
+// operations are lock-free; with a lease time > 0 each bucket list uses the
 // predecessor-lease placement.
 type MichaelHashMap struct {
 	buckets []*HarrisList
@@ -22,9 +22,7 @@ func NewMichaelHashMap(x machine.API, nBuckets int, leaseTime uint64) *MichaelHa
 	}
 	h := &MichaelHashMap{mask: uint64(n - 1)}
 	for i := 0; i < n; i++ {
-		l := NewHarrisList(x)
-		l.LeaseTime = leaseTime
-		h.buckets = append(h.buckets, l)
+		h.buckets = append(h.buckets, NewHarrisList(x, leaseTime))
 	}
 	return h
 }

@@ -17,9 +17,9 @@ import (
 type NMTree struct {
 	rootR mem.Addr // internal(∞₂)
 	rootS mem.Addr // internal(∞₁)
-	// LeaseTime, when nonzero, leases the parent's line around each
+	// leaseTime, when nonzero, leases the parent's line around each
 	// update CAS window (the predecessor-lease placement of §7).
-	LeaseTime uint64
+	leaseTime uint64
 }
 
 const (
@@ -44,8 +44,8 @@ func edgeTagged(w uint64) bool   { return w&tagBit != 0 }
 
 // NewNMTree allocates the sentinel skeleton: R(∞₂){S(∞₁){leaf ∞₀,
 // leaf ∞₁}, leaf ∞₂}.
-func NewNMTree(x machine.API) *NMTree {
-	t := &NMTree{rootR: x.Alloc(nmSize), rootS: x.Alloc(nmSize)}
+func NewNMTree(x machine.API, lease uint64) *NMTree {
+	t := &NMTree{rootR: x.Alloc(nmSize), rootS: x.Alloc(nmSize), leaseTime: lease}
 	leaf := func(k uint64) mem.Addr {
 		n := x.Alloc(nmSize)
 		x.Store(n+nmKey, k)
@@ -119,11 +119,11 @@ func (t *NMTree) Insert(x machine.API, key uint64) bool {
 			x.Store(node+nmRight, uint64(newLeaf))
 		}
 		field := nmEdgeField(x, r.parent, key)
-		if t.LeaseTime > 0 {
-			x.Lease(r.parent, t.LeaseTime)
+		if t.leaseTime > 0 {
+			x.Lease(r.parent, t.leaseTime)
 		}
 		ok := x.CAS(field, uint64(r.leaf), uint64(node))
-		if t.LeaseTime > 0 {
+		if t.leaseTime > 0 {
 			x.Release(r.parent)
 		}
 		if ok {
@@ -138,8 +138,8 @@ func (t *NMTree) Insert(x machine.API, key uint64) bool {
 	}
 }
 
-// Delete removes key, reporting whether this call logically deleted it.
-func (t *NMTree) Delete(x machine.API, key uint64) bool {
+// Remove deletes key, reporting whether this call logically deleted it.
+func (t *NMTree) Remove(x machine.API, key uint64) bool {
 	injecting := true
 	var leaf mem.Addr
 	for {
@@ -169,11 +169,11 @@ func (t *NMTree) Delete(x machine.API, key uint64) bool {
 			}
 			continue
 		}
-		if t.LeaseTime > 0 {
-			x.Lease(r.parent, t.LeaseTime)
+		if t.leaseTime > 0 {
+			x.Lease(r.parent, t.leaseTime)
 		}
 		ok := x.CAS(field, old, old|flagBit)
-		if t.LeaseTime > 0 {
+		if t.leaseTime > 0 {
 			x.Release(r.parent)
 		}
 		if ok {

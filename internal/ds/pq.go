@@ -21,7 +21,7 @@ type PQFine struct {
 
 // NewPQFine allocates the baseline priority queue.
 func NewPQFine(x machine.API) *PQFine {
-	return &PQFine{s: NewLazySkipList(x)}
+	return &PQFine{s: NewLazySkipList(x, 0)}
 }
 
 // Insert adds key; a concurrent duplicate is disambiguated by probing

@@ -68,7 +68,7 @@ func TestHarrisListVsMapModel(t *testing.T) {
 			ops = ops[:250]
 		}
 		m := machine.New(machine.DefaultConfig(1))
-		l := NewHarrisList(m.Direct())
+		l := NewHarrisList(m.Direct(), 0)
 		ok := true
 		m.Spawn(0, func(c *machine.Ctx) {
 			model := map[uint64]bool{}

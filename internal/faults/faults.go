@@ -12,9 +12,9 @@
 //
 // All draws come from one splitmix64 stream seeded from the simulation
 // seed, and the engine is sequential, so a faulty run is bit-for-bit
-// reproducible from (Config, seed). With Enabled == false no draw is ever
-// made and simulated timing is byte-for-byte identical to a build without
-// this package.
+// reproducible from (Config, seed). A config that injects nothing — its
+// Profile is "" — builds no injector, so no draw is ever made and simulated
+// timing is byte-for-byte identical to a build without this package.
 package faults
 
 import (
@@ -27,10 +27,6 @@ import (
 // Config selects which faults to inject and how hard. The zero value
 // injects nothing.
 type Config struct {
-	// Enabled master-switches the injector; when false no other field is
-	// consulted and no RNG draw happens.
-	Enabled bool
-
 	// Seed is mixed with the machine seed to derive the injection stream,
 	// so the same workload seed can be run under many fault schedules.
 	Seed uint64
@@ -80,7 +76,6 @@ type Config struct {
 // chaos-soak tests and `leasesim -faults`.
 func DefaultConfig() Config {
 	return Config{
-		Enabled:        true,
 		MsgJitter:      8,
 		DirStallPct:    5,
 		DirStallCycles: 40,
@@ -89,13 +84,11 @@ func DefaultConfig() Config {
 	}
 }
 
-// WithPreemption returns c with a moderate core-preemption schedule
-// added (and the injector enabled): ~0.5% of preemption points
-// descheduled for 200..30K cycles, untargeted. Used by the chaos soak's
-// preemption profiles; the degradation experiments configure the fields
-// directly.
+// WithPreemption returns c with a moderate core-preemption schedule added:
+// ~0.5% of preemption points descheduled for 200..30K cycles, untargeted.
+// Used by the chaos soak's preemption profiles; the degradation experiments
+// configure the fields directly.
 func (c Config) WithPreemption() Config {
-	c.Enabled = true
 	c.PreemptPermille = 5
 	c.PreemptMin = 200
 	c.PreemptMax = 30_000
@@ -128,10 +121,10 @@ type Injector struct {
 }
 
 // New builds an injector for cfg, mixing machineSeed into the stream.
-// It returns nil when cfg.Enabled is false — the nil injector is the
-// zero-overhead disabled configuration.
+// It returns nil when cfg injects nothing (its Profile is "") — the nil
+// injector is the zero-overhead disabled configuration.
 func New(cfg Config, machineSeed uint64) *Injector {
-	if !cfg.Enabled {
+	if cfg.Profile() == "" {
 		return nil
 	}
 	return &Injector{cfg: cfg, seed: machineSeed,
@@ -240,20 +233,17 @@ func (i *Injector) Preempt(core int, holder bool) sim.Time {
 // CapWays returns the effective L1 associativity under capacity pressure:
 // min(configured, CapacityWays) when the fault is on, ways otherwise.
 func (c Config) CapWays(ways int) int {
-	if !c.Enabled || c.CapacityWays <= 0 || c.CapacityWays >= ways {
+	if c.CapacityWays <= 0 || c.CapacityWays >= ways {
 		return ways
 	}
 	return c.CapacityWays
 }
 
 // Profile renders a compact, stable identifier of the fault schedule for
-// grouping runs (report keys and labels). A disabled config — or an
-// enabled one whose every field is zero, which injects nothing — renders
-// as "", so clean runs keep their unsuffixed keys.
+// grouping runs (report keys and labels): exactly what the config
+// injects. One that injects nothing renders as "", so clean runs keep their
+// unsuffixed keys.
 func (c Config) Profile() string {
-	if !c.Enabled {
-		return ""
-	}
 	var b strings.Builder
 	if c.MsgJitter > 0 {
 		fmt.Fprintf(&b, "j%d", c.MsgJitter)

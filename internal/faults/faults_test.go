@@ -7,17 +7,16 @@ import (
 	"leaserelease/internal/sim"
 )
 
-// TestDisabledConfigYieldsNilInjector: the disabled configuration is the
-// nil injector, and every nil method returns the no-fault value with zero
-// stats — the zero-overhead path clean runs depend on.
+// TestDisabledConfigYieldsNilInjector: a configuration that injects nothing
+// is the nil injector, and every nil method returns the no-fault value with
+// zero stats — the zero-overhead path clean runs depend on.
 func TestDisabledConfigYieldsNilInjector(t *testing.T) {
 	if inj := New(Config{}, 1); inj != nil {
 		t.Fatal("New with zero Config returned a non-nil injector")
 	}
-	cfg := DefaultConfig()
-	cfg.Enabled = false
-	if inj := New(cfg, 1); inj != nil {
-		t.Fatal("New with Enabled=false returned a non-nil injector")
+	// A preemption rate without a duration preempts nothing.
+	if inj := New(Config{Seed: 7, PreemptPermille: 10}, 1); inj != nil {
+		t.Fatal("New with PreemptPermille but no PreemptMax returned a non-nil injector")
 	}
 	var inj *Injector
 	if d := inj.MsgDelay(); d != 0 {
@@ -37,30 +36,12 @@ func TestDisabledConfigYieldsNilInjector(t *testing.T) {
 	}
 }
 
-// TestEnabledAllZeroConfigInjectsNothing: an enabled config whose every
-// fault field is zero draws nothing and delivers nothing.
-func TestEnabledAllZeroConfigInjectsNothing(t *testing.T) {
-	inj := New(Config{Enabled: true}, 7)
-	if inj == nil {
-		t.Fatal("New with Enabled=true returned nil")
-	}
-	for i := 0; i < 100; i++ {
-		if inj.MsgDelay() != 0 || inj.DirStall() != 0 ||
-			inj.LeaseCut(10_000) != 0 || inj.Preempt(i%4, i%2 == 0) != 0 {
-			t.Fatal("all-zero enabled config injected a fault")
-		}
-	}
-	if s := inj.Stats(); s != (Stats{}) {
-		t.Fatalf("all-zero enabled config counted faults: %+v", s)
-	}
-}
-
 // TestPreemptDeterministicPerCore: a core's preemption schedule is a pure
 // function of (seed, core, eligible-point count) — two injectors with the
 // same seeds produce identical draw sequences regardless of the order
 // cores interleave their points.
 func TestPreemptDeterministicPerCore(t *testing.T) {
-	cfg := Config{Enabled: true, PreemptPermille: 100, PreemptMin: 100, PreemptMax: 5000}
+	cfg := Config{PreemptPermille: 100, PreemptMin: 100, PreemptMax: 5000}
 	draw := func(order []int) map[int][]sim.Time {
 		inj := New(cfg, 42)
 		out := make(map[int][]sim.Time)
@@ -87,7 +68,7 @@ func TestPreemptDeterministicPerCore(t *testing.T) {
 // TestPreemptDurationsInBounds: each delivered duration respects the
 // [Min, Max] bounds, and preemption counts as no other fault.
 func TestPreemptDurationsInBounds(t *testing.T) {
-	cfg := Config{Enabled: true, PreemptPermille: 300, PreemptMin: 200, PreemptMax: 3000}
+	cfg := Config{PreemptPermille: 300, PreemptMin: 200, PreemptMax: 3000}
 	inj := New(cfg, 9)
 	var count uint64
 	for i := 0; i < 5000; i++ {
@@ -111,7 +92,7 @@ func TestPreemptDurationsInBounds(t *testing.T) {
 // TestPreemptTargetedSkipsNonHolders: targeted mode never preempts a
 // non-holder and consumes no draw for one.
 func TestPreemptTargetedSkipsNonHolders(t *testing.T) {
-	cfg := Config{Enabled: true, PreemptPermille: 1000, PreemptMin: 10, PreemptMax: 10, PreemptTargeted: true}
+	cfg := Config{PreemptPermille: 1000, PreemptMin: 10, PreemptMax: 10, PreemptTargeted: true}
 	inj := New(cfg, 5)
 	if d := inj.Preempt(0, false); d != 0 {
 		t.Fatalf("targeted mode preempted a non-holder for %d cycles", d)
@@ -141,13 +122,12 @@ func TestProfileStrings(t *testing.T) {
 		want string
 	}{
 		{Config{}, ""},
-		{Config{Enabled: true}, ""},
 		{DefaultConfig(), "j8d5x40c10w2"},
-		{Config{Enabled: true, PreemptPermille: 10, PreemptMin: 500, PreemptMax: 40000}, "p10x500-40000"},
-		{Config{Enabled: true, PreemptPermille: 10, PreemptMin: 500, PreemptMax: 40000, PreemptTargeted: true}, "P10x500-40000"},
+		{Config{PreemptPermille: 10, PreemptMin: 500, PreemptMax: 40000}, "p10x500-40000"},
+		{Config{PreemptPermille: 10, PreemptMin: 500, PreemptMax: 40000, PreemptTargeted: true}, "P10x500-40000"},
 		{DefaultConfig().WithPreemption(), "j8d5x40c10w2p5x200-30000"},
 		// PreemptMax == 0 disables preemption, so it must not tag.
-		{Config{Enabled: true, PreemptPermille: 10}, ""},
+		{Config{PreemptPermille: 10}, ""},
 	}
 	for _, c := range cases {
 		if got := c.cfg.Profile(); got != c.want {

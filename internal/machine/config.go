@@ -78,7 +78,9 @@ type Config struct {
 	Faults faults.Config
 
 	// Seed derives each core's deterministic RNG stream (and, with
-	// Faults.Seed, the fault-injection stream).
+	// Faults.Seed, the fault-injection stream). The NetJitter stream is
+	// seeded per protocol (0xD12EC7, 0x7A2D15), not from Seed: a seed
+	// varies it only through arrival order.
 	Seed uint64
 }
 

@@ -76,7 +76,7 @@ func TestControllerDisabledIsInert(t *testing.T) {
 func TestControllerShrinksUnderPreemption(t *testing.T) {
 	cfg := testConfig(2)
 	cfg.Controller = true
-	cfg.Faults = faults.Config{Enabled: true, PreemptPermille: 400,
+	cfg.Faults = faults.Config{PreemptPermille: 400,
 		PreemptMin: 30_000, PreemptMax: 30_000, PreemptTargeted: true}
 	m := New(cfg)
 	a := m.Direct().Alloc(8)

@@ -39,7 +39,7 @@ type Machine struct {
 	stats   Stats // machine-level counters (caches keep their own)
 	spawned int
 	bus     *telemetry.Bus   // nil until Telemetry() — telemetry disabled
-	faults  *faults.Injector // nil unless cfg.Faults.Enabled
+	faults  *faults.Injector // nil unless cfg.Faults injects something
 
 	// finishedAt is the latest cycle at which a thread's body returned.
 	finishedAt uint64

@@ -34,15 +34,14 @@ func preemptWorkload(t *testing.T, cores int, cycles uint64, fc faults.Config) *
 	return m
 }
 
-// TestPreemptionZeroConfigIsNoOp: an enabled fault config whose every
-// field is zero (and so a live injector that never draws) leaves the run
-// bit-identical to the fault-free one — the guarantee that keeps all
-// existing golden outputs valid.
+// TestPreemptionZeroConfigIsNoOp: a preemption rate without a duration
+// (which preempts nothing) leaves the run bit-identical to the fault-free
+// one — the guarantee that keeps all existing golden outputs valid.
 func TestPreemptionZeroConfigIsNoOp(t *testing.T) {
 	clean := preemptWorkload(t, 4, 200_000, faults.Config{}).Stats()
-	armed := preemptWorkload(t, 4, 200_000, faults.Config{Enabled: true}).Stats()
+	armed := preemptWorkload(t, 4, 200_000, faults.Config{PreemptPermille: 20}).Stats()
 	if !reflect.DeepEqual(clean, armed) {
-		t.Fatalf("enabled-but-zero fault config changed the run:\nclean: %+v\narmed: %+v", clean, armed)
+		t.Fatalf("a rate without a duration changed the run:\nclean: %+v\narmed: %+v", clean, armed)
 	}
 	if clean.Preemptions != 0 || clean.PreemptedCycles != 0 {
 		t.Fatalf("fault-free run counted preemptions: %+v", clean)
@@ -54,7 +53,7 @@ func TestPreemptionZeroConfigIsNoOp(t *testing.T) {
 // machine's hardware counters, and the per-core proc clocks surfaced in
 // the state dump.
 func TestPreemptionConservation(t *testing.T) {
-	fc := faults.Config{Enabled: true, PreemptPermille: 20, PreemptMin: 300, PreemptMax: 8_000}
+	fc := faults.Config{PreemptPermille: 20, PreemptMin: 300, PreemptMax: 8_000}
 	m := preemptWorkload(t, 4, 300_000, fc)
 
 	ms := m.Stats()
@@ -76,7 +75,7 @@ func TestPreemptionConservation(t *testing.T) {
 // TestPreemptionDeterminism: the same (config, seed) replays to identical
 // counters, and a different fault seed gives a different schedule.
 func TestPreemptionDeterminism(t *testing.T) {
-	fc := faults.Config{Enabled: true, PreemptPermille: 20, PreemptMin: 300, PreemptMax: 8_000}
+	fc := faults.Config{PreemptPermille: 20, PreemptMin: 300, PreemptMax: 8_000}
 	a := preemptWorkload(t, 4, 200_000, fc).Stats()
 	b := preemptWorkload(t, 4, 200_000, fc).Stats()
 	if !reflect.DeepEqual(a, b) {
@@ -98,7 +97,7 @@ func TestPreemptedHolderExpiresInvoluntarily(t *testing.T) {
 	cfg := testConfig(2)
 	// Deterministic adversary: preempt only holders, always, and sleep
 	// far past the lease.
-	cfg.Faults = faults.Config{Enabled: true, PreemptPermille: 1000,
+	cfg.Faults = faults.Config{PreemptPermille: 1000,
 		PreemptMin: 50_000, PreemptMax: 50_000, PreemptTargeted: true}
 	m := New(cfg)
 	a := m.Direct().Alloc(8)

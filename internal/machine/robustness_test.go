@@ -102,7 +102,7 @@ func TestCapacityPressureFault(t *testing.T) {
 	run := func(capWays int) Stats {
 		cfg := testConfig(1)
 		if capWays > 0 {
-			cfg.Faults = faults.Config{Enabled: true, CapacityWays: capWays}
+			cfg.Faults = faults.Config{CapacityWays: capWays}
 		}
 		m := New(cfg)
 		d := m.Direct()
@@ -142,7 +142,7 @@ func TestLeaseCutFaultForcesEarlyExpiry(t *testing.T) {
 	run := func(cut int) (Stats, uint64) {
 		cfg := testConfig(2)
 		if cut > 0 {
-			cfg.Faults = faults.Config{Enabled: true, LeaseCutPct: cut}
+			cfg.Faults = faults.Config{LeaseCutPct: cut}
 		}
 		m := New(cfg)
 		var deferDelay uint64

@@ -108,8 +108,8 @@ func TestRunAheadDifferential(t *testing.T) {
 		name  string
 		build func(*machine.Direct) bench.OpFunc
 	}{
-		{"hashmap", bench.SetWorkload(bench.SetHash, bench.LeaseTime, 512, 256)},
-		{"lfskip", bench.SetWorkload(bench.SetLFSkip, bench.LeaseTime, 512, 256)},
+		{"hashmap", bench.SetWorkload(func(x machine.API) ds.Set { return ds.NewHashSet(x, 512/4, bench.LeaseTime) }, 512, 256)},
+		{"lfskip", bench.SetWorkload(func(x machine.API) ds.Set { return ds.NewLFSkipList(x, bench.LeaseTime) }, 512, 256)},
 		{"msqueue", bench.QueueWorkload(ds.QueueSingleLease)},
 		{"tts-counter", bench.CounterWorkload(bench.CounterTTS)},
 		{"leased-tts-counter", bench.CounterWorkload(bench.CounterLeasedTTS)},

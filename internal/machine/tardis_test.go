@@ -220,7 +220,7 @@ func TestTardisInvoluntaryExpiry(t *testing.T) {
 func TestTardisPreemptionFeedsController(t *testing.T) {
 	cfg := tardisConfig(2)
 	cfg.Controller = true
-	cfg.Faults = faults.Config{Enabled: true, PreemptPermille: 400,
+	cfg.Faults = faults.Config{PreemptPermille: 400,
 		PreemptMin: 30_000, PreemptMax: 30_000, PreemptTargeted: true}
 	m := New(cfg)
 	a := m.Direct().Alloc(8)

@@ -67,7 +67,7 @@ func TestTracerDisabledNoOverheadPath(t *testing.T) {
 // cuts leases short; then the ledger must book the cut remainder as unused.
 func TestLeaseExpiredCarriesHold(t *testing.T) {
 	cfg := testConfig(1)
-	cfg.Faults = faults.Config{Enabled: true, LeaseCutPct: 100}
+	cfg.Faults = faults.Config{LeaseCutPct: 100}
 	m := New(cfg)
 	a := m.Direct().Alloc(8)
 	started := map[mem.Line]uint64{}

@@ -127,7 +127,7 @@ func NewHashMap(x API, buckets int, leaseTime uint64) *HashMap {
 }
 
 // NewLFSkipList allocates a lock-free skiplist set.
-func NewLFSkipList(x API) *LFSkipList { return ds.NewLFSkipList(x) }
+func NewLFSkipList(x API) *LFSkipList { return ds.NewLFSkipList(x, 0) }
 
 // NewSnapshot builds a §5 snapshot object.
 func NewSnapshot(addrs []Addr, leaseTime uint64) *Snapshot {
