@@ -166,8 +166,10 @@ func fig3Queue(p Params) Sweep {
 		{Name: "base", Build: always(QueueWorkload(ds.QueueNoLease))},
 		{Name: "lease", Build: always(QueueWorkload(ds.QueueSingleLease))},
 		{Name: "multi", Build: always(QueueWorkload(ds.QueueMultiLease))},
-		{Name: "flatcomb", Build: func(r Row) Workload { return FCQueueWorkload(r.Threads) }},
-		{Name: "lcrq", Build: always(LCRQWorkload())},
+		{Name: "flatcomb", Build: func(r Row) Workload {
+			return PairWorkload(func(x machine.API) ds.Container { return ds.NewFCQueue(x, r.Threads) })
+		}},
+		{Name: "lcrq", Build: always(PairWorkload(func(x machine.API) ds.Container { return ds.NewLCRQ(x, 1024) }))},
 	}
 	return Sweep{Rows: threadRows(p.Threads), Variants: vs, Tables: []TableSpec{{Cols: []Col{
 		vs.mops(0), vs.mops(1), vs.mops(2), vs.mops(3), vs.mops(4), vs.nj(0), vs.nj(1)}}}}
@@ -266,8 +268,10 @@ func textBackoff(p Params) Sweep {
 		{Name: "base", Build: baseStack},
 		{Name: "backoff", Build: always(StackWorkload(ds.StackOptions{Backoff: ds.Backoff{Min: 32, Max: 4096}}))},
 		{Name: "tuned-backoff", Build: tunedBackoffStack},
-		{Name: "elimination", Build: always(EliminationStackWorkload())},
-		{Name: "flatcomb", Build: func(r Row) Workload { return FCStackWorkload(r.Threads) }},
+		{Name: "elimination", Build: always(PairWorkload(func(x machine.API) ds.Container { return ds.NewEliminationStack(x, 4) }))},
+		{Name: "flatcomb", Build: func(r Row) Workload {
+			return PairWorkload(func(x machine.API) ds.Container { return ds.NewFCStack(x, r.Threads) })
+		}},
 		{Name: "lease", Build: leaseStack},
 	}
 	return Sweep{Rows: threadRows(p.Threads), Variants: vs, Tables: []TableSpec{{Cols: []Col{

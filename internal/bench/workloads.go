@@ -39,15 +39,21 @@ func prefill64(put func(v uint64)) {
 	}
 }
 
-// StackWorkload: 100% updates, push/pop chosen at random (Figure 2).
-func StackWorkload(opt ds.StackOptions) func(d *machine.Direct) OpFunc {
+// PairWorkload: 100% updates, put or take at random on the container newC
+// builds, which starts with 1..64 put in (Figures 2 and 3).
+func PairWorkload(newC func(x machine.API) ds.Container) func(d *machine.Direct) OpFunc {
 	return func(d *machine.Direct) OpFunc {
-		s := ds.NewStack(d, opt)
-		prefill64(func(v uint64) { s.Push(d, v) })
+		s := newC(d)
+		prefill64(func(v uint64) { s.Put(d, 0, v) })
 		return pairOp(
-			func(_ int, c *machine.Ctx) { s.Push(c, 1) },
-			func(_ int, c *machine.Ctx) { s.Pop(c) })
+			func(tid int, c *machine.Ctx) { s.Put(c, tid, 1) },
+			func(tid int, c *machine.Ctx) { s.Take(c, tid) })
 	}
+}
+
+// StackWorkload: the Treiber stack under PairWorkload (Figure 2).
+func StackWorkload(opt ds.StackOptions) func(d *machine.Direct) OpFunc {
+	return PairWorkload(func(x machine.API) ds.Container { return ds.NewStack(x, opt) })
 }
 
 // LockStackWorkload: the same Figure 2 op mix on a sequential stack
@@ -83,30 +89,6 @@ func AutoStackWorkload() func(d *machine.Direct) OpFunc {
 		return pairOp(
 			func(tid int, c *machine.Ctx) { s.Push(auto(tid, c), 1) },
 			func(tid int, c *machine.Ctx) { s.Pop(auto(tid, c)) })
-	}
-}
-
-// FCStackWorkload: the flat-combining stack [18] under the Figure 2
-// workload (the §2 "combining" software mitigation).
-func FCStackWorkload(threads int) func(d *machine.Direct) OpFunc {
-	return func(d *machine.Direct) OpFunc {
-		s := ds.NewFCStack(d, threads)
-		prefill64(func(v uint64) { s.Push(d, 0, v) })
-		return pairOp(
-			func(tid int, c *machine.Ctx) { s.Push(c, tid, 1) },
-			func(tid int, c *machine.Ctx) { s.Pop(c, tid) })
-	}
-}
-
-// EliminationStackWorkload: the elimination-backoff stack under the
-// Figure 2 workload (the §2 "elimination" software mitigation).
-func EliminationStackWorkload() func(d *machine.Direct) OpFunc {
-	return func(d *machine.Direct) OpFunc {
-		s := ds.NewEliminationStack(d, 4)
-		prefill64(func(v uint64) { s.Push(d, v) })
-		return pairOp(
-			func(_ int, c *machine.Ctx) { s.Push(c, 1) },
-			func(_ int, c *machine.Ctx) { s.Pop(c) })
 	}
 }
 
@@ -157,39 +139,12 @@ func CounterWorkload(kind CounterKind) func(d *machine.Direct) OpFunc {
 	}
 }
 
-// QueueWorkload: 100% updates, enqueue/dequeue at random (Figure 3 middle).
+// QueueWorkload: the Michael–Scott queue under PairWorkload (Figure 3
+// middle).
 func QueueWorkload(mode ds.QueueLeaseMode) func(d *machine.Direct) OpFunc {
-	return func(d *machine.Direct) OpFunc {
-		q := ds.NewQueue(d, ds.QueueOptions{Mode: mode, LeaseTime: LeaseTime})
-		prefill64(func(v uint64) { q.Enqueue(d, v) })
-		return pairOp(
-			func(_ int, c *machine.Ctx) { q.Enqueue(c, 1) },
-			func(_ int, c *machine.Ctx) { q.Dequeue(c) })
-	}
-}
-
-// FCQueueWorkload: the flat-combining queue [18] under the Figure 3 queue
-// workload (the optimized software comparator).
-func FCQueueWorkload(threads int) func(d *machine.Direct) OpFunc {
-	return func(d *machine.Direct) OpFunc {
-		q := ds.NewFCQueue(d, threads)
-		prefill64(func(v uint64) { q.Enqueue(d, 0, v) })
-		return pairOp(
-			func(tid int, c *machine.Ctx) { q.Enqueue(c, tid, 1) },
-			func(tid int, c *machine.Ctx) { q.Dequeue(c, tid) })
-	}
-}
-
-// LCRQWorkload: the Morrison–Afek fetch&add ring queue [29] under the
-// Figure 3 queue workload (the architecture-optimized comparator).
-func LCRQWorkload() func(d *machine.Direct) OpFunc {
-	return func(d *machine.Direct) OpFunc {
-		q := ds.NewLCRQ(d, 1024)
-		prefill64(func(v uint64) { q.Enqueue(d, v) })
-		return pairOp(
-			func(_ int, c *machine.Ctx) { q.Enqueue(c, 1) },
-			func(_ int, c *machine.Ctx) { q.Dequeue(c) })
-	}
+	return PairWorkload(func(x machine.API) ds.Container {
+		return ds.NewQueue(x, ds.QueueOptions{Mode: mode, LeaseTime: LeaseTime})
+	})
 }
 
 // PQKind selects the Figure 3 priority-queue variant.

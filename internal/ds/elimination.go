@@ -14,8 +14,6 @@ import (
 type EliminationStack struct {
 	head  mem.Addr
 	slots []mem.Addr
-	// SpinCycles is how long an offer waits in a slot before retracting.
-	SpinCycles uint64
 	// Eliminations counts operations completed through the array.
 	Eliminations uint64
 }
@@ -30,11 +28,14 @@ const (
 
 	kindPush = 1
 	kindPop  = 2
+
+	// elimSpin is how long an offer waits in a slot before retracting.
+	elimSpin = 400
 )
 
 // NewEliminationStack allocates the stack with `width` elimination slots.
 func NewEliminationStack(x machine.API, width int) *EliminationStack {
-	s := &EliminationStack{head: x.Alloc(8), SpinCycles: 400}
+	s := &EliminationStack{head: x.Alloc(8)}
 	for i := 0; i < width; i++ {
 		s.slots = append(s.slots, x.Alloc(8))
 	}
@@ -62,8 +63,8 @@ func (s *EliminationStack) popAttempt(x machine.API) (v uint64, ok, empty bool) 
 	return 0, false, false
 }
 
-// Push pushes v, eliminating against a concurrent Pop when contended.
-func (s *EliminationStack) Push(x machine.API, v uint64) {
+// Put pushes v, eliminating against a concurrent pop when contended.
+func (s *EliminationStack) Put(x machine.API, _ int, v uint64) {
 	node := x.Alloc(stkSize)
 	x.Store(node+stkValue, v)
 	for {
@@ -77,9 +78,9 @@ func (s *EliminationStack) Push(x machine.API, v uint64) {
 	}
 }
 
-// Pop removes the top value, eliminating against a concurrent Push when
+// Take pops the top value, eliminating against a concurrent push when
 // contended; ok=false on an empty stack.
-func (s *EliminationStack) Pop(x machine.API) (uint64, bool) {
+func (s *EliminationStack) Take(x machine.API, _ int) (uint64, bool) {
 	for {
 		v, ok, empty := s.popAttempt(x)
 		if ok {
@@ -152,7 +153,7 @@ func (s *EliminationStack) eliminatePop(x machine.API) (uint64, bool) {
 // awaitOrRetract waits for the parked offer to be matched; on timeout it
 // retracts the offer, racing a late matcher.
 func (s *EliminationStack) awaitOrRetract(x machine.API, slot, offer mem.Addr) bool {
-	deadline := x.Now() + s.SpinCycles
+	deadline := x.Now() + elimSpin
 	for x.Now() < deadline {
 		if x.Load(offer+oDone) == 1 {
 			return true
@@ -167,13 +168,4 @@ func (s *EliminationStack) awaitOrRetract(x machine.API, slot, offer mem.Addr) b
 		x.Work(4)
 	}
 	return true
-}
-
-// Len walks the underlying stack (test oracle; quiescent use only).
-func (s *EliminationStack) Len(x machine.API) int {
-	n := 0
-	for p := x.Load(s.head); p != 0; p = x.Load(mem.Addr(p) + stkNext) {
-		n++
-	}
-	return n
 }

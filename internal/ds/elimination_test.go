@@ -7,106 +7,33 @@ import (
 )
 
 func TestEliminationStackSequential(t *testing.T) {
-	m := newM(1)
-	s := NewEliminationStack(m.Direct(), 4)
-	var out []uint64
-	var emptyOK bool
-	m.Spawn(0, func(c *machine.Ctx) {
-		_, ok := s.Pop(c)
-		emptyOK = !ok
-		for i := uint64(1); i <= 5; i++ {
-			s.Push(c, i)
-		}
-		for i := 0; i < 5; i++ {
-			v, ok := s.Pop(c)
-			if !ok {
-				t.Error("premature empty")
-				return
-			}
-			out = append(out, v)
-		}
-	})
-	if err := m.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if !emptyOK {
-		t.Fatal("empty Pop returned a value")
-	}
-	for i, v := range out {
-		if v != uint64(5-i) {
-			t.Fatalf("LIFO violated: %v", out)
-		}
-	}
+	forEachContainer(t, sliceModel, "elimination")
 }
 
-// TestEliminationStackConservation: under contention (including eliminated
-// pairs that never touch the stack) every pushed value is popped exactly
-// once or remains on the stack.
-func TestEliminationStackConservation(t *testing.T) {
-	const cores, per = 8, 50
-	m := newM(cores)
-	s := NewEliminationStack(m.Direct(), 4)
-	popped := make([][]uint64, cores)
-	for i := 0; i < cores; i++ {
-		i := i
-		m.Spawn(0, func(c *machine.Ctx) {
-			for n := 0; n < per; n++ {
-				s.Push(c, tag(i, n))
-				if v, ok := s.Pop(c); ok {
-					popped[i] = append(popped[i], v)
-				}
-			}
-		})
-	}
-	if err := m.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	seen := map[uint64]int{}
-	total := 0
-	for _, ps := range popped {
-		for _, v := range ps {
-			seen[v]++
-			total++
-		}
-	}
-	d := m.Direct()
-	for {
-		v, ok := s.Pop(d)
-		if !ok {
-			break
-		}
-		seen[v]++
-		total++
-	}
-	if total != cores*per {
-		t.Fatalf("pushed %d, accounted %d", cores*per, total)
-	}
-	for v, n := range seen {
-		if n != 1 {
-			t.Fatalf("value %#x seen %d times", v, n)
-		}
-	}
-}
+// TestEliminationStackConservation: under contention, eliminated pairs
+// included, every pushed value is popped exactly once or remains.
+func TestEliminationStackConservation(t *testing.T) { forEachContainer(t, conservation, "elimination") }
+
+// TestEliminationStackLinearizable: eliminated push/pop pairs must still
+// appear as a legal LIFO order in real histories.
+func TestEliminationStackLinearizable(t *testing.T) { forEachContainer(t, linearizable, "elimination") }
 
 // TestEliminationHappens: under symmetric contention some operations must
-// complete through the array rather than the hotspot. We detect it by the
-// stack length staying bounded while ops complete faster than head CASes
-// alone could.
+// complete through the array rather than the hotspot, at the default spin.
 func TestEliminationHappens(t *testing.T) {
 	const cores = 8
 	m := newM(cores)
 	s := NewEliminationStack(m.Direct(), 4)
-	s.SpinCycles = 800
 	var pushes, pops uint64
 	for i := 0; i < cores; i++ {
 		i := i
 		m.Spawn(0, func(c *machine.Ctx) {
 			for {
 				if i%2 == 0 {
-					s.Push(c, 1)
+					s.Put(c, i, 1)
 					pushes++
 				} else {
-					if _, ok := s.Pop(c); ok {
+					if _, ok := s.Take(c, i); ok {
 						pops++
 					}
 				}

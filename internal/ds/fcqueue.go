@@ -25,12 +25,6 @@ func NewFCQueue(x machine.API, threads int) *FCQueue {
 	return q
 }
 
-// Enqueue appends v on behalf of thread tid.
-func (q *FCQueue) Enqueue(x machine.API, tid int, v uint64) { q.run(x, tid, fcPush, v) }
-
-// Dequeue removes the oldest value on behalf of thread tid.
-func (q *FCQueue) Dequeue(x machine.API, tid int) (uint64, bool) { return q.take(x, tid) }
-
 // step is the sequential queue's apply.
 func (q *FCQueue) step(x machine.API, op uint64, r mem.Addr) {
 	if op == fcPush { // enqueue
@@ -50,13 +44,4 @@ func (q *FCQueue) step(x machine.API, op uint64, r mem.Addr) {
 	x.Store(r+fcRet, x.Load(mem.Addr(n)+qValue))
 	x.Store(r+fcRetOK, 1)
 	x.Store(q.head, n)
-}
-
-// Len walks the sequential queue (test oracle; quiescent use only).
-func (q *FCQueue) Len(x machine.API) int {
-	n := 0
-	for p := x.Load(mem.Addr(x.Load(q.head)) + qNext); p != 0; p = x.Load(mem.Addr(p) + qNext) {
-		n++
-	}
-	return n
 }

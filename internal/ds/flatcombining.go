@@ -9,17 +9,21 @@ import (
 // the §2 "combining" technique: threads publish operations in per-thread
 // records; whoever wins the combiner lock applies everyone's pending
 // operations to the sequential structure (apply, all FCStack and FCQueue
-// differ in), so the hotspot is touched by one thread at a time.
+// differ in), so the hotspot is touched by one thread at a time. Its Put and
+// Take are the Container operations of both.
 type combiner struct {
 	lock    mem.Addr // combiner try-lock
 	records []mem.Addr
 	// apply performs record r's pending op, reading and replying through r.
 	apply func(x machine.API, op uint64, r mem.Addr)
+	// passes counts combining passes (host-side; the tests compare it with
+	// the operations served).
+	passes uint64
 }
 
 // Publication record layout (one line per thread).
 const (
-	fcOp    = 0 // 0 = none, 1 = push pending, 2 = pop pending
+	fcOp    = 0 // 0 = none, 1 = put pending, 2 = take pending
 	fcArg   = 8
 	fcDone  = 16 // set by the combiner
 	fcRet   = 24
@@ -41,6 +45,20 @@ func (fc *combiner) start(x machine.API, threads int, apply func(x machine.API, 
 	for i := 0; i < threads; i++ {
 		fc.records = append(fc.records, x.Alloc(fcSize))
 	}
+}
+
+// Put puts v on behalf of thread tid.
+func (fc *combiner) Put(x machine.API, tid int, v uint64) { fc.run(x, tid, fcPush, v) }
+
+// Take takes a value on behalf of thread tid; ok=false when empty.
+func (fc *combiner) Take(x machine.API, tid int) (uint64, bool) {
+	fc.run(x, tid, fcPop, 0)
+	r := fc.records[tid]
+	v, ok := x.Load(r+fcRet), x.Load(r+fcRetOK) == 1
+	if !ok {
+		return 0, false // fcRet still holds an earlier take's value
+	}
+	return v, true
 }
 
 // run publishes the op for thread tid and waits for a combiner (possibly
@@ -70,15 +88,9 @@ func (fc *combiner) run(x machine.API, tid int, op, arg uint64) {
 	}
 }
 
-// take runs a pop for thread tid and returns its result.
-func (fc *combiner) take(x machine.API, tid int) (uint64, bool) {
-	fc.run(x, tid, fcPop, 0)
-	r := fc.records[tid]
-	return x.Load(r + fcRet), x.Load(r+fcRetOK) == 1
-}
-
 // combine applies every pending published op.
 func (fc *combiner) combine(x machine.API) {
+	fc.passes++
 	for _, r := range fc.records {
 		op := x.Load(r + fcOp)
 		if op == fcNone || x.Load(r+fcDone) == 1 {
@@ -103,12 +115,6 @@ func NewFCStack(x machine.API, threads int) *FCStack {
 	return s
 }
 
-// Push pushes v on behalf of thread tid.
-func (s *FCStack) Push(x machine.API, tid int, v uint64) { s.run(x, tid, fcPush, v) }
-
-// Pop pops on behalf of thread tid.
-func (s *FCStack) Pop(x machine.API, tid int) (uint64, bool) { return s.take(x, tid) }
-
 // step is the sequential stack's apply.
 func (s *FCStack) step(x machine.API, op uint64, r mem.Addr) {
 	if op == fcPush {
@@ -126,13 +132,4 @@ func (s *FCStack) step(x machine.API, op uint64, r mem.Addr) {
 	x.Store(r+fcRet, x.Load(mem.Addr(h)+stkValue))
 	x.Store(r+fcRetOK, 1)
 	x.Store(s.head, x.Load(mem.Addr(h)+stkNext))
-}
-
-// Len walks the sequential stack (test oracle; quiescent use only).
-func (s *FCStack) Len(x machine.API) int {
-	n := 0
-	for p := x.Load(s.head); p != 0; p = x.Load(mem.Addr(p) + stkNext) {
-		n++
-	}
-	return n
 }

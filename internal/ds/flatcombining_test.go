@@ -6,108 +6,48 @@ import (
 	"leaserelease/internal/machine"
 )
 
-func TestFCStackSequential(t *testing.T) {
-	m := newM(1)
-	s := NewFCStack(m.Direct(), 1)
-	var out []uint64
-	var emptyOK bool
-	m.Spawn(0, func(c *machine.Ctx) {
-		_, ok := s.Pop(c, 0)
-		emptyOK = !ok
-		for i := uint64(1); i <= 5; i++ {
-			s.Push(c, 0, i)
-		}
-		for i := 0; i < 5; i++ {
-			v, ok := s.Pop(c, 0)
-			if !ok {
-				t.Error("premature empty")
-				return
-			}
-			out = append(out, v)
-		}
-	})
-	if err := m.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if !emptyOK {
-		t.Fatal("empty Pop returned a value")
-	}
-	for i, v := range out {
-		if v != uint64(5-i) {
-			t.Fatalf("LIFO violated: %v", out)
-		}
-	}
-}
+func TestFCStackSequential(t *testing.T)   { forEachContainer(t, sliceModel, "fcstack") }
+func TestFCStackConservation(t *testing.T) { forEachContainer(t, conservation, "fcstack") }
 
-func TestFCStackConservation(t *testing.T) {
-	const cores, per = 8, 50
-	m := newM(cores)
-	s := NewFCStack(m.Direct(), cores)
-	popped := make([][]uint64, cores)
-	for i := 0; i < cores; i++ {
-		i := i
-		m.Spawn(0, func(c *machine.Ctx) {
-			for n := 0; n < per; n++ {
-				s.Push(c, i, tag(i, n))
-				if v, ok := s.Pop(c, i); ok {
-					popped[i] = append(popped[i], v)
-				}
-				c.Work(c.Rand().Uint64n(40))
-			}
-		})
-	}
-	if err := m.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	seen := map[uint64]int{}
-	total := 0
-	for _, ps := range popped {
-		for _, v := range ps {
-			seen[v]++
-			total++
-		}
-	}
-	d := m.Direct()
-	rem := 0
-	for v, ok := s.Pop(d, 0); ok; v, ok = s.Pop(d, 0) {
-		seen[v]++
-		rem++
-	}
-	if total+rem != cores*per {
-		t.Fatalf("pushed %d, accounted %d", cores*per, total+rem)
-	}
-	for v, n := range seen {
-		if n != 1 {
-			t.Fatalf("value %#x seen %d times", v, n)
-		}
-	}
-}
+// TestFCStackLinearizable: combined operations must appear as a legal LIFO
+// order in real histories.
+func TestFCStackLinearizable(t *testing.T) { forEachContainer(t, linearizable, "fcstack") }
+
+func TestFCQueueSequentialFIFO(t *testing.T) { forEachContainer(t, sliceModel, "fcqueue") }
+func TestFCQueueConservation(t *testing.T)   { forEachContainer(t, conservation, "fcqueue") }
+func TestFCQueueLinearizable(t *testing.T)   { forEachContainer(t, linearizable, "fcqueue") }
 
 // TestFCStackCombinerActuallyCombines: under contention most ops must be
-// served by another thread's combining pass (done set while not holding
-// the lock), visible as far fewer lock acquisitions than operations.
+// served by another thread's combining pass, so a pass applies two
+// operations or more on average. Both flat-combining structures run it.
 func TestFCStackCombinerActuallyCombines(t *testing.T) {
-	const cores = 8
-	m := newM(cores)
-	s := NewFCStack(m.Direct(), cores)
-	var ops uint64
-	for i := 0; i < cores; i++ {
-		i := i
-		m.Spawn(0, func(c *machine.Ctx) {
-			for {
-				s.Push(c, i, 1)
-				s.Pop(c, i)
-				ops += 2
-			}
-		})
-	}
-	if err := m.Run(300000); err != nil {
-		t.Fatal(err)
-	}
-	m.Stop()
-	// Every combiner-lock acquisition is one successful Swap 0->1 on the
-	// lock line; each should serve multiple ops.
-	if ops < 100 {
-		t.Fatalf("too few ops: %d", ops)
-	}
+	forEachContainer(t, func(t *testing.T, c containerCase) {
+		const cores = 8
+		m := newM(cores)
+		s := c.new(m.Direct(), cores)
+		var ops uint64
+		for i := 0; i < cores; i++ {
+			m.Spawn(0, func(x *machine.Ctx) {
+				for {
+					s.Put(x, i, 1)
+					s.Take(x, i)
+					ops += 2
+				}
+			})
+		}
+		if err := m.Run(300000); err != nil {
+			t.Fatal(err)
+		}
+		m.Stop()
+		var passes uint64
+		switch s := s.(type) {
+		case *FCStack:
+			passes = s.passes
+		case *FCQueue:
+			passes = s.passes
+		}
+		if ops < 100 || ops < 2*passes {
+			t.Fatalf("%d ops over %d combining passes", ops, passes)
+		}
+	}, "fcstack", "fcqueue")
 }

@@ -163,8 +163,8 @@ func (q *LCRQ) fixState(x machine.API, seg mem.Addr) {
 	}
 }
 
-// Enqueue appends v (1 <= v < 2^31).
-func (q *LCRQ) Enqueue(x machine.API, v uint64) {
+// Put appends v (1 <= v < 2^31).
+func (q *LCRQ) Put(x machine.API, _ int, v uint64) {
 	if v == 0 || v > cellValMask {
 		panic("lcrq: value out of range [1, 2^31-1]")
 	}
@@ -189,8 +189,8 @@ func (q *LCRQ) Enqueue(x machine.API, v uint64) {
 	}
 }
 
-// Dequeue removes the oldest value; ok=false when the queue is empty.
-func (q *LCRQ) Dequeue(x machine.API) (uint64, bool) {
+// Take removes the oldest value; ok=false when the queue is empty.
+func (q *LCRQ) Take(x machine.API, _ int) (uint64, bool) {
 	for {
 		seg := mem.Addr(x.Load(q.first))
 		if v, ok := q.crqDequeue(x, seg); ok {
@@ -204,24 +204,11 @@ func (q *LCRQ) Dequeue(x machine.API) (uint64, bool) {
 		if n == 0 {
 			return 0, false // closed, no successor yet
 		}
+		// An enqueue may have landed between the empty crqDequeue above and
+		// the close. None can land after it, so one more drain finds it.
+		if v, ok := q.crqDequeue(x, seg); ok {
+			return v, true
+		}
 		x.CAS(q.first, uint64(seg), n)
 	}
-}
-
-// Len drains nothing; walks segments counting live cells (test oracle;
-// quiescent use only).
-func (q *LCRQ) Len(x machine.API) int {
-	n := 0
-	for seg := mem.Addr(x.Load(q.first)); seg != 0; {
-		h := x.Load(seg + crqHead)
-		t := x.Load(seg+crqTail) &^ crqClosed
-		for i := h; i < t; i++ {
-			w := x.Load(q.cell(seg, i))
-			if cellVal(w) != 0 && cellIdx(w) == i {
-				n++
-			}
-		}
-		seg = mem.Addr(x.Load(seg + crqNext))
-	}
-	return n
 }

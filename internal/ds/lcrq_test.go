@@ -3,153 +3,25 @@ package ds
 import (
 	"testing"
 
-	"leaserelease/internal/linearize"
+	"leaserelease/internal/coherence"
 	"leaserelease/internal/machine"
 )
 
-func TestLCRQSequentialFIFO(t *testing.T) {
-	m := newM(1)
-	q := NewLCRQ(m.Direct(), 8)
-	var out []uint64
-	var emptyOK bool
-	m.Spawn(0, func(c *machine.Ctx) {
-		_, ok := q.Dequeue(c)
-		emptyOK = !ok
-		for i := uint64(1); i <= 20; i++ { // crosses segment boundaries
-			q.Enqueue(c, i)
-		}
-		for i := 0; i < 20; i++ {
-			v, ok := q.Dequeue(c)
-			if !ok {
-				t.Errorf("premature empty at %d", i)
-				return
-			}
-			out = append(out, v)
-		}
-		if _, ok := q.Dequeue(c); ok {
-			t.Error("Dequeue on drained queue returned a value")
-		}
-	})
-	if err := m.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if !emptyOK {
-		t.Fatal("empty Dequeue returned a value")
-	}
-	for i, v := range out {
-		if v != uint64(i+1) {
-			t.Fatalf("FIFO violated at %d: %v", i, out)
-		}
-	}
-}
+func TestLCRQSequentialFIFO(t *testing.T)        { forEachContainer(t, sliceModel, "lcrq") }
+func TestLCRQInterleavedSequential(t *testing.T) { forEachContainer(t, sliceModel, "lcrq") }
+func TestLCRQConservation(t *testing.T)          { forEachContainer(t, conservation, "lcrq") }
+func TestLCRQLinearizable(t *testing.T)          { forEachContainer(t, linearizable, "lcrq") }
 
-func TestLCRQInterleavedSequential(t *testing.T) {
-	m := newM(1)
-	q := NewLCRQ(m.Direct(), 4)
-	m.Spawn(0, func(c *machine.Ctx) {
-		next, expect := uint64(1), uint64(1)
-		r := c.Rand()
-		for op := 0; op < 300; op++ {
-			if r.Intn(2) == 0 {
-				q.Enqueue(c, next)
-				next++
-			} else if v, ok := q.Dequeue(c); ok {
-				if v != expect {
-					t.Errorf("dequeued %d, expected %d", v, expect)
-					return
-				}
-				expect++
-			} else if expect != next {
-				t.Errorf("empty but %d..%d outstanding", expect, next-1)
-				return
-			}
+// TestLCRQDrainsClosedSegment pins a history in which an enqueue lands in a
+// segment after a dequeue found it empty and before the segment closed. A
+// Take that then swings first to the successor without draining the closed
+// segment again strands that value, and a later take reports empty.
+func TestLCRQDrainsClosedSegment(t *testing.T) {
+	forEachContainer(t, func(t *testing.T, c containerCase) {
+		for _, proto := range coherence.Protocols() {
+			linearizableCell(t, c, proto, faultProfiles[1].fc, 30) // preempted
 		}
-	})
-	if err := m.Drain(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLCRQConservation(t *testing.T) {
-	const cores, per = 8, 50
-	m := newM(cores)
-	q := NewLCRQ(m.Direct(), 16)
-	popped := make([][]uint64, cores)
-	for i := 0; i < cores; i++ {
-		i := i
-		m.Spawn(0, func(c *machine.Ctx) {
-			for n := 0; n < per; n++ {
-				q.Enqueue(c, uint64(i*per+n)+1)
-				if v, ok := q.Dequeue(c); ok {
-					popped[i] = append(popped[i], v)
-				}
-				c.Work(c.Rand().Uint64n(40))
-			}
-		})
-	}
-	if err := m.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	seen := map[uint64]int{}
-	total := 0
-	for ci, ps := range popped {
-		last := map[uint64]uint64{}
-		for _, v := range ps {
-			producer := (v - 1) / per
-			if prev, ok := last[producer]; ok && v <= prev {
-				t.Fatalf("consumer %d saw producer %d out of order (%d after %d)",
-					ci, producer, v, prev)
-			}
-			last[producer] = v
-			seen[v]++
-			total++
-		}
-	}
-	d := m.Direct()
-	for v, ok := q.Dequeue(d); ok; v, ok = q.Dequeue(d) {
-		seen[v]++
-		total++
-	}
-	if total != cores*per {
-		t.Fatalf("enqueued %d, accounted %d", cores*per, total)
-	}
-	for v, n := range seen {
-		if n != 1 {
-			t.Fatalf("value %d seen %d times", v, n)
-		}
-	}
-}
-
-func TestLCRQLinearizable(t *testing.T) {
-	for trial := 0; trial < 2; trial++ {
-		m := newM(4)
-		q := NewLCRQ(m.Direct(), 4) // tiny ring: exercise closing under load
-		rec := &linearize.Recorder{}
-		for i := 0; i < 4; i++ {
-			i := i
-			m.Spawn(0, func(c *machine.Ctx) {
-				for n := 0; n < 4; n++ {
-					if c.Rand().Intn(2) == 0 {
-						v := uint64(i*100+n) + 1
-						inv := c.Now()
-						q.Enqueue(c, v)
-						rec.Record(i, inv, c.Now(), "enq", v, 0, true)
-					} else {
-						inv := c.Now()
-						v, ok := q.Dequeue(c)
-						rec.Record(i, inv, c.Now(), "deq", 0, v, ok)
-					}
-					c.Work(c.Rand().Uint64n(64))
-				}
-			})
-		}
-		if err := m.Drain(); err != nil {
-			t.Fatal(err)
-		}
-		if !linearize.Check(rec.Ops, linearize.QueueModel()) {
-			t.Fatalf("LCRQ history not linearizable:\n%v", rec.Ops)
-		}
-	}
+	}, "lcrq")
 }
 
 func TestLCRQValueRangePanics(t *testing.T) {
@@ -161,7 +33,7 @@ func TestLCRQValueRangePanics(t *testing.T) {
 				t.Error("out-of-range value did not panic")
 			}
 		}()
-		q.Enqueue(c, 1<<40)
+		q.Put(c, 0, 1<<40)
 	})
 	if err := m.Drain(); err != nil {
 		t.Fatal(err)

@@ -14,84 +14,9 @@ import (
 // "protected" by an already-expired lease) would manifest as
 // non-linearizable results.
 
-// collectQueueHistory runs a small concurrent workload and returns the
-// completed-op history (64-op cap for the checker).
-func collectQueueHistory(t *testing.T, mode QueueLeaseMode, cores, per int) []linearize.Op {
-	t.Helper()
-	m := newM(cores)
-	q := NewQueue(m.Direct(), QueueOptions{Mode: mode, LeaseTime: 20000})
-	rec := &linearize.Recorder{}
-	for i := 0; i < cores; i++ {
-		i := i
-		m.Spawn(0, func(c *machine.Ctx) {
-			for n := 0; n < per; n++ {
-				if c.Rand().Intn(2) == 0 {
-					v := tag(i, n)
-					inv := c.Now()
-					q.Enqueue(c, v)
-					rec.Record(i, inv, c.Now(), "enq", v, 0, true)
-				} else {
-					inv := c.Now()
-					v, ok := q.Dequeue(c)
-					rec.Record(i, inv, c.Now(), "deq", 0, v, ok)
-				}
-				c.Work(c.Rand().Uint64n(64))
-			}
-		})
-	}
-	if err := m.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	return rec.Ops
-}
+func TestQueueLinearizable(t *testing.T) { forEachContainer(t, linearizable, "queue", "queue-multi") }
 
-func TestQueueLinearizable(t *testing.T) {
-	for _, mode := range []QueueLeaseMode{QueueNoLease, QueueSingleLease, QueueMultiLease} {
-		mode := mode
-		for seed := 0; seed < 3; seed++ {
-			h := collectQueueHistory(t, mode, 4, 4)
-			if len(h) > 64 {
-				t.Fatalf("history too long: %d", len(h))
-			}
-			if !linearize.Check(h, linearize.QueueModel()) {
-				t.Fatalf("mode %v: queue history not linearizable:\n%v", mode, h)
-			}
-		}
-	}
-}
-
-func TestStackLinearizable(t *testing.T) {
-	for _, opt := range []StackOptions{{}, {Lease: 20000}, {Lease: 300}} {
-		opt := opt
-		m := newM(4)
-		s := NewStack(m.Direct(), opt)
-		rec := &linearize.Recorder{}
-		for i := 0; i < 4; i++ {
-			i := i
-			m.Spawn(0, func(c *machine.Ctx) {
-				for n := 0; n < 4; n++ {
-					if c.Rand().Intn(2) == 0 {
-						v := tag(i, n)
-						inv := c.Now()
-						s.Push(c, v)
-						rec.Record(i, inv, c.Now(), "push", v, 0, true)
-					} else {
-						inv := c.Now()
-						v, ok := s.Pop(c)
-						rec.Record(i, inv, c.Now(), "pop", 0, v, ok)
-					}
-					c.Work(c.Rand().Uint64n(64))
-				}
-			})
-		}
-		if err := m.Drain(); err != nil {
-			t.Fatal(err)
-		}
-		if !linearize.Check(rec.Ops, linearize.StackModel()) {
-			t.Fatalf("opt %+v: stack history not linearizable:\n%v", opt, rec.Ops)
-		}
-	}
-}
+func TestStackLinearizable(t *testing.T) { forEachContainer(t, linearizable, "stack", "stack-backoff") }
 
 // TestBrokenQueueCaughtByChecker sanity-checks the checker's power: a
 // deliberately racy queue (plain head/tail indices into an array, no
@@ -111,7 +36,7 @@ func TestBrokenQueueCaughtByChecker(t *testing.T) {
 		i := i
 		m.Spawn(0, func(c *machine.Ctx) {
 			for n := 0; n < 3; n++ {
-				v := tag(i, n)
+				v := uint64(i*3 + n + 1)
 				inv := c.Now()
 				ti := c.Load(tailIdx) // racy read-modify-write
 				c.Work(300)           // widen the race window

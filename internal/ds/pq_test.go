@@ -67,9 +67,9 @@ func TestPQConcurrentConservation(t *testing.T) {
 				i := i
 				m.Spawn(0, func(c *machine.Ctx) {
 					for n := 0; n < per; n++ {
-						// Unique keys: tag in the high bits keeps
+						// Unique keys: (thread, n) in the high bits keeps
 						// priorities random-ish via the low bits.
-						k := uint64(c.Rand().Intn(1<<20))<<20 | tag(i, n)
+						k := uint64(c.Rand().Intn(1<<20))<<20 | uint64(i)<<32 | uint64(n+1)
 						pq.Insert(c, k)
 						if v, ok := pq.DeleteMin(c); ok {
 							removed[i] = append(removed[i], v)

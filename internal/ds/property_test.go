@@ -8,53 +8,8 @@ import (
 )
 
 // TestLCRQVsSliceModel property-checks the ring queue against a slice
-// model over random single-threaded op sequences (ring boundary crossings
-// and segment closures included, thanks to the tiny ring).
-func TestLCRQVsSliceModel(t *testing.T) {
-	f := func(ops []bool) bool {
-		if len(ops) > 200 {
-			ops = ops[:200]
-		}
-		m := machine.New(machine.DefaultConfig(1))
-		q := NewLCRQ(m.Direct(), 4)
-		ok := true
-		m.Spawn(0, func(c *machine.Ctx) {
-			var model []uint64
-			next := uint64(1)
-			for _, enq := range ops {
-				if enq {
-					q.Enqueue(c, next)
-					model = append(model, next)
-					next++
-				} else {
-					v, got := q.Dequeue(c)
-					if len(model) == 0 {
-						if got {
-							ok = false
-							return
-						}
-					} else {
-						if !got || v != model[0] {
-							ok = false
-							return
-						}
-						model = model[1:]
-					}
-				}
-			}
-			if q.Len(c) != len(model) {
-				ok = false
-			}
-		})
-		if err := m.Drain(); err != nil {
-			return false
-		}
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
+// model, ring boundary crossings and segment closures included.
+func TestLCRQVsSliceModel(t *testing.T) { forEachContainer(t, sliceModel, "lcrq") }
 
 // TestHarrisListVsMapModel property-checks the lock-free list against a
 // map model over random single-threaded op sequences.
@@ -111,44 +66,8 @@ func TestHarrisListVsMapModel(t *testing.T) {
 	}
 }
 
-// TestStackQueuePairProperty: pushing a random multiset through a stack
-// reverses it; through a queue preserves it — over arbitrary inputs.
+// TestStackQueuePairProperty: a stack reverses what it is given and a
+// queue keeps its order, over arbitrary op sequences.
 func TestStackQueuePairProperty(t *testing.T) {
-	f := func(vals []uint16) bool {
-		if len(vals) > 100 {
-			vals = vals[:100]
-		}
-		m := machine.New(machine.DefaultConfig(1))
-		d := m.Direct()
-		s := NewStack(d, StackOptions{})
-		q := NewQueue(d, QueueOptions{})
-		ok := true
-		m.Spawn(0, func(c *machine.Ctx) {
-			for _, v := range vals {
-				s.Push(c, uint64(v)+1)
-				q.Enqueue(c, uint64(v)+1)
-			}
-			for i := len(vals) - 1; i >= 0; i-- {
-				v, got := s.Pop(c)
-				if !got || v != uint64(vals[i])+1 {
-					ok = false
-					return
-				}
-			}
-			for i := 0; i < len(vals); i++ {
-				v, got := q.Dequeue(c)
-				if !got || v != uint64(vals[i])+1 {
-					ok = false
-					return
-				}
-			}
-		})
-		if err := m.Drain(); err != nil {
-			return false
-		}
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
+	forEachContainer(t, sliceModel, "stack", "queue")
 }

@@ -26,7 +26,6 @@ const (
 type QueueOptions struct {
 	Mode      QueueLeaseMode
 	LeaseTime uint64
-	Backoff   Backoff
 }
 
 // Queue is the Michael–Scott non-blocking FIFO queue [27] with the lease
@@ -57,7 +56,6 @@ func NewQueue(x machine.API, opt QueueOptions) *Queue {
 func (q *Queue) Enqueue(x machine.API, v uint64) {
 	w := x.Alloc(qSize)
 	x.Store(w+qValue, v)
-	var pause uint64
 	for {
 		leased := false
 		switch q.opt.Mode {
@@ -96,14 +94,12 @@ func (q *Queue) Enqueue(x machine.API, v uint64) {
 		if done {
 			return
 		}
-		q.opt.Backoff.wait(x, &pause)
 	}
 }
 
 // Dequeue removes the oldest value (Algorithm 3, DEQUEUE); ok=false when
 // the queue is empty.
 func (q *Queue) Dequeue(x machine.API) (v uint64, ok bool) {
-	var pause uint64
 	for {
 		leased := false
 		if q.opt.Mode != QueueNoLease {
@@ -137,9 +133,14 @@ func (q *Queue) Dequeue(x machine.API) (v uint64, ok bool) {
 		if done {
 			return v, true
 		}
-		q.opt.Backoff.wait(x, &pause)
 	}
 }
+
+// Put is Enqueue, as a Container.
+func (q *Queue) Put(x machine.API, _ int, v uint64) { q.Enqueue(x, v) }
+
+// Take is Dequeue, as a Container.
+func (q *Queue) Take(x machine.API, _ int) (uint64, bool) { return q.Dequeue(x) }
 
 // Len walks the queue, excluding the dummy (untimed oracle for tests).
 func (q *Queue) Len(x machine.API) int {

@@ -6,125 +6,15 @@ import (
 	"leaserelease/internal/machine"
 )
 
-func TestQueueSequentialFIFO(t *testing.T) {
-	for _, mode := range []QueueLeaseMode{QueueNoLease, QueueSingleLease, QueueMultiLease} {
-		m := newM(1)
-		q := NewQueue(m.Direct(), QueueOptions{Mode: mode, LeaseTime: 20000})
-		var out []uint64
-		var emptyOK bool
-		m.Spawn(0, func(c *machine.Ctx) {
-			_, ok := q.Dequeue(c)
-			emptyOK = !ok
-			for i := uint64(1); i <= 6; i++ {
-				q.Enqueue(c, i)
-			}
-			for i := 0; i < 6; i++ {
-				v, ok := q.Dequeue(c)
-				if !ok {
-					t.Error("premature empty")
-					return
-				}
-				out = append(out, v)
-			}
-		})
-		if err := m.Drain(); err != nil {
-			t.Fatal(err)
-		}
-		if !emptyOK {
-			t.Fatalf("mode %v: empty Dequeue returned a value", mode)
-		}
-		for i, v := range out {
-			if v != uint64(i+1) {
-				t.Fatalf("mode %v: FIFO violated: %v", mode, out)
-			}
-		}
-	}
-}
+func TestQueueSequentialFIFO(t *testing.T) { forEachContainer(t, sliceModel, "queue", "queue-multi") }
 
-func runQueueConservation(t *testing.T, mode QueueLeaseMode, cores, per int) {
-	t.Helper()
-	m := newM(cores)
-	q := NewQueue(m.Direct(), QueueOptions{Mode: mode, LeaseTime: 20000})
-	popped := make([][]uint64, cores)
-	for i := 0; i < cores; i++ {
-		i := i
-		m.Spawn(0, func(c *machine.Ctx) {
-			for n := 0; n < per; n++ {
-				q.Enqueue(c, tag(i, n))
-				if v, ok := q.Dequeue(c); ok {
-					popped[i] = append(popped[i], v)
-				}
-			}
-		})
-	}
-	if err := m.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	seen := map[uint64]int{}
-	total := 0
-	for ci, ps := range popped {
-		// FIFO per (producer, consumer) pair: one consumer must see any
-		// single producer's values in increasing sequence order.
-		last := map[uint64]uint64{}
-		for _, v := range ps {
-			producer := v >> 32
-			if prev, ok := last[producer]; ok && v <= prev {
-				t.Fatalf("consumer %d saw producer %d out of order (%#x after %#x)",
-					ci, producer, v, prev)
-			}
-			last[producer] = v
-			seen[v]++
-			total++
-		}
-	}
-	d := m.Direct()
-	rem := 0
-	for v, ok := q.Dequeue(d); ok; v, ok = q.Dequeue(d) {
-		seen[v]++
-		rem++
-	}
-	if total+rem != cores*per {
-		t.Fatalf("enqueued %d, accounted %d", cores*per, total+rem)
-	}
-	for v, n := range seen {
-		if n != 1 {
-			t.Fatalf("value %#x seen %d times", v, n)
-		}
-	}
-}
+func TestQueueConcurrentBase(t *testing.T)  { forEachContainer(t, conservation, "queue") }
+func TestQueueConcurrentLease(t *testing.T) { forEachContainer(t, conservation, "queue-lease20000") }
+func TestQueueConcurrentMulti(t *testing.T) { forEachContainer(t, conservation, "queue-multi") }
 
-func TestQueueConcurrentBase(t *testing.T)  { runQueueConservation(t, QueueNoLease, 8, 40) }
-func TestQueueConcurrentLease(t *testing.T) { runQueueConservation(t, QueueSingleLease, 8, 40) }
-func TestQueueConcurrentMulti(t *testing.T) { runQueueConservation(t, QueueMultiLease, 8, 40) }
+// TestQueueTwoCoreHandoff runs for every FIFO container.
 func TestQueueTwoCoreHandoff(t *testing.T) {
-	// Producer/consumer across two cores: global FIFO must hold exactly.
-	m := newM(2)
-	q := NewQueue(m.Direct(), QueueOptions{Mode: QueueSingleLease, LeaseTime: 20000})
-	const n = 100
-	var got []uint64
-	m.Spawn(0, func(c *machine.Ctx) {
-		for i := 1; i <= n; i++ {
-			q.Enqueue(c, uint64(i))
-			c.Work(20)
-		}
-	})
-	m.Spawn(0, func(c *machine.Ctx) {
-		for len(got) < n {
-			if v, ok := q.Dequeue(c); ok {
-				got = append(got, v)
-			} else {
-				c.Work(50)
-			}
-		}
-	})
-	if err := m.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != uint64(i+1) {
-			t.Fatalf("single-producer FIFO violated at %d: %v...", i, got[:i+1])
-		}
-	}
+	forEachContainer(t, twoCoreHandoff, "queue", "queue-multi", "fcqueue", "lcrq")
 }
 
 // TestQueueSingleLeaseBeatsBase reproduces Figure 3 (queue) direction.

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"leaserelease/internal/coherence"
-	"leaserelease/internal/faults"
 	"leaserelease/internal/linearize"
 	"leaserelease/internal/machine"
 )
@@ -205,16 +204,9 @@ func sharedHotKeys(t *testing.T, newSet func(machine.API) Set) {
 // ABA and reclamation bugs cannot happen; the spec catches lost updates
 // and ordering bugs.
 func TestSetsLinearizable(t *testing.T) {
-	profiles := []struct {
-		name string
-		fc   faults.Config
-	}{
-		{"clean", faults.Config{}},
-		{"preempted", faults.Config{PreemptPermille: 100, PreemptMin: 50, PreemptMax: 3000}},
-	}
 	for _, decl := range Sets() {
 		for _, proto := range coherence.Protocols() {
-			for _, prof := range profiles {
+			for _, prof := range faultProfiles {
 				for _, lease := range []uint64{0, 20000} {
 					fc := prof.fc
 					name := fmt.Sprintf("%s/%s/%s/lease%d", decl.Name, proto, prof.name, lease)

@@ -123,11 +123,8 @@ func (s *Stack) Pop(x machine.API) (v uint64, ok bool) {
 	}
 }
 
-// Len walks the stack (untimed oracle for tests; use with machine.Direct).
-func (s *Stack) Len(x machine.API) int {
-	n := 0
-	for p := x.Load(s.head); p != 0; p = x.Load(mem.Addr(p) + stkNext) {
-		n++
-	}
-	return n
-}
+// Put is Push, as a Container.
+func (s *Stack) Put(x machine.API, _ int, v uint64) { s.Push(x, v) }
+
+// Take is Pop, as a Container.
+func (s *Stack) Take(x machine.API, _ int) (uint64, bool) { return s.Pop(x) }

@@ -8,105 +8,15 @@ import (
 
 func newM(cores int) *machine.Machine { return machine.New(machine.DefaultConfig(cores)) }
 
-func TestStackSequential(t *testing.T) {
-	for _, opt := range []StackOptions{
-		{},
-		{Lease: 20000},
-		{Backoff: Backoff{Min: 16, Max: 1024}},
-	} {
-		m := newM(1)
-		s := NewStack(m.Direct(), opt)
-		var popped []uint64
-		var emptyOK bool
-		m.Spawn(0, func(c *machine.Ctx) {
-			_, ok := s.Pop(c)
-			emptyOK = !ok
-			for i := uint64(1); i <= 5; i++ {
-				s.Push(c, i)
-			}
-			for i := 0; i < 5; i++ {
-				v, ok := s.Pop(c)
-				if !ok {
-					t.Error("premature empty")
-					return
-				}
-				popped = append(popped, v)
-			}
-		})
-		if err := m.Drain(); err != nil {
-			t.Fatal(err)
-		}
-		if !emptyOK {
-			t.Fatal("empty Pop returned a value")
-		}
-		for i, v := range popped {
-			if v != uint64(5-i) {
-				t.Fatalf("opt %+v: LIFO violated: %v", opt, popped)
-			}
-		}
-		if s.Len(m.Direct()) != 0 {
-			t.Fatal("stack not empty at end")
-		}
-	}
-}
+func TestStackSequential(t *testing.T) { forEachContainer(t, sliceModel, "stack", "stack-backoff") }
 
-// tag packs (thread, seq) into a unique value.
-func tag(thread, seq int) uint64 { return uint64(thread)<<32 | uint64(seq) + 1 }
+func TestStackConcurrentBase(t *testing.T) { forEachContainer(t, conservation, "stack") }
 
-// runConservation drives push/pop pairs from every thread and checks that
-// the multiset of pushed values equals popped ∪ remaining (no loss, no
-// duplication).
-func runStackConservation(t *testing.T, opt StackOptions, cores, per int) {
-	t.Helper()
-	m := newM(cores)
-	s := NewStack(m.Direct(), opt)
-	popped := make([][]uint64, cores)
-	for i := 0; i < cores; i++ {
-		i := i
-		m.Spawn(0, func(c *machine.Ctx) {
-			for n := 0; n < per; n++ {
-				s.Push(c, tag(i, n))
-				if v, ok := s.Pop(c); ok {
-					popped[i] = append(popped[i], v)
-				}
-			}
-		})
-	}
-	if err := m.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	seen := map[uint64]int{}
-	total := 0
-	for _, ps := range popped {
-		for _, v := range ps {
-			seen[v]++
-			total++
-		}
-	}
-	d := m.Direct()
-	// Walk remaining stack contents.
-	rem := 0
-	for v, ok := s.Pop(d); ok; v, ok = s.Pop(d) {
-		seen[v]++
-		rem++
-	}
-	if total+rem != cores*per {
-		t.Fatalf("pushed %d, accounted %d: values lost", cores*per, total+rem)
-	}
-	for v, n := range seen {
-		if n != 1 {
-			t.Fatalf("value %#x seen %d times: duplication", v, n)
-		}
-	}
-}
-
-func TestStackConcurrentBase(t *testing.T) { runStackConservation(t, StackOptions{}, 8, 40) }
 func TestStackConcurrentLeased(t *testing.T) {
-	runStackConservation(t, StackOptions{Lease: 20000}, 8, 40)
+	forEachContainer(t, conservation, "stack-lease20000", "stack-lease300")
 }
-func TestStackConcurrentBackoff(t *testing.T) {
-	runStackConservation(t, StackOptions{Backoff: Backoff{Min: 32, Max: 2048}}, 8, 40)
-}
+
+func TestStackConcurrentBackoff(t *testing.T) { forEachContainer(t, conservation, "stack-backoff") }
 
 // TestStackLeaseEliminatesCASFailures: the Figure 1 placement guarantees
 // the CAS succeeds while the lease holds, so CAS failures should be (near)

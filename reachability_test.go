@@ -35,11 +35,6 @@ var unreferenced = map[string]string{
 	"internal/ds.LFSkipList.CheckInvariants":     "the set tests' structural oracle",
 	"internal/ds.MichaelHashMap.CheckInvariants": "the set tests' structural oracle",
 	"internal/ds.NMTree.CheckInvariants":         "the set tests' structural oracle",
-	"internal/ds.Stack.Len":                      "the structure tests' conservation oracle",
-	"internal/ds.EliminationStack.Len":           "the structure tests' conservation oracle",
-	"internal/ds.FCStack.Len":                    "the structure tests' conservation oracle",
-	"internal/ds.FCQueue.Len":                    "the structure tests' conservation oracle",
-	"internal/ds.LCRQ.Len":                       "the structure tests' conservation oracle",
 	"internal/ds.MichaelHashMap.Len":             "the structure tests' conservation oracle",
 	"internal/ds.PQFine.Len":                     "the structure tests' conservation oracle",
 	"internal/ds.PQGlobal.Len":                   "the structure tests' conservation oracle",
@@ -56,7 +51,8 @@ var unreferenced = map[string]string{
 
 	"internal/invariant.Checker.Checks":         "the checker tests' oracle: a healthy run observed events, and one seed checks the same number twice",
 	"internal/machine.Auto.Inserted":            "TestAutoLearnsLoadCASPattern and TestAutoHarmlessOnReadOnly count the leases it placed",
-	"internal/ds.EliminationStack.Eliminations": "TestEliminationHappens: symmetric contention eliminates",
+	"internal/ds.EliminationStack.Eliminations": "TestEliminationHappens and TestContainersLinearizable's elimination cells: contention eliminates",
+	"internal/ds.combiner.passes":               "TestFCStackCombinerActuallyCombines: a combining pass serves two operations or more",
 	"internal/machine.coreState.reqBusy":        "the -race poison mode (pool_poison_race.go) panics on a request reused in flight",
 	"internal/machine.expiry.live":              "the -race poison mode (pool_poison_race.go) panics on an expiry record fired after its release",
 	"internal/coherence.notice.live":            "the -race poison mode (notice_poison_race.go) panics on a notice run after its release",
