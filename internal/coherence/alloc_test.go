@@ -8,6 +8,7 @@ import (
 
 	"leaserelease/internal/cache"
 	. "leaserelease/internal/coherence"
+	"leaserelease/internal/faults"
 	"leaserelease/internal/mem"
 	"leaserelease/internal/sim"
 )
@@ -42,15 +43,16 @@ func allocsOf(runs int, setup, measured func()) float64 {
 }
 
 // TestMissPathZeroAlloc: every hop of a miss is an event whose callback the
-// pooled request or the line's record already holds, and every invalidation,
-// eviction notice and lapse one whose pooled record holds it, so once a line
-// exists a transaction on it allocates nothing in the directory — neither an
-// L2 fill, nor a transfer forwarded through the owner, nor an upgrade that
-// invalidates two sharers — and neither does a Writeback or a SharerDrop,
-// under either protocol. Nor does a Tardis read grant: the reader's
-// reservation is a value in the line's record, rewritten in place, and its
-// lapse a pooled notice. (Compiled out under -race, where AllocsPerRun
-// over-counts.)
+// pooled request already holds, and every commit, invalidation, eviction
+// notice, lapse and stalled service one whose pooled record holds it, so a
+// transaction allocates nothing in the directory — neither an L2 fill, nor a
+// transfer forwarded through the owner, nor an upgrade that invalidates two
+// sharers — and neither does a Writeback or a SharerDrop, under either
+// protocol. Nor does a Tardis read grant: the reader's reservation is a value
+// in the line's record, rewritten in place, and its lapse a pooled notice. A
+// line's first request allocates nothing either (its record is a slab
+// element), except under Tardis a read's, which makes the line's reservation
+// slice. (Compiled out under -race, where AllocsPerRun over-counts.)
 func TestMissPathZeroAlloc(t *testing.T) {
 	for _, b := range backends {
 		t.Run(b.name, func(t *testing.T) {
@@ -108,12 +110,41 @@ func TestMissPathZeroAlloc(t *testing.T) {
 				eng.Drain()
 			})
 
-			if read != 0 || forward != 0 || upgrade != 0 || writeback != 0 || drop != 0 {
-				t.Errorf("a read grant allocates %.1f objects, an owner-forwarded transfer %.1f, an upgrade %.1f, "+
-					"a Writeback %.1f and a SharerDrop %.1f; want 0 each",
-					read, forward, upgrade, writeback, drop)
+			// Never-touched lines, all in the index's first chunk.
+			fresh := mem.Line(100)
+			freshWrite := testing.AllocsPerRun(100, func() {
+				fresh++
+				txn(0, fresh, true)
+			})
+			freshRead := testing.AllocsPerRun(100, func() {
+				fresh++
+				txn(1, fresh, false)
+			})
+			wantFreshRead := 0.0
+			if b.name == ProtocolTardis {
+				wantFreshRead = 1 // the line's first reservation slice
 			}
-			if want := 2 + 2*101 + 1 + 3*101; env.completes != want {
+
+			// Every service waits out a directory stall first.
+			d.Faults = faults.New(faults.Config{DirStallPct: 100, DirStallCycles: 40}, 1)
+			stalled := testing.AllocsPerRun(100, func() {
+				core ^= 1
+				txn(core, 2, true)
+			})
+			if n := d.Faults.Stats().DirStalls; n != 101 {
+				t.Fatalf("%d directory stalls, want 101", n)
+			}
+
+			if read != 0 || forward != 0 || upgrade != 0 || writeback != 0 || drop != 0 || stalled != 0 {
+				t.Errorf("a read grant allocates %.1f objects, an owner-forwarded transfer %.1f, an upgrade %.1f, "+
+					"a Writeback %.1f, a SharerDrop %.1f and a stalled transfer %.1f; want 0 each",
+					read, forward, upgrade, writeback, drop, stalled)
+			}
+			if freshWrite != 0 || freshRead != wantFreshRead {
+				t.Errorf("a line's first write allocates %.1f objects and its first read %.1f; want 0 and %.0f",
+					freshWrite, freshRead, wantFreshRead)
+			}
+			if want := 2 + 2*101 + 1 + 3*101 + 3*101; env.completes != want {
 				t.Errorf("%d transactions completed, want %d", env.completes, want)
 			}
 		})

@@ -144,6 +144,10 @@ type Request struct {
 	exclClean bool
 	owner     int
 	line      *Line
+	// next is the request behind this one in its line's FIFO. A core has
+	// one request in flight (Proposition 1), so a request waits in at most
+	// one queue; next is nil whenever it is not queued.
+	next *Request
 
 	// The request's hops through a Directory, as event callbacks. They are
 	// bound the first time the directory dir sees the request and survive
@@ -240,6 +244,9 @@ type Directory struct {
 
 	// notices is the free list of pooled notice records.
 	notices *notice
+	// blank is a line record in the initial state, which every line's is:
+	// VerifyLine checks a line nobody has asked for yet against it.
+	blank *Line
 
 	// Stats are the counters of both halves (ProtoStats).
 	Stats ProtoStats
@@ -268,6 +275,7 @@ func New(eng *sim.Engine, env Env, t Timing, p Policy, jitterSeed uint64) *Direc
 		rng: sim.NewRNG(jitterSeed),
 	}
 	d.privacy, _ = p.(Privacy)
+	d.blank = p.NewLine(0)
 	return d
 }
 
@@ -301,9 +309,7 @@ func (d *Directory) Line(l mem.Line) *Line {
 func (d *Directory) line(l mem.Line) *Line {
 	p := d.lines.Slot(l)
 	if *p == nil {
-		ln := d.NewLine(l)
-		ln.commit = func() { d.commit(l, ln) }
-		*p = ln
+		*p = d.NewLine(l)
 	}
 	return *p
 }
@@ -360,8 +366,14 @@ func (d *Directory) reachDir(req *Request) {
 
 func (d *Directory) arrive(req *Request) {
 	ln := d.line(req.Line)
-	ln.queue = append(ln.queue, req)
-	occ := len(ln.queue)
+	if ln.tail == nil {
+		ln.head = req
+	} else {
+		ln.tail.next = req
+	}
+	ln.tail = req
+	ln.waiting++
+	occ := ln.waiting
 	if ln.busy {
 		occ++ // include the request currently in service
 	}
@@ -381,7 +393,7 @@ func (d *Directory) arrive(req *Request) {
 // second schedule is harmless and per-line FIFO order is preserved.
 func (d *Directory) serviceMaybeStalled(ln *Line) {
 	if st := d.Faults.DirStall(); st > 0 {
-		d.dom.After(st, func() { d.service(ln) })
+		d.dom.After(st, d.notice(noticeService, 0, 0, ln))
 		return
 	}
 	d.service(ln)
@@ -390,15 +402,15 @@ func (d *Directory) serviceMaybeStalled(ln *Line) {
 // service takes the head of the line's queue into service and carries out
 // what the policy decides for it. Runs in engine context at the directory.
 func (d *Directory) service(ln *Line) {
-	if ln.busy || len(ln.queue) == 0 {
+	req := ln.head
+	if ln.busy || req == nil {
 		return
 	}
-	// Pop by shifting down: re-slicing from [1:] would give the capacity
-	// away, and the next arrival on the line would allocate again.
-	req := ln.queue[0]
-	n := copy(ln.queue, ln.queue[1:])
-	ln.queue[n] = nil
-	ln.queue = ln.queue[:n]
+	ln.head, req.next = req.next, nil
+	if ln.head == nil {
+		ln.tail = nil
+	}
+	ln.waiting--
 	ln.busy = true
 	req.line = ln
 
@@ -437,7 +449,7 @@ func (d *Directory) service(ln *Line) {
 		d.countMsg(l, MsgAck, k)
 		for c := 0; c < 64; c++ {
 			if dec.Inval&bit(c) != 0 {
-				d.dom.CrossAt(d.coreDom(c), now+d.t.L2Tag+d.t.Net, d.notice(noticeInval, c, l))
+				d.dom.CrossAt(d.coreDom(c), now+d.t.L2Tag+d.t.Net, d.notice(noticeInval, c, l, nil))
 			}
 		}
 		if acksDone := d.t.L2Tag + d.t.Net + d.t.Inval + d.t.Net; acksDone > service {
@@ -481,14 +493,14 @@ func (d *Directory) ProbeDone(owner int, req *Request) {
 // scheduleComplete schedules the two halves of a transaction's completion
 // from domain src at time t: the grant delivery to the requesting core, and
 // the directory's state commit. The grant is a core-domain event; the commit
-// is a sys-domain event that applies the transition the policy recorded in
+// is a sys-domain notice that applies the transition the policy recorded in
 // the line's record (it never reads req, so the requester may immediately
-// reuse the Request object). Both land at the same cycle; the event key
-// orders the core delivery before the directory commit, matching the
+// reuse or overwrite the Request). Both land at the same cycle; the event
+// key orders the core delivery before the directory commit, matching the
 // sequential protocol's observable order.
 func (d *Directory) scheduleComplete(src *sim.Domain, t sim.Time, req *Request) {
 	src.CrossAt(d.coreDom(req.Core), t, req.grant)
-	src.CrossAt(d.dom, t, req.line.commit)
+	src.CrossAt(d.dom, t, d.notice(noticeCommit, 0, req.Line, req.line))
 }
 
 // deliverGrant runs in the requesting core's domain, which has been blocked
@@ -509,10 +521,10 @@ func (d *Directory) deliverGrant(req *Request) {
 func (d *Directory) commit(l mem.Line, ln *Line) {
 	for readers, end := ln.Policy.Commit(); readers != 0; readers &= readers - 1 {
 		c := bits.TrailingZeros64(readers)
-		d.dom.CrossAt(d.coreDom(c), end, d.notice(noticeLapse, c, l))
+		d.dom.CrossAt(d.coreDom(c), end, d.notice(noticeLapse, c, l, nil))
 	}
 	ln.busy = false
-	if len(ln.queue) > 0 {
+	if ln.head != nil {
 		d.serviceMaybeStalled(ln)
 	}
 }
@@ -537,7 +549,7 @@ func (d *Directory) SharerDrop(core int, l mem.Line) {
 
 func (d *Directory) notify(kind noticeKind, core int, l mem.Line) {
 	src := d.coreDom(core)
-	src.CrossAt(d.dom, src.Now()+d.t.Net, d.notice(kind, core, l))
+	src.CrossAt(d.dom, src.Now()+d.t.Net, d.notice(kind, core, l, nil))
 }
 
 type noticeKind uint8
@@ -547,24 +559,29 @@ const (
 	noticeWriteback                   // a core tells the directory it evicted a Modified copy
 	noticeDrop                        // ... or a Shared one
 	noticeLapse                       // a reader's read reservation ends
+	noticeCommit                      // a transaction's transition is applied to its line
+	noticeService                     // a stalled line's queue head enters service
 )
 
-// notice is a one-way message about one (core, line) pair that no request
-// carries: an invalidation, an eviction notice, or the lapse of a read
-// reservation. Like a Request's hops, its callback is bound once; the records
-// are pooled on the directory, and the callback returns its record to the
-// pool before it acts, so a notice allocates nothing once the pool is warm.
+// notice is a one-way message that no request carries: about one (core,
+// line) pair — an invalidation, an eviction notice, or the lapse of a read
+// reservation — or the directory's own step on one line's record ln, a
+// commit or a stalled service. Like a Request's hops, its callback is bound
+// once; the records are pooled on the directory, and the callback returns its
+// record to the pool before it acts, so a notice allocates nothing once the
+// pool is warm.
 type notice struct {
 	kind noticeKind
 	core int
 	line mem.Line
+	ln   *Line
 	live bool // scheduled and not yet run (checked by the -race poison mode)
 	next *notice
 	run  func()
 }
 
 // notice takes a record from the pool and returns its callback.
-func (d *Directory) notice(kind noticeKind, core int, l mem.Line) func() {
+func (d *Directory) notice(kind noticeKind, core int, l mem.Line, ln *Line) func() {
 	n := d.notices
 	if n == nil {
 		n = new(notice)
@@ -572,17 +589,21 @@ func (d *Directory) notice(kind noticeKind, core int, l mem.Line) func() {
 	} else {
 		d.notices = n.next
 	}
-	n.kind, n.core, n.line = kind, core, l
+	n.kind, n.core, n.line, n.ln = kind, core, l, ln
 	poisonTake(n)
 	return n.run
 }
 
 // deliver frees n, then acts on what it said.
 func (d *Directory) deliver(n *notice) {
-	kind, core, l := n.kind, n.core, n.line
+	kind, core, l, ln := n.kind, n.core, n.line, n.ln
 	poisonFree(n)
 	n.next, d.notices = d.notices, n
 	switch kind {
+	case noticeCommit:
+		d.commit(l, ln)
+	case noticeService:
+		d.service(ln)
 	case noticeInval:
 		d.env.Invalidate(core, l)
 	case noticeLapse:

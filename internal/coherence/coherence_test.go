@@ -293,36 +293,39 @@ func TestSharerDrop(t *testing.T) {
 	}
 }
 
-// TestQueuePopKeepsCapacity pins the per-line queue's storage: service pops
-// the head by shifting down, so a line that is requested again and again
-// keeps one backing array, and FIFO order survives the shift.
-func TestQueuePopKeepsCapacity(t *testing.T) {
+// TestQueueLinkedThroughRequests pins the per-line FIFO, linked through its
+// requests: three requests on one line complete in arrival order, View's
+// QueueLen counts the two waiting and the one in service, and a drained queue
+// holds no link — its head, its tail and every request's next are nil.
+func TestQueueLinkedThroughRequests(t *testing.T) {
 	onBothBackends(t, func(t *testing.T, eng *sim.Engine, env *mockEnv, d *Directory) {
-		const line = mem.Line(5)
-		d.Submit(&Request{Core: 0, Line: line, Excl: true})
+		const line = mem.Line(9)
+		d.Submit(&Request{Core: 3, Line: line, Excl: true})
 		eng.Drain()
-		backing, _ := QueueSlot(d, line)
-		for i := 1; i <= 100; i++ {
-			d.Submit(&Request{Core: i % 4, Line: line, Excl: true})
-			eng.Drain()
-			if got, _ := QueueSlot(d, line); got != backing {
-				t.Fatalf("txn %d: the queue's backing array was reallocated", i)
-			}
-		}
-
-		// Three requests queued behind one another complete in arrival order.
-		env.completes = env.completes[:0]
+		env.deferNext = true // core 3 defers the first probe: its request stays in service
+		var reqs []*Request
 		for c := 0; c < 3; c++ {
-			d.Submit(&Request{Core: c, Line: 9, Excl: true})
+			reqs = append(reqs, &Request{Core: c, Line: line, Excl: true})
+			d.Submit(reqs[c])
 		}
 		eng.Drain()
+		if v := d.View(line); v.QueueLen != 3 || !v.Busy {
+			t.Fatalf("QueueLen = %d, busy %v; want 3 (one in service, two waiting), true", v.QueueLen, v.Busy)
+		}
+		env.deferNext = false
+		env.completes = env.completes[:0]
+		d.ProbeDone(3, env.probes[0])
+		eng.Drain()
+		if len(env.completes) != 3 {
+			t.Fatalf("%d completions, want 3", len(env.completes))
+		}
 		for i, c := range env.completes {
-			if c.req.Core != i {
+			if c.req != reqs[i] {
 				t.Fatalf("completion %d went to core %d", i, c.req.Core)
 			}
 		}
-		if slot, n := QueueSlot(d, 9); n != 0 || *slot != nil {
-			t.Fatalf("drained queue still references a request: len %d", n)
+		if v := d.View(line); v.QueueLen != 0 || Linked(d, line, reqs) {
+			t.Fatalf("drained queue: QueueLen %d, or a head, tail or next still set", v.QueueLen)
 		}
 	})
 }

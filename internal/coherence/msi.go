@@ -11,27 +11,27 @@ import (
 // NewDirectory builds an MSI directory over the given engine and
 // environment.
 func NewDirectory(eng *sim.Engine, env Env, t Timing) *Directory {
-	return New(eng, env, t, msi{}, 0xD12EC7)
+	return New(eng, env, t, new(msi), 0xD12EC7)
 }
 
 // msi is the MSI policy (MESI with Directory.MESI): the directory records an
 // owner or a sharer set per line, forwards a request for an owned line to
 // its owner, and invalidates the sharers before it grants a write. So what a
 // core holds is reached only by a message to it, and msi does not implement
-// Privacy: every copy is private.
-type msi struct{}
+// Privacy: every copy is private. Its line records come from its slab.
+type msi struct{ lines Slab[msiLine] }
 
-func (msi) Name() string { return ProtocolMSI }
+func (*msi) Name() string { return ProtocolMSI }
 
-func (msi) NewLine(mem.Line) *Line {
-	e := new(msiLine)
+func (m *msi) NewLine(mem.Line) *Line {
+	e := m.lines.New()
 	e.Policy = e
 	return &e.Line
 }
 
 // MSI keeps all lease state on the core side and has no timestamps.
-func (msi) LeaseStarted(int, mem.Line, uint64) {}
-func (msi) LeaseReleased(int, mem.Line)        {}
+func (*msi) LeaseStarted(int, mem.Line, uint64) {}
+func (*msi) LeaseReleased(int, mem.Line)        {}
 
 type dirState uint8
 

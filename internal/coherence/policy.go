@@ -52,10 +52,11 @@ type ProtoStats struct {
 type Policy interface {
 	// Name returns the canonical protocol name (Protocol* constants).
 	Name() string
-	// NewLine allocates the record of line l in its initial state: the
-	// policy's own struct with the directory's Line embedded in it and
-	// Line.Policy pointing back at the whole, so that a line is one
-	// allocation and the one index lookup of a hop reaches both halves.
+	// NewLine returns the record of line l in its initial state: the
+	// policy's own struct, taken from the policy's Slab, with the
+	// directory's Line embedded in it and Line.Policy pointing back at the
+	// whole, so that a fresh line allocates nothing and the one index lookup
+	// of a hop reaches both halves.
 	NewLine(l mem.Line) *Line
 
 	// LeaseStarted and LeaseReleased report the core-side lease lifecycle,
@@ -122,17 +123,34 @@ type LinePolicy interface {
 	Verify(l mem.Line, ncores int, l1 func(core int) cache.State) error
 }
 
-// Line is the directory's half of one line's record: the FIFO of waiting
-// requests and the one in service. The line's address is the record's key in
-// the directory's index; a policy that needs it keeps it (NewLine).
+// Line is the directory's half of one line's record, a slab element embedded
+// in the policy's: the FIFO of waiting requests and the one in service. The
+// line's address is the record's key in the directory's index; a policy that
+// needs it keeps it (NewLine).
 type Line struct {
 	// Policy is the protocol's half of the record; Policy.NewLine sets it.
 	Policy LinePolicy
 
-	queue   []*Request
-	busy    bool // a request is in service: from Serve to Commit
-	touched bool // filled at least once (cold-miss tracking)
-	commit  func()
+	// The FIFO of waiting requests, linked through Request.next: service
+	// pops head, arrive links at tail.
+	head, tail *Request
+	waiting    int
+	busy       bool // a request is in service: from Serve to Commit
+	touched    bool // filled at least once (cold-miss tracking)
+}
+
+// Slab hands out zeroed records of type T, made 256 at a time. Nothing is
+// returned to it: the directory never drops a line.
+type Slab[T any] struct{ free []T }
+
+// New returns a zeroed record.
+func (s *Slab[T]) New() *T {
+	if len(s.free) == 0 {
+		s.free = make([]T, 256)
+	}
+	r := &s.free[0]
+	s.free = s.free[1:]
+	return r
 }
 
 // Decision is how a request at the head of its line's queue is answered.
@@ -173,7 +191,7 @@ type LineView struct {
 
 func (ln *Line) view(l mem.Line) LineView {
 	v := ln.Policy.View()
-	v.Line, v.QueueLen = l, len(ln.queue)
+	v.Line, v.QueueLen = l, ln.waiting
 	if ln.busy {
 		v.QueueLen++
 	}
@@ -205,13 +223,13 @@ func (d *Directory) Lines() iter.Seq[LineView] {
 
 // VerifyLine checks line l with its policy's Verify; a line in the middle of
 // a transaction passes. A line nobody has asked for yet is checked in its
-// initial state.
+// initial state, the directory's blank record, which costs no record.
 func (d *Directory) VerifyLine(l mem.Line, ncores int, l1 func(core int) cache.State) error {
 	ln := d.Line(l)
 	switch {
 	case ln == nil:
-		ln = d.NewLine(l)
-	case ln.busy || len(ln.queue) > 0:
+		ln = d.blank
+	case ln.busy || ln.waiting > 0:
 		return nil
 	}
 	return ln.Policy.Verify(l, ncores, l1)

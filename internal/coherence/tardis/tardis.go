@@ -67,15 +67,18 @@ func New(eng *sim.Engine, env coherence.Env, t coherence.Timing, _ Config, _ int
 	return m.dir
 }
 
-// manager is the timestamp manager, the policy's state across lines.
+// manager is the timestamp manager, the policy's state across lines, and
+// the slab its line records come from.
 type manager struct {
-	dir *coherence.Directory
+	dir   *coherence.Directory
+	lines coherence.Slab[line]
 }
 
 func (m *manager) Name() string { return coherence.ProtocolTardis }
 
 func (m *manager) NewLine(mem.Line) *coherence.Line {
-	e := &line{m: m, pCore: -1, pPrev: -1}
+	e := m.lines.New()
+	e.m, e.pCore, e.pPrev = m, -1, -1
 	e.Policy = e
 	return &e.Line
 }
