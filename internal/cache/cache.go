@@ -147,6 +147,19 @@ func (c *Cache) Lookup(l mem.Line, write bool) bool {
 	return ok
 }
 
+// HitN performs n read hits on l at once: the hit count and the LRU clock
+// advance by n and l's way takes the last tick, as n Lookups that hit would
+// leave them. l must be held with read permission; HitN panics otherwise.
+func (c *Cache) HitN(l mem.Line, n uint64) {
+	w := c.find(l)
+	if !w.permits(false) {
+		panic("cache: HitN on a line not held")
+	}
+	c.tick += n
+	w.lru = c.tick
+	c.Hits += n
+}
+
 // Victim reports the line that Install would evict to make room for l, or
 // (0, false) if no eviction is needed (line already present, or a free way
 // exists). Pinned ways are never chosen; if every way is pinned, Victim

@@ -289,6 +289,10 @@ func (d *Directory) Private(core int, l mem.Line, write bool) bool {
 	return d.privacy == nil || d.privacy.Private(core, l, write)
 }
 
+// CopiesPrivate reports whether the policy keeps every copy private (MSI):
+// whether Private answers true for every copy a core's L1 holds.
+func (d *Directory) CopiesPrivate() bool { return d.privacy == nil }
+
 // coreDom returns the scheduling domain of core c (the proc domains are
 // keyed by core id, see Engine.Spawn).
 func (d *Directory) coreDom(c int) *sim.Domain {

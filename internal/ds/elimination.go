@@ -164,8 +164,8 @@ func (s *EliminationStack) awaitOrRetract(x machine.API, slot, offer mem.Addr) b
 		return false // retracted unmatched
 	}
 	// A matcher claimed the offer concurrently; wait for completion.
-	for x.Load(offer+oDone) == 0 {
-		x.Work(4)
+	done := offer + oDone
+	for u := x.Load(done); u == 0; u = x.Spin(done, u, 4) {
 	}
 	return true
 }

@@ -113,8 +113,8 @@ func (s *LazySkipList) Insert(x machine.API, key uint64) bool {
 		if lFound != -1 {
 			nodeFound := succs[lFound]
 			if x.Load(nodeFound+lskMarked) == 0 {
-				for x.Load(nodeFound+lskFullyLinked) == 0 {
-					x.Work(8) // wait for the in-flight insert to link
+				linked := nodeFound + lskFullyLinked // wait for the in-flight insert to link
+				for u := x.Load(linked); u == 0; u = x.Spin(linked, u, 8) {
 				}
 				return false
 			}

@@ -210,10 +210,7 @@ func (i *Injector) preemptRNG(core int) *sim.RNG {
 // (ineligible points consume no draw, keeping each core's stream a pure
 // function of its eligible-point count).
 func (i *Injector) Preempt(core int, holder bool) sim.Time {
-	if i == nil || i.cfg.PreemptPermille <= 0 || i.cfg.PreemptMax == 0 {
-		return 0
-	}
-	if i.cfg.PreemptTargeted && !holder {
+	if !i.MayPreempt(holder) {
 		return 0
 	}
 	r := i.preemptRNG(core)
@@ -228,6 +225,13 @@ func (i *Injector) Preempt(core int, holder bool) sim.Time {
 		hi = lo
 	}
 	return lo + r.Uint64n(hi-lo+1)
+}
+
+// MayPreempt reports whether Preempt can return a preemption, or consume a
+// draw, at a preemption point with the given holder status.
+func (i *Injector) MayPreempt(holder bool) bool {
+	return i != nil && i.cfg.PreemptPermille > 0 && i.cfg.PreemptMax != 0 &&
+		(holder || !i.cfg.PreemptTargeted)
 }
 
 // CapWays returns the effective L1 associativity under capacity pressure:

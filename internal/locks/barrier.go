@@ -33,7 +33,6 @@ func (b *Barrier) Wait(x machine.API, h *BarrierHandle) {
 		x.Store(b.sense, h.local)
 		return
 	}
-	for x.Load(b.sense) != h.local {
-		x.Work(64)
+	for u := x.Load(b.sense); u != h.local; u = x.Spin(b.sense, u, 64) {
 	}
 }

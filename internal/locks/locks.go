@@ -65,8 +65,7 @@ func (l *TTS) TryLock(x machine.API) bool {
 // Lock spins on the read, swapping when free.
 func (l *TTS) Lock(x machine.API) {
 	for {
-		for x.Load(l.a) != 0 {
-			x.Work(4)
+		for u := x.Load(l.a); u != 0; u = x.Spin(l.a, u, 4) {
 		}
 		if x.Swap(l.a, 1) == 0 {
 			return
@@ -97,17 +96,12 @@ func NewTicket(x machine.API) *Ticket {
 }
 
 // Lock takes a ticket and spins until served, backing off proportionally
-// to its distance from the head of the queue.
+// to its distance from the head of the queue: the pause is constant while
+// the now-serving word is, so each wait for it to move is one Spin.
 func (l *Ticket) Lock(x machine.API) {
 	t := x.FetchAdd(l.next, 1)
-	for {
-		s := x.Load(l.serving)
-		if s == t {
-			return
-		}
-		if l.BackoffUnit > 0 {
-			x.Work(l.BackoffUnit * (t - s))
-		}
+	for s := x.Load(l.serving); s != t; {
+		s = x.Spin(l.serving, s, l.BackoffUnit*(t-s))
 	}
 }
 
@@ -159,8 +153,7 @@ func (l *CLH) NewHandle(x machine.API) *CLHHandle {
 func (l *CLH) Lock(x machine.API, h *CLHHandle) {
 	x.Store(h.node, 1) // locked
 	h.pred = mem.Addr(x.Swap(l.tail, uint64(h.node)))
-	for x.Load(h.pred) != 0 {
-		x.Work(8)
+	for u := x.Load(h.pred); u != 0; u = x.Spin(h.pred, u, 8) {
 	}
 }
 

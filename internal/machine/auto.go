@@ -174,6 +174,16 @@ func (a *Auto) Swap(addr mem.Addr, v uint64) uint64 {
 	return r
 }
 
+// Spin is the plain loop of API.Spin, since Auto learns from every Load.
+func (a *Auto) Spin(addr mem.Addr, v, pause uint64) uint64 {
+	for {
+		a.Work(pause)
+		if u := a.Load(addr); u != v {
+			return u
+		}
+	}
+}
+
 // Lease passes through (manual leases still work under Auto).
 func (a *Auto) Lease(addr mem.Addr, dur uint64) { a.c.Lease(addr, dur) }
 

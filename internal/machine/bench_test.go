@@ -53,3 +53,39 @@ func BenchmarkHitRun16(b *testing.B) {
 	b.ReportMetric(float64(m.Stats().L1Hits-hits)/float64(b.N), "hits/op")
 	m.Stop()
 }
+
+// BenchmarkSpin64 measures the host cost of a simulated cycle of Figure 3's
+// plain baseline: 64 cores contending for one test-and-test-and-set lock,
+// 63 of them waiting on a read of the lock word (Ctx.Spin). A waiter parked
+// on its Shared copy costs nothing until the holder's unlock invalidates
+// it; ns/op is per simulated cycle.
+func BenchmarkSpin64(b *testing.B) {
+	const threads = 64
+	m := New(testConfig(threads))
+	lock, ctr := m.Direct().Alloc(8), m.Direct().Alloc(8)
+	for i := 0; i < threads; i++ {
+		m.Spawn(0, func(c *Ctx) {
+			for {
+				for u := c.Load(lock); u != 0; u = c.Spin(lock, u, 4) {
+				}
+				if c.Swap(lock, 1) != 0 {
+					continue
+				}
+				c.Store(ctr, c.Load(ctr)+1)
+				c.Store(lock, 0)
+				c.Work(c.Rand().Uint64n(64))
+			}
+		})
+	}
+	if err := m.Run(50_000); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := m.Run(m.Now() + uint64(b.N)); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(m.EngineStats().SpinLoadsElided)/float64(m.Now()), "elided/cycle")
+	m.Stop()
+}

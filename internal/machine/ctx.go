@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"slices"
 
 	"leaserelease/internal/core"
@@ -30,6 +31,20 @@ type API interface {
 	FetchAdd(a mem.Addr, delta uint64) uint64
 	// Swap atomically stores v, returning the old value.
 	Swap(a mem.Addr, v uint64) uint64
+	// Spin waits for the word at a to differ from v and returns it. It is
+	// exactly the loop
+	//
+	//	for {
+	//		Work(pause)
+	//		if u := Load(a); u != v {
+	//			return u
+	//		}
+	//	}
+	//
+	// in every simulated effect: timing, statistics, preemption draws. *Ctx
+	// performs the loads that only a message to the core could make read
+	// something else in bulk, without an event each.
+	Spin(a mem.Addr, v, pause uint64) uint64
 
 	// Lease leases the cache line containing a for dur cycles (clamped
 	// to MAX_LEASE_TIME). Re-leasing a leased line is a no-op.
@@ -128,8 +143,13 @@ func (c *Ctx) Observe(fn func()) {
 //     every probe, invalidation, grant or lease expiry due at the core before
 //     T has been applied to its L1, and then looks the line up.
 func (c *Ctx) access(a mem.Addr, write bool) {
+	c.m.maybePreempt(c.cs, write)
+	c.perform(a, write)
+}
+
+// perform is access after its preemption point.
+func (c *Ctx) perform(a mem.Addr, write bool) {
 	cs := c.cs
-	c.m.maybePreempt(cs, c.p, write)
 	l := mem.LineOf(a)
 	held := cs.l1.Holds(l, write)
 	if held && c.p.RunAhead(cs.leases.ExpiresBy(c.p.Clock()), !c.m.proto.Private(cs.id, l, write)) {
@@ -371,30 +391,46 @@ func (m *Machine) Direct() *Direct {
 // Load returns the word at a.
 func (d *Direct) Load(a mem.Addr) uint64 { return d.m.store.Load(a) }
 
-// Store writes the word at a.
-func (d *Direct) Store(a mem.Addr, v uint64) { d.m.store.Store(a, v) }
+// Store writes the word at a. A thread parked spinning on a's line is woken
+// for its next load, which reads the new word.
+func (d *Direct) Store(a mem.Addr, v uint64) {
+	d.m.store.Store(a, v)
+	if d.m.spinning > 0 {
+		d.m.unparkLine(mem.LineOf(a))
+	}
+}
 
 // CAS performs an (uncontended) compare-and-swap.
 func (d *Direct) CAS(a mem.Addr, old, new uint64) bool {
 	if d.m.store.Load(a) != old {
 		return false
 	}
-	d.m.store.Store(a, new)
+	d.Store(a, new)
 	return true
 }
 
 // FetchAdd adds delta to the word at a, returning the old value.
 func (d *Direct) FetchAdd(a mem.Addr, delta uint64) uint64 {
 	v := d.m.store.Load(a)
-	d.m.store.Store(a, v+delta)
+	d.Store(a, v+delta)
 	return v
 }
 
 // Swap stores v at a, returning the old value.
 func (d *Direct) Swap(a mem.Addr, v uint64) uint64 {
 	old := d.m.store.Load(a)
-	d.m.store.Store(a, v)
+	d.Store(a, v)
 	return old
+}
+
+// Spin returns the word at a, which must differ from v: nothing else runs
+// while Direct is in use, so the loop Spin stands for would never end, and
+// Spin panics instead.
+func (d *Direct) Spin(a mem.Addr, v, _ uint64) uint64 {
+	if u := d.m.store.Load(a); u != v {
+		return u
+	}
+	panic(fmt.Sprintf("machine: Direct.Spin at %#x on a word that reads %d and nothing can change", uint64(a), v))
 }
 
 // Lease is a no-op during setup.

@@ -104,6 +104,8 @@ func (m *Machine) DumpState() *StateDump {
 				// waits on is read back here instead of being formatted
 				// into the (hot-path, allocation-free) block reason.
 				reason = fmt.Sprintf("%s on line %#x", reason, uint64(cs.req.Line))
+			} else if blocked && cs.spin.active {
+				reason = fmt.Sprintf("%s on line %#x", reason, uint64(cs.spin.line))
 			}
 			cd.Blocked, cd.BlockReason, cd.BlockSince, cd.Done = blocked, reason, since, done
 			cd.Preempted = cs.proc.PreemptedCycles()

@@ -48,6 +48,11 @@ type Machine struct {
 	// of the differential test's reference order (SyncMisses), never set
 	// outside tests.
 	syncMisses bool
+
+	// spinning is the number of cores with a parked spin; spinParks and
+	// spinElided count parks and the loads performed in bulk (Ctx.Spin).
+	spinning              int
+	spinParks, spinElided uint64
 }
 
 // ProtocolViolationError is the panic value raised when simulated hardware
@@ -96,6 +101,9 @@ type coreState struct {
 
 	// lines is the reusable buffer a MultiLease sorts its group into.
 	lines []mem.Line
+
+	// spin is the core's parked spin, if spin.active (Ctx.Spin).
+	spin spinState
 }
 
 // New builds a machine from cfg.
@@ -183,15 +191,40 @@ func (m *Machine) Spawn(start uint64, fn func(*Ctx)) {
 // threads finish). It returns a *sim.DeadlockError if the simulation
 // deadlocks — which Lease/Release guarantees cannot happen unless the
 // protocol is misused (see the unsorted-multilease negative test).
-func (m *Machine) Run(untilCycle uint64) error { return m.eng.Run(untilCycle) }
+//
+// A core parked in Ctx.Spin is caught up when Run returns: its loads before
+// the clock have been performed. If the queue drains with a core parked,
+// only events could have ended its spin, so the loop it stands for would
+// have run on to untilCycle: Run leaves the clock there and returns nil, as
+// it would have. Drain, which has no such horizon, reports the parked cores
+// in a *sim.DeadlockError (the loop would never have returned).
+func (m *Machine) Run(untilCycle uint64) error {
+	err := m.eng.Run(untilCycle)
+	if m.spinning == 0 {
+		return err
+	}
+	if _, drained := err.(*sim.DeadlockError); drained && untilCycle != sim.MaxTime {
+		m.eng.IdleUntil(max(untilCycle, m.eng.Now()))
+		err = nil
+	}
+	for _, cs := range m.cores {
+		m.spinTo(cs, m.eng.Now())
+	}
+	return err
+}
 
 // Drain runs until all threads finish.
-func (m *Machine) Drain() error { return m.eng.Drain() }
+func (m *Machine) Drain() error { return m.Run(sim.MaxTime) }
 
 // EngineStats returns the event kernel's host-side counters for the run so
-// far: events executed and how proc wake-ups were paid for (sim.EngineStats).
-// Call while the machine is idle (between or after Runs).
-func (m *Machine) EngineStats() sim.EngineStats { return m.eng.Stats() }
+// far: events executed and how proc wake-ups were paid for (sim.EngineStats),
+// with the machine's spin counts. Call while the machine is idle (between or
+// after Runs).
+func (m *Machine) EngineStats() sim.EngineStats {
+	st := m.eng.Stats()
+	st.SpinParks, st.SpinLoadsElided = m.spinParks, m.spinElided
+	return st
+}
 
 // Stop tears down all still-blocked threads. Call after the final Run so
 // machines do not leak goroutines.
@@ -308,6 +341,9 @@ func (m *Machine) startLease(cs *coreState, e *core.Entry) {
 func (m *Machine) expire(x *expiry) {
 	cs, line, gen := x.cs, x.line, x.gen
 	m.freeExpiry(x)
+	if cs.spin.active {
+		m.spinTo(cs, cs.dom.Now()) // a lease end changes what its preemption draws see
+	}
 	if e, ok := cs.leases.RemoveIfGen(line, gen); ok {
 		m.endLease(cs, e, telemetry.LeaseExpired, cs.dom.Now())
 	} // else released voluntarily (or evicted) in the meantime
@@ -372,34 +408,40 @@ func (m *Machine) endLease(cs *coreState, e core.Entry, kind uint8, now uint64) 
 	if req.Excl {
 		to = cache.Invalid
 	}
-	cs.l1.Downgrade(req.Line, to)
+	m.downgrade(cs, req.Line, to, now)
 	m.proto.ProbeDone(cs.id, req)
 }
 
 // maybePreempt is the fault model's preemption point, reached before a
 // core issues a memory access: the "OS" may deschedule the core for a
-// drawn duration. The proc simply stops issuing events while its local
-// clock advances (sim.Proc.Preempt); expiry timers armed on the cache
-// hardware keep firing, so held leases expire involuntarily per
+// drawn duration, which it returns. The proc simply stops issuing events
+// while its local clock advances (sim.Proc.Preempt); expiry timers armed on
+// the cache hardware keep firing, so held leases expire involuntarily per
 // Algorithm 1 — exactly the bounded-delay scenario of §3. write feeds
 // the targeted mode's holder test: a core holding a lease, or issuing an
 // exclusive access (inside or entering a critical section for lock-based
 // structures), counts as a holder.
-func (m *Machine) maybePreempt(cs *coreState, p *sim.Proc, write bool) {
+func (m *Machine) maybePreempt(cs *coreState, write bool) uint64 {
 	if m.faults == nil {
-		return
+		return 0
 	}
+	return m.preempt(cs, write)
+}
+
+// preempt is maybePreempt with an injector.
+func (m *Machine) preempt(cs *coreState, write bool) uint64 {
 	holder := write || cs.leases.Len() > 0
 	d := m.faults.Preempt(cs.id, holder)
 	if d == 0 {
-		return
+		return 0
 	}
 	m.stats.Preemptions++
 	m.stats.PreemptedCycles += d
 	if holder {
 		m.stats.HolderPreemptions++
 	}
-	p.Preempt(d)
+	cs.proc.Preempt(d)
+	return d
 }
 
 // installLine places a granted line into the core's L1, force-releasing
@@ -444,6 +486,9 @@ func (d *dirEnv) m() *Machine { return (*Machine)(d) }
 func (d *dirEnv) DeliverProbe(owner int, req *coherence.Request) bool {
 	m := d.m()
 	cs := m.cores[owner]
+	if cs.spin.active {
+		m.spinTo(cs, cs.dom.Now()+1) // the probe may break a lease, which preemption draws see
+	}
 	if cs.leases.ShouldDefer(req.Line, cs.dom.Now()) {
 		if m.cfg.RegularBreaksLease && !req.Lease {
 			// §5 prioritization: a regular request breaks the lease.
@@ -459,12 +504,15 @@ func (d *dirEnv) DeliverProbe(owner int, req *coherence.Request) bool {
 	if req.Excl {
 		to = cache.Invalid
 	}
-	cs.l1.Downgrade(req.Line, to)
+	m.downgrade(cs, req.Line, to, cs.dom.Now()+1)
 	return false
 }
 
+// Invalidate drops a sharer's copy (an invalidation, or a Tardis lapse).
 func (d *dirEnv) Invalidate(c int, l mem.Line) {
-	d.m().cores[c].l1.Downgrade(l, cache.Invalid)
+	m := d.m()
+	cs := m.cores[c]
+	m.downgrade(cs, l, cache.Invalid, cs.dom.Now()+1)
 }
 
 // Complete installs the granted line, starts a pending lease countdown if

@@ -478,6 +478,19 @@ func (e *Engine) panicError(r any, p *Proc) *PanicError {
 	return pe
 }
 
+// IdleUntil moves a drained engine's clock forward to t, where a Run with
+// that stop time would have left it had something kept the queue busy: the
+// machine's spinning cores, which wait blocked on a line that only an event
+// could change and so would have spun on to the horizon (machine.Ctx.Spin).
+// It panics if an event is queued or t is in the past.
+func (e *Engine) IdleUntil(t Time) {
+	if e.Pending() != 0 || t < e.now {
+		panic(fmt.Sprintf("sim: IdleUntil(%d) at %d with %d events queued", t, e.now, e.Pending()))
+	}
+	e.now = t
+	e.stallEvents = 0
+}
+
 // Drain runs until the event queue is empty (no time bound).
 func (e *Engine) Drain() error { return e.Run(MaxTime) }
 

@@ -37,6 +37,13 @@ type EngineStats struct {
 	SyncWakes    uint64 `json:"sync_wakes"`
 	SyncsSkipped uint64 `json:"syncs_skipped"`
 	SyncIssues   uint64 `json:"sync_issues"`
+	// SpinParks and SpinLoadsElided are kept by the machine, not the
+	// engine (machine.Machine.EngineStats fills them in): the number of
+	// times a spinning core blocked instead of re-reading a word that only
+	// a message to it could change, and the loads those blocks performed
+	// in bulk, with no event and no switch each (machine.Ctx.Spin).
+	SpinParks       uint64 `json:"spin_parks"`
+	SpinLoadsElided uint64 `json:"spin_loads_elided"`
 	// The Refused counters say why an action RunAhead was asked about, at
 	// a local clock T ahead of the engine's, had to Sync instead, each call
 	// counted under the first reason that held: T at or beyond one
