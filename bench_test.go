@@ -30,7 +30,7 @@ func BenchmarkExperiment(b *testing.B) {
 				b.Run(bench.CellName(e.ID, row, v), func(b *testing.B) {
 					var r bench.Result
 					for i := 0; i < b.N; i++ {
-						if r = s.RunCell(p, row, v); r.Err != nil {
+						if r = s.RunCell(p, row, v, bench.Options{}); r.Err != nil {
 							b.Fatal(r.Err)
 						}
 					}
@@ -62,8 +62,8 @@ func BenchmarkTable1Config(b *testing.B) {
 // workload (useful when sizing experiment windows).
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		bench.Throughput(machine.DefaultConfig(8), 8, 0, 200_000,
-			bench.StackWorkload(ds.StackOptions{Lease: bench.LeaseTime}))
+		bench.ThroughputOpts(machine.DefaultConfig(8), 8, 0, 200_000,
+			bench.StackWorkload(ds.StackOptions{Lease: bench.LeaseTime}), bench.Options{})
 	}
 	b.ReportMetric(float64(200_000*b.N)/b.Elapsed().Seconds(), "simCycles/s")
 }

@@ -12,11 +12,10 @@
 //	leasebench -exp protocol-compare -quick
 //	leasebench -exp all -quick -parallel 4
 //
-// -protocol, -threads, -strict, -parallel, -cpuprofile and -memprofile
-// are the host flags shared with cmd/leasesim; bench.Host
-// documents them. Here -threads overrides the scale's thread counts, and
-// the protocol-compare experiment runs both -protocol backends side by
-// side with identical seeds.
+// -quick, -warm, -window, -protocol, -threads, -strict, -parallel,
+// -cpuprofile and -memprofile are the host flags shared with cmd/leasesim;
+// bench.Host documents them. The protocol-compare experiment runs both
+// -protocol backends side by side with identical seeds.
 //
 // A cell that fails (deadlock, livelock, panic, protocol violation, blown
 // cycle budget) is named on stderr with the machine's state dump and on a
@@ -46,15 +45,12 @@ var experiments = bench.All()
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("leasebench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	// -protocol -threads -strict -parallel -cpuprofile -memprofile are
-	// shared with cmd/leasesim; -threads overrides the scale's counts.
-	host := bench.AddHostFlags(fs, "")
+	// -quick -warm -window -protocol -threads -strict -parallel -cpuprofile
+	// -memprofile are shared with cmd/leasesim.
+	host := bench.AddHostFlags(fs)
 	var (
-		exp    = fs.String("exp", "", "experiment id to run, or 'all'")
-		list   = fs.Bool("list", false, "list experiment ids and exit")
-		quick  = fs.Bool("quick", false, "small thread sweep and short windows")
-		warm   = fs.Uint64("warm", 0, "warm-up cycles excluded from the measurement (default: the sweep scale's)")
-		window = fs.Uint64("window", 0, "measurement window cycles (default: the sweep scale's)")
+		exp  = fs.String("exp", "", "experiment id to run, or 'all'")
+		list = fs.Bool("list", false, "list experiment ids and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -93,31 +89,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	p := bench.FullParams()
-	if *quick {
-		p = bench.QuickParams()
-	}
-	// A flag that was given wins over the scale, whatever its value.
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "warm":
-			p.Warm = *warm
-		case "window":
-			p.Window = *window
-		}
-	})
-	if p.Window == 0 {
-		fmt.Fprintln(stderr, "leasebench: -window wants at least one cycle")
-		return 2
-	}
 	if err := host.Start("leasebench", stderr); err != nil {
 		fmt.Fprintf(stderr, "leasebench: %v\n", err)
 		return 2
 	}
-	p.Protocol, p.Pool = host.Protocol, host.Pool
-	if host.Threads != nil {
-		p.Threads = host.Threads
-	}
+	p := host.Params
 	// An experiment with no rows at these thread counts measures nothing: a
 	// usage error asked for alone, one line in place of its tables in all.
 	noRows := func(e bench.Experiment) string {

@@ -30,8 +30,8 @@ func experiment(id string) bench.Experiment {
 func TestListNamesEveryExperiment(t *testing.T) {
 	status, out, _ := leasebench("-list")
 	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if status != 0 || len(lines) != 20 || len(lines) != len(bench.All()) {
-		t.Fatalf("-list: status %d, %d lines, want 0 and 20:\n%s", status, len(lines), out)
+	if status != 0 || len(lines) != 21 || len(lines) != len(bench.All()) {
+		t.Fatalf("-list: status %d, %d lines, want 0 and 21:\n%s", status, len(lines), out)
 	}
 	for i, e := range bench.All() {
 		if !strings.HasPrefix(lines[i], e.ID+" ") || !strings.HasSuffix(lines[i], e.Paper) {

@@ -1,49 +1,54 @@
-// Command leasesim runs configurable simulations and dumps full hardware
-// counters — an explorer/debugger for the simulated machine.
+// Command leasesim runs declared cells one at a time and dumps their full
+// hardware counters — an explorer/debugger for the simulated machine.
 //
 // Usage:
 //
-//	leasesim -ds stack -threads 8 -lease -cycles 1000000
-//	leasesim -ds counter -threads 16 -priority
-//	leasesim -ds tl2 -threads 8 -lease -multilease sw
-//	leasesim -ds stack -threads 16 -lease -json -hotlines 5 -timeline t.json
-//	leasesim -ds stack -threads 4,8,16 -lease -invariants -faults
-//	leasesim -ds stack -threads 1,2,4,8,16,32 -lease -parallel 4
-//	leasesim -ds counter -threads 8 -lease -protocol tardis -spans
+//	leasesim -cell fig2/lease/t16 -hotlines 5
+//	leasesim -cell 'fig3-counter/lease/t*' -threads 2,4,8 -spans
+//	leasesim -cell fig4-tl2/base/t8 -json
+//	leasesim -cell fig2/lease/t16 -json -timeline t.json
+//	leasesim -cell 'fig2/lease/t*' -threads 4,8,16 -invariants -faults
+//	leasesim -cell 'degradation/rate5/lease+ctrl/t8' -threads 8 -ledger
+//	leasesim -cell fig3-counter/lease/t8 -protocol tardis -spans
 //
-// -protocol, -threads, -strict, -parallel, -cpuprofile and -memprofile
-// are the host flags shared with cmd/leasebench; bench.Host documents them.
-// An invocation is a one-variant sweep (bench.Sweep): one row per -threads
-// count, the variant named lease or base after -lease, its config edited
-// from the flags. The cells run on the pool and their reports are printed
-// in sweep order. Each -json report carries
-// the event kernel's host-side counters (events executed, how core wake-ups
-// were paid for) as "engine_stats".
-// A failing cell (deadlock, panic, protocol/invariant violation) is
-// reported on stderr by its cell name (counter/lease/t2) with a machine
-// state dump, the rest of the sweep is still printed, and the exit status
-// is 1; -strict instead stops printing at the first failed cell.
-// -invariants attaches the runtime invariant checker; -faults enables
-// deterministic protocol-legal fault injection (seeded from -seed, so
-// failures replay exactly). -preempt N deschedules
-// cores at N permille of memory accesses for -preemptmin..-preemptmax
-// cycles (leases keep expiring while the core sleeps); -preempttargeted
-// restricts preemption to lease/write holders — the adversarial
-// stalled-holder schedule. -controller enables the adaptive
-// lease-duration controller (per-site exponential backoff of granted
-// durations after involuntary releases).
+// A cell is one row × variant of an experiment cmd/leasebench runs, named
+// as leasebench names it: <exp>/[<row key>/]<variant>/t<threads>. -cell is
+// a path.Match pattern over the cells of every experiment, declared at the
+// scale and -threads leasebench would use, so a cell that leasebench prints
+// as FAILED reruns here by its name under the same scale flags. A pattern
+// that matches no cell is a usage error.
+//
+// -quick, -warm, -window, -protocol, -threads, -strict, -parallel,
+// -cpuprofile and -memprofile are the host flags shared with
+// cmd/leasebench; bench.Host documents them. The matching cells run on the
+// pool through the one cell path (bench.MeasureCells) and their reports are
+// printed in declaration order. Each -json report carries the event
+// kernel's host-side counters (events executed, how core wake-ups were paid
+// for) as "engine_stats". A failing cell (deadlock, panic,
+// protocol/invariant violation) is reported on stderr by its cell name with
+// a machine state dump, the other cells are still printed, and the exit
+// status is 1; -strict instead stops printing at the first failed cell.
+//
+// The other flags observe a cell; one left unset leaves the cell as
+// declared. -invariants attaches the runtime invariant checker. -faults adds
+// deterministic protocol-legal fault injection (faults.DefaultConfig,
+// seeded from the cell's seed, so failures replay exactly) to the cell's
+// config, keeping its preemption schedule. -seed replaces the cell's
+// simulation seed.
 //
 // Every run records telemetry (latency/hold-time/queue histograms and the
-// per-line contention profile). -spans additionally records per-coherence-
+// per-line contention profile); a cell whose experiment records spans and
+// the lease ledger records what this run's flags ask for instead, which
+// leaves its numbers alone. -spans additionally records per-coherence-
 // transaction spans and reports the critical-path cycle accounting ("where
 // the cycles went"); -ledger records the per-line lease-efficiency ledger
 // (granted vs. used cycles, ops absorbed per lease, deferral inflicted)
 // and prints its top-N tables — and, since the ledger reads completed spans,
 // the span accounting too; -json switches the report to machine-
 // readable JSON; -timeline additionally writes a Chrome trace-event file
-// loadable in chrome://tracing or https://ui.perfetto.dev showing each
-// core's lease intervals — and, with spans, nested transaction slices with
-// flow arrows — on the simulated timeline.
+// per cell, loadable in chrome://tracing or https://ui.perfetto.dev, showing
+// each core's lease intervals — and, with spans, nested transaction slices
+// with flow arrows — on the simulated timeline.
 package main
 
 import (
@@ -58,18 +63,17 @@ import (
 	"leaserelease/internal/bench"
 	"leaserelease/internal/faults"
 	"leaserelease/internal/machine"
-	"leaserelease/internal/stm"
 	"leaserelease/internal/telemetry"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// findStructure is what -ds looks up; a test swaps in a structure that fails.
-var findStructure = bench.FindStructure
+// experiments is what -cell matches; a test swaps in one that fails.
+var experiments = bench.All()
 
-// observed is what one row's cell leaves beside its Result: the recorder,
-// allocated before the sweep is submitted and read once it is back, the
-// file the row's timeline goes to, and the row's report.
+// observed is what one cell's run leaves beside its Result: the recorder,
+// allocated before the cells are submitted and read once they are back, the
+// file the cell's timeline goes to, and the cell's report.
 type observed struct {
 	rec      *telemetry.Recorder
 	timeline string
@@ -80,34 +84,19 @@ type observed struct {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("leasesim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	// -protocol -threads -strict -parallel -cpuprofile -memprofile are
-	// shared with cmd/leasebench.
-	host := bench.AddHostFlags(fs, "8")
-	menu := bench.StructureNames() // the default is its first entry
+	// -quick -warm -window -protocol -threads -strict -parallel -cpuprofile
+	// -memprofile are shared with cmd/leasebench.
+	host := bench.AddHostFlags(fs)
 	var (
-		ds              = fs.String("ds", menu[0], "data structure: "+strings.Join(menu, "|"))
-		lease           = fs.Bool("lease", false, "enable the paper's lease placement")
-		leaseTime       = fs.Uint64("leasetime", 20000, "lease duration in cycles")
-		maxLease        = fs.Uint64("maxleasetime", 20000, "MAX_LEASE_TIME in cycles")
-		cycles          = fs.Uint64("cycles", 1_000_000, "cycles to simulate")
-		warm            = fs.Uint64("warm", 100_000, "warm-up cycles excluded from the measurement")
-		priority        = fs.Bool("priority", false, "regular requests break leases (§5)")
-		mesi            = fs.Bool("mesi", false, "MESI exclusive-clean read fills (§8)")
-		predictor       = fs.Bool("predictor", false, "enable the §5 speculative lease predictor")
-		multi           = fs.String("multilease", "hw", "tl2 multilease flavor under -lease: hw|sw|single|off")
-		seed            = fs.Uint64("seed", 1, "simulation seed")
-		jsonOut         = fs.Bool("json", false, "emit each run report as JSON on stdout")
-		hotlines        = fs.Int("hotlines", 10, "rank the top-N contended cache lines (0 disables)")
-		timeline        = fs.String("timeline", "", "write a Chrome trace-event timeline to this file")
-		invariants      = fs.Bool("invariants", false, "attach the runtime invariant checker (violations fail the run)")
-		faultsOn        = fs.Bool("faults", false, "enable deterministic protocol-legal fault injection")
-		preempt         = fs.Int("preempt", 0, "core-preemption probability in permille per memory access (0 disables)")
-		preemptMin      = fs.Uint64("preemptmin", 500, "minimum preemption duration in cycles")
-		preemptMax      = fs.Uint64("preemptmax", 40000, "maximum preemption duration in cycles")
-		preemptTargeted = fs.Bool("preempttargeted", false, "preempt only lease/write holders (adversarial stalled-holder schedule)")
-		controller      = fs.Bool("controller", false, "enable the adaptive lease-duration controller")
-		spans           = fs.Bool("spans", false, "trace coherence-transaction spans and report the cycle accounting")
-		ledger          = fs.Bool("ledger", false, "account per-line lease efficiency (granted/used/wasted cycles, ops absorbed, deferral inflicted)")
+		pattern    = fs.String("cell", "", "cell name or path.Match pattern, as leasebench names cells (fig3-counter/lease/t16)")
+		seed       = fs.Uint64("seed", 0, "simulation seed (default: the cell's)")
+		jsonOut    = fs.Bool("json", false, "emit each run report as JSON on stdout")
+		hotlines   = fs.Int("hotlines", 10, "rank the top-N contended cache lines (0 disables)")
+		timeline   = fs.String("timeline", "", "write a Chrome trace-event timeline to this file (suffixed by the cell when several match)")
+		invariants = fs.Bool("invariants", false, "attach the runtime invariant checker (violations fail the run)")
+		faultsOn   = fs.Bool("faults", false, "add deterministic protocol-legal fault injection to the cell's config")
+		spans      = fs.Bool("spans", false, "trace coherence-transaction spans and report the cycle accounting")
+		ledger     = fs.Bool("ledger", false, "account per-line lease efficiency (granted/used/wasted cycles, ops absorbed, deferral inflicted)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -120,49 +109,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "leasesim: "+format+"\n", args...)
 		return 2
 	}
-	structure, ok := findStructure(*ds)
-	if !ok {
-		// Fail fast with the full menu: a typo should not cost a trip to -help.
-		return usage("unknown -ds %q (valid: %s)", *ds, strings.Join(menu, ", "))
-	}
-	if *preempt < 0 || *preempt > 1000 {
-		return usage("-preempt %d out of range (want 0..1000 permille)", *preempt)
-	}
-	// The injector reads PreemptMax 0 as "no preemption" and a minimum above
-	// the maximum as a fixed duration; neither may stand in for what was asked.
 	switch {
-	case *preemptMax == 0:
-		return usage("-preemptmax wants at least one cycle")
-	case *preemptMin > *preemptMax:
-		return usage("-preemptmin %d exceeds -preemptmax %d", *preemptMin, *preemptMax)
+	case *pattern == "":
+		return usage("-cell wants a cell name or pattern (leasebench -list names the experiments)")
 	case *hotlines < 0:
 		return usage("-hotlines %d is negative", *hotlines)
-	// A zero duration builds the base structure: it may not report as leased.
-	case *lease && *leaseTime == 0:
-		return usage("-lease wants a -leasetime of at least one cycle")
-	case structure.MultiLease && parseMulti(*multi) < 0:
-		return usage("bad -multilease %q", *multi)
-	// -multilease is the leased variant's flavor, and off leases nothing.
-	case *lease && structure.MultiLease && parseMulti(*multi) == stm.NoLease:
-		return usage("-lease wants a -multilease other than off")
 	}
-	if *cycles == 0 {
-		return usage("-cycles wants at least one cycle")
-	}
+	seedGiven := false
+	fs.Visit(func(f *flag.Flag) { seedGiven = seedGiven || f.Name == "seed" })
 	if err := host.Start("leasesim", stderr); err != nil {
 		return usage("%v", err)
 	}
 	// Tear down the pool and flush the profiles before the process ends.
 	defer host.Close()
-	if len(host.Threads) == 0 {
-		return usage("-threads wants at least one thread count")
+	p := host.Params
+	cells, err := bench.Cells(experiments, p, *pattern)
+	if err != nil {
+		return usage("%v", err)
+	}
+	if len(cells) == 0 {
+		return usage("-cell %q matches no cell at -threads %s (cells are <exp>/[<row key>/]<variant>/t<threads>)",
+			*pattern, strings.ReplaceAll(strings.Trim(fmt.Sprint(p.Threads), "[]"), " ", ","))
 	}
 
-	rows := make([]bench.Row, len(host.Threads))
-	obs := make([]observed, len(host.Threads))
-	for i, n := range host.Threads {
-		rows[i] = bench.Row{Threads: n, Val: i} // Val: the row's index in obs
-		o := &obs[i]
+	obs := make([]observed, len(cells))
+	for i := range cells {
+		c, o := &cells[i], &obs[i]
 		o.rec = telemetry.NewRecorder()
 		if *spans || *timeline != "" {
 			o.rec.EnableSpans() // with -timeline, spans become nested txn slices
@@ -170,69 +142,52 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *ledger {
 			o.rec.EnableLedger()
 		}
-		if o.timeline = *timeline; o.timeline != "" && len(host.Threads) > 1 {
-			o.timeline = fmt.Sprintf("%s.t%d", o.timeline, n)
+		if o.timeline = *timeline; o.timeline != "" && len(cells) > 1 {
+			o.timeline += "." + strings.ReplaceAll(c.Name, "/", ".")
 		}
-		o.rep = bench.Report{DS: *ds, Threads: n, Lease: *lease, Seed: *seed,
-			WarmCycles: *warm, WindowCycles: *cycles, Protocol: host.Protocol}
+		o.rep = bench.Report{Cell: c.Name, Threads: c.Row.Threads, WarmCycles: p.Warm, WindowCycles: c.Window(p)}
+		c.Options = bench.Options{Recorder: o.rec, Invariants: *invariants}
+		// The observation flags edit the config after the cell's own Edit,
+		// and only the flags that were given.
+		edit := c.Variant.Edit
+		c.Variant.Edit = func(cfg *machine.Config, r bench.Row) {
+			if edit != nil {
+				edit(cfg, r)
+			}
+			if seedGiven {
+				cfg.Seed = *seed
+			}
+			if *faultsOn {
+				f := faults.DefaultConfig()
+				f.Seed = cfg.Seed
+				f.PreemptPermille, f.PreemptMin, f.PreemptMax, f.PreemptTargeted =
+					cfg.Faults.PreemptPermille, cfg.Faults.PreemptMin, cfg.Faults.PreemptMax, cfg.Faults.PreemptTargeted
+				cfg.Faults = f
+			}
+			o.rep.Seed, o.rep.Protocol, o.rep.FaultProfile = cfg.Seed, cfg.Protocol, cfg.Faults.Profile()
+			if o.timeline != "" {
+				o.rec.EnableTimeline(float64(cfg.ClockHz) / 1e6) // cycles per µs
+			}
+		}
 	}
-	v := bench.Variant{Name: "base", Edit: func(cfg *machine.Config, _ bench.Row) {
-		cfg.Lease.MaxLeaseTime = *maxLease
-		cfg.RegularBreaksLease = *priority
-		cfg.MESI = *mesi
-		cfg.Predictor = *predictor
-		cfg.Seed = *seed
-		if *faultsOn {
-			cfg.Faults = faults.DefaultConfig()
-			cfg.Faults.Seed = *seed
-		}
-		if *preempt > 0 {
-			cfg.Faults.Seed = *seed
-			cfg.Faults.PreemptPermille = *preempt
-			cfg.Faults.PreemptMin = *preemptMin
-			cfg.Faults.PreemptMax = *preemptMax
-			cfg.Faults.PreemptTargeted = *preemptTargeted
-		}
-		cfg.Controller = *controller
-	}}
-	lt := uint64(0)
-	if *lease {
-		v.Name, lt = "lease", *leaseTime
-	}
-	v.Run = func(p bench.Params, cfg machine.Config, r bench.Row) bench.Result {
-		o := &obs[r.Val]
-		o.rep.FaultProfile = cfg.Faults.Profile()
-		if o.timeline != "" {
-			o.rec.EnableTimeline(float64(cfg.ClockHz) / 1e6) // cycles per µs
-		}
-		var aborts uint64
-		build := structure.Build(bench.StructureOpts{Lease: lt, TL2Mode: parseMulti(*multi), Aborts: &aborts})
-		res := bench.ThroughputOpts(cfg, r.Threads, p.Warm, p.Window, build,
-			bench.Options{Recorder: o.rec, Invariants: *invariants})
-		if res.Err == nil {
-			res.Aborts = aborts
-			res.HotLines = bench.HotLineRows(o.rec, *hotlines)
-		}
-		return res
-	}
-	sweep := bench.Sweep{Rows: rows, Variants: []bench.Variant{v}}
-	res := sweep.Measure(bench.Params{Warm: *warm, Window: *cycles, Pool: host.Pool, Protocol: host.Protocol})
+	res := bench.MeasureCells(p, cells)
 
-	// report prints row i: a failed cell's name, cause and dump on errOut
-	// (and its -json report on out), or the cell's timeline file and then
-	// its report, as text or -json. It returns false when the row failed.
+	// report prints cell i: its name, cause and dump on errOut (and its
+	// -json report on out) when it failed, or its timeline file and then
+	// its report, as text or -json. It returns false when the cell failed.
 	report := func(out, errOut io.Writer, i int) bool {
 		o := &obs[i]
 		rep := &o.rep
-		rep.Result = res[i][0]
+		rep.Result = res[i]
 		if rep.Err != nil {
-			bench.CellFailure{Cell: bench.CellName(*ds, rows[i], v), Err: rep.Err}.Print(errOut, "leasesim")
+			bench.CellFailure{Cell: cells[i].Name, Err: rep.Err}.Print(errOut, "leasesim")
 			rep.Error = rep.Err.Error()
 			if *jsonOut {
 				writeJSON(out, *rep)
 			}
 			return false
 		}
+		rep.HotLines = bench.HotLineRows(o.rec, *hotlines)
 		if o.timeline != "" {
 			if err := writeTimeline(o.timeline, o.rec.Timeline); err != nil {
 				fmt.Fprintf(errOut, "leasesim: %v\n", err)
@@ -252,7 +207,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	status := 0
-	for i := range rows {
+	for i := range cells {
 		if !report(stdout, stderr, i) {
 			status = 1
 			if host.Strict {
@@ -263,21 +218,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return status
-}
-
-// parseMulti maps a -multilease flavor to an stm mode, or -1 if unknown.
-func parseMulti(s string) stm.LeaseMode {
-	switch s {
-	case "hw":
-		return stm.HWMulti
-	case "sw":
-		return stm.SWMulti
-	case "single":
-		return stm.SingleFirst
-	case "off":
-		return stm.NoLease
-	}
-	return -1
 }
 
 func writeJSON(out io.Writer, rep bench.Report) error {
@@ -308,7 +248,7 @@ func printText(out io.Writer, rep bench.Report, lines int) {
 	if rep.Protocol != "" {
 		proto = " protocol=" + rep.Protocol
 	}
-	fmt.Fprintf(out, "ds=%s threads=%d lease=%v%s window=%d cycles\n", rep.DS, rep.Threads, rep.Lease, proto, rep.Cycles)
+	fmt.Fprintf(out, "cell=%s threads=%d%s window=%d cycles\n", rep.Cell, rep.Threads, proto, rep.Cycles)
 	fmt.Fprintf(out, "ops            %d\n", rep.Ops)
 	fmt.Fprintf(out, "throughput     %.3f Mops/s\n", rep.MopsPerSec)
 	fmt.Fprintf(out, "energy         %.3f nJ/op\n", rep.NJPerOp)

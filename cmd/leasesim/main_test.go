@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -23,12 +24,14 @@ func leasesim(args ...string) (status int, stdout, stderr string) {
 	return status, out.String(), errOut.String()
 }
 
-// counterJSON is the -json report of a leased two-thread counter cell on a
-// short window, with any further flags.
+// short is the scale of the tests' runs: a short window.
+var short = []string{"-window", "100000", "-warm", "20000"}
+
+// counterJSON is the -json report of the leased two-thread counter cell on
+// a short window, with any further flags.
 func counterJSON(t *testing.T, more ...string) []byte {
 	t.Helper()
-	args := append([]string{"-ds", "counter", "-threads", "2", "-lease", "-json",
-		"-cycles", "100000", "-warm", "20000"}, more...)
+	args := append(append([]string{"-cell", "fig3-counter/lease/t2", "-threads", "2", "-json"}, short...), more...)
 	status, out, errOut := leasesim(args...)
 	if status != 0 {
 		t.Fatalf("%v: status %d, stderr:\n%s", args, status, errOut)
@@ -109,26 +112,26 @@ func TestJSONReportCarriesEngineStats(t *testing.T) {
 }
 
 // goldenRuns are the invocations whose stdout testdata/<name>.golden pins,
-// each on a short window: a leased counter sweep with spans, ledger and hot
-// lines in text and -json under both protocols, a TL2 cell that aborts, and
-// a faulted cell under the invariant checker.
+// each on a short window: the leased counter cells with spans, ledger and
+// hot lines in text and -json under both protocols, a TL2 cell that aborts,
+// and a faulted cell under the invariant checker.
 var goldenRuns = []struct {
 	name string
 	args []string
 }{
-	{"counter", []string{"-ds", "counter", "-threads", "2,4", "-lease", "-spans", "-ledger", "-hotlines", "3"}},
-	{"counter.json", []string{"-ds", "counter", "-threads", "2,4", "-lease", "-spans", "-ledger", "-hotlines", "3", "-json"}},
-	{"counter.tardis", []string{"-ds", "counter", "-threads", "2,4", "-lease", "-spans", "-ledger", "-hotlines", "3", "-protocol", "tardis"}},
-	{"counter.tardis.json", []string{"-ds", "counter", "-threads", "2,4", "-lease", "-spans", "-ledger", "-hotlines", "3", "-protocol", "tardis", "-json"}},
-	{"tl2", []string{"-ds", "tl2", "-threads", "4", "-multilease", "off"}},
-	{"faults.json", []string{"-ds", "counter", "-threads", "4", "-lease", "-faults", "-invariants", "-json"}},
+	{"counter", []string{"-cell", "fig3-counter/lease/t*", "-threads", "2,4", "-spans", "-ledger", "-hotlines", "3"}},
+	{"counter.json", []string{"-cell", "fig3-counter/lease/t*", "-threads", "2,4", "-spans", "-ledger", "-hotlines", "3", "-json"}},
+	{"counter.tardis", []string{"-cell", "fig3-counter/lease/t*", "-threads", "2,4", "-spans", "-ledger", "-hotlines", "3", "-protocol", "tardis"}},
+	{"counter.tardis.json", []string{"-cell", "fig3-counter/lease/t*", "-threads", "2,4", "-spans", "-ledger", "-hotlines", "3", "-protocol", "tardis", "-json"}},
+	{"tl2", []string{"-cell", "fig4-tl2/base/t4", "-threads", "4"}},
+	{"faults.json", []string{"-cell", "fig3-counter/lease/t4", "-threads", "4", "-faults", "-invariants", "-json"}},
 }
 
 // Every golden run prints its golden byte for byte; -update rewrites them.
 func TestReportGoldens(t *testing.T) {
 	for _, g := range goldenRuns {
 		t.Run(g.name, func(t *testing.T) {
-			args := append(append([]string(nil), g.args...), "-cycles", "100000", "-warm", "20000")
+			args := append(append([]string(nil), g.args...), short...)
 			status, out, errOut := leasesim(args...)
 			if status != 0 || errOut != "" {
 				t.Fatalf("%v: status %d, stderr:\n%s", args, status, errOut)
@@ -180,8 +183,8 @@ func TestReportGoldensRoundTrip(t *testing.T) {
 		}
 		inputs[path] = data
 	}
-	args := []string{"-ds", "counter", "-threads", "2,4", "-lease", "-faults", "-protocol", "tardis",
-		"-timeline", filepath.Join(t.TempDir(), "t.json"), "-json", "-cycles", "100000", "-warm", "20000"}
+	args := append([]string{"-cell", "fig3-counter/lease/t*", "-threads", "2,4", "-faults", "-protocol", "tardis",
+		"-timeline", filepath.Join(t.TempDir(), "t.json"), "-json"}, short...)
 	status, out, errOut := leasesim(args...)
 	if status != 0 {
 		t.Fatalf("%v: status %d, stderr:\n%s", args, status, errOut)
@@ -207,20 +210,24 @@ func TestReportGoldensRoundTrip(t *testing.T) {
 	}
 }
 
-// Without -lease, -ds tl2 is its base: the default -multilease flavor
-// leases nothing, and the report is the one -multilease off prints.
+// fig4-tl2's base cell leases nothing, and its report counts the aborts
+// the workload counts itself; the multilease cell beside it leases.
 func TestTL2BaseLeasesNothing(t *testing.T) {
-	args := []string{"-ds", "tl2", "-threads", "4", "-json", "-cycles", "100000", "-warm", "20000"}
-	status, base, errOut := leasesim(args...)
+	args := append([]string{"-cell", "fig4-tl2/*/t4", "-threads", "4", "-json"}, short...)
+	status, out, errOut := leasesim(args...)
 	if status != 0 {
 		t.Fatalf("%v: status %d, stderr:\n%s", args, status, errOut)
 	}
-	if _, off, _ := leasesim(append(args, "-multilease", "off")...); base != off {
-		t.Errorf("-ds tl2 printed:\n%s\nwant what -multilease off prints:\n%s", base, off)
+	reps := decodeReports(t, []byte(out))
+	if len(reps) != 3 || reps[0].Cell != "fig4-tl2/base/t4" || reps[1].Cell != "fig4-tl2/multi/t4" {
+		t.Fatalf("%v printed:\n%s\nwant the base, multi and single reports", args, out)
 	}
-	reps := decodeReports(t, []byte(base))
-	if len(reps) != 1 || reps[0].Lease || reps[0].Ops == 0 || reps[0].Window.MultiLeases != 0 {
-		t.Fatalf("-ds tl2 printed:\n%s\nwant one base report with ops and no multi_leases", base)
+	if base := reps[0]; base.Ops == 0 || base.Aborts == 0 || base.Window.Leases != 0 || base.Window.MultiLeases != 0 {
+		t.Errorf("base: ops %d, tl2_aborts %d, leases %d, multi_leases %d; want ops, aborts and no leases",
+			base.Ops, base.Aborts, base.Window.Leases, base.Window.MultiLeases)
+	}
+	if reps[1].Window.MultiLeases == 0 {
+		t.Error("the multi cell took no multi_leases: the test shows nothing")
 	}
 }
 
@@ -254,37 +261,95 @@ func TestLedgerAloneCarriesSpanAccounting(t *testing.T) {
 	}
 }
 
-// Usage errors exit 2 before anything runs and name what was wrong;
-// -compactbuckets, -serve, -trace and -sample are flags no more.
+// TestCellReproducesSweep: a cell run by leasesim is the cell leasebench
+// measures. For one cell of every experiment with variants, the -json
+// report's Result is what Sweep.Measure returns for it at the same scale.
+// A cell whose variant runs its own measurement (TL2, snapshot, Pagerank)
+// runs under -invariants -spans too, and its report carries what the
+// recorder recorded.
+func TestCellReproducesSweep(t *testing.T) {
+	p := bench.QuickParams()
+	p.Threads = []int{2}
+	pool := bench.NewPool(2)
+	defer pool.Close()
+	p.Pool = pool
+	runs := 0
+	for _, e := range bench.All() {
+		s := e.Sweep(p)
+		if len(s.Variants) == 0 || len(s.Rows) == 0 {
+			continue
+		}
+		// The last cell: the leased, faulted or protocol-switched one.
+		ri, vi := len(s.Rows)-1, len(s.Variants)-1
+		v := s.Variants[vi]
+		name := bench.CellName(e.ID, s.Rows[ri], v)
+		t.Run(name, func(t *testing.T) {
+			args := []string{"-cell", name, "-quick", "-threads", "2", "-json"}
+			if v.Run != nil {
+				args = append(args, "-invariants", "-spans")
+			}
+			status, out, errOut := leasesim(args...)
+			if status != 0 {
+				t.Fatalf("%v: status %d, stderr:\n%s", args, status, errOut)
+			}
+			reps := decodeReports(t, []byte(out))
+			if len(reps) != 1 {
+				t.Fatalf("%v printed %d reports, want 1", args, len(reps))
+			}
+			got, want := reps[0], s.Measure(p)[ri][vi]
+			if want.Err != nil {
+				t.Fatal(want.Err)
+			}
+			gotW, _ := json.Marshal(got.Window)
+			wantW, _ := json.Marshal(want.Window)
+			if got.Ops != want.Ops || got.MopsPerSec != want.MopsPerSec || !bytes.Equal(gotW, wantW) {
+				t.Errorf("leasesim: ops %d, %v Mops/s, counters %s\nsweep:    ops %d, %v Mops/s, counters %s",
+					got.Ops, got.MopsPerSec, gotW, want.Ops, want.MopsPerSec, wantW)
+			}
+			if got.Window.Cycles == 0 {
+				t.Error("the cell ran no cycles")
+			}
+			if v.Run != nil && (got.Txns == nil || got.Txns.Count == 0 || got.OpLatency == nil ||
+				got.Ops > 0 && got.OpLatency.Count == 0) {
+				t.Errorf("-spans: txn_accounting %+v, op_latency_cycles %+v; want the recorder's sections", got.Txns, got.OpLatency)
+			}
+			runs++
+		})
+	}
+	if runs < len(bench.All())-1 {
+		t.Errorf("%d experiments checked, want all but table1", runs)
+	}
+}
+
+// Usage errors exit 2 before anything runs and name what was wrong; -ds,
+// the config flags and -cycles are flags no more, nor are -compactbuckets,
+// -serve, -trace and -sample.
 func TestUsageErrors(t *testing.T) {
+	cell := []string{"-cell", "fig3-counter/lease/t2"}
 	for _, c := range []struct {
 		args []string
 		want string // on stderr
 	}{
+		{nil, "-cell wants a cell name or pattern"},
+		{[]string{"-cell", "fig9/*/t2"}, `-cell "fig9/*/t2" matches no cell at -threads 2,4,8,16,32,64`},
+		// A cell exists at the thread counts it is declared at.
+		{[]string{"-cell", "fig2/lease/t16", "-threads", "2,8"}, `-cell "fig2/lease/t16" matches no cell at -threads 2,8`},
+		{[]string{"-cell", "fig2/[/t2"}, `bad -cell pattern "fig2/[/t2"`},
+		{[]string{"-ds", "counter"}, "flag provided but not defined: -ds"},
+		{append([]string{"-lease"}, cell...), "flag provided but not defined: -lease"},
+		{append([]string{"-preempttargeted"}, cell...), "flag provided but not defined: -preempttargeted"},
+		{append([]string{"-multilease", "sw"}, cell...), "flag provided but not defined: -multilease"},
+		{append([]string{"-cycles", "100000"}, cell...), "flag provided but not defined: -cycles"},
 		{[]string{"-compactbuckets"}, "flag provided but not defined: -compactbuckets"},
-		{[]string{"-ds", "nosuch"}, `unknown -ds "nosuch" (valid: `},
-		{[]string{"-preempt", "1001"}, "-preempt 1001 out of range"},
-		{[]string{"-ds", "tl2", "-multilease", "both"}, `bad -multilease "both"`},
-		{[]string{"-threads", ""}, "-threads wants at least one thread count"},
-		{[]string{"-protocol", "moesi"}, `unknown -protocol "moesi"`},
+		{append([]string{"-protocol", "moesi"}, cell...), `unknown -protocol "moesi"`},
 		// Two cells of one thread count would share a -timeline file.
-		{[]string{"-threads", "2,2"}, "thread count 2 given twice"},
-		{[]string{"-ds", "counter", "-threads", "2", "-parallel", "-3"}, "-parallel -3 is negative"},
-		{[]string{"-cycles", "0"}, "-cycles wants at least one cycle"},
+		{append([]string{"-threads", "2,2"}, cell...), "thread count 2 given twice"},
+		{append([]string{"-parallel", "-3"}, cell...), "-parallel -3 is negative"},
+		{append([]string{"-window", "0"}, cell...), "-window wants at least one cycle"},
 		{[]string{"-serve", ":0"}, "flag provided but not defined: -serve"},
-		// Preemption is run as asked or refused: not fixed at -preemptmin,
-		// not silently off.
-		{[]string{"-ds", "counter", "-threads", "2", "-preempt", "5", "-preemptmin", "5000", "-preemptmax", "100"},
-			"-preemptmin 5000 exceeds -preemptmax 100"},
-		{[]string{"-ds", "counter", "-threads", "2", "-preempt", "5", "-preemptmax", "0"},
-			"-preemptmax wants at least one cycle"},
-		{[]string{"-ds", "counter", "-threads", "2", "-hotlines", "-1"}, "-hotlines -1 is negative"},
-		// A zero lease, or -multilease off, builds the base structure, which
-		// must not report as leased.
-		{[]string{"-ds", "counter", "-threads", "2", "-lease", "-leasetime", "0"}, "-lease wants a -leasetime of at least one cycle"},
-		{[]string{"-ds", "tl2", "-threads", "2", "-lease", "-multilease", "off"}, "-lease wants a -multilease other than off"},
-		{[]string{"-ds", "counter", "-threads", "2", "-trace", "20"}, "flag provided but not defined: -trace"},
-		{[]string{"-ds", "counter", "-threads", "2", "-sample", "4"}, "flag provided but not defined: -sample"},
+		{append([]string{"-hotlines", "-1"}, cell...), "-hotlines -1 is negative"},
+		{append([]string{"-trace", "20"}, cell...), "flag provided but not defined: -trace"},
+		{append([]string{"-sample", "4"}, cell...), "flag provided but not defined: -sample"},
 	} {
 		status, out, errOut := leasesim(c.args...)
 		if status != 2 || out != "" {
@@ -296,33 +361,49 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
+// beforeStack is a failure report up to the Go stack of its panic, which
+// differs from run to run.
+func beforeStack(report string) string {
+	report, _, _ = strings.Cut(report, "panic stack:")
+	return report
+}
+
 // A failed cell is named on stderr by its cell name, with its cause and the
 // machine's state dump; its -json report, with the error and engine_stats,
 // stays in the stdout stream of reports; the other cells still print
 // and the exit status is 1. -strict prints nothing after the first failure.
+// The name, pasted back into -cell, reproduces the failure and its dump,
+// which are the ones the sweep (leasebench) reports.
 func TestFailedCellExitsOne(t *testing.T) {
-	defer func(saved func(string) (bench.Structure, bool)) { findStructure = saved }(findStructure)
 	// The fourth thread panics mid-window: the two-thread cell is healthy.
-	findStructure = func(string) (bench.Structure, bool) {
-		return bench.Structure{Name: "counter", Build: func(bench.StructureOpts) bench.Workload {
-			return func(d *machine.Direct) bench.OpFunc {
-				a := d.Alloc(8)
-				return func(tid int, c *machine.Ctx) {
-					c.Store(a, c.Load(a)+1)
-					if tid == 3 && c.Now() > 60_000 {
-						panic("boom")
-					}
-				}
+	broken := func(d *machine.Direct) bench.OpFunc {
+		a := d.Alloc(8)
+		return func(tid int, c *machine.Ctx) {
+			c.Store(a, c.Load(a)+1)
+			if tid == 3 && c.Now() > 60_000 {
+				panic("boom")
 			}
-		}}, true
+		}
 	}
-	args := []string{"-ds", "counter", "-threads", "2,4,8", "-lease", "-json", "-cycles", "100000", "-warm", "20000", "-parallel", "2"}
+	failing := bench.Experiment{ID: "failing", Paper: "the fourth thread panics mid-window", Sweep: func(p bench.Params) bench.Sweep {
+		var rows []bench.Row
+		for _, n := range p.Threads {
+			rows = append(rows, bench.Row{Threads: n})
+		}
+		return bench.Sweep{Rows: rows, Variants: []bench.Variant{{Name: "broken",
+			Build: func(bench.Row) bench.Workload { return broken }}}}
+	}}
+	defer func(saved []bench.Experiment) { experiments = saved }(experiments)
+	experiments = []bench.Experiment{failing}
+
+	scale := append([]string{"-threads", "2,4,8", "-parallel", "2"}, short...)
+	args := append([]string{"-cell", "failing/broken/t*", "-json"}, scale...)
 	status, out, errOut := leasesim(args...)
 	if status != 1 {
 		t.Errorf("status %d, want 1", status)
 	}
-	for _, want := range []string{"leasesim: counter/lease/t4 FAILED (panic): ", "boom", "machine state at cycle",
-		"goroutine ", "leasesim: counter/lease/t8 FAILED (panic): "} {
+	for _, want := range []string{"leasesim: failing/broken/t4 FAILED (panic): ", "boom", "machine state at cycle",
+		"goroutine ", "leasesim: failing/broken/t8 FAILED (panic): "} {
 		if !strings.Contains(errOut, want) {
 			t.Errorf("stderr lacks %q:\n%s", want, errOut)
 		}
@@ -339,8 +420,33 @@ func TestFailedCellExitsOne(t *testing.T) {
 	}
 
 	status, out, errOut = leasesim(append(args, "-strict")...)
-	if status != 1 || strings.Count(out, `"ds"`) != 2 || strings.Contains(errOut, "/t8 FAILED") {
+	if status != 1 || strings.Count(out, `"cell"`) != 2 || strings.Contains(errOut, "/t8 FAILED") {
 		t.Errorf("-strict: status %d, %d reports, stderr:\n%s\nwant 1, the t2 and t4 reports, and nothing about t8",
-			status, strings.Count(out, `"ds"`), errOut)
+			status, strings.Count(out, `"cell"`), errOut)
+	}
+
+	// The name, pasted back, reproduces the failure and its dump.
+	status, out, again := leasesim(append([]string{"-cell", "failing/broken/t4"}, scale...)...)
+	if status != 1 || out != "" || !strings.HasPrefix(errOut, beforeStack(again)) {
+		t.Errorf("-cell failing/broken/t4: status %d, stdout %q, stderr:\n%s\nwant 1, nothing, and the first run's report:\n%s",
+			status, out, again, errOut)
+	}
+
+	// So does the name the sweep (leasebench) prints, up to the engine's
+	// event counts: leasesim's recorder makes each thread rejoin the event
+	// queue at every operation's end, which costs events but moves no
+	// simulated cycle.
+	p := bench.Params{Threads: []int{2, 4, 8}, Warm: 20_000, Window: 100_000}
+	var sweep, want bytes.Buffer
+	failed := failing.Run(&sweep, p)
+	if len(failed) != 2 || failed[0].Cell != "failing/broken/t4" || !strings.Contains(sweep.String(), "FAILED failing/broken/t4 (panic)") {
+		t.Fatalf("the sweep failed %v, printing:\n%s\nwant t4 and t8", failed, &sweep)
+	}
+	failed[0].Print(&want, "leasesim")
+	if got, want := engineCounts.ReplaceAllString(beforeStack(again), "N"), engineCounts.ReplaceAllString(beforeStack(want.String()), "N"); got != want {
+		t.Errorf("-cell %s reported:\n%s\nthe sweep:\n%s", failed[0].Cell, got, want)
 	}
 }
+
+// engineCounts matches the host-side event counts of a failure report.
+var engineCounts = regexp.MustCompile(`event seq \d+|\d+ events executed`)

@@ -1,14 +1,19 @@
 package leaserelease
 
 import (
+	"fmt"
 	"io/fs"
 	"os"
 	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode"
+
+	"leaserelease/internal/bench"
 )
 
 var (
@@ -31,7 +36,8 @@ var (
 // pkg/path.Symbol form is checked up to the dot), and every *.go or
 // BENCH_*.json file name is in the tree. A word of a back-quoted command
 // counts like a span of its own. Every -flag of a leasesim or leasebench
-// command they cite is one the binary registers.
+// command they cite is one the binary registers, and every -cell pattern
+// matches a declared cell at the command's scale and -threads.
 func TestDocsCiteWhatExists(t *testing.T) {
 	var files []string // slash-separated, relative to the module root
 	tests := map[string]bool{}
@@ -108,6 +114,9 @@ func TestDocsCiteWhatExists(t *testing.T) {
 					t.Errorf("%s cites `%s`, but %s has no -%s", doc, strings.Join(cmd, " "), bin, name)
 				}
 			}
+			if err := cellsExist(cmd); err != nil {
+				t.Errorf("%s cites `%s`: %v", doc, strings.Join(cmd, " "), err)
+			}
 		}
 		cited := 0
 		for _, span := range backQuoted.FindAllSubmatch(text, -1) {
@@ -137,6 +146,42 @@ func TestDocsCiteWhatExists(t *testing.T) {
 			t.Errorf("%s cites nothing this test checks", doc)
 		}
 	}
+}
+
+// cellsExist reports a -cell pattern of a cited command that matches no
+// declared cell at the command's scale (-quick) and -threads.
+func cellsExist(cmd []string) error {
+	arg := func(flag string) (string, bool) {
+		for i, w := range cmd[:len(cmd)-1] {
+			if w == flag {
+				return strings.Trim(cmd[i+1], `'"`), true
+			}
+		}
+		return "", false
+	}
+	pattern, ok := arg("-cell")
+	if !ok {
+		return nil
+	}
+	p := bench.FullParams()
+	if slices.Contains(cmd, "-quick") {
+		p = bench.QuickParams()
+	}
+	if list, ok := arg("-threads"); ok {
+		p.Threads = nil
+		for _, f := range strings.Split(list, ",") {
+			n, err := strconv.Atoi(f)
+			if err != nil {
+				return fmt.Errorf("bad -threads %q", list)
+			}
+			p.Threads = append(p.Threads, n)
+		}
+	}
+	cells, err := bench.Cells(bench.All(), p, pattern)
+	if err == nil && len(cells) == 0 {
+		err = fmt.Errorf("-cell %q matches no declared cell at -threads %v", pattern, p.Threads)
+	}
+	return err
 }
 
 // binaryFlags returns the flags each binary registers, read from the

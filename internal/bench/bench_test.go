@@ -14,7 +14,7 @@ import (
 )
 
 func TestThroughputBasics(t *testing.T) {
-	r := Throughput(machine.DefaultConfig(4), 4, 20_000, 100_000, StackWorkload(ds.StackOptions{Lease: LeaseTime}))
+	r := ThroughputOpts(machine.DefaultConfig(4), 4, 20_000, 100_000, StackWorkload(ds.StackOptions{Lease: LeaseTime}), Options{})
 	if r.Ops == 0 {
 		t.Fatal("no ops measured")
 	}
@@ -28,7 +28,7 @@ func TestThroughputBasics(t *testing.T) {
 
 func TestThroughputDeterministic(t *testing.T) {
 	run := func() Result {
-		return Throughput(machine.DefaultConfig(4), 4, 20_000, 100_000, QueueWorkload(ds.QueueSingleLease))
+		return ThroughputOpts(machine.DefaultConfig(4), 4, 20_000, 100_000, QueueWorkload(ds.QueueSingleLease), Options{})
 	}
 	a, b := run(), run()
 	if a.Ops != b.Ops || a.Window.TotalMsgs() != b.Window.TotalMsgs() {
@@ -190,14 +190,14 @@ func TestTableFormatting(t *testing.T) {
 // meaningfully without it (1 thread).
 func TestFig2Shape(t *testing.T) {
 	warm, window := uint64(50_000), uint64(300_000)
-	base8 := Throughput(machine.DefaultConfig(8), 8, warm, window, StackWorkload(ds.StackOptions{}))
-	lease8 := Throughput(machine.DefaultConfig(8), 8, warm, window, StackWorkload(ds.StackOptions{Lease: LeaseTime}))
+	base8 := ThroughputOpts(machine.DefaultConfig(8), 8, warm, window, StackWorkload(ds.StackOptions{}), Options{})
+	lease8 := ThroughputOpts(machine.DefaultConfig(8), 8, warm, window, StackWorkload(ds.StackOptions{Lease: LeaseTime}), Options{})
 	if lease8.MopsPerSec < 1.2*base8.MopsPerSec {
 		t.Fatalf("8-thread lease %.2f vs base %.2f: expected a clear win",
 			lease8.MopsPerSec, base8.MopsPerSec)
 	}
-	base1 := Throughput(machine.DefaultConfig(1), 1, warm, window, StackWorkload(ds.StackOptions{}))
-	lease1 := Throughput(machine.DefaultConfig(1), 1, warm, window, StackWorkload(ds.StackOptions{Lease: LeaseTime}))
+	base1 := ThroughputOpts(machine.DefaultConfig(1), 1, warm, window, StackWorkload(ds.StackOptions{}), Options{})
+	lease1 := ThroughputOpts(machine.DefaultConfig(1), 1, warm, window, StackWorkload(ds.StackOptions{Lease: LeaseTime}), Options{})
 	if lease1.MopsPerSec < 0.8*base1.MopsPerSec {
 		t.Fatalf("1-thread lease %.2f vs base %.2f: uncontended overhead too high",
 			lease1.MopsPerSec, base1.MopsPerSec)

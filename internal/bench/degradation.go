@@ -45,12 +45,12 @@ const (
 // the schedule is a pure function of (seed, core, rate).
 //
 // The schedule is untargeted OS jitter: every core is eligible at every
-// access, like a kernel descheduling threads obliviously. (Targeted
-// stalled-holder mode remains available via leasesim -preempttargeted;
-// it is deliberately not used here because holder-only preemption is
-// self-limiting for the lock variant — at most one core at a time is
-// making progress, so at most one can be hit — which flattens the very
-// curve this sweep measures.)
+// access, like a kernel descheduling threads obliviously. (The targeted
+// stalled-holder mode, faults.Config.PreemptTargeted, is the adversary of
+// the protocol and chaos tests; it is deliberately not used here because
+// holder-only preemption is self-limiting for the lock variant — at most
+// one core at a time is making progress, so at most one can be hit —
+// which flattens the very curve this sweep measures.)
 func degradationCfg(cfg *machine.Config, rate int, ctrl bool) {
 	if rate > 0 {
 		cfg.Faults.PreemptPermille = rate

@@ -16,7 +16,7 @@ func degSmokeCell(seed uint64, n, rate int, build func(d *machine.Direct) OpFunc
 	cfg := Params{}.cfgFor(n)
 	degradationCfg(&cfg, rate, false)
 	cfg.Seed = seed
-	return Throughput(cfg, n, 50_000, 3_000_000, build)
+	return ThroughputOpts(cfg, n, 50_000, 3_000_000, build, Options{})
 }
 
 // TestDegradationSmoke is the gating robustness assertion (also run as a
@@ -58,8 +58,8 @@ func TestDegradationRateZeroMatchesClean(t *testing.T) {
 	build := StackWorkload(ds.StackOptions{Lease: LeaseTime})
 	cfg := Params{}.cfgFor(4)
 	degradationCfg(&cfg, 0, false)
-	zero := Throughput(cfg, 4, 20_000, 80_000, build)
-	clean := Throughput(Params{}.cfgFor(4), 4, 20_000, 80_000, build)
+	zero := ThroughputOpts(cfg, 4, 20_000, 80_000, build, Options{})
+	clean := ThroughputOpts(Params{}.cfgFor(4), 4, 20_000, 80_000, build, Options{})
 	if zero.Window != clean.Window || zero.Ops != clean.Ops {
 		t.Fatalf("rate-0 degradation cell differs from clean run:\nzero:  %+v\nclean: %+v",
 			zero.Window, clean.Window)

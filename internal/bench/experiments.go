@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -82,6 +81,7 @@ func All() []Experiment {
 		{"snapshot", "§5: cheap lock-free snapshots vs double-collect", snapshot},
 		{"degradation", "robustness: throughput retention under core preemption, lease vs lock vs adaptive controller", degradation},
 		{"protocol-compare", "protocol axis: lease-vs-backoff speedup under MSI vs Tardis at equal contention", protocolCompare},
+		{"tune-leasetime", "ledger: the leased stack's lease duration against its hold tail", tuneLeaseTime},
 	}
 }
 
@@ -197,12 +197,15 @@ func fig4MQ(p Params) Sweep {
 }
 
 // tl2Variant runs the TL2 workload, which counts its own aborts. They
-// accumulate over warm+window; the window's share is approximated by its
-// share of the cycles.
+// accumulate over warm+window (Result.Aborts); the window's share is
+// approximated by its share of the cycles.
 func tl2Variant(name string, mode stm.LeaseMode) Variant {
-	return Variant{Name: name, Run: func(p Params, cfg machine.Config, r Row) Result {
+	return Variant{Name: name, Run: func(p Params, cfg machine.Config, r Row, o Options) Result {
 		var aborts uint64
-		res := Throughput(cfg, r.Threads, p.Warm, p.Window, TL2Workload(mode, &aborts))
+		res := ThroughputOpts(cfg, r.Threads, p.Warm, p.Window, TL2Workload(mode, &aborts), o)
+		if res.Err == nil {
+			res.Aborts = aborts
+		}
 		if res.Ops > 0 {
 			frac := float64(p.Window) / float64(p.Warm+p.Window)
 			res.AbortsPerOp = float64(aborts) * frac / float64(res.Ops)
@@ -231,20 +234,16 @@ func fig5SwHw(p Params) Sweep {
 // pagerankVariant runs the Figure 5 (right) application to completion under
 // the default cycle budget: Result.Cycles is when its last thread finished.
 func pagerankVariant(name string, leaseTime uint64) Variant {
-	return Variant{Name: name, Run: func(p Params, cfg machine.Config, r Row) Result {
+	return Variant{Name: name, Run: func(p Params, cfg machine.Config, r Row, o Options) Result {
 		pcfg := pagerank.DefaultConfig(r.Threads)
 		pcfg.Nodes, pcfg.Iterations, pcfg.LeaseTime = 1024, 3, leaseTime
 		if p.Window <= QuickParams().Window {
 			pcfg.Nodes, pcfg.Iterations = 256, 2
 		}
-		cycles, stats, err := RunToCompletion(cfg, r.Threads, 0, func(d *machine.Direct) func(int, *machine.Ctx) {
+		return RunToCompletion(cfg, r.Threads, 0, func(d *machine.Direct) func(int, *machine.Ctx) {
 			pr := pagerank.New(d, pcfg)
 			return func(tid int, c *machine.Ctx) { pr.Run(c, tid) }
-		})
-		if re := (*RunError)(nil); errors.As(err, &re) {
-			return Result{Err: re}
-		}
-		return Result{Cycles: cycles, Window: stats}
+		}, o)
 	}}
 }
 
@@ -351,6 +350,29 @@ func ablateLeaseTime(p Params) Sweep {
 	}}
 }
 
+// tuneLeaseDurations are tune-leasetime's rows: the paper's 20K, then
+// durations from above the leased stack's hold tail to well inside it.
+var tuneLeaseDurations = []int{20000, 200, 100, 50, 25}
+
+// tuneLeaseTime reads the lease-efficiency ledger of the leased stack with
+// its leases clamped to each duration (MAX_LEASE_TIME), at the sweep's
+// largest thread count: a duration below the hold tail shows as expired
+// leases and lost throughput, one above it as unused granted cycles.
+func tuneLeaseTime(p Params) Sweep {
+	n := slices.Max(p.Threads)
+	rows := make([]Row, len(tuneLeaseDurations))
+	for i, d := range tuneLeaseDurations {
+		rows[i] = Row{Threads: n, Key: fmt.Sprint(d), Val: d}
+	}
+	const lease = 0
+	vs := variants{{Name: "lease", Build: leaseStack, Measured: true,
+		Edit: func(cfg *machine.Config, r Row) { cfg.Lease.MaxLeaseTime = uint64(r.Val) }}}
+	t := ledgerTable("leased stack", lease)
+	t.Cols = append([]Col{vs.mops(lease),
+		{"hold p50/p99", func(res []Result) any { return fmtP5099(res[lease].LeaseHold) }}}, t.Cols...)
+	return Sweep{Rows: rows, Variants: vs, Lead: []string{"leasetime", "threads"}, Tables: []TableSpec{t}}
+}
+
 // ablatePriority: §7 "Observations and Limitations": a thread that leases a
 // lock already owned by another thread and is slow to drop the lease delays
 // the owner's unlock. The prioritization mechanism (§5) lets the owner's
@@ -447,9 +469,9 @@ func ablateAutoLease(p Params) Sweep {
 // half take 4-word snapshots. The workload counts its snapshots and retry
 // rounds itself, over warm+window.
 func snapshotVariant(name string, useLease bool) Variant {
-	return Variant{Name: name, Run: func(p Params, cfg machine.Config, r Row) Result {
+	return Variant{Name: name, Run: func(p Params, cfg machine.Config, r Row, o Options) Result {
 		var rounds, snaps uint64
-		res := Throughput(cfg, r.Threads, p.Warm, p.Window, SnapshotWorkload(useLease, 4, &rounds, &snaps))
+		res := ThroughputOpts(cfg, r.Threads, p.Warm, p.Window, SnapshotWorkload(useLease, 4, &rounds, &snaps), o)
 		res.Snapshots, res.SnapshotRounds = snaps, rounds
 		return res
 	}}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -14,40 +15,48 @@ import (
 	"leaserelease/internal/coherence"
 )
 
-// Host is the host-flag surface of the binaries that run sweep cells
+// Host is the flag surface of the binaries that run sweep cells
 // (cmd/leasesim, cmd/leasebench): the flags that mean the same thing in
 // both, registered once, and what they start.
 //
-// -protocol selects the coherence backend: the default directory MSI, or
-// Tardis timestamp coherence (per-line wts/rts, silent reservation expiry
-// instead of invalidations). -threads is a comma-separated list of thread
-// counts. Cells — one simulated machine each — run on a host worker pool
-// (-parallel, default GOMAXPROCS) and their output is emitted in sweep
-// order, so it is byte-identical for any -parallel value; only wall-clock
-// changes. -strict stops at the first failure. -cpuprofile/-memprofile
-// capture pprof profiles of the host process.
+// -quick picks QuickParams over FullParams as the scale; -warm (unmeasured
+// warm-up cycles) and -window (measured cycles) override the scale's when
+// given, whatever their value, so a cell means the same thing in both
+// binaries. -threads is a comma-separated list of thread counts that
+// replaces the scale's. -protocol selects the coherence backend: the
+// default directory MSI, or Tardis timestamp coherence (per-line wts/rts,
+// silent reservation expiry instead of invalidations). Cells — one
+// simulated machine each — run on a host worker pool (-parallel, default
+// GOMAXPROCS) and their output is emitted in sweep order, so it is
+// byte-identical for any -parallel value; only wall-clock changes. -strict
+// stops at the first failure. -cpuprofile/-memprofile capture pprof
+// profiles of the host process.
 type Host struct {
-	// Protocol is the coherence backend for every cell. After Start the
-	// default MSI is the empty tag, so default runs are byte-identical to
-	// builds that predate -protocol.
-	Protocol string
-	Threads  []int // -threads, parsed by Start; nil when it is empty
-	Strict   bool
-	Pool     *Pool // nil (serial) for one worker
+	// Params is the sweep the flags select, filled by Start: the scale,
+	// the protocol (the default MSI is the empty tag, so default runs are
+	// byte-identical to builds that predate -protocol) and the pool (nil,
+	// serial, for one worker).
+	Params Params
+	Strict bool
 
-	parallel                        int // -parallel as given; Pool.Workers is what it resolved to
-	threads, cpuProfile, memProfile string
-	name                            string
-	stderr                          io.Writer
-	cpuFile                         *os.File
+	fs                                        *flag.FlagSet
+	quick                                     bool
+	warm, window                              uint64
+	parallel                                  int // -parallel as given; Pool.Workers is what it resolved to
+	protocol, threads, cpuProfile, memProfile string
+	name                                      string
+	stderr                                    io.Writer
+	cpuFile                                   *os.File
 }
 
-// AddHostFlags registers the host flags on fs. threads is the default of
-// -threads, the one thing the binaries differ in.
-func AddHostFlags(fs *flag.FlagSet, threads string) *Host {
-	h := &Host{}
-	fs.StringVar(&h.Protocol, "protocol", coherence.ProtocolMSI, "coherence protocol backend: "+strings.Join(coherence.Protocols(), "|"))
-	fs.StringVar(&h.threads, "threads", threads, "comma-separated thread counts, each 1..64")
+// AddHostFlags registers the host flags on fs.
+func AddHostFlags(fs *flag.FlagSet) *Host {
+	h := &Host{fs: fs}
+	fs.BoolVar(&h.quick, "quick", false, "small thread sweep and short windows")
+	fs.Uint64Var(&h.warm, "warm", 0, "warm-up cycles excluded from the measurement (default: the scale's)")
+	fs.Uint64Var(&h.window, "window", 0, "measurement window cycles (default: the scale's)")
+	fs.StringVar(&h.protocol, "protocol", coherence.ProtocolMSI, "coherence protocol backend: "+strings.Join(coherence.Protocols(), "|"))
+	fs.StringVar(&h.threads, "threads", "", "comma-separated thread counts, each 1..64 (default: the scale's)")
 	fs.BoolVar(&h.Strict, "strict", false, "stop at the first failure")
 	fs.IntVar(&h.parallel, "parallel", 0, "worker pool size for sweep cells (0 = GOMAXPROCS, 1 = serial)")
 	fs.StringVar(&h.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
@@ -55,20 +64,37 @@ func AddHostFlags(fs *flag.FlagSet, threads string) *Host {
 	return h
 }
 
-// Start validates the parsed flag values, then starts the CPU profile and
-// the worker pool. name prefixes what it writes to stderr. An error is a
-// usage error; after a nil one the caller must Close the host before the
-// process exits.
+// Start validates the parsed flag values and fills Params, then starts the
+// CPU profile and the worker pool. name prefixes what it writes to stderr.
+// An error is a usage error; after a nil one the caller must Close the host
+// before the process exits.
 func (h *Host) Start(name string, stderr io.Writer) error {
 	h.name, h.stderr = name, stderr
-	if !coherence.ValidProtocol(h.Protocol) {
-		return fmt.Errorf("unknown -protocol %q (valid: %s)", h.Protocol, strings.Join(coherence.Protocols(), ", "))
+	p := FullParams()
+	if h.quick {
+		p = QuickParams()
 	}
-	h.Protocol = protocolTag(h.Protocol)
+	// A flag that was given wins over the scale, whatever its value.
+	h.fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "warm":
+			p.Warm = h.warm
+		case "window":
+			p.Window = h.window
+		}
+	})
+	if p.Window == 0 {
+		return errors.New("-window wants at least one cycle")
+	}
+	if !coherence.ValidProtocol(h.protocol) {
+		return fmt.Errorf("unknown -protocol %q (valid: %s)", h.protocol, strings.Join(coherence.Protocols(), ", "))
+	}
+	p.Protocol = protocolTag(h.protocol)
 	if h.parallel < 0 {
 		return fmt.Errorf("-parallel %d is negative (want 0 for GOMAXPROCS, or a worker count)", h.parallel)
 	}
 	if h.threads != "" {
+		p.Threads = nil
 		for _, part := range strings.Split(h.threads, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))
 			if err != nil || n < 1 || n > 64 {
@@ -76,10 +102,10 @@ func (h *Host) Start(name string, stderr io.Writer) error {
 			}
 			// A cell is named by its thread count (table row, -timeline
 			// suffix, FAILED line): two of one count would share a name.
-			if slices.Contains(h.Threads, n) {
+			if slices.Contains(p.Threads, n) {
 				return fmt.Errorf("thread count %d given twice in -threads %s", n, h.threads)
 			}
-			h.Threads = append(h.Threads, n)
+			p.Threads = append(p.Threads, n)
 		}
 	}
 	if h.cpuProfile != "" {
@@ -94,11 +120,12 @@ func (h *Host) Start(name string, stderr io.Writer) error {
 		}
 		h.cpuFile = f
 	}
-	h.Pool = NewPool(h.parallel)
-	if w := h.Pool.Workers(); w > runtime.NumCPU() {
+	p.Pool = NewPool(h.parallel)
+	if w := p.Pool.Workers(); w > runtime.NumCPU() {
 		h.logf("warning: %d workers exceeds NumCPU=%d; host threads will timeshare and wall-clock gains flatten",
 			w, runtime.NumCPU())
 	}
+	h.Params = p
 	return nil
 }
 
@@ -109,7 +136,7 @@ func (h *Host) logf(format string, args ...any) {
 // Close stops the workers once every submitted cell has finished, then ends
 // the CPU profile and writes the allocation profile.
 func (h *Host) Close() {
-	h.Pool.Close()
+	h.Params.Pool.Close()
 	if h.cpuFile != nil {
 		pprof.StopCPUProfile()
 		if err := h.cpuFile.Close(); err != nil {

@@ -19,7 +19,7 @@ func benchCounterRun(b *testing.B, kind CounterKind, threads int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := Throughput(cfg, threads, warm, window, build)
+		r := ThroughputOpts(cfg, threads, warm, window, build, Options{})
 		if r.Err != nil {
 			b.Fatal(r.Err)
 		}

@@ -33,7 +33,7 @@ func TestTardisReportGolden(t *testing.T) {
 	}
 
 	r.HotLines = HotLineRows(rec, 5)
-	rep := Report{DS: "counter", Threads: 2, Lease: true, Seed: cfg.Seed,
+	rep := Report{Cell: "fig3-counter/lease/t2", Threads: 2, Seed: cfg.Seed,
 		WarmCycles: warm, WindowCycles: window, Protocol: protocolTag(cfg.Protocol), Result: r}
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)

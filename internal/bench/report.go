@@ -7,15 +7,16 @@ import (
 	"leaserelease/internal/telemetry"
 )
 
-// Report is one cell as `leasesim -json` emits it: the cell's
+// Report is one cell as `leasesim -json` emits it: the cell's name and
 // configuration, then its Result. Field order and types are stable: for a
 // fixed seed and configuration the marshaled report is byte-for-byte
 // reproducible.
 type Report struct {
-	DS           string `json:"ds"`
-	Threads      int    `json:"threads"`
-	Lease        bool   `json:"lease"`
-	Seed         uint64 `json:"seed"`
+	Cell    string `json:"cell"` // CellName
+	Threads int    `json:"threads"`
+	Seed    uint64 `json:"seed"`
+	// WarmCycles and WindowCycles are the scale the cell ran at: the
+	// window is halved for a HalfWindow sweep.
 	WarmCycles   uint64 `json:"warm_cycles"`
 	WindowCycles uint64 `json:"window_cycles"`
 

@@ -37,8 +37,8 @@ type Result struct {
 	// 0 = some thread starved). Lease queueing tends to raise it.
 	Fairness float64 `json:"fairness"`
 
-	// Aborts is a TL2 run's abort count over warm-up and window (leasesim
-	// fills it); AbortsPerOp is the window's aborts per op (tl2Variant's).
+	// Aborts is a TL2 cell's abort count over warm-up and window, and
+	// AbortsPerOp the window's aborts per op; tl2Variant fills both.
 	Aborts      uint64  `json:"tl2_aborts,omitempty"`
 	AbortsPerOp float64 `json:"-"`
 
@@ -83,7 +83,7 @@ type Result struct {
 	Err *RunError `json:"-"`
 }
 
-// Options selects the optional observability features of a Throughput run.
+// Options selects the optional observability features of a run.
 // The zero value reproduces the plain harness: no telemetry, no checker.
 type Options struct {
 	// Recorder, when non-nil, is attached to the machine's telemetry bus
@@ -97,14 +97,9 @@ type Options struct {
 	Invariants bool
 }
 
-// Throughput runs a standard throughput benchmark: build the structure,
-// spawn `threads` workers looping op, warm up, then measure a window.
-func Throughput(cfg machine.Config, threads int, warm, window uint64,
-	build func(d *machine.Direct) OpFunc) Result {
-	return ThroughputOpts(cfg, threads, warm, window, build, Options{})
-}
-
-// ThroughputOpts is Throughput with observability options. Telemetry rides
+// ThroughputOpts runs a standard throughput benchmark with observability
+// options: build the structure, spawn `threads` workers looping op, warm
+// up, then measure a window. Telemetry rides
 // on the host side of the simulation (bus subscribers, local-clock reads),
 // so enabling it never changes simulated timing: for a given cfg.Seed the
 // measured window is identical with and without a Recorder.
@@ -115,31 +110,8 @@ func Throughput(cfg machine.Config, threads int, warm, window uint64,
 func ThroughputOpts(cfg machine.Config, threads int, warm, window uint64,
 	build func(d *machine.Direct) OpFunc, o Options) Result {
 
-	rec := o.Recorder
-	var spans *telemetry.Spans
-	var ledger *telemetry.Ledger
-	if rec != nil {
-		spans = rec.Spans
-		if spans != nil {
-			// Align span accounting with the measured window: spans of
-			// warm-up transactions are assembled but not aggregated.
-			spans.WindowStart = warm
-		}
-		ledger = rec.Ledger
-		if ledger != nil {
-			// Same window convention: warm-up leases are not accounted.
-			ledger.WindowStart = warm
-		}
-	}
-	var chk *invariant.Checker
-	prepare := func(m *machine.Machine) {
-		if o.Invariants {
-			chk = invariant.Attach(m)
-		}
-		if rec != nil {
-			rec.Attach(m.Telemetry())
-		}
-	}
+	ob := o.observe(warm)
+	rec, spans, ledger := o.Recorder, ob.spans, ob.ledger
 	counts := make([]uint64, threads)
 	loop := func(d *machine.Direct) func(int, *machine.Ctx) {
 		op := build(d)
@@ -202,34 +174,91 @@ func ThroughputOpts(cfg machine.Config, threads int, warm, window uint64,
 			rec.Finish(m.Now())
 		}
 		m.Stop()
-		if chk != nil {
-			chk.CheckNow()
-			if cerr := chk.Err(); cerr != nil {
-				return newRunError(m, threads, cerr)
-			}
+		if err := ob.check(m, threads); err != nil {
+			return err
 		}
 		r = summarize(m.Config(), ops, w)
 		if maxT > 0 {
 			r.Fairness = float64(minT) / float64(maxT)
 		}
-		if rec != nil {
-			r.OpLatency = summaryOf(&rec.OpLatency)
-			r.LeaseHold = summaryOf(&rec.LeaseHold)
-			r.ProbeDefer = summaryOf(&rec.ProbeDefer)
-			r.DirQueue = summaryOf(&rec.DirQueue)
-			if spans != nil {
-				st := spans.Stats()
-				sum := st.Summary()
-				r.Txns = &sum
-			}
-			if ledger != nil {
-				sum := ledger.Summary(LedgerTopN, &rec.Lines)
-				r.LeaseLedger = &sum
-			}
-		}
+		ob.fill(&r)
 		return nil
 	}
-	m, re := runGuarded(cfg, threads, prepare, loop, measure)
+	m, re := runGuarded(cfg, threads, ob.attach, loop, measure)
+	return finished(m, r, re)
+}
+
+// observers is what a run attaches for its Options: the recorder, with its
+// span assembler and ledger, and the invariant checker.
+type observers struct {
+	Options
+	spans  *telemetry.Spans
+	ledger *telemetry.Ledger
+	chk    *invariant.Checker
+}
+
+// observe aligns the recorder's span and ledger accounting with a
+// measurement that starts at cycle warm: what starts before it is assembled
+// but not aggregated.
+func (o Options) observe(warm uint64) *observers {
+	ob := &observers{Options: o}
+	if rec := o.Recorder; rec != nil {
+		if ob.spans = rec.Spans; ob.spans != nil {
+			ob.spans.WindowStart = warm
+		}
+		if ob.ledger = rec.Ledger; ob.ledger != nil {
+			ob.ledger.WindowStart = warm
+		}
+	}
+	return ob
+}
+
+// attach hooks the checker and the recorder onto the idle machine.
+func (ob *observers) attach(m *machine.Machine) {
+	if ob.Invariants {
+		ob.chk = invariant.Attach(m)
+	}
+	if ob.Recorder != nil {
+		ob.Recorder.Attach(m.Telemetry())
+	}
+}
+
+// check runs the checker's end-of-run validation on the stopped machine.
+func (ob *observers) check(m *machine.Machine, threads int) *RunError {
+	if ob.chk == nil {
+		return nil
+	}
+	ob.chk.CheckNow()
+	if err := ob.chk.Err(); err != nil {
+		return newRunError(m, threads, err)
+	}
+	return nil
+}
+
+// fill copies the recorder's digests and accounting into r.
+func (ob *observers) fill(r *Result) {
+	rec := ob.Recorder
+	if rec == nil {
+		return
+	}
+	r.OpLatency = summaryOf(&rec.OpLatency)
+	r.LeaseHold = summaryOf(&rec.LeaseHold)
+	r.ProbeDefer = summaryOf(&rec.ProbeDefer)
+	r.DirQueue = summaryOf(&rec.DirQueue)
+	if ob.spans != nil {
+		st := ob.spans.Stats()
+		sum := st.Summary()
+		r.Txns = &sum
+	}
+	if ob.ledger != nil {
+		sum := ob.ledger.Summary(LedgerTopN, &rec.Lines)
+		r.LeaseLedger = &sum
+	}
+}
+
+// finished is a guarded run's Result: r, or the failure in its place, with
+// the engine's counters of whatever machine was built.
+func finished(m *machine.Machine, r Result, re *RunError) Result {
 	if re != nil {
 		r = Result{Err: re}
 	}
@@ -356,18 +385,21 @@ func newRunError(m *machine.Machine, threads int, cause error) *RunError {
 const DefaultCycleBudget uint64 = 500_000_000
 
 // RunToCompletion runs a fixed-work program (e.g. Pagerank) under a cycle
-// budget and reports the cycle at which its last thread finished
-// (machine.Machine.FinishedAt; stats.Cycles is the clock once the queue had
-// drained, stale expiry timers included) plus the stats. A run that
-// deadlocks, panics, or exhausts the budget returns a *RunError (the
-// cycles and stats reflect the state at failure).
+// budget with o's observers, whose accounting covers the whole run.
+// Result.Cycles is the cycle at which its last thread finished
+// (machine.Machine.FinishedAt; Window.Cycles is the clock once the queue
+// had drained, stale expiry timers included) and Window the run's counters.
+// A run that deadlocks, panics, or exhausts the budget fails as
+// ThroughputOpts's does.
 func RunToCompletion(cfg machine.Config, threads int, budget uint64,
-	build func(d *machine.Direct) func(tid int, c *machine.Ctx)) (cycles uint64, stats machine.Stats, err error) {
+	build func(d *machine.Direct) func(tid int, c *machine.Ctx), o Options) Result {
 
 	if budget == 0 {
 		budget = DefaultCycleBudget
 	}
-	m, re := runGuarded(cfg, threads, func(*machine.Machine) {}, build, func(m *machine.Machine) *RunError {
+	ob := o.observe(0)
+	var r Result
+	m, re := runGuarded(cfg, threads, ob.attach, build, func(m *machine.Machine) *RunError {
 		if re := runTo(m, budget, threads); re != nil {
 			return re
 		}
@@ -380,13 +412,15 @@ func RunToCompletion(cfg machine.Config, threads int, budget uint64,
 				return re
 			}
 		}
+		if o.Recorder != nil {
+			o.Recorder.Finish(m.Now())
+		}
+		if err := ob.check(m, threads); err != nil {
+			return err
+		}
+		r = Result{Cycles: m.FinishedAt(), Window: m.Stats()}
+		ob.fill(&r)
 		return nil
 	})
-	switch {
-	case m == nil:
-		return 0, machine.Stats{}, re
-	case re != nil:
-		return m.Now(), m.Stats(), re
-	}
-	return m.FinishedAt(), m.Stats(), nil
+	return finished(m, r, re)
 }

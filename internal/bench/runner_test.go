@@ -53,7 +53,7 @@ func TestFailedCellLeavesNoGoroutines(t *testing.T) {
 func TestRunToCompletionEndsWithLastThread(t *testing.T) {
 	const threads = 4
 	var finish [threads]uint64
-	cycles, stats, err := RunToCompletion(machine.DefaultConfig(threads), threads, 0,
+	r := RunToCompletion(machine.DefaultConfig(threads), threads, 0,
 		func(d *machine.Direct) func(int, *machine.Ctx) {
 			counter := d.Alloc(8)
 			return func(tid int, c *machine.Ctx) {
@@ -65,10 +65,11 @@ func TestRunToCompletionEndsWithLastThread(t *testing.T) {
 				c.Fence() // the engine clock catches up with the thread's
 				finish[tid] = c.Now()
 			}
-		})
-	if err != nil {
-		t.Fatal(err)
+		}, Options{})
+	if r.Err != nil {
+		t.Fatal(r.Err)
 	}
+	cycles, stats := r.Cycles, r.Window
 	last := uint64(0)
 	for _, f := range finish {
 		last = max(last, f)

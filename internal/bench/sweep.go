@@ -12,10 +12,11 @@ import (
 )
 
 // This file is the one sweep path. An experiment is a declaration — a grid
-// of rows × variants and the tables read from it. Sweep.Measure is the only
-// code that turns a declaration into cells on the pool; runSweep prints an
-// experiment's tables and failures from what it measured, and cmd/leasesim
-// prints its reports from a one-variant sweep of its own.
+// of rows × variants and the tables read from it. MeasureCells is the only
+// code that runs declared cells on the pool: Sweep.Measure hands it a whole
+// grid, and runSweep prints an experiment's tables and failures from what
+// it measured; cmd/leasesim hands it the cells its -cell pattern matches
+// (Cells) and prints a report for each.
 
 // Row is one line of an experiment's grid.
 type Row struct {
@@ -41,13 +42,15 @@ type Variant struct {
 	Build func(r Row) Workload
 	// Measured attaches a recorder with spans and the lease ledger, for
 	// variants whose tables read latency digests, cycle accounting or
-	// ledger totals. Telemetry is host-side only: the simulated numbers are
-	// the same with and without it.
+	// ledger totals, unless the run brings a recorder of its own. Telemetry
+	// is host-side only: the simulated numbers are the same with and
+	// without it.
 	Measured bool
 	// Run, when set, replaces the windowed throughput measurement of Build:
 	// fixed-work programs (Result.Cycles is the time to completion and Ops
-	// stays 0) and workloads that count what the harness cannot.
-	Run func(p Params, cfg machine.Config, r Row) Result
+	// stays 0) and workloads that count what the harness cannot. It
+	// attaches o's recorder and checker as the windowed measurement does.
+	Run func(p Params, cfg machine.Config, r Row, o Options) Result
 }
 
 // always is the Build of a variant whose workload does not depend on the row.
@@ -103,8 +106,9 @@ func (f CellFailure) Print(w io.Writer, prog string) {
 	}
 }
 
-// RunCell measures one cell of the grid on the calling goroutine.
-func (s Sweep) RunCell(p Params, r Row, v Variant) Result {
+// RunCell measures one cell of the grid on the calling goroutine, with the
+// run's observers o.
+func (s Sweep) RunCell(p Params, r Row, v Variant, o Options) Result {
 	if s.HalfWindow {
 		p.Window /= 2
 	}
@@ -112,35 +116,86 @@ func (s Sweep) RunCell(p Params, r Row, v Variant) Result {
 	if v.Edit != nil {
 		v.Edit(&cfg, r)
 	}
-	if v.Run != nil {
-		return v.Run(p, cfg, r)
-	}
-	var o Options
-	if v.Measured {
+	if v.Measured && o.Recorder == nil {
 		o.Recorder = telemetry.NewRecorder()
 		o.Recorder.EnableSpans()
 		o.Recorder.EnableLedger()
 	}
+	if v.Run != nil {
+		return v.Run(p, cfg, r, o)
+	}
 	return ThroughputOpts(cfg, r.Threads, p.Warm, p.Window, v.Build(r), o)
 }
 
-// Measure submits every cell of the grid to p.Pool and reads the results
-// back in row order, so what it returns is the same for any pool size.
-// res is indexed [row][variant].
-func (s Sweep) Measure(p Params) (res [][]Result) {
-	futures := make([][]*future[Result], len(s.Rows))
-	for i, r := range s.Rows {
-		futures[i] = make([]*future[Result], len(s.Variants))
-		for j, v := range s.Variants {
-			futures[i][j] = goCell(p.Pool, func() Result { return s.RunCell(p, r, v) })
+// Cell is one declared cell: a row and a variant of an experiment's sweep,
+// and the observers its run attaches.
+type Cell struct {
+	Name    string // CellName
+	Sweep   Sweep
+	Row     Row
+	Variant Variant
+	Options Options
+}
+
+// Window is the measurement window the cell runs at scale p.
+func (c Cell) Window(p Params) uint64 {
+	if c.Sweep.HalfWindow {
+		return p.Window / 2
+	}
+	return p.Window
+}
+
+// Cells returns the cells of exps, declared at scale p, whose CellName
+// matches pattern (path.Match syntax, so * stops at a slash), in
+// declaration order: experiment, row, variant.
+func Cells(exps []Experiment, p Params, pattern string) ([]Cell, error) {
+	var cells []Cell
+	for _, e := range exps {
+		s := e.Sweep(p)
+		for _, r := range s.Rows {
+			for _, v := range s.Variants {
+				name := CellName(e.ID, r, v)
+				ok, err := path.Match(pattern, name)
+				if err != nil {
+					return nil, fmt.Errorf("bad -cell pattern %q: %w", pattern, err)
+				}
+				if ok {
+					cells = append(cells, Cell{Name: name, Sweep: s, Row: r, Variant: v})
+				}
+			}
 		}
 	}
-	res = make([][]Result, len(s.Rows))
-	for i := range s.Rows {
-		res[i] = make([]Result, len(s.Variants))
-		for j := range s.Variants {
-			res[i][j] = futures[i][j].get()
+	return cells, nil
+}
+
+// MeasureCells submits every cell to p.Pool and reads the results back in
+// order, so what it returns is the same for any pool size.
+func MeasureCells(p Params, cells []Cell) []Result {
+	futures := make([]*future[Result], len(cells))
+	for i, c := range cells {
+		futures[i] = goCell(p.Pool, func() Result { return c.Sweep.RunCell(p, c.Row, c.Variant, c.Options) })
+	}
+	res := make([]Result, len(cells))
+	for i, f := range futures {
+		res[i] = f.get()
+	}
+	return res
+}
+
+// Measure measures every cell of the grid (MeasureCells). res is indexed
+// [row][variant].
+func (s Sweep) Measure(p Params) (res [][]Result) {
+	cells := make([]Cell, 0, len(s.Rows)*len(s.Variants))
+	for _, r := range s.Rows {
+		for _, v := range s.Variants {
+			cells = append(cells, Cell{Sweep: s, Row: r, Variant: v})
 		}
+	}
+	flat := MeasureCells(p, cells)
+	res = make([][]Result, len(s.Rows))
+	for i := range res {
+		n := len(s.Variants)
+		res[i], flat = flat[:n:n], flat[n:]
 	}
 	return res
 }

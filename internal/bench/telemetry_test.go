@@ -113,7 +113,7 @@ func TestReportJSON(t *testing.T) {
 		StackWorkload(ds.StackOptions{Lease: 20_000}),
 		Options{Recorder: rec})
 	r.HotLines = HotLineRows(rec, 5)
-	rep := Report{DS: "stack", Threads: 4, Lease: true, Seed: cfg.Seed,
+	rep := Report{Cell: "fig2/lease/t4", Threads: 4, Seed: cfg.Seed,
 		WarmCycles: 10_000, WindowCycles: 40_000, Result: r}
 
 	b, err := json.Marshal(rep)
@@ -125,7 +125,7 @@ func TestReportJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{
-		"ds", "threads", "lease", "seed", "ops", "mops_per_sec", "fairness",
+		"cell", "threads", "seed", "ops", "mops_per_sec", "fairness",
 		"op_latency_cycles", "lease_hold_cycles", "counters", "hot_lines",
 	} {
 		if _, ok := m[key]; !ok {

@@ -300,79 +300,3 @@ func SnapshotWorkload(useLease bool, words int, attempts, snaps *uint64) func(d 
 		}
 	}
 }
-
-// StructureOpts is what a Structures builder may read.
-type StructureOpts struct {
-	Lease uint64 // lease duration in cycles; 0 builds the base variant
-
-	// The MultiLease entry only: its leased variant's flavor, and where the
-	// cumulative abort count goes.
-	TL2Mode stm.LeaseMode
-	Aborts  *uint64
-}
-
-// Structure is one `leasesim -ds` value: a structure of the evaluation with
-// its base and, under StructureOpts.Lease, the paper's lease placement.
-type Structure struct {
-	Name string // the -ds value
-	// MultiLease marks the entry whose lease placement StructureOpts.TL2Mode
-	// selects; Lease still picks between its base and its leased variant.
-	MultiLease bool
-	Build      func(o StructureOpts) Workload
-}
-
-// leased is the builder of a structure whose lease placement is a variant
-// of its own, not a duration handed to the base one.
-func leased(lease, base Workload) func(StructureOpts) Workload {
-	return func(o StructureOpts) Workload {
-		if o.Lease > 0 {
-			return lease
-		}
-		return base
-	}
-}
-
-// Structures lists every -ds value in menu order: the contended structures
-// of Figures 2–4, then the low-contention sets of ds.Sets() over 1024 keys,
-// 512 of them prefilled. (A function, like All: a package-level table would
-// link every workload into every binary that imports the package.)
-func Structures() []Structure {
-	structures := []Structure{
-		{Name: "stack", Build: func(o StructureOpts) Workload { return StackWorkload(ds.StackOptions{Lease: o.Lease}) }},
-		{Name: "queue", Build: leased(QueueWorkload(ds.QueueSingleLease), QueueWorkload(ds.QueueNoLease))},
-		{Name: "pq", Build: leased(PQWorkload(PQGlobalLeased, 512), PQWorkload(PQFineLocking, 512))},
-		{Name: "counter", Build: leased(CounterWorkload(CounterLeasedTTS), CounterWorkload(CounterTTS))},
-		{Name: "multiqueue", Build: func(o StructureOpts) Workload { return MQWorkload(multiqueue.Options{LeaseTime: o.Lease}) }},
-		{Name: "tl2", MultiLease: true, Build: func(o StructureOpts) Workload {
-			if o.Lease == 0 {
-				return TL2Workload(stm.NoLease, o.Aborts)
-			}
-			return TL2Workload(o.TL2Mode, o.Aborts)
-		}},
-	}
-	for _, set := range ds.Sets() {
-		structures = append(structures, Structure{Name: set.Name, Build: func(o StructureOpts) Workload {
-			return SetWorkload(func(x machine.API) ds.Set { return set.New(x, o.Lease, 1024/4) }, 1024, 512)
-		}})
-	}
-	return structures
-}
-
-// FindStructure returns the Structures entry with the given -ds name.
-func FindStructure(name string) (Structure, bool) {
-	for _, s := range Structures() {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return Structure{}, false
-}
-
-// StructureNames lists the -ds values in menu order.
-func StructureNames() []string {
-	var names []string
-	for _, s := range Structures() {
-		names = append(names, s.Name)
-	}
-	return names
-}

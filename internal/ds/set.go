@@ -12,23 +12,22 @@ type Set interface {
 
 // SetDecl is one set of the suite.
 type SetDecl struct {
-	Name  string // the leasesim -ds value
-	Title string // the row label in text-lowcontention
+	Title string // the set's name: its row label in text-lowcontention
 	// New allocates the set (lease 0 = base); only hash tables read buckets.
 	New func(x machine.API, lease uint64, buckets int) Set
 }
 
 // Sets declares the suite, lock-based sets first. (A function, like
-// bench.Structures: a table would link every set into every importer.)
+// bench.All: a table would link every set into every importer.)
 func Sets() []SetDecl {
 	return []SetDecl{
-		{"harris", "harris-list", func(x machine.API, lease uint64, _ int) Set { return NewHarrisList(x, lease) }},
-		{"skiplist", "skiplist", func(x machine.API, lease uint64, _ int) Set { return NewLazySkipList(x, lease) }},
-		{"bst", "bst", func(x machine.API, lease uint64, _ int) Set { return NewBST(x, lease) }},
-		{"hash", "hashtable", func(x machine.API, lease uint64, buckets int) Set { return NewHashSet(x, buckets, lease) }},
-		{"lfskip", "lf-skiplist", func(x machine.API, lease uint64, _ int) Set { return NewLFSkipList(x, lease) }},
-		{"lfbst", "lf-bst", func(x machine.API, lease uint64, _ int) Set { return NewNMTree(x, lease) }},
-		{"lfhash", "lf-hashtable", func(x machine.API, lease uint64, buckets int) Set { return NewMichaelHashMap(x, buckets, lease) }},
+		{"harris-list", func(x machine.API, lease uint64, _ int) Set { return NewHarrisList(x, lease) }},
+		{"skiplist", func(x machine.API, lease uint64, _ int) Set { return NewLazySkipList(x, lease) }},
+		{"bst", func(x machine.API, lease uint64, _ int) Set { return NewBST(x, lease) }},
+		{"hashtable", func(x machine.API, lease uint64, buckets int) Set { return NewHashSet(x, buckets, lease) }},
+		{"lf-skiplist", func(x machine.API, lease uint64, _ int) Set { return NewLFSkipList(x, lease) }},
+		{"lf-bst", func(x machine.API, lease uint64, _ int) Set { return NewNMTree(x, lease) }},
+		{"lf-hashtable", func(x machine.API, lease uint64, buckets int) Set { return NewMichaelHashMap(x, buckets, lease) }},
 	}
 }
 

@@ -16,26 +16,27 @@ import (
 // the lock-free lf* sets. Each test runs a set base and leased (the leased
 // subtest carries Go's "#01" suffix), under the subtest name in setTests.
 
-// setTests maps each -ds value of Sets() to its subtest name and group.
+// setTests maps each set of Sets(), by Title, to its subtest names and
+// group: key names it in TestSetsLinearizable, name in the forEachSet tests.
 var setTests = map[string]struct {
-	name     string
-	lockFree bool
+	key, name string
+	lockFree  bool
 }{
-	"harris":   {"harris", false},
-	"skiplist": {"lazyskip", false},
-	"bst":      {"bst", false},
-	"hash":     {"hash", false},
-	"lfskip":   {"lfskip", true},
-	"lfbst":    {"nmtree", true},
-	"lfhash":   {"michaelhash", true},
+	"harris-list":  {"harris", "harris", false},
+	"skiplist":     {"skiplist", "lazyskip", false},
+	"bst":          {"bst", "bst", false},
+	"hashtable":    {"hash", "hash", false},
+	"lf-skiplist":  {"lfskip", "lfskip", true},
+	"lf-bst":       {"lfbst", "nmtree", true},
+	"lf-hashtable": {"lfhash", "michaelhash", true},
 }
 
 // forEachSet runs f once per set of the lockFree group and lease time.
 func forEachSet(t *testing.T, lockFree bool, f func(t *testing.T, newSet func(x machine.API) Set)) {
 	for _, decl := range Sets() {
-		st, ok := setTests[decl.Name]
+		st, ok := setTests[decl.Title]
 		if !ok {
-			t.Fatalf("set %q has no entry in setTests", decl.Name)
+			t.Fatalf("set %q has no entry in setTests", decl.Title)
 		}
 		if st.lockFree != lockFree {
 			continue
@@ -209,7 +210,7 @@ func TestSetsLinearizable(t *testing.T) {
 			for _, prof := range faultProfiles {
 				for _, lease := range []uint64{0, 20000} {
 					fc := prof.fc
-					name := fmt.Sprintf("%s/%s/%s/lease%d", decl.Name, proto, prof.name, lease)
+					name := fmt.Sprintf("%s/%s/%s/lease%d", setTests[decl.Title].key, proto, prof.name, lease)
 					t.Run(name, func(t *testing.T) {
 						cfg := machine.DefaultConfig(4)
 						cfg.Protocol, cfg.Faults = proto, fc
