@@ -35,9 +35,10 @@ var (
 // every path under internal/, cmd/, examples/ or benchmarks/ (a
 // pkg/path.Symbol form is checked up to the dot), and every *.go or
 // BENCH_*.json file name is in the tree. A word of a back-quoted command
-// counts like a span of its own. Every -flag of a leasesim or leasebench
-// command they cite is one the binary registers, and every -cell pattern
-// matches a declared cell at the command's scale and -threads.
+// counts like a span of its own. Every -flag of a leasebench command they
+// cite is one the binary registers, every -cell pattern matches a declared
+// cell at the command's scale and -threads, and no command runs the removed
+// leasesim.
 func TestDocsCiteWhatExists(t *testing.T) {
 	var files []string // slash-separated, relative to the module root
 	tests := map[string]bool{}
@@ -100,18 +101,21 @@ func TestDocsCiteWhatExists(t *testing.T) {
 		return symbol && err == nil
 	}
 
-	flags := binaryFlags(t)
+	flags := leasebenchFlags(t)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, cmd := range docCommands(string(text)) {
-			bin := path.Base(cmd[0])
+			if bin := path.Base(cmd[0]); bin != "leasebench" {
+				t.Errorf("%s cites `%s`, but %s is gone: a cell runs as leasebench -cell", doc, strings.Join(cmd, " "), bin)
+				continue
+			}
 			for _, word := range cmd[1:] {
 				name, _, _ := strings.Cut(strings.TrimLeft(word, "-"), "=")
-				if len(word) > 1 && word[0] == '-' && unicode.IsLetter(rune(word[1])) && !flags[bin][name] {
-					t.Errorf("%s cites `%s`, but %s has no -%s", doc, strings.Join(cmd, " "), bin, name)
+				if len(word) > 1 && word[0] == '-' && unicode.IsLetter(rune(word[1])) && !flags[name] {
+					t.Errorf("%s cites `%s`, but leasebench has no -%s", doc, strings.Join(cmd, " "), name)
 				}
 			}
 			if err := cellsExist(cmd); err != nil {
@@ -184,38 +188,32 @@ func cellsExist(cmd []string) error {
 	return err
 }
 
-// binaryFlags returns the flags each binary registers, read from the
-// registrations in its main.go and, for the host flags both share,
+// leasebenchFlags returns the flags leasebench registers, read from the
+// registrations in its main.go and, for the host flags, in
 // internal/bench/host.go.
-func binaryFlags(t *testing.T) map[string]map[string]bool {
+func leasebenchFlags(t *testing.T) map[string]bool {
 	t.Helper()
-	read := func(file string, into map[string]bool) {
+	flags := map[string]bool{"h": true, "help": true} // the flag package's own
+	for _, file := range []string{"cmd/leasebench/main.go", "internal/bench/host.go"} {
 		src, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, m := range flagDecl.FindAllSubmatch(src, -1) {
-			into[string(m[1])] = true
+			flags[string(m[1])] = true
 		}
 	}
-	flags := map[string]map[string]bool{}
-	for _, bin := range []string{"leasesim", "leasebench"} {
-		set := map[string]bool{"h": true, "help": true} // the flag package's own
-		read("cmd/"+bin+"/main.go", set)
-		read("internal/bench/host.go", set)
-		if len(set) < 10 {
-			t.Fatalf("%s registers %d flags: the registration pattern no longer matches", bin, len(set))
-		}
-		flags[bin] = set
+	if len(flags) < 10 {
+		t.Fatalf("leasebench registers %d flags: the registration pattern no longer matches", len(flags))
 	}
 	return flags
 }
 
-// docCommands returns the leasesim and leasebench commands a Markdown
-// document cites, each as its words from the binary on to the end of the
-// command: a code line (fenced, or indented by four spaces; a trailing \
-// continues it) that starts with one, bare or under `go run`, and a
-// back-quoted span that holds one anywhere.
+// docCommands returns the leasebench commands a Markdown document cites,
+// and those of the removed leasesim, each as its words from the binary on
+// to the end of the command: a code line (fenced, or indented by four
+// spaces; a trailing \ continues it) that starts with one, bare or under
+// `go run`, and a back-quoted span that holds one anywhere.
 func docCommands(doc string) [][]string {
 	var cmds [][]string
 	// command returns the command that starts at words[i], if one does: a

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"unicode"
 
 	"leaserelease/internal/coherence"
 	"leaserelease/internal/ds"
@@ -66,8 +67,9 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 
 // TestCellNamesAreDistinct: a FAILED line names its cell, so at every scale
 // each experiment's rows × variants cells have as many names — the
-// fixed-work and self-counting cells (Pagerank, TL2, snapshot) included. It
-// reads the declarations only; nothing runs.
+// fixed-work and self-counting cells (Pagerank, TL2, snapshot) included —
+// and no name holds whitespace. It reads the declarations only; nothing
+// runs.
 func TestCellNamesAreDistinct(t *testing.T) {
 	// A -threads list in the user's order, 1 not first.
 	userOrdered := QuickParams()
@@ -82,7 +84,13 @@ func TestCellNamesAreDistinct(t *testing.T) {
 			names := map[string]bool{}
 			for _, r := range s.Rows {
 				for _, v := range s.Variants {
-					names[CellName(e.ID, r, v)] = true
+					name := CellName(e.ID, r, v)
+					// A name is pasted into -cell and cited in documents,
+					// which split commands at whitespace.
+					if strings.IndexFunc(name, unicode.IsSpace) >= 0 {
+						t.Errorf("%s scale: cell name %q holds whitespace", scale.name, name)
+					}
+					names[name] = true
 				}
 			}
 			if cells := len(s.Rows) * len(s.Variants); len(names) != cells {

@@ -333,8 +333,8 @@ func ablateLeaseTime(p Params) Sweep {
 	vs := variants{
 		{Name: "20K", Build: always(StackWorkload(ds.StackOptions{Lease: 20000}))},
 		{Name: "1K", Build: always(StackWorkload(ds.StackOptions{Lease: 1000})), Edit: maxLeaseTime(1000)},
-		{Name: "bound 20K", Build: always(longCS(20000))},
-		{Name: "bound 100", Build: always(longCS(100)), Edit: maxLeaseTime(100)},
+		{Name: "bound-20K", Build: always(longCS(20000))},
+		{Name: "bound-100", Build: always(longCS(100)), Edit: maxLeaseTime(100)},
 	}
 	involuntary := func(s machine.Stats) uint64 { return s.InvoluntaryReleases }
 	return Sweep{Rows: threadRows(p.Threads), Variants: vs, Tables: []TableSpec{

@@ -15,14 +15,14 @@ import (
 	"leaserelease/internal/coherence"
 )
 
-// Host is the flag surface of the binaries that run sweep cells
-// (cmd/leasesim, cmd/leasebench): the flags that mean the same thing in
-// both, registered once, and what they start.
+// Host is the host flag surface of cmd/leasebench: the flags that say at
+// what scale and where sweep cells run, the same under -exp and -cell, and
+// what they start.
 //
 // -quick picks QuickParams over FullParams as the scale; -warm (unmeasured
 // warm-up cycles) and -window (measured cycles) override the scale's when
-// given, whatever their value, so a cell means the same thing in both
-// binaries. -threads is a comma-separated list of thread counts that
+// given, whatever their value, so a cell means the same thing under -exp
+// and -cell. -threads is a comma-separated list of thread counts that
 // replaces the scale's. -protocol selects the coherence backend: the
 // default directory MSI, or Tardis timestamp coherence (per-line wts/rts,
 // silent reservation expiry instead of invalidations). Cells — one
@@ -44,7 +44,6 @@ type Host struct {
 	warm, window                              uint64
 	parallel                                  int // -parallel as given; Pool.Workers is what it resolved to
 	protocol, threads, cpuProfile, memProfile string
-	name                                      string
 	stderr                                    io.Writer
 	cpuFile                                   *os.File
 }
@@ -65,11 +64,11 @@ func AddHostFlags(fs *flag.FlagSet) *Host {
 }
 
 // Start validates the parsed flag values and fills Params, then starts the
-// CPU profile and the worker pool. name prefixes what it writes to stderr.
-// An error is a usage error; after a nil one the caller must Close the host
-// before the process exits.
-func (h *Host) Start(name string, stderr io.Writer) error {
-	h.name, h.stderr = name, stderr
+// CPU profile and the worker pool; what it writes goes to stderr. An error
+// is a usage error; after a nil one the caller must Close the host before
+// the process exits.
+func (h *Host) Start(stderr io.Writer) error {
+	h.stderr = stderr
 	p := FullParams()
 	if h.quick {
 		p = QuickParams()
@@ -130,7 +129,7 @@ func (h *Host) Start(name string, stderr io.Writer) error {
 }
 
 func (h *Host) logf(format string, args ...any) {
-	fmt.Fprintf(h.stderr, h.name+": "+format+"\n", args...)
+	fmt.Fprintf(h.stderr, "leasebench: "+format+"\n", args...)
 }
 
 // Close stops the workers once every submitted cell has finished, then ends

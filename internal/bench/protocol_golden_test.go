@@ -12,7 +12,7 @@ import (
 	"leaserelease/internal/telemetry"
 )
 
-// The `leasesim -json` report is byte-identical per seed on every
+// The `leasebench -cell` report is byte-identical per seed on every
 // protocol backend; this pins the exact bytes of a small Tardis
 // contended-counter report (counters including renewals/rts-jumps, span
 // accounting, protocol tag) the same way the timeline golden pins the

@@ -7,7 +7,7 @@ import (
 	"leaserelease/internal/telemetry"
 )
 
-// Report is one cell as `leasesim -json` emits it: the cell's name and
+// Report is one cell as `leasebench -cell` emits it: the cell's name and
 // configuration, then its Result. Field order and types are stable: for a
 // fixed seed and configuration the marshaled report is byte-for-byte
 // reproducible.

@@ -22,7 +22,7 @@ type OpFunc func(tid int, c *machine.Ctx)
 type Workload = func(d *machine.Direct) OpFunc
 
 // Result summarizes one measurement window. Its tagged fields are the
-// measured half of a Report, in the order `leasesim -json` prints them.
+// measured half of a Report, in the order `leasebench -cell` prints them.
 type Result struct {
 	Ops    uint64 `json:"ops"`
 	Cycles uint64 `json:"-"` // the window's length
@@ -67,7 +67,7 @@ type Result struct {
 	Window machine.Stats `json:"counters"`
 
 	// HotLines is the recorder's top contended lines (HotLineRows), filled
-	// by leasesim.
+	// by leasebench -cell.
 	HotLines []HotLineRow `json:"hot_lines,omitempty"`
 
 	// EngineStats is the event kernel's host-side counters for the run

@@ -15,7 +15,7 @@ import (
 // of rows × variants and the tables read from it. MeasureCells is the only
 // code that runs declared cells on the pool: Sweep.Measure hands it a whole
 // grid, and runSweep prints an experiment's tables and failures from what
-// it measured; cmd/leasesim hands it the cells its -cell pattern matches
+// it measured; leasebench -cell hands it the cells its pattern matches
 // (Cells) and prints a report for each.
 
 // Row is one line of an experiment's grid.
@@ -93,11 +93,11 @@ func CellName(exp string, r Row, v Variant) string {
 	return path.Join(exp, r.Key, v.Name, fmt.Sprintf("t%d", r.Threads))
 }
 
-// Print reports the failure on w, as both binaries do on stderr: the
-// program's name, the cell, the cause, the machine state dump and, for a
+// Print reports the failure on w, as leasebench does on stderr under -exp
+// and -cell alike: the cell, the cause, the machine state dump and, for a
 // panic, the Go stack it was raised on.
-func (f CellFailure) Print(w io.Writer, prog string) {
-	fmt.Fprintf(w, "%s: %s FAILED (%s): %s\n", prog, f.Cell, f.Err.Reason, f.Err.Detail)
+func (f CellFailure) Print(w io.Writer) {
+	fmt.Fprintf(w, "leasebench: %s FAILED (%s): %s\n", f.Cell, f.Err.Reason, f.Err.Detail)
 	if f.Err.Dump != nil {
 		fmt.Fprint(w, f.Err.Dump)
 	}

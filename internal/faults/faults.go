@@ -73,7 +73,7 @@ type Config struct {
 }
 
 // DefaultConfig returns a moderate all-faults-on schedule used by the
-// chaos-soak tests and `leasesim -faults`.
+// chaos-soak tests and `leasebench -cell … -faults`.
 func DefaultConfig() Config {
 	return Config{
 		MsgJitter:      8,

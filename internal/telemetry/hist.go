@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // histBuckets covers the full uint64 range: bucket b holds values v with
 // bits.Len64(v) == b, i.e. bucket 0 is exactly {0} and bucket b >= 1 is
@@ -149,10 +146,4 @@ func (h *Hist) Summary() Summary {
 		Max:     h.max,
 		Buckets: buckets,
 	}
-}
-
-// String renders the digest on one line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.1f p50=%d p90=%d p99=%d max=%d",
-		s.Count, s.Mean, s.P50, s.P90, s.P99, s.Max)
 }

@@ -50,9 +50,6 @@ func (h *HotLines) Get(l mem.Line) *LineStats {
 // Unlike Get it creates nothing, so a lookup leaves Len unchanged.
 func (h *HotLines) Find(l mem.Line) *LineStats { return h.lines.find(l) }
 
-// Len returns the number of distinct lines observed.
-func (h *HotLines) Len() int { return h.lines.n }
-
 // Top returns the k highest-Score lines, ties broken by more deferred
 // probes, then more invalidations, then lower line address — a total
 // order, so the ranking is deterministic for a given event stream.

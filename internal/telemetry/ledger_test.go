@@ -282,8 +282,8 @@ func TestLedgerTopAndSummary(t *testing.T) {
 }
 
 // A ranked line joins with its hot-line counters; one the profiler never
-// saw joins with zero counters, and the join makes no hot-line entry:
-// leasesim's "top N of M" keeps M.
+// saw joins with zero counters, and the join makes no hot-line entry: the
+// profile still counts only the lines it saw.
 func TestLedgerSummaryLeavesHotLinesAlone(t *testing.T) {
 	var hot HotLines
 	seen := hot.Get(0x10)
@@ -301,7 +301,7 @@ func TestLedgerSummaryLeavesHotLinesAlone(t *testing.T) {
 	if r := rows[0]; r.Line != "0x20" || r.HotScore != 0 || r.Msgs != 0 || r.Invals != 0 || r.Leases != 1 {
 		t.Errorf("unseen line joined as %+v, want zero counters", r)
 	}
-	if n := hot.Len(); n != 1 {
+	if n := hot.lines.n; n != 1 {
 		t.Errorf("hot lines = %d after the join, want 1", n)
 	}
 }

@@ -269,8 +269,8 @@ func TestHotLinesLineZero(t *testing.T) {
 	h.Get(0).Msgs += 5
 	h.Get(0).Msgs += 5
 	h.Get(3).Msgs++
-	if h.Len() != 2 {
-		t.Fatalf("len = %d, want 2 (line 0 counted once)", h.Len())
+	if h.lines.n != 2 {
+		t.Fatalf("len = %d, want 2 (line 0 counted once)", h.lines.n)
 	}
 	top := h.Top(5)
 	if len(top) != 2 || top[0].Line != 0 || top[0].Msgs != 10 || top[1].Line != 3 {
@@ -279,8 +279,8 @@ func TestHotLinesLineZero(t *testing.T) {
 	if s := h.Find(0); s == nil || s.Msgs != 10 {
 		t.Fatalf("Find(0) = %+v, want line 0's counters", s)
 	}
-	if h.Find(4) != nil || h.Len() != 2 {
-		t.Fatalf("Find of an unseen line made an entry: len %d", h.Len())
+	if h.Find(4) != nil || h.lines.n != 2 {
+		t.Fatalf("Find of an unseen line made an entry: len %d", h.lines.n)
 	}
 }
 
@@ -345,8 +345,8 @@ func TestRankingsKeepTheirOrderAcrossRegions(t *testing.T) {
 	})
 	wasted = slices.DeleteFunc(wasted, func(l LineLedger) bool { return l.WastedCycles() == 0 })
 
-	if h.Len() != len(lines) || ld.lines.n != len(lines) {
-		t.Fatalf("len = %d hot, %d ledger; want %d", h.Len(), ld.lines.n, len(lines))
+	if h.lines.n != len(lines) || ld.lines.n != len(lines) {
+		t.Fatalf("len = %d hot, %d ledger; want %d", h.lines.n, ld.lines.n, len(lines))
 	}
 	for _, k := range []int{1, 10, len(lines)} {
 		if got := h.Top(k); !reflect.DeepEqual(got, hot[:k]) {
