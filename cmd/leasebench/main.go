@@ -31,7 +31,8 @@
 // faults.DefaultConfig, seeded from the cell's seed, keeping the cell's
 // preemption schedule. A cell whose experiment records spans and the lease
 // ledger records what the flags ask for instead. -timeline writes a Chrome
-// trace-event file per cell, loadable in https://ui.perfetto.dev.
+// trace-event file per cell, a failed one included, loadable in
+// https://ui.perfetto.dev.
 //
 // A cell that fails (deadlock, livelock, panic, protocol or invariant
 // violation, blown cycle budget) is named on stderr with the machine's
@@ -213,13 +214,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	res := bench.MeasureCells(p, cells)
 
-	// report prints cell i's report on out, after its name, cause and dump
-	// on errOut when it failed, or after writing its timeline file. It
-	// returns false when the cell failed.
+	// report writes cell i's timeline file, failed or not (a failed cell's
+	// timeline is its repro), then prints its report on out, after its name,
+	// cause and dump on errOut when it failed. It returns false when the cell
+	// failed or its timeline could not be written.
 	report := func(out, errOut io.Writer, i int) bool {
 		o := &obs[i]
 		rep := &o.rep
 		rep.Result = res[i]
+		if o.timeline != "" {
+			if err := writeTimeline(o.timeline, o.rec.Timeline); err != nil {
+				fmt.Fprintf(errOut, "leasebench: %v\n", err)
+				if rep.Err == nil {
+					return false
+				}
+			} else {
+				rep.TimelineFile = o.timeline
+			}
+		}
 		if rep.Err != nil {
 			bench.CellFailure{Cell: cells[i].Name, Err: rep.Err}.Print(errOut)
 			rep.Error = rep.Err.Error()
@@ -227,13 +239,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return false
 		}
 		rep.HotLines = bench.HotLineRows(o.rec, *hotlines)
-		if o.timeline != "" {
-			if err := writeTimeline(o.timeline, o.rec.Timeline); err != nil {
-				fmt.Fprintf(errOut, "leasebench: %v\n", err)
-				return false
-			}
-			rep.TimelineFile = o.timeline
-		}
 		if err := writeJSON(out, *rep); err != nil {
 			fmt.Fprintf(errOut, "leasebench: %v\n", err)
 			return false

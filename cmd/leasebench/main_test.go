@@ -355,19 +355,42 @@ func TestCellFailureExitsOne(t *testing.T) {
 				i, rep.Threads, rep.Error, rep.EngineStats != nil)
 		}
 	}
-	status, out, errOut = leasebench(append(args, "-strict")...)
+	// A failed cell writes its -timeline file too: it is the repro. Under
+	// -strict the cells after the first failure print nothing but still
+	// write theirs.
+	dir := t.TempDir()
+	isTrace := func(path string) {
+		t.Helper()
+		var doc struct {
+			TraceEvents []json.RawMessage `json:"traceEvents"`
+		}
+		data, err := os.ReadFile(path)
+		if err == nil {
+			err = json.Unmarshal(data, &doc)
+		}
+		if err != nil || len(doc.TraceEvents) == 0 {
+			t.Errorf("timeline %s: %v, %d trace events; want a trace-event document", path, err, len(doc.TraceEvents))
+		}
+	}
+	status, out, errOut = leasebench(append(args, "-strict", "-timeline", filepath.Join(dir, "t.json"))...)
 	if status != 1 || strings.Count(out, `"cell"`) != 2 || strings.Contains(errOut, "/t8 FAILED") {
 		t.Errorf("-cell -strict: status %d, %d reports, stderr:\n%s\nwant 1, the t2 and t4 reports, and nothing about t8",
 			status, strings.Count(out, `"cell"`), errOut)
 	}
-
-	// The name, pasted back, reproduces the failure and its dump.
-	status, out, again := leasebench(append([]string{"-cell", "failing/broken/t4"}, failingScale...)...)
-	if reps := decodeReports(t, []byte(out)); status != 1 || len(reps) != 1 || reps[0].Error == "" ||
-		!strings.HasPrefix(errOut, beforeStack(again)) {
-		t.Errorf("-cell failing/broken/t4: status %d, stdout %s, stderr:\n%s\nwant 1, its failed report, and the first run's dump:\n%s",
-			status, out, again, errOut)
+	for _, n := range []string{"t2", "t4", "t8"} {
+		isTrace(filepath.Join(dir, "t.json.failing.broken."+n))
 	}
+
+	// The name, pasted back, reproduces the failure and its dump, and its
+	// report names the timeline it wrote.
+	tl := filepath.Join(dir, "t4.json")
+	status, out, again := leasebench(append([]string{"-cell", "failing/broken/t4", "-timeline", tl}, failingScale...)...)
+	if reps := decodeReports(t, []byte(out)); status != 1 || len(reps) != 1 || reps[0].Error == "" || reps[0].TimelineFile != tl ||
+		!strings.HasPrefix(errOut, beforeStack(again)) {
+		t.Errorf("-cell failing/broken/t4 -timeline %s: status %d, stdout %s, stderr:\n%s\nwant 1, its failed report naming the timeline, and the first run's dump:\n%s",
+			tl, status, out, again, errOut)
+	}
+	isTrace(tl)
 	// So does the name the sweep prints, up to the engine's event counts:
 	// -cell attaches a recorder, which makes each thread rejoin the event
 	// queue at every operation's end; that costs events but moves no

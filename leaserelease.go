@@ -19,8 +19,8 @@
 //
 // This root package is the public façade: it re-exports the simulator,
 // the instruction-set surface (API/Ctx), and the constructors that
-// examples/ and benchmarks/leaseperf use, so a user can reproduce the
-// paper's headline experiment in a few lines:
+// examples/quickstart and benchmarks/leaseperf use, so a user can reproduce
+// the paper's headline experiment in a few lines:
 //
 //	cfg := leaserelease.DefaultConfig(8)
 //	m := leaserelease.New(cfg)
@@ -34,18 +34,16 @@
 //	m.Stop()
 //	fmt.Println(m.Stats())
 //
-// See examples/ for runnable programs and cmd/leasebench for the full
-// evaluation driver.
+// examples/quickstart runs it with and without leases. Every figure of the
+// evaluation is a declared experiment of cmd/leasebench, which runs it whole
+// (-exp <id>) or cell by cell (-cell <pattern>).
 package leaserelease
 
 import (
-	"leaserelease/internal/apps/pagerank"
 	"leaserelease/internal/ds"
 	"leaserelease/internal/locks"
 	"leaserelease/internal/machine"
 	"leaserelease/internal/mem"
-	"leaserelease/internal/multiqueue"
-	"leaserelease/internal/stm"
 )
 
 // Core simulator surface.
@@ -88,31 +86,12 @@ type (
 	HashMap = ds.HashMap
 	// LFSkipList is the lock-free skiplist set [15].
 	LFSkipList = ds.LFSkipList
-	// Snapshot is the §5 cheap-snapshot primitive.
-	Snapshot = ds.Snapshot
-	// MultiQueue is the relaxed priority queue of Figure 4.
-	MultiQueue = multiqueue.MultiQueue
-	// MultiQueueOptions selects MultiQueue lease strategies.
-	MultiQueueOptions = multiqueue.Options
-	// TL2 is the TL2-lite transactional memory of Figures 4 and 5.
-	TL2 = stm.TL2
-	// Pagerank is the CRONO-style lock-based Pagerank of Figure 5.
-	Pagerank = pagerank.Pagerank
-	// PagerankConfig sizes a Pagerank run.
-	PagerankConfig = pagerank.Config
 )
 
 // Queue lease modes (Algorithm 3 variants).
 const (
 	QueueNoLease    = ds.QueueNoLease
 	QueueMultiLease = ds.QueueMultiLease
-)
-
-// TL2 lease modes.
-const (
-	TL2HWMulti     = stm.HWMulti
-	TL2SWMulti     = stm.SWMulti
-	TL2SingleFirst = stm.SingleFirst
 )
 
 // NewStack allocates a Treiber stack.
@@ -128,22 +107,6 @@ func NewHashMap(x API, buckets int, leaseTime uint64) *HashMap {
 
 // NewLFSkipList allocates a lock-free skiplist set.
 func NewLFSkipList(x API) *LFSkipList { return ds.NewLFSkipList(x, 0) }
-
-// NewSnapshot builds a §5 snapshot object.
-func NewSnapshot(addrs []Addr, leaseTime uint64) *Snapshot {
-	return ds.NewSnapshot(addrs, leaseTime)
-}
-
-// NewMultiQueue allocates a MultiQueue over m heaps.
-func NewMultiQueue(x API, m, capacity int, opt MultiQueueOptions) *MultiQueue {
-	return multiqueue.New(x, m, capacity, opt)
-}
-
-// NewTL2 allocates a TL2-lite object set.
-func NewTL2(x API, nObjs int, leaseTime uint64) *TL2 { return stm.New(x, nObjs, leaseTime) }
-
-// NewPagerank builds the Figure 5 Pagerank application.
-func NewPagerank(d *Direct, cfg PagerankConfig) *Pagerank { return pagerank.New(d, cfg) }
 
 // Locks (the §6 leased pattern over a test&test&set lock).
 type (

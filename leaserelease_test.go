@@ -40,11 +40,8 @@ func TestFacadeStructures(t *testing.T) {
 	q := NewQueue(d, QueueOptions{Mode: QueueMultiLease, LeaseTime: 20000})
 	hm := NewHashMap(d, 16, 20000)
 	sk := NewLFSkipList(d)
-	mq := NewMultiQueue(d, 4, 64, MultiQueueOptions{LeaseTime: 20000})
-	tl := NewTL2(d, 10, 20000)
-	tl.Mode = TL2HWMulti
 
-	var ok [4]bool
+	var ok [3]bool
 	m.Spawn(0, func(c *Ctx) {
 		q.Enqueue(c, 7)
 		v, found := q.Dequeue(c)
@@ -55,12 +52,6 @@ func TestFacadeStructures(t *testing.T) {
 		ok[1] = found && got == 33
 
 		ok[2] = sk.Insert(c, 3) && sk.Contains(c, 3) && sk.Remove(c, 3)
-
-		mq.Insert(c, 11)
-		v, found = mq.DeleteMin(c)
-		ok[3] = found && v == 11
-
-		tl.UpdatePair(c, 0, 1, 2)
 	})
 	if err := m.Drain(); err != nil {
 		t.Fatal(err)
@@ -69,9 +60,6 @@ func TestFacadeStructures(t *testing.T) {
 		if !o {
 			t.Fatalf("facade structure %d misbehaved", i)
 		}
-	}
-	if tl.Read(d, 0) != 2 || tl.Read(d, 1) != 2 {
-		t.Fatal("TL2 transaction did not commit")
 	}
 }
 

@@ -27,6 +27,7 @@ import (
 var unreferenced = map[string]string{
 	"internal/linearize":                        "the linearizability checker the structure tests hold their histories to",
 	"internal/apps/pagerank.Pagerank.Reference": "the sequential PageRank the Figure 5 tests compare the simulated one against",
+	"internal/apps/pagerank.Pagerank.Ranks":     "the Figure 5 tests read the ranks back to compare them against Reference",
 	"internal/stm.TL2.Read":                     "the TL2 tests' oracle (Figures 4 and 5)",
 	"internal/locks.NewTAS":                     "PAPER.md §1 lists TAS among the paper's locks; the lock tests run it",
 
