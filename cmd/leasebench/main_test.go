@@ -458,9 +458,11 @@ func TestJSONReportCarriesEngineStats(t *testing.T) {
 }
 
 // goldenRuns are the -cell invocations whose stdout testdata/<name>.golden
-// pins, each on a short window: the leased counter cells with spans, ledger
-// and hot lines under both protocols, a TL2 cell that aborts, and a faulted
-// cell under the invariant checker.
+// pins, each on a short window unless it names its own: the leased counter
+// cells with spans, ledger and hot lines under both protocols, a TL2 cell
+// that aborts, a faulted cell under the invariant checker, and a leased
+// queue cell whose recorder observes about a thousand lines across four
+// core arenas (every enqueue takes a fresh node line).
 var goldenRuns = []struct {
 	name string
 	args []string
@@ -469,13 +471,14 @@ var goldenRuns = []struct {
 	{"counter.tardis.json", []string{"-cell", "fig3-counter/lease/t*", "-threads", "2,4", "-spans", "-ledger", "-hotlines", "3", "-protocol", "tardis"}},
 	{"tl2.json", []string{"-cell", "fig4-tl2/base/t4", "-threads", "4"}},
 	{"faults.json", []string{"-cell", "fig3-counter/lease/t4", "-threads", "4", "-faults", "-invariants"}},
+	{"queue.json", []string{"-cell", "fig3-queue/lease/t4", "-threads", "4", "-spans", "-ledger", "-hotlines", "10", "-window", "200000"}},
 }
 
 // Every golden run prints its golden byte for byte; -update rewrites them.
 func TestReportGoldens(t *testing.T) {
 	for _, g := range goldenRuns {
 		t.Run(g.name, func(t *testing.T) {
-			args := append(append([]string(nil), g.args...), short...)
+			args := append(append([]string(nil), short...), g.args...)
 			status, out, errOut := leasebench(args...)
 			if status != 0 || errOut != "" {
 				t.Fatalf("%v: status %d, stderr:\n%s", args, status, errOut)
