@@ -30,6 +30,21 @@ var (
 	paraSpan = regexp.MustCompile("`([^`]+)`")
 )
 
+// designMaxBytes bounds DESIGN.md, which describes the system as it is: a
+// replaced design is a pointer to CHANGES.md, and a measured-and-rejected
+// one keeps a sentence with its number.
+const designMaxBytes = 37000
+
+func TestDesignStaysShort(t *testing.T) {
+	info, err := os.Stat("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := info.Size(); n > designMaxBytes {
+		t.Errorf("DESIGN.md is %d bytes, over its %d: move the history to CHANGES.md", n, designMaxBytes)
+	}
+}
+
 // README.md, DESIGN.md and EXPERIMENTS.md cite only what exists: every
 // back-quoted test, benchmark or fuzz name (a trailing * makes it a prefix),
 // every path under internal/, cmd/, examples/ or benchmarks/ (a

@@ -6,11 +6,15 @@ import (
 	"leaserelease/internal/mem"
 )
 
-// LineStats accumulates per-cache-line contention counters. A line's
-// Score ranks it in the hot-line profile.
+// LineStats is one line's contention counters, as Top ranks them.
 type LineStats struct {
 	Line mem.Line
+	lineCounts
+}
 
+// lineCounts accumulates one cache line's contention counters. A line's
+// Score ranks it in the hot-line profile.
+type lineCounts struct {
 	Msgs           uint64 // coherence messages for the line
 	Invals         uint64 // owner probes + sharer invalidations
 	Deferred       uint64 // probes queued behind a lease
@@ -24,39 +28,26 @@ type LineStats struct {
 // Score is the contention ranking key: coherence conflict events
 // (invalidations, deferred probes, lease breaks) weigh alongside raw
 // message traffic.
-func (s *LineStats) Score() uint64 {
+func (s *lineCounts) Score() uint64 {
 	return s.Invals + s.Deferred + s.Breaks + s.Msgs
 }
 
-// HotLines aggregates LineStats per line and ranks the top K — turning
-// "this workload is contended" into "these 3 lines are contended". The
-// counters are values in a paged line index, so an event costs no hashing
-// and, once its line's chunk exists, no allocation. The zero value is ready
-// for use.
+// HotLines aggregates contention counters per line and ranks the top K —
+// turning "this workload is contended" into "these 3 lines are contended".
+// A line's counters are one record of a line table (get makes it, find
+// makes nothing), so an event costs no hashing and, once its record's page
+// and index chunk exist, no allocation. The zero value is ready for use.
 type HotLines struct {
-	lines lineTable[LineStats]
+	lineTable[lineCounts]
 }
-
-// Get returns the (lazily created) counters for line l.
-func (h *HotLines) Get(l mem.Line) *LineStats {
-	s, made := h.lines.get(l)
-	if made {
-		s.Line = l
-	}
-	return s
-}
-
-// Find returns the counters for line l, or nil if l was never observed.
-// Unlike Get it creates nothing, so a lookup leaves Len unchanged.
-func (h *HotLines) Find(l mem.Line) *LineStats { return h.lines.find(l) }
 
 // Top returns the k highest-Score lines, ties broken by more deferred
 // probes, then more invalidations, then lower line address — a total
 // order, so the ranking is deterministic for a given event stream.
 func (h *HotLines) Top(k int) []LineStats {
-	all := make([]LineStats, 0, h.lines.n)
-	for s := range h.lines.all() {
-		all = append(all, *s)
+	all := make([]LineStats, 0, h.n)
+	for l, c := range h.all() {
+		all = append(all, LineStats{l, *c})
 	}
 	sort.Slice(all, func(i, j int) bool {
 		si, sj := all[i].Score(), all[j].Score()

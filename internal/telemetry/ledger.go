@@ -37,13 +37,14 @@ type Ledger struct {
 	// Spans.WindowStart).
 	WindowStart uint64
 
-	lines lineTable[LineLedger]
+	lines lineTable[leaseAccount]
 	open  [][]openLease // per-core open (started) leases, insertion order
-	// closed holds, per core, the lines of counted leases closed since the
-	// last operation boundary: a lease acquired and released inside one
-	// operation (the common leased data structure pattern) still absorbed
-	// that operation, even though it is gone by the time OpEnd fires.
-	closed [][]mem.Line
+	// closed holds, per core, the accounts of the lines of counted leases
+	// closed since the last operation boundary: a lease acquired and
+	// released inside one operation (the common leased data structure
+	// pattern) still absorbed that operation, even though it is gone by the
+	// time OpEnd fires.
+	closed [][]*leaseAccount
 }
 
 // openLease is one started lease whose end event has not arrived yet.
@@ -54,10 +55,16 @@ type openLease struct {
 	counted bool   // started inside the window with a known duration
 }
 
-// LineLedger is the per-cache-line lease-efficiency accounting.
+// LineLedger is one line's lease-efficiency accounting, as Lines and the
+// rankings export it.
 type LineLedger struct {
 	Line mem.Line
+	leaseAccount
+}
 
+// leaseAccount is the lease-efficiency accounting of one cache line. A line
+// has one only once a lease or a deferral charges it something.
+type leaseAccount struct {
 	Leases  uint64 // leases closed (started and ended) inside the window
 	Expired uint64 // of those, closed by the MAX_LEASE_TIME timer
 
@@ -82,7 +89,7 @@ type LineLedger struct {
 
 // Efficiency is the fraction of granted cycles actually held (0 if no
 // lease closed yet).
-func (l *LineLedger) Efficiency() float64 {
+func (l *leaseAccount) Efficiency() float64 {
 	if l.GrantedCycles == 0 {
 		return 0
 	}
@@ -92,7 +99,7 @@ func (l *LineLedger) Efficiency() float64 {
 // Amortization is the mean operations absorbed per closed lease — the
 // coherence transactions a lease amortizes, since without it each
 // absorbed operation would re-acquire the line (0 if no lease closed).
-func (l *LineLedger) Amortization() float64 {
+func (l *leaseAccount) Amortization() float64 {
 	if l.Leases == 0 {
 		return 0
 	}
@@ -102,21 +109,12 @@ func (l *LineLedger) Amortization() float64 {
 // WastedCycles is the ranking key of the "top wasted" table: granted
 // cycles returned unused plus hold cycles of expiries that absorbed no
 // operation.
-func (l *LineLedger) WastedCycles() uint64 {
+func (l *leaseAccount) WastedCycles() uint64 {
 	return l.UnusedCycles + l.ExpiredIdleCycles
 }
 
 // NewLedger returns an empty ledger.
 func NewLedger() *Ledger { return &Ledger{} }
-
-// Line returns the (lazily created) accounting for line l.
-func (ld *Ledger) Line(l mem.Line) *LineLedger {
-	s, made := ld.lines.get(l)
-	if made {
-		s.Line = l
-	}
-	return s
-}
 
 // OpenLeases returns the number of started leases whose end event has not
 // arrived (at end of run: leases open when the simulation stopped).
@@ -163,11 +161,10 @@ func (ld *Ledger) OnLease(e Event) {
 			ol := (*per)[i]
 			*per = append((*per)[:i], (*per)[i+1:]...)
 			if ol.counted {
-				ld.close(e, ol)
 				for e.Core >= len(ld.closed) {
 					ld.closed = append(ld.closed, nil)
 				}
-				ld.closed[e.Core] = append(ld.closed[e.Core], e.Line)
+				ld.closed[e.Core] = append(ld.closed[e.Core], ld.close(e, ol))
 			}
 			return
 		}
@@ -176,16 +173,16 @@ func (ld *Ledger) OnLease(e Event) {
 	}
 }
 
-// close folds one ended lease into its line's accounting. The reported
-// hold (e.Val) never exceeds the granted duration — the expiry timer
-// fires at Started+Duration and removes the entry — but the ledger clamps
-// anyway so the conservation identity survives any emitter bug.
-func (ld *Ledger) close(e Event, ol openLease) {
+// close folds one ended lease into its line's account and returns it. The
+// reported hold (e.Val) never exceeds the granted duration — the expiry
+// timer fires at Started+Duration and removes the entry — but the ledger
+// clamps anyway so the conservation identity survives any emitter bug.
+func (ld *Ledger) close(e Event, ol openLease) *leaseAccount {
 	hold := e.Val
 	if hold == NoVal || hold > ol.dur {
 		hold = ol.dur
 	}
-	s := ld.Line(e.Line)
+	s := ld.lines.get(e.Line)
 	s.Leases++
 	s.GrantedCycles += ol.dur
 	s.UsedCycles += hold
@@ -197,16 +194,18 @@ func (ld *Ledger) close(e Event, ol openLease) {
 			s.ExpiredIdleCycles += hold
 		}
 	}
+	return s
 }
 
 // OnSpan charges one completed transaction's probe deferral to its line:
 // the probe-defer phase of a forwarded span that began inside the window.
-// Recorder.Attach hands it every span the assembler completes.
+// A span that charges nothing makes no account. Recorder.Attach hands it
+// every span the assembler completes.
 func (ld *Ledger) OnSpan(s *Span) {
-	if s.Owner < 0 || s.Begin < ld.WindowStart {
+	if s.Owner < 0 || s.Begin < ld.WindowStart || s.Phases[PhaseDefer] == 0 && !s.Deferred {
 		return
 	}
-	l := ld.Line(s.Line)
+	l := ld.lines.get(s.Line)
 	l.DeferInflictedCycles += s.Phases[PhaseDefer]
 	if s.Deferred {
 		l.DeferredTxns++
@@ -222,8 +221,8 @@ func (ld *Ledger) OnSpan(s *Span) {
 func (ld *Ledger) OpEnd(core int, measured bool) {
 	if core < len(ld.closed) && len(ld.closed[core]) > 0 {
 		if measured {
-			for _, l := range ld.closed[core] {
-				ld.Line(l).OpsUnder++
+			for _, a := range ld.closed[core] {
+				a.OpsUnder++
 			}
 		}
 		ld.closed[core] = ld.closed[core][:0]
@@ -259,7 +258,7 @@ type LedgerTotals struct {
 // Totals aggregates every line's accounting.
 func (ld *Ledger) Totals() LedgerTotals {
 	var t LedgerTotals
-	for s := range ld.lines.all() {
+	for _, s := range ld.lines.all() {
 		t.Leases += s.Leases
 		t.Expired += s.Expired
 		t.GrantedCycles += s.GrantedCycles
@@ -284,23 +283,23 @@ func (ld *Ledger) Totals() LedgerTotals {
 // table behind the top-N rankings (conservation tests iterate it).
 func (ld *Ledger) Lines() []LineLedger {
 	all := make([]LineLedger, 0, ld.lines.n)
-	for s := range ld.lines.all() {
-		all = append(all, *s)
+	for l, a := range ld.lines.all() {
+		all = append(all, LineLedger{l, *a})
 	}
 	return all
 }
 
 // top returns the k highest lines under key, ties broken by lower line
 // address — a total order, so rankings are deterministic.
-func (ld *Ledger) top(k int, key func(*LineLedger) uint64) []LineLedger {
-	all := make([]LineLedger, 0, ld.lines.n)
-	for s := range ld.lines.all() {
-		if key(s) > 0 {
-			all = append(all, *s)
+func (ld *Ledger) top(k int, key func(*leaseAccount) uint64) []LineLedger {
+	var all []LineLedger
+	for l, a := range ld.lines.all() {
+		if key(a) > 0 {
+			all = append(all, LineLedger{l, *a})
 		}
 	}
 	sort.Slice(all, func(i, j int) bool {
-		ki, kj := key(&all[i]), key(&all[j])
+		ki, kj := key(&all[i].leaseAccount), key(&all[j].leaseAccount)
 		if ki != kj {
 			return ki > kj
 		}
@@ -315,13 +314,13 @@ func (ld *Ledger) top(k int, key func(*LineLedger) uint64) []LineLedger {
 // TopWasted ranks the k lines with the most wasted cycles (unused grants
 // plus idle expiries).
 func (ld *Ledger) TopWasted(k int) []LineLedger {
-	return ld.top(k, (*LineLedger).WastedCycles)
+	return ld.top(k, (*leaseAccount).WastedCycles)
 }
 
 // TopDeferInflicted ranks the k lines whose leases inflicted the most
 // deferral cycles on other cores.
 func (ld *Ledger) TopDeferInflicted(k int) []LineLedger {
-	return ld.top(k, func(l *LineLedger) uint64 { return l.DeferInflictedCycles })
+	return ld.top(k, func(a *leaseAccount) uint64 { return a.DeferInflictedCycles })
 }
 
 // LedgerLineSummary is the JSON form of one ranked ledger line (Line is
@@ -359,7 +358,7 @@ type LedgerSummary struct {
 }
 
 // Summary digests the ledger: run totals plus the two top-k rankings, each
-// line joined with hot's counters (HotLines.Find, which makes no entry).
+// line joined with hot's counters (found without making a record).
 func (ld *Ledger) Summary(k int, hot *HotLines) LedgerSummary {
 	rows := func(top []LineLedger) []LedgerLineSummary {
 		var out []LedgerLineSummary
@@ -376,7 +375,7 @@ func (ld *Ledger) Summary(k int, hot *HotLines) LedgerSummary {
 				Efficiency:           s.Efficiency(),
 				Amortization:         s.Amortization(),
 			}
-			if h := hot.Find(s.Line); h != nil {
+			if h := hot.find(s.Line); h != nil {
 				row.HotScore, row.Msgs, row.Invals = h.Score(), h.Msgs, h.Invals
 			}
 			out = append(out, row)

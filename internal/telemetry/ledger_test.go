@@ -12,6 +12,14 @@ func leaseEv(time uint64, core int, kind uint8, line mem.Line, val uint64) Event
 	return Event{Time: time, Core: core, Cat: CatLease, Kind: kind, Line: line, Val: val}
 }
 
+// account returns line l's accounting, all zero when nothing charged l.
+func account(ld *Ledger, l mem.Line) *leaseAccount {
+	if a := ld.lines.find(l); a != nil {
+		return a
+	}
+	return &leaseAccount{}
+}
+
 // The core conservation identity: for every line, the granted cycles of
 // closed leases partition exactly into used and unused cycles, whatever
 // mix of end kinds closed them.
@@ -40,7 +48,7 @@ func TestLedgerConservation(t *testing.T) {
 		{7, 2, 1, 200, 140, 60, 0, 3},
 		{9, 1, 1, 80, 80, 0, 80, 0},
 	} {
-		s := ld.Line(want.line)
+		s := account(ld, want.line)
 		if s.Leases != want.leases || s.Expired != want.expired ||
 			s.GrantedCycles != want.granted || s.UsedCycles != want.used ||
 			s.UnusedCycles != want.unused || s.ExpiredIdleCycles != want.idle ||
@@ -52,10 +60,10 @@ func TestLedgerConservation(t *testing.T) {
 				want.line, s.GrantedCycles, s.UsedCycles, s.UnusedCycles)
 		}
 	}
-	if got := ld.Line(7).WastedCycles(); got != 60 {
+	if got := account(ld, 7).WastedCycles(); got != 60 {
 		t.Errorf("line 7 wasted = %d, want 60 (unused only)", got)
 	}
-	if got := ld.Line(9).WastedCycles(); got != 80 {
+	if got := account(ld, 9).WastedCycles(); got != 80 {
 		t.Errorf("line 9 wasted = %d, want 80 (idle expiry)", got)
 	}
 	tot := ld.Totals()
@@ -109,7 +117,7 @@ func TestLedgerHoldClamped(t *testing.T) {
 	ld.OnLease(leaseEv(100, 0, LeaseStarted, 1, 40))
 	ld.OnLease(leaseEv(120, 0, LeaseBroken, 1, NoVal)) // unmeasured hold
 
-	s := ld.Line(1)
+	s := account(ld, 1)
 	if s.GrantedCycles != 100 || s.UsedCycles != 100 || s.UnusedCycles != 0 {
 		t.Errorf("clamped ledger = %+v, want granted=used=100", *s)
 	}
@@ -165,7 +173,7 @@ func TestLedgerDeferFold(t *testing.T) {
 	sp.OnEvent(txnEv(400, 1, TxnBegin, 5, id, 0))
 	sp.OnEvent(txnEv(440, 1, TxnComplete, 5, id, 0))
 
-	s := ld.Line(5)
+	s := account(ld, 5)
 	if s.DeferInflictedCycles != 55 { // 50 + 5
 		t.Errorf("defer inflicted = %d, want 55", s.DeferInflictedCycles)
 	}
@@ -174,6 +182,24 @@ func TestLedgerDeferFold(t *testing.T) {
 	}
 	if st := sp.Stats(); st.Phase[PhaseDefer] != s.DeferInflictedCycles {
 		t.Errorf("span probe-defer phase = %d, ledger charged %d", st.Phase[PhaseDefer], s.DeferInflictedCycles)
+	}
+}
+
+// A forwarded transaction whose probe was served at once charges its line
+// nothing, so the line gets no account: Lines holds only the lines a lease
+// or a deferral charged.
+func TestLedgerUnchargedSpanMakesNoLine(t *testing.T) {
+	sp, ld := spanLedger(0)
+	id := TxnID(1, 1)
+	sp.OnEvent(txnEv(10, 1, TxnBegin, 5, id, 0))
+	sp.OnEvent(txnEv(20, 3, TxnProbe, 5, id, 0))
+	sp.OnEvent(txnEv(20, 3, TxnProbeDone, 5, id, 0))
+	sp.OnEvent(txnEv(30, 1, TxnComplete, 5, id, 0))
+	if st := sp.Stats(); st.Spans != 1 || st.Deferred != 0 {
+		t.Fatalf("span stats = %+v, want one undeferred span", st)
+	}
+	if got := ld.Lines(); len(got) != 0 {
+		t.Errorf("ledger lines = %+v, want none", got)
 	}
 }
 
@@ -194,13 +220,13 @@ func TestLedgerOpEnd(t *testing.T) {
 	ld.OnLease(leaseEv(150, 0, LeaseReleased, 2, 30))
 	ld.OnLease(leaseEv(150, 1, LeaseReleased, 3, 20))
 
-	if got := ld.Line(2).OpsUnder; got != 1 {
+	if got := account(ld, 2).OpsUnder; got != 1 {
 		t.Errorf("line 2 ops under lease = %d, want 1", got)
 	}
-	if got := ld.Line(1).OpsUnder; got != 0 {
+	if got := account(ld, 1).OpsUnder; got != 0 {
 		t.Errorf("pre-window lease absorbed %d ops, want 0", got)
 	}
-	if got := ld.Line(3).OpsUnder; got != 0 {
+	if got := account(ld, 3).OpsUnder; got != 0 {
 		t.Errorf("other core's lease absorbed %d ops, want 0", got)
 	}
 }
@@ -219,10 +245,10 @@ func TestLedgerOpEndCreditsLeasesClosedInOp(t *testing.T) {
 	ld.OnLease(leaseEv(150, 0, LeaseReleased, 2, 20))
 	ld.OpEnd(0, true)
 
-	if got := ld.Line(1).OpsUnder; got != 1 {
+	if got := account(ld, 1).OpsUnder; got != 1 {
 		t.Errorf("line 1 ops = %d, want 1 (lease closed within the op)", got)
 	}
-	if got := ld.Line(2).OpsUnder; got != 1 {
+	if got := account(ld, 2).OpsUnder; got != 1 {
 		t.Errorf("line 2 ops = %d, want 1", got)
 	}
 
@@ -232,7 +258,7 @@ func TestLedgerOpEndCreditsLeasesClosedInOp(t *testing.T) {
 	ld.OnLease(leaseEv(220, 0, LeaseReleased, 1, 20))
 	ld.OpEnd(0, false)
 	ld.OpEnd(0, true)
-	if got := ld.Line(1).OpsUnder; got != 1 {
+	if got := account(ld, 1).OpsUnder; got != 1 {
 		t.Errorf("line 1 ops = %d after unmeasured op, want still 1", got)
 	}
 	if got := ld.Totals(); got.Amortization != 2.0/3.0 {
@@ -286,7 +312,7 @@ func TestLedgerTopAndSummary(t *testing.T) {
 // profile still counts only the lines it saw.
 func TestLedgerSummaryLeavesHotLinesAlone(t *testing.T) {
 	var hot HotLines
-	seen := hot.Get(0x10)
+	seen := hot.get(0x10)
 	seen.Msgs, seen.Invals = 7, 2
 	ld := NewLedger()
 	ld.OnLease(leaseEv(0, 0, LeaseStarted, 0x10, 100))
@@ -301,7 +327,7 @@ func TestLedgerSummaryLeavesHotLinesAlone(t *testing.T) {
 	if r := rows[0]; r.Line != "0x20" || r.HotScore != 0 || r.Msgs != 0 || r.Invals != 0 || r.Leases != 1 {
 		t.Errorf("unseen line joined as %+v, want zero counters", r)
 	}
-	if n := hot.lines.n; n != 1 {
+	if n := hot.n; n != 1 {
 		t.Errorf("hot lines = %d after the join, want 1", n)
 	}
 }

@@ -87,20 +87,20 @@ func (r *Recorder) onSpan(s *Span) {
 func (r *Recorder) onLease(e Event) {
 	switch e.Kind {
 	case LeaseCreated:
-		r.Lines.Get(e.Line).Leases++
+		r.Lines.get(e.Line).Leases++
 	case LeaseReleased, LeaseExpired, LeaseEvicted, LeaseForced, LeaseBroken:
 		if e.Val != NoVal {
 			r.LeaseHold.Observe(e.Val)
 		}
 		if e.Kind == LeaseBroken {
-			r.Lines.Get(e.Line).Breaks++
+			r.Lines.get(e.Line).Breaks++
 		}
 	case ProbeDeferred:
-		r.Lines.Get(e.Line).Deferred++
+		r.Lines.get(e.Line).Deferred++
 	case ProbeServed:
 		if e.Val != NoVal {
 			r.ProbeDefer.Observe(e.Val)
-			r.Lines.Get(e.Line).DeferredCycles += e.Val
+			r.Lines.get(e.Line).DeferredCycles += e.Val
 		}
 	}
 	if r.Timeline != nil {
@@ -112,7 +112,7 @@ func (r *Recorder) onLease(e Event) {
 }
 
 func (r *Recorder) onCoherence(e Event) {
-	s := r.Lines.Get(e.Line)
+	s := r.Lines.get(e.Line)
 	s.Msgs += e.Val
 	if e.Kind == MsgInval || e.Kind == MsgForward {
 		s.Invals += e.Val
@@ -120,12 +120,12 @@ func (r *Recorder) onCoherence(e Event) {
 }
 
 func (r *Recorder) onCache(e Event) {
-	r.Lines.Get(e.Line).Evictions++
+	r.Lines.get(e.Line).Evictions++
 }
 
 func (r *Recorder) onDirQueue(e Event) {
 	r.DirQueue.Observe(e.Val)
-	if s := r.Lines.Get(e.Line); e.Val > s.MaxQueue {
+	if s := r.Lines.get(e.Line); e.Val > s.MaxQueue {
 		s.MaxQueue = e.Val
 	}
 }

@@ -274,10 +274,10 @@ func TestTxnSlotsOverlapAndIgnoreStaleIDs(t *testing.T) {
 	if n := len(sp.Completed); n != 3 || sp.Completed[2].Owner != -1 || sp.Completed[2].Total() != 40 {
 		t.Errorf("next span = %+v", sp.Completed[n-1])
 	}
-	if s := ld.Line(7); s.DeferInflictedCycles != 45 || s.DeferredTxns != 1 {
+	if s := account(ld, 7); s.DeferInflictedCycles != 45 || s.DeferredTxns != 1 {
 		t.Errorf("ledger line 7 = %+v, want 45 deferral cycles over 1 txn", *s)
 	}
-	if s := ld.Line(9); s.DeferInflictedCycles != 0 || s.DeferredTxns != 0 {
+	if s := account(ld, 9); s.DeferInflictedCycles != 0 || s.DeferredTxns != 0 {
 		t.Errorf("ledger line 9 = %+v, want nothing charged", *s)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -143,7 +144,7 @@ func TestHotLinesRankingDeterministic(t *testing.T) {
 		var h HotLines
 		for _, i := range order {
 			l := mem.Line(i)
-			s := h.Get(l)
+			s := h.get(l)
 			s.Msgs = uint64(i % 3)     // many score ties
 			s.Deferred = uint64(i % 2) // tie-break level 1
 			s.Invals = uint64(i % 2)   // tie-break level 2
@@ -249,7 +250,7 @@ func TestRecorderFoldsEvents(t *testing.T) {
 	if got := r.DirQueue.max; got != 5 {
 		t.Fatalf("dirq max = %d, want 5", got)
 	}
-	s := r.Lines.Get(l)
+	s := r.Lines.get(l)
 	if s.Leases != 1 || s.Deferred != 1 || s.Msgs != 3 || s.Invals != 2 ||
 		s.Evictions != 1 || s.MaxQueue != 5 {
 		t.Fatalf("line stats = %+v", s)
@@ -260,37 +261,38 @@ func TestRecorderFoldsEvents(t *testing.T) {
 }
 
 // Line 0 is an ordinary key: the benchmark's recorder probe emits for it.
-// It is counted once and ranks like any other line; Find makes no entry.
+// It is counted once and ranks like any other line; find makes no entry.
 func TestHotLinesLineZero(t *testing.T) {
 	var h HotLines
-	if h.Find(0) != nil {
-		t.Fatal("Find reports line 0 before any event")
+	if h.find(0) != nil {
+		t.Fatal("find reports line 0 before any event")
 	}
-	h.Get(0).Msgs += 5
-	h.Get(0).Msgs += 5
-	h.Get(3).Msgs++
-	if h.lines.n != 2 {
-		t.Fatalf("len = %d, want 2 (line 0 counted once)", h.lines.n)
+	h.get(0).Msgs += 5
+	h.get(0).Msgs += 5
+	h.get(3).Msgs++
+	if h.n != 2 {
+		t.Fatalf("len = %d, want 2 (line 0 counted once)", h.n)
 	}
 	top := h.Top(5)
 	if len(top) != 2 || top[0].Line != 0 || top[0].Msgs != 10 || top[1].Line != 3 {
 		t.Fatalf("top = %+v, want line 0 (10 msgs) then line 3", top)
 	}
-	if s := h.Find(0); s == nil || s.Msgs != 10 {
-		t.Fatalf("Find(0) = %+v, want line 0's counters", s)
+	if s := h.find(0); s == nil || s.Msgs != 10 {
+		t.Fatalf("find(0) = %+v, want line 0's counters", s)
 	}
-	if h.Find(4) != nil || h.lines.n != 2 {
-		t.Fatalf("Find of an unseen line made an entry: len %d", h.lines.n)
+	if h.find(4) != nil || h.n != 2 {
+		t.Fatalf("find of an unseen line made an entry: len %d", h.n)
 	}
 }
 
 // The rankings keep the order the map-plus-sort version gave, ties
 // included, over lines in the setup region and in two core arenas (three
-// regions of the paged index), whatever order the lines were first seen in.
+// regions of the paged index) that fill more than two record pages, whatever
+// order the lines were first seen in.
 func TestRankingsKeepTheirOrderAcrossRegions(t *testing.T) {
 	var lines []mem.Line
 	for _, al := range []*mem.Allocator{mem.NewAllocator(), mem.NewArena(0), mem.NewArena(37)} {
-		for i := 0; i < 40; i++ {
+		for i := 0; i < 200; i++ {
 			lines = append(lines, mem.LineOf(al.AllocAligned(mem.LineSize*uint64(1+i%3))))
 		}
 	}
@@ -303,14 +305,13 @@ func TestRankingsKeepTheirOrderAcrossRegions(t *testing.T) {
 	refHot := map[mem.Line]*LineStats{}
 	refLed := map[mem.Line]*LineLedger{}
 	for _, l := range lines {
-		s := h.Get(l)
+		s := h.get(l)
 		s.Msgs, s.Deferred, s.Invals = uint64(rng.Intn(3)), uint64(rng.Intn(2)), uint64(rng.Intn(2))
-		c := *s
-		refHot[l] = &c
+		refHot[l] = &LineStats{l, *s}
 		dur, hold := uint64(100), uint64(rng.Intn(3))*10
 		ld.OnLease(leaseEv(0, 0, LeaseStarted, l, dur))
 		ld.OnLease(leaseEv(hold, 0, LeaseReleased, l, hold))
-		refLed[l] = &LineLedger{Line: l, Leases: 1, GrantedCycles: dur, UsedCycles: hold, UnusedCycles: dur - hold}
+		refLed[l] = &LineLedger{l, leaseAccount{Leases: 1, GrantedCycles: dur, UsedCycles: hold, UnusedCycles: dur - hold}}
 	}
 
 	// The reference: the map-plus-sort implementation these replaced.
@@ -345,8 +346,8 @@ func TestRankingsKeepTheirOrderAcrossRegions(t *testing.T) {
 	})
 	wasted = slices.DeleteFunc(wasted, func(l LineLedger) bool { return l.WastedCycles() == 0 })
 
-	if h.lines.n != len(lines) || ld.lines.n != len(lines) {
-		t.Fatalf("len = %d hot, %d ledger; want %d", h.lines.n, ld.lines.n, len(lines))
+	if int(h.n) != len(lines) || int(ld.lines.n) != len(lines) || len(lines) <= 2*pageRecords {
+		t.Fatalf("len = %d hot, %d ledger; want %d, over two pages", h.n, ld.lines.n, len(lines))
 	}
 	for _, k := range []int{1, 10, len(lines)} {
 		if got := h.Top(k); !reflect.DeepEqual(got, hot[:k]) {
@@ -420,5 +421,64 @@ func TestRecorderZeroAlloc(t *testing.T) {
 	}
 	if tot := r.Ledger.Totals(); tot.Leases != 2*seq || tot.DeferredTxns != seq {
 		t.Errorf("ledger totals = %+v, want %d leases, %d deferred txns", tot, 2*seq, seq)
+	}
+}
+
+// maxBytesPerLine bounds a Recorder's live heap per observed line (see
+// TestRecorderFootprint): a hot-line record is 64 bytes, and its 4-byte
+// index slot costs 8 bytes a line when every other line is observed.
+const maxBytesPerLine = 80
+
+// A Recorder with spans, the ledger and hot lines, fed one forwarded
+// transaction on each of 40 000 sparse lines (every other line of two core
+// arenas, as a queue's nodes leave them), holds at most maxBytesPerLine of
+// live heap per line: each line costs one dense hot-line record and its
+// index slot, and a span that deferred nothing costs the ledger nothing.
+func TestRecorderFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory distorts heap accounting")
+	}
+	const perArena = 20000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+
+	var now uint64
+	b := NewBus(func() uint64 { return now })
+	r := NewRecorder()
+	r.EnableLedger()
+	r.Attach(b)
+	var seq uint64
+	for core := range 2 {
+		base := mem.LineOf(mem.NewArena(core).AllocAligned(mem.LineSize))
+		for i := range perArena {
+			l := base + mem.Line(2*i)
+			seq++
+			id := TxnID(core, seq)
+			b.Emit2(CatTxn, core, TxnBegin, l, id, TxnFlagExcl)
+			b.Emit(CatCoherence, core, MsgRequest, l, 1)
+			now += 10
+			b.Emit2(CatTxn, -1, TxnArrive, l, id, 0)
+			b.Emit2(CatTxn, -1, TxnService, l, id, 0)
+			b.Emit(CatCoherence, -1, MsgForward, l, 1)
+			now += 10
+			b.Emit2(CatTxn, 1-core, TxnProbe, l, id, 0)
+			b.Emit2(CatTxn, 1-core, TxnProbeDone, l, id, 0)
+			b.Emit(CatCoherence, 1-core, MsgReply, l, 1)
+			now += 10
+			b.Emit2(CatTxn, core, TxnComplete, l, id, 0)
+		}
+	}
+
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(r)
+	if st := r.Spans.Stats(); st.Spans != 2*perArena {
+		t.Fatalf("spans = %d, want %d", st.Spans, 2*perArena)
+	}
+	perLine := float64(after.HeapAlloc-before.HeapAlloc) / (2 * perArena)
+	t.Logf("%.1f live heap bytes per observed line", perLine)
+	if perLine > maxBytesPerLine {
+		t.Errorf("the recorder holds %.1f bytes per observed line, want at most %d", perLine, maxBytesPerLine)
 	}
 }
