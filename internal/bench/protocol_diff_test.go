@@ -133,8 +133,8 @@ func TestProtocolSpanLedgerIdentities(t *testing.T) {
 	for proto, cfg := range protoConfigs(8) {
 		cfg.Seed = 1
 		rec := telemetry.NewRecorder()
-		sp := rec.EnableSpans()
-		sp.Keep = true
+		kept := keepSpans(rec)
+		sp := rec.Spans
 		rec.EnableLedger()
 		r := ThroughputOpts(cfg, 8, 20_000, 100_000,
 			CounterWorkload(CounterLeasedTTS), Options{Recorder: rec})
@@ -142,10 +142,10 @@ func TestProtocolSpanLedgerIdentities(t *testing.T) {
 			t.Fatalf("%s: run failed: %v", proto, r.Err)
 		}
 
-		if len(sp.Completed) == 0 {
+		if len(*kept) == 0 {
 			t.Fatalf("%s: no spans completed on a contended run", proto)
 		}
-		for _, s := range sp.Completed {
+		for _, s := range *kept {
 			var sum uint64
 			for _, c := range s.Phases {
 				sum += c

@@ -8,21 +8,29 @@ import (
 	"leaserelease/internal/telemetry"
 )
 
-// spanRun runs a leased contended counter with span tracing (keeping every
-// completed span) and returns the result and the assembler.
-func spanRun(t *testing.T, seed uint64, threads int) (Result, *telemetry.Spans) {
+// keepSpans enables spans on rec and returns where every span its assembler
+// completes is copied: an OnComplete set before Attach, which the recorder
+// keeps.
+func keepSpans(rec *telemetry.Recorder) *[]telemetry.Span {
+	kept := new([]telemetry.Span)
+	rec.EnableSpans().OnComplete = func(s *telemetry.Span) { *kept = append(*kept, *s) }
+	return kept
+}
+
+// spanRun runs a leased contended counter with span tracing and returns the
+// result, the assembler and every completed span.
+func spanRun(t *testing.T, seed uint64, threads int) (Result, *telemetry.Spans, []telemetry.Span) {
 	t.Helper()
 	cfg := machine.DefaultConfig(threads)
 	cfg.Seed = seed
 	rec := telemetry.NewRecorder()
-	sp := rec.EnableSpans()
-	sp.Keep = true
+	kept := keepSpans(rec)
 	r := ThroughputOpts(cfg, threads, 20_000, 100_000,
 		CounterWorkload(CounterLeasedTTS), Options{Recorder: rec})
 	if r.Err != nil {
 		t.Fatalf("run failed: %v", r.Err)
 	}
-	return r, sp
+	return r, rec.Spans, *kept
 }
 
 // The acceptance invariant of the cycle accounting, on the paper's
@@ -31,12 +39,12 @@ func spanRun(t *testing.T, seed uint64, threads int) (Result, *telemetry.Spans) 
 // operation latency (OpCycles == OpTxnCycles + OpOtherCycles, with the
 // txn part equal to the per-phase sum).
 func TestSpanCycleAccountingSumsToLatency(t *testing.T) {
-	r, sp := spanRun(t, 1, 8)
+	r, sp, completed := spanRun(t, 1, 8)
 
-	if len(sp.Completed) == 0 {
+	if len(completed) == 0 {
 		t.Fatal("no spans completed on a contended run")
 	}
-	for _, s := range sp.Completed {
+	for _, s := range completed {
 		var sum uint64
 		for _, c := range s.Phases {
 			sum += c
@@ -134,14 +142,13 @@ func TestSpanTreesIdenticalAcrossPoolSizes(t *testing.T) {
 				cfg := machine.DefaultConfig(4)
 				cfg.Seed = seed
 				rec := telemetry.NewRecorder()
-				sp := rec.EnableSpans()
-				sp.Keep = true
+				kept := keepSpans(rec)
 				r := ThroughputOpts(cfg, 4, 10_000, 40_000,
 					CounterWorkload(CounterLeasedTTS), Options{Recorder: rec})
 				if r.Err != nil {
 					t.Errorf("seed %d failed: %v", seed, r.Err)
 				}
-				return sp.Completed
+				return *kept
 			})
 		}
 		out := make([][]telemetry.Span, len(futures))

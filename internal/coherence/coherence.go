@@ -132,15 +132,16 @@ type Request struct {
 
 	// Txn is the transaction ID minted at the requesting core when span
 	// tracing is enabled (telemetry.CatTxn has a subscriber); zero
-	// otherwise. Every CatTxn event the transaction spawns — through the
-	// directory, the owner's lease table, and back — carries it in
-	// Event.Val, so the span assembler can reconstruct the causal tree.
-	Txn uint64
+	// otherwise. The directory writes each step's stamp into Stamps, which
+	// minting resets, and when Txn is set the grant's delivery emits the
+	// transaction's one CatTxn event with both.
+	Txn    uint64
+	Stamps telemetry.TxnStamps
 
 	// What service decided for the request (Decision): exclClean marks a
 	// read granted in exclusive state and owner is the core a forwarded
-	// probe goes to. line is the line's record, which is busy on this
-	// request's behalf from service to commit.
+	// probe goes to. line is the line's record, looked up at Submit, which
+	// is busy on this request's behalf from service to commit.
 	exclClean bool
 	owner     int
 	line      *Line
@@ -318,24 +319,24 @@ func (d *Directory) line(l mem.Line) *Line {
 	return *p
 }
 
-// countMsg accounts n messages of one kind with the machine's counters
-// and mirrors them, per line, onto the telemetry bus.
-func (d *Directory) countMsg(l mem.Line, kind MsgKind, n int) {
+// countMsg accounts n messages of one kind on line l, whose record is ln,
+// with the machine's counters and, while the directory has a bus, on ln's
+// traffic and the bus.
+func (d *Directory) countMsg(ln *Line, l mem.Line, kind MsgKind, n int) {
 	d.env.CountMsg(kind, n)
-	d.Bus.Emit(telemetry.CatCoherence, -1, uint8(kind), l, uint64(n))
-}
-
-// txn emits one CatTxn span event for req. req.Txn == 0 (tracing disabled, or the request predates the subscriber)
-// makes every site a single predictable branch.
-func (d *Directory) txn(req *Request, core int, kind uint8, aux uint64) {
-	if req.Txn != 0 {
-		d.Bus.Emit2(telemetry.CatTxn, core, kind, req.Line, req.Txn, aux)
+	if d.Bus != nil {
+		ln.msgs += uint64(n)
+		if kind == MsgInval || kind == MsgForward {
+			ln.invals += uint64(n)
+		}
+		d.Bus.Emit(telemetry.CatCoherence, -1, uint8(kind), l, uint64(n))
 	}
 }
 
 // Submit issues a request from a core at the current time. The request
 // message takes one network hop (plus jitter) to reach the directory,
-// where it enters the line's FIFO queue.
+// where it enters the line's FIFO queue. The line's record, made here if
+// need be, travels with it.
 //
 // Submit runs in the requesting core's domain. The message is scheduled at
 // the fixed +Net lower bound (the declared lookahead); jitter and fault
@@ -344,8 +345,9 @@ func (d *Directory) Submit(req *Request) {
 	if req.dir != d {
 		req.bind(d)
 	}
+	req.line = d.line(req.Line)
 	src := d.coreDom(req.Core)
-	d.countMsg(req.Line, MsgRequest, 1)
+	d.countMsg(req.line, req.Line, MsgRequest, 1)
 	src.CrossAt(d.dom, src.Now()+d.t.Net, req.reachDir)
 }
 
@@ -369,7 +371,7 @@ func (d *Directory) reachDir(req *Request) {
 }
 
 func (d *Directory) arrive(req *Request) {
-	ln := d.line(req.Line)
+	ln := req.line
 	if ln.tail == nil {
 		ln.head = req
 	} else {
@@ -381,11 +383,12 @@ func (d *Directory) arrive(req *Request) {
 	if ln.busy {
 		occ++ // include the request currently in service
 	}
-	if occ > d.Stats.MaxQueue {
-		d.Stats.MaxQueue = occ
+	d.Stats.MaxQueue = max(d.Stats.MaxQueue, int(occ))
+	if d.Bus != nil {
+		ln.maxQueue = max(ln.maxQueue, uint32(occ))
+		d.Bus.Emit(telemetry.CatDirQueue, req.Core, 0, req.Line, uint64(occ))
 	}
-	d.Bus.Emit(telemetry.CatDirQueue, req.Core, 0, req.Line, uint64(occ))
-	d.txn(req, req.Core, telemetry.TxnArrive, uint64(occ))
+	req.Stamps.Arrive = d.Now()
 	if !ln.busy {
 		d.serviceMaybeStalled(ln)
 	}
@@ -416,16 +419,15 @@ func (d *Directory) service(ln *Line) {
 	}
 	ln.waiting--
 	ln.busy = true
-	req.line = ln
 
 	dec := ln.Policy.Serve(req)
 	req.exclClean, req.owner = dec.ExclClean, dec.Owner
 	l, now := req.Line, d.dom.Now()
+	req.Stamps.Service = now
 	if dec.Forward {
 		// Directory tag lookup, then one hop to the owner; the lease
 		// mechanism may defer the probe there.
-		d.txn(req, req.Core, telemetry.TxnService, 0)
-		d.countMsg(l, MsgForward, 1)
+		d.countMsg(ln, l, MsgForward, 1)
 		d.dom.CrossAt(d.coreDom(dec.Owner), now+d.t.L2Tag+d.t.Net+d.Faults.MsgDelay(), req.probe)
 		return
 	}
@@ -435,9 +437,8 @@ func (d *Directory) service(ln *Line) {
 	// the wait for invalidation acks beyond the access, or a renewal's tag
 	// lookup.
 	var service, extra sim.Time
-	phase := telemetry.TxnInval
 	if dec.TagOnly {
-		extra, phase = d.t.L2Tag, telemetry.TxnRenew
+		extra = d.t.L2Tag
 	} else {
 		service = d.t.L2Tag + d.t.L2Data
 		d.env.CountL2()
@@ -447,10 +448,9 @@ func (d *Directory) service(ln *Line) {
 			d.env.CountDRAM()
 		}
 	}
-	d.txn(req, req.Core, telemetry.TxnService, uint64(service))
 	if k := bits.OnesCount64(dec.Inval); k > 0 {
-		d.countMsg(l, MsgInval, k)
-		d.countMsg(l, MsgAck, k)
+		d.countMsg(ln, l, MsgInval, k)
+		d.countMsg(ln, l, MsgAck, k)
 		for c := 0; c < 64; c++ {
 			if dec.Inval&bit(c) != 0 {
 				d.dom.CrossAt(d.coreDom(c), now+d.t.L2Tag+d.t.Net, d.notice(noticeInval, c, l, nil))
@@ -460,20 +460,18 @@ func (d *Directory) service(ln *Line) {
 			extra = acksDone - service
 		}
 	}
-	if extra > 0 || dec.TagOnly {
-		d.txn(req, req.Core, phase, uint64(extra))
-	}
-	d.countMsg(l, MsgReply, 1)
+	req.Stamps.ServiceLat, req.Stamps.Extra, req.Stamps.Renewal = service, extra, dec.TagOnly
+	d.countMsg(ln, l, MsgReply, 1)
 	d.scheduleComplete(d.dom, now+service+extra+d.t.Net+d.Faults.MsgDelay(), req)
 }
 
 // probeArrive runs in the owning core's domain when a forwarded probe
 // reaches it.
 func (d *Directory) probeArrive(owner int, req *Request) {
-	d.txn(req, owner, telemetry.TxnProbe, 0)
+	req.Stamps.Owner, req.Stamps.Probe = owner, d.Now()
 	if d.env.DeliverProbe(owner, req) {
 		d.Stats.DeferredProbes++
-		d.txn(req, owner, telemetry.TxnDefer, 0)
+		req.Stamps.Deferred = true
 		return // env will call ProbeDone on lease release/expiry
 	}
 	d.ProbeDone(owner, req)
@@ -488,9 +486,9 @@ func (d *Directory) probeArrive(owner int, req *Request) {
 // from.
 func (d *Directory) ProbeDone(owner int, req *Request) {
 	src := d.coreDom(owner)
-	d.txn(req, req.Core, telemetry.TxnProbeDone, 0)
-	d.countMsg(req.Line, MsgReply, 1)
-	d.countMsg(req.Line, MsgAck, 1)
+	req.Stamps.ProbeDone = src.Now()
+	d.countMsg(req.line, req.Line, MsgReply, 1)
+	d.countMsg(req.line, req.Line, MsgAck, 1)
 	d.scheduleComplete(src, src.Now()+d.t.Inval+d.t.Net+d.Faults.MsgDelay(), req)
 }
 
@@ -508,13 +506,16 @@ func (d *Directory) scheduleComplete(src *sim.Domain, t sim.Time, req *Request) 
 }
 
 // deliverGrant runs in the requesting core's domain, which has been blocked
-// since Submit: req is as the directory left it at service time.
+// since Submit: req is as the directory left it at service time. A traced
+// transaction's one CatTxn event goes out here, with its stamps.
 func (d *Directory) deliverGrant(req *Request) {
 	st := cache.Shared
 	if req.Excl || req.exclClean {
 		st = cache.Modified
 	}
-	d.txn(req, req.Core, telemetry.TxnComplete, 0)
+	if req.Txn != 0 {
+		d.Bus.EmitTxn(req.Core, req.Line, req.Txn, &req.Stamps)
+	}
 	d.env.Complete(req, st)
 }
 
@@ -538,17 +539,29 @@ func (d *Directory) commit(l mem.Line, ln *Line) {
 // the stale owner and resolves via the probe path (LinePolicy.Evict drops
 // the notice if ownership has already moved on).
 func (d *Directory) Writeback(core int, l mem.Line) {
-	d.countMsg(l, MsgWriteback, 1)
+	d.countMsg(d.evicted(l), l, MsgWriteback, 1)
 	d.notify(noticeWriteback, core, l)
 }
 
 // SharerDrop records a silent Shared eviction (no message; under MSI the
 // directory's sharer list simply goes stale, and a later invalidation to a
 // non-holder is absorbed by the core). The bookkeeping update still rides
-// a one-hop notification so the line's record is only touched from the
-// directory's domain.
+// a one-hop notification so the line's protocol state is only touched from
+// the directory's domain; evicted counts host-side traffic only.
 func (d *Directory) SharerDrop(core int, l mem.Line) {
+	d.evicted(l)
 	d.notify(noticeDrop, core, l)
+}
+
+// evicted counts an L1 eviction of l, reported in the step the L1 emits
+// CatCache, on l's record while the directory has a bus, and returns it.
+func (d *Directory) evicted(l mem.Line) *Line {
+	if d.Bus == nil {
+		return nil
+	}
+	ln := d.line(l)
+	ln.evictions++
+	return ln
 }
 
 func (d *Directory) notify(kind noticeKind, core int, l mem.Line) {

@@ -7,6 +7,7 @@ import (
 	"leaserelease/internal/cache"
 	"leaserelease/internal/mem"
 	"leaserelease/internal/sim"
+	"leaserelease/internal/telemetry"
 )
 
 // Canonical protocol names, as accepted by machine.Config.Protocol and the
@@ -124,9 +125,9 @@ type LinePolicy interface {
 }
 
 // Line is the directory's half of one line's record, a slab element embedded
-// in the policy's: the FIFO of waiting requests and the one in service. The
-// line's address is the record's key in the directory's index; a policy that
-// needs it keeps it (NewLine).
+// in the policy's: the FIFO of waiting requests and the one in service, and
+// the line's traffic. The line's address is the record's key in the
+// directory's index; a policy that needs it keeps it (NewLine).
 type Line struct {
 	// Policy is the protocol's half of the record; Policy.NewLine sets it.
 	Policy LinePolicy
@@ -134,9 +135,12 @@ type Line struct {
 	// The FIFO of waiting requests, linked through Request.next: service
 	// pops head, arrive links at tail.
 	head, tail *Request
-	waiting    int
-	busy       bool // a request is in service: from Serve to Commit
-	touched    bool // filled at least once (cold-miss tracking)
+	// The line's telemetry.Traffic, counted while the directory has a bus.
+	msgs, invals        uint64
+	evictions, maxQueue uint32
+	waiting             int32
+	busy                bool // a request is in service: from Serve to Commit
+	touched             bool // filled at least once (cold-miss tracking)
 }
 
 // Slab hands out zeroed records of type T, made 256 at a time. Nothing is
@@ -191,7 +195,7 @@ type LineView struct {
 
 func (ln *Line) view(l mem.Line) LineView {
 	v := ln.Policy.View()
-	v.Line, v.QueueLen = l, ln.waiting
+	v.Line, v.QueueLen = l, int(ln.waiting)
 	if ln.busy {
 		v.QueueLen++
 	}
@@ -219,6 +223,28 @@ func (d *Directory) Lines() iter.Seq[LineView] {
 			}
 		}
 	}
+}
+
+// LineTraffic returns l's traffic (telemetry.TrafficSource).
+func (d *Directory) LineTraffic(l mem.Line) telemetry.Traffic { return d.Line(l).traffic() }
+
+// AllTraffic visits every line with nonzero traffic, in ascending order.
+func (d *Directory) AllTraffic() iter.Seq2[mem.Line, telemetry.Traffic] {
+	return func(yield func(mem.Line, telemetry.Traffic) bool) {
+		for l, ln := range d.lines.All() {
+			if t := (*ln).traffic(); t != (telemetry.Traffic{}) && !yield(l, t) {
+				return
+			}
+		}
+	}
+}
+
+// traffic returns the line's counts; a nil record's are zero.
+func (ln *Line) traffic() telemetry.Traffic {
+	if ln == nil {
+		return telemetry.Traffic{}
+	}
+	return telemetry.Traffic{Msgs: ln.msgs, Invals: ln.invals, Evictions: uint64(ln.evictions), MaxQueue: uint64(ln.maxQueue)}
 }
 
 // VerifyLine checks line l with its policy's Verify; a line in the middle of

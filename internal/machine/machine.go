@@ -302,25 +302,18 @@ func (m *Machine) submit(cs *coreState) {
 	m.proto.Submit(cs.req)
 }
 
-// mintTxn assigns req a machine-unique transaction ID and emits TxnBegin,
-// if and only if someone subscribed to span tracing. With tracing off the
-// cost is Bus.Wants — a nil check plus one bitmask test — and req.Txn
-// stays zero, which keeps every downstream CatTxn emit site to a single
-// predictable branch.
+// mintTxn assigns req a machine-unique transaction ID and resets its
+// stamps to the transaction's begin, if and only if someone subscribed to
+// span tracing. With tracing off the cost is Bus.Wants — a nil check plus
+// one bitmask test — and req.Txn stays zero: the directory stamps the
+// request all the same, and nothing reads the stamps.
 func (m *Machine) mintTxn(cs *coreState, req *coherence.Request) {
 	if !m.bus.Wants(telemetry.CatTxn) {
 		return
 	}
 	cs.txnSeq++
 	req.Txn = telemetry.TxnID(cs.id, cs.txnSeq)
-	var flags uint64
-	if req.Excl {
-		flags |= telemetry.TxnFlagExcl
-	}
-	if req.Lease {
-		flags |= telemetry.TxnFlagLease
-	}
-	m.bus.Emit2(telemetry.CatTxn, cs.id, telemetry.TxnBegin, req.Line, req.Txn, flags)
+	req.Stamps = telemetry.TxnStamps{Begin: m.eng.Now(), Excl: req.Excl, Owner: -1}
 }
 
 // startLease reports a lease whose countdown has just started (core.Table's
@@ -402,8 +395,7 @@ func (m *Machine) endLease(cs *coreState, e core.Entry, kind uint8, now uint64) 
 			Detail: "broken lease already had a deferred probe"})
 	}
 	req := p.(*coherence.Request)
-	m.bus.Emit2(telemetry.CatLease, cs.id, telemetry.ProbeServed, e.Line,
-		cs.dom.Now()-e.ProbeQueuedAt, req.Txn)
+	m.traceVal(cs, telemetry.ProbeServed, e.Line, cs.dom.Now()-e.ProbeQueuedAt)
 	to := cache.Shared
 	if req.Excl {
 		to = cache.Invalid

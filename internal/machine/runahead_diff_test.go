@@ -21,7 +21,14 @@ type diffCell struct {
 	ops    []uint64 // per thread
 	image  []uint64 // every allocated word
 	engine sim.EngineStats
-	stream []telemetry.Event // traced cells: what a subscriber saw, in order
+	stream []seen // traced cells: what a subscriber saw, in order
+}
+
+// seen is one event a subscriber saw, with a transaction's stamps copied
+// out of the request they live in.
+type seen struct {
+	telemetry.Event
+	stamps telemetry.TxnStamps
 }
 
 // opEnd marks, in a traced cell's stream, the place of a thread's
@@ -41,14 +48,20 @@ func runDiffCell(t *testing.T, build func(*machine.Direct) bench.OpFunc,
 	threads := cfg.Cores
 	m := machine.New(cfg)
 	op := build(m.Direct())
-	var stream []telemetry.Event
+	var stream []seen
 	if traced {
-		m.Telemetry().SubscribeAll(func(e telemetry.Event) { stream = append(stream, e) })
+		m.Telemetry().SubscribeAll(func(e telemetry.Event) {
+			s := seen{Event: e}
+			if e.Stamps != nil {
+				s.stamps, s.Stamps = *e.Stamps, nil
+			}
+			stream = append(stream, s)
+		})
 		inner := op
 		op = func(tid int, c *machine.Ctx) {
 			inner(tid, c)
 			end := c.Now()
-			c.Observe(func() { stream = append(stream, telemetry.Event{Time: end, Core: tid, Cat: opEnd}) })
+			c.Observe(func() { stream = append(stream, seen{Event: telemetry.Event{Time: end, Core: tid, Cat: opEnd}}) })
 		}
 	}
 	ops := make([]uint64, threads)

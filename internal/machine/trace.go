@@ -6,12 +6,14 @@ import (
 )
 
 // Telemetry returns the machine's telemetry bus, creating and wiring it on
-// first use (directory and per-core L1 caches start emitting into it).
-// Before the first call, no bus exists and every emit site is a single
-// nil-check — the disabled configuration has zero observable overhead.
+// first use (directory and per-core L1 caches start emitting into it; the
+// directory, the bus's TrafficSource, counts each line's traffic). Before
+// the first call, no bus exists and every emit site is a single nil-check —
+// the disabled configuration has zero observable overhead.
 func (m *Machine) Telemetry() *telemetry.Bus {
 	if m.bus == nil {
 		m.bus = telemetry.NewBus(m.eng.Now)
+		m.bus.Traffic = m.proto
 		m.proto.Bus = m.bus
 		for _, cs := range m.cores {
 			cs.l1.Bus = m.bus

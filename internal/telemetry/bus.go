@@ -13,6 +13,7 @@ package telemetry
 
 import (
 	"fmt"
+	"iter"
 
 	"leaserelease/internal/mem"
 )
@@ -34,13 +35,10 @@ const (
 	// request arrival, with Event.Val the line's queue occupancy
 	// (including the request in service).
 	CatDirQueue
-	// CatTxn carries coherence-transaction span events (Event.Kind is one
-	// of the Txn* kinds below; Event.Val is the transaction ID minted at
-	// the requesting core, always TxnID(core, seq), and Event.Aux a
-	// kind-specific payload). A core has at most one open transaction
-	// (Proposition 1): it mints its next ID only after its last one's
-	// TxnComplete. The span assembler (Spans) reconstructs per-transaction
-	// phase breakdowns from this stream.
+	// CatTxn carries one TxnComplete per coherence transaction, at the
+	// grant's delivery to the requester (Event.Core): Event.Val is its ID,
+	// TxnID(core, seq), and Event.Stamps its timeline. The span assembler
+	// (Spans) folds it into a per-phase breakdown.
 	CatTxn
 	// NumCategories is the number of event categories.
 	NumCategories
@@ -119,41 +117,15 @@ const (
 // NumMsgKinds is the number of coherence message kinds.
 const NumMsgKinds = 6
 
-// Coherence-transaction span kinds (CatTxn). Every CatTxn event carries the
-// transaction ID in Event.Val; Event.Aux is kind-specific. A transaction's
-// life is Begin -> Arrive -> Service -> { fill | inval fan-out |
-// forward/probe [-> defer] } -> Complete; the span assembler turns the
-// timestamps into a per-phase cycle breakdown.
+// Coherence-transaction kinds (CatTxn). A transaction is one event,
+// TxnComplete, whose TxnStamps hold the cycle of each step before it. The
+// step kinds remain only as names benchmarks/leaseperf's recorder probe
+// emits; the span assembler ignores them.
 const (
-	// TxnBegin: the requesting core submitted the request. Aux is a
-	// TxnFlag* bitmask describing the request.
-	TxnBegin uint8 = iota
-	// TxnArrive: the request entered the line's directory FIFO queue.
-	// Aux is the queue occupancy at arrival (including in-service).
-	TxnArrive
-	// TxnService: the request became head-of-queue and entered service.
-	// Aux is the directory's L2 tag/data service latency in cycles (0 on
-	// the forward path, where service time is measured to probe arrival).
-	TxnService
-	// TxnInval: sharer invalidations fanned out. Aux is the extra wait in
-	// cycles beyond the L2 access before the grant can be sent.
-	TxnInval
-	// TxnProbe: the forwarded probe reached the owning core (Event.Core).
-	TxnProbe
-	// TxnDefer: the probe was queued behind the owner's active lease.
-	TxnDefer
-	// TxnProbeDone: the owner downgraded its copy (immediately, or after
-	// the deferring lease released).
-	TxnProbeDone
-	// TxnComplete: the grant was committed and the requester resumed.
-	TxnComplete
-	// TxnRenew: a timestamp protocol served the request as a tag-only
-	// renewal — the line was unwritten since the requester's last copy, so
-	// only its read reservation (rts) was extended, with no data transfer.
-	// Aux is the renewal service latency in cycles; the span assembler
-	// books it into the PhaseInval bucket, which under Tardis holds
-	// renew/extension cycles instead of invalidation fan-out.
-	TxnRenew
+	TxnBegin    uint8 = iota // the requesting core submitted the request
+	TxnArrive                // the request entered the line's directory FIFO queue
+	TxnService               // the request became head-of-queue and entered service
+	TxnComplete              // the grant reached the requester: the one emitted kind
 )
 
 // txnCoreShift places the requesting core above a transaction's sequence
@@ -164,10 +136,8 @@ const txnCoreShift = 48
 // event's Val: core<<48 | seq.
 func TxnID(core int, seq uint64) uint64 { return uint64(core)<<txnCoreShift | seq }
 
-// txnCore is the core that minted transaction id.
-func txnCore(id uint64) uint64 { return id >> txnCoreShift }
-
-// TxnFlag* describe a transaction in TxnBegin's Aux payload.
+// TxnFlag* describe a transaction's request: GetX, and from a Lease
+// instruction. Only benchmarks/leaseperf's recorder probe still passes them.
 const (
 	TxnFlagExcl  uint64 = 1 << iota // GetX (exclusive) request
 	TxnFlagLease                    // initiated by a Lease instruction
@@ -186,14 +156,34 @@ type Event struct {
 	Kind uint8    // category-specific subtype
 	Line mem.Line // cache line the event concerns (0 if none)
 	Val  uint64   // category-specific payload (duration, occupancy, count)
-	Aux  uint64   // secondary payload (CatTxn kind payloads; else 0)
+
+	// Stamps is a CatTxn event's timeline, nil on every other event; it lives
+	// in the pooled request and is valid only during delivery.
+	Stamps *TxnStamps
+}
+
+// Traffic is one line's coherence traffic, which the directory counts on its
+// record of the line where CatCoherence, CatDirQueue and CatCache are emitted.
+type Traffic struct {
+	Msgs      uint64 // coherence messages for the line
+	Invals    uint64 // owner probes + sharer invalidations
+	Evictions uint64 // L1 replacement victims
+	MaxQueue  uint64 // peak directory queue occupancy
+}
+
+// TrafficSource counts each line's Traffic (the machine's directory).
+type TrafficSource interface {
+	// LineTraffic returns l's traffic, zero if none was counted.
+	LineTraffic(l mem.Line) Traffic
+	// AllTraffic visits every line with nonzero traffic.
+	AllTraffic() iter.Seq2[mem.Line, Traffic]
 }
 
 // Bus is a multi-subscriber event bus over the simulated machine. A nil
 // *Bus is valid and inert: Wants reports false and Emit is a no-op, so
 // emitters need no nil checks beyond calling the methods.
 //
-// There is one emit path: Emit/Emit2 call the category's subscribers on
+// There is one emit path: Emit/EmitTxn call the category's subscribers on
 // the simulation goroutine, in subscription order, before returning. A
 // subscriber therefore sees events in the order they executed and may read
 // the machine as the event left it; it must not mutate simulated state.
@@ -201,6 +191,10 @@ type Bus struct {
 	now  func() uint64
 	mask uint32
 	subs [NumCategories][]func(Event)
+
+	// Traffic, when set, counts each line's Traffic: the machine registers
+	// its directory when it makes the bus, and the Recorder reads it.
+	Traffic TrafficSource
 }
 
 // NewBus creates a bus whose events are timestamped by now (typically the
@@ -234,17 +228,28 @@ func (b *Bus) Wants(cat Category) bool {
 // Emit timestamps and delivers an event to cat's subscribers. No-op when
 // nobody subscribed (or b is nil).
 func (b *Bus) Emit(cat Category, core int, kind uint8, line mem.Line, val uint64) {
-	b.Emit2(cat, core, kind, line, val, 0)
+	if b.Wants(cat) {
+		b.deliver(Event{Time: b.now(), Core: core, Cat: cat, Kind: kind, Line: line, Val: val})
+	}
 }
 
-// Emit2 is Emit with the secondary Aux payload (CatTxn events use it for
-// kind-specific measurements alongside the transaction ID in val).
+// Emit2 is Emit with a secondary payload that no event carries since a
+// transaction became one event: aux is dropped. benchmarks/leaseperf's
+// recorder probe still passes one.
 func (b *Bus) Emit2(cat Category, core int, kind uint8, line mem.Line, val, aux uint64) {
-	if !b.Wants(cat) {
-		return
+	b.Emit(cat, core, kind, line, val)
+}
+
+// EmitTxn delivers the one CatTxn event of transaction id, which core
+// requested on line and which completes now, with its stamps.
+func (b *Bus) EmitTxn(core int, line mem.Line, id uint64, st *TxnStamps) {
+	if b.Wants(CatTxn) {
+		b.deliver(Event{Time: b.now(), Core: core, Cat: CatTxn, Kind: TxnComplete, Line: line, Val: id, Stamps: st})
 	}
-	e := Event{Time: b.now(), Core: core, Cat: cat, Kind: kind, Line: line, Val: val, Aux: aux}
-	for _, fn := range b.subs[cat] {
+}
+
+func (b *Bus) deliver(e Event) {
+	for _, fn := range b.subs[e.Cat] {
 		fn(e)
 	}
 }

@@ -43,6 +43,14 @@ func (t *lineTable[T]) find(l mem.Line) *T {
 	return nil
 }
 
+// value returns a copy of l's record, zero if l was never observed.
+func (t *lineTable[T]) value(l mem.Line) (v T) {
+	if r := t.find(l); r != nil {
+		v = *r
+	}
+	return v
+}
+
 // record returns the record an index slot holding r names.
 func (t *lineTable[T]) record(r uint32) *T {
 	r--

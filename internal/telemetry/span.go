@@ -85,40 +85,18 @@ type Span struct {
 // Total returns the span's end-to-end latency in cycles.
 func (s *Span) Total() uint64 { return s.End - s.Begin }
 
-// openSpan is a transaction mid-assembly.
-type openSpan struct {
-	txnSlot
-	span       Span
-	arrive     uint64
-	service    uint64
-	serviceLat uint64 // TxnService Aux: L2 service cycles (0 on forward path)
-	invalExtra uint64 // TxnInval Aux: fan-out wait beyond the L2 access
-	probe      uint64 // probe arrival at the owner (forward path)
-	probeDone  uint64 // owner downgraded
-	forwarded  bool
-}
+// TxnStamps is one coherence transaction's timeline: the pooled request
+// carries it, the directory stamps each step where the transaction reaches
+// it, and the transaction's one CatTxn event points at it.
+type TxnStamps struct {
+	Begin, Arrive, Service uint64 // submitted; in the line's queue; at its head
+	ServiceLat             uint64 // L2 (and DRAM) cycles; 0 on the forward path
+	Extra                  uint64 // invalidation-ack or renewal cycles beyond the access
+	Probe, ProbeDone       uint64 // forward path: the probe reached Owner; Owner downgraded
+	Owner                  int    // the probed owner, -1 when the directory answered
 
-// txnSlot is the head of an in-flight transaction's record. A core has at
-// most one open transaction (Proposition 1), so the span assembler keeps
-// each in a slot indexed by its requesting core, txnCore(id), and checks the
-// stored ID on every event: an event of a transaction the slot does not
-// hold — begun before the assembler attached, completed already, or
-// superseded by the core's next request — is ignored.
-type txnSlot struct {
-	id   uint64
-	open bool
-}
-
-func (s *txnSlot) holds(id uint64) bool { return s.open && s.id == id }
-
-// txnSlotFor returns the slot transaction id lives in, growing slots to
-// reach it.
-func txnSlotFor[T any](slots *[]T, id uint64) *T {
-	c := txnCore(id)
-	if c >= uint64(len(*slots)) {
-		*slots = append(*slots, make([]T, c+1-uint64(len(*slots)))...)
-	}
-	return &(*slots)[c]
+	Excl, Deferred bool // a GetX; the probe waited behind Owner's lease
+	Renewal        bool // served as a tag-only timestamp renewal (Tardis)
 }
 
 // TxnStats is the aggregated critical-path cycle accounting of a run's
@@ -147,32 +125,25 @@ type TxnStats struct {
 	OpPhase       [NumPhases]uint64
 }
 
-// Spans assembles CatTxn bus events into per-transaction spans and folds
-// them into critical-path cycle accounting. Subscribe OnEvent to CatTxn
+// Spans folds each completed transaction's CatTxn event into a span and the
+// span into critical-path cycle accounting. Subscribe OnEvent to CatTxn
 // (Recorder.Attach does this, and nothing else subscribes CatTxn: the ledger
-// reads completed spans). Each in-flight transaction lives in its
-// core's slot (txnSlot), so assembly allocates nothing per transaction.
+// reads completed spans). A transaction's stamps travel with its request, so
+// the assembler keeps no per-transaction state and allocates nothing.
 type Spans struct {
 	// WindowStart excludes transactions beginning before it (the harness
 	// sets it to the warm-up boundary so accounting matches the measured
 	// window).
 	WindowStart uint64
 
-	// Keep retains every completed span in Completed (tests, exporters).
-	// Off by default: long runs complete millions of transactions.
-	Keep      bool
-	Completed []Span
-
 	// OnComplete, when non-nil, observes every completed span in
 	// completion order (Recorder.Attach hands each one to the timeline, which
-	// draws it, and to the ledger, which charges its deferral). The *Span
-	// lives in its core's slot and is valid only during the call; copy it to
-	// keep it.
+	// draws it, and to the ledger, which charges its deferral). The *Span is
+	// the assembler's and valid only during the call; copy it to keep it.
 	OnComplete func(*Span)
 
+	span    Span // the span being folded
 	stats   TxnStats
-	open    []openSpan  // per core: its one in-flight transaction
-	nopen   int         // slots holding an open transaction
 	pending []pendingOp // per-core span cycles since the last op boundary
 }
 
@@ -189,83 +160,39 @@ func NewSpans() *Spans { return &Spans{} }
 // Stats returns a snapshot of the aggregated cycle accounting.
 func (sp *Spans) Stats() TxnStats { return sp.stats }
 
-// Open returns the number of transactions still in flight.
-func (sp *Spans) Open() int { return sp.nopen }
-
-// OnEvent consumes one CatTxn event. Events for one transaction arrive in
-// simulated-time order; events of unknown transactions (begun before the
-// assembler attached, or completed already) are ignored.
-func (sp *Spans) OnEvent(e Event) {
-	if e.Cat != CatTxn {
-		return
-	}
-	id := e.Val
-	if e.Kind == TxnBegin {
-		o := txnSlotFor(&sp.open, id)
-		if !o.open {
-			sp.nopen++
-		}
-		*o = openSpan{txnSlot: txnSlot{id: id, open: true}, span: Span{
-			ID: id, Core: e.Core, Owner: -1, Line: e.Line, Begin: e.Time,
-			Excl: e.Aux&TxnFlagExcl != 0,
-		}}
-		return
-	}
-	c := txnCore(id)
-	if c >= uint64(len(sp.open)) || !sp.open[c].holds(id) {
-		return
-	}
-	o := &sp.open[c]
-	switch e.Kind {
-	case TxnArrive:
-		o.arrive = e.Time
-	case TxnService:
-		o.service = e.Time
-		o.serviceLat = e.Aux
-	case TxnInval:
-		o.invalExtra = e.Aux
-	case TxnRenew:
-		// Tag-only renewal service cycles land in the PhaseInval bucket:
-		// Tardis replaces invalidation fan-out with rts renew/extension,
-		// so the bucket stays the "coherence work beyond the L2 access"
-		// slot under either protocol (see PhaseName).
-		o.invalExtra = e.Aux
-		o.span.Renewal = true
-	case TxnProbe:
-		o.forwarded = true
-		o.probe = e.Time
-		o.span.Owner = e.Core
-	case TxnDefer:
-		o.span.Deferred = true
-	case TxnProbeDone:
-		o.probeDone = e.Time
-	case TxnComplete:
-		o.open = false
-		sp.nopen--
-		o.span.End = e.Time
-		sp.finalize(o)
-	}
-}
-
-// finalize computes the phase breakdown and folds the span into the
-// aggregates. Phases are consecutive critical-path segments, so they sum
+// OnEvent folds one completed transaction, a CatTxn TxnComplete event with
+// its stamps, into a span and the span into the aggregates; any other event
+// is ignored. Phases are consecutive critical-path segments, so they sum
 // exactly to End-Begin; PhaseTransfer is the closing remainder.
-func (sp *Spans) finalize(o *openSpan) {
-	s := &o.span
-	s.Phases[PhaseReqNet] = o.arrive - s.Begin
-	s.Phases[PhaseQueue] = o.service - o.arrive
-	if o.forwarded {
-		s.Phases[PhaseDirService] = o.probe - o.service
-		s.Phases[PhaseDefer] = o.probeDone - o.probe
-		s.Phases[PhaseTransfer] = s.End - o.probeDone
+func (sp *Spans) OnEvent(e Event) {
+	st := e.Stamps
+	if e.Cat != CatTxn || e.Kind != TxnComplete || st == nil {
+		return
+	}
+	s := &sp.span
+	*s = Span{
+		ID: e.Val, Core: e.Core, Owner: st.Owner, Line: e.Line,
+		Excl: st.Excl, Deferred: st.Deferred, Renewal: st.Renewal,
+		Begin: st.Begin, End: e.Time,
+	}
+	s.Phases[PhaseReqNet] = st.Arrive - s.Begin
+	s.Phases[PhaseQueue] = st.Service - st.Arrive
+	if s.Owner >= 0 {
+		s.Phases[PhaseDirService] = st.Probe - st.Service
+		s.Phases[PhaseDefer] = st.ProbeDone - st.Probe
+		s.Phases[PhaseTransfer] = s.End - st.ProbeDone
 	} else {
-		lat := o.serviceLat
-		if rest := s.End - o.service; lat > rest {
+		// A renewal's tag cycles land in the PhaseInval bucket: Tardis
+		// replaces invalidation fan-out with rts renew/extension, so the
+		// bucket stays the "coherence work beyond the L2 access" slot under
+		// either protocol (see PhaseName).
+		lat := st.ServiceLat
+		if rest := s.End - st.Service; lat > rest {
 			lat = rest
 		}
 		s.Phases[PhaseDirService] = lat
-		s.Phases[PhaseInval] = o.invalExtra
-		s.Phases[PhaseTransfer] = s.End - o.service - lat - o.invalExtra
+		s.Phases[PhaseInval] = st.Extra
+		s.Phases[PhaseTransfer] = s.End - st.Service - lat - st.Extra
 	}
 
 	if s.Begin >= sp.WindowStart {
@@ -277,17 +204,12 @@ func (sp *Spans) finalize(o *openSpan) {
 		if s.Renewal {
 			sp.stats.Renewals++
 		}
-		for i, c := range s.Phases {
-			sp.stats.Phase[i] += c
-		}
 		p := sp.pendingFor(s.Core)
 		p.txnCycles += s.Total()
 		for i, c := range s.Phases {
+			sp.stats.Phase[i] += c
 			p.phase[i] += c
 		}
-	}
-	if sp.Keep {
-		sp.Completed = append(sp.Completed, *s)
 	}
 	if sp.OnComplete != nil {
 		sp.OnComplete(s)

@@ -6,27 +6,47 @@ import (
 	"leaserelease/internal/mem"
 )
 
-// txnEv builds one CatTxn event for feeding the span assembler directly.
-func txnEv(time uint64, core int, kind uint8, line mem.Line, id, aux uint64) Event {
-	return Event{Time: time, Core: core, Cat: CatTxn, Kind: kind, Line: line, Val: id, Aux: aux}
+// done builds a transaction's one CatTxn event: core's transaction id on
+// line, its grant delivered at end, with stamps st.
+func done(end uint64, core int, line mem.Line, id uint64, st TxnStamps) Event {
+	return Event{Time: end, Core: core, Cat: CatTxn, Kind: TxnComplete, Line: line, Val: id, Stamps: &st}
+}
+
+// answered is the stamps of a transaction the directory answered itself:
+// begun, arrived and served at those cycles, with lat cycles of L2 access
+// and extra ones of invalidation (or renewal) beyond it.
+func answered(begin, arrive, service, lat, extra uint64) TxnStamps {
+	return TxnStamps{Begin: begin, Arrive: arrive, Service: service, ServiceLat: lat, Extra: extra, Owner: -1}
+}
+
+// forwarded is the stamps of a transaction whose probe reached owner at
+// probe and was answered at probeDone, after a deferral if deferred.
+func forwarded(begin, arrive, service uint64, owner int, probe, probeDone uint64, deferred bool) TxnStamps {
+	return TxnStamps{Begin: begin, Arrive: arrive, Service: service,
+		Owner: owner, Probe: probe, ProbeDone: probeDone, Deferred: deferred}
+}
+
+// keep returns where every span sp completes is copied.
+func keep(sp *Spans) *[]Span {
+	kept := new([]Span)
+	sp.OnComplete = func(s *Span) { *kept = append(*kept, *s) }
+	return kept
 }
 
 // The fill path (no forward, no sharers): phases must partition the span
-// exactly — ReqNet, Queue, DirService (the emitted L2 latency), Transfer
+// exactly — ReqNet, Queue, DirService (the stamped L2 latency), Transfer
 // the remainder.
 func TestSpanFillPathPhases(t *testing.T) {
 	sp := NewSpans()
-	sp.Keep = true
-	id := TxnID(1, 1)
-	sp.OnEvent(txnEv(100, 1, TxnBegin, 7, id, TxnFlagExcl))
-	sp.OnEvent(txnEv(110, -1, TxnArrive, 7, id, 3))
-	sp.OnEvent(txnEv(130, -1, TxnService, 7, id, 12))
-	sp.OnEvent(txnEv(160, 1, TxnComplete, 7, id, 0))
+	kept := keep(sp)
+	st := answered(100, 110, 130, 12, 0)
+	st.Excl = true
+	sp.OnEvent(done(160, 1, 7, TxnID(1, 1), st))
 
-	if len(sp.Completed) != 1 {
-		t.Fatalf("completed %d spans, want 1", len(sp.Completed))
+	if len(*kept) != 1 {
+		t.Fatalf("completed %d spans, want 1", len(*kept))
 	}
-	s := sp.Completed[0]
+	s := (*kept)[0]
 	want := [NumPhases]uint64{
 		PhaseReqNet: 10, PhaseQueue: 20, PhaseDirService: 12, PhaseTransfer: 18,
 	}
@@ -36,8 +56,8 @@ func TestSpanFillPathPhases(t *testing.T) {
 	if !s.Excl || s.Deferred {
 		t.Errorf("flags = excl=%v deferred=%v, want excl only", s.Excl, s.Deferred)
 	}
-	if s.Owner != -1 || s.Total() != 60 {
-		t.Errorf("owner=%d total=%d, want -1/60", s.Owner, s.Total())
+	if s.ID != TxnID(1, 1) || s.Core != 1 || s.Line != 7 || s.Owner != -1 || s.Total() != 60 {
+		t.Errorf("span = %+v, want core 1's first transaction on line 7, owner -1, 60 cycles", s)
 	}
 }
 
@@ -45,15 +65,10 @@ func TestSpanFillPathPhases(t *testing.T) {
 // phase, and the transfer remainder still closes the partition.
 func TestSpanInvalPathPhases(t *testing.T) {
 	sp := NewSpans()
-	sp.Keep = true
-	id := TxnID(2, 9)
-	sp.OnEvent(txnEv(100, 2, TxnBegin, 7, id, TxnFlagExcl))
-	sp.OnEvent(txnEv(110, -1, TxnArrive, 7, id, 1))
-	sp.OnEvent(txnEv(130, -1, TxnService, 7, id, 12))
-	sp.OnEvent(txnEv(130, -1, TxnInval, 7, id, 5))
-	sp.OnEvent(txnEv(160, 2, TxnComplete, 7, id, 0))
+	kept := keep(sp)
+	sp.OnEvent(done(160, 2, 7, TxnID(2, 9), answered(100, 110, 130, 12, 5)))
 
-	s := sp.Completed[0]
+	s := (*kept)[0]
 	want := [NumPhases]uint64{
 		PhaseReqNet: 10, PhaseQueue: 20, PhaseDirService: 12,
 		PhaseInval: 5, PhaseTransfer: 13,
@@ -67,17 +82,10 @@ func TestSpanInvalPathPhases(t *testing.T) {
 // arrival, the deferral wait is its own phase, and the owner is recorded.
 func TestSpanForwardDeferPhases(t *testing.T) {
 	sp := NewSpans()
-	sp.Keep = true
-	id := TxnID(0, 4)
-	sp.OnEvent(txnEv(100, 0, TxnBegin, 9, id, 0))
-	sp.OnEvent(txnEv(108, -1, TxnArrive, 9, id, 1))
-	sp.OnEvent(txnEv(120, -1, TxnService, 9, id, 0))
-	sp.OnEvent(txnEv(135, 3, TxnProbe, 9, id, 0))
-	sp.OnEvent(txnEv(135, 3, TxnDefer, 9, id, 0))
-	sp.OnEvent(txnEv(180, 3, TxnProbeDone, 9, id, 0))
-	sp.OnEvent(txnEv(195, 0, TxnComplete, 9, id, 0))
+	kept := keep(sp)
+	sp.OnEvent(done(195, 0, 9, TxnID(0, 4), forwarded(100, 108, 120, 3, 135, 180, true)))
 
-	s := sp.Completed[0]
+	s := (*kept)[0]
 	want := [NumPhases]uint64{
 		PhaseReqNet: 8, PhaseQueue: 12, PhaseDirService: 15,
 		PhaseDefer: 45, PhaseTransfer: 15,
@@ -95,32 +103,32 @@ func TestSpanForwardDeferPhases(t *testing.T) {
 }
 
 // Spans beginning before WindowStart are excluded from the accounting but
-// still complete (Keep/OnComplete see them), and events for transactions
-// the assembler never saw begin are ignored.
+// still complete (OnComplete sees them), and an event that is no stamped
+// completion — a step kind fed by hand, or a completion that carries no
+// stamps — folds nothing.
 func TestSpanWindowFilterAndUnknownIDs(t *testing.T) {
 	sp := NewSpans()
-	sp.Keep = true
+	kept := keep(sp)
 	sp.WindowStart = 500
 
-	// Unknown transaction: no Begin was observed.
-	sp.OnEvent(txnEv(510, -1, TxnArrive, 1, TxnID(0, 42), 0))
-	sp.OnEvent(txnEv(530, 0, TxnComplete, 1, TxnID(0, 42), 0))
+	id := TxnID(0, 42)
+	sp.OnEvent(Event{Time: 510, Core: -1, Cat: CatTxn, Kind: TxnArrive, Line: 1, Val: id})
+	sp.OnEvent(Event{Time: 530, Core: 0, Cat: CatTxn, Kind: TxnComplete, Line: 1, Val: id})
+	ghost := done(530, 0, 1, id, answered(500, 510, 520, 4, 0))
+	ghost.Kind = TxnService
+	sp.OnEvent(ghost)
+	if len(*kept) != 0 {
+		t.Fatalf("unstamped or step events completed %d spans", len(*kept))
+	}
 
 	// Pre-window transaction.
-	id := TxnID(0, 7)
-	sp.OnEvent(txnEv(400, 0, TxnBegin, 1, id, 0))
-	sp.OnEvent(txnEv(410, -1, TxnArrive, 1, id, 0))
-	sp.OnEvent(txnEv(420, -1, TxnService, 1, id, 4))
-	sp.OnEvent(txnEv(440, 0, TxnComplete, 1, id, 0))
+	sp.OnEvent(done(440, 0, 1, TxnID(0, 7), answered(400, 410, 420, 4, 0)))
 
 	if st := sp.Stats(); st.Spans != 0 || st.SpanCycles != 0 {
 		t.Errorf("pre-window span folded into stats: %+v", st)
 	}
-	if len(sp.Completed) != 1 {
-		t.Errorf("completed %d spans, want 1 (the pre-window one, kept)", len(sp.Completed))
-	}
-	if sp.Open() != 0 {
-		t.Errorf("%d transactions still open, want 0", sp.Open())
+	if len(*kept) != 1 || (*kept)[0].Total() != 40 {
+		t.Errorf("completed %v, want the pre-window span", *kept)
 	}
 }
 
@@ -128,14 +136,10 @@ func TestSpanWindowFilterAndUnknownIDs(t *testing.T) {
 // clamped so the transfer remainder can never underflow.
 func TestSpanServiceLatencyClamped(t *testing.T) {
 	sp := NewSpans()
-	sp.Keep = true
-	id := TxnID(0, 2)
-	sp.OnEvent(txnEv(100, 0, TxnBegin, 3, id, 0))
-	sp.OnEvent(txnEv(105, -1, TxnArrive, 3, id, 0))
-	sp.OnEvent(txnEv(110, -1, TxnService, 3, id, 10_000))
-	sp.OnEvent(txnEv(140, 0, TxnComplete, 3, id, 0))
+	kept := keep(sp)
+	sp.OnEvent(done(140, 0, 3, TxnID(0, 2), answered(100, 105, 110, 10_000, 0)))
 
-	s := sp.Completed[0]
+	s := (*kept)[0]
 	if s.Phases[PhaseDirService] != 30 || s.Phases[PhaseTransfer] != 0 {
 		t.Errorf("service=%d transfer=%d, want clamped 30/0",
 			s.Phases[PhaseDirService], s.Phases[PhaseTransfer])
@@ -156,10 +160,7 @@ func TestSpanServiceLatencyClamped(t *testing.T) {
 func TestSpanOpAccounting(t *testing.T) {
 	sp := NewSpans()
 	emit := func(id, t0 uint64) {
-		sp.OnEvent(txnEv(t0, 0, TxnBegin, 1, id, 0))
-		sp.OnEvent(txnEv(t0+10, -1, TxnArrive, 1, id, 0))
-		sp.OnEvent(txnEv(t0+20, -1, TxnService, 1, id, 8))
-		sp.OnEvent(txnEv(t0+40, 0, TxnComplete, 1, id, 0))
+		sp.OnEvent(done(t0+40, 0, 1, id, answered(t0, t0+10, t0+20, 8, 0)))
 	}
 	emit(TxnID(0, 1), 100)     // 40 txn cycles
 	emit(TxnID(0, 2), 150)     // 40 txn cycles
@@ -196,7 +197,7 @@ func TestSpanOpAccounting(t *testing.T) {
 }
 
 // The zero-overhead contract: with nobody subscribed to CatTxn, Wants
-// reports false and Emit2 on that category allocates nothing — the
+// reports false and emitting on that category allocates nothing — the
 // instrumented hot paths stay free when span tracing is off.
 func TestTxnDisabledZeroAlloc(t *testing.T) {
 	if raceEnabled {
@@ -208,71 +209,49 @@ func TestTxnDisabledZeroAlloc(t *testing.T) {
 	if b.Wants(CatTxn) {
 		t.Fatal("bus wants CatTxn with no subscriber")
 	}
+	st := answered(0, 1, 2, 3, 0)
 	allocs := testing.AllocsPerRun(1000, func() {
 		now++
 		b.Emit2(CatTxn, 0, TxnBegin, 1, 99, TxnFlagExcl)
-		b.Emit2(CatTxn, 0, TxnComplete, 1, 99, 0)
+		b.EmitTxn(0, 1, 99, &st)
 	})
 	if allocs != 0 {
 		t.Errorf("disabled CatTxn emit allocates %.1f objects, want 0", allocs)
 	}
 }
 
-// Each core's in-flight transaction lives in its own slot: two cores'
-// transactions overlap in time and both assemble, and an event carrying an
-// ID its core's slot no longer holds — the transaction completed, and
-// perhaps the core began its next — is ignored, and the ledger reading the
-// completed spans is charged for neither.
-func TestTxnSlotsOverlapAndIgnoreStaleIDs(t *testing.T) {
+// Two cores' transactions overlap in time, and each folds from its own
+// stamps whatever completed in between: the assembler keeps nothing per
+// transaction. The ledger reading the spans is charged for the deferred one
+// only.
+func TestOverlappingTxnsFoldFromTheirStamps(t *testing.T) {
 	sp, ld := spanLedger(0)
-	sp.Keep = true
-	feed := sp.OnEvent
+	kept := new([]Span)
+	sp.OnComplete = func(s *Span) { ld.OnSpan(s); *kept = append(*kept, *s) }
 	a, b := TxnID(1, 1), TxnID(2, 1)
-	feed(txnEv(100, 1, TxnBegin, 7, a, TxnFlagExcl))
-	feed(txnEv(105, 2, TxnBegin, 9, b, 0))
-	feed(txnEv(110, -1, TxnArrive, 7, a, 1))
-	feed(txnEv(112, -1, TxnArrive, 9, b, 1))
-	feed(txnEv(120, -1, TxnService, 7, a, 0))
-	feed(txnEv(125, -1, TxnService, 9, b, 8))
-	feed(txnEv(135, 3, TxnProbe, 7, a, 0))
-	feed(txnEv(135, 3, TxnDefer, 7, a, 0))
-	if sp.Open() != 2 {
-		t.Fatalf("open = %d mid-overlap, want 2", sp.Open())
-	}
-	feed(txnEv(160, 2, TxnComplete, 9, b, 0))
-	feed(txnEv(180, 3, TxnProbeDone, 7, a, 0))
-	feed(txnEv(195, 1, TxnComplete, 7, a, 0))
-
-	// Stale: a completed ID, before and after its core begins its next.
-	feed(txnEv(200, 3, TxnProbe, 9, b, 0))
-	feed(txnEv(201, 2, TxnComplete, 9, b, 0))
+	sa := forwarded(100, 110, 120, 3, 135, 180, true)
+	sa.Excl = true
+	sp.OnEvent(done(160, 2, 9, b, answered(105, 112, 125, 8, 0)))
+	sp.OnEvent(done(195, 1, 7, a, sa))
 	next := TxnID(1, 2)
-	feed(txnEv(210, 1, TxnBegin, 7, next, 0))
-	feed(txnEv(215, 3, TxnProbe, 7, a, 0))
-	feed(txnEv(216, 3, TxnProbeDone, 7, a, 0))
-	feed(txnEv(220, 1, TxnComplete, 7, a, 0))
+	sp.OnEvent(done(250, 1, 7, next, answered(210, 230, 240, 4, 0)))
 
-	if len(sp.Completed) != 2 || sp.Open() != 1 {
-		t.Fatalf("completed %d, open %d; want 2 and 1 (the next transaction)", len(sp.Completed), sp.Open())
+	if len(*kept) != 3 {
+		t.Fatalf("completed %d spans, want 3", len(*kept))
 	}
-	bs, as := sp.Completed[0], sp.Completed[1]
-	if bs.ID != b || bs.Total() != 55 || bs.Owner != -1 || bs.Phases[PhaseDirService] != 8 {
+	bs, as, ns := (*kept)[0], (*kept)[1], (*kept)[2]
+	if bs.ID != b || bs.Core != 2 || bs.Total() != 55 || bs.Owner != -1 || bs.Phases[PhaseDirService] != 8 {
 		t.Errorf("core 2's span = %+v", bs)
 	}
 	want := [NumPhases]uint64{PhaseReqNet: 10, PhaseQueue: 10, PhaseDirService: 15, PhaseDefer: 45, PhaseTransfer: 15}
-	if as.ID != a || as.Owner != 3 || !as.Deferred || as.Phases != want {
+	if as.ID != a || !as.Excl || as.Owner != 3 || !as.Deferred || as.Phases != want {
 		t.Errorf("core 1's span = %+v, want phases %v", as, want)
 	}
-	if st := sp.Stats(); st.Spans != 2 || st.Deferred != 1 || st.SpanCycles != 150 {
-		t.Errorf("stats = %+v, want 2 spans, 1 deferred, 150 cycles", st)
+	if ns.ID != next || ns.Owner != -1 || ns.Deferred || ns.Total() != 40 {
+		t.Errorf("next span = %+v", ns)
 	}
-
-	// The next transaction still assembles from its own events only.
-	feed(txnEv(230, -1, TxnArrive, 7, next, 0))
-	feed(txnEv(240, -1, TxnService, 7, next, 4))
-	feed(txnEv(250, 1, TxnComplete, 7, next, 0))
-	if n := len(sp.Completed); n != 3 || sp.Completed[2].Owner != -1 || sp.Completed[2].Total() != 40 {
-		t.Errorf("next span = %+v", sp.Completed[n-1])
+	if st := sp.Stats(); st.Spans != 3 || st.Deferred != 1 || st.SpanCycles != 190 {
+		t.Errorf("stats = %+v, want 3 spans, 1 deferred, 190 cycles", st)
 	}
 	if s := account(ld, 7); s.DeferInflictedCycles != 45 || s.DeferredTxns != 1 {
 		t.Errorf("ledger line 7 = %+v, want 45 deferral cycles over 1 txn", *s)

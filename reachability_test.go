@@ -48,7 +48,6 @@ var unreferenced = map[string]string{
 	"internal/mem.Allocator.Brk":            "MemImage, the memory the run-ahead differential compares (DESIGN.md §2.4), walks the arenas with it",
 	"internal/faults.Config.WithPreemption": "the chaos soak's and the run-ahead differential's preemption profiles",
 	"internal/telemetry.Ledger.Lines":       "the ledger tests' per-line oracle",
-	"internal/telemetry.Spans.Open":         "the span tests check that every transaction closes (Proposition 1: one in flight per core)",
 
 	"internal/invariant.Checker.Checks":         "the checker tests' oracle: a healthy run observed events, and one seed checks the same number twice",
 	"internal/machine.Auto.Inserted":            "TestAutoLearnsLoadCASPattern and TestAutoHarmlessOnReadOnly count the leases it placed",
