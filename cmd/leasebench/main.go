@@ -188,7 +188,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			o.timeline += "." + strings.ReplaceAll(c.Name, "/", ".")
 		}
 		o.rep = bench.Report{Cell: c.Name, Threads: c.Row.Threads, WarmCycles: p.Warm, WindowCycles: c.Window(p)}
-		c.Options = bench.Options{Recorder: o.rec, Invariants: *invariants}
+		c.Options = bench.Options{Recorder: o.rec, Invariants: *invariants, HotLines: *hotlines}
 		// The observation flags edit the config after the cell's own Edit,
 		// and only the flags that were given.
 		edit := c.Variant.Edit
@@ -238,7 +238,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			writeJSON(out, *rep)
 			return false
 		}
-		rep.HotLines = bench.HotLineRows(o.rec, *hotlines)
 		if err := writeJSON(out, *rep); err != nil {
 			fmt.Fprintf(errOut, "leasebench: %v\n", err)
 			return false

@@ -18,29 +18,28 @@ func TestHotLineRankingPinnedOnSeededRun(t *testing.T) {
 	cfg.Seed = 1
 	rec := telemetry.NewRecorder()
 	r := ThroughputOpts(cfg, 4, 20_000, 100_000,
-		CounterWorkload(CounterLeasedTTS), Options{Recorder: rec})
+		CounterWorkload(CounterLeasedTTS), Options{Recorder: rec, HotLines: 5})
 	if r.Err != nil {
 		t.Fatalf("run failed: %v", r.Err)
 	}
 
-	top := rec.Lines.Top(5)
+	top := r.HotLines
 	if len(top) != 2 {
 		t.Fatalf("ranked %d lines, want 2 (flag + counter)", len(top))
 	}
 	for i := 1; i < len(top); i++ {
-		if top[i-1].Score() < top[i].Score() {
+		if top[i-1].Score < top[i].Score {
 			t.Fatalf("ranking not score-descending: %d before %d",
-				top[i-1].Score(), top[i].Score())
+				top[i-1].Score, top[i].Score)
 		}
 	}
 
 	flag, counter := top[0], top[1]
-	if uint64(flag.Line) != 0x1 || uint64(counter.Line) != 0x2 {
-		t.Fatalf("ranking order = [%#x %#x], want [0x1 0x2]",
-			uint64(flag.Line), uint64(counter.Line))
+	if flag.Line != "0x1" || counter.Line != "0x2" {
+		t.Fatalf("ranking order = [%s %s], want [0x1 0x2]", flag.Line, counter.Line)
 	}
-	if flag.Score() != 8434 || counter.Score() != 5066 {
-		t.Errorf("scores = [%d %d], want [8434 5066]", flag.Score(), counter.Score())
+	if flag.Score != 8434 || counter.Score != 5066 {
+		t.Errorf("scores = [%d %d], want [8434 5066]", flag.Score, counter.Score)
 	}
 	if flag.Deferred != 0 || flag.DeferredCycles != 0 {
 		t.Errorf("unleased flag line has deferrals: %d probes, %d cycles",

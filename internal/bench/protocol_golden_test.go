@@ -27,12 +27,11 @@ func TestTardisReportGolden(t *testing.T) {
 	rec.EnableLedger()
 	const warm, window = 5_000, 25_000
 	r := ThroughputOpts(cfg, 2, warm, window,
-		CounterWorkload(CounterLeasedTTS), Options{Recorder: rec})
+		CounterWorkload(CounterLeasedTTS), Options{Recorder: rec, HotLines: 5})
 	if r.Err != nil {
 		t.Fatalf("run failed: %v", r.Err)
 	}
 
-	r.HotLines = HotLineRows(rec, 5)
 	rep := Report{Cell: "fig3-counter/lease/t2", Threads: 2, Seed: cfg.Seed,
 		WarmCycles: warm, WindowCycles: window, Protocol: protocolTag(cfg.Protocol), Result: r}
 	var buf bytes.Buffer

@@ -54,9 +54,8 @@ type HotLineRow struct {
 	MaxQueue       uint64 `json:"max_dir_queue"`
 }
 
-// HotLineRows renders the recorder's top-k contended lines.
-func HotLineRows(rec *telemetry.Recorder, k int) []HotLineRow {
-	top := rec.Lines.Top(k)
+// hotLineRows renders ranked hot lines.
+func hotLineRows(top []telemetry.LineStats) []HotLineRow {
 	rows := make([]HotLineRow, 0, len(top))
 	for i := range top {
 		s := &top[i]

@@ -66,8 +66,8 @@ type Result struct {
 	// Window is the measured window's hardware counters.
 	Window machine.Stats `json:"counters"`
 
-	// HotLines is the recorder's top contended lines (HotLineRows), filled
-	// by leasebench -cell.
+	// HotLines is the recorder's top contended lines, filled when
+	// Options.HotLines asks for them.
 	HotLines []HotLineRow `json:"hot_lines,omitempty"`
 
 	// EngineStats is the event kernel's host-side counters for the run
@@ -95,6 +95,10 @@ type Options struct {
 	// carrying the diagnostic dump. With fault injection disabled the
 	// checker is a pure observer and does not change simulated timing.
 	Invariants bool
+	// HotLines, when positive, ranks that many of the recorder's most
+	// contended lines into Result.HotLines, read while the machine that
+	// counted their traffic is still alive.
+	HotLines int
 }
 
 // ThroughputOpts runs a standard throughput benchmark with observability
@@ -189,12 +193,14 @@ func ThroughputOpts(cfg machine.Config, threads int, warm, window uint64,
 }
 
 // observers is what a run attaches for its Options: the recorder, with its
-// span assembler and ledger, and the invariant checker.
+// span assembler and ledger, and the invariant checker. traffic is the
+// machine's per-line traffic, which the recorder's rankings join.
 type observers struct {
 	Options
-	spans  *telemetry.Spans
-	ledger *telemetry.Ledger
-	chk    *invariant.Checker
+	spans   *telemetry.Spans
+	ledger  *telemetry.Ledger
+	chk     *invariant.Checker
+	traffic telemetry.TrafficSource
 }
 
 // observe aligns the recorder's span and ledger accounting with a
@@ -219,7 +225,9 @@ func (ob *observers) attach(m *machine.Machine) {
 		ob.chk = invariant.Attach(m)
 	}
 	if ob.Recorder != nil {
-		ob.Recorder.Attach(m.Telemetry())
+		b := m.Telemetry()
+		ob.Recorder.Attach(b)
+		ob.traffic = b.Traffic
 	}
 }
 
@@ -251,8 +259,11 @@ func (ob *observers) fill(r *Result) {
 		r.Txns = &sum
 	}
 	if ob.ledger != nil {
-		sum := ob.ledger.Summary(LedgerTopN, &rec.Lines)
+		sum := ob.ledger.Summary(LedgerTopN, &rec.Lines, ob.traffic)
 		r.LeaseLedger = &sum
+	}
+	if ob.HotLines > 0 {
+		r.HotLines = hotLineRows(rec.Lines.Top(ob.HotLines, ob.traffic))
 	}
 }
 

@@ -19,7 +19,7 @@ func telemetryRun(t *testing.T, seed uint64) (Result, *telemetry.Recorder, []byt
 	rec.EnableTimeline(float64(cfg.ClockHz) / 1e6)
 	r := ThroughputOpts(cfg, 8, 20_000, 80_000,
 		StackWorkload(ds.StackOptions{Lease: 20_000}),
-		Options{Recorder: rec})
+		Options{Recorder: rec, HotLines: 8})
 	var buf bytes.Buffer
 	if err := rec.Timeline.Write(&buf); err != nil {
 		t.Fatal(err)
@@ -41,7 +41,7 @@ func TestTelemetryDeterministicAcrossRuns(t *testing.T) {
 		rec1.ProbeDefer != rec2.ProbeDefer || rec1.DirQueue != rec2.DirQueue {
 		t.Error("raw histograms differ between same-seed runs")
 	}
-	top1, top2 := rec1.Lines.Top(8), rec2.Lines.Top(8)
+	top1, top2 := r1.HotLines, r2.HotLines
 	if !reflect.DeepEqual(top1, top2) {
 		t.Errorf("hot-line ranking differs:\n%v\n%v", top1, top2)
 	}
@@ -54,7 +54,7 @@ func TestTelemetryDeterministicAcrossRuns(t *testing.T) {
 	if r1.LeaseHold == nil || r1.LeaseHold.Count == 0 {
 		t.Error("lease-hold histogram empty on a leased stack run")
 	}
-	if len(top1) == 0 || top1[0].Score() == 0 {
+	if len(top1) == 0 || top1[0].Score == 0 {
 		t.Error("hot-line profile empty on a contended run")
 	}
 	var parsed struct {
@@ -111,8 +111,7 @@ func TestReportJSON(t *testing.T) {
 	rec := telemetry.NewRecorder()
 	r := ThroughputOpts(cfg, 4, 10_000, 40_000,
 		StackWorkload(ds.StackOptions{Lease: 20_000}),
-		Options{Recorder: rec})
-	r.HotLines = HotLineRows(rec, 5)
+		Options{Recorder: rec, HotLines: 5})
 	rep := Report{Cell: "fig2/lease/t4", Threads: 4, Seed: cfg.Seed,
 		WarmCycles: 10_000, WindowCycles: 40_000, Result: r}
 
