@@ -123,37 +123,8 @@ func TestLedgerIdenticalAcrossPoolSizes(t *testing.T) {
 	}
 }
 
-// The ledger must not perturb the simulation: the measured window is
-// identical with the ledger on and off, and a run without the ledger
-// reports no LeaseLedger.
+// The ledger must not perturb the simulation, and a run reports lease_ledger
+// exactly when the ledger is on.
 func TestLedgerDoesNotPerturbSimulation(t *testing.T) {
-	run := func(ledger bool) Result {
-		cfg := machine.DefaultConfig(8)
-		cfg.Seed = 3
-		rec := telemetry.NewRecorder()
-		if ledger {
-			rec.EnableLedger()
-		}
-		return ThroughputOpts(cfg, 8, 20_000, 100_000,
-			CounterWorkload(CounterLeasedTTS), Options{Recorder: rec})
-	}
-	plain := run(false)
-	ledgered := run(true)
-
-	if plain.Ops != ledgered.Ops {
-		t.Errorf("ops changed with ledger: %d vs %d", plain.Ops, ledgered.Ops)
-	}
-	if plain.Window != ledgered.Window {
-		t.Errorf("window stats changed with ledger:\n%+v\n%+v", plain.Window, ledgered.Window)
-	}
-	if !reflect.DeepEqual(plain.OpLatency, ledgered.OpLatency) {
-		t.Errorf("op-latency histogram changed with ledger:\n%+v\n%+v",
-			plain.OpLatency, ledgered.OpLatency)
-	}
-	if ledgered.LeaseLedger == nil || ledgered.LeaseLedger.Leases == 0 {
-		t.Error("ledgered run produced no lease accounting")
-	}
-	if plain.LeaseLedger != nil {
-		t.Error("plain run produced lease accounting")
-	}
+	checkUnperturbed(t, perturbObserver{"ledger", func(r *telemetry.Recorder) { r.EnableLedger() }, Options{}})
 }

@@ -105,8 +105,8 @@ type Options struct {
 // options: build the structure, spawn `threads` workers looping op, warm
 // up, then measure a window. Telemetry rides
 // on the host side of the simulation (bus subscribers, local-clock reads),
-// so enabling it never changes simulated timing: for a given cfg.Seed the
-// measured window is identical with and without a Recorder.
+// so enabling it never changes the run: for a given cfg.Seed the measured
+// window and the engine_stats are identical with and without a Recorder.
 //
 // A failed run (deadlock, livelock, escaping panic, protocol or invariant
 // violation) never crashes the caller: it returns a Result whose Err
@@ -125,21 +125,19 @@ func ThroughputOpts(cfg machine.Config, threads int, warm, window uint64,
 				start := c.Now()
 				inner(tid, c)
 				end := c.Now()
-				// Observe puts the op-boundary bookkeeping at the thread's last
-				// access in the event order, so histogram fills, span closes and
-				// ledger op counts interleave with bus events as they happened.
-				c.Observe(func() {
-					if start >= warm {
-						rec.OpLatency.Observe(end - start)
-					}
-					if spans != nil {
-						// Threads spawn on cores in order, so tid == core id.
-						spans.OpEnd(tid, start, end, start >= warm)
-					}
-					if ledger != nil {
-						ledger.OpEnd(tid, start >= warm)
-					}
-				})
+				// The op-end bookkeeping touches only this core's spans and
+				// ledger entries, so it needs no place in the event order
+				// (DESIGN.md §2.4).
+				if start >= warm {
+					rec.OpLatency.Observe(end - start)
+				}
+				if spans != nil {
+					// Threads spawn on cores in order, so tid == core id.
+					spans.OpEnd(tid, start, end, start >= warm)
+				}
+				if ledger != nil {
+					ledger.OpEnd(tid, start >= warm)
+				}
 			}
 		}
 		return func(tid int, c *machine.Ctx) {

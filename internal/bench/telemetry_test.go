@@ -78,29 +78,90 @@ func TestTelemetrySeedSensitivity(t *testing.T) {
 	}
 }
 
-// Attaching telemetry must not perturb the simulation: the measured window
-// (ops, every hardware counter, fairness) is identical with and without a
-// Recorder.
+// Observing a run must not perturb it: for each workload, every observer set
+// measures the plain run's window (ops, every hardware counter, fairness) and
+// its whole engine_stats, every recorder the same op latencies as a bare
+// recorder, and each run reports exactly the sections its observers fill.
+// The span tracer and the lease ledger have their own tests on this contract.
 func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
-	run := func(o Options) Result {
-		cfg := machine.DefaultConfig(8)
-		cfg.Seed = 3
-		return ThroughputOpts(cfg, 8, 20_000, 80_000,
-			StackWorkload(ds.StackOptions{Lease: 20_000}), o)
-	}
-	plain := run(Options{})
-	rec := telemetry.NewRecorder()
-	rec.EnableTimeline(1000)
-	traced := run(Options{Recorder: rec})
+	checkUnperturbed(t,
+		perturbObserver{"timeline", func(r *telemetry.Recorder) { r.EnableTimeline(1000) }, Options{}},
+		perturbObserver{"hotlines", func(*telemetry.Recorder) {}, Options{HotLines: 8}},
+		perturbObserver{"invariants", nil, Options{Invariants: true}})
+}
 
-	if plain.Ops != traced.Ops {
-		t.Errorf("ops changed with telemetry: %d vs %d", plain.Ops, traced.Ops)
+// perturbObserver is one way of watching a run: a recorder with some parts
+// enabled (enable nil: no recorder) plus run options.
+type perturbObserver struct {
+	name   string
+	enable func(*telemetry.Recorder)
+	o      Options
+}
+
+// checkUnperturbed runs each perturbation workload plainly, with a bare
+// recorder and with each observer, and holds every observed run to the plain
+// one; see TestTelemetryDoesNotPerturbSimulation.
+func checkUnperturbed(t *testing.T, observers ...perturbObserver) {
+	t.Helper()
+	workloads := []struct {
+		name  string
+		build func(*machine.Direct) OpFunc
+	}{
+		{"stack", StackWorkload(ds.StackOptions{Lease: 20_000})},
+		{"leased-counter", CounterWorkload(CounterLeasedTTS)},
+		{"lf-skiplist", SetWorkload(func(x machine.API) ds.Set { return ds.NewLFSkipList(x, LeaseTime) }, 512, 256)},
 	}
-	if plain.Window != traced.Window {
-		t.Errorf("window stats changed with telemetry:\n%+v\n%+v", plain.Window, traced.Window)
-	}
-	if plain.Fairness != traced.Fairness {
-		t.Errorf("fairness changed with telemetry: %v vs %v", plain.Fairness, traced.Fairness)
+	observers = append([]perturbObserver{{"recorder", func(*telemetry.Recorder) {}, Options{}}}, observers...)
+	for _, w := range workloads {
+		t.Run(w.name, func(t *testing.T) {
+			run := func(o Options) Result {
+				cfg := machine.DefaultConfig(8)
+				cfg.Seed = 3
+				r := ThroughputOpts(cfg, 8, 20_000, 100_000, w.build, o)
+				if r.Err != nil {
+					t.Fatal(r.Err)
+				}
+				return r
+			}
+			plain := run(Options{})
+			if plain.OpLatency != nil || plain.Txns != nil || plain.LeaseLedger != nil || plain.HotLines != nil {
+				t.Error("the unobserved run reported a recorder's sections")
+			}
+			var recorded *telemetry.Summary
+			for _, ob := range observers {
+				o := ob.o
+				if ob.enable != nil {
+					o.Recorder = telemetry.NewRecorder()
+					ob.enable(o.Recorder)
+				}
+				got := run(o)
+				if got.Ops != plain.Ops || got.Window != plain.Window || got.Fairness != plain.Fairness {
+					t.Errorf("%s: ops %d, fairness %v, window %+v\nplain: ops %d, fairness %v, window %+v",
+						ob.name, got.Ops, got.Fairness, got.Window, plain.Ops, plain.Fairness, plain.Window)
+				}
+				if *got.EngineStats != *plain.EngineStats {
+					t.Errorf("%s: engine_stats %+v\nplain: %+v", ob.name, *got.EngineStats, *plain.EngineStats)
+				}
+				if o.Recorder == nil {
+					continue
+				}
+				if recorded == nil {
+					recorded = got.OpLatency
+				}
+				if got.OpLatency == nil || got.OpLatency.Count == 0 || !reflect.DeepEqual(got.OpLatency, recorded) {
+					t.Errorf("%s: op latency %+v, the recorder's %+v", ob.name, got.OpLatency, recorded)
+				}
+				if spans := o.Recorder.Spans != nil; spans != (got.Txns != nil) || spans && got.Txns.Count == 0 {
+					t.Errorf("%s: txn_accounting %+v with spans %v", ob.name, got.Txns, spans)
+				}
+				if ledger := o.Recorder.Ledger != nil; ledger != (got.LeaseLedger != nil) || ledger && got.LeaseLedger.Leases == 0 {
+					t.Errorf("%s: lease_ledger %+v with the ledger %v", ob.name, got.LeaseLedger, ledger)
+				}
+				if (o.HotLines > 0) != (len(got.HotLines) > 0) {
+					t.Errorf("%s: %d hot lines, %d asked for", ob.name, len(got.HotLines), o.HotLines)
+				}
+			}
+		})
 	}
 }
 

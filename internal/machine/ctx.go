@@ -106,17 +106,11 @@ func (c *Ctx) Rand() *sim.RNG { return c.p.RNG() }
 // interleaved.
 func (c *Ctx) Alloc(size uint64) mem.Addr { return c.cs.arena.AllocAligned(size) }
 
-// Observe runs fn at the current point of the thread's telemetry stream.
-// The harness uses it for operation-boundary observations — latency
-// histograms, span and ledger op accounting — which must interleave with bus
-// events as they happened. fn's place in that order is the thread's last
-// memory access; a thread whose last accesses hit may have performed them
-// ahead of the event queue (access), so it waits for the queue to reach the
-// last one first.
-func (c *Ctx) Observe(fn func()) {
-	c.p.Rejoin()
-	fn()
-}
+// Observe runs fn. An observer needs no place in the event order: one that
+// touches only its own core's state sees the bus events and op ends of that
+// core in the same order whether its hits ran ahead of the queue or not
+// (DESIGN.md §2.4). It is kept for benchmarks/leaseperf, which calls it.
+func (c *Ctx) Observe(fn func()) { fn() }
 
 // access obtains the line of a with read or write permission, blocking
 // through the coherence protocol on a miss. On return the access itself

@@ -21,7 +21,19 @@ type diffCell struct {
 	ops    []uint64 // per thread
 	image  []uint64 // every allocated word
 	engine sim.EngineStats
-	stream []seen // traced cells: what a subscriber saw, in order
+	// Traced cells: what a subscriber saw, in order, each core's share of
+	// it with its operation ends, and what a recorder made of it.
+	stream []seen
+	cores  [][]seen
+	obs    observed
+}
+
+// observed is what the consumers of operation ends account for: a
+// recorder's spans, ledger and op latencies.
+type observed struct {
+	spans   telemetry.TxnStats
+	ledger  telemetry.LedgerTotals
+	latency telemetry.Hist
 }
 
 // seen is one event a subscriber saw, with a transaction's stamps copied
@@ -31,8 +43,8 @@ type seen struct {
 	stamps telemetry.TxnStamps
 }
 
-// opEnd marks, in a traced cell's stream, the place of a thread's
-// operation-boundary observation (Ctx.Observe) among the bus events.
+// opEnd marks, in a core's share of a traced cell's stream, the end of one of
+// its thread's operations among its bus events.
 const opEnd = telemetry.Category(255)
 
 // mode says which accesses of a run go without their Sync: hits that run
@@ -49,19 +61,30 @@ func runDiffCell(t *testing.T, build func(*machine.Direct) bench.OpFunc,
 	m := machine.New(cfg)
 	op := build(m.Direct())
 	var stream []seen
+	cores := make([][]seen, threads)
+	rec := telemetry.NewRecorder()
 	if traced {
+		rec.EnableLedger()
 		m.Telemetry().SubscribeAll(func(e telemetry.Event) {
 			s := seen{Event: e}
 			if e.Stamps != nil {
 				s.stamps, s.Stamps = *e.Stamps, nil
 			}
 			stream = append(stream, s)
+			if e.Core >= 0 {
+				cores[e.Core] = append(cores[e.Core], s)
+			}
 		})
+		rec.Attach(m.Telemetry())
 		inner := op
 		op = func(tid int, c *machine.Ctx) {
+			start := c.Now()
 			inner(tid, c)
 			end := c.Now()
-			c.Observe(func() { stream = append(stream, seen{Event: telemetry.Event{Time: end, Core: tid, Cat: opEnd}}) })
+			cores[tid] = append(cores[tid], seen{Event: telemetry.Event{Time: end, Core: tid, Cat: opEnd}})
+			rec.OpLatency.Observe(end - start)
+			rec.Spans.OpEnd(tid, start, end, true)
+			rec.Ledger.OpEnd(tid, true)
 		}
 	}
 	ops := make([]uint64, threads)
@@ -89,7 +112,10 @@ func runDiffCell(t *testing.T, build func(*machine.Direct) bench.OpFunc,
 	if err := m.VerifyCoherence(); err != nil {
 		t.Fatal(err)
 	}
-	cell := diffCell{m.Stats(), ops, machine.MemImage(m), m.EngineStats(), stream}
+	cell := diffCell{m.Stats(), ops, machine.MemImage(m), m.EngineStats(), stream, cores, observed{}}
+	if traced {
+		cell.obs = observed{rec.Spans.Stats(), rec.Ledger.Totals(), rec.OpLatency}
+	}
 	m.Stop()
 	return cell
 }
@@ -98,17 +124,20 @@ func runDiffCell(t *testing.T, build func(*machine.Direct) bench.OpFunc,
 // misses issued by an event in the Sync wake's place (deferred issue), with
 // both, and with every access forced through Sync, under both protocols and
 // with the fault injector off, on, and on with preemption, and requires the
-// same simulation: statistics, memory image and per-thread progress; with a
-// subscriber on the bus, the same events and operation-boundary observations
-// in the same order (hits emit nothing, a deferred miss emits at the wake's
-// place, and Observe rejoins the event queue first). The engine's counters
-// must account for the difference exactly. Only Sync wakes and the issue
-// callbacks that replace some of them separate the event counts; and a Sync
-// that has to move the clock is a wake, a fast-forward, skipped or an issue,
-// so what one run skipped or issued the forced run paid for as one of the
-// first two. (Not always as a wake: after a wake that the fast run did
-// without, the forced run may find nothing else due and fast-forward the next
-// Sync.)
+// same simulation: statistics, memory image and per-thread progress. With a
+// subscriber on the bus it requires the same events in the same order (hits
+// emit nothing, a deferred miss emits at the wake's place), and each core's
+// events and operation ends in the same order. An op end has no place in the
+// global order: its consumers touch only state that the core's own events
+// reach (DESIGN.md §2.4). So a recorder with spans and the ledger, fed at
+// each op's end, must account the same spans, leases and op latencies. The
+// engine's counters must account for the difference exactly. Only Sync wakes
+// and the issue callbacks that replace some of them separate the event
+// counts; and a Sync that has to move the clock is a wake, a fast-forward,
+// skipped or an issue, so what one run skipped or issued the forced run paid
+// for as one of the first two. (Not always as a wake: after a wake that the
+// fast run did without, the forced run may find nothing else due and
+// fast-forward the next Sync.)
 //
 // Every cell must have skipped some Syncs and issued some misses from
 // events; an MSI hashmap cell, where more than a third of the accesses miss,
@@ -183,6 +212,16 @@ func compareDiffCells(t *testing.T, name string, fast, ref diffCell, traced bool
 		t.Errorf("%s: subscriber streams differ (%d and %d entries)", name, len(fast.stream), len(ref.stream))
 	} else if traced && len(fast.stream) == 0 {
 		t.Errorf("%s: the traced cell delivered nothing", name)
+	}
+	for c := range fast.cores {
+		if !slices.Equal(fast.cores[c], ref.cores[c]) {
+			t.Errorf("%s: core %d's events and op ends differ (%d and %d entries)", name, c, len(fast.cores[c]), len(ref.cores[c]))
+		}
+	}
+	if fast.obs != ref.obs {
+		t.Errorf("%s: recorded accounting differs:\n %s %+v\n all-Sync %+v", name, name, fast.obs, ref.obs)
+	} else if traced && fast.obs.spans.Ops == 0 {
+		t.Errorf("%s: the traced cell's recorder counted no operation", name)
 	}
 	f, r := fast.engine, ref.engine
 	if r.SyncsSkipped != 0 || r.SyncIssues != 0 {

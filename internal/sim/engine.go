@@ -456,11 +456,10 @@ func (e *Engine) drive(self *Proc) {
 // exec runs one event callback. It recovers nothing: a panic leaves
 // e.inEvent set, which tells whichever recover catches it — the loop's, or
 // the Spawn wrapper's when the callback ran on a driving proc's stack — that
-// an event panicked, not a proc. While it is set a proc's Sync, park and
-// Rejoin do nothing (as for a killed proc), so a deferred function that
-// re-enters the simulation during the unwind (a deferred Unlock) can neither
-// run another event nor move the clock: the error names the event that
-// panicked.
+// an event panicked, not a proc. While it is set a proc's Sync and park do
+// nothing (as for a killed proc), so a deferred function that re-enters the
+// simulation during the unwind (a deferred Unlock) can neither run another
+// event nor move the clock: the error names the event that panicked.
 func (e *Engine) exec(fn func()) {
 	e.inEvent = true
 	fn()

@@ -247,25 +247,6 @@ func (p *Proc) RunAhead(expiring, shared bool) bool {
 	return false
 }
 
-// Rejoin parks the proc until the engine clock has reached its last action
-// ahead of it, leaving the local clock where it is. Host code that the proc
-// runs on behalf of an observer (Ctx.Observe) calls it first: a proc that
-// always Syncs runs such code right after the wake of its last action, and
-// Rejoin puts it at that same point of the event order, by scheduling the
-// wake RunAhead did without. A proc that is not ahead returns at once.
-func (p *Proc) Rejoin() {
-	s := p.eng
-	if p.aheadAt <= s.now || p.killed || s.inEvent {
-		return // unwinding defers must not schedule wakes, as in Sync
-	}
-	s.stats.SyncsSkipped-- // paid for after all
-	s.stats.SyncWakes++
-	clock := p.clock
-	p.scheduleWake(p.aheadAt)
-	p.park("rejoining the event queue")
-	p.clock = clock
-}
-
 // Reached returns the latest simulated time the proc has acted at: the engine
 // clock, or its last action ahead of it (RunAhead) if that is later. It is
 // where a drained engine's clock would settle if this proc had been the last

@@ -216,37 +216,3 @@ func TestForeignCount(t *testing.T) {
 		t.Errorf("drained engine still counts %d and %d foreign callbacks", d.foreign, e.Sys().foreign)
 	}
 }
-
-// TestRejoin: a proc that acted ahead of the clock and then runs host code
-// for an observer first waits for the queue to reach that action, at the
-// point of the event order where the wake it did without would have popped,
-// and keeps its local clock. The Sync counts as paid for.
-func TestRejoin(t *testing.T) {
-	e := NewEngine()
-	e.DeclareLookahead(10)
-	var order []string
-	e.At(3, func() { order = append(order, "event@3") })
-	e.At(6, func() { order = append(order, "event@6") })
-	e.Spawn(0, 0, 1, func(p *Proc) {
-		p.Rejoin() // not ahead: returns at once
-		p.Work(5)
-		if !p.RunAhead(false, false) {
-			t.Error("RunAhead() = false with an event due at 3")
-		}
-		p.Work(3)
-		p.Rejoin()
-		order = append(order, fmt.Sprintf("rejoined@%d, local clock %d", p.dom.Now(), p.Clock()))
-		p.Rejoin()
-		order = append(order, fmt.Sprintf("again@%d", p.dom.Now()))
-	})
-	if err := e.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"event@3", "rejoined@5, local clock 8", "again@5", "event@6"}
-	if fmt.Sprint(order) != fmt.Sprint(want) {
-		t.Errorf("order %v, want %v", order, want)
-	}
-	if st := e.Stats(); st.SyncsSkipped != 0 || st.SyncWakes != 1 {
-		t.Errorf("syncs skipped %d, sync wakes %d; want 0, 1", st.SyncsSkipped, st.SyncWakes)
-	}
-}

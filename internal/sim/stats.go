@@ -5,12 +5,8 @@ package sim
 // were paid for. The engine keeps them on every run; each is a plain count
 // of which event popped where, never wall-clock derived, so for a given
 // seed and sequence of Run calls they are as deterministic as the simulation
-// itself (a stop time can turn a Sync's fast-forward into a wake). They
-// do depend on whether an observer runs at op boundaries: a proc that runs
-// observer code (Ctx.Observe, which bench.ThroughputOpts calls at each op's
-// end when a Recorder is attached) first Rejoins, trading a Sync its hit
-// skipped for a wake, so the same run counts more events with a Recorder
-// than without. What the run simulates is the same either way.
+// itself (a stop time can turn a Sync's fast-forward into a wake). An
+// observer costs no event, so they are the same with and without one.
 type EngineStats struct {
 	// Lookahead is the declared minimum cross-domain latency in cycles
 	// (DeclareLookahead). 0 means none was declared: the run does not hold

@@ -195,26 +195,19 @@ func TestEventPanicUnwindsThroughDeferredSync(t *testing.T) {
 	}
 }
 
-// TestEventPanicUnwindsThroughDeferredRejoin is Ctx.Observe's shape in the
-// same unwind: a proc that ran ahead blocks, an event panics on its stack,
-// and its deferred function Rejoins and then issues a miss with BlockAfter.
-// Neither may schedule anything: the Rejoin is no wake and the issue runs
-// inline, as for a killed proc.
-func TestEventPanicUnwindsThroughDeferredRejoin(t *testing.T) {
+// TestEventPanicUnwindsThroughDeferredBlockAfter: an event panics on the
+// stack of a driving proc whose deferred function issues a miss with
+// BlockAfter, with an event due before the proc's clock. The issue runs
+// inline and nothing is scheduled, as for a killed proc.
+func TestEventPanicUnwindsThroughDeferredBlockAfter(t *testing.T) {
 	e := NewEngine()
-	e.DeclareLookahead(20)
 	issued := false
 	e.Spawn(0, 5, 1, func(p *Proc) {
 		defer func() {
-			p.Rejoin()
 			p.Work(30)
 			p.BlockAfter(func() { issued = true }, "unwinding")
 		}()
-		p.Work(10)
-		if !p.RunAhead(false, false) { // to 15, behind the events at 10 and 12
-			t.Error("RunAhead() = false with events due at 10 and 12")
-		}
-		p.Block("forever")
+		p.Block("forever") // drives the events below on its own stack
 	})
 	e.At(10, func() {})
 	var seq uint64
@@ -222,6 +215,7 @@ func TestEventPanicUnwindsThroughDeferredRejoin(t *testing.T) {
 		seq = e.curSeq
 		panic("evt")
 	})
+	e.At(20, func() {})
 	pe := recoverPanicError(t, func() { e.Drain() })
 	if pe == nil {
 		t.Fatal("event panic did not reach Run's caller")
@@ -233,10 +227,8 @@ func TestEventPanicUnwindsThroughDeferredRejoin(t *testing.T) {
 	if !issued {
 		t.Error("BlockAfter did not run its issue inline")
 	}
-	st := e.Stats()
-	if st.SyncsSkipped != 1 || st.SyncWakes != 0 || st.SyncIssues != 0 {
-		t.Errorf("skipped %d, sync wakes %d, sync issues %d; want 1, 0, 0",
-			st.SyncsSkipped, st.SyncWakes, st.SyncIssues)
+	if st := e.Stats(); st.SyncWakes != 0 || st.SyncIssues != 0 {
+		t.Errorf("sync wakes %d, sync issues %d; want 0, 0", st.SyncWakes, st.SyncIssues)
 	}
 	e.KillAll()
 }
