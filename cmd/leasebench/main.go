@@ -12,7 +12,7 @@
 //	leasebench -exp fig2 -protocol tardis
 //	leasebench -exp all -quick -parallel 4
 //	leasebench -cell fig2/lease/t16 -hotlines 5
-//	leasebench -cell 'fig3-counter/lease/t*' -threads 2,4,8 -spans -ledger
+//	leasebench -cell 'fig3-counter/lease/t*' -threads 2,4,8
 //	leasebench -cell fig2/lease/t16 -timeline t.json
 //	leasebench -cell 'fig2/lease/t*' -threads 4,8,16 -invariants -faults
 //
@@ -29,10 +29,10 @@
 // them. The other flags observe a -cell run and are a usage error without
 // it; one left unset leaves the cell as declared. -faults adds
 // faults.DefaultConfig, seeded from the cell's seed, keeping the cell's
-// preemption schedule. A cell whose experiment records spans and the lease
-// ledger records what the flags ask for instead. -timeline writes a Chrome
-// trace-event file per cell, a failed one included, loadable in
-// https://ui.perfetto.dev.
+// preemption schedule. Every report carries what the cell's recorder
+// recorded: latency digests, the span accounting and the lease ledger.
+// -timeline writes a Chrome trace-event file per cell, a failed one
+// included, loadable in https://ui.perfetto.dev.
 //
 // A cell that fails (deadlock, livelock, panic, protocol or invariant
 // violation, blown cycle budget) is named on stderr with the machine's
@@ -65,8 +65,8 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 var experiments = bench.All()
 
 // observed is what one cell's run leaves beside its Result: the recorder,
-// allocated before the cells are submitted and read once they are back, the
-// file the cell's timeline goes to, and the cell's report.
+// allocated before the cells are submitted and dropped once the cell is
+// reported, the file the cell's timeline goes to, and the cell's report.
 type observed struct {
 	rec      *telemetry.Recorder
 	timeline string
@@ -90,8 +90,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		hotlines   = fs.Int("hotlines", 10, "rank the top-N contended cache lines (0 disables)")
 		timeline   = fs.String("timeline", "", "write a Chrome trace-event timeline to this file (suffixed by the cell when several match)")
-		spans      = fs.Bool("spans", false, "trace coherence-transaction spans and report the cycle accounting")
-		ledger     = fs.Bool("ledger", false, "account per-line lease efficiency (granted/used/wasted cycles, ops absorbed, deferral inflicted)")
 		invariants = fs.Bool("invariants", false, "attach the runtime invariant checker (violations fail the run)")
 		faultsOn   = fs.Bool("faults", false, "add deterministic protocol-legal fault injection to the cell's config")
 		seed       = fs.Uint64("seed", 0, "simulation seed (default: the cell's)")
@@ -178,12 +176,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for i := range cells {
 		c, o := &cells[i], &obs[i]
 		o.rec = telemetry.NewRecorder()
-		if *spans || *timeline != "" {
-			o.rec.EnableSpans() // with -timeline, spans become nested txn slices
-		}
-		if *ledger {
-			o.rec.EnableLedger()
-		}
 		if o.timeline = *timeline; o.timeline != "" && len(cells) > 1 {
 			o.timeline += "." + strings.ReplaceAll(c.Name, "/", ".")
 		}
@@ -212,16 +204,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-	res := bench.MeasureCells(p, cells)
 
 	// report writes cell i's timeline file, failed or not (a failed cell's
 	// timeline is its repro), then prints its report on out, after its name,
 	// cause and dump on errOut when it failed. It returns false when the cell
 	// failed or its timeline could not be written.
-	report := func(out, errOut io.Writer, i int) bool {
+	report := func(out, errOut io.Writer, i int, res bench.Result) bool {
 		o := &obs[i]
 		rep := &o.rep
-		rep.Result = res[i]
+		rep.Result = res
 		if o.timeline != "" {
 			if err := writeTimeline(o.timeline, o.rec.Timeline); err != nil {
 				fmt.Fprintf(errOut, "leasebench: %v\n", err)
@@ -245,15 +236,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return true
 	}
 	status := 0
-	for i := range cells {
-		if !report(stdout, stderr, i) {
+	for i, res := range bench.MeasureCells(p, cells) {
+		if !report(stdout, stderr, i, res) {
 			status = 1
 			if host.Strict {
-				// Print nothing more; the cells after this one have run and
-				// still write their timelines.
+				// Print nothing more; the cells after this one still run
+				// and write their timelines.
 				stdout, stderr = io.Discard, io.Discard
 			}
 		}
+		// The cell is reported: let its recorder go.
+		cells[i], obs[i] = bench.Cell{}, observed{}
 	}
 	return status
 }

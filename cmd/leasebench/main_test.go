@@ -166,7 +166,7 @@ func TestUsageErrors(t *testing.T) {
 	}
 	// An observation flag observes a cell, and without -cell it is never
 	// silently ignored, not even at its default value.
-	for _, f := range []string{"-hotlines=10", "-timeline=t.json", "-spans", "-ledger", "-invariants", "-faults", "-seed=3"} {
+	for _, f := range []string{"-hotlines=10", "-timeline=t.json", "-invariants", "-faults", "-seed=3"} {
 		name, _, _ := strings.Cut(f[1:], "=")
 		want := []string{"-" + name + " observes a cell: it wants -cell"}
 		cases = append(cases, usageCase{[]string{"-exp", "fig2", f}, want}, usageCase{[]string{"-list", f}, want})
@@ -176,8 +176,8 @@ func TestUsageErrors(t *testing.T) {
 
 // A -cell that names no cell is a usage error, and so are its bad
 // observation values; the per-run config flags of the old single-cell
-// binary (-ds, -lease, -cycles and the like), -compactbuckets, -trace and
-// -sample are flags no more.
+// binary (-ds, -lease, -cycles and the like), -compactbuckets, -trace,
+// -sample, -spans and -ledger are flags no more.
 func TestCellUsageErrors(t *testing.T) {
 	cell := []string{"-cell", "fig3-counter/lease/t2"}
 	checkUsageErrors(t, []usageCase{
@@ -194,6 +194,8 @@ func TestCellUsageErrors(t *testing.T) {
 		{[]string{"-compactbuckets"}, []string{"flag provided but not defined: -compactbuckets"}},
 		{append([]string{"-trace", "20"}, cell...), []string{"flag provided but not defined: -trace"}},
 		{append([]string{"-sample", "4"}, cell...), []string{"flag provided but not defined: -sample"}},
+		{append([]string{"-spans"}, cell...), []string{"flag provided but not defined: -spans"}},
+		{append([]string{"-ledger"}, cell...), []string{"flag provided but not defined: -ledger"}},
 		// The scale flags are checked under -cell as under -exp; two cells of
 		// one thread count would share a -timeline file.
 		{append([]string{"-protocol", "moesi"}, cell...), []string{`unknown -protocol "moesi"`}},
@@ -477,7 +479,7 @@ func TestHotLinesIgnoreTheInvariantChecker(t *testing.T) {
 
 // goldenRuns are the -cell invocations whose stdout testdata/<name>.golden
 // pins, each on a short window unless it names its own: the leased counter
-// cells with spans, ledger and hot lines under both protocols, a TL2 cell
+// cells with hot lines under both protocols, a TL2 cell
 // that aborts, a faulted cell under the invariant checker, and a leased
 // queue cell whose recorder observes about a thousand lines across four
 // core arenas (every enqueue takes a fresh node line), clean under MSI and
@@ -486,12 +488,12 @@ var goldenRuns = []struct {
 	name string
 	args []string
 }{
-	{"counter.json", []string{"-cell", "fig3-counter/lease/t*", "-threads", "2,4", "-spans", "-ledger", "-hotlines", "3"}},
-	{"counter.tardis.json", []string{"-cell", "fig3-counter/lease/t*", "-threads", "2,4", "-spans", "-ledger", "-hotlines", "3", "-protocol", "tardis"}},
+	{"counter.json", []string{"-cell", "fig3-counter/lease/t*", "-threads", "2,4", "-hotlines", "3"}},
+	{"counter.tardis.json", []string{"-cell", "fig3-counter/lease/t*", "-threads", "2,4", "-hotlines", "3", "-protocol", "tardis"}},
 	{"tl2.json", []string{"-cell", "fig4-tl2/base/t4", "-threads", "4"}},
 	{"faults.json", []string{"-cell", "fig3-counter/lease/t4", "-threads", "4", "-faults", "-invariants"}},
-	{"queue.json", []string{"-cell", "fig3-queue/lease/t4", "-threads", "4", "-spans", "-ledger", "-hotlines", "10", "-window", "200000"}},
-	{"queue.tardis.json", []string{"-cell", "fig3-queue/lease/t4", "-threads", "4", "-protocol", "tardis", "-faults", "-spans", "-ledger", "-hotlines", "10", "-window", "200000"}},
+	{"queue.json", []string{"-cell", "fig3-queue/lease/t4", "-threads", "4", "-hotlines", "10", "-window", "200000"}},
+	{"queue.tardis.json", []string{"-cell", "fig3-queue/lease/t4", "-threads", "4", "-protocol", "tardis", "-faults", "-hotlines", "10", "-window", "200000"}},
 }
 
 // Every golden run prints its golden byte for byte; -update rewrites them.
@@ -595,13 +597,13 @@ func TestEngineStatsEveryConfigurationCertified(t *testing.T) {
 	}
 }
 
-// -ledger alone reports the span accounting the ledger reads, and the
-// deferral the ledger charges to lines is that accounting's probe-defer
+// Every -cell report carries the span accounting and the lease ledger, and
+// the deferral the ledger charges to lines is that accounting's probe-defer
 // phase, cycle for cycle, under both protocols and under fault injection.
-func TestLedgerAloneCarriesSpanAccounting(t *testing.T) {
+func TestEveryReportCarriesSpansAndLedger(t *testing.T) {
 	for _, flags := range [][]string{{}, {"-protocol", "tardis"}, {"-faults"}} {
 		var rep bench.Report
-		if err := json.Unmarshal(counterReport(t, append([]string{"-ledger"}, flags...)...), &rep); err != nil {
+		if err := json.Unmarshal(counterReport(t, flags...), &rep); err != nil {
 			t.Fatal(err)
 		}
 		if rep.Txns == nil || rep.LeaseLedger == nil {
@@ -616,10 +618,10 @@ func TestLedgerAloneCarriesSpanAccounting(t *testing.T) {
 // TestCellReproducesSweep: a cell run by -cell is the cell -exp measures.
 // For one cell of every experiment with variants, the report's Result is
 // what Sweep.Measure returns for it at the same scale, and so is its whole
-// engine_stats: -cell's recorder costs no event. A cell whose
+// engine_stats: -cell's recorder costs no event, and so are a Measured cell's
+// recorded sections (hot lines aside: only -cell ranks them). A cell whose
 // variant runs its own measurement (TL2, snapshot, Pagerank) runs under
-// -invariants -spans too, and its report carries what the recorder
-// recorded.
+// -invariants too, and its report carries what the recorder recorded.
 func TestCellReproducesSweep(t *testing.T) {
 	p := bench.QuickParams()
 	p.Threads = []int{2}
@@ -639,7 +641,7 @@ func TestCellReproducesSweep(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			args := []string{"-cell", name, "-quick", "-threads", "2"}
 			if v.Run != nil {
-				args = append(args, "-invariants", "-spans")
+				args = append(args, "-invariants")
 			}
 			status, out, errOut := leasebench(args...)
 			if status != 0 {
@@ -667,7 +669,14 @@ func TestCellReproducesSweep(t *testing.T) {
 			}
 			if v.Run != nil && (got.Txns == nil || got.Txns.Count == 0 || got.OpLatency == nil ||
 				got.Ops > 0 && got.OpLatency.Count == 0) {
-				t.Errorf("-spans: txn_accounting %+v, op_latency_cycles %+v; want the recorder's sections", got.Txns, got.OpLatency)
+				t.Errorf("txn_accounting %+v, op_latency_cycles %+v; want the recorder's sections", got.Txns, got.OpLatency)
+			}
+			recorded := func(r bench.Result) string {
+				b, _ := json.Marshal([]any{r.OpLatency, r.LeaseHold, r.ProbeDefer, r.DirQueue, r.Txns, r.LeaseLedger})
+				return string(b)
+			}
+			if g, w := recorded(got.Result), recorded(want); v.Measured && (g != w || want.Txns == nil) {
+				t.Errorf("recorded sections: -cell %s\nsweep %s", g, w)
 			}
 			runs++
 		})

@@ -60,6 +60,16 @@ func (p *Pool) Close() {
 	p.wg.Wait()
 }
 
+// inFlight is how many submitted cells the pool holds before a submit
+// blocks: one running on each worker and one queued for each, or the one a
+// serial pool runs inline.
+func (p *Pool) inFlight() int {
+	if p == nil {
+		return 1
+	}
+	return 2 * p.workers
+}
+
 // submit enqueues one cell. On a nil pool the cell runs inline, so a
 // serial run executes cells in exactly the submission order.
 func (p *Pool) submit(f func()) {
@@ -77,10 +87,9 @@ type future[T any] struct {
 }
 
 // goCell submits f as one cell on the pool and returns its future. Cells
-// must be independent: submitting from a cell (or calling get before all
-// goCell calls were issued from the orchestrating goroutine) can starve the
-// queue. Sweep.Measure submits every cell of a sweep first and then gets
-// them in row order.
+// must be independent: submitting from a cell can starve the queue.
+// MeasureCells submits from the goroutine that gets the results, a bounded
+// number of cells ahead of the one it gets.
 func goCell[T any](p *Pool, f func() T) *future[T] {
 	fu := &future[T]{done: make(chan struct{})}
 	p.submit(func() {
@@ -90,8 +99,7 @@ func goCell[T any](p *Pool, f func() T) *future[T] {
 	return fu
 }
 
-// get blocks until the cell has run and returns its value. get may be
-// called any number of times.
+// get blocks until the cell has run and returns its value.
 func (f *future[T]) get() T {
 	<-f.done
 	return f.v

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"leaserelease/internal/machine"
 )
 
 // TestPoolDeterminism is the contract behind -parallel: a sweep run on a
@@ -42,29 +44,31 @@ func TestPoolDeterminism(t *testing.T) {
 	}
 }
 
-// TestPoolFutureOrder checks that futures resolve to their own cell's
-// value regardless of execution order, and that get is idempotent.
+// TestPoolFutureOrder checks that MeasureCells yields each cell's own Result
+// in declaration order whatever order the cells ran in, and submits a cell
+// only when fewer than bound, two per worker or one inline, wait to be yielded.
 func TestPoolFutureOrder(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	var running atomic.Int32
-	futures := make([]*future[int], 64)
-	for i := range futures {
-		futures[i] = goCell(p, func() int {
-			running.Add(1)
-			return i * i
-		})
-	}
-	for i, fu := range futures {
-		if got := fu.get(); got != i*i {
-			t.Errorf("future %d = %d, want %d", i, got, i*i)
+	for workers, bound := range map[int]int{1: 1, 4: 8} {
+		p := Params{Pool: NewPool(workers)}
+		var started atomic.Int32
+		cells := make([]Cell, 64)
+		for i := range cells {
+			cells[i].Variant.Run = func(Params, machine.Config, Row, Options) Result {
+				started.Add(1)
+				return Result{Ops: uint64(i * i)}
+			}
 		}
-		if got := fu.get(); got != i*i {
-			t.Errorf("future %d second get = %d, want %d", i, got, i*i)
+		yielded := 0
+		for i, r := range MeasureCells(p, cells) {
+			if n := int(started.Load()); i != yielded || r.Ops != uint64(i*i) || n > i+bound {
+				t.Errorf("%d workers: cell %d (yield %d): ops %d, %d started; want ops %d, at most %d started", workers, i, yielded, r.Ops, n, i*i, i+bound)
+			}
+			yielded++
 		}
-	}
-	if n := running.Load(); n != 64 {
-		t.Errorf("ran %d cells, want 64", n)
+		p.Pool.Close()
+		if yielded != len(cells) {
+			t.Errorf("%d workers: %d cells yielded, want %d", workers, yielded, len(cells))
+		}
 	}
 }
 

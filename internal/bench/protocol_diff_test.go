@@ -135,7 +135,6 @@ func TestProtocolSpanLedgerIdentities(t *testing.T) {
 		rec := telemetry.NewRecorder()
 		kept := keepSpans(rec)
 		sp := rec.Spans
-		rec.EnableLedger()
 		r := ThroughputOpts(cfg, 8, 20_000, 100_000,
 			CounterWorkload(CounterLeasedTTS), Options{Recorder: rec})
 		if r.Err != nil {

@@ -23,8 +23,6 @@ func TestTardisReportGolden(t *testing.T) {
 	cfg.Seed = 11
 	cfg.Protocol = coherence.ProtocolTardis
 	rec := telemetry.NewRecorder()
-	rec.EnableSpans()
-	rec.EnableLedger()
 	const warm, window = 5_000, 25_000
 	r := ThroughputOpts(cfg, 2, warm, window,
 		CounterWorkload(CounterLeasedTTS), Options{Recorder: rec, HotLines: 5})

@@ -47,20 +47,19 @@ type Result struct {
 	Snapshots, SnapshotRounds uint64 `json:"-"`
 
 	// Distribution digests (p50/p90/p99 alongside the means above), filled
-	// when the run was telemetry-enabled (Options.Recorder); nil otherwise.
+	// with Txns and LeaseLedger when the run had a recorder
+	// (Options.Recorder); nil otherwise.
 	OpLatency  *telemetry.Summary `json:"op_latency_cycles,omitempty"`   // cycles per operation
 	LeaseHold  *telemetry.Summary `json:"lease_hold_cycles,omitempty"`   // lease start -> release/expire/break
 	ProbeDefer *telemetry.Summary `json:"probe_defer_cycles,omitempty"`  // probe wait behind a lease
 	DirQueue   *telemetry.Summary `json:"dir_queue_occupancy,omitempty"` // directory queue occupancy at arrival
 
 	// Txns is the critical-path cycle accounting of the window's coherence
-	// transactions, filled when the recorder had spans enabled
-	// (Recorder.EnableSpans); nil otherwise.
+	// transactions.
 	Txns *telemetry.TxnSummary `json:"txn_accounting,omitempty"`
 
 	// LeaseLedger is the lease-efficiency accounting (per-lease granted vs.
-	// used cycles, ops absorbed, deferral inflicted), filled when the
-	// recorder had the ledger enabled (Recorder.EnableLedger); nil otherwise.
+	// used cycles, ops absorbed, deferral inflicted).
 	LeaseLedger *telemetry.LedgerSummary `json:"lease_ledger,omitempty"`
 
 	// Window is the measured window's hardware counters.
@@ -115,7 +114,7 @@ func ThroughputOpts(cfg machine.Config, threads int, warm, window uint64,
 	build func(d *machine.Direct) OpFunc, o Options) Result {
 
 	ob := o.observe(warm)
-	rec, spans, ledger := o.Recorder, ob.spans, ob.ledger
+	rec := o.Recorder
 	counts := make([]uint64, threads)
 	loop := func(d *machine.Direct) func(int, *machine.Ctx) {
 		op := build(d)
@@ -131,13 +130,9 @@ func ThroughputOpts(cfg machine.Config, threads int, warm, window uint64,
 				if start >= warm {
 					rec.OpLatency.Observe(end - start)
 				}
-				if spans != nil {
-					// Threads spawn on cores in order, so tid == core id.
-					spans.OpEnd(tid, start, end, start >= warm)
-				}
-				if ledger != nil {
-					ledger.OpEnd(tid, start >= warm)
-				}
+				// Threads spawn on cores in order, so tid == core id.
+				rec.Spans.OpEnd(tid, start, end, start >= warm)
+				rec.Ledger.OpEnd(tid, start >= warm)
 			}
 		}
 		return func(tid int, c *machine.Ctx) {
@@ -190,13 +185,11 @@ func ThroughputOpts(cfg machine.Config, threads int, warm, window uint64,
 	return finished(m, r, re)
 }
 
-// observers is what a run attaches for its Options: the recorder, with its
-// span assembler and ledger, and the invariant checker. traffic is the
-// machine's per-line traffic, which the recorder's rankings join.
+// observers is what a run attaches for its Options: the recorder and the
+// invariant checker. traffic is the machine's per-line traffic, which the
+// recorder's rankings join.
 type observers struct {
 	Options
-	spans   *telemetry.Spans
-	ledger  *telemetry.Ledger
 	chk     *invariant.Checker
 	traffic telemetry.TrafficSource
 }
@@ -205,16 +198,11 @@ type observers struct {
 // measurement that starts at cycle warm: what starts before it is assembled
 // but not aggregated.
 func (o Options) observe(warm uint64) *observers {
-	ob := &observers{Options: o}
 	if rec := o.Recorder; rec != nil {
-		if ob.spans = rec.Spans; ob.spans != nil {
-			ob.spans.WindowStart = warm
-		}
-		if ob.ledger = rec.Ledger; ob.ledger != nil {
-			ob.ledger.WindowStart = warm
-		}
+		rec.Spans.WindowStart = warm
+		rec.Ledger.WindowStart = warm
 	}
-	return ob
+	return &observers{Options: o}
 }
 
 // attach hooks the checker and the recorder onto the idle machine.
@@ -251,15 +239,11 @@ func (ob *observers) fill(r *Result) {
 	r.LeaseHold = summaryOf(&rec.LeaseHold)
 	r.ProbeDefer = summaryOf(&rec.ProbeDefer)
 	r.DirQueue = summaryOf(&rec.DirQueue)
-	if ob.spans != nil {
-		st := ob.spans.Stats()
-		sum := st.Summary()
-		r.Txns = &sum
-	}
-	if ob.ledger != nil {
-		sum := ob.ledger.Summary(LedgerTopN, &rec.Lines, ob.traffic)
-		r.LeaseLedger = &sum
-	}
+	st := rec.Spans.Stats()
+	txns := st.Summary()
+	r.Txns = &txns
+	ledger := rec.Ledger.Summary(LedgerTopN, &rec.Lines, ob.traffic)
+	r.LeaseLedger = &ledger
 	if ob.HotLines > 0 {
 		r.HotLines = hotLineRows(rec.Lines.Top(ob.HotLines, ob.traffic))
 	}

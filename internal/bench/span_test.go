@@ -4,21 +4,21 @@ import (
 	"reflect"
 	"testing"
 
+	"leaserelease/internal/coherence"
 	"leaserelease/internal/machine"
 	"leaserelease/internal/telemetry"
 )
 
-// keepSpans enables spans on rec and returns where every span its assembler
-// completes is copied: an OnComplete set before Attach, which the recorder
-// keeps.
+// keepSpans returns where every span rec's assembler completes is copied: an
+// OnComplete set before Attach, which the recorder keeps.
 func keepSpans(rec *telemetry.Recorder) *[]telemetry.Span {
 	kept := new([]telemetry.Span)
-	rec.EnableSpans().OnComplete = func(s *telemetry.Span) { *kept = append(*kept, *s) }
+	rec.Spans.OnComplete = func(s *telemetry.Span) { *kept = append(*kept, *s) }
 	return kept
 }
 
-// spanRun runs a leased contended counter with span tracing and returns the
-// result, the assembler and every completed span.
+// spanRun runs a leased contended counter with a recorder and returns the
+// result, its span assembler and every completed span.
 func spanRun(t *testing.T, seed uint64, threads int) (Result, *telemetry.Spans, []telemetry.Span) {
 	t.Helper()
 	cfg := machine.DefaultConfig(threads)
@@ -88,11 +88,10 @@ func TestSpanCycleAccountingSumsToLatency(t *testing.T) {
 	}
 }
 
-// Span tracing must not perturb the simulation, which is what keeps benchmark
-// tables byte-identical with tracing on and off; a traced run, and only a
-// traced run, reports txn_accounting.
+// Span tracing must not perturb a Tardis run either, whose transactions renew
+// and jump timestamps; a recorded run, and only it, reports txn_accounting.
 func TestSpanTracingDoesNotPerturbSimulation(t *testing.T) {
-	checkUnperturbed(t, perturbObserver{"spans", func(r *telemetry.Recorder) { r.EnableSpans() }, Options{}})
+	checkUnperturbed(t, faultedConfig(8, 3, coherence.ProtocolTardis, false), bareRecorder)
 }
 
 // The reconstructed span trees are part of the determinism contract: a

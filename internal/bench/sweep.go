@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"iter"
 	"path"
 
 	"leaserelease/internal/machine"
@@ -40,11 +41,10 @@ type Variant struct {
 	Edit func(cfg *machine.Config, r Row)
 	// Build returns the cell's workload.
 	Build func(r Row) Workload
-	// Measured attaches a recorder with spans and the lease ledger, for
-	// variants whose tables read latency digests, cycle accounting or
-	// ledger totals, unless the run brings a recorder of its own. Telemetry
-	// is host-side only: the simulated numbers are the same with and
-	// without it.
+	// Measured attaches a recorder, for variants whose tables read latency
+	// digests, cycle accounting or ledger totals, unless the run brings a
+	// recorder of its own. Telemetry is host-side only: the simulated
+	// numbers are the same with and without it.
 	Measured bool
 	// Run, when set, replaces the windowed throughput measurement of Build:
 	// fixed-work programs (Result.Cycles is the time to completion and Ops
@@ -118,8 +118,6 @@ func (s Sweep) RunCell(p Params, r Row, v Variant, o Options) Result {
 	}
 	if v.Measured && o.Recorder == nil {
 		o.Recorder = telemetry.NewRecorder()
-		o.Recorder.EnableSpans()
-		o.Recorder.EnableLedger()
 	}
 	if v.Run != nil {
 		return v.Run(p, cfg, r, o)
@@ -168,18 +166,28 @@ func Cells(exps []Experiment, p Params, pattern string) ([]Cell, error) {
 	return cells, nil
 }
 
-// MeasureCells submits every cell to p.Pool and reads the results back in
-// order, so what it returns is the same for any pool size.
-func MeasureCells(p Params, cells []Cell) []Result {
-	futures := make([]*future[Result], len(cells))
-	for i, c := range cells {
-		futures[i] = goCell(p.Pool, func() Result { return c.Sweep.RunCell(p, c.Row, c.Variant, c.Options) })
+// MeasureCells runs the cells on p.Pool and yields each one's index and
+// Result in declaration order, each as soon as it and the cells before it
+// are done, so what it yields is the same for any pool size. It submits a
+// cell only when fewer than p.Pool.inFlight() submitted cells wait to be
+// yielded, so a caller that drops what it keeps for a cell once the cell is
+// yielded holds that much for a bounded number of cells.
+func MeasureCells(p Params, cells []Cell) iter.Seq2[int, Result] {
+	return func(yield func(int, Result) bool) {
+		futures := make([]*future[Result], len(cells))
+		next := 0 // the first cell not yet submitted
+		for i := range cells {
+			for ; next < len(cells) && next < i+p.Pool.inFlight(); next++ {
+				c := cells[next]
+				futures[next] = goCell(p.Pool, func() Result { return c.Sweep.RunCell(p, c.Row, c.Variant, c.Options) })
+			}
+			r := futures[i].get()
+			futures[i] = nil
+			if !yield(i, r) {
+				return
+			}
+		}
 	}
-	res := make([]Result, len(cells))
-	for i, f := range futures {
-		res[i] = f.get()
-	}
-	return res
 }
 
 // Measure measures every cell of the grid (MeasureCells). res is indexed
@@ -191,7 +199,10 @@ func (s Sweep) Measure(p Params) (res [][]Result) {
 			cells = append(cells, Cell{Sweep: s, Row: r, Variant: v})
 		}
 	}
-	flat := MeasureCells(p, cells)
+	flat := make([]Result, 0, len(cells))
+	for _, r := range MeasureCells(p, cells) {
+		flat = append(flat, r)
+	}
 	res = make([][]Result, len(s.Rows))
 	for i := range res {
 		n := len(s.Variants)

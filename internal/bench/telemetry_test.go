@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"leaserelease/internal/coherence"
 	"leaserelease/internal/ds"
 	"leaserelease/internal/machine"
 	"leaserelease/internal/telemetry"
@@ -82,9 +83,9 @@ func TestTelemetrySeedSensitivity(t *testing.T) {
 // measures the plain run's window (ops, every hardware counter, fairness) and
 // its whole engine_stats, every recorder the same op latencies as a bare
 // recorder, and each run reports exactly the sections its observers fill.
-// The span tracer and the lease ledger have their own tests on this contract.
+// Two tests hold a recorder to this under Tardis and under fault injection.
 func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
-	checkUnperturbed(t,
+	checkUnperturbed(t, faultedConfig(8, 3, coherence.ProtocolMSI, false), bareRecorder,
 		perturbObserver{"timeline", func(r *telemetry.Recorder) { r.EnableTimeline(1000) }, Options{}},
 		perturbObserver{"hotlines", func(*telemetry.Recorder) {}, Options{HotLines: 8}},
 		perturbObserver{"invariants", nil, Options{Invariants: true}})
@@ -98,10 +99,12 @@ type perturbObserver struct {
 	o      Options
 }
 
-// checkUnperturbed runs each perturbation workload plainly, with a bare
-// recorder and with each observer, and holds every observed run to the plain
-// one; see TestTelemetryDoesNotPerturbSimulation.
-func checkUnperturbed(t *testing.T, observers ...perturbObserver) {
+var bareRecorder = perturbObserver{"recorder", func(*telemetry.Recorder) {}, Options{}}
+
+// checkUnperturbed runs each perturbation workload on cfg plainly and with
+// each observer, and holds every observed run to the plain one; see
+// TestTelemetryDoesNotPerturbSimulation.
+func checkUnperturbed(t *testing.T, cfg machine.Config, observers ...perturbObserver) {
 	t.Helper()
 	workloads := []struct {
 		name  string
@@ -111,12 +114,9 @@ func checkUnperturbed(t *testing.T, observers ...perturbObserver) {
 		{"leased-counter", CounterWorkload(CounterLeasedTTS)},
 		{"lf-skiplist", SetWorkload(func(x machine.API) ds.Set { return ds.NewLFSkipList(x, LeaseTime) }, 512, 256)},
 	}
-	observers = append([]perturbObserver{{"recorder", func(*telemetry.Recorder) {}, Options{}}}, observers...)
 	for _, w := range workloads {
 		t.Run(w.name, func(t *testing.T) {
 			run := func(o Options) Result {
-				cfg := machine.DefaultConfig(8)
-				cfg.Seed = 3
 				r := ThroughputOpts(cfg, 8, 20_000, 100_000, w.build, o)
 				if r.Err != nil {
 					t.Fatal(r.Err)
@@ -151,11 +151,9 @@ func checkUnperturbed(t *testing.T, observers ...perturbObserver) {
 				if got.OpLatency == nil || got.OpLatency.Count == 0 || !reflect.DeepEqual(got.OpLatency, recorded) {
 					t.Errorf("%s: op latency %+v, the recorder's %+v", ob.name, got.OpLatency, recorded)
 				}
-				if spans := o.Recorder.Spans != nil; spans != (got.Txns != nil) || spans && got.Txns.Count == 0 {
-					t.Errorf("%s: txn_accounting %+v with spans %v", ob.name, got.Txns, spans)
-				}
-				if ledger := o.Recorder.Ledger != nil; ledger != (got.LeaseLedger != nil) || ledger && got.LeaseLedger.Leases == 0 {
-					t.Errorf("%s: lease_ledger %+v with the ledger %v", ob.name, got.LeaseLedger, ledger)
+				if got.Txns == nil || got.Txns.Count == 0 || got.LeaseLedger == nil || got.LeaseLedger.Leases == 0 {
+					t.Errorf("%s: txn_accounting %+v, lease_ledger %+v; want the recorder's spans and leases",
+						ob.name, got.Txns, got.LeaseLedger)
 				}
 				if (o.HotLines > 0) != (len(got.HotLines) > 0) {
 					t.Errorf("%s: %d hot lines, %d asked for", ob.name, len(got.HotLines), o.HotLines)

@@ -23,7 +23,6 @@ func TestTimelineGolden(t *testing.T) {
 	cfg.Seed = 11
 	rec := telemetry.NewRecorder()
 	rec.EnableTimeline(float64(cfg.ClockHz) / 1e6)
-	rec.EnableSpans()
 	r := ThroughputOpts(cfg, 2, 500, 2_500,
 		CounterWorkload(CounterLeasedTTS), Options{Recorder: rec})
 	if r.Err != nil {

@@ -48,17 +48,6 @@ type Config struct {
 	// requests still queue.
 	RegularBreaksLease bool
 
-	// SoftLeaseStagger is the X parameter of the software MultiLease
-	// emulation (§4): the j-th outer lease is requested for time + j·X,
-	// where X approximates the time to fulfil an ownership request.
-	SoftLeaseStagger uint64
-
-	// SoftLeaseOverhead charges the software MultiLease emulation's
-	// per-line instruction cost (sorting, group-id bookkeeping) — the
-	// "extra software operations" of §7 that make it slightly slower
-	// than the hardware MultiLease.
-	SoftLeaseOverhead uint64
-
 	// Predictor enables the §5 speculative mechanism that ignores
 	// leases at sites with frequent involuntary releases.
 	Predictor bool
@@ -104,15 +93,13 @@ func DefaultEnergy() EnergyModel {
 // L2 with 3/8-cycle tag/data, directory MSI, MAX_LEASE_TIME = 20K cycles.
 func DefaultConfig(cores int) Config {
 	return Config{
-		Cores:             cores,
-		ClockHz:           1_000_000_000,
-		L1:                cache.DefaultConfig(),
-		L1HitLat:          1,
-		Timing:            coherence.DefaultTiming(),
-		Lease:             core.DefaultConfig(),
-		SoftLeaseStagger:  50, // ≈ one ownership-request round trip
-		SoftLeaseOverhead: 12, // sort + group bookkeeping per line
-		Energy:            DefaultEnergy(),
-		Seed:              1,
+		Cores:    cores,
+		ClockHz:  1_000_000_000,
+		L1:       cache.DefaultConfig(),
+		L1HitLat: 1,
+		Timing:   coherence.DefaultTiming(),
+		Lease:    core.DefaultConfig(),
+		Energy:   DefaultEnergy(),
+		Seed:     1,
 	}
 }

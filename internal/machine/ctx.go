@@ -328,18 +328,30 @@ func (c *Ctx) MultiLease(dur uint64, addrs ...mem.Addr) bool {
 	return true
 }
 
+const (
+	// softLeaseStagger is the X of the software MultiLease emulation (§4):
+	// the j-th outer lease is requested for time + j·X, where X
+	// approximates the time to fulfil an ownership request (≈ one round
+	// trip).
+	softLeaseStagger = 50
+	// softLeaseOverhead is the emulation's per-line instruction cost
+	// (sorting, group-id bookkeeping): the "extra software operations" of
+	// §7 that make it slightly slower than the hardware MultiLease.
+	softLeaseOverhead = 12
+)
+
 // SoftMultiLease emulates MultiLease in software over single-line leases
 // (§4): leases are taken in sorted order and the j-th outer (earlier) lease
-// runs longer by j·SoftLeaseStagger, approximating a joint hold.
+// runs longer by j·softLeaseStagger, approximating a joint hold.
 func (c *Ctx) SoftMultiLease(dur uint64, addrs ...mem.Addr) {
 	lines := c.cs.sortedLines(addrs)
 	n := len(lines)
 	for j, l := range lines {
-		// Per-line software bookkeeping (sorting, group-id management):
-		// the instruction overhead that makes the emulation "incur a
-		// slight, but consistent performance hit" (§7).
-		c.p.Work(c.m.cfg.SoftLeaseOverhead)
-		c.Lease(l.Base(), dur+uint64(n-1-j)*c.m.cfg.SoftLeaseStagger)
+		// Per-line software bookkeeping: the instruction overhead that makes
+		// the emulation "incur a slight, but consistent performance hit"
+		// (§7).
+		c.p.Work(softLeaseOverhead)
+		c.Lease(l.Base(), dur+uint64(n-1-j)*softLeaseStagger)
 	}
 }
 

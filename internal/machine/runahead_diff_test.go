@@ -64,7 +64,6 @@ func runDiffCell(t *testing.T, build func(*machine.Direct) bench.OpFunc,
 	cores := make([][]seen, threads)
 	rec := telemetry.NewRecorder()
 	if traced {
-		rec.EnableLedger()
 		m.Telemetry().SubscribeAll(func(e telemetry.Event) {
 			s := seen{Event: e}
 			if e.Stamps != nil {

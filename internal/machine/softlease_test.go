@@ -8,10 +8,9 @@ import (
 )
 
 // TestSoftMultiLeaseStagger: the j-th outer (lower-address) lease must run
-// longer by j*SoftLeaseStagger so the group expires jointly-ish (§4).
+// longer by j*softLeaseStagger so the group expires jointly-ish (§4).
 func TestSoftMultiLeaseStagger(t *testing.T) {
 	cfg := testConfig(1)
-	cfg.SoftLeaseStagger = 100
 	cfg.Lease.MaxLeaseTime = 100000
 	m := New(cfg)
 	d := m.Direct()
@@ -25,8 +24,8 @@ func TestSoftMultiLeaseStagger(t *testing.T) {
 	if err := m.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if durA != 1100 || durB != 1000 {
-		t.Fatalf("durations = %d, %d; want 1100, 1000", durA, durB)
+	if durA != 1050 || durB != 1000 {
+		t.Fatalf("durations = %d, %d; want 1050, 1000", durA, durB)
 	}
 }
 

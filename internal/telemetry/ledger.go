@@ -134,7 +134,7 @@ func (ld *Ledger) openFor(core int) *[]openLease {
 }
 
 // OnLease consumes one CatLease event. Subscribe it to CatLease
-// (Recorder.EnableLedger + Attach do this).
+// (Recorder.Attach does this).
 func (ld *Ledger) OnLease(e Event) {
 	switch e.Kind {
 	case LeaseStarted:

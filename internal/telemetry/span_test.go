@@ -198,7 +198,7 @@ func TestSpanOpAccounting(t *testing.T) {
 
 // The zero-overhead contract: with nobody subscribed to CatTxn, Wants
 // reports false and emitting on that category allocates nothing — the
-// instrumented hot paths stay free when span tracing is off.
+// instrumented hot paths stay free on a machine with no recorder.
 func TestTxnDisabledZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is unreliable under the race detector")

@@ -429,10 +429,10 @@ func TestRankingsKeepTheirOrderAcrossRegions(t *testing.T) {
 	}
 }
 
-// With spans, ledger and hot lines attached, one leased transaction's whole
-// event stream on a line already seen allocates nothing: counters are
-// values in a paged line index, and the transaction's stamps travel in its
-// one event.
+// On a recorder, with its spans, ledger and hot lines, one leased
+// transaction's whole event stream on a line already seen allocates
+// nothing: counters are values in a paged line index, and the transaction's
+// stamps travel in its one event.
 func TestRecorderZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is unreliable under the race detector")
@@ -440,8 +440,6 @@ func TestRecorderZeroAlloc(t *testing.T) {
 	var now uint64
 	b := NewBus(func() uint64 { return now })
 	r := NewRecorder()
-	r.EnableSpans()
-	r.EnableLedger()
 	r.Attach(b)
 	const core, owner = 2, 5
 	l := mem.Line(0x40)
@@ -491,7 +489,7 @@ func TestRecorderZeroAlloc(t *testing.T) {
 // 4-byte index slot costs 8 bytes a line when every other line is observed.
 const maxBytesPerLine = 80
 
-// A Recorder with spans, the ledger and hot lines, fed one lease and one
+// A Recorder, with its spans, ledger and hot lines, fed one lease and one
 // forwarded transaction on each of 40 000 sparse lines (every other line of
 // two core arenas, as a queue's nodes leave them), holds at most
 // maxBytesPerLine of live heap per line: each line costs one dense hot-line
@@ -509,7 +507,6 @@ func TestRecorderFootprint(t *testing.T) {
 	var now uint64
 	b := NewBus(func() uint64 { return now })
 	r := NewRecorder()
-	r.EnableLedger()
 	r.Attach(b)
 	var seq uint64
 	for core := range 2 {

@@ -127,7 +127,7 @@ func (t *Timeline) instant(core int, now uint64, name string, l mem.Line) {
 // phases are consecutive, so nesting is exact), an async slice on the
 // directory track covering the directory's involvement, and a flow arrow
 // chain requester -> directory [-> owner] -> requester. The Recorder hands
-// it every completed span when both spans and a timeline are enabled.
+// it every completed span when a timeline is enabled.
 func (t *Timeline) OnTxnSpan(s *Span) {
 	t.cores[s.Core] = true
 	t.hasDir = true
