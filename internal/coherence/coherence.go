@@ -155,11 +155,10 @@ type Request struct {
 	// Reset, so a pooled request costs no closure per hop: a core has one
 	// request in flight (Proposition 1), and each hop reads what it needs
 	// from the request when it runs.
-	dir      *Directory
-	reachDir func() // the request has covered the fixed network distance
-	arrive   func() // ... and the variable part: it enters the line's queue
-	probe    func() // the forwarded probe reaches owner
-	grant    func() // the grant reaches the requester
+	dir    *Directory
+	arrive func() // the request reaches the directory: it enters the line's queue
+	probe  func() // the forwarded probe reaches owner
+	grant  func() // the grant reaches the requester
 }
 
 // Reset readies a request for a new transaction. Everything a transaction
@@ -173,7 +172,6 @@ func (r *Request) Reset(core int, line mem.Line, excl, lease bool) {
 // bind makes d the directory whose hops the request's callbacks run.
 func (r *Request) bind(d *Directory) {
 	r.dir = d
-	r.reachDir = func() { d.reachDir(r) }
 	r.arrive = func() { d.arrive(r) }
 	r.probe = func() { d.probeArrive(r.owner, r) }
 	r.grant = func() { d.deliverGrant(r) }
@@ -228,9 +226,11 @@ type Directory struct {
 	env Env
 	t   Timing
 
-	// dom is the system domain (directory/L2/memory side); cores caches
-	// per-core domain handles for scheduling core-side events.
+	// dom is the system domain (directory/L2/memory side); net sources a
+	// request whose hop was drawn longer than Net; cores caches per-core
+	// domain handles for scheduling core-side events.
 	dom   *sim.Domain
+	net   *sim.Domain
 	cores [64]*sim.Domain
 
 	// MESI is the MSI policy's option of MESI-style Exclusive-clean fills
@@ -272,7 +272,7 @@ type Directory struct {
 func New(eng *sim.Engine, env Env, t Timing, p Policy, jitterSeed uint64) *Directory {
 	d := &Directory{
 		Policy: p, eng: eng, env: env, t: t,
-		dom: eng.Sys(),
+		dom: eng.Sys(), net: eng.Net(),
 		rng: sim.NewRNG(jitterSeed),
 	}
 	d.privacy, _ = p.(Privacy)
@@ -334,13 +334,15 @@ func (d *Directory) countMsg(ln *Line, l mem.Line, kind MsgKind, n int) {
 }
 
 // Submit issues a request from a core at the current time. The request
-// message takes one network hop (plus jitter) to reach the directory,
-// where it enters the line's FIFO queue. The line's record, made here if
-// need be, travels with it.
+// message takes one network hop plus 0..NetJitter cycles (and any injected
+// delay) to reach the directory, where it enters the line's FIFO queue. The
+// line's record, made here if need be, travels with it.
 //
-// Submit runs in the requesting core's domain. The message is scheduled at
-// the fixed +Net lower bound (the declared lookahead); jitter and fault
-// delays are drawn at the directory in canonical arrival order.
+// Submit runs in the requesting core's domain and draws the extra cycles at
+// send, in the order the arrivals' keys give the requests (DESIGN.md §2.1).
+// An arrival at the fixed +Net bound (the declared lookahead) is sourced
+// from the core; a later one from the network domain, which orders it after
+// every core- and directory-sourced event of its cycle.
 func (d *Directory) Submit(req *Request) {
 	if req.dir != d {
 		req.bind(d)
@@ -348,7 +350,11 @@ func (d *Directory) Submit(req *Request) {
 	req.line = d.line(req.Line)
 	src := d.coreDom(req.Core)
 	d.countMsg(req.line, req.Line, MsgRequest, 1)
-	src.CrossAt(d.dom, src.Now()+d.t.Net, req.reachDir)
+	at := src.Now() + d.t.Net
+	if extra := d.jitter() + d.Faults.MsgDelay(); extra > 0 {
+		src, at = d.net, at+extra
+	}
+	src.CrossAt(d.dom, at, req.arrive)
 }
 
 // jitter draws 0..NetJitter extra cycles from the directory's RNG.
@@ -357,17 +363,6 @@ func (d *Directory) jitter() sim.Time {
 		return 0
 	}
 	return d.rng.Uint64n(uint64(d.t.NetJitter) + 1)
-}
-
-// reachDir runs in the directory's domain when a request has covered the
-// minimum network distance; it applies the variable part of the traversal
-// (jitter, injected delay) before the request enters the line's queue.
-func (d *Directory) reachDir(req *Request) {
-	if extra := d.jitter() + d.Faults.MsgDelay(); extra > 0 {
-		d.dom.After(extra, req.arrive)
-		return
-	}
-	d.arrive(req)
 }
 
 func (d *Directory) arrive(req *Request) {

@@ -1,6 +1,7 @@
 package coherence_test
 
 import (
+	"slices"
 	"testing"
 
 	"leaserelease/internal/cache"
@@ -367,4 +368,118 @@ func TestRequestCallbacksFollowTheDirectory(t *testing.T) {
 			t.Fatalf("second directory: line 8 is %s sharers %b, want S/100", v.State, v.Sharers)
 		}
 	})
+}
+
+// firstDraws submits n requests at cycle 0 of a fresh directory, each on a
+// line of its own, and returns the extra cycles each one's hop was drawn:
+// the directory's first n jitter draws, which every fresh directory of the
+// policy repeats. Each Submit queues exactly one event, the arrival.
+func firstDraws(t *testing.T, newDir func(*sim.Engine, Env, Timing) *Directory, tm Timing, n int) []sim.Time {
+	t.Helper()
+	eng := sim.NewEngine()
+	d := newDir(eng, &mockEnv{eng: eng}, tm)
+	reqs := make([]*Request, n)
+	for i := range reqs {
+		reqs[i] = &Request{Core: i % 4, Line: mem.Line(1000 + i)}
+		d.Submit(reqs[i])
+		if p := eng.Pending(); p != i+1 {
+			t.Fatalf("%d events pending after %d Submits, want one each", p, i+1)
+		}
+	}
+	if err := eng.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	draws := make([]sim.Time, n)
+	for i, r := range reqs {
+		draws[i] = r.Stamps.Arrive - tm.Net
+	}
+	return draws
+}
+
+// TestRequestReachesDirectoryInOneEvent: a request's hop is one event, its
+// jitter drawn at send. Requests sent in one cycle join the line's FIFO in
+// (arrival cycle, send order). A jittered arrival that lands in the cycle of
+// a commit on its line runs after the commit, so it finds the line idle;
+// under Tardis a tag-only renewal's commit is pushed after the request was
+// sent, which only the network domain's place in the event key orders right.
+func TestRequestReachesDirectoryInOneEvent(t *testing.T) {
+	tm := testTiming
+	tm.NetJitter = 4
+	const n = 16
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			draws := firstDraws(t, b.new, tm, n)
+			if !slices.Contains(draws, 0) || slices.Max(draws[2:]) < 3 || slices.Max(draws) > tm.NetJitter {
+				t.Fatalf("draws %v: want a 0, one of 3 or more after the first two, none above %d", draws, tm.NetJitter)
+			}
+
+			// Eight writers on one line, sent in core order at cycle 0.
+			eng := sim.NewEngine()
+			env := &mockEnv{eng: eng}
+			d := b.new(eng, env, tm)
+			want := make([]int, 8)
+			for c := range want {
+				want[c] = c
+				d.Submit(&Request{Core: c, Line: 9, Excl: true})
+			}
+			slices.SortStableFunc(want, func(a, b int) int { return int(draws[a]) - int(draws[b]) })
+			if err := eng.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			var got []int
+			for _, c := range env.completes {
+				got = append(got, c.req.Core)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("draws %v: served cores %v, want %v", draws[:8], got, want)
+			}
+
+			// Core 0 reads line 5, then reads it again (R1; under Tardis a
+			// tag-only renewal) while core 1's read (R2) is drawn to land in
+			// the cycle R1 commits. Requests on other lines skip the draws
+			// before the first of 3 or more.
+			k := 2
+			for draws[k] < 3 {
+				k++
+			}
+			scenario := func(sendR2 sim.Time) (d *Directory, r1, r2 *Request, r1Done sim.Time) {
+				eng := sim.NewEngine()
+				env := &mockEnv{eng: eng}
+				d = b.new(eng, env, tm)
+				d.Submit(&Request{Core: 0, Line: 5})
+				if err := eng.Drain(); err != nil {
+					t.Fatal(err)
+				}
+				env.completes = nil
+				r1, r2 = &Request{Core: 0, Line: 5}, &Request{Core: 1, Line: 5}
+				d.Submit(r1)
+				if sendR2 > 0 {
+					eng.Domain(1).At(sendR2, func() {
+						for i := 2; i < k; i++ {
+							d.Submit(&Request{Core: 2, Line: mem.Line(100 + i)})
+						}
+						d.Submit(r2)
+					})
+				}
+				if err := eng.Drain(); err != nil {
+					t.Fatal(err)
+				}
+				return d, r1, r2, env.completes[0].at
+			}
+			_, _, _, commit := scenario(0) // R1 alone: its grant and commit cycle
+			sent := commit - tm.Net - draws[k]
+			d, r1, r2, _ := scenario(sent)
+			if r2.Stamps.Arrive != commit || r2.Stamps.Service != commit {
+				t.Fatalf("R2 arrived at %d and entered service at %d; want both at R1's commit, %d",
+					r2.Stamps.Arrive, r2.Stamps.Service, commit)
+			}
+			if d.Stats.MaxQueue != 1 {
+				t.Errorf("R2 queued behind R1 (max queue %d): its arrival ran before R1's commit", d.Stats.MaxQueue)
+			}
+			if b.name == ProtocolTardis && (!r1.Stamps.Renewal || r1.Stamps.Service <= sent) {
+				t.Errorf("R1 renewal %v, its commit pushed at %d, R2 sent at %d: want a renewal whose commit is pushed after R2 is sent",
+					r1.Stamps.Renewal, r1.Stamps.Service, sent)
+			}
+		})
+	}
 }

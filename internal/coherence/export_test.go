@@ -19,7 +19,7 @@ func Linked(d *Directory, l mem.Line, reqs []*Request) bool {
 // Bound reports which directory r's hop callbacks are bound to (nil if one
 // of them is missing) and whether r is in service on some line.
 func Bound(r *Request) (d *Directory, inService bool) {
-	if r.reachDir == nil || r.arrive == nil || r.probe == nil || r.grant == nil {
+	if r.arrive == nil || r.probe == nil || r.grant == nil {
 		return nil, r.line != nil
 	}
 	return r.dir, r.line != nil

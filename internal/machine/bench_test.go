@@ -54,6 +54,39 @@ func BenchmarkHitRun16(b *testing.B) {
 	m.Stop()
 }
 
+// BenchmarkMissRun64 measures the host cost of a simulated cycle with 64
+// cores that miss on most accesses (the benchmark's hash64 without its
+// locks): each thread loads a random line of a region 16 times its L1 and
+// thinks for up to 32 cycles, so 64 requests are nearly always in flight
+// through the directory. Every line is touched in the warm-up, so the
+// window makes no line record. ns/op is per simulated cycle.
+func BenchmarkMissRun64(b *testing.B) {
+	const threads, lines = 64, 8192
+	m := New(testConfig(threads))
+	region := m.Direct().Alloc(lines * mem.LineSize)
+	for i := 0; i < threads; i++ {
+		m.Spawn(0, func(c *Ctx) {
+			for {
+				c.Load(region + mem.Addr(c.Rand().Uint64n(lines)*mem.LineSize))
+				c.Work(c.Rand().Uint64n(32))
+			}
+		})
+	}
+	if err := m.Run(200_000); err != nil {
+		b.Fatal(err)
+	}
+	st := m.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := m.Run(m.Now() + uint64(b.N)); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	w := m.Stats().Sub(st)
+	b.ReportMetric(float64(w.L1Misses)/float64(w.L1Misses+w.L1Hits), "miss-ratio")
+	m.Stop()
+}
+
 // BenchmarkSpin64 measures the host cost of a simulated cycle of Figure 3's
 // plain baseline: 64 cores contending for one test-and-test-and-set lock,
 // 63 of them waiting on a read of the lock word (Ctx.Spin). A waiter parked

@@ -696,3 +696,28 @@ func TestUncontendedLeaseNoSlowdown(t *testing.T) {
 func newLeaseRequest(core int, l mem.Line) *coherence.Request {
 	return &coherence.Request{Core: core, Line: l, Excl: true, Lease: true}
 }
+
+// TestColdMissEvents pins what one cold load miss on an idle machine costs
+// the event kernel: the proc's start, the request's arrival at the directory
+// (one event, its jitter drawn at send), the grant, the commit and the wake
+// the grant schedules; under Tardis also the read reservation's lapse. Each
+// protocol's first jitter draw is its own: MSI's is non-zero, where a hop
+// relayed at the directory took a second event (6), and Tardis' is zero.
+func TestColdMissEvents(t *testing.T) {
+	for proto, want := range map[string]uint64{coherence.ProtocolMSI: 5, coherence.ProtocolTardis: 6} {
+		cfg := testConfig(1)
+		cfg.Protocol = proto
+		m := New(cfg)
+		a := m.Direct().Alloc(8)
+		m.Spawn(0, func(c *Ctx) { c.Load(a) })
+		if err := m.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if s := m.Stats(); s.L1Misses != 1 || s.L1Hits != 0 {
+			t.Fatalf("%s: %d misses, %d hits; want one cold miss", proto, s.L1Misses, s.L1Hits)
+		}
+		if got := m.EngineStats().EventsTotal; got != want {
+			t.Errorf("%s: a cold load miss executed %d events, want %d", proto, got, want)
+		}
+	}
+}

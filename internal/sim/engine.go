@@ -2,11 +2,11 @@
 //
 // Events execute in a canonical total order keyed by
 // (cycle, target domain, source domain, per-source sequence). A domain is a
-// scheduling context owned by one simulated actor (one core, or the shared
-// system side — directory, L2, memory). Every component of the key comes from
-// simulation structure, never from the order in which host code happened to
-// schedule things, so a run is bit-identical per seed however its setup code
-// is arranged.
+// scheduling context owned by one simulated actor (one core, the shared
+// system side — directory, L2, memory — or, as a source only, the network).
+// Every component of the key comes from simulation structure, never from the
+// order in which host code happened to schedule things, so a run is
+// bit-identical per seed however its setup code is arranged.
 //
 // There is one executor: one clock, one event queue, one driver loop
 // (Engine.loop) that runs on Run's caller. Simulated cores (procs) are
@@ -55,7 +55,15 @@ const MaxTime Time = math.MaxUint64
 // memory). It orders after every core domain at the same cycle, so a
 // same-cycle (deliver-to-core, commit-at-directory) pair always delivers
 // first.
-const SysDomain = ^uint32(0)
+//
+// NetDomain is a source-only domain: the network, which delivers a message
+// whose traversal was drawn longer than the fixed hop. An event it sources
+// orders after every core- and system-sourced event of its (cycle, target),
+// and it is never a target.
+const (
+	SysDomain = ^uint32(0) - 1
+	NetDomain = ^uint32(0)
+)
 
 // event is a scheduled callback (p == nil) or a proc wake (p != nil; fn is
 // unused). Wakes are distinguished so whoever pops one can switch to the
@@ -89,9 +97,10 @@ func (a *event) precedes(at Time, dom, src uint32, seq uint64) bool {
 }
 
 // Domain is a scheduling context owned by one simulated actor. Each core is
-// its own domain (id = proc id); the shared system side is SysDomain. A
-// domain carries its own sequence counter, so the canonical event key never
-// depends on how the scheduling code of different domains interleaved.
+// its own domain (id = proc id); the shared system side is SysDomain, and
+// the network, NetDomain, only sources events. A domain carries its own
+// sequence counter, so the canonical event key never depends on how the
+// scheduling code of different domains interleaved.
 //
 // A domain's At/After may only be called from that domain's own execution
 // context (or while the engine is idle); CrossAt schedules onto another
@@ -134,6 +143,7 @@ type Engine struct {
 	// an event's target up here, so the event itself carries no pointer.
 	doms  []*Domain
 	sys   *Domain
+	net   *Domain
 	procs []*Proc
 
 	now    Time
@@ -186,6 +196,7 @@ const DefaultStallLimit = 1 << 20
 func NewEngine() *Engine {
 	e := &Engine{StallLimit: DefaultStallLimit, stopAt: MaxTime}
 	e.sys = &Domain{eng: e, id: SysDomain}
+	e.net = &Domain{eng: e, id: NetDomain}
 	return e
 }
 
@@ -219,6 +230,10 @@ func (e *Engine) domain(id uint32) *Domain {
 
 // Sys returns the system domain handle (directory, L2, memory).
 func (e *Engine) Sys() *Domain { return e.sys }
+
+// Net returns the network's domain handle (NetDomain), which only sources
+// events: its CrossAt is a cross push like any other.
+func (e *Engine) Net() *Domain { return e.net }
 
 // DeclareLookahead declares the minimum latency of any cross-domain event,
 // which CrossAt enforces from here on and which licenses proc run-ahead

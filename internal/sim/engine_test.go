@@ -2,6 +2,7 @@ package sim
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -72,6 +73,46 @@ func TestSameCycleFIFO(t *testing.T) {
 	if st := e.Stats(); st.BucketOverflows == 0 || st.HeapEvents == 0 || e.Now() != 5 {
 		t.Fatalf("%d overflows, %d heap events, clock %d; want the cycle's bucket overflowed into the heap at cycle 5",
 			st.BucketOverflows, st.HeapEvents, e.Now())
+	}
+}
+
+// TestNetDomainOrdersLast pins the network domain's place in the event key.
+// At one (cycle, target) its events pop after the core- and system-sourced
+// ones, whenever those were pushed, and among themselves in push order. It
+// is a source like any other: a push closer than the lookahead panics, and
+// its event counts as foreign on its target.
+func TestNetDomainOrdersLast(t *testing.T) {
+	const la = 10
+	e := NewEngine()
+	e.DeclareLookahead(la)
+	sys, net, d0, d1 := e.Sys(), e.Net(), e.Domain(0), e.Domain(1)
+	var got []string
+	at := func(name string) func() { return func() { got = append(got, name) } }
+	e.At(1, func() { sys.At(20, at("sys")) })
+	d1.At(5, func() {
+		net.CrossAt(sys, 20, at("net1"))
+		d1.CrossAt(sys, 20, at("core1"))
+		net.CrossAt(sys, 20, at("net2"))
+	})
+	d0.At(6, func() { d0.CrossAt(sys, 20, at("core0")) })
+	e.At(7, func() { sys.At(20, at("sys-late")) })
+	var foreign int
+	e.At(8, func() { foreign = sys.foreign })
+	if err := e.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"core0", "core1", "sys", "sys-late", "net1", "net2"}; !slices.Equal(got, want) {
+		t.Errorf("pop order %v, want %v", got, want)
+	}
+	if foreign != 4 || sys.foreign != 0 {
+		t.Errorf("sys counts %d foreign callbacks while queued and %d drained; want 4 and 0", foreign, sys.foreign)
+	}
+
+	e = NewEngine()
+	e.DeclareLookahead(la)
+	e.At(5, func() { e.Net().CrossAt(e.Sys(), e.Now()+la-1, func() {}) })
+	if msg := runPanic(e); !strings.Contains(msg, "lookahead violation") {
+		t.Errorf("network push %d cycles ahead: got %q, want a lookahead violation", la-1, msg)
 	}
 }
 
